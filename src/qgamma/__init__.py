@@ -31,7 +31,6 @@ from .qspecial import (
     psi_q_root,
 )
 from .classical import (
-    ClassicalConfig,
     EULER_GAMMA,
     euler_gamma_classical,
     ln_gamma_classical,

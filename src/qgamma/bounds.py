@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
-from .classical import ClassicalConfig, DEFAULT_CLASSICAL_CONFIG, ln_gamma_classical, psi_classical
+from .classical import ln_gamma_classical, psi_classical
+from .constants import MAX_EXP
 from .errors import AlphaBelowRoot, DomainError
 from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative, q_pow
 from .qspecial import ln_gamma_q, psi_q, psi_q_root
@@ -33,11 +34,9 @@ INEQUALITY_IDS = (
     "zhang_xu_situ",
 )
 
-_MAX_EXP = 709.78
-
 
 def _safe_exp(z: float) -> float:
-    return math.inf if z > _MAX_EXP else math.exp(z)
+    return math.inf if z > MAX_EXP else math.exp(z)
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,7 @@ def thm_main_bounds(
     return _pair("thm_main", slope_y * ldiff + shift, log_ratio, slope_x * ldiff + shift, strict=False)
 
 
-def cor_half_shift_bounds(
-    x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, force: bool = False
-) -> BoundPair:
+def cor_half_shift_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
     """The main bounds specialized to the ratio Gamma_q(x+1)/Gamma_q(x+1/2).
 
     Defined for x > 0 by substitution; equality with thm_main_bounds at
@@ -181,9 +178,7 @@ def cor_mu_lambda_bounds(
     return replace(inner, inequality_id="cor_mu_lambda")
 
 
-def cor_one_half_bounds(
-    x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, force: bool = False
-) -> BoundPair:
+def cor_one_half_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
     """Mean-value bounds for Gamma_q(x+1)/Gamma_q(x+1/2), x > 0."""
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
@@ -191,9 +186,7 @@ def cor_one_half_bounds(
     return replace(inner, inequality_id="cor_one_half")
 
 
-def remark_rearranged_bounds(
-    x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, force: bool = False
-) -> BoundPair:
+def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
     """Rearranged half-shift bounds on Gamma_q(x)/Gamma_q(x+1/2).
 
     Every component is the corresponding cor_one_half component divided by
@@ -222,12 +215,7 @@ def remark_rearranged_bounds(
     )
 
 
-def keckic_vasic_bounds(
-    x: float,
-    y: float,
-    cfg: ClassicalConfig = DEFAULT_CLASSICAL_CONFIG,
-    force: bool = False,
-) -> BoundPair:
+def keckic_vasic_bounds(x: float, y: float, force: bool = False) -> BoundPair:
     """Classical power-exponential bounds on Gamma(x)/Gamma(y) for x >= y > 1."""
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"requires positive arguments, got x={x!r}, y={y!r}")
@@ -237,16 +225,11 @@ def keckic_vasic_bounds(
     ly = math.log(y)
     log_lower = (x - 1.0) * lx - (y - 1.0) * ly + (y - x)
     log_upper = (x - 0.5) * lx - (y - 0.5) * ly + (y - x)
-    log_ratio = ln_gamma_classical(x, cfg).value - ln_gamma_classical(y, cfg).value
+    log_ratio = ln_gamma_classical(x).value - ln_gamma_classical(y).value
     return _pair("keckic_vasic", log_lower, log_ratio, log_upper, strict=False)
 
 
-def zhang_xu_situ_bounds(
-    x: float,
-    y: float,
-    cfg: ClassicalConfig = DEFAULT_CLASSICAL_CONFIG,
-    force: bool = False,
-) -> BoundPair:
+def zhang_xu_situ_bounds(x: float, y: float, force: bool = False) -> BoundPair:
     """Classical geometric-convexity bounds on Gamma(x)/Gamma(y) for x, y > 0."""
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"requires positive arguments, got x={x!r}, y={y!r}")
@@ -256,7 +239,7 @@ def zhang_xu_situ_bounds(
     base = x * lx - y * ly + (y - x)
     log_lower = base + y * (psi_classical(y).value - ly) * ldiff
     log_upper = base + x * (psi_classical(x).value - lx) * ldiff
-    log_ratio = ln_gamma_classical(x, cfg).value - ln_gamma_classical(y, cfg).value
+    log_ratio = ln_gamma_classical(x).value - ln_gamma_classical(y).value
     return _pair("zhang_xu_situ", log_lower, log_ratio, log_upper, strict=False)
 
 
@@ -317,9 +300,10 @@ DEFAULT_DOMAINS: dict[str, DomainSpec] = {
     "cor_one_half": DomainSpec((0.05, 30.0), None, _Q_DEFAULT),
     "remark_rearranged": DomainSpec((0.05, 30.0), None, _Q_DEFAULT),
     "keckic_vasic": DomainSpec((1.0 + 1e-6, 30.0), (1.0 + 1e-6, 30.0), None, None, "x_greater_than_y"),
-    # Capped at 8: this inequality's margin is quadratic in |x - y| near the
-    # diagonal with curvature ~1/(12 y^3), and the classical evaluation depth
-    # used for certification must keep its truncation error below that.
+    # Capped at 8.  The margin is quadratic in |x - y| near the diagonal with
+    # curvature ~1/(12 y^3); the classical evaluation's error (~1e-14, from
+    # rounding alone) does not limit the domain, so the cap only fixes the
+    # certified region, and widening it needs its own sampled evidence.
     "zhang_xu_situ": DomainSpec((0.05, 8.0), (0.05, 8.0), None),
 }
 

@@ -1,94 +1,87 @@
 """Reference classical Gamma, digamma and Euler constant.
 
 Used only to verify the q -> 1 limit behaviour and to evaluate the two
-classical ratio inequalities.  Both operations evaluate exactly the limit /
-series representations the rest of the package is checked against, rather
-than delegating to an external Gamma algorithm, so their provenance is
-auditable.  Accuracy target is 1e-7 relative, two orders below the coarsest
-limit-check tolerance.
+classical ratio inequalities.  Both operations shift x up by the recurrence
+until x >= 10, then sum eight terms of the Stirling (resp. digamma)
+asymptotic series.  For real z > 0 the remainder of either series is bounded
+by its first omitted term and has the same sign (DLMF 5.11(ii)); at z = 10
+that term is below 4e-18, so only double rounding is left: both functions
+agree with mpmath to within 3e-14 absolute over x in [0.05, 30].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .qcore import Evaluation
 
 EULER_GAMMA = 0.5772156649015329
 
+# B_2, B_4, ..., B_16 (DLMF 24.2.1).
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_SERIES_TERMS = len(_BERNOULLI)
+_SHIFT_TO = 10.0
 
-@dataclass(frozen=True)
-class ClassicalConfig:
-    """Depth of the limit-ratio evaluation and whether to extrapolate it."""
-
-    limit_n: int = 10**6
-    extrapolate: bool = True
-
-    def __post_init__(self):
-        if self.limit_n < 10:
-            raise DomainError(f"limit_n must be >= 10, got {self.limit_n!r}")
-
-
-DEFAULT_CLASSICAL_CONFIG = ClassicalConfig()
-
-# Index arrays reused across evaluations, keyed by length.
-_INDEX_CACHE: dict[int, np.ndarray] = {}
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling coefficients B_2k / (2k (2k-1)) and digamma coefficients B_2k / 2k;
+# the *_OMITTED ones are those of the first omitted term, k = 9 (B_18 = 43867/798).
+_LN_GAMMA_COEF = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))
+_PSI_COEF = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1))
+_LN_GAMMA_OMITTED = 43867 / 798 / (18 * 17)
+_PSI_OMITTED = 43867 / 798 / 18
 
 
-def _indices(n: int) -> np.ndarray:
-    arr = _INDEX_CACHE.get(n)
-    if arr is None:
-        arr = np.arange(1, n + 1, dtype=np.float64)
-        _INDEX_CACHE[n] = arr
-    return arr
-
-
-def ln_gamma_classical(x: float, cfg: ClassicalConfig = DEFAULT_CLASSICAL_CONFIG) -> Evaluation:
-    """ln Gamma(x) from the limit ratio n! n^x / (x(x+1)...(x+n)).
-
-    The log of the ratio is evaluated with the ln(n!) pieces cancelled:
-    sum_{k=0..n} ln(x+k) = ln x + ln(n!) + sum_{k=1..n} ln(1 + x/k), which
-    keeps the summed magnitudes small.  The ratio converges like c(x)/n, so
-    it is taken at n and 2n (one shared term array) and Richardson-
-    extrapolated; the error estimate is the distance between the two raw
-    evaluations.
-    """
+def _shift(x: float) -> tuple[int, float]:
+    """Recurrence steps n >= 0 with x + n >= 10, and the shifted argument."""
     if not x > 0.0:
         raise DomainError(f"x must be positive, got {x!r}")
-    n = cfg.limit_n
-    terms = np.log1p(x / _indices(2 * n))
-    head = float(terms[:n].sum())
-    full = float(terms.sum())
-    g_n = x * math.log(n) - math.log(x) - head
-    g_2n = x * math.log(2 * n) - math.log(x) - full
-    value = 2.0 * g_2n - g_n if cfg.extrapolate else g_n
-    return Evaluation(value, abs(g_2n - g_n), 3 * n)
+    n = max(0, math.ceil(_SHIFT_TO - x))
+    return n, x + n
 
 
-# Partial-sum depth for the digamma series; the integral tail patch leaves a
-# residual ~ (x-1)/N^3, far below the 1e-7 module target.
-_PSI_SERIES_TERMS = 8192
+def _horner(coef: tuple, w: float) -> float:
+    """sum_k coef[k] w^k."""
+    acc = 0.0
+    for c in reversed(coef):
+        acc = acc * w + c
+    return acc
+
+
+def ln_gamma_classical(x: float) -> Evaluation:
+    """ln Gamma(x) by ln Gamma(x) = ln Gamma(x+n) - ln(x (x+1) ... (x+n-1)) and
+    Stirling's series (z - 1/2) ln z - z + ln(2 pi)/2 + sum_k B_2k / (2k (2k-1) z^(2k-1)).
+
+    ``error_estimate`` is the first omitted Stirling term; ``terms_used``
+    counts recurrence steps plus series terms.
+    """
+    n, z = _shift(x)
+    w = 1.0 / (z * z)
+    value = (z - 0.5) * math.log(z) - z + _HALF_LN_2PI + _horner(_LN_GAMMA_COEF, w) / z
+    if n:
+        # x alone can be tiny; the product of the other factors is >= 1.
+        product = 1.0
+        for k in range(1, n):
+            product *= x + k
+        value -= math.log(x) + math.log(product)
+    omitted = _LN_GAMMA_OMITTED * w**_SERIES_TERMS / z
+    return Evaluation(value, omitted, n + _SERIES_TERMS)
 
 
 def psi_classical(x: float) -> Evaluation:
-    """psi(x) = -gamma + (x-1) sum_{n>=0} 1/((1+n)(n+x)), tail-completed.
+    """psi(x) by psi(x) = psi(x+n) - sum_{k<n} 1/(x+k) and the asymptotic
+    series ln z - 1/(2z) - sum_k B_2k / (2k z^(2k)).
 
-    Sums the first 4096 terms and replaces the remainder with the midpoint
-    integral of the summand, which collapses to a single logarithm.  The
-    reported error estimate is the crude pre-completion tail bound (x-1)/N.
+    ``error_estimate`` is the first omitted series term; ``terms_used``
+    counts recurrence steps plus series terms.
     """
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
-    n = _indices(_PSI_SERIES_TERMS)  # 1..N, shifted below to cover n=0
-    partial = float((1.0 / (n * (n - 1.0 + x))).sum())
-    a = _PSI_SERIES_TERMS - 0.5
-    tail = math.log((a + x) / (a + 1.0))
-    value = -EULER_GAMMA + (x - 1.0) * partial + tail
-    return Evaluation(value, abs(x - 1.0) / _PSI_SERIES_TERMS, _PSI_SERIES_TERMS)
+    n, z = _shift(x)
+    w = 1.0 / (z * z)
+    value = math.log(z) - 0.5 / z - _horner(_PSI_COEF, w) * w
+    for k in range(n - 1, -1, -1):  # smallest reciprocals first
+        value -= 1.0 / (x + k)
+    omitted = _PSI_OMITTED * w ** (_SERIES_TERMS + 1)
+    return Evaluation(value, omitted, n + _SERIES_TERMS)
 
 
 def euler_gamma_classical() -> float:

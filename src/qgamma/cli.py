@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .classical import ln_gamma_classical, psi_classical
-from .constants import CERT_SLACK_LOG
+from .constants import CERT_SLACK_LOG, MAX_EXP
 from .errors import (
     AlphaBelowRoot,
     BracketFailure,
@@ -144,6 +144,8 @@ def _cmd_eval(args) -> int:
         if args.x is None:
             raise DomainError("gamma requires --x")
         ln_ev = ln_gamma_classical(args.x)
+        if ln_ev.value > MAX_EXP:
+            raise Overflow(f"Gamma({args.x}) exceeds the double range (ln = {ln_ev.value:.6g})")
         value = math.exp(ln_ev.value)
         ev = Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)
     elif fn == "psi":

@@ -1,8 +1,11 @@
 """Project-wide certification constants.
 
-Finite-difference steps and comparison slacks live here so every module and
-test certifies against the same numbers.
+Finite-difference steps, comparison slacks and the double-range limit live
+here so every module and test certifies against the same numbers.
 """
+
+# ln of the largest finite double, rounded down; exp above it overflows.
+MAX_EXP = 709.78
 
 # Log-space slack when checking lower <= ratio <= upper at a sample point.
 # Equivalent to a relative slack of ~1e-9 on the exponentiated values.

@@ -19,13 +19,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classical import (
-    ClassicalConfig,
-    DEFAULT_CLASSICAL_CONFIG,
-    EULER_GAMMA,
-    ln_gamma_classical,
-    psi_classical,
-)
+from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CERT_SLACK_LOG, CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
 from .errors import AlphaBelowRoot, DomainError, QGammaError, RejectionOverflow
 from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative
@@ -34,6 +28,7 @@ from .bounds import (
     BoundPair,
     DomainSpec,
     INEQUALITY_IDS,
+    _safe_exp,
     cached_psi_root,
     cor_half_shift_bounds,
     cor_mu_lambda_bounds,
@@ -52,17 +47,6 @@ SCHEMA_VERSION = 1
 _LN_HALF = math.log(0.5)
 _FAILURE_CAP = 100
 _REJECTION_CAP = 1000
-
-# Depth of the classical limit-ratio evaluation on the certification path.
-# The extrapolated error is smooth in x, so a certified log margin only sees
-# its derivative times |x - y|: about 8.7e-7 per unit at x = 30 for this
-# depth, at least an order below the flattest margin behaviour over the
-# sampled domains (keckic_vasic margins are linear in |x - y| with slope
-# >= 1/(12 x^2); zhang_xu_situ margins are quadratic with curvature
-# 1/(12 y^3), which is why its default domain is capped at 8).  The full
-# default depth would put the classical inequalities alone far beyond the
-# harness runtime budget.
-CERT_CLASSICAL_CONFIG = ClassicalConfig(limit_n=16384)
 
 Point = Tuple[Optional[float], Optional[float], Optional[float], object]
 
@@ -146,7 +130,6 @@ def evaluate_point(
     inequality_id: str,
     point: Point,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    classical_cfg: ClassicalConfig = DEFAULT_CLASSICAL_CONFIG,
     force: bool = False,
 ) -> BoundPair:
     """Evaluate one inequality's BoundPair at a sampled point."""
@@ -167,9 +150,9 @@ def evaluate_point(
     if inequality_id == "remark_rearranged":
         return remark_rearranged_bounds(x, QParam(q), cfg)
     if inequality_id == "keckic_vasic":
-        return keckic_vasic_bounds(x, y, classical_cfg, force=force)
+        return keckic_vasic_bounds(x, y, force=force)
     if inequality_id == "zhang_xu_situ":
-        return zhang_xu_situ_bounds(x, y, classical_cfg, force=force)
+        return zhang_xu_situ_bounds(x, y, force=force)
     raise DomainError(f"unknown inequality id {inequality_id!r}")
 
 
@@ -187,6 +170,18 @@ def certify(
     """
     if inequality_id not in INEQUALITY_IDS:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
+    return _certify_points(inequality_id, inequality_id, batch, cfg, corrupt_upper=corrupt_upper)
+
+
+def _certify_points(
+    inequality_id: str,
+    report_id: str,
+    batch: SampleBatch,
+    cfg: EvalConfig,
+    force: bool = False,
+    corrupt_upper: bool = False,
+) -> CertificateReport:
+    """The per-point loop behind ``certify`` and ``explore_main_below_one``."""
     start = time.perf_counter()
     n_pass = 0
     failures = []
@@ -194,7 +189,7 @@ def certify(
     worst_upper = math.inf
     for point in batch.points:
         try:
-            pair = evaluate_point(inequality_id, point, cfg, classical_cfg=CERT_CLASSICAL_CONFIG)
+            pair = evaluate_point(inequality_id, point, cfg, force=force)
         except QGammaError as exc:
             if len(failures) < _FAILURE_CAP:
                 failures.append({"point": _point_dict(point), "error": str(exc)})
@@ -210,13 +205,13 @@ def certify(
             failures.append(
                 {
                     "point": _point_dict(point),
-                    "lower": math.exp(pair.log_lower) if pair.log_lower < 709.78 else math.inf,
+                    "lower": _safe_exp(pair.log_lower),
                     "ratio": pair.ratio,
-                    "upper": math.exp(log_upper) if log_upper < 709.78 else math.inf,
+                    "upper": _safe_exp(log_upper),
                 }
             )
     return CertificateReport(
-        inequality_id=inequality_id,
+        inequality_id=report_id,
         n_samples=len(batch.points),
         n_pass=n_pass,
         worst_lower_margin=worst_lower,
@@ -527,30 +522,7 @@ def explore_main_below_one(
     """
     spec = DomainSpec((0.05, 5.0), (0.05, 5.0), (0.05, 0.95))
     batch = sample(spec, seed, samples)
-    start = time.perf_counter()
-    n_pass = 0
-    failures = []
-    worst_lower = math.inf
-    worst_upper = math.inf
-    for point in batch.points:
-        pair = evaluate_point("thm_main", point, cfg, force=True)
-        lower_margin = pair.log_ratio - pair.log_lower
-        upper_margin = pair.log_upper - pair.log_ratio
-        worst_lower = min(worst_lower, lower_margin)
-        worst_upper = min(worst_upper, upper_margin)
-        if lower_margin >= -CERT_SLACK_LOG and upper_margin >= -CERT_SLACK_LOG:
-            n_pass += 1
-        elif len(failures) < _FAILURE_CAP:
-            failures.append({"point": _point_dict(point), "lower": pair.lower, "ratio": pair.ratio, "upper": pair.upper})
-    return CertificateReport(
-        inequality_id="exploratory_thm_main_below_one",
-        n_samples=len(batch.points),
-        n_pass=n_pass,
-        worst_lower_margin=worst_lower,
-        worst_upper_margin=worst_upper,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-    )
+    return _certify_points("thm_main", "exploratory_thm_main_below_one", batch, cfg, force=True)
 
 
 # --------------------------------------------------------------------------

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constants import MAX_EXP
 from .errors import BracketFailure, DomainError, Overflow
 from .qcore import DEFAULT_CONFIG, EvalConfig, Evaluation, QParam, q_pow, sum_geometric_decay
-
-_MAX_EXP = 709.78  # ln of the largest finite double, rounded down
 
 # The series engine stops on the magnitude of its own partial sum, while the
 # accuracy contract is on the full log value (base term included).  Tightening
@@ -56,7 +55,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluat
 def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     """Gamma_q(x) = exp(ln Gamma_q(x)); truncation bound scaled by the value."""
     ln_ev = ln_gamma_q(x, q, cfg)
-    if ln_ev.value > _MAX_EXP:
+    if ln_ev.value > MAX_EXP:
         raise Overflow(f"Gamma_q({x}, q={q.q}) exceeds the double range (ln = {ln_ev.value:.6g})")
     value = math.exp(ln_ev.value)
     return Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)

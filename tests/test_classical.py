@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
+from oracles import mp_ln_gamma_classical
 
 from qgamma.classical import (
-    ClassicalConfig,
     EULER_GAMMA,
     euler_gamma_classical,
     ln_gamma_classical,
@@ -17,6 +18,10 @@ from qgamma.qspecial import gamma_q, psi_q
 LN_SQRT_PI = 0.5723649429247001  # oracle-confirmed analytic check value
 LN_24 = 3.1780538303479456
 PSI_AT_HALF = -1.9635100260214235  # -gamma - 2 ln 2, matches the 2e5-term series oracle
+
+# x in [0.05, 30], with points on both sides of the recurrence threshold 10.
+ORACLE_GRID = [float(x) for x in np.linspace(0.05, 30.0, 61)] + [9.999, math.nextafter(10.0, 0.0), 10.0]
+ORACLE_ABS_TOL = 1e-13
 
 
 class TestLnGammaClassical:
@@ -33,21 +38,19 @@ class TestLnGammaClassical:
         with pytest.raises(DomainError):
             ln_gamma_classical(0.0)
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            ClassicalConfig(limit_n=5)
+    def test_matches_oracle(self):
+        for x in ORACLE_GRID:
+            ev = ln_gamma_classical(x)
+            assert abs(ev.value - float(mp_ln_gamma_classical(x))) <= ORACLE_ABS_TOL, x
+            assert ev.error_estimate >= 0.0
+            assert ev.terms_used >= 1
 
-    def test_extrapolation_beats_raw(self):
-        cfg_raw = ClassicalConfig(limit_n=20000, extrapolate=False)
-        cfg_rich = ClassicalConfig(limit_n=20000, extrapolate=True)
-        raw = abs(ln_gamma_classical(5.0, cfg_raw).value - LN_24)
-        rich = abs(ln_gamma_classical(5.0, cfg_rich).value - LN_24)
-        assert rich < raw / 100
-
-    def test_error_estimate_is_input_gap(self):
-        ev = ln_gamma_classical(3.0, ClassicalConfig(limit_n=10000))
-        # raw n-level error is ~c/n, so the (n, 2n) gap is ~c/2n
-        assert 1e-8 < ev.error_estimate < 1e-2
+    def test_error_estimate_is_first_omitted_term(self):
+        # B_18 / (18 * 17 * z^17) at the shifted argument z = x + n >= 10.
+        for x, z in ((0.05, 10.05), (9.999, 10.999), (10.0, 10.0), (25.0, 25.0)):
+            ev = ln_gamma_classical(x)
+            omitted = mp.bernoulli(18) / (18 * 17 * mpf(z) ** 17)
+            assert ev.error_estimate == pytest.approx(float(omitted), rel=1e-12)
 
     def test_functional_equation(self):
         for x in np.linspace(0.25, 29.0, 24):
@@ -76,6 +79,13 @@ class TestPsiClassical:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             psi_classical(-1.0)
+
+    def test_matches_oracle(self):
+        for x in ORACLE_GRID:
+            ev = psi_classical(x)
+            assert abs(ev.value - float(mp.digamma(mpf(x)))) <= ORACLE_ABS_TOL, x
+            assert ev.error_estimate >= 0.0
+            assert ev.terms_used >= 1
 
 
 class TestEulerGammaClassical:

@@ -59,6 +59,12 @@ class TestEval:
         assert res.returncode == 2
         assert "error" in res.stderr
 
+    def test_overflow_exits_3(self):
+        for args in (("--fn", "gamma", "--x", "200"), ("--fn", "gamma_q", "--x", "2000", "--q", "0.5")):
+            res = run_cli("eval", *args)
+            assert res.returncode == 3, args
+            assert res.stderr.startswith("error:"), args
+
     def test_bad_function_exits_2(self):
         res = run_cli("eval", "--fn", "zeta", "--x", "1", "--q", "0.5")
         assert res.returncode == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgamma.errors import DomainError, RejectionOverflow
-from qgamma.qcore import QParam
+from qgamma.qcore import EvalConfig, QParam
 from qgamma.bounds import DomainSpec, INEQUALITY_IDS, cached_psi_root, default_domain
 from qgamma.propcheck import (
     ALL_CHECK_IDS,
@@ -235,3 +235,10 @@ class TestExploratorySweep:
         assert report.inequality_id == "exploratory_thm_main_below_one"
         assert report.n_samples == 100
         assert math.isfinite(report.worst_lower_margin)
+
+    def test_evaluation_errors_are_recorded_failures(self):
+        report = explore_main_below_one(seed=3, samples=5, cfg=EvalConfig(max_terms=3))
+        assert report.n_samples == 5
+        assert report.n_pass == 0
+        assert len(report.failures) == 5
+        assert all("error" in f for f in report.failures)
