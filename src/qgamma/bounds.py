@@ -22,19 +22,6 @@ from .errors import AlphaBelowRoot, DomainError
 from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative, q_pow
 from .qspecial import ln_gamma_q, psi_q, psi_q_root
 
-INEQUALITY_IDS = (
-    "thm_main",
-    "cor_half_shift",
-    "thm_alpha",
-    "thm_mvt",
-    "cor_mu_lambda",
-    "cor_one_half",
-    "remark_rearranged",
-    "keckic_vasic",
-    "zhang_xu_situ",
-)
-
-
 def _safe_exp(z: float) -> float:
     return math.inf if z > MAX_EXP else math.exp(z)
 
@@ -229,7 +216,7 @@ def keckic_vasic_bounds(x: float, y: float, force: bool = False) -> BoundPair:
     return _pair("keckic_vasic", log_lower, log_ratio, log_upper, strict=False)
 
 
-def zhang_xu_situ_bounds(x: float, y: float, force: bool = False) -> BoundPair:
+def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
     """Classical geometric-convexity bounds on Gamma(x)/Gamma(y) for x, y > 0."""
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"requires positive arguments, got x={x!r}, y={y!r}")
@@ -244,7 +231,7 @@ def zhang_xu_situ_bounds(x: float, y: float, force: bool = False) -> BoundPair:
 
 
 # --------------------------------------------------------------------------
-# Root cache and sampling domains
+# Root cache, sampling domains and the inequality registry
 # --------------------------------------------------------------------------
 
 # psi_q root per q, computed once per certification run.  Keyed by the exact
@@ -260,7 +247,13 @@ def cached_psi_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return root
 
 
-_CONSTRAINTS = ("none", "x_greater_than_y", "mu_greater_than_lambda", "alpha_at_least_root")
+# Every sampling constraint, with the ranges it draws from.
+_CONSTRAINTS = {
+    "none": (),
+    "x_greater_than_y": ("y_range",),
+    "mu_greater_than_lambda": ("aux_range",),
+    "alpha_at_least_root": ("aux_range", "q_range"),
+}
 
 
 @dataclass(frozen=True)
@@ -287,29 +280,58 @@ class DomainSpec:
             raise DomainError(f"q_range must sit inside (0, 1), got {self.q_range!r}")
         if self.constraint not in _CONSTRAINTS:
             raise DomainError(f"unknown constraint {self.constraint!r}")
+        missing = [name for name in _CONSTRAINTS[self.constraint] if getattr(self, name) is None]
+        if missing:
+            raise DomainError(f"constraint {self.constraint!r} requires " + ", ".join(missing))
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """Point slots and default sampling domain of one inequality.
+
+    ``args`` names the slots in the order the inequality's ``*_bounds``
+    operation takes them, with ``q`` last when it takes one.  Slots other
+    than x, y and q travel in a sampled point's aux field: the value
+    itself for one slot, a tuple in slot order for several.
+    """
+
+    args: Tuple[str, ...]
+    domain: DomainSpec
 
 
 _Q_DEFAULT = (0.05, 0.95)
 
-DEFAULT_DOMAINS: dict[str, DomainSpec] = {
-    "thm_main": DomainSpec((1.0, 30.0), (1.0, 30.0), _Q_DEFAULT),
-    "cor_half_shift": DomainSpec((0.05, 30.0), None, _Q_DEFAULT),
-    "thm_alpha": DomainSpec((0.05, 20.0), (0.05, 20.0), _Q_DEFAULT, (0.0, 10.0), "alpha_at_least_root"),
-    "thm_mvt": DomainSpec((0.05, 30.0), (0.05, 30.0), _Q_DEFAULT, None, "x_greater_than_y"),
-    "cor_mu_lambda": DomainSpec((0.05, 30.0), None, _Q_DEFAULT, (0.05, 5.0), "mu_greater_than_lambda"),
-    "cor_one_half": DomainSpec((0.05, 30.0), None, _Q_DEFAULT),
-    "remark_rearranged": DomainSpec((0.05, 30.0), None, _Q_DEFAULT),
-    "keckic_vasic": DomainSpec((1.0 + 1e-6, 30.0), (1.0 + 1e-6, 30.0), None, None, "x_greater_than_y"),
+INEQUALITIES: dict[str, Inequality] = {
+    "thm_main": Inequality(("x", "y", "q"), DomainSpec((1.0, 30.0), (1.0, 30.0), _Q_DEFAULT)),
+    "cor_half_shift": Inequality(("x", "q"), DomainSpec((0.05, 30.0), None, _Q_DEFAULT)),
+    "thm_alpha": Inequality(
+        ("x", "y", "alpha", "q"),
+        DomainSpec((0.05, 20.0), (0.05, 20.0), _Q_DEFAULT, (0.0, 10.0), "alpha_at_least_root"),
+    ),
+    "thm_mvt": Inequality(
+        ("x", "y", "q"), DomainSpec((0.05, 30.0), (0.05, 30.0), _Q_DEFAULT, None, "x_greater_than_y")
+    ),
+    "cor_mu_lambda": Inequality(
+        ("x", "mu", "lam", "q"),
+        DomainSpec((0.05, 30.0), None, _Q_DEFAULT, (0.05, 5.0), "mu_greater_than_lambda"),
+    ),
+    "cor_one_half": Inequality(("x", "q"), DomainSpec((0.05, 30.0), None, _Q_DEFAULT)),
+    "remark_rearranged": Inequality(("x", "q"), DomainSpec((0.05, 30.0), None, _Q_DEFAULT)),
+    "keckic_vasic": Inequality(
+        ("x", "y"), DomainSpec((1.0 + 1e-6, 30.0), (1.0 + 1e-6, 30.0), None, None, "x_greater_than_y")
+    ),
     # Capped at 8.  The margin is quadratic in |x - y| near the diagonal with
     # curvature ~1/(12 y^3); the classical evaluation's error (~1e-14, from
     # rounding alone) does not limit the domain, so the cap only fixes the
     # certified region, and widening it needs its own sampled evidence.
-    "zhang_xu_situ": DomainSpec((0.05, 8.0), (0.05, 8.0), None),
+    "zhang_xu_situ": Inequality(("x", "y"), DomainSpec((0.05, 8.0), (0.05, 8.0), None)),
 }
+
+INEQUALITY_IDS = tuple(INEQUALITIES)
 
 
 def default_domain(inequality_id: str) -> DomainSpec:
     try:
-        return DEFAULT_DOMAINS[inequality_id]
+        return INEQUALITIES[inequality_id].domain
     except KeyError:
         raise DomainError(f"unknown inequality id {inequality_id!r}") from None

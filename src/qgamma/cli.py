@@ -3,8 +3,8 @@ root finding and CSV table emission.
 
 Exit codes: 0 success / all checks pass, 1 certification failures,
 2 usage or domain error, 3 numerical trouble (non-convergence, overflow,
-bracket failure, or a verify run whose failures are mostly evaluation
-errors).
+bracket failure, or a verify run in which more than half of a report's
+points are evaluation errors).
 
 Values print with 17 significant digits so they re-parse to the identical
 double.  The environment variable QGAMMA_MAX_TERMS overrides the default
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .qcore import EvalConfig, Evaluation, QParam
 from .qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
-from .bounds import INEQUALITY_IDS
+from .bounds import INEQUALITIES, INEQUALITY_IDS
 from .propcheck import (
     ALL_CHECK_IDS,
     evaluate_point,
@@ -59,21 +59,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 ENV_MAX_TERMS = "QGAMMA_MAX_TERMS"
-
-# Argument slots each inequality consumes, used for flag validation and for
-# assembling (x, y, q, aux) points.
-_INEQ_ARGS = {
-    "thm_main": ("x", "y", "q"),
-    "cor_half_shift": ("x", "q"),
-    "thm_alpha": ("x", "y", "q", "alpha"),
-    "thm_mvt": ("x", "y", "q"),
-    "cor_mu_lambda": ("x", "mu", "lam", "q"),
-    "cor_one_half": ("x", "q"),
-    "remark_rearranged": ("x", "q"),
-    "keckic_vasic": ("x", "y"),
-    "zhang_xu_situ": ("x", "y"),
-}
-
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -98,25 +83,25 @@ def _eval_config(args) -> EvalConfig:
     return cfg
 
 
-def _emit(lines_or_obj, fmt: str) -> None:
+def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(lines_or_obj))
+        print(json.dumps(payload))
     else:
-        for key, value in lines_or_obj.items():
-            print(f"{key}: {value}")
+        for key, value in payload.items():
+            print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
 
 
 def _point_from_args(ineq: str, args) -> tuple:
-    missing = [name for name in _INEQ_ARGS[ineq] if getattr(args, name, None) is None]
+    """The (x, y, q, aux) point of ``ineq`` from its flags; aux packs the
+    slots beyond x, y and q as ``bounds.Inequality`` describes."""
+    slots = INEQUALITIES[ineq].args
+    missing = [name for name in slots if getattr(args, name) is None]
     if missing:
         raise DomainError(f"{ineq} requires --" + ", --".join(missing))
-    aux = None
-    if ineq == "thm_alpha":
-        aux = args.alpha
-    elif ineq == "cor_mu_lambda":
-        aux = (args.mu, args.lam)
-    y = getattr(args, "y", None) if "y" in _INEQ_ARGS[ineq] else None
-    q = getattr(args, "q", None) if "q" in _INEQ_ARGS[ineq] else None
+    extra = tuple(getattr(args, name) for name in slots if name not in ("x", "y", "q"))
+    aux = extra[0] if len(extra) == 1 else extra or None
+    y = args.y if "y" in slots else None
+    q = args.q if "q" in slots else None
     return (args.x, y, q, aux)
 
 
@@ -154,12 +139,7 @@ def _cmd_eval(args) -> int:
         ev = psi_classical(args.x)
     else:
         raise DomainError(f"unknown function {fn!r}")
-    payload = {
-        "value": _fmt(ev.value) if args.format == "plain" else ev.value,
-        "error_estimate": _fmt(ev.error_estimate) if args.format == "plain" else ev.error_estimate,
-        "terms_used": ev.terms_used,
-    }
-    _emit(payload, args.format)
+    _emit({"value": ev.value, "error_estimate": ev.error_estimate, "terms_used": ev.terms_used}, args.format)
     return EXIT_OK
 
 
@@ -170,40 +150,23 @@ def _cmd_bounds(args) -> int:
         pair.log_ratio - pair.log_lower >= -CERT_SLACK_LOG
         and pair.log_upper - pair.log_ratio >= -CERT_SLACK_LOG
     )
-    if args.format == "json":
-        payload = {
-            "inequality_id": pair.inequality_id,
-            "lower": pair.lower,
-            "ratio": pair.ratio,
-            "upper": pair.upper,
-            "lower_margin": pair.lower_margin,
-            "upper_margin": pair.upper_margin,
-            "strict": pair.strict,
-            "satisfied": satisfied,
-        }
-    else:
-        payload = {
-            "inequality_id": pair.inequality_id,
-            "lower": _fmt(pair.lower),
-            "ratio": _fmt(pair.ratio),
-            "upper": _fmt(pair.upper),
-            "lower_margin": _fmt(pair.lower_margin),
-            "upper_margin": _fmt(pair.upper_margin),
-            "strict": pair.strict,
-            "satisfied": satisfied,
-        }
+    payload = {
+        "inequality_id": pair.inequality_id,
+        "lower": pair.lower,
+        "ratio": pair.ratio,
+        "upper": pair.upper,
+        "lower_margin": pair.lower_margin,
+        "upper_margin": pair.upper_margin,
+        "strict": pair.strict,
+        "satisfied": satisfied,
+    }
     _emit(payload, args.format)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     cfg = _eval_config(args)
-    if args.ineq == "all":
-        check_ids = ALL_CHECK_IDS
-    elif args.ineq in ALL_CHECK_IDS:
-        check_ids = (args.ineq,)
-    else:
-        raise DomainError(f"unknown inequality id {args.ineq!r}")
+    check_ids = ALL_CHECK_IDS if args.ineq == "all" else (args.ineq,)
     reports = [
         run_check(cid, seed=args.seed, samples=args.samples, cfg=cfg, corrupt_upper=args.corrupt_bounds)
         for cid in check_ids
@@ -212,10 +175,7 @@ def _cmd_verify(args) -> int:
         print(json.dumps([report_to_dict(r) for r in reports]))
     else:
         print("\n\n".join(report_to_text(r) for r in reports))
-    pervasive = any(
-        sum(1 for f in r.failures if "error" in f) > r.n_samples / 2 for r in reports if r.n_samples
-    )
-    if pervasive:
+    if any(r.n_errors > r.n_samples / 2 for r in reports):
         return EXIT_NUMERICAL
     if any(r.n_pass < r.n_samples for r in reports):
         return EXIT_CERT_FAILURES
@@ -225,25 +185,17 @@ def _cmd_verify(args) -> int:
 def _cmd_root(args) -> int:
     cfg = _eval_config(args)
     result = psi_q_root(QParam(args.q), cfg)
-    if args.format == "json":
-        payload = {
-            "root": result.root,
-            "bracket_low": result.bracket_low,
-            "bracket_high": result.bracket_high,
-            "residual": result.residual,
-        }
-    else:
-        payload = {
-            "root": _fmt(result.root),
-            "bracket_low": _fmt(result.bracket_low),
-            "bracket_high": _fmt(result.bracket_high),
-            "residual": _fmt(result.residual),
-        }
+    payload = {
+        "root": result.root,
+        "bracket_low": result.bracket_low,
+        "bracket_high": result.bracket_high,
+        "residual": result.residual,
+    }
     _emit(payload, args.format)
     return EXIT_OK
 
 
-_TABLE_HEADER = "x,lower,ratio,upper,lower_margin,upper_margin"
+_TABLE_FIELDS = ("lower", "ratio", "upper", "lower_margin", "upper_margin")
 
 
 def _cmd_table(args) -> int:
@@ -252,33 +204,19 @@ def _cmd_table(args) -> int:
         raise DomainError(f"steps must be >= 2, got {args.steps!r}")
     if not args.min < args.max:
         raise DomainError(f"requires min < max, got {args.min!r}, {args.max!r}")
-    slots = _INEQ_ARGS[args.ineq]
     var_slot = "lam" if args.var == "lambda" else args.var
-    if var_slot not in slots and not (var_slot == "alpha" and "alpha" in slots):
+    if var_slot not in INEQUALITIES[args.ineq].args:
         raise DomainError(f"{args.ineq} has no sweep variable {args.var!r}")
     rows = []
     for value in np.linspace(args.min, args.max, args.steps):
         setattr(args, var_slot, float(value))
         pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), cfg, force=args.force)
-        rows.append((float(value), pair))
+        rows.append({"x": float(value), **{name: getattr(pair, name) for name in _TABLE_FIELDS}})
     if args.format == "json":
-        print(json.dumps([
-            {
-                "x": v,
-                "lower": p.lower,
-                "ratio": p.ratio,
-                "upper": p.upper,
-                "lower_margin": p.lower_margin,
-                "upper_margin": p.upper_margin,
-            }
-            for v, p in rows
-        ]))
+        print(json.dumps(rows))
     else:
-        lines = [_TABLE_HEADER]
-        for v, p in rows:
-            lines.append(
-                ",".join(_fmt(f) for f in (v, p.lower, p.ratio, p.upper, p.lower_margin, p.upper_margin))
-            )
+        lines = [",".join(("x",) + _TABLE_FIELDS)]
+        lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -287,10 +225,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgamma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("plain", "json"), default="plain")
+    def add_common(p, formats=("plain", "json")):
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
         p.add_argument("--max-terms", dest="max_terms", type=int, default=None)
+
+    def add_point_flags(p):
+        for name in ("x", "y", "q", "alpha", "mu"):
+            p.add_argument(f"--{name}", type=float)
+        p.add_argument("--lam", "--lambda", dest="lam", type=float)
+        p.add_argument("--force", action="store_true",
+                       help="evaluate outside the stated hypothesis (exploratory)")
 
     p_eval = sub.add_parser("eval", help="evaluate one special function at a point")
     p_eval.add_argument("--fn", required=True,
@@ -303,14 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="evaluate one inequality's bound pair at a point")
     p_bounds.add_argument("--ineq", required=True, choices=INEQUALITY_IDS)
-    p_bounds.add_argument("--x", type=float)
-    p_bounds.add_argument("--y", type=float)
-    p_bounds.add_argument("--q", type=float)
-    p_bounds.add_argument("--alpha", type=float)
-    p_bounds.add_argument("--mu", type=float)
-    p_bounds.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p_bounds.add_argument("--force", action="store_true",
-                          help="evaluate outside the stated hypothesis (exploratory)")
+    add_point_flags(p_bounds)
     add_common(p_bounds)
     p_bounds.set_defaults(handler=_cmd_bounds)
 
@@ -335,16 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--min", type=float, required=True)
     p_table.add_argument("--max", type=float, required=True)
     p_table.add_argument("--steps", type=int, required=True)
-    p_table.add_argument("--x", type=float)
-    p_table.add_argument("--y", type=float)
-    p_table.add_argument("--q", type=float)
-    p_table.add_argument("--alpha", type=float)
-    p_table.add_argument("--mu", type=float)
-    p_table.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p_table.add_argument("--force", action="store_true")
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p_table.add_argument("--max-terms", dest="max_terms", type=int, default=None)
+    add_point_flags(p_table)
+    add_common(p_table, ("csv", "json"))
     p_table.set_defaults(handler=_cmd_table)
 
     return parser

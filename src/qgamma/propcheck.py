@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +63,11 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Per-check pass/fail statistics with worst log-space margins."""
+    """Per-check pass/fail statistics with worst log-space margins.
+
+    ``failures`` is capped; ``n_errors`` counts every point whose
+    evaluation raised, whether or not ``failures`` still had room for it.
+    """
 
     inequality_id: str
     n_samples: int
@@ -71,6 +76,52 @@ class CertificateReport:
     worst_upper_margin: float
     failures: tuple
     wall_time: float
+    n_errors: int = 0
+
+
+@dataclass
+class _Tally:
+    """Accumulates one CertificateReport, one checked point at a time."""
+
+    report_id: str
+    n_samples: int = 0
+    n_pass: int = 0
+    n_errors: int = 0
+    worst_lower: float = math.inf
+    worst_upper: float = math.inf
+    failures: list = field(default_factory=list)
+    start: float = field(default_factory=time.perf_counter)
+
+    def add(
+        self, lower_margin: float, upper_margin: float, passed: bool, failure: Callable[[], dict]
+    ) -> None:
+        """Record one evaluated point; ``failure`` builds its finding if it failed."""
+        self.n_samples += 1
+        self.worst_lower = min(self.worst_lower, lower_margin)
+        self.worst_upper = min(self.worst_upper, upper_margin)
+        if passed:
+            self.n_pass += 1
+        elif len(self.failures) < _FAILURE_CAP:
+            self.failures.append(failure())
+
+    def error(self, point: dict, exc: QGammaError) -> None:
+        """Record one point whose evaluation raised, as a failure."""
+        self.n_samples += 1
+        self.n_errors += 1
+        if len(self.failures) < _FAILURE_CAP:
+            self.failures.append({"point": point, "error": str(exc)})
+
+    def report(self) -> CertificateReport:
+        return CertificateReport(
+            inequality_id=self.report_id,
+            n_samples=self.n_samples,
+            n_pass=self.n_pass,
+            worst_lower_margin=self.worst_lower,
+            worst_upper_margin=self.worst_upper,
+            failures=tuple(self.failures),
+            wall_time=time.perf_counter() - self.start,
+            n_errors=self.n_errors,
+        )
 
 
 def _draw(rng: np.random.Generator, interval: Tuple[float, float]) -> float:
@@ -152,7 +203,7 @@ def evaluate_point(
     if inequality_id == "keckic_vasic":
         return keckic_vasic_bounds(x, y, force=force)
     if inequality_id == "zhang_xu_situ":
-        return zhang_xu_situ_bounds(x, y, force=force)
+        return zhang_xu_situ_bounds(x, y)
     raise DomainError(f"unknown inequality id {inequality_id!r}")
 
 
@@ -182,76 +233,54 @@ def _certify_points(
     corrupt_upper: bool = False,
 ) -> CertificateReport:
     """The per-point loop behind ``certify`` and ``explore_main_below_one``."""
-    start = time.perf_counter()
-    n_pass = 0
-    failures = []
-    worst_lower = math.inf
-    worst_upper = math.inf
+    tally = _Tally(report_id)
     for point in batch.points:
         try:
             pair = evaluate_point(inequality_id, point, cfg, force=force)
         except QGammaError as exc:
-            if len(failures) < _FAILURE_CAP:
-                failures.append({"point": _point_dict(point), "error": str(exc)})
+            tally.error(_point_dict(point), exc)
             continue
         log_upper = pair.log_upper + _LN_HALF if corrupt_upper else pair.log_upper
         lower_margin = pair.log_ratio - pair.log_lower
         upper_margin = log_upper - pair.log_ratio
-        worst_lower = min(worst_lower, lower_margin)
-        worst_upper = min(worst_upper, upper_margin)
-        if lower_margin >= -CERT_SLACK_LOG and upper_margin >= -CERT_SLACK_LOG:
-            n_pass += 1
-        elif len(failures) < _FAILURE_CAP:
-            failures.append(
-                {
-                    "point": _point_dict(point),
-                    "lower": _safe_exp(pair.log_lower),
-                    "ratio": pair.ratio,
-                    "upper": _safe_exp(log_upper),
-                }
-            )
-    return CertificateReport(
-        inequality_id=report_id,
-        n_samples=len(batch.points),
-        n_pass=n_pass,
-        worst_lower_margin=worst_lower,
-        worst_upper_margin=worst_upper,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-    )
+        tally.add(
+            lower_margin,
+            upper_margin,
+            lower_margin >= -CERT_SLACK_LOG and upper_margin >= -CERT_SLACK_LOG,
+            lambda: {
+                "point": _point_dict(point),
+                "lower": _safe_exp(pair.log_lower),
+                "ratio": pair.ratio,
+                "upper": _safe_exp(log_upper),
+            },
+        )
+    return tally.report()
 
 
 # --------------------------------------------------------------------------
 # Convexity, slope and limit checks
 # --------------------------------------------------------------------------
 
-CONVEXITY_FUNCTIONS = ("f_thm_main", "g_thm_alpha")
-
-
-def _ln_f(function_id: str, q: QParam, aux, cfg: EvalConfig) -> Callable[[float], float]:
-    """Log of the proof function: f(x) = e^[x]_q Gamma_q(x) on [1, inf),
-    or g(x) = e^x Gamma_q(x+a) / (x+a) on (0, inf) with a >= root."""
+def _proof_function(
+    function_id: str, q: QParam, aux, cfg: EvalConfig
+) -> Tuple[Callable[[float], float], Callable[[float], float]]:
+    """Log and closed-form slope x (ln f)'(x) of a proof function:
+    f(x) = e^[x]_q Gamma_q(x) on [1, inf), or g(x) = e^x Gamma_q(x+a) / (x+a)
+    on (0, inf) with a >= root."""
     if function_id == "f_thm_main":
-        return lambda t: q_bracket(t, q) + ln_gamma_q(t, q, cfg).value
+        return (
+            lambda t: q_bracket(t, q) + ln_gamma_q(t, q, cfg).value,
+            lambda t: t * (q_bracket_derivative(t, q) + psi_q(t, q, cfg).value),
+        )
     if function_id == "g_thm_alpha":
         alpha = float(aux)
         root = cached_psi_root(q, cfg)
         if alpha < root - 1e-9:
             raise AlphaBelowRoot(alpha, root)
-        return lambda t: t + ln_gamma_q(t + alpha, q, cfg).value - math.log(t + alpha)
-    raise DomainError(f"unknown convexity function {function_id!r}")
-
-
-def _slope(function_id: str, q: QParam, aux, cfg: EvalConfig) -> Callable[[float], float]:
-    """Closed form of x (ln f)'(x) for the same two proof functions."""
-    if function_id == "f_thm_main":
-        return lambda t: t * (q_bracket_derivative(t, q) + psi_q(t, q, cfg).value)
-    if function_id == "g_thm_alpha":
-        alpha = float(aux)
-        root = cached_psi_root(q, cfg)
-        if alpha < root - 1e-9:
-            raise AlphaBelowRoot(alpha, root)
-        return lambda t: t * (1.0 + psi_q(t + alpha, q, cfg).value - 1.0 / (t + alpha))
+        return (
+            lambda t: t + ln_gamma_q(t + alpha, q, cfg).value - math.log(t + alpha),
+            lambda t: t * (1.0 + psi_q(t + alpha, q, cfg).value - 1.0 / (t + alpha)),
+        )
     raise DomainError(f"unknown convexity function {function_id!r}")
 
 
@@ -267,11 +296,8 @@ def check_geometric_convexity(
     Pairs come from the (x, y) slots of the batch.  The one-sided midpoint
     margin is reported in both worst-margin fields.
     """
-    start = time.perf_counter()
-    ln_f = _ln_f(function_id, q, aux, cfg)
-    n_pass = 0
-    failures = []
-    worst = math.inf
+    tally = _Tally(f"convexity_{function_id}")
+    ln_f, _ = _proof_function(function_id, q, aux, cfg)
     for point in batch.points:
         x1, x2 = point[0], point[1]
         try:
@@ -279,23 +305,15 @@ def check_geometric_convexity(
                 raise DomainError(f"pair ({x1!r}, {x2!r}) outside [1, inf)")
             margin = 0.5 * (ln_f(x1) + ln_f(x2)) - ln_f(math.sqrt(x1 * x2))
         except QGammaError as exc:
-            if len(failures) < _FAILURE_CAP:
-                failures.append({"point": _point_dict(point), "error": str(exc)})
+            tally.error(_point_dict(point), exc)
             continue
-        worst = min(worst, margin)
-        if margin >= -CONVEXITY_SLACK_LOG:
-            n_pass += 1
-        elif len(failures) < _FAILURE_CAP:
-            failures.append({"point": _point_dict(point), "margin": margin})
-    return CertificateReport(
-        inequality_id=f"convexity_{function_id}",
-        n_samples=len(batch.points),
-        n_pass=n_pass,
-        worst_lower_margin=worst,
-        worst_upper_margin=worst,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-    )
+        tally.add(
+            margin,
+            margin,
+            margin >= -CONVEXITY_SLACK_LOG,
+            lambda: {"point": _point_dict(point), "margin": margin},
+        )
+    return tally.report()
 
 
 def check_lemma_monotone_slope(
@@ -309,28 +327,18 @@ def check_lemma_monotone_slope(
     grid = [float(t) for t in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
-    start = time.perf_counter()
-    slope = _slope(function_id, q, aux, cfg)
+    tally = _Tally(f"slope_{function_id}")
+    _, slope = _proof_function(function_id, q, aux, cfg)
     values = [slope(t) for t in grid]
-    n_pass = 0
-    failures = []
-    worst = math.inf
     for i, (a, b) in enumerate(zip(values, values[1:])):
         margin = b - a
-        worst = min(worst, margin)
-        if margin >= -SLOPE_SLACK:
-            n_pass += 1
-        elif len(failures) < _FAILURE_CAP:
-            failures.append({"point": {"x": grid[i], "y": grid[i + 1], "q": q.q, "aux": aux}, "margin": margin})
-    return CertificateReport(
-        inequality_id=f"slope_{function_id}",
-        n_samples=max(len(grid) - 1, 0),
-        n_pass=n_pass,
-        worst_lower_margin=worst,
-        worst_upper_margin=worst,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-    )
+        tally.add(
+            margin,
+            margin,
+            margin >= -SLOPE_SLACK,
+            lambda: {"point": {"x": grid[i], "y": grid[i + 1], "q": q.q, "aux": aux}, "margin": margin},
+        )
+    return tally.report()
 
 
 _LIMIT_REL_TOL = 5e-2
@@ -351,30 +359,25 @@ def check_limits(
         raise DomainError("q_sequence must be strictly increasing")
     if max(q_sequence) > 0.9995:
         raise DomainError("q_sequence must stay <= 0.9995")
-    start = time.perf_counter()
-    n_samples = 0
-    n_pass = 0
-    failures = []
-    worst = math.inf
+    tally = _Tally("limits")
 
     def run_track(label: str, deviations: Sequence[float], reference: float):
-        nonlocal n_samples, n_pass, worst
         for i, (a, b) in enumerate(zip(deviations, deviations[1:])):
-            n_samples += 1
             margin = a - b
-            worst = min(worst, margin)
-            if margin > 0.0:
-                n_pass += 1
-            elif len(failures) < _FAILURE_CAP:
-                failures.append({"point": {"track": label, "q": q_sequence[i + 1]}, "margin": margin})
-        n_samples += 1
+            tally.add(
+                margin,
+                margin,
+                margin > 0.0,
+                lambda: {"point": {"track": label, "q": q_sequence[i + 1]}, "margin": margin},
+            )
         terminal = deviations[-1] / max(abs(reference), 1e-300)
         margin = _LIMIT_REL_TOL - terminal
-        worst = min(worst, margin)
-        if margin >= 0.0:
-            n_pass += 1
-        elif len(failures) < _FAILURE_CAP:
-            failures.append({"point": {"track": label, "q": q_sequence[-1]}, "terminal": terminal})
+        tally.add(
+            margin,
+            margin,
+            margin >= 0.0,
+            lambda: {"point": {"track": label, "q": q_sequence[-1]}, "terminal": terminal},
+        )
 
     for x in x_grid:
         gamma_ref = math.exp(ln_gamma_classical(x).value)
@@ -385,16 +388,7 @@ def check_limits(
         run_track(f"psi@x={x}", psi_devs, psi_ref)
     euler_devs = [abs(euler_gamma_q(QParam(q), cfg).value - EULER_GAMMA) for q in q_sequence]
     run_track("euler_gamma", euler_devs, EULER_GAMMA)
-
-    return CertificateReport(
-        inequality_id="limits",
-        n_samples=n_samples,
-        n_pass=n_pass,
-        worst_lower_margin=worst,
-        worst_upper_margin=worst,
-        failures=tuple(failures),
-        wall_time=time.perf_counter() - start,
-    )
+    return tally.report()
 
 
 # --------------------------------------------------------------------------
@@ -409,16 +403,6 @@ _LIMIT_X_GRID = (0.5, 1.5, 2.5, 4.0)
 _CONVEXITY_DOMAIN_F = DomainSpec((1.0, 20.0), (1.0, 20.0), None)
 _CONVEXITY_DOMAIN_G = DomainSpec((0.05, 10.0), (0.05, 10.0), None)
 
-EXTRA_CHECK_IDS = (
-    "convexity_f_thm_main",
-    "convexity_g_thm_alpha",
-    "slope_f_thm_main",
-    "slope_g_thm_alpha",
-    "limits",
-)
-
-ALL_CHECK_IDS = INEQUALITY_IDS + EXTRA_CHECK_IDS
-
 
 def _merge_reports(check_id: str, reports: Sequence[CertificateReport]) -> CertificateReport:
     failures = []
@@ -432,42 +416,51 @@ def _merge_reports(check_id: str, reports: Sequence[CertificateReport]) -> Certi
         worst_upper_margin=min(r.worst_upper_margin for r in reports),
         failures=tuple(failures),
         wall_time=sum(r.wall_time for r in reports),
+        n_errors=sum(r.n_errors for r in reports),
     )
 
 
-def _run_convexity(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> CertificateReport:
-    reports = []
+def _combos(function_id: str) -> list:
+    """(q, alpha) pairs a proof function is checked at: every grid q, and for
+    g each alpha offset above that q's psi_q root."""
     if function_id == "f_thm_main":
-        combos = [(q, None) for q in _CHECK_Q_GRID]
-        domain = _CONVEXITY_DOMAIN_F
-    else:
-        combos = [(q, off) for q in _CHECK_Q_GRID for off in _ALPHA_OFFSETS]
-        domain = _CONVEXITY_DOMAIN_G
+        return [(QParam(q), None) for q in _CHECK_Q_GRID]
+    return [(QParam(q), cached_psi_root(QParam(q)) + off) for q in _CHECK_Q_GRID for off in _ALPHA_OFFSETS]
+
+
+def _run_convexity(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> CertificateReport:
+    domain = _CONVEXITY_DOMAIN_F if function_id == "f_thm_main" else _CONVEXITY_DOMAIN_G
+    combos = _combos(function_id)
     per_combo = max(1, -(-samples // len(combos)))
-    for i, (q, offset) in enumerate(combos):
-        qp = QParam(q)
-        aux = None if offset is None else cached_psi_root(qp) + offset
-        batch = sample(domain, seed + i, per_combo)
-        reports.append(check_geometric_convexity(function_id, batch, qp, aux, cfg))
+    reports = [
+        check_geometric_convexity(function_id, sample(domain, seed + i, per_combo), q, aux, cfg)
+        for i, (q, aux) in enumerate(combos)
+    ]
     return _merge_reports(f"convexity_{function_id}", reports)
 
 
 def _run_slope(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> CertificateReport:
-    reports = []
-    if function_id == "f_thm_main":
-        combos = [(q, None) for q in _CHECK_Q_GRID]
-        lo, hi = 1.0, 10.0
-    else:
-        combos = [(q, off) for q in _CHECK_Q_GRID for off in _ALPHA_OFFSETS]
-        lo, hi = 0.05, 10.0
+    lo, hi = (1.0, 10.0) if function_id == "f_thm_main" else (0.05, 10.0)
+    combos = _combos(function_id)
     # One extra grid point per combo so comparison counts reach ``samples``.
     per_combo = max(2, -(-samples // len(combos)) + 1)
-    for q, offset in combos:
-        qp = QParam(q)
-        aux = None if offset is None else cached_psi_root(qp) + offset
-        grid = np.linspace(lo, hi, per_combo)
-        reports.append(check_lemma_monotone_slope(function_id, grid, qp, aux, cfg))
+    grid = np.linspace(lo, hi, per_combo)
+    reports = [check_lemma_monotone_slope(function_id, grid, q, aux, cfg) for q, aux in combos]
     return _merge_reports(f"slope_{function_id}", reports)
+
+
+# Runner per check id beyond the inequalities, each called as (seed, samples, cfg).
+_EXTRA_CHECKS: dict[str, Callable[[int, int, EvalConfig], CertificateReport]] = {
+    "convexity_f_thm_main": partial(_run_convexity, "f_thm_main"),
+    "convexity_g_thm_alpha": partial(_run_convexity, "g_thm_alpha"),
+    "slope_f_thm_main": partial(_run_slope, "f_thm_main"),
+    "slope_g_thm_alpha": partial(_run_slope, "g_thm_alpha"),
+    "limits": lambda seed, samples, cfg: check_limits(_LIMIT_Q_SEQUENCE, _LIMIT_X_GRID, cfg),
+}
+
+EXTRA_CHECK_IDS = tuple(_EXTRA_CHECKS)
+
+ALL_CHECK_IDS = INEQUALITY_IDS + EXTRA_CHECK_IDS
 
 
 def run_check(
@@ -481,17 +474,9 @@ def run_check(
     if check_id in INEQUALITY_IDS:
         batch = sample(default_domain(check_id), seed, samples)
         return certify(check_id, batch, cfg, corrupt_upper=corrupt_upper)
-    if check_id == "convexity_f_thm_main":
-        return _run_convexity("f_thm_main", seed, samples, cfg)
-    if check_id == "convexity_g_thm_alpha":
-        return _run_convexity("g_thm_alpha", seed, samples, cfg)
-    if check_id == "slope_f_thm_main":
-        return _run_slope("f_thm_main", seed, samples, cfg)
-    if check_id == "slope_g_thm_alpha":
-        return _run_slope("g_thm_alpha", seed, samples, cfg)
-    if check_id == "limits":
-        return check_limits(_LIMIT_Q_SEQUENCE, _LIMIT_X_GRID, cfg)
-    raise DomainError(f"unknown check id {check_id!r}")
+    if check_id not in _EXTRA_CHECKS:
+        raise DomainError(f"unknown check id {check_id!r}")
+    return _EXTRA_CHECKS[check_id](seed, samples, cfg)
 
 
 def run_all_checks(

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from oracles import (
 )
 from qgamma.errors import AlphaBelowRoot, DomainError
 from qgamma.qcore import QParam, q_bracket
+from qgamma import bounds
 from qgamma.bounds import (
     DomainSpec,
+    INEQUALITIES,
     INEQUALITY_IDS,
     cached_psi_root,
     cor_half_shift_bounds,
@@ -362,6 +365,18 @@ class TestRootCacheAndDomains:
         with pytest.raises(DomainError):
             default_domain("nope")
 
+    def test_registry_args_match_operation_signatures(self):
+        # The CLI assembles points and table sweeps call fn(*args, QParam(q))
+        # in this order, so the slots must be the operation's leading
+        # positional parameters, with q next exactly when it is a slot.
+        assert INEQUALITY_IDS == tuple(INEQUALITIES)
+        for ineq, spec in INEQUALITIES.items():
+            params = list(inspect.signature(getattr(bounds, f"{ineq}_bounds")).parameters)
+            slots = [name for name in spec.args if name != "q"]
+            assert params[: len(slots)] == slots, ineq
+            assert (params[len(slots) : len(slots) + 1] == ["q"]) == ("q" in spec.args), ineq
+            assert "q" not in spec.args or spec.args[-1] == "q", ineq
+
     def test_domain_spec_validation(self):
         with pytest.raises(DomainError):
             DomainSpec((2.0, 1.0))
@@ -369,3 +384,11 @@ class TestRootCacheAndDomains:
             DomainSpec((1.0, 2.0), None, (0.0, 0.5))
         with pytest.raises(DomainError):
             DomainSpec((1.0, 2.0), constraint="sideways")
+        with pytest.raises(DomainError):
+            DomainSpec((1.0, 2.0), constraint="x_greater_than_y")
+        with pytest.raises(DomainError):
+            DomainSpec((1.0, 2.0), constraint="mu_greater_than_lambda")
+        with pytest.raises(DomainError):
+            DomainSpec((1.0, 2.0), (1.0, 2.0), None, (0.0, 1.0), "alpha_at_least_root")
+        with pytest.raises(DomainError):
+            DomainSpec((1.0, 2.0), constraint="alpha_at_least_root")

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from qgamma.bounds import INEQUALITY_IDS
+from qgamma.cli import main
 from qgamma.qcore import QParam
 from qgamma.qspecial import psi_q
 
@@ -122,6 +124,35 @@ class TestBounds:
         res = run_cli("bounds", "--ineq", "thm_mvt", "--x", "2", "--q", "0.5")
         assert res.returncode == 2
 
+    # One in-domain point per inequality, as CLI flags.
+    POINTS = {
+        "thm_main": ("--x", "2.5", "--y", "1.5", "--q", "0.3"),
+        "cor_half_shift": ("--x", "0.7", "--q", "0.6"),
+        "thm_alpha": ("--x", "1.3", "--y", "2.2", "--alpha", "3", "--q", "0.4"),
+        "thm_mvt": ("--x", "2", "--y", "1", "--q", "0.5"),
+        "cor_mu_lambda": ("--x", "0.9", "--mu", "2", "--lambda", "0.5", "--q", "0.7"),
+        "cor_one_half": ("--x", "3.3", "--q", "0.2"),
+        "remark_rearranged": ("--x", "0.4", "--q", "0.9"),
+        "keckic_vasic": ("--x", "5", "--y", "2"),
+        "zhang_xu_situ": ("--x", "0.5", "--y", "3"),
+    }
+
+    def test_every_inequality_plain_matches_json(self, capsys, monkeypatch):
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        assert set(self.POINTS) == set(INEQUALITY_IDS)
+        for ineq, flags in self.POINTS.items():
+            assert main(["bounds", "--ineq", ineq, *flags]) == 0
+            plain = parse_plain(capsys.readouterr().out)
+            assert main(["bounds", "--ineq", ineq, *flags, "--format", "json"]) == 0
+            blob = json.loads(capsys.readouterr().out)
+            assert list(plain) == list(blob), ineq
+            assert blob["inequality_id"] == ineq and blob["satisfied"] is True, ineq
+            for key, value in blob.items():
+                if isinstance(value, float):
+                    assert float(plain[key]) == value, (ineq, key)
+                else:
+                    assert plain[key] == str(value), (ineq, key)
+
 
 class TestVerify:
     def test_single_inequality_passes(self):
@@ -146,6 +177,13 @@ class TestVerify:
         report = json.loads(res.stdout)[0]
         assert report["n_pass"] < report["n_samples"]
         assert len(report["failures"]) > 0
+
+    def test_pervasive_evaluation_errors_exit_3(self):
+        # Every point errors; more of them than the report's failure list holds.
+        res = run_cli("verify", "--ineq", "thm_mvt", "--samples", "1000", "--seed", "1",
+                      "--max-terms", "3")
+        assert res.returncode == 3
+        assert "n_pass: 0" in res.stdout
 
     def test_unknown_id_exits_2(self):
         res = run_cli("verify", "--ineq", "thm_nonexistent", "--samples", "10")
