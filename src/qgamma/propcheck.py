@@ -111,6 +111,15 @@ class _Tally:
         if len(self.failures) < _FAILURE_CAP:
             self.failures.append({"point": point, "error": str(exc)})
 
+    def errored(self, point: dict, *values) -> bool:
+        """Record ``point`` as an error if any of ``values`` is a QGammaError
+        caught by ``_attempt``; True if one was."""
+        for value in values:
+            if isinstance(value, QGammaError):
+                self.error(point, value)
+                return True
+        return False
+
     def report(self) -> CertificateReport:
         return CertificateReport(
             inequality_id=self.report_id,
@@ -122,6 +131,15 @@ class _Tally:
             wall_time=time.perf_counter() - self.start,
             n_errors=self.n_errors,
         )
+
+
+def _attempt(fn: Callable, *args):
+    """``fn(*args)``, or the QGammaError it raised, so that a value computed
+    ahead of its comparisons can be recorded as a failure there."""
+    try:
+        return fn(*args)
+    except QGammaError as exc:
+        return exc
 
 
 def _draw(rng: np.random.Generator, interval: Tuple[float, float]) -> float:
@@ -323,20 +341,27 @@ def check_lemma_monotone_slope(
     aux=None,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> CertificateReport:
-    """Verify x (ln f)'(x) is nondecreasing along a strictly increasing grid."""
+    """Verify x (ln f)'(x) is nondecreasing along a strictly increasing grid.
+
+    A slope that fails to evaluate makes each comparison it enters a
+    recorded error.
+    """
     grid = [float(t) for t in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("grid must be strictly increasing")
     tally = _Tally(f"slope_{function_id}")
     _, slope = _proof_function(function_id, q, aux, cfg)
-    values = [slope(t) for t in grid]
+    values = [_attempt(slope, t) for t in grid]
     for i, (a, b) in enumerate(zip(values, values[1:])):
+        point = {"x": grid[i], "y": grid[i + 1], "q": q.q, "aux": aux}
+        if tally.errored(point, a, b):
+            continue
         margin = b - a
         tally.add(
             margin,
             margin,
             margin >= -SLOPE_SLACK,
-            lambda: {"point": {"x": grid[i], "y": grid[i + 1], "q": q.q, "aux": aux}, "margin": margin},
+            lambda: {"point": point, "margin": margin},
         )
     return tally.report()
 
@@ -352,7 +377,9 @@ def check_limits(
     """Verify Gamma_q -> Gamma, psi_q -> psi and gamma_q -> gamma as q -> 1.
 
     For each x the absolute deviations must decrease strictly along
-    q_sequence and the terminal relative deviation must be <= 5e-2.
+    q_sequence and the terminal relative deviation must be <= 5e-2.  A
+    q-value that fails to evaluate makes each comparison it enters a
+    recorded error.
     """
     q_sequence = [float(q) for q in q_sequence]
     if any(b <= a for a, b in zip(q_sequence, q_sequence[1:])):
@@ -361,33 +388,29 @@ def check_limits(
         raise DomainError("q_sequence must stay <= 0.9995")
     tally = _Tally("limits")
 
-    def run_track(label: str, deviations: Sequence[float], reference: float):
+    def run_track(label: str, evaluations: Sequence, reference: float):
+        deviations = [
+            ev if isinstance(ev, QGammaError) else abs(ev.value - reference) for ev in evaluations
+        ]
         for i, (a, b) in enumerate(zip(deviations, deviations[1:])):
+            point = {"track": label, "q": q_sequence[i + 1]}
+            if tally.errored(point, a, b):
+                continue
             margin = a - b
-            tally.add(
-                margin,
-                margin,
-                margin > 0.0,
-                lambda: {"point": {"track": label, "q": q_sequence[i + 1]}, "margin": margin},
-            )
+            tally.add(margin, margin, margin > 0.0, lambda: {"point": point, "margin": margin})
+        point = {"track": label, "q": q_sequence[-1]}
+        if tally.errored(point, deviations[-1]):
+            return
         terminal = deviations[-1] / max(abs(reference), 1e-300)
         margin = _LIMIT_REL_TOL - terminal
-        tally.add(
-            margin,
-            margin,
-            margin >= 0.0,
-            lambda: {"point": {"track": label, "q": q_sequence[-1]}, "terminal": terminal},
-        )
+        tally.add(margin, margin, margin >= 0.0, lambda: {"point": point, "terminal": terminal})
 
     for x in x_grid:
         gamma_ref = math.exp(ln_gamma_classical(x).value)
         psi_ref = psi_classical(x).value
-        gamma_devs = [abs(gamma_q(x, QParam(q), cfg).value - gamma_ref) for q in q_sequence]
-        psi_devs = [abs(psi_q(x, QParam(q), cfg).value - psi_ref) for q in q_sequence]
-        run_track(f"gamma@x={x}", gamma_devs, gamma_ref)
-        run_track(f"psi@x={x}", psi_devs, psi_ref)
-    euler_devs = [abs(euler_gamma_q(QParam(q), cfg).value - EULER_GAMMA) for q in q_sequence]
-    run_track("euler_gamma", euler_devs, EULER_GAMMA)
+        run_track(f"gamma@x={x}", [_attempt(gamma_q, x, QParam(q), cfg) for q in q_sequence], gamma_ref)
+        run_track(f"psi@x={x}", [_attempt(psi_q, x, QParam(q), cfg) for q in q_sequence], psi_ref)
+    run_track("euler_gamma", [_attempt(euler_gamma_q, QParam(q), cfg) for q in q_sequence], EULER_GAMMA)
     return tally.report()
 
 

@@ -139,46 +139,82 @@ _BRACKET_LOW_LIMIT = 1e-8
 _BRACKET_HIGH_LIMIT = 1e8
 _ROOT_WIDTH_TOL = 1e-12
 _ROOT_RESIDUAL_TOL = 1e-10
+_ROOT_MAX_STEPS = 64
 
 
 def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
-    """Bracketing bisection for the positive zero of the increasing psi_q.
+    """Newton iteration from the left for the positive zero of psi_q.
 
-    Starts from [1, 2], halves the low end / doubles the high end until a
-    sign change is enclosed, then bisects to width 1e-12.  Pure bisection:
-    psi_q is cheap and bisection inherits the monotonicity guarantee.
+    psi_q is increasing and concave (psi_q_m(1) > 0 > psi_q_m(2)), so every
+    tangent line lies above the graph and meets zero at or left of the
+    root.  A Newton step from a point where psi_q < 0 therefore never
+    passes the root, and the iterates rise monotonically to it: each one is
+    a certified low end of the bracket.  A slope taken at an earlier,
+    smaller iterate is at least psi_q' here (psi_q' falls as t rises), so a
+    step with it stays left of the root too; it is kept while the step it
+    gives is estimated to fall short of the Newton step by less than half
+    the width tolerance.
+
+    Newton starts from the negative end of [1, 2], whose ends are halved /
+    doubled until they enclose a sign change.  Each trial is the Newton
+    point clamped to half the width tolerance inside the bracket: once the
+    steps fall below that, the trial just right of the low end is positive
+    and closes the bracket to width 1e-12.  Within a few ulps of the root,
+    rounding can put a trial at psi_q >= 0; it becomes the high end and the
+    next trial sits half the tolerance inside it.  A high end where psi_q
+    is exactly 0 is stepped right until psi_q > 0.  Every loop is bounded
+    and raises BracketFailure at its bound.
     """
 
     def f(t: float) -> float:
         return psi_q(t, q, cfg).value
 
     lo, hi = 1.0, 2.0
-    while f(lo) >= 0.0:
+    f_lo = f(lo)
+    while f_lo >= 0.0:
         lo *= 0.5
         if lo < _BRACKET_LOW_LIMIT:
             raise BracketFailure(f"no negative psi_q value found down to {_BRACKET_LOW_LIMIT} for q={q.q}")
-    while f(hi) <= 0.0:
+        f_lo = f(lo)
+    f_hi = f(hi)
+    while f_hi <= 0.0:
         hi *= 2.0
         if hi > _BRACKET_HIGH_LIMIT:
             raise BracketFailure(f"no positive psi_q value found up to {_BRACKET_HIGH_LIMIT} for q={q.q}")
+        f_hi = f(hi)
 
-    while hi - lo > _ROOT_WIDTH_TOL:
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):  # float spacing exhausted
-            break
-        if f(mid) < 0.0:
-            lo = mid
+    half_tol = 0.5 * _ROOT_WIDTH_TOL
+    slope, slope_at = psi_q_m(1, lo, q, cfg).value, lo
+    for _ in range(_ROOT_MAX_STEPS):
+        # Quadratic convergence puts the shortfall of a step with a slope from
+        # slope_at near 2 step^2 / (lo - slope_at); refresh once it matters.
+        if slope_at != lo and 2.0 * (f_lo / slope) ** 2 >= half_tol * (lo - slope_at):
+            slope, slope_at = psi_q_m(1, lo, q, cfg).value, lo
+        t = min(max(lo - f_lo / slope, lo + half_tol), hi - half_tol)
+        f_t = f(t)
+        if f_t < 0.0:
+            lo, f_lo = t, f_t
         else:
-            hi = mid
+            hi, f_hi = t, f_t
+        if hi - lo <= _ROOT_WIDTH_TOL:
+            break
+    else:
+        raise BracketFailure(f"bracket wider than {_ROOT_WIDTH_TOL} after {_ROOT_MAX_STEPS} steps for q={q.q}")
 
-    # Keep a strict sign change across the reported bracket.
-    while f(hi) <= 0.0:
-        hi += _ROOT_WIDTH_TOL
+    # A trial can hit psi_q == 0 exactly; keep a strict sign change across
+    # the reported bracket.
+    steps = 0
+    while f_hi <= 0.0:
+        steps += 1
+        if steps > _ROOT_MAX_STEPS:
+            raise BracketFailure(f"no positive psi_q value within {_ROOT_MAX_STEPS} steps above {lo} for q={q.q}")
+        hi += half_tol
+        f_hi = f(hi)
 
     root = 0.5 * (lo + hi)
     residual = f(root)
     if abs(residual) > _ROOT_RESIDUAL_TOL:
         raise BracketFailure(
-            f"bisection residual {residual:.3e} exceeds {_ROOT_RESIDUAL_TOL} for q={q.q}"
+            f"root residual {residual:.3e} exceeds {_ROOT_RESIDUAL_TOL} for q={q.q}"
         )
     return PsiRoot(q=q, root=root, bracket_low=lo, bracket_high=hi, residual=residual)

@@ -1,21 +1,23 @@
-"""The benchmark's per-layer tracer must still see every inequality operation.
+"""The benchmark's per-layer tracer must still see the work it reports.
 
 ``perfbench/tracing.py`` rebinds functions by their module-level names, so an
 operation reached through a reference captured at import time would drop out
-of the traced benchmark without any error.  This runs a tiny traced pass per
-inequality and requires a span for each ``*_bounds`` operation.
+of the traced benchmark without any error.  These run tiny traced passes and
+require spans for each ``*_bounds`` operation and for the ``psi_q`` calls
+inside a root solve.
 """
 
 import sys
 from pathlib import Path
 
+import qgamma.bounds as bounds
 import qgamma.propcheck as propcheck
 from qgamma.bounds import INEQUALITY_IDS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_sees_every_inequality_operation(monkeypatch):
+def _traced_summary(monkeypatch, run):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     from tracing import Tracer
@@ -23,10 +25,25 @@ def test_tracer_sees_every_inequality_operation(monkeypatch):
     tracer = Tracer()
     try:
         tracer.install()
-        for ineq in INEQUALITY_IDS:
-            propcheck.run_check(ineq, seed=1, samples=3)
+        run()
     finally:
         tracer.uninstall()
-    spans = tracer.summary()["spans"]
+    return tracer.summary()
+
+
+def test_tracer_sees_every_inequality_operation(monkeypatch):
+    def run():
+        for ineq in INEQUALITY_IDS:
+            propcheck.run_check(ineq, seed=1, samples=3)
+
+    spans = _traced_summary(monkeypatch, run)["spans"]
     for ineq in INEQUALITY_IDS:
         assert spans.get(f"bounds.{ineq}", {}).get("calls", 0) > 0, ineq
+
+
+def test_tracer_counts_psi_evaluations_per_root_solve(monkeypatch):
+    monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+    summary = _traced_summary(monkeypatch, lambda: propcheck.run_check("thm_alpha", seed=1, samples=3))
+    from tracing import layer_values
+
+    assert layer_values(summary)["qspecial.psi_q_root.psi_evals_per_solve"] > 0

@@ -185,6 +185,16 @@ class TestVerify:
         assert res.returncode == 3
         assert "n_pass: 0" in res.stdout
 
+    def test_evaluation_errors_keep_every_report(self):
+        # Slope and limit checks record errors too, so no report is lost.
+        from qgamma.propcheck import ALL_CHECK_IDS
+
+        res = run_cli("verify", "--ineq", "all", "--samples", "20", "--seed", "1",
+                      "--max-terms", "3", "--format", "json")
+        assert res.returncode == 3
+        reports = json.loads(res.stdout)
+        assert [r["inequality_id"] for r in reports] == list(ALL_CHECK_IDS)
+
     def test_unknown_id_exits_2(self):
         res = run_cli("verify", "--ineq", "thm_nonexistent", "--samples", "10")
         assert res.returncode == 2

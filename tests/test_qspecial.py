@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import mp_psi_q_root
 
+import qgamma.qspecial as qspecial
 from qgamma.errors import DomainError, Overflow
 from qgamma.qcore import EvalConfig, QParam, q_bracket, q_factorial
 from qgamma.qspecial import (
@@ -172,8 +174,15 @@ class TestPsiQRoot:
         res = psi_q_root(QParam(0.1))
         assert res.root == pytest.approx(ROOT_Q_TENTH, abs=1e-10)
 
+    @pytest.mark.parametrize("qv", [0.05, 0.3, 0.5, 0.77, 0.95])
+    def test_matches_oracle(self, qv):
+        # Bisection on [1, 2] to width 2^-45; the raw partial sum keeps
+        # 50 / -ln q terms, so its tail is below 1e-20 for x >= 1.
+        oracle = mp_psi_q_root(qv, lo=1.0, hi=2.0, iters=45, terms=math.ceil(50.0 / -math.log(qv)))
+        assert psi_q_root(QParam(qv)).root == pytest.approx(float(oracle), abs=1e-11)
+
     def test_invariants_across_q(self):
-        for qv in np.arange(0.05, 0.951, 0.05):
+        for qv in [*np.arange(0.05, 0.951, 0.05), 1e-6, 1e-3, 0.999]:
             q = QParam(float(qv))
             res = psi_q_root(q)
             assert res.bracket_low < res.root < res.bracket_high
@@ -181,6 +190,22 @@ class TestPsiQRoot:
             assert abs(res.residual) <= 1e-10
             if euler_gamma_q(q).value > 0.0:
                 assert res.root > 1.0
+
+    def test_psi_evaluations_per_solve(self, monkeypatch):
+        # Bisection takes about 44.  Counting through the module name also
+        # pins that the solver calls psi_q by that name, which the benchmark
+        # tracer relies on.
+        calls = []
+
+        def counting_psi_q(*args, **kwargs):
+            calls.append(args[0])
+            return psi_q(*args, **kwargs)
+
+        monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
+        for qv in np.arange(0.05, 0.951, 0.05):
+            calls.clear()
+            qspecial.psi_q_root(QParam(float(qv)))
+            assert 0 < len(calls) <= 16, (qv, len(calls))
 
     def test_sign_change_around_root(self):
         for qv in (0.2, 0.6, 0.9):
