@@ -284,7 +284,11 @@ def _proof_function(
 ) -> Tuple[Callable[[float], float], Callable[[float], float]]:
     """Log and closed-form slope x (ln f)'(x) of a proof function:
     f(x) = e^[x]_q Gamma_q(x) on [1, inf), or g(x) = e^x Gamma_q(x+a) / (x+a)
-    on (0, inf) with a >= root."""
+    on (0, inf) with a >= root.
+
+    A root solve that fails gives functions that raise its error, so that
+    each point of the check records it.
+    """
     if function_id == "f_thm_main":
         return (
             lambda t: q_bracket(t, q) + ln_gamma_q(t, q, cfg).value,
@@ -292,7 +296,13 @@ def _proof_function(
         )
     if function_id == "g_thm_alpha":
         alpha = float(aux)
-        root = cached_psi_root(q, cfg)
+        root = _attempt(cached_psi_root, q, cfg)
+        if isinstance(root, QGammaError):
+
+            def failed(t: float) -> float:
+                raise root.with_traceback(None)
+
+            return failed, failed
         if alpha < root - 1e-9:
             raise AlphaBelowRoot(alpha, root)
         return (

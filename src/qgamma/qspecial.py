@@ -61,61 +61,133 @@ def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation
     return Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)
 
 
-def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n).
+def _eulerian(m: int) -> list[int]:
+    """Coefficients of the Eulerian polynomial A_m, constant term first.
 
-    Summand ratio q^x (1-q^n)/(1-q^(n+1)) < q^x for every n, so the decay
-    ratio q^x is certified from the first term.  For x near 0 the ratio
-    approaches 1 and max_terms is the effective guard.
+    sum_{n>=1} n^m u^n = u A_m(u) / (1-u)^(m+1)  (DLMF 26.14.3, 25.12.10);
+    A(m, j) = (j+1) A(m-1, j) + (m-j) A(m-1, j-1) from A_0 = 1.
+    """
+    coeffs = [1]
+    for k in range(1, m + 1):
+        prev = [0, *coeffs, 0]
+        coeffs = [(j + 1) * prev[j + 1] + (k - j) * prev[j] for j in range(k)]
+    return coeffs
+
+
+def _sum_in_range(term, decay: float, start: int, cfg: EvalConfig, name: str, *args) -> Evaluation:
+    """sum_geometric_decay, raising Overflow, named name(*args), for a sum
+    beyond the double range.
+
+    Only a k = 0 term of a k-form can leave the range (x near the pole at
+    0, where 1 - q^x is 0 or small enough for a quotient or power by it to
+    overflow), and every term has the sign of the sum, so the sum leaves it
+    too.
+    """
+    try:
+        series = sum_geometric_decay(term, decay, start, cfg)
+    except (ZeroDivisionError, OverflowError):
+        series = None
+    if series is None or math.isinf(series.value):
+        raise Overflow(f"{name}{args!r} exceeds the double range")
+    return series
+
+
+def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+    """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), summed in
+    the order whose decay ratio is smaller.
+
+    Expanding 1/(1-q^n) = sum_{k>=0} q^(nk) makes this the double series
+    sum_{n>=1, k>=0} q^(n(x+k)).  For x >= 1 it is summed along n: the
+    summand ratio q^x (1-q^n)/(1-q^(n+1)) < q^x <= q is certified from the
+    first term.  For x < 1, where q^x nears 1, it is summed along k:
+        psi_q(x) = -ln(1-q) + (ln q) sum_{k>=0} u_k / (1-u_k),  u_k = q^(x+k),
+    whose summand u/(1-u) = sum_n u^n has nonnegative coefficients, so
+    term(k+1) <= q term(k) from k = 0.  At x = 1 the k-terms are the n-terms
+    one for one.  1 - u_k is computed as -expm1((x+k) ln q), and ln q is
+    taken into each k-term so that a value near the pole at 0 stays in range
+    as long as the result does; one beyond it raises Overflow.
     """
     _require_positive(x)
-    decay = q_pow(q, x)
-    if decay >= 1.0:  # x so small the ratio rounds to 1
-        decay = math.nextafter(1.0, 0.0)
-
-    # exp(n x ln q) inlined from q_pow; this loop dominates every
-    # certification run.
     exp = math.exp
     ln_q = q.ln_q
-    x_ln_q = x * ln_q
+    if x < 1.0:
+        expm1 = math.expm1
 
-    def term(n: int) -> float:
-        return exp(n * x_ln_q) / (1.0 - exp(n * ln_q))
+        def term(k: int) -> float:
+            s = (x + k) * ln_q
+            return exp(s) * ln_q / -expm1(s)
 
-    series = sum_geometric_decay(term, decay, 1, cfg)
-    value = -math.log1p(-q.q) + q.ln_q * series.value
-    return Evaluation(value, abs(q.ln_q) * series.error_estimate, series.terms_used)
+        decay, start, scale = q.q, 0, 1.0
+    else:
+        # exp(n x ln q) inlined from q_pow; this loop dominates every
+        # certification run.
+        x_ln_q = x * ln_q
+
+        def term(n: int) -> float:
+            return exp(n * x_ln_q) / (1.0 - exp(n * ln_q))
+
+        decay, start, scale = q_pow(q, x), 1, ln_q
+
+    series = _sum_in_range(term, decay, start, cfg, "psi_q", x, q.q)
+    value = -math.log1p(-q.q) + scale * series.value
+    return Evaluation(value, abs(scale) * series.error_estimate, series.terms_used)
 
 
 def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """m-th derivative of psi_q: (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n).
+    """m-th derivative of psi_q: (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n),
+    summed in the order whose decay ratio is smaller.
 
     Sign follows (ln q)^(m+1): positive for odd m, negative for even m.
-    The summand ratio (1+1/n)^m q^x (1-q^n)/(1-q^(n+1)) approaches q^x from
-    above, so plain q^x does not dominate.  We pass the inflated ratio
+
+    For x >= 1 the sum runs along n.  The summand ratio
+    (1+1/n)^m q^x (1-q^n)/(1-q^(n+1)) approaches q^x from above, so plain
+    q^x does not dominate.  We pass the inflated ratio
         r = min((9/8)^m q^x, (1+q^x)/2),
     valid for all n >= 8 in the first branch and for all n beyond a small
     threshold ~2m/(1-q^x) in the second; the stopping index exceeds both
     whenever the tail estimate is at all significant.
+
+    For x < 1 the same double series sum_{n>=1, k>=0} n^m q^(n(x+k)) runs
+    along k:
+        (ln q)^(m+1) sum_{k>=0} Li_{-m}(u_k),  u_k = q^(x+k),
+    with Li_{-m}(u) = sum_n n^m u^n = u A_m(u) / (1-u)^(m+1) and A_m the
+    Eulerian polynomial.  Li_{-m} has nonnegative coefficients, so
+    Li_{-m}(q u) <= q Li_{-m}(u) and ratio q is certified from k = 0.
+    1 - u_k is computed as -expm1((x+k) ln q), and (ln q)^(m+1) is taken
+    into each k-term as (ln q / (1-u_k))^(m+1), so that a value near the
+    pole at 0 stays in range as long as the result does; one beyond it
+    raises Overflow.
     """
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     _require_positive(x)
-    qx = q_pow(q, x)
-    decay = min(1.125**m * qx, 0.5 * (1.0 + qx))
-    if decay >= 1.0:
-        decay = math.nextafter(1.0, 0.0)
-
     exp = math.exp
     ln_q = q.ln_q
-    x_ln_q = x * ln_q
+    if x < 1.0:
+        expm1 = math.expm1
+        eulerian = _eulerian(int(m))[::-1]
+        power = m + 1
 
-    def term(n: int) -> float:
-        return float(n) ** m * exp(n * x_ln_q) / (1.0 - exp(n * ln_q))
+        def term(k: int) -> float:
+            s = (x + k) * ln_q
+            u = exp(s)
+            a = 0.0
+            for c in eulerian:
+                a = a * u + c
+            return u * a * (ln_q / -expm1(s)) ** power
 
-    series = sum_geometric_decay(term, decay, 1, cfg)
-    prefactor = q.ln_q ** (m + 1)
-    return Evaluation(prefactor * series.value, abs(prefactor) * series.error_estimate, series.terms_used)
+        decay, start, scale = q.q, 0, 1.0
+    else:
+        qx = q_pow(q, x)
+        x_ln_q = x * ln_q
+
+        def term(n: int) -> float:
+            return float(n) ** m * exp(n * x_ln_q) / (1.0 - exp(n * ln_q))
+
+        decay, start, scale = min(1.125**m * qx, 0.5 * (1.0 + qx)), 1, ln_q ** (m + 1)
+
+    series = _sum_in_range(term, decay, start, cfg, "psi_q_m", m, x, q.q)
+    return Evaluation(scale * series.value, abs(scale) * series.error_estimate, series.terms_used)
 
 
 def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:

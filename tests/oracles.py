@@ -1,8 +1,10 @@
 """Extended-precision brute-force oracles used to pin expected test values.
 
 Everything here is deliberately independent of the package under test: plain
-partial sums and log-products evaluated with mpmath at 40 digits, truncated by
-raw term count rather than by any adaptive stopping rule.  Tests freeze values
+partial sums and log-products evaluated with mpmath at 40 digits.  The
+log-products stop at a raw term count; the psi_q sums take that count as a
+floor and go on until their own rigorous tail bound is negligible, so that
+no caller has to know how many terms the library needed.  Tests freeze values
 produced by these functions (or call them live for spot checks); the library
 is never used to generate its own expectations.
 """
@@ -26,24 +28,49 @@ def mp_gamma_q(x, q, terms=3000):
     return mp.e ** mp_ln_gamma_q(x, q, terms)
 
 
-def mp_psi_q(x, q, terms=3000):
-    """-ln(1-q) + ln(q) * sum_{n>=1} q^(n x)/(1-q^n), raw partial sum."""
+# The psi_q oracles sum until a rigorous tail bound falls below this
+# fraction of the partial sum, however few terms the caller asked for.
+_TAIL_REL = mpf("1e-32")
+_MAX_TERMS = 2 * 10**6
+
+
+def _mp_polygamma_sum(m, x, q, terms):
+    """sum_{n>=1} n^m q^(n x)/(1-q^n), raw n-form, at least ``terms`` terms.
+
+    Term ratio t(n+1)/t(n) <= r_n = (1+1/n)^m q^x, which falls with n, so
+    after term n the tail is at most t(n) r_n / (1 - r_n) once r_n < 1.  The
+    bound is tested every 32 terms, which only ever sums a few more.
+    """
     x = mpf(x)
     q = mpf(q)
+    qx = q**x
+    qx_n = mpf(1)
+    q_n = mpf(1)
     s = mpf(0)
-    for n in range(1, terms + 1):
-        s += q ** (n * x) / (1 - q ** n)
-    return -mp.log(1 - q) + mp.log(q) * s
+    for n in range(1, _MAX_TERMS + 1):
+        qx_n *= qx
+        q_n *= q
+        t = n**m * qx_n / (1 - q_n)
+        s += t
+        if n >= terms and n % 32 == 0:
+            r = (1 + mpf(1) / n) ** m * qx
+            if r < 1 and t * r / (1 - r) <= _TAIL_REL * s:
+                return s
+    raise RuntimeError(f"n-form oracle did not converge within {_MAX_TERMS} terms at x={x}, q={q}")
+
+
+def mp_psi_q(x, q, terms=3000):
+    """-ln(1-q) + ln(q) * sum_{n>=1} q^(n x)/(1-q^n), raw partial sum of at
+    least ``terms`` terms, continued until its tail is below 1e-32 of it."""
+    q = mpf(q)
+    return -mp.log(1 - q) + mp.log(q) * _mp_polygamma_sum(0, x, q, terms)
 
 
 def mp_psi_q_m(m, x, q, terms=3000):
-    """(ln q)^(m+1) * sum_{n>=1} n^m q^(n x)/(1-q^n), raw partial sum."""
-    x = mpf(x)
+    """(ln q)^(m+1) * sum_{n>=1} n^m q^(n x)/(1-q^n), raw partial sum of at
+    least ``terms`` terms, continued until its tail is below 1e-32 of it."""
     q = mpf(q)
-    s = mpf(0)
-    for n in range(1, terms + 1):
-        s += mpf(n) ** m * q ** (n * x) / (1 - q ** n)
-    return mp.log(q) ** (m + 1) * s
+    return mp.log(q) ** (m + 1) * _mp_polygamma_sum(m, x, q, terms)
 
 
 def mp_q_bracket(x, q):

@@ -3,8 +3,8 @@
 ``perfbench/tracing.py`` rebinds functions by their module-level names, so an
 operation reached through a reference captured at import time would drop out
 of the traced benchmark without any error.  These run tiny traced passes and
-require spans for each ``*_bounds`` operation and for the ``psi_q`` calls
-inside a root solve.
+require spans for each ``*_bounds`` operation, for the ``psi_q`` calls
+inside a root solve, and for the series terms of ``psi_q`` below x = 1.
 """
 
 import sys
@@ -12,7 +12,9 @@ from pathlib import Path
 
 import qgamma.bounds as bounds
 import qgamma.propcheck as propcheck
+import qgamma.qspecial as qspecial
 from qgamma.bounds import INEQUALITY_IDS
+from qgamma.qcore import QParam
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -47,3 +49,12 @@ def test_tracer_counts_psi_evaluations_per_root_solve(monkeypatch):
     from tracing import layer_values
 
     assert layer_values(summary)["qspecial.psi_q_root.psi_evals_per_solve"] > 0
+
+
+def test_tracer_counts_series_terms_below_one(monkeypatch):
+    summary = _traced_summary(monkeypatch, lambda: qspecial.psi_q(0.05, QParam(0.9)))
+    from tracing import layer_values
+
+    values = layer_values(summary)
+    assert values["qspecial.psi_q.terms"] > 0
+    assert values["qcore.sum_geometric_decay.terms"] == values["qspecial.psi_q.terms"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgamma.errors import DomainError, RejectionOverflow
+from qgamma import bounds
 from qgamma.qcore import EvalConfig, QParam
 from qgamma.bounds import DomainSpec, INEQUALITY_IDS, cached_psi_root, default_domain
 from qgamma.propcheck import (
@@ -134,6 +135,16 @@ class TestConvexityCheck:
         with pytest.raises(AlphaBelowRoot):
             check_geometric_convexity("g_thm_alpha", sample(spec, 2, 5), QParam(0.5), 0.2)
 
+    def test_g_failed_root_solve_is_recorded_per_point(self, monkeypatch):
+        # A cold root cache makes the check solve the root under its own
+        # 3-term config, which cannot converge.
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        batch = sample(DomainSpec((0.05, 10.0), (0.05, 10.0), None), 1, 5)
+        report = check_geometric_convexity("g_thm_alpha", batch, QParam(0.5), 3.0, EvalConfig(1e-13, 1e-300, 3))
+        assert report.n_samples == report.n_errors == 5
+        assert report.n_pass == 0
+        assert all("no convergence" in f["error"] for f in report.failures)
+
     def test_f_pairs_below_one_rejected_as_errors(self):
         points = ((0.5, 2.0, None, None),)
         batch = SampleBatch(seed=0, count=1, points=points)
@@ -162,6 +173,13 @@ class TestSlopeCheck:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(DomainError):
             check_lemma_monotone_slope("f_thm_main", [1.0, 3.0, 2.0], QParam(0.5))
+
+    def test_g_failed_root_solve_is_recorded_per_comparison(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        cfg = EvalConfig(1e-13, 1e-300, 3)
+        report = check_lemma_monotone_slope("g_thm_alpha", [0.5, 1.0, 2.0, 4.0], QParam(0.5), 3.0, cfg)
+        assert report.n_samples == report.n_errors == 3
+        assert report.n_pass == 0
 
 
 class TestLimitsCheck:

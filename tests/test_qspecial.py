@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import mp_psi_q_root
+from oracles import mp_psi_q, mp_psi_q_m, mp_psi_q_root
 
 import qgamma.qspecial as qspecial
 from qgamma.errors import DomainError, Overflow
@@ -148,6 +148,62 @@ class TestPsiQM:
     def test_rejects_bad_m(self):
         with pytest.raises(DomainError):
             psi_q_m(0, 1.0, QParam(0.5))
+
+
+BELOW_ONE_X = (0.05, 0.2, 0.7, math.nextafter(1.0, 0.0))
+
+
+class TestBelowOne:
+    """psi_q and psi_q_m below x = 1, where they sum along k with ratio q."""
+
+    @pytest.mark.parametrize("qv", [0.05, 0.5, 0.9, 0.95])
+    def test_matches_n_form_oracle(self, qv):
+        q = QParam(qv)
+        for x in BELOW_ONE_X:
+            ev = psi_q(x, q)
+            oracle = float(mp_psi_q(x, qv, terms=1))
+            assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), (x, 0)
+            for m in (1, 2, 3):
+                ev = psi_q_m(m, x, q)
+                oracle = float(mp_psi_q_m(m, x, qv, terms=1))
+                assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), (x, m)
+
+    @pytest.mark.parametrize("qv", [0.05, 0.5, 0.9, 0.95])
+    def test_psi_q_continuous_across_one(self, qv):
+        q = QParam(qv)
+        below, at = psi_q(math.nextafter(1.0, 0.0), q), psi_q(1.0, q)
+        assert abs(below.value - at.value) <= below.error_estimate + at.error_estimate
+
+    def test_terms_at_small_x_high_q(self):
+        # The n-form needs over 10,000 terms here: its ratio is q^x = 0.9974.
+        q = QParam(0.95)
+        for ev in (psi_q(0.05, q), psi_q_m(1, 0.05, q), psi_q_m(2, 0.05, q)):
+            assert 0 < ev.terms_used <= 800
+
+    @pytest.mark.parametrize(
+        "m, x, leading",
+        [
+            (0, 1e-200, -1e200),
+            (1, 1e-150, 1e300),
+            (2, 1e-100, -2e300),
+            (0, 5e-324, None),
+            (1, 1e-200, None),
+            (2, 1e-200, None),
+            (1, 5e-324, None),
+            (2, 5e-324, None),
+        ],
+    )
+    def test_near_the_pole(self, m, x, leading):
+        # psi_q^(m)(x) ~ (-1)^(m+1) m! / x^(m+1) as x -> 0: a finite value
+        # when that is in the double range, Overflow when it is not.
+        for qv in (0.05, 0.5, 0.95, 1.0 - 1e-9):
+            q = QParam(qv)
+            evaluate = (lambda: psi_q(x, q)) if m == 0 else (lambda: psi_q_m(m, x, q))
+            if leading is None:
+                with pytest.raises(Overflow):
+                    evaluate()
+            else:
+                assert evaluate().value == pytest.approx(leading, rel=1e-12), qv
 
 
 class TestEulerGammaQ:
