@@ -13,23 +13,22 @@ from __future__ import annotations
 
 import math
 
+from .constants import BERNOULLI
 from .errors import DomainError
 from .qcore import Evaluation
 
 EULER_GAMMA = 0.5772156649015329
 
-# B_2, B_4, ..., B_16 (DLMF 24.2.1).
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-_SERIES_TERMS = len(_BERNOULLI)
+_SERIES_TERMS = 8
 _SHIFT_TO = 10.0
 
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
-# Stirling coefficients B_2k / (2k (2k-1)) and digamma coefficients B_2k / 2k;
-# the *_OMITTED ones are those of the first omitted term, k = 9 (B_18 = 43867/798).
-_LN_GAMMA_COEF = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, start=1))
-_PSI_COEF = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, start=1))
-_LN_GAMMA_OMITTED = 43867 / 798 / (18 * 17)
-_PSI_OMITTED = 43867 / 798 / 18
+# Stirling coefficients B_2k / (2k (2k-1)) and digamma coefficients B_2k / 2k,
+# k = 1..8; the *_OMITTED ones are those of the first omitted term, k = 9.
+_LN_GAMMA_COEF = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(BERNOULLI[:_SERIES_TERMS], start=1))
+_PSI_COEF = tuple(b / (2 * k) for k, b in enumerate(BERNOULLI[:_SERIES_TERMS], start=1))
+_LN_GAMMA_OMITTED = BERNOULLI[_SERIES_TERMS] / (18 * 17)
+_PSI_OMITTED = BERNOULLI[_SERIES_TERMS] / 18
 
 
 def _shift(x: float) -> tuple[int, float]:

@@ -1,11 +1,19 @@
 """Project-wide certification constants.
 
-Finite-difference steps, comparison slacks and the double-range limit live
-here so every module and test certifies against the same numbers.
+Finite-difference steps, comparison slacks, the double-range limit and the
+Bernoulli numbers of the asymptotic series live here so every module and
+test certifies against the same numbers.
 """
 
 # ln of the largest finite double, rounded down; exp above it overflows.
 MAX_EXP = 709.78
+
+# B_2, B_4, ..., B_18 (DLMF 24.2.1), as plain floats: the coefficients of
+# the classical Stirling and digamma series, of the q-Stirling corrections
+# and of the two Li_2 series behind ln Gamma_q.
+BERNOULLI = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510, 43867 / 798,
+)
 
 # Log-space slack when checking lower <= ratio <= upper at a sample point.
 # Equivalent to a relative slack of ~1e-9 on the exponentiated values.

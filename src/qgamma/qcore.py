@@ -14,8 +14,9 @@ from typing import Callable
 
 from .errors import DomainError, NonConvergence, Overflow
 
-# QParam construction rejects q this close to 1: term counts scale like
-# 1/(1-q) and the q->1 regime belongs to the classical module.
+# QParam construction rejects q this close to 1.  ln Gamma_q takes the same
+# few terms at every q up to here, but psi_q and psi_q^(m) still need about
+# 30/(1-q) terms, and the q->1 limit itself belongs to the classical module.
 _Q_UPPER_CUTOFF = 1.0 - 1e-12
 
 

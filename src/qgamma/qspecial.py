@@ -4,61 +4,29 @@ the q-Euler constant, and the unique positive root of psi_q.
 Gamma_q is only ever computed through its logarithm; the raw product over-
 and underflows quickly and every downstream inequality works in log space
 anyway.  Arguments x <= 0 are rejected: no analytic continuation.
+
+ln Gamma_q is Moak's q-Stirling expansion (Moak 1984, Rocky Mountain J.
+Math. 14): the recurrence up to T >= 10 plus Euler-Maclaurin for the tail,
+the scheme classical.py uses at q = 1.  It sums at most 18 terms at every q,
+and its remainder is bounded by the first omitted term (DLMF 2.10(i)).
+psi_q and psi_q^(m) sum geometric series whose term counts grow like
+1/(1-q).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .constants import MAX_EXP
-from .errors import BracketFailure, DomainError, Overflow
+from .constants import BERNOULLI, MAX_EXP
+from .errors import BracketFailure, DomainError, NonConvergence, Overflow
 from .qcore import DEFAULT_CONFIG, EvalConfig, Evaluation, QParam, q_pow, sum_geometric_decay
-
-# The series engine stops on the magnitude of its own partial sum, while the
-# accuracy contract is on the full log value (base term included).  Tightening
-# the internal stop keeps the exponentiated relative error within cfg.rel_tol
-# even when the base term dominates the series part.
-_STOP_SAFETY = 1.0 / 16.0
-
-
-def _series_cfg(cfg: EvalConfig) -> EvalConfig:
-    return EvalConfig(cfg.rel_tol * _STOP_SAFETY, cfg.abs_tol, cfg.max_terms)
 
 
 def _require_positive(x: float, name: str = "x") -> None:
     if not x > 0.0:
         raise DomainError(f"{name} must be positive, got {x!r}")
-
-
-def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """ln Gamma_q(x) = (1-x) ln(1-q) + sum_{n>=0} [ln(1-q^(n+1)) - ln(1-q^(n+x))].
-
-    The n-th term has magnitude ~ q^n |q - q^x|, and |term(n+1)| <= q * |term(n)|
-    holds for every n (expand both logs as power series in q^n), so the
-    geometric tail bound with ratio q is certified from the first term.
-    """
-    _require_positive(x)
-
-    exp = math.exp
-    log1p = math.log1p
-    ln_q = q.ln_q
-
-    def term(n: int) -> float:
-        return log1p(-exp((n + 1.0) * ln_q)) - log1p(-exp((n + x) * ln_q))
-
-    series = sum_geometric_decay(term, q.q, 0, _series_cfg(cfg))
-    base = (1.0 - x) * math.log1p(-q.q)
-    return Evaluation(base + series.value, series.error_estimate, series.terms_used)
-
-
-def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """Gamma_q(x) = exp(ln Gamma_q(x)); truncation bound scaled by the value."""
-    ln_ev = ln_gamma_q(x, q, cfg)
-    if ln_ev.value > MAX_EXP:
-        raise Overflow(f"Gamma_q({x}, q={q.q}) exceeds the double range (ln = {ln_ev.value:.6g})")
-    value = math.exp(ln_ev.value)
-    return Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)
 
 
 def _eulerian(m: int) -> list[int]:
@@ -72,6 +40,178 @@ def _eulerian(m: int) -> list[int]:
         prev = [0, *coeffs, 0]
         coeffs = [(j + 1) * prev[j + 1] + (k - j) * prev[j] for j in range(k)]
     return coeffs
+
+
+_ZETA2 = math.pi**2 / 6.0
+_LN2 = math.log(2.0)
+_EPS = 2.0**-53
+
+# q-Stirling corrections B_2j/(2j)! s^(2j-1) Li_{2-2j}(u), j = 1..9, with
+# Li_{2-2j}(u) = u A_{2j-2}(u) / (1-u)^(2j-1): the factor B_2j/(2j)! and the
+# coefficients of A_{2j-2} (a palindrome, so their order does not matter).
+# At most _EM_TERMS are added; the next one bounds the remainder.
+_EM_COEF = tuple(
+    (b / math.factorial(2 * j), tuple(float(c) for c in _eulerian(2 * j - 2)))
+    for j, b in enumerate(BERNOULLI, start=1)
+)
+_EM_TERMS = len(_EM_COEF) - 1
+
+# Li_2(e^-w) - zeta(2) = w ln w - w - w^2/4 + sum_j B_2j w^(2j+1) / (2j (2j+1)!)
+# (the expansion about w = 0, with zeta(1-2j) = -B_2j/(2j)), and
+# Li_2(u) = z - z^2/4 + sum_j B_2j z^(2j+1) / (2j+1)! with z = -ln(1-u)
+# ('t Hooft & Veltman 1979); both converge for arguments below 2 pi.
+_LI2_W = tuple(b / (2 * j * math.factorial(2 * j + 1)) for j, b in enumerate(BERNOULLI, start=1))
+_LI2_Z = tuple(b / math.factorial(2 * j + 1) for j, b in enumerate(BERNOULLI, start=1))
+
+# Below this, 1 - q^x = s x to double precision and s x may be subnormal.
+_TINY_W = 1e-300
+
+# Corrections stop at 1/1024 of the accuracy contract: at the default
+# rel_tol that leaves a truncation of about 1e-16 of max(1, |value|), below
+# rounding.  Differences of nearby values then keep their digits: over the
+# strict inequalities of `verify --seed 42` the margins that rounding pushes
+# below 0 stay above -4e-15, against -3e-14 when corrections stop at 1/16,
+# for about 1.4 more terms per call.
+_EM_STOP = 1.0 / 1024.0
+
+
+def _li2_tail(t: float, s: float, d: float, ln_s: Optional[float]) -> float:
+    """The integral of -ln(1-q^u) over u > t, Li_2(e^(-w)) / s at w = s t
+    (d = 1 - e^(-w)), less zeta(2)/s + t ln s when ln_s (= ln s) is given:
+    both cancel between the two tails of ln_gamma_q.
+
+    Up to w = ln 2 (so s <= ln 2 / 10, where ln_s is given) the series in w
+    is used, in which zeta(2) and t ln s drop out symbolically; above it the
+    series in z = -ln d < ln 2.  Either argument is at most ln 2, where the
+    terms fall by (ln 2 / 2 pi)^2 ~ 0.012 each, and the sum runs until the
+    next term is below rounding (at most eight terms).
+    """
+    w = s * t
+    if w <= _LN2:
+        v = w * w
+        acc = math.log(t) - 1.0 - 0.25 * w
+        p = 1.0
+        for c in _LI2_W:
+            p *= v
+            term = c * p
+            if abs(term) <= _EPS * abs(acc):
+                break
+            acc += term
+        return t * acc
+    z = -math.log(d)
+    v = z * z
+    acc = z - 0.25 * v
+    p = z
+    for c in _LI2_Z:
+        p *= v
+        term = c * p
+        if abs(term) <= _EPS * abs(acc):
+            break
+        acc += term
+    if ln_s is None:
+        return acc / s
+    return (acc - _ZETA2) / s - t * ln_s
+
+
+def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+    """ln Gamma_q(x) = (1-x) ln(1-q) + F(x) - F(1), F(x) = sum_{k>=0} h(x+k),
+    h(t) = -ln(1-q^t), by the q-Stirling expansion.
+
+    With s = -ln q, each F is its first N terms plus the Euler-Maclaurin
+    tail at T = x + N (resp. 1 + N), N = max(9, ceil(10 - x)) so that both
+    tails start at T >= 10:
+        [Li_2(e^(-sT)) - zeta(2)] / s + h(T)/2
+            + sum_j B_2j/(2j)! s^(2j-1) Li_{2-2j}(e^(-sT)).
+    The zeta(2)/s of the two tails cancels.  For q >= 2^(-1/10), where it
+    grows like 1/(1-q) and each tail's T ln s like ln(1-q), both are taken
+    out of each tail before the difference: T ln s cancels up to
+    (x-1) ln s, which joins (1-x) ln(1-q) as (1-x) ln((1-q)/s), and what is
+    left stays of the size of the result.  The first N terms of the two F
+    are paired as ln((1-q^(1+k)) / (1-q^(x+k))), every 1 - q^t being
+    -expm1(-s t), so a value near the pole at 0 keeps its digits.  At x = 1
+    every pair and both tails agree, so the value is exactly 0.
+
+    h is completely monotone, so the remainder after any number of
+    corrections has the sign of the first omitted one and is bounded by it
+    (DLMF 2.10(i)); the two remainders have one sign, so the larger of the
+    two first omitted corrections bounds their difference.  Corrections are
+    added until that bound is at most rel_tol * max(1, |value|) / 1024 (an
+    absolute error on ln Gamma_q is a relative one on Gamma_q), and at most
+    eight of them.  ``error_estimate`` is that bound; the Li_2 series are
+    summed to rounding and, like rounding, are left out of it.
+    ``terms_used`` is N plus the corrections added.  NonConvergence, with
+    the partial value and its bound, is raised when that would exceed
+    cfg.max_terms.
+    """
+    _require_positive(x)
+    expm1 = math.expm1
+    log = math.log
+    s = -q.ln_q
+    n = 9 if x >= 1.0 else 10
+    if s * 10.0 <= _LN2:
+        ln_s = log(s)
+        value = (1.0 - x) * log((1.0 - q.q) / s)
+    else:
+        ln_s = None
+        value = (1.0 - x) * math.log1p(-q.q)
+
+    limit = min(n, cfg.max_terms)
+    start = 0
+    if s * x < _TINY_W:
+        value += log(-expm1(-s)) - log(s) - log(x)
+        start = 1
+    for k in range(start, limit):
+        value += log(expm1(-s * (1.0 + k)) / expm1(-s * (x + k)))
+    if limit < n:
+        # The pair terms fall by a factor q or more each, from k = 0.
+        bound = abs(log(expm1(-s * (1.0 + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
+        raise NonConvergence(
+            f"no convergence within {cfg.max_terms} terms (estimate {bound:.3e})",
+            partial_value=value,
+            error_estimate=bound,
+            terms_used=limit,
+        )
+
+    tx, t1 = x + n, 1.0 + n
+    dx, d1 = -expm1(-s * tx), -expm1(-s * t1)
+    value += 0.5 * log(d1 / dx) + (_li2_tail(tx, s, dx, ln_s) - _li2_tail(t1, s, d1, ln_s))
+
+    tol = max(cfg.abs_tol, cfg.rel_tol * _EM_STOP * max(1.0, abs(value)))
+    ux, u1 = math.exp(-s * tx), math.exp(-s * t1)
+    rx, r1 = s / dx, s / d1
+    px, p1 = ux * rx, u1 * r1  # u r^(2j-1) at j = 1
+    rx *= rx
+    r1 *= r1
+    allowed = min(_EM_TERMS, cfg.max_terms - n)
+    for j, (coef, poly) in enumerate(_EM_COEF):
+        ax = a1 = 0.0
+        for c in poly:
+            ax = ax * ux + c
+            a1 = a1 * u1 + c
+        cx, c1 = coef * px * ax, coef * p1 * a1
+        bound = max(abs(cx), abs(c1))
+        if bound <= tol or j == allowed:
+            break
+        value += cx - c1
+        px *= rx
+        p1 *= r1
+    if bound > tol and j < _EM_TERMS:
+        raise NonConvergence(
+            f"no convergence within {cfg.max_terms} terms (estimate {bound:.3e})",
+            partial_value=value,
+            error_estimate=bound,
+            terms_used=n + j,
+        )
+    return Evaluation(value, bound, n + j)
+
+
+def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+    """Gamma_q(x) = exp(ln Gamma_q(x)); truncation bound scaled by the value."""
+    ln_ev = ln_gamma_q(x, q, cfg)
+    if ln_ev.value > MAX_EXP:
+        raise Overflow(f"Gamma_q({x}, q={q.q}) exceeds the double range (ln = {ln_ev.value:.6g})")
+    value = math.exp(ln_ev.value)
+    return Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)
 
 
 def _sum_in_range(term, decay: float, start: int, cfg: EvalConfig, name: str, *args) -> Evaluation:

@@ -1,10 +1,10 @@
 """Extended-precision brute-force oracles used to pin expected test values.
 
 Everything here is deliberately independent of the package under test: plain
-partial sums and log-products evaluated with mpmath at 40 digits.  The
-log-products stop at a raw term count; the psi_q sums take that count as a
-floor and go on until their own rigorous tail bound is negligible, so that
-no caller has to know how many terms the library needed.  Tests freeze values
+partial sums and log-products evaluated with mpmath at 40 digits.  The q-sums
+and q-log-products take the caller's term count as a floor and go on until
+their own rigorous tail bound is negligible, so that no caller has to know
+how many terms the library needed.  Tests freeze values
 produced by these functions (or call them live for spot checks); the library
 is never used to generate its own expectations.
 """
@@ -14,24 +14,43 @@ from mpmath import mp, mpf
 mp.dps = 40
 
 
+# The oracles sum until a rigorous tail bound falls below this fraction of
+# the partial sum, however few terms the caller asked for.
+_TAIL_REL = mpf("1e-32")
+_MAX_TERMS = 2 * 10**6
+
+
 def mp_ln_gamma_q(x, q, terms=3000):
-    """Log of the q-Gamma product: (1-q)^(1-x) * prod_n (1-q^(n+1))/(1-q^(n+x))."""
+    """Log of the q-Gamma product: (1-q)^(1-x) * prod_n (1-q^(n+1))/(1-q^(n+x)),
+    at least ``terms`` factors, continued until the tail of the log-sum is
+    below 1e-32 of it.
+
+    Log-factor n has size ~ q^n |q - q^x| and |t(n+1)| <= q |t(n)| for every
+    n (expand both logs in powers of q^n), so after factor n the tail is at
+    most |t(n)| q / (1 - q).  Factors are multiplied in blocks of 32, and the
+    bound is tested after each block.
+    """
     x = mpf(x)
     q = mpf(q)
-    total = (1 - x) * mp.log(1 - q)
-    for n in range(terms):
-        total += mp.log(1 - q ** (n + 1)) - mp.log(1 - q ** (n + x))
-    return total
+    q_n = mpf(1)
+    qx_n = q**x
+    s = mpf(0)
+    block = mpf(1)
+    for n in range(1, _MAX_TERMS + 1):
+        q_n *= q
+        factor = (1 - q_n) / (1 - qx_n)
+        qx_n *= q
+        block *= factor
+        if n % 32 == 0:
+            s += mp.log(block)
+            block = mpf(1)
+            if n >= terms and abs(mp.log(factor)) * q / (1 - q) <= _TAIL_REL * abs(s):
+                return (1 - x) * mp.log(1 - q) + s
+    raise RuntimeError(f"log-product oracle did not converge within {_MAX_TERMS} terms at x={x}, q={q}")
 
 
 def mp_gamma_q(x, q, terms=3000):
     return mp.e ** mp_ln_gamma_q(x, q, terms)
-
-
-# The psi_q oracles sum until a rigorous tail bound falls below this
-# fraction of the partial sum, however few terms the caller asked for.
-_TAIL_REL = mpf("1e-32")
-_MAX_TERMS = 2 * 10**6
 
 
 def _mp_polygamma_sum(m, x, q, terms):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -66,6 +67,16 @@ class TestEval:
             res = run_cli("eval", *args)
             assert res.returncode == 3, args
             assert res.stderr.startswith("error:"), args
+
+    def test_near_the_pole(self):
+        # ln Gamma_q(x) -> -ln(x ln(1/q) / (1-q)) as x -> 0.
+        res = run_cli("eval", "--fn", "ln_gamma_q", "--x", "1e-17", "--q", "0.5")
+        assert res.returncode == 0, res.stderr
+        expected = -math.log(1e-17 * math.log(2.0) / 0.5)
+        assert float(parse_plain(res.stdout)["value"]) == pytest.approx(expected, rel=1e-12)
+        res = run_cli("eval", "--fn", "gamma_q", "--x", "5e-324", "--q", "0.5")
+        assert res.returncode == 3
+        assert res.stderr.startswith("error:") and "exceeds the double range" in res.stderr
 
     def test_bad_function_exits_2(self):
         res = run_cli("eval", "--fn", "zeta", "--x", "1", "--q", "0.5")

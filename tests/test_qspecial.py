@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import mp_psi_q, mp_psi_q_m, mp_psi_q_root
+from mpmath import mp
+from oracles import mp_ln_gamma_q, mp_psi_q, mp_psi_q_m, mp_psi_q_root
 
 import qgamma.qspecial as qspecial
-from qgamma.errors import DomainError, Overflow
+from qgamma.classical import ln_gamma_classical
+from qgamma.errors import DomainError, NonConvergence, Overflow
 from qgamma.qcore import EvalConfig, QParam, q_bracket, q_factorial
 from qgamma.qspecial import (
     euler_gamma_q,
@@ -25,10 +27,13 @@ PSI_Q_M2_AT_2_HALF = -0.36608906413673243
 ROOT_Q_HALF = 1.4463627156098169
 ROOT_Q_TENTH = 1.4013087307419981
 
+# q where the product series needs over 10^6 terms.
+NEAR_ONE_Q = (0.99999, 1.0 - 1e-9, 1.0 - 2e-12)
+
 
 class TestLnGammaQ:
     def test_value_one_is_exactly_zero(self):
-        for qv in (0.1, 0.5, 0.9):
+        for qv in (0.1, 0.5, 0.9, *NEAR_ONE_Q):
             assert ln_gamma_q(1.0, QParam(qv)).value == 0.0
 
     def test_value_two_is_zero(self):
@@ -54,6 +59,66 @@ class TestLnGammaQ:
             rhs = math.log(q_bracket(x, q))
             scale = max(1.0, abs(ln_gamma_q(x + 1.0, q).value))
             assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+class TestQStirling:
+    """ln_gamma_q by recurrence plus Euler-Maclaurin: the same few terms at
+    every q, digits kept near the pole, and the max_terms budget."""
+
+    @pytest.mark.parametrize("qv", [0.05, 0.5, 0.95, 0.999])
+    def test_matches_product_oracle(self, qv):
+        q = QParam(qv)
+        for x in (0.05, 1.0, math.nextafter(10.0, 0.0), 10.0, 30.0):
+            ev = ln_gamma_q(x, q)
+            oracle = float(mp_ln_gamma_q(x, qv, terms=1))
+            assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), x
+
+    @pytest.mark.parametrize("x", [1e-6, 1e-10, 1e-13, 1e-200])
+    def test_near_the_pole(self, x):
+        # 1 - q^x taken as 1 - exp(x ln q) keeps only about 16 + log10(x)
+        # digits, none at all below x ~ 1e-16.
+        for qv in (0.05, 0.5, 0.9):
+            ev = ln_gamma_q(x, QParam(qv))
+            with mp.workdps(400):
+                oracle = float(mp_ln_gamma_q(x, qv, terms=1))
+            assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), qv
+
+    def test_terms_uniform_in_q(self):
+        # The product series needs about 30 / (1-q) terms: about 600 at q = 0.95.
+        for x in np.geomspace(0.05, 30.0, 25):
+            for one_minus_q in np.geomspace(1e-9, 0.95, 25):
+                ev = ln_gamma_q(float(x), QParam(1.0 - float(one_minus_q)))
+                assert 0 < ev.terms_used <= 40, (x, one_minus_q)
+
+    @pytest.mark.parametrize("qv", NEAR_ONE_Q)
+    def test_values_near_one(self, qv):
+        q = QParam(qv)
+        assert gamma_q(3.0, q).value == pytest.approx(1.0 + qv, rel=1e-12)
+        # Criterion 1's tolerance; [x]_q is taken with expm1, since
+        # 1 - q^x loses its digits as q -> 1.
+        rng = np.random.default_rng(17)
+        for x in rng.uniform(1e-6, 50.0, size=300):
+            x = float(x)
+            upper = ln_gamma_q(x + 1.0, q).value
+            residual = upper - ln_gamma_q(x, q).value - math.log(-math.expm1(x * q.ln_q) / (1.0 - qv))
+            assert abs(residual) <= 1e-10 * max(1.0, abs(upper)), x
+
+    def test_approaches_classical_as_q_rises(self):
+        for x in (0.05, 2.5, 30.0):
+            devs = [abs(ln_gamma_q(x, QParam(qv)).value - ln_gamma_classical(x).value) for qv in NEAR_ONE_Q]
+            assert devs[0] > devs[1] > devs[2], (x, devs)
+            assert devs[2] <= 1e-9, (x, devs)
+
+    def test_max_terms_raises_with_bounded_partial_value(self):
+        q = QParam(0.5)
+        full = ln_gamma_q(2.5, q)
+        # Cut inside the recurrence, then before the last correction.
+        for max_terms in (3, full.terms_used - 1):
+            with pytest.raises(NonConvergence) as info:
+                ln_gamma_q(2.5, q, EvalConfig(max_terms=max_terms))
+            assert info.value.terms_used == max_terms
+            assert abs(info.value.partial_value - full.value) <= info.value.error_estimate
+        assert ln_gamma_q(2.5, q, EvalConfig(max_terms=full.terms_used)) == full
 
 
 class TestGammaQ:
