@@ -32,7 +32,6 @@ from .qspecial import (
 )
 from .classical import (
     EULER_GAMMA,
-    euler_gamma_classical,
     ln_gamma_classical,
     psi_classical,
 )
@@ -65,7 +64,6 @@ from .propcheck import (
     explore_main_below_one,
     report_to_dict,
     report_to_text,
-    run_all_checks,
     run_check,
     sample,
 )

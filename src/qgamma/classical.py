@@ -81,8 +81,3 @@ def psi_classical(x: float) -> Evaluation:
         value -= 1.0 / (x + k)
     omitted = _PSI_OMITTED * w ** (_SERIES_TERMS + 1)
     return Evaluation(value, omitted, n + _SERIES_TERMS)
-
-
-def euler_gamma_classical() -> float:
-    """The Euler-Mascheroni constant as the nearest double."""
-    return EULER_GAMMA

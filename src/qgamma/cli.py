@@ -7,8 +7,10 @@ bracket failure, or a verify run in which more than half of a report's
 points are evaluation errors).
 
 Values print with 17 significant digits so they re-parse to the identical
-double.  The environment variable QGAMMA_MAX_TERMS overrides the default
-series term cap; an explicit --max-terms flag beats the environment.
+double.  Every series stops once its tail bound is at most 1e-13 of its
+sum (``qcore.REL_TOL``); the series term cap is the only numeric option.
+The environment variable QGAMMA_MAX_TERMS overrides the default cap; an
+explicit --max-terms flag beats the environment.
 
 JSON report schema (one object per check):
   { "schema_version": 1, "inequality_id": str, "n_samples": int,
@@ -65,22 +67,16 @@ def _fmt(value: float) -> str:
 
 
 def _eval_config(args) -> EvalConfig:
-    max_terms = getattr(args, "max_terms", None)
+    max_terms = args.max_terms
     if max_terms is None:
         env = os.environ.get(ENV_MAX_TERMS)
-        if env is not None:
-            try:
-                max_terms = int(env)
-            except ValueError:
-                raise DomainError(f"{ENV_MAX_TERMS} must be an integer, got {env!r}") from None
-    cfg = EvalConfig()
-    if max_terms is not None or getattr(args, "rel_tol", None) is not None:
-        cfg = EvalConfig(
-            rel_tol=args.rel_tol if getattr(args, "rel_tol", None) is not None else cfg.rel_tol,
-            abs_tol=cfg.abs_tol,
-            max_terms=max_terms if max_terms is not None else cfg.max_terms,
-        )
-    return cfg
+        if env is None:
+            return EvalConfig()
+        try:
+            max_terms = int(env)
+        except ValueError:
+            raise DomainError(f"{ENV_MAX_TERMS} must be an integer, got {env!r}") from None
+    return EvalConfig(max_terms=max_terms)
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -227,7 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, formats=("plain", "json")):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
         p.add_argument("--max-terms", dest="max_terms", type=int, default=None)
 
     def add_point_flags(p):

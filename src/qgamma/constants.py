@@ -1,8 +1,8 @@
 """Project-wide certification constants.
 
-Finite-difference steps, comparison slacks, the double-range limit and the
-Bernoulli numbers of the asymptotic series live here so every module and
-test certifies against the same numbers.
+The comparison slacks, the minimum pair gap, the double-range limit and the
+Bernoulli numbers of the asymptotic series live here so that every module
+certifies against the same numbers.
 """
 
 # ln of the largest finite double, rounded down; exp above it overflows.
@@ -25,14 +25,6 @@ CONVEXITY_SLACK_LOG = 1e-9
 # Slack for nondecrease of x * (ln f)'(x) along a grid.
 SLOPE_SLACK = 1e-10
 
-# Interior margin required at strict-inequality spot checks.
-STRICT_MARGIN = 1e-12
-
 # Minimum spacing enforced between paired samples (x, y) or (mu, lambda)
 # under a strict ordering constraint; below this the margins drown in noise.
 MIN_PAIR_GAP = 1e-6
-
-# Central finite-difference steps used by the derivative-consistency suites.
-FD_STEP_LN_GAMMA_Q = 1e-5
-FD_STEP_Q_BRACKET = 1e-6
-FD_STEP_LN_GAMMA_CLASSICAL = 1e-4

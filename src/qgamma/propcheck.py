@@ -512,16 +512,6 @@ def run_check(
     return _EXTRA_CHECKS[check_id](seed, samples, cfg)
 
 
-def run_all_checks(
-    seed: int = 42,
-    samples: int = 1000,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    corrupt_upper: bool = False,
-    check_ids: Sequence[str] = ALL_CHECK_IDS,
-) -> list[CertificateReport]:
-    return [run_check(cid, seed, samples, cfg, corrupt_upper) for cid in check_ids]
-
-
 # --------------------------------------------------------------------------
 # Exploratory sweep outside the proven domain (reported, never certified)
 # --------------------------------------------------------------------------

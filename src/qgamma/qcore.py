@@ -9,7 +9,7 @@ domination ratio into a value with a certified truncation bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, NonConvergence, Overflow
@@ -18,6 +18,12 @@ from .errors import DomainError, NonConvergence, Overflow
 # few terms at every q up to here, but psi_q and psi_q^(m) still need about
 # 30/(1-q) terms, and the q->1 limit itself belongs to the classical module.
 _Q_UPPER_CUTOFF = 1.0 - 1e-12
+
+# The accuracy contract of every series: summation stops once the tail
+# bound is at most REL_TOL of the partial sum, or ABS_TOL for a sum that is
+# zero to the double range (an underflow floor, not an accuracy target).
+REL_TOL = 1e-13
+ABS_TOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -30,7 +36,7 @@ class QParam:
     """
 
     q: float
-    ln_q: float = 0.0  # derived, set in __post_init__
+    ln_q: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.q < _Q_UPPER_CUTOFF):
@@ -40,17 +46,11 @@ class QParam:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Precision contract for series evaluation."""
+    """The term cap of series evaluation; the accuracy is fixed by REL_TOL."""
 
-    rel_tol: float = 1e-13
-    abs_tol: float = 1e-300  # underflow floor, not an accuracy target
     max_terms: int = 10**6
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if self.abs_tol < 0.0:
-            raise DomainError(f"abs_tol must be >= 0, got {self.abs_tol!r}")
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms!r}")
 
@@ -77,8 +77,9 @@ def q_pow(q: QParam, x: float) -> float:
 
 
 def q_bracket(x: float, q: QParam) -> float:
-    """The q-analogue of x: (1 - q^x) / (1 - q)."""
-    return (1.0 - q_pow(q, x)) / (1.0 - q.q)
+    """The q-analogue of x: (1 - q^x) / (1 - q), with 1 - q^x as
+    -expm1(x ln q) so that small x keeps its digits."""
+    return -math.expm1(x * q.ln_q) / (1.0 - q.q)
 
 
 def q_bracket_derivative(x: float, q: QParam) -> float:
@@ -110,7 +111,7 @@ def sum_geometric_decay(
     index onward (each call site documents its ratio and threshold), which
     makes |term(N+1)| / (1 - decay_ratio) an upper bound on the omitted
     tail after N summed terms.  Summation stops at the first N where that
-    bound drops to max(rel_tol * |S_N|, abs_tol).
+    bound drops to max(REL_TOL * |S_N|, ABS_TOL).
 
     Raises NonConvergence, carrying the partial sum, if max_terms is
     reached first.
@@ -118,8 +119,6 @@ def sum_geometric_decay(
     if not (0.0 < decay_ratio < 1.0):
         raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
     inv_gap = 1.0 / (1.0 - decay_ratio)
-    rel_tol = cfg.rel_tol
-    abs_tol = cfg.abs_tol
     total = 0.0
     used = 0
     n = start_index
@@ -131,11 +130,11 @@ def sum_geometric_decay(
         n += 1
         nxt = term(n)
         estimate = abs(nxt) * inv_gap
-        threshold = rel_tol * total
+        threshold = REL_TOL * total
         if threshold < 0.0:
             threshold = -threshold
-        if threshold < abs_tol:
-            threshold = abs_tol
+        if threshold < ABS_TOL:
+            threshold = ABS_TOL
         if estimate <= threshold:
             return Evaluation(total, estimate, used)
     raise NonConvergence(

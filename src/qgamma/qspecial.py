@@ -21,7 +21,7 @@ from typing import Optional
 
 from .constants import BERNOULLI, MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow
-from .qcore import DEFAULT_CONFIG, EvalConfig, Evaluation, QParam, q_pow, sum_geometric_decay
+from .qcore import DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, q_pow, sum_geometric_decay
 
 
 def _require_positive(x: float, name: str = "x") -> None:
@@ -66,10 +66,10 @@ _LI2_Z = tuple(b / math.factorial(2 * j + 1) for j, b in enumerate(BERNOULLI, st
 # Below this, 1 - q^x = s x to double precision and s x may be subnormal.
 _TINY_W = 1e-300
 
-# Corrections stop at 1/1024 of the accuracy contract: at the default
-# rel_tol that leaves a truncation of about 1e-16 of max(1, |value|), below
-# rounding.  Differences of nearby values then keep their digits: over the
-# strict inequalities of `verify --seed 42` the margins that rounding pushes
+# Corrections stop at 1/1024 of the accuracy contract REL_TOL, which leaves
+# a truncation of about 1e-16 of max(1, |value|), below rounding.
+# Differences of nearby values then keep their digits: over the strict
+# inequalities of `verify --seed 42` the margins that rounding pushes
 # below 0 stay above -4e-15, against -3e-14 when corrections stop at 1/16,
 # for about 1.4 more terms per call.
 _EM_STOP = 1.0 / 1024.0
@@ -135,7 +135,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluat
     corrections has the sign of the first omitted one and is bounded by it
     (DLMF 2.10(i)); the two remainders have one sign, so the larger of the
     two first omitted corrections bounds their difference.  Corrections are
-    added until that bound is at most rel_tol * max(1, |value|) / 1024 (an
+    added until that bound is at most REL_TOL * max(1, |value|) / 1024 (an
     absolute error on ln Gamma_q is a relative one on Gamma_q), and at most
     eight of them.  ``error_estimate`` is that bound; the Li_2 series are
     summed to rounding and, like rounding, are left out of it.
@@ -176,7 +176,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluat
     dx, d1 = -expm1(-s * tx), -expm1(-s * t1)
     value += 0.5 * log(d1 / dx) + (_li2_tail(tx, s, dx, ln_s) - _li2_tail(t1, s, d1, ln_s))
 
-    tol = max(cfg.abs_tol, cfg.rel_tol * _EM_STOP * max(1.0, abs(value)))
+    tol = REL_TOL * _EM_STOP * max(1.0, abs(value))
     ux, u1 = math.exp(-s * tx), math.exp(-s * t1)
     rx, r1 = s / dx, s / d1
     px, p1 = ux * rx, u1 * r1  # u r^(2j-1) at j = 1

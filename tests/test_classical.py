@@ -7,7 +7,6 @@ from oracles import mp_ln_gamma_classical
 
 from qgamma.classical import (
     EULER_GAMMA,
-    euler_gamma_classical,
     ln_gamma_classical,
     psi_classical,
 )
@@ -90,15 +89,15 @@ class TestPsiClassical:
 
 class TestEulerGammaClassical:
     def test_stored_constant(self):
-        assert euler_gamma_classical() == 0.5772156649015329
+        assert EULER_GAMMA == 0.5772156649015329
 
     def test_consistent_with_psi(self):
-        assert -psi_classical(1.0).value == pytest.approx(euler_gamma_classical(), abs=1e-7)
+        assert -psi_classical(1.0).value == pytest.approx(EULER_GAMMA, abs=1e-7)
 
     def test_consistent_with_ln_gamma_slope(self):
         h = 1e-4
         fd = (ln_gamma_classical(1.0 + h).value - ln_gamma_classical(1.0 - h).value) / (2 * h)
-        assert -fd == pytest.approx(euler_gamma_classical(), abs=1e-5)
+        assert -fd == pytest.approx(EULER_GAMMA, abs=1e-5)
 
 
 class TestQToOneBridge:

@@ -210,6 +210,14 @@ class TestVerify:
         res = run_cli("verify", "--ineq", "thm_nonexistent", "--samples", "10")
         assert res.returncode == 2
 
+    def test_accuracy_is_not_an_option(self):
+        # A looser series tolerance once turned this true theorem into
+        # reported violations; the accuracy contract is no longer settable.
+        res = run_cli("verify", "--ineq", "thm_mvt", "--samples", "600", "--seed", "42",
+                      "--rel-tol", "1e-6")
+        assert res.returncode == 2
+        assert "--rel-tol" in res.stderr
+
     def test_all_runs_every_registered_check(self):
         from qgamma.propcheck import ALL_CHECK_IDS
 

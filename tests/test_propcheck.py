@@ -140,7 +140,7 @@ class TestConvexityCheck:
         # 3-term config, which cannot converge.
         monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
         batch = sample(DomainSpec((0.05, 10.0), (0.05, 10.0), None), 1, 5)
-        report = check_geometric_convexity("g_thm_alpha", batch, QParam(0.5), 3.0, EvalConfig(1e-13, 1e-300, 3))
+        report = check_geometric_convexity("g_thm_alpha", batch, QParam(0.5), 3.0, EvalConfig(max_terms=3))
         assert report.n_samples == report.n_errors == 5
         assert report.n_pass == 0
         assert all("no convergence" in f["error"] for f in report.failures)
@@ -176,7 +176,7 @@ class TestSlopeCheck:
 
     def test_g_failed_root_solve_is_recorded_per_comparison(self, monkeypatch):
         monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
-        cfg = EvalConfig(1e-13, 1e-300, 3)
+        cfg = EvalConfig(max_terms=3)
         report = check_lemma_monotone_slope("g_thm_alpha", [0.5, 1.0, 2.0, 4.0], QParam(0.5), 3.0, cfg)
         assert report.n_samples == report.n_errors == 3
         assert report.n_pass == 0

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import mp_q_bracket
 
 from qgamma.errors import DomainError, NonConvergence, Overflow
 from qgamma.qcore import (
+    ABS_TOL,
     EvalConfig,
     QParam,
     q_bracket,
@@ -30,6 +33,10 @@ class TestQParam:
         q = QParam(0.37)
         assert q.ln_q == math.log(0.37)
 
+    def test_ln_q_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            QParam(0.5, 123.0)
+
     def test_q_pow_definition(self):
         q = QParam(0.3)
         assert q_pow(q, 2.5) == math.exp(2.5 * math.log(0.3))
@@ -37,20 +44,17 @@ class TestQParam:
 
 class TestEvalConfig:
     def test_defaults(self):
-        cfg = EvalConfig()
-        assert cfg.rel_tol == 1e-13
-        assert cfg.abs_tol == 1e-300
-        assert cfg.max_terms == 10**6
+        assert EvalConfig().max_terms == 10**6
 
     @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0},
-        {"rel_tol": -1e-3},
-        {"abs_tol": -1.0},
         {"max_terms": 0},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(DomainError):
             EvalConfig(**kwargs)
+
+    def test_term_cap_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(EvalConfig)] == ["max_terms"]
 
 
 class TestQBracket:
@@ -77,6 +81,11 @@ class TestQBracket:
         lhs = q_bracket(x + 1.0, qp)
         rhs = 1.0 + q * q_bracket(x, qp)
         assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("x, qv", [(1e-10, 0.5), (1e-13, 0.9), (0.05, 0.95)])
+    def test_small_x_keeps_its_digits(self, x, qv):
+        exact = mp_q_bracket(x, qv)
+        assert abs(q_bracket(x, QParam(qv)) - exact) <= 4e-16 * exact
 
     def test_limit_toward_identity(self):
         """[x]_q -> x as q -> 1."""
@@ -160,7 +169,7 @@ class TestSumGeometricDecay:
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
 
     def test_non_convergence_carries_partial(self):
-        cfg = EvalConfig(rel_tol=1e-13, max_terms=10)
+        cfg = EvalConfig(max_terms=10)
         with pytest.raises(NonConvergence) as info:
             sum_geometric_decay(lambda n: 0.999**n, 0.999, 1, cfg)
         assert info.value.terms_used == 10
@@ -174,8 +183,8 @@ class TestSumGeometricDecay:
             sum_geometric_decay(lambda n: 0.5**n, 0.0, 1)
 
     def test_respects_abs_tol_floor(self):
-        cfg = EvalConfig(rel_tol=1e-13, abs_tol=1e-3, max_terms=1000)
-        ev = sum_geometric_decay(lambda n: 0.5**n, 0.5, 1, cfg)
-        # stops as soon as the tail bound dips under abs_tol
-        assert ev.error_estimate <= 1e-3
-        assert ev.terms_used < 30
+        # The sum is ~2e-305: its tail bound is under the fixed 1e-300
+        # underflow floor after one term, long before it reaches 1e-13 of it.
+        ev = sum_geometric_decay(lambda n: 1e-305 * 0.5**n, 0.5, 0)
+        assert ev.terms_used == 1
+        assert ev.error_estimate <= ABS_TOL
