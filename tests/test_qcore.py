@@ -47,6 +47,9 @@ class TestEvalConfig:
         assert EvalConfig().max_terms == 10**6
 
     @pytest.mark.parametrize("kwargs", [
+        {"max_terms": -(10**6)},
+        {"max_terms": -2},
+        {"max_terms": -1},
         {"max_terms": 0},
     ])
     def test_rejects_invalid(self, kwargs):
