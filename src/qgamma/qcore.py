@@ -16,7 +16,8 @@ from .errors import DomainError, NonConvergence, Overflow
 
 # QParam construction rejects q this close to 1.  ln Gamma_q takes the same
 # few terms at every q up to here, but psi_q and psi_q^(m) still need about
-# 30/(1-q) terms, and the q->1 limit itself belongs to the classical module.
+# 2 sqrt(30/(1-q)) terms (the default cap of 10^6 near 1 - 1e-10), and the
+# q->1 limit itself belongs to the classical module.
 _Q_UPPER_CUTOFF = 1.0 - 1e-12
 
 # The accuracy contract of every series: summation stops once the tail

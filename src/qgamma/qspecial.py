@@ -9,8 +9,11 @@ ln Gamma_q is Moak's q-Stirling expansion (Moak 1984, Rocky Mountain J.
 Math. 14): the recurrence up to T >= 10 plus Euler-Maclaurin for the tail,
 the scheme classical.py uses at q = 1.  It sums at most 18 terms at every q,
 and its remainder is bounded by the first omitted term (DLMF 2.10(i)).
-psi_q and psi_q^(m) sum geometric series whose term counts grow like
-1/(1-q).
+psi_q and psi_q^(m) take K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
+(s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and sum the rest as their
+geometric n-series at x + K, one path for every x: at most about
+2 sqrt(30/(1-q)) terms, with the first omitted tail term, over one minus
+its certified ratio, as the error bound.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 
 from .constants import BERNOULLI, MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow
-from .qcore import DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, q_pow, sum_geometric_decay
+from .qcore import DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, sum_geometric_decay
 
 
 def _require_positive(x: float, name: str = "x") -> None:
@@ -214,120 +217,162 @@ def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation
     return Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)
 
 
-def _sum_in_range(term, decay: float, start: int, cfg: EvalConfig, name: str, *args) -> Evaluation:
-    """sum_geometric_decay, raising Overflow, named name(*args), for a sum
-    beyond the double range.
+# -ln REL_TOL: a tail at ratio q^y falls below REL_TOL of its first term
+# after about this / (s y) terms, s = -ln q.
+_TAIL_LOG = -math.log(REL_TOL)
 
-    Only a k = 0 term of a k-form can leave the range (x near the pole at
+# q^y underflows to 0 once s y > 745 (tiny q, or large x); the tail ratio
+# is then rounded up to the least positive double, a valid bound still.
+_LEAST_RATIO = math.ulp(0.0)
+
+
+def _head_length(x: float, q: QParam) -> int:
+    """K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and L = -ln REL_TOL: the
+    number of recurrence steps that minimises K + L / (s (x+K)), the head
+    terms plus the tail terms at ratio q^(x+K)."""
+    return max(0, math.ceil(math.sqrt(_TAIL_LOG / -q.ln_q) - x))
+
+
+def _head_plus_tail(
+    head, k_end: int, tail_term, tail_ratio: float, tail_scale: float,
+    offset: float, q: QParam, cfg: EvalConfig, name: str, *args,
+) -> Evaluation:
+    """offset + head(0, k_end) + tail_scale sum_{n>=1} tail_term(n), where
+    head(i, j) sums the k-form terms i <= k < j.
+
+    The head terms are the first k_end terms of a k-form whose ratio q is
+    certified from k = 0; they count against cfg.max_terms, and the tail
+    goes to sum_geometric_decay with the rest of the budget.  When the cap
+    is hit in the head, or leaves nothing for the tail, NonConvergence
+    carries the partial value with the bound |next head term| / (1-q) on
+    the rest of the k-form; when it is hit in the tail, the head plus the
+    tail's partial value.  ``terms_used`` is k_end plus the tail terms.
+
+    Only the k = 0 head term can leave the double range (x near the pole at
     0, where 1 - q^x is 0 or small enough for a quotient or power by it to
-    overflow), and every term has the sign of the sum, so the sum leaves it
-    too.
+    overflow), and every term has the sign of the sum, so the sum leaves
+    it too: Overflow, named name(*args).
     """
+    limit = min(k_end, cfg.max_terms)
     try:
-        series = sum_geometric_decay(term, decay, start, cfg)
+        value = head(0, limit)
     except (ZeroDivisionError, OverflowError):
-        series = None
-    if series is None or math.isinf(series.value):
+        value = math.inf
+    if math.isinf(value):
         raise Overflow(f"{name}{args!r} exceeds the double range")
-    return series
+    if limit < cfg.max_terms:
+        try:
+            tail = sum_geometric_decay(tail_term, tail_ratio, 1, EvalConfig(cfg.max_terms - limit) if limit else cfg)
+        except NonConvergence as exc:
+            value += tail_scale * exc.partial_value
+            bound = abs(tail_scale) * exc.error_estimate
+        else:
+            value = offset + (value + tail_scale * tail.value)
+            return Evaluation(value, abs(tail_scale) * tail.error_estimate, limit + tail.terms_used)
+    else:
+        bound = abs(head(limit, limit + 1)) / (1.0 - q.q)
+    raise NonConvergence(
+        f"no convergence within {cfg.max_terms} terms (estimate {bound:.3e})",
+        partial_value=offset + value,
+        error_estimate=bound,
+        terms_used=cfg.max_terms,
+    )
 
 
 def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), summed in
-    the order whose decay ratio is smaller.
+    """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), as K
+    recurrence steps plus that series at the shifted argument y = x + K.
 
-    Expanding 1/(1-q^n) = sum_{k>=0} q^(nk) makes this the double series
-    sum_{n>=1, k>=0} q^(n(x+k)).  For x >= 1 it is summed along n: the
-    summand ratio q^x (1-q^n)/(1-q^(n+1)) < q^x <= q is certified from the
-    first term.  For x < 1, where q^x nears 1, it is summed along k:
-        psi_q(x) = -ln(1-q) + (ln q) sum_{k>=0} u_k / (1-u_k),  u_k = q^(x+k),
-    whose summand u/(1-u) = sum_n u^n has nonnegative coefficients, so
-    term(k+1) <= q term(k) from k = 0.  At x = 1 the k-terms are the n-terms
-    one for one.  1 - u_k is computed as -expm1((x+k) ln q), and ln q is
-    taken into each k-term so that a value near the pole at 0 stays in range
-    as long as the result does; one beyond it raises Overflow.
+    Expanding 1/(1-q^n) = sum_{k>=0} q^(nk) makes the sum the double series
+    sum_{n>=1, k>=0} q^(n(x+k)).  Its first K terms along k are summed
+    directly (the recurrence psi_q(x+1) = psi_q(x) - (ln q) u/(1-u), u = q^x,
+    taken K times), and the rest along n at y:
+        psi_q(x) = -ln(1-q) + (ln q) [sum_{k<K} u_k / (1-u_k)
+                                      + sum_{n>=1} q^(ny) / (1-q^n)],
+    u_k = q^(x+k).  The n-summand ratio q^y (1-q^n)/(1-q^(n+1)) < q^y is
+    certified from n = 1.  K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and
+    L = -ln REL_TOL, so that the head and the tail each take at most about
+    sqrt(L/s) terms, about 2 sqrt(30/(1-q)) in all as q -> 1.
+
+    Each head term (ln q) u/(1-u) is taken as ln q / expm1(s (x+k)), with
+    ln q inside, so that a value near the pole at 0 stays in range as long
+    as the result does; one beyond it raises Overflow.  The tail's 1 - q^n
+    is -expm1(n ln q), which keeps its digits as q -> 1.
     """
     _require_positive(x)
     exp = math.exp
+    expm1 = math.expm1
     ln_q = q.ln_q
-    if x < 1.0:
-        expm1 = math.expm1
+    s = -ln_q
+    k_end = _head_length(x, q)
+    y_ln_q = (x + k_end) * ln_q
 
-        def term(k: int) -> float:
-            s = (x + k) * ln_q
-            return exp(s) * ln_q / -expm1(s)
+    def head(start: int, stop: int) -> float:
+        acc = 0.0
+        for k in range(start, stop):
+            acc += ln_q / expm1(s * (x + k))
+        return acc
 
-        decay, start, scale = q.q, 0, 1.0
-    else:
-        # exp(n x ln q) inlined from q_pow; this loop dominates every
-        # certification run.
-        x_ln_q = x * ln_q
+    # exp(n y ln q) inlined from q_pow; this loop dominates every
+    # certification run.
+    def tail_term(n: int) -> float:
+        return exp(n * y_ln_q) / -expm1(n * ln_q)
 
-        def term(n: int) -> float:
-            return exp(n * x_ln_q) / (1.0 - exp(n * ln_q))
-
-        decay, start, scale = q_pow(q, x), 1, ln_q
-
-    series = _sum_in_range(term, decay, start, cfg, "psi_q", x, q.q)
-    value = -math.log1p(-q.q) + scale * series.value
-    return Evaluation(value, abs(scale) * series.error_estimate, series.terms_used)
+    qy = max(exp(y_ln_q), _LEAST_RATIO)
+    return _head_plus_tail(head, k_end, tail_term, qy, ln_q, -math.log1p(-q.q), q, cfg, "psi_q", x, q.q)
 
 
 def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     """m-th derivative of psi_q: (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n),
-    summed in the order whose decay ratio is smaller.
+    as K recurrence steps plus that series at y = x + K.
 
     Sign follows (ln q)^(m+1): positive for odd m, negative for even m.
 
-    For x >= 1 the sum runs along n.  The summand ratio
-    (1+1/n)^m q^x (1-q^n)/(1-q^(n+1)) approaches q^x from above, so plain
-    q^x does not dominate.  We pass the inflated ratio
-        r = min((9/8)^m q^x, (1+q^x)/2),
-    valid for all n >= 8 in the first branch and for all n beyond a small
-    threshold ~2m/(1-q^x) in the second; the stopping index exceeds both
-    whenever the tail estimate is at all significant.
+    As for psi_q, with psi_q's K, the double series
+    sum_{n>=1, k>=0} n^m q^(n(x+k)) is summed along k for k < K and along
+    n at y for the rest:
+        (ln q)^(m+1) [sum_{k<K} Li_{-m}(u_k) + sum_{n>=1} n^m q^(ny) / (1-q^n)],
+    u_k = q^(x+k), with Li_{-m}(u) = sum_n n^m u^n = u A_m(u) / (1-u)^(m+1)
+    and A_m the Eulerian polynomial.  Each 1 - u is -expm1((x+k) ln q), and
+    (ln q)^(m+1) is taken into each head term as (ln q / (1-u_k))^(m+1), so
+    that a value near the pole at 0 stays in range as long as the result
+    does; one beyond it raises Overflow.
 
-    For x < 1 the same double series sum_{n>=1, k>=0} n^m q^(n(x+k)) runs
-    along k:
-        (ln q)^(m+1) sum_{k>=0} Li_{-m}(u_k),  u_k = q^(x+k),
-    with Li_{-m}(u) = sum_n n^m u^n = u A_m(u) / (1-u)^(m+1) and A_m the
-    Eulerian polynomial.  Li_{-m} has nonnegative coefficients, so
-    Li_{-m}(q u) <= q Li_{-m}(u) and ratio q is certified from k = 0.
-    1 - u_k is computed as -expm1((x+k) ln q), and (ln q)^(m+1) is taken
-    into each k-term as (ln q / (1-u_k))^(m+1), so that a value near the
-    pole at 0 stays in range as long as the result does; one beyond it
-    raises Overflow.
+    The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) approaches q^y
+    from above, so plain q^y does not dominate.  We pass the inflated ratio
+        r = min((9/8)^m q^y, (1+q^y)/2),
+    valid for all n >= 8 in the first branch and for all n beyond a small
+    threshold ~2m/(1-q^y) in the second; the stopping index exceeds both
+    whenever the tail estimate is at all significant.
     """
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     _require_positive(x)
     exp = math.exp
+    expm1 = math.expm1
     ln_q = q.ln_q
-    if x < 1.0:
-        expm1 = math.expm1
-        eulerian = _eulerian(int(m))[::-1]
-        power = m + 1
+    eulerian = _eulerian(int(m))[::-1]
+    power = m + 1
+    k_end = _head_length(x, q)
+    y_ln_q = (x + k_end) * ln_q
 
-        def term(k: int) -> float:
-            s = (x + k) * ln_q
-            u = exp(s)
+    def head(start: int, stop: int) -> float:
+        acc = 0.0
+        for k in range(start, stop):
+            t = (x + k) * ln_q
+            u = exp(t)
             a = 0.0
             for c in eulerian:
                 a = a * u + c
-            return u * a * (ln_q / -expm1(s)) ** power
+            acc += u * a * (ln_q / -expm1(t)) ** power
+        return acc
 
-        decay, start, scale = q.q, 0, 1.0
-    else:
-        qx = q_pow(q, x)
-        x_ln_q = x * ln_q
+    def tail_term(n: int) -> float:
+        return float(n) ** m * exp(n * y_ln_q) / -expm1(n * ln_q)
 
-        def term(n: int) -> float:
-            return float(n) ** m * exp(n * x_ln_q) / (1.0 - exp(n * ln_q))
-
-        decay, start, scale = min(1.125**m * qx, 0.5 * (1.0 + qx)), 1, ln_q ** (m + 1)
-
-    series = _sum_in_range(term, decay, start, cfg, "psi_q_m", m, x, q.q)
-    return Evaluation(scale * series.value, abs(scale) * series.error_estimate, series.terms_used)
+    qy = max(exp(y_ln_q), _LEAST_RATIO)
+    ratio = min(1.125**m * qy, 0.5 * (1.0 + qy))
+    return _head_plus_tail(head, k_end, tail_term, ratio, ln_q**power, 0.0, q, cfg, "psi_q_m", m, x, q.q)
 
 
 def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:

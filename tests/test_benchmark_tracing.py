@@ -7,6 +7,7 @@ require spans for each ``*_bounds`` operation, for the ``psi_q`` calls
 inside a root solve, and for the series terms of ``psi_q`` below x = 1.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import qgamma.bounds as bounds
 import qgamma.propcheck as propcheck
 import qgamma.qspecial as qspecial
 from qgamma.bounds import INEQUALITY_IDS
-from qgamma.qcore import QParam
+from qgamma.qcore import REL_TOL, QParam
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,5 +57,9 @@ def test_tracer_counts_series_terms_below_one(monkeypatch):
     from tracing import layer_values
 
     values = layer_values(summary)
-    assert values["qspecial.psi_q.terms"] > 0
-    assert values["qcore.sum_geometric_decay.terms"] == values["qspecial.psi_q.terms"]
+    assert values["qcore.sum_geometric_decay.calls"] == values["qspecial.psi_q.calls"] == 1
+    assert values["qcore.sum_geometric_decay.terms"] > 0
+    # psi_q sums its K head terms itself and its tail through the engine;
+    # K = max(0, ceil(sqrt(-ln REL_TOL / -ln q) - x)), 17 here.
+    k_end = max(0, math.ceil(math.sqrt(-math.log(REL_TOL) / -math.log(0.9)) - 0.05))
+    assert values["qspecial.psi_q.terms"] - values["qcore.sum_geometric_decay.terms"] == k_end == 17

@@ -188,13 +188,20 @@ class TestLimitsCheck:
         assert report.n_pass == report.n_samples
         assert report.failures == ()
 
+    def test_registered_sequence_reaches_one_minus_1e_minus_5(self):
+        # Nine tracks (gamma and psi at four x, the Euler constant), each
+        # with four decreasing steps and a terminal check.
+        report = run_check("limits")
+        assert report.n_samples == 45
+        assert report.n_pass == report.n_samples
+
     def test_rejects_decreasing_sequence(self):
         with pytest.raises(DomainError):
             check_limits((0.99, 0.9), (1.5,))
 
     def test_rejects_q_too_close_to_one(self):
         with pytest.raises(DomainError):
-            check_limits((0.9, 0.9999), (1.5,))
+            check_limits((0.9, 0.999999), (1.5,))
 
 
 class TestRegistry:
