@@ -6,19 +6,21 @@ the geometric-convexity, slope-monotonicity and q->1 limit properties.  The
 registry at the bottom maps every check id to a runner so a single call can
 exercise the complete suite.
 
-Evaluation is sequential and reports depend only on (seed, spec, cfg);
-wall_time is the one field that varies between runs.
+Points are drawn from the standard library's ``random.Random(seed)``
+(Mersenne Twister) with integer seeds >= 0, and slope grids are evenly
+spaced as ``linspace`` makes them, so the module needs nothing beyond the
+standard library.  Evaluation is sequential and reports depend only on
+(seed, spec, cfg); wall_time is the one field that varies between runs.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CERT_SLACK_LOG, CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
@@ -142,11 +144,11 @@ def _attempt(fn: Callable, *args):
         return exc
 
 
-def _draw(rng: np.random.Generator, interval: Tuple[float, float]) -> float:
-    return float(rng.uniform(interval[0], interval[1]))
+def _draw(rng: random.Random, interval: Tuple[float, float]) -> float:
+    return rng.uniform(interval[0], interval[1])
 
 
-def _draw_q(rng: np.random.Generator, q_range: Tuple[float, float]) -> float:
+def _draw_q(rng: random.Random, q_range: Tuple[float, float]) -> float:
     lo, hi = q_range
     # Log-uniform in 1-q when the range spans more than a decade of 1-q,
     # so both the q->0 and q->1 regimes get stressed.
@@ -156,10 +158,14 @@ def _draw_q(rng: np.random.Generator, q_range: Tuple[float, float]) -> float:
 
 
 def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
-    """Draw ``count`` points from ``spec`` with rejection on its constraint."""
+    """Draw ``count`` points from ``spec`` with rejection on its constraint,
+    from the stream of ``random.Random(seed)``."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
-    rng = np.random.default_rng(seed)
+    # random.Random(-s) would replay the stream of s.
+    if not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    rng = random.Random(seed)
     points = []
     for index in range(count):
         for _ in range(_REJECTION_CAP):
@@ -188,6 +194,14 @@ def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
                 f"{_REJECTION_CAP} draws at point {index}"
             )
     return SampleBatch(seed=seed, count=count, points=tuple(points))
+
+
+def linspace(lo: float, hi: float, n: int) -> list:
+    """``n >= 2`` evenly spaced floats from ``lo`` to ``hi`` inclusive, each
+    i * step + lo with step = (hi - lo) / (n - 1), the last exactly ``hi``:
+    numpy.linspace's formula, and so its values bit for bit."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
 def _point_dict(point: Point) -> dict:
@@ -479,7 +493,7 @@ def _run_slope(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> Ce
     combos = _combos(function_id)
     # One extra grid point per combo so comparison counts reach ``samples``.
     per_combo = max(2, -(-samples // len(combos)) + 1)
-    grid = np.linspace(lo, hi, per_combo)
+    grid = linspace(lo, hi, per_combo)
     reports = [check_lemma_monotone_slope(function_id, grid, q, aux, cfg) for q, aux in combos]
     return _merge_reports(f"slope_{function_id}", reports)
 

@@ -339,11 +339,15 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     does; one beyond it raises Overflow.
 
     The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) approaches q^y
-    from above, so plain q^y does not dominate.  We pass the inflated ratio
+    from above, so plain q^y does not dominate.  It is below 2^m q^y for
+    every n >= 1, so when 2^m q^y < 1/2 that is the ratio passed on, and
+    the tail bound holds after any number of terms, a cap stop included.
+    Otherwise we pass the inflated ratio
         r = min((9/8)^m q^y, (1+q^y)/2),
     valid for all n >= 8 in the first branch and for all n beyond a small
-    threshold ~2m/(1-q^y) in the second; the stopping index exceeds both
-    whenever the tail estimate is at all significant.
+    threshold ~2m/(1-q^y) in the second; there q^y >= 2^-(m+1), and the
+    stopping index exceeds both whenever the tail estimate is at all
+    significant.
     """
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
@@ -371,7 +375,10 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         return float(n) ** m * exp(n * y_ln_q) / -expm1(n * ln_q)
 
     qy = max(exp(y_ln_q), _LEAST_RATIO)
-    ratio = min(1.125**m * qy, 0.5 * (1.0 + qy))
+    if qy < 0.5 ** (m + 1):
+        ratio = math.ldexp(qy, int(m))
+    else:
+        ratio = min(1.125**m * qy, 0.5 * (1.0 + qy))
     return _head_plus_tail(head, k_end, tail_term, ratio, ln_q**power, 0.0, q, cfg, "psi_q_m", m, x, q.q)
 
 

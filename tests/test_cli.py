@@ -210,6 +210,11 @@ class TestVerify:
         res = run_cli("verify", "--ineq", "thm_nonexistent", "--samples", "10")
         assert res.returncode == 2
 
+    def test_negative_seed_exits_2(self):
+        res = run_cli("verify", "--ineq", "thm_main", "--samples", "5", "--seed", "-1")
+        assert res.returncode == 2
+        assert "seed" in res.stderr and "Traceback" not in res.stderr
+
     def test_accuracy_is_not_an_option(self):
         # A looser series tolerance once turned this true theorem into
         # reported violations; the accuracy contract is no longer settable.
@@ -267,6 +272,14 @@ class TestTable:
             assert values == [obj["x"], obj["lower"], obj["ratio"], obj["upper"],
                               obj["lower_margin"], obj["upper_margin"]]
 
+    def test_json_x_values_are_numpy_linspace(self):
+        import numpy as np
+
+        res = run_cli("table", "--ineq", "thm_alpha", "--var", "x", "--min", "0.1", "--max", "5",
+                      "--steps", "50", "--y", "1.5", "--q", "0.5", "--alpha", "3", "--format", "json")
+        assert res.returncode == 0
+        assert [row["x"] for row in json.loads(res.stdout)] == np.linspace(0.1, 5.0, 50).tolist()
+
     def test_malformed_sweep_exits_2(self):
         res = run_cli("table", "--ineq", "cor_one_half", "--var", "x",
                       "--min", "5", "--max", "1", "--steps", "3", "--q", "0.5")
@@ -279,3 +292,15 @@ class TestTable:
         res = run_cli("table", "--ineq", "cor_one_half", "--var", "y",
                       "--min", "1", "--max", "5", "--steps", "3", "--q", "0.5")
         assert res.returncode == 2
+
+
+def test_cli_import_loads_no_numpy():
+    # numpy is a test dependency only; the library runs on the standard library.
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qgamma.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

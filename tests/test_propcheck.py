@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgamma.errors import DomainError, RejectionOverflow
-from qgamma import bounds
+from qgamma import bounds, propcheck
 from qgamma.qcore import EvalConfig, QParam
 from qgamma.bounds import DomainSpec, INEQUALITY_IDS, cached_psi_root, default_domain
 from qgamma.propcheck import (
@@ -18,6 +18,7 @@ from qgamma.propcheck import (
     check_lemma_monotone_slope,
     check_limits,
     explore_main_below_one,
+    linspace,
     report_to_dict,
     report_to_text,
     run_check,
@@ -69,6 +70,47 @@ class TestSample:
         batch = sample(default_domain("thm_main"), 19, 500)
         qs = [p[2] for p in batch.points]
         assert min(qs) >= 0.05 and max(qs) <= 0.95
+
+    def test_stream_is_pinned(self):
+        # A change of stream or of draw order changes these literals.  aux is
+        # the psi_q root plus the drawn offset, so it carries the solver's
+        # rounding.
+        expected = [
+            (12.806564629234781, 0.5489645666922054, 0.887626285781104, 3.6913304202388844),
+            (14.742600722572048, 13.550154774087082, 0.3084113786732331, 2.3034110634881584),
+            (8.467340302721146, 0.6444545277895034, 0.9048181587181494, 6.513169798401669),
+        ]
+        batch = sample(default_domain("thm_alpha"), 42, 3)
+        for point, (x, y, q, aux) in zip(batch.points, expected):
+            assert point[:3] == (x, y, q)
+            assert point[3] == pytest.approx(aux, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [-1, -42, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # random.Random(-s) would replay the stream of s.
+        with pytest.raises(DomainError):
+            sample(default_domain("thm_main"), seed, 5)
+
+
+class TestLinspace:
+    @pytest.mark.parametrize("lo, hi", [(1.0, 10.0), (0.05, 10.0), (0.1, 5.0), (-3.0, 7.25), (1e-3, 0.999)])
+    def test_matches_numpy_bit_for_bit(self, lo, hi):
+        for n in range(2, 400):
+            assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist(), n
+
+    @pytest.mark.parametrize("function_id, lo", [("f_thm_main", 1.0), ("g_thm_alpha", 0.05)])
+    def test_slope_grid_is_numpy_linspace(self, function_id, lo, monkeypatch):
+        grids = []
+
+        def record(fid, grid, *args):
+            grids.append(grid)
+            return check_lemma_monotone_slope(fid, grid, *args)
+
+        monkeypatch.setattr(propcheck, "check_lemma_monotone_slope", record)
+        report = run_check(f"slope_{function_id}", seed=1, samples=40)
+        assert report.n_pass == report.n_samples
+        for grid in grids:
+            assert grid == np.linspace(lo, 10.0, len(grid)).tolist()
 
 
 class TestCertify:

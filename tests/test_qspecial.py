@@ -258,6 +258,42 @@ class TestShiftedTail:
             assert abs(info.value.partial_value - full.value) <= info.value.error_estimate
         assert evaluate(EvalConfig(max_terms=full.terms_used)) == full
 
+    @pytest.mark.parametrize("qv", [0.01, 0.05, 0.1, 0.2, 0.3, 0.5])
+    def test_psi_q_m_error_estimate_bounds_the_tail(self, qv):
+        # The n-form tail left after N = terms_used - K terms, in 40 digits.
+        # Stops after few tail terms need a ratio that holds from n = 1.
+        q = QParam(qv)
+        for x in (0.05, 0.5, 1.0, 3.0, 10.0, 30.0):
+            k_end = qspecial._head_length(x, q)
+            for m in (1, 2, 3):
+                ev = psi_q_m(m, x, q)
+                remainder = _mp_psi_q_m_tail(m, x + k_end, qv, ev.terms_used - k_end)
+                assert remainder <= ev.error_estimate * (1.0 + 1e-12), (x, m, ev.terms_used - k_end)
+
+    def test_psi_q_m_cap_in_the_first_tail_terms_is_bounded(self):
+        # K = 5 here: caps of 6-10 terms stop after 1-5 tail terms.
+        q = QParam(0.5)
+        full = psi_q_m(2, 2.5, q)
+        for max_terms in range(6, 11):
+            with pytest.raises(NonConvergence) as info:
+                psi_q_m(2, 2.5, q, EvalConfig(max_terms=max_terms))
+            assert abs(info.value.partial_value - full.value) <= info.value.error_estimate, max_terms
+
+
+def _mp_psi_q_m_tail(m: int, y: float, qv: float, n_summed: int) -> float:
+    """|ln q|^(m+1) sum_{n > n_summed} n^m q^(ny) / (1-q^n), in 40 digits."""
+    with mp.workdps(40):
+        q = mp.mpf(qv)
+        acc = mp.mpf(0)
+        n = n_summed + 1
+        while True:
+            term = mp.mpf(n) ** m * q ** (n * mp.mpf(y)) / (1 - q**n)
+            acc += term
+            if term <= acc * mp.mpf(10) ** -30:
+                break
+            n += 1
+        return float(abs(mp.log(q)) ** (m + 1) * acc)
+
 
 BELOW_ONE_X = (0.05, 0.2, 0.7, math.nextafter(1.0, 0.0))
 
