@@ -13,13 +13,13 @@ point; the antisymmetry of the main construction then holds to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .classical import ln_gamma_classical, psi_classical
-from .constants import MAX_EXP
+from .constants import CERT_SLACK_LOG, MAX_EXP
 from .errors import AlphaBelowRoot, DomainError
-from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative, q_pow
+from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative, q_pow, require_positive
 from .qspecial import ln_gamma_q, psi_q, psi_q_root
 
 def _safe_exp(z: float) -> float:
@@ -32,10 +32,11 @@ class BoundPair:
 
     The log_* fields are the primary representation; lower/ratio/upper are
     their exponentials.  ``strict`` records whether the source inequality
-    is strict.
+    is strict.  A pair does not name its inequality: a corollary returns
+    its theorem's pair at the shifted arguments as it is, and the caller
+    knows which operation it called.
     """
 
-    inequality_id: str
     lower: float
     ratio: float
     upper: float
@@ -47,12 +48,11 @@ class BoundPair:
     log_upper: float
 
 
-def _pair(inequality_id: str, log_lower: float, log_ratio: float, log_upper: float, strict: bool) -> BoundPair:
+def _pair(log_lower: float, log_ratio: float, log_upper: float, strict: bool) -> BoundPair:
     lower = _safe_exp(log_lower)
     ratio = _safe_exp(log_ratio)
     upper = _safe_exp(log_upper)
     return BoundPair(
-        inequality_id=inequality_id,
         lower=lower,
         ratio=ratio,
         upper=upper,
@@ -63,6 +63,12 @@ def _pair(inequality_id: str, log_lower: float, log_ratio: float, log_upper: flo
         log_ratio=log_ratio,
         log_upper=log_upper,
     )
+
+
+def passes(lower_margin: float, upper_margin: float) -> bool:
+    """The pass verdict on one point: both log margins, log_ratio - log_lower
+    and log_upper - log_ratio, at least -CERT_SLACK_LOG."""
+    return lower_margin >= -CERT_SLACK_LOG and upper_margin >= -CERT_SLACK_LOG
 
 
 def ratio_gamma_q(x: float, y: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
@@ -79,16 +85,16 @@ def thm_main_bounds(
     s(t) = t * (d[t]_q/dt + psi_q(t)) taken at t = y for the lower bound and
     t = x for the upper.
     """
+    require_positive(x)
+    require_positive(y, "y")
     if not force and (x < 1.0 or y < 1.0):
         raise DomainError(f"requires x >= 1 and y >= 1, got x={x!r}, y={y!r}")
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"requires positive arguments, got x={x!r}, y={y!r}")
     ldiff = math.log(x) - math.log(y)
     shift = (q_pow(q, x) - q_pow(q, y)) / (1.0 - q.q)
     slope_y = y * (q_bracket_derivative(y, q) + psi_q(y, q, cfg).value)
     slope_x = x * (q_bracket_derivative(x, q) + psi_q(x, q, cfg).value)
     log_ratio = ln_gamma_q(x, q, cfg).value - ln_gamma_q(y, q, cfg).value
-    return _pair("thm_main", slope_y * ldiff + shift, log_ratio, slope_x * ldiff + shift, strict=False)
+    return _pair(slope_y * ldiff + shift, log_ratio, slope_x * ldiff + shift, strict=False)
 
 
 def cor_half_shift_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
@@ -97,10 +103,8 @@ def cor_half_shift_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG)
     Defined for x > 0 by substitution; equality with thm_main_bounds at
     (x+1, x+1/2) is an identity of this implementation, not an approximation.
     """
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
-    inner = thm_main_bounds(x + 1.0, x + 0.5, q, cfg, force=True)
-    return replace(inner, inequality_id="cor_half_shift")
+    require_positive(x)
+    return thm_main_bounds(x + 1.0, x + 0.5, q, cfg, force=True)
 
 
 def thm_alpha_bounds(
@@ -116,8 +120,8 @@ def thm_alpha_bounds(
     x* is the positive root of psi_q; alpha below it (beyond a 1e-9 grace)
     raises AlphaBelowRoot unless force is set for exploratory evaluation.
     """
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"requires x > 0 and y > 0, got x={x!r}, y={y!r}")
+    require_positive(x)
+    require_positive(y, "y")
     if not force:
         root = cached_psi_root(q, cfg)
         if alpha < root - 1e-9:
@@ -127,22 +131,22 @@ def thm_alpha_bounds(
     slope_y = y * ((y + alpha - 1.0) / (y + alpha) + psi_q(y + alpha, q, cfg).value)
     slope_x = x * ((x + alpha - 1.0) / (x + alpha) + psi_q(x + alpha, q, cfg).value)
     log_ratio = ln_gamma_q(x + alpha, q, cfg).value - ln_gamma_q(y + alpha, q, cfg).value
-    return _pair("thm_alpha", common + slope_y * ldiff, log_ratio, common + slope_x * ldiff, strict=False)
+    return _pair(common + slope_y * ldiff, log_ratio, common + slope_x * ldiff, strict=False)
 
 
 def thm_mvt_bounds(
     x: float, y: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, force: bool = False
 ) -> BoundPair:
     """Mean-value bounds: (x-y) psi_q(y) < ln ratio < (x-y) psi_q(x), x > y > 0."""
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"requires positive arguments, got x={x!r}, y={y!r}")
+    require_positive(x)
+    require_positive(y, "y")
     if not force and not x > y:
         raise DomainError(f"requires x > y, got x={x!r}, y={y!r}")
     gap = x - y
     log_lower = gap * psi_q(y, q, cfg).value
     log_upper = gap * psi_q(x, q, cfg).value
     log_ratio = ln_gamma_q(x, q, cfg).value - ln_gamma_q(y, q, cfg).value
-    return _pair("thm_mvt", log_lower, log_ratio, log_upper, strict=True)
+    return _pair(log_lower, log_ratio, log_upper, strict=True)
 
 
 def cor_mu_lambda_bounds(
@@ -155,22 +159,17 @@ def cor_mu_lambda_bounds(
 ) -> BoundPair:
     """Mean-value bounds for Gamma_q(x+mu)/Gamma_q(x+lambda), mu > lambda > 0."""
     if not force:
-        if not lam > 0.0:
-            raise DomainError(f"lambda must be positive, got {lam!r}")
+        require_positive(lam, "lambda")
         if not mu > lam:
             raise DomainError(f"requires mu > lambda, got mu={mu!r}, lambda={lam!r}")
-        if not x > 0.0:
-            raise DomainError(f"x must be positive, got {x!r}")
-    inner = thm_mvt_bounds(x + mu, x + lam, q, cfg, force=force)
-    return replace(inner, inequality_id="cor_mu_lambda")
+        require_positive(x)
+    return thm_mvt_bounds(x + mu, x + lam, q, cfg, force=force)
 
 
 def cor_one_half_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
     """Mean-value bounds for Gamma_q(x+1)/Gamma_q(x+1/2), x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
-    inner = thm_mvt_bounds(x + 1.0, x + 0.5, q, cfg)
-    return replace(inner, inequality_id="cor_one_half")
+    require_positive(x)
+    return thm_mvt_bounds(x + 1.0, x + 0.5, q, cfg)
 
 
 def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
@@ -180,8 +179,6 @@ def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONF
     [x]_q, exactly as the functional equation Gamma_q(x+1) = [x]_q Gamma_q(x)
     rearranges the displayed inequality.
     """
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
     inner = cor_one_half_bounds(x, q, cfg)
     bracket = q_bracket(x, q)
     log_bracket = math.log(bracket)
@@ -189,7 +186,6 @@ def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONF
     ratio = inner.ratio / bracket
     upper = inner.upper / bracket
     return BoundPair(
-        inequality_id="remark_rearranged",
         lower=lower,
         ratio=ratio,
         upper=upper,
@@ -204,8 +200,8 @@ def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONF
 
 def keckic_vasic_bounds(x: float, y: float, force: bool = False) -> BoundPair:
     """Classical power-exponential bounds on Gamma(x)/Gamma(y) for x >= y > 1."""
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"requires positive arguments, got x={x!r}, y={y!r}")
+    require_positive(x)
+    require_positive(y, "y")
     if not force and not (x >= y > 1.0):
         raise DomainError(f"requires x >= y > 1, got x={x!r}, y={y!r}")
     lx = math.log(x)
@@ -213,13 +209,13 @@ def keckic_vasic_bounds(x: float, y: float, force: bool = False) -> BoundPair:
     log_lower = (x - 1.0) * lx - (y - 1.0) * ly + (y - x)
     log_upper = (x - 0.5) * lx - (y - 0.5) * ly + (y - x)
     log_ratio = ln_gamma_classical(x).value - ln_gamma_classical(y).value
-    return _pair("keckic_vasic", log_lower, log_ratio, log_upper, strict=False)
+    return _pair(log_lower, log_ratio, log_upper, strict=False)
 
 
 def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
     """Classical geometric-convexity bounds on Gamma(x)/Gamma(y) for x, y > 0."""
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"requires positive arguments, got x={x!r}, y={y!r}")
+    require_positive(x)
+    require_positive(y, "y")
     lx = math.log(x)
     ly = math.log(y)
     ldiff = lx - ly
@@ -227,7 +223,7 @@ def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
     log_lower = base + y * (psi_classical(y).value - ly) * ldiff
     log_upper = base + x * (psi_classical(x).value - lx) * ldiff
     log_ratio = ln_gamma_classical(x).value - ln_gamma_classical(y).value
-    return _pair("zhang_xu_situ", log_lower, log_ratio, log_upper, strict=False)
+    return _pair(log_lower, log_ratio, log_upper, strict=False)
 
 
 # --------------------------------------------------------------------------

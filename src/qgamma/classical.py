@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 
 from .constants import BERNOULLI
-from .errors import DomainError
-from .qcore import Evaluation
+from .qcore import Evaluation, require_positive
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -33,8 +32,7 @@ _PSI_OMITTED = BERNOULLI[_SERIES_TERMS] / 18
 
 def _shift(x: float) -> tuple[int, float]:
     """Recurrence steps n >= 0 with x + n >= 10, and the shifted argument."""
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    require_positive(x)
     n = max(0, math.ceil(_SHIFT_TO - x))
     return n, x + n
 

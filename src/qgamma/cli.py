@@ -38,7 +38,7 @@ import sys
 from typing import Optional
 
 from .classical import ln_gamma_classical, psi_classical
-from .constants import CERT_SLACK_LOG, MAX_EXP
+from .constants import MAX_EXP
 from .errors import (
     AlphaBelowRoot,
     BracketFailure,
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .qcore import EvalConfig, Evaluation, QParam
 from .qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
-from .bounds import INEQUALITIES, INEQUALITY_IDS
+from .bounds import INEQUALITIES, INEQUALITY_IDS, passes
 from .propcheck import (
     ALL_CHECK_IDS,
     evaluate_point,
@@ -146,19 +146,15 @@ def _cmd_eval(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _eval_config(args)
     pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), cfg, force=args.force)
-    satisfied = (
-        pair.log_ratio - pair.log_lower >= -CERT_SLACK_LOG
-        and pair.log_upper - pair.log_ratio >= -CERT_SLACK_LOG
-    )
     payload = {
-        "inequality_id": pair.inequality_id,
+        "inequality_id": args.ineq,
         "lower": pair.lower,
         "ratio": pair.ratio,
         "upper": pair.upper,
         "lower_margin": pair.lower_margin,
         "upper_margin": pair.upper_margin,
         "strict": pair.strict,
-        "satisfied": satisfied,
+        "satisfied": passes(pair.log_ratio - pair.log_lower, pair.log_upper - pair.log_ratio),
     }
     _emit(payload, args.format)
     return EXIT_OK

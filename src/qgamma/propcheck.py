@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
-from .constants import CERT_SLACK_LOG, CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
+from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
 from .errors import AlphaBelowRoot, DomainError, QGammaError, RejectionOverflow
 from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative
 from .qspecial import gamma_q, ln_gamma_q, psi_q, euler_gamma_q
@@ -38,6 +38,7 @@ from .bounds import (
     cor_one_half_bounds,
     default_domain,
     keckic_vasic_bounds,
+    passes,
     remark_rearranged_bounds,
     thm_alpha_bounds,
     thm_main_bounds,
@@ -278,7 +279,7 @@ def _certify_points(
         tally.add(
             lower_margin,
             upper_margin,
-            lower_margin >= -CERT_SLACK_LOG and upper_margin >= -CERT_SLACK_LOG,
+            passes(lower_margin, upper_margin),
             lambda: {
                 "point": _point_dict(point),
                 "lower": _safe_exp(pair.log_lower),

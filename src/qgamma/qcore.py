@@ -31,9 +31,10 @@ ABS_TOL = 1e-300
 class QParam:
     """Deformation parameter q, strictly inside (0, 1).
 
-    ``ln_q`` is computed once at construction; every power q^x in the
-    package goes through :func:`q_pow` so that identical exponents yield
-    bit-identical doubles everywhere.
+    ``ln_q`` is computed once at construction, and every power of q in the
+    package is taken from it: q^x as exp(x * ln_q), 1 - q^x as
+    -expm1(x * ln_q), through :func:`q_pow` and :func:`q_bracket` or written
+    out in the loops of ``psi_q``, ``psi_q_m`` and ``ln_gamma_q``.
     """
 
     q: float
@@ -72,8 +73,27 @@ class Evaluation:
     terms_used: int
 
 
+def require_positive(value: float, name: str = "x") -> None:
+    """The one domain rule for an argument that must be positive: finite
+    and > 0, else DomainError."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
+def cap_error(cfg: EvalConfig, partial_value: float, error_estimate: float, terms_used: int) -> NonConvergence:
+    """The NonConvergence of an evaluation stopped by cfg.max_terms, with its
+    partial value and the bound on what it left out."""
+    return NonConvergence(
+        f"no convergence within {cfg.max_terms} terms (estimate {error_estimate:.3e})",
+        partial_value=partial_value,
+        error_estimate=error_estimate,
+        terms_used=terms_used,
+    )
+
+
 def q_pow(q: QParam, x: float) -> float:
-    """q^x as exp(x * ln q); the one place powers of q are computed."""
+    """q^x as exp(x * ln q); ``psi_q``, ``psi_q_m`` and ``ln_gamma_q`` write
+    the same expression out in their loops rather than call this."""
     return math.exp(x * q.ln_q)
 
 
@@ -138,9 +158,4 @@ def sum_geometric_decay(
             threshold = ABS_TOL
         if estimate <= threshold:
             return Evaluation(total, estimate, used)
-    raise NonConvergence(
-        f"no convergence within {cfg.max_terms} terms (estimate {estimate:.3e})",
-        partial_value=total,
-        error_estimate=estimate,
-        terms_used=used,
-    )
+    raise cap_error(cfg, total, estimate, used)

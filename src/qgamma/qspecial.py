@@ -24,12 +24,8 @@ from typing import Optional
 
 from .constants import BERNOULLI, MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow
-from .qcore import DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, sum_geometric_decay
-
-
-def _require_positive(x: float, name: str = "x") -> None:
-    if not x > 0.0:
-        raise DomainError(f"{name} must be positive, got {x!r}")
+from .qcore import (DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, cap_error,
+                    require_positive, sum_geometric_decay)
 
 
 def _eulerian(m: int) -> list[int]:
@@ -146,7 +142,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluat
     the partial value and its bound, is raised when that would exceed
     cfg.max_terms.
     """
-    _require_positive(x)
+    require_positive(x)
     expm1 = math.expm1
     log = math.log
     s = -q.ln_q
@@ -168,12 +164,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluat
     if limit < n:
         # The pair terms fall by a factor q or more each, from k = 0.
         bound = abs(log(expm1(-s * (1.0 + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
-        raise NonConvergence(
-            f"no convergence within {cfg.max_terms} terms (estimate {bound:.3e})",
-            partial_value=value,
-            error_estimate=bound,
-            terms_used=limit,
-        )
+        raise cap_error(cfg, value, bound, limit)
 
     tx, t1 = x + n, 1.0 + n
     dx, d1 = -expm1(-s * tx), -expm1(-s * t1)
@@ -199,12 +190,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluat
         px *= rx
         p1 *= r1
     if bound > tol and j < _EM_TERMS:
-        raise NonConvergence(
-            f"no convergence within {cfg.max_terms} terms (estimate {bound:.3e})",
-            partial_value=value,
-            error_estimate=bound,
-            terms_used=n + j,
-        )
+        raise cap_error(cfg, value, bound, n + j)
     return Evaluation(value, bound, n + j)
 
 
@@ -234,10 +220,10 @@ def _head_length(x: float, q: QParam) -> int:
 
 
 def _head_plus_tail(
-    head, k_end: int, tail_term, tail_ratio: float, tail_scale: float,
+    head, k_end: int, tail_term, tail_ratio: float, power: int,
     offset: float, q: QParam, cfg: EvalConfig, name: str, *args,
 ) -> Evaluation:
-    """offset + head(0, k_end) + tail_scale sum_{n>=1} tail_term(n), where
+    """offset + head(0, k_end) + (ln q)^power sum_{n>=1} tail_term(n), where
     head(i, j) sums the k-form terms i <= k < j.
 
     The head terms are the first k_end terms of a k-form whose ratio q is
@@ -251,32 +237,27 @@ def _head_plus_tail(
     Only the k = 0 head term can leave the double range (x near the pole at
     0, where 1 - q^x is 0 or small enough for a quotient or power by it to
     overflow), and every term has the sign of the sum, so the sum leaves
-    it too: Overflow, named name(*args).
+    it too: Overflow, named name(*args).  So does a tail summand, the tail
+    sum, the scale (ln q)^power or the value that leaves it.
     """
     limit = min(k_end, cfg.max_terms)
     try:
         value = head(0, limit)
+        scale = q.ln_q**power
+        if limit < cfg.max_terms and math.isfinite(value):
+            try:
+                tail = sum_geometric_decay(tail_term, tail_ratio, 1, EvalConfig(cfg.max_terms - limit) if limit else cfg)
+            except NonConvergence as exc:
+                partial = offset + (value + scale * exc.partial_value)
+                raise cap_error(cfg, partial, abs(scale) * exc.error_estimate, cfg.max_terms) from None
+            value = offset + (value + scale * tail.value)
     except (ZeroDivisionError, OverflowError):
         value = math.inf
-    if math.isinf(value):
+    if not math.isfinite(value):
         raise Overflow(f"{name}{args!r} exceeds the double range")
-    if limit < cfg.max_terms:
-        try:
-            tail = sum_geometric_decay(tail_term, tail_ratio, 1, EvalConfig(cfg.max_terms - limit) if limit else cfg)
-        except NonConvergence as exc:
-            value += tail_scale * exc.partial_value
-            bound = abs(tail_scale) * exc.error_estimate
-        else:
-            value = offset + (value + tail_scale * tail.value)
-            return Evaluation(value, abs(tail_scale) * tail.error_estimate, limit + tail.terms_used)
-    else:
-        bound = abs(head(limit, limit + 1)) / (1.0 - q.q)
-    raise NonConvergence(
-        f"no convergence within {cfg.max_terms} terms (estimate {bound:.3e})",
-        partial_value=offset + value,
-        error_estimate=bound,
-        terms_used=cfg.max_terms,
-    )
+    if limit == cfg.max_terms:
+        raise cap_error(cfg, offset + value, abs(head(limit, limit + 1)) / (1.0 - q.q), limit)
+    return Evaluation(value, abs(scale) * tail.error_estimate, limit + tail.terms_used)
 
 
 def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
@@ -299,7 +280,7 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     as the result does; one beyond it raises Overflow.  The tail's 1 - q^n
     is -expm1(n ln q), which keeps its digits as q -> 1.
     """
-    _require_positive(x)
+    require_positive(x)
     exp = math.exp
     expm1 = math.expm1
     ln_q = q.ln_q
@@ -319,7 +300,7 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
         return exp(n * y_ln_q) / -expm1(n * ln_q)
 
     qy = max(exp(y_ln_q), _LEAST_RATIO)
-    return _head_plus_tail(head, k_end, tail_term, qy, ln_q, -math.log1p(-q.q), q, cfg, "psi_q", x, q.q)
+    return _head_plus_tail(head, k_end, tail_term, qy, 1, -math.log1p(-q.q), q, cfg, "psi_q", x, q.q)
 
 
 def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
@@ -336,7 +317,12 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     and A_m the Eulerian polynomial.  Each 1 - u is -expm1((x+k) ln q), and
     (ln q)^(m+1) is taken into each head term as (ln q / (1-u_k))^(m+1), so
     that a value near the pole at 0 stays in range as long as the result
-    does; one beyond it raises Overflow.
+    does; one beyond it raises Overflow.  So does a tail summand, taken as
+    (n q^(ny/m))^m / (1-q^n) so that no factor leaves the range before it,
+    the tail sum, or (ln q)^(m+1).  A_m takes about m^3 steps to build, so
+    it is built only for a nonempty head, and first s^(m+1) n^m q^(nx)
+    (s = -ln q), below |psi_q^(m)(x)| at every n >= 1, is checked against
+    the range at n = max(1, round(m / (s x))), near its largest.
 
     The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) approaches q^y
     from above, so plain q^y does not dominate.  It is below 2^m q^y for
@@ -351,14 +337,20 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     """
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
-    _require_positive(x)
+    require_positive(x)
     exp = math.exp
     expm1 = math.expm1
     ln_q = q.ln_q
-    eulerian = _eulerian(int(m))[::-1]
+    s = -ln_q
+    # Capped, so that an s x that underflows cannot make n infinite.
+    n = max(1, round(min(m / max(s * x, _LEAST_RATIO), 1e300)))
+    if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
+        raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
     power = m + 1
     k_end = _head_length(x, q)
+    eulerian = _eulerian(int(m))[::-1] if k_end else ()
     y_ln_q = (x + k_end) * ln_q
+    y_ln_q_over_m = y_ln_q / m
 
     def head(start: int, stop: int) -> float:
         acc = 0.0
@@ -372,14 +364,14 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         return acc
 
     def tail_term(n: int) -> float:
-        return float(n) ** m * exp(n * y_ln_q) / -expm1(n * ln_q)
+        return (n * exp(n * y_ln_q_over_m)) ** m / -expm1(n * ln_q)
 
     qy = max(exp(y_ln_q), _LEAST_RATIO)
     if qy < 0.5 ** (m + 1):
         ratio = math.ldexp(qy, int(m))
     else:
         ratio = min(1.125**m * qy, 0.5 * (1.0 + qy))
-    return _head_plus_tail(head, k_end, tail_term, ratio, ln_q**power, 0.0, q, cfg, "psi_q_m", m, x, q.q)
+    return _head_plus_tail(head, k_end, tail_term, ratio, power, 0.0, q, cfg, "psi_q_m", m, x, q.q)
 
 
 def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:

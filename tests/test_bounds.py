@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 
@@ -11,10 +12,12 @@ from oracles import (
     mp_psi_q,
     mp_ratio_gamma_q,
 )
+from qgamma.constants import CERT_SLACK_LOG
 from qgamma.errors import AlphaBelowRoot, DomainError
 from qgamma.qcore import QParam, q_bracket
 from qgamma import bounds
 from qgamma.bounds import (
+    BoundPair,
     DomainSpec,
     INEQUALITIES,
     INEQUALITY_IDS,
@@ -24,6 +27,7 @@ from qgamma.bounds import (
     cor_one_half_bounds,
     default_domain,
     keckic_vasic_bounds,
+    passes,
     ratio_gamma_q,
     remark_rearranged_bounds,
     thm_alpha_bounds,
@@ -127,6 +131,7 @@ class TestCorHalfShift:
             q = QParam(float(rng.uniform(0.05, 0.95)))
             spec = cor_half_shift_bounds(x, q)
             direct = thm_main_bounds(x + 1.0, x + 0.5, q, force=True)
+            assert spec == direct
             assert (spec.lower, spec.ratio, spec.upper) == (direct.lower, direct.ratio, direct.upper)
             assert (spec.log_lower, spec.log_ratio, spec.log_upper) == (
                 direct.log_lower, direct.log_ratio, direct.log_upper)
@@ -208,6 +213,7 @@ class TestMvtCorollaries:
             q = QParam(float(rng.uniform(0.05, 0.95)))
             spec = cor_mu_lambda_bounds(x, mu, lam, q)
             direct = thm_mvt_bounds(x + mu, x + lam, q)
+            assert spec == direct
             assert (spec.lower, spec.ratio, spec.upper) == (direct.lower, direct.ratio, direct.upper)
 
     def test_mu_one_reduces_to_one_half_form(self):
@@ -234,6 +240,7 @@ class TestMvtCorollaries:
             q = QParam(float(rng.uniform(0.05, 0.95)))
             spec = cor_one_half_bounds(x, q)
             direct = thm_mvt_bounds(x + 1.0, x + 0.5, q)
+            assert spec == direct
             assert (spec.lower, spec.ratio, spec.upper) == (direct.lower, direct.ratio, direct.upper)
 
     def test_one_half_triple_against_oracle(self):
@@ -392,3 +399,42 @@ class TestRootCacheAndDomains:
             DomainSpec((1.0, 2.0), (1.0, 2.0), None, (0.0, 1.0), "alpha_at_least_root")
         with pytest.raises(DomainError):
             DomainSpec((1.0, 2.0), constraint="alpha_at_least_root")
+
+
+def test_bound_pair_has_no_inequality_id():
+    # A corollary returns its theorem's pair as it is (the *_equals_* tests
+    # compare them field for field), so no field can name the inequality.
+    assert "inequality_id" not in {f.name for f in dataclasses.fields(BoundPair)}
+
+
+class TestPositivityRule:
+    """Every argument that must be positive must also be finite."""
+
+    CALLS = {
+        "thm_main": lambda v: thm_main_bounds(v, 2.0, QParam(0.5)),
+        "cor_half_shift": lambda v: cor_half_shift_bounds(v, QParam(0.5)),
+        "thm_alpha": lambda v: thm_alpha_bounds(1.0, v, 4.0, QParam(0.5)),
+        "thm_mvt": lambda v: thm_mvt_bounds(v, 1.0, QParam(0.5)),
+        "cor_mu_lambda": lambda v: cor_mu_lambda_bounds(v, 2.0, 1.0, QParam(0.5)),
+        "cor_one_half": lambda v: cor_one_half_bounds(v, QParam(0.5)),
+        "remark_rearranged": lambda v: remark_rearranged_bounds(v, QParam(0.5)),
+        "keckic_vasic": lambda v: keckic_vasic_bounds(v, 2.0),
+        "zhang_xu_situ": lambda v: zhang_xu_situ_bounds(1.0, v),
+    }
+
+    def test_every_operation_rejects_infinite_and_nonpositive_arguments(self):
+        assert set(self.CALLS) == set(INEQUALITY_IDS)
+        for ineq, call in self.CALLS.items():
+            for bad in (math.inf, math.nan, 0.0, -1.0):
+                with pytest.raises(DomainError, match="must be finite and positive"):
+                    call(bad)
+
+
+class TestVerdict:
+    def test_slack_boundary(self):
+        half, double = -0.5 * CERT_SLACK_LOG, -2.0 * CERT_SLACK_LOG
+        assert passes(half, half)
+        assert passes(0.0, 0.0)
+        assert not passes(double, 0.0)
+        assert not passes(0.0, double)
+        assert not passes(double, double)

@@ -6,23 +6,28 @@ import sys
 
 import pytest
 
-from qgamma.bounds import INEQUALITY_IDS
+from qgamma.bounds import INEQUALITY_IDS, thm_mvt_bounds
 from qgamma.cli import main
 from qgamma.qcore import QParam
 from qgamma.qspecial import psi_q
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
+    """Run the CLI in a subprocess.  Every outcome, failures included, must
+    come through the documented exit codes, never an uncaught exception."""
     env = os.environ.copy()
     env.pop("QGAMMA_MAX_TERMS", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(
+    res = subprocess.run(
         [sys.executable, "-m", "qgamma.cli", *args],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
+    assert "Traceback" not in res.stderr, res.stderr
+    return res
 
 
 def parse_plain(stdout):
@@ -75,6 +80,13 @@ class TestEval:
         expected = -math.log(1e-17 * math.log(2.0) / 0.5)
         assert float(parse_plain(res.stdout)["value"]) == pytest.approx(expected, rel=1e-12)
         res = run_cli("eval", "--fn", "gamma_q", "--x", "5e-324", "--q", "0.5")
+        assert res.returncode == 3
+        assert res.stderr.startswith("error:") and "exceeds the double range" in res.stderr
+
+    def test_psi_q_m_beyond_the_range_exits_3_at_once(self):
+        # One summand is about e^50000; the Eulerian coefficients of m = 7000
+        # would take far longer than the timeout to build.
+        res = run_cli("eval", "--fn", "psi_q_m", "--m", "7000", "--x", "2", "--q", "0.5", timeout=2)
         assert res.returncode == 3
         assert res.stderr.startswith("error:") and "exceeds the double range" in res.stderr
 
@@ -163,6 +175,38 @@ class TestBounds:
                     assert float(plain[key]) == value, (ineq, key)
                 else:
                     assert plain[key] == str(value), (ineq, key)
+
+    def test_satisfied_is_the_pass_verdict(self, capsys, monkeypatch):
+        seen = []
+
+        def verdict(lower_margin, upper_margin):
+            seen.append((lower_margin, upper_margin))
+            return False
+
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        monkeypatch.setattr("qgamma.cli.passes", verdict)
+        assert main(["bounds", "--ineq", "thm_mvt", "--x", "2", "--y", "1", "--q", "0.5", "--format", "json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob["satisfied"] is False
+        pair = thm_mvt_bounds(2.0, 1.0, QParam(0.5))
+        assert seen == [(pair.log_ratio - pair.log_lower, pair.log_upper - pair.log_ratio)]
+
+
+def test_infinite_x_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+    commands = [
+        ["eval", "--fn", fn, "--x", "inf", *([] if fn in ("gamma", "psi") else ["--q", "0.5"])]
+        for fn in ("gamma_q", "ln_gamma_q", "psi_q", "psi_q_m", "gamma", "psi")
+    ]
+    for ineq, flags in TestBounds.POINTS.items():
+        flags = list(flags)
+        flags[flags.index("--x") + 1] = "inf"
+        commands.append(["bounds", "--ineq", ineq, *flags])
+    assert len(commands) == 6 + len(INEQUALITY_IDS)
+    for argv in commands:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite and positive" in err, argv
 
 
 class TestVerify:

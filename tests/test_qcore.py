@@ -11,10 +11,12 @@ from qgamma.qcore import (
     ABS_TOL,
     EvalConfig,
     QParam,
+    cap_error,
     q_bracket,
     q_bracket_derivative,
     q_factorial,
     q_pow,
+    require_positive,
     sum_geometric_decay,
 )
 
@@ -191,3 +193,22 @@ class TestSumGeometricDecay:
         ev = sum_geometric_decay(lambda n: 1e-305 * 0.5**n, 0.5, 0)
         assert ev.terms_used == 1
         assert ev.error_estimate <= ABS_TOL
+
+
+class TestRequirePositive:
+    def test_accepts_finite_positive(self):
+        for value in (5e-324, 1e-300, 1.0, 1e308):
+            require_positive(value)
+
+    def test_rejects_infinite_nan_and_nonpositive(self):
+        for value in (math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0):
+            with pytest.raises(DomainError, match=r"^y must be finite and positive"):
+                require_positive(value, "y")
+
+
+class TestCapError:
+    def test_message_and_attributes(self):
+        exc = cap_error(EvalConfig(max_terms=7), 1.5, 2.5e-3, 6)
+        assert isinstance(exc, NonConvergence)
+        assert str(exc) == "no convergence within 7 terms (estimate 2.500e-03)"
+        assert (exc.partial_value, exc.error_estimate, exc.terms_used) == (1.5, 2.5e-3, 6)

@@ -6,7 +6,7 @@ from mpmath import mp
 from oracles import mp_ln_gamma_q, mp_psi_q, mp_psi_q_m, mp_psi_q_root
 
 import qgamma.qspecial as qspecial
-from qgamma.classical import ln_gamma_classical
+from qgamma.classical import ln_gamma_classical, psi_classical
 from qgamma.errors import DomainError, NonConvergence, Overflow
 from qgamma.qcore import REL_TOL, EvalConfig, QParam, q_bracket, q_factorial
 from qgamma.qspecial import (
@@ -213,6 +213,61 @@ class TestPsiQM:
     def test_rejects_bad_m(self):
         with pytest.raises(DomainError):
             psi_q_m(0, 1.0, QParam(0.5))
+
+    @pytest.mark.parametrize("m", [250, 300])
+    def test_large_m_matches_oracle(self, m):
+        # The summands reach e^348 (m = 250) and e^500 (m = 300), past the
+        # range of n^m alone, while the values stay in it.
+        ev = psi_q_m(m, 30.0, QParam(0.5))
+        oracle = float(mp_psi_q_m(m, 30, "0.5"))
+        assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
+
+    def test_beyond_the_double_range_raises_overflow(self):
+        # One summand is about e^50000.
+        with pytest.raises(Overflow, match=r"psi_q_m\(7000, 2.0, 0.5\) exceeds the double range"):
+            psi_q_m(7000, 2.0, QParam(0.5))
+
+    @pytest.mark.parametrize("qv", [1e-10, 0.9])
+    def test_scale_or_sum_beyond_the_range_is_no_bare_overflow_error(self, qv):
+        # At m = 300, x = 30 the scale (ln q)^301 is about e^944 at q = 1e-10,
+        # and the n-sum passes e^1000 at q = 0.9, while the values are in
+        # range: an Overflow, or the right value, never a bare OverflowError.
+        try:
+            ev = psi_q_m(300, 30.0, QParam(qv))
+        except Overflow:
+            return
+        oracle = float(mp_psi_q_m(300, 30, str(qv), terms=40))
+        assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
+
+    def test_cap_errors_share_one_message(self):
+        q = QParam(0.9)
+        calls = (
+            (lambda cfg: ln_gamma_q(2.5, q, cfg), 5),  # in the recurrence
+            (lambda cfg: ln_gamma_q(2.5, q, cfg), 10),  # in the corrections
+            (lambda cfg: psi_q(2.5, q, cfg), 3),  # in the head
+            (lambda cfg: psi_q(2.5, q, cfg), 20),  # in the tail
+            (lambda cfg: psi_q_m(2, 2.5, q, cfg), 20),
+        )
+        for call, max_terms in calls:
+            with pytest.raises(NonConvergence, match=rf"^no convergence within {max_terms} terms \(estimate "):
+                call(EvalConfig(max_terms=max_terms))
+
+
+class TestPositiveArguments:
+    def test_every_function_rejects_infinite_and_nonpositive_x(self):
+        q = QParam(0.5)
+        calls = (
+            lambda x: ln_gamma_q(x, q),
+            lambda x: gamma_q(x, q),
+            lambda x: psi_q(x, q),
+            lambda x: psi_q_m(2, x, q),
+            ln_gamma_classical,
+            psi_classical,
+        )
+        for call in calls:
+            for bad in (math.inf, math.nan, 0.0, -2.0):
+                with pytest.raises(DomainError, match="must be finite and positive"):
+                    call(bad)
 
 
 class TestShiftedTail:
