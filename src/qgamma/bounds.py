@@ -230,8 +230,9 @@ def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
 # Root cache, sampling domains and the inequality registry
 # --------------------------------------------------------------------------
 
-# psi_q root per q, computed once per certification run.  Keyed by the exact
-# float; concurrent initialization at worst recomputes the same value.
+# psi_q root per q, kept for the life of the process: a second run in the
+# same process reuses the roots of the first.  Keyed by the exact float;
+# concurrent initialization at worst recomputes the same value.
 # Unbounded on purpose: ``sample`` solves the root of every drawn point
 # before ``certify`` reads them all back, so a bound below the sample count
 # would solve each root twice; ``table`` rows share one q and hit it.

@@ -90,6 +90,13 @@ class TestEval:
         assert res.returncode == 3
         assert res.stderr.startswith("error:") and "exceeds the double range" in res.stderr
 
+    def test_psi_q_m_at_large_m_underflows_to_zero(self):
+        # The true value is below the least double; (9/8)^m alone would
+        # overflow from m = 6027.
+        res = run_cli("eval", "--fn", "psi_q_m", "--m", "7000", "--x", "1e5", "--q", "0.5", "--format", "json")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["value"] == 0.0
+
     def test_bad_function_exits_2(self):
         res = run_cli("eval", "--fn", "zeta", "--x", "1", "--q", "0.5")
         assert res.returncode == 2
@@ -285,6 +292,14 @@ class TestRoot:
         root = float(fields["root"])
         assert 1.0 < root < 2.0
         assert abs(float(fields["residual"])) <= 1e-10
+
+    @pytest.mark.parametrize("qv", ["1e-300", "0.5", "0.99999"])
+    def test_json_bracket_and_residual(self, qv):
+        res = run_cli("root", "--q", qv, "--format", "json")
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["bracket_low"] < out["root"] < out["bracket_high"]
+        assert abs(out["residual"]) <= 1e-10
 
     def test_bad_q_exits_2(self):
         assert run_cli("root", "--q", "1.5").returncode == 2

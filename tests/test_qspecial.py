@@ -434,7 +434,7 @@ class TestPsiQRoot:
         res = psi_q_root(QParam(0.1))
         assert res.root == pytest.approx(ROOT_Q_TENTH, abs=1e-10)
 
-    @pytest.mark.parametrize("qv", [0.05, 0.3, 0.5, 0.77, 0.95])
+    @pytest.mark.parametrize("qv", [1e-30, 1e-6, 0.05, 0.3, 0.5, 0.77, 0.95])
     def test_matches_oracle(self, qv):
         # Bisection on [1, 2] to width 2^-45; the raw partial sum keeps
         # 50 / -ln q terms, so its tail is below 1e-20 for x >= 1.
@@ -442,7 +442,8 @@ class TestPsiQRoot:
         assert psi_q_root(QParam(qv)).root == pytest.approx(float(oracle), abs=1e-11)
 
     def test_invariants_across_q(self):
-        for qv in [*np.arange(0.05, 0.951, 0.05), 1e-6, 1e-3, 0.999]:
+        extremes = [1e-300, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.99, 0.999, 0.9999, 0.99999]
+        for qv in [*np.arange(0.05, 0.951, 0.05), *extremes]:
             q = QParam(float(qv))
             res = psi_q_root(q)
             assert res.bracket_low < res.root < res.bracket_high
@@ -452,20 +453,28 @@ class TestPsiQRoot:
                 assert res.root > 1.0
 
     def test_psi_evaluations_per_solve(self, monkeypatch):
-        # Bisection takes about 44.  Counting through the module name also
-        # pins that the solver calls psi_q by that name, which the benchmark
-        # tracer relies on.
+        # Bisection takes about 44 psi_q calls.  Counting through the module
+        # names also pins that the solver calls psi_q and psi_q_m by those
+        # names, which the benchmark tracer relies on.
         calls = []
+        slopes = []
 
         def counting_psi_q(*args, **kwargs):
             calls.append(args[0])
             return psi_q(*args, **kwargs)
 
+        def counting_psi_q_m(*args, **kwargs):
+            slopes.append(args[1])
+            return psi_q_m(*args, **kwargs)
+
         monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
+        monkeypatch.setattr(qspecial, "psi_q_m", counting_psi_q_m)
         for qv in np.arange(0.05, 0.951, 0.05):
             calls.clear()
+            slopes.clear()
             qspecial.psi_q_root(QParam(float(qv)))
-            assert 0 < len(calls) <= 16, (qv, len(calls))
+            assert 0 < len(calls) <= 11, (qv, len(calls))
+            assert len(slopes) <= 1, (qv, len(slopes))
 
     def test_sign_change_around_root(self):
         for qv in (0.2, 0.6, 0.9):
