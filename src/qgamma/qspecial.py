@@ -8,7 +8,10 @@ anyway.  Arguments x <= 0 are rejected: no analytic continuation.
 ln Gamma_q is Moak's q-Stirling expansion (Moak 1984, Rocky Mountain J.
 Math. 14): the recurrence up to T >= 10 plus Euler-Maclaurin for the tail,
 the scheme classical.py uses at q = 1.  It sums at most 18 terms at every q,
-and its remainder is bounded by the first omitted term (DLMF 2.10(i)).
+and its remainder is bounded by the larger first omitted term of the two
+tails (DLMF 2.10(i)).  It computes F(x) - F(y), F(t) = -sum_k ln(1-q^(t+k)),
+so ln_gamma_q(x, q, y=y) is the log ratio ln Gamma_q(x) - ln Gamma_q(y) in
+one sum (y = 1 by default, Gamma_q(1) = 1), exactly antisymmetric in x, y.
 psi_q and psi_q^(m) take K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
 (s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and sum the rest as their
 geometric n-series at x + K, one path for every x: at most about
@@ -74,121 +77,175 @@ _TINY_W = 1e-300
 _EM_STOP = 1.0 / 1024.0
 
 
-def _li2_tail(t: float, s: float, d: float, ln_s: Optional[float]) -> float:
-    """The integral of -ln(1-q^u) over u > t, Li_2(e^(-w)) / s at w = s t
-    (d = 1 - e^(-w)), less zeta(2)/s + t ln s when ln_s (= ln s) is given:
-    both cancel between the two tails of ln_gamma_q.
+def _li2_w(w: float) -> float:
+    """sum_j B_2j w^(2j) / (2j (2j+1)!): what the w-series adds, over w, to
+    w ln w - w - w^2/4 in Li_2(e^(-w)) - zeta(2).
 
-    Up to w = ln 2 (so s <= ln 2 / 10, where ln_s is given) the series in w
-    is used, in which zeta(2) and t ln s drop out symbolically; above it the
-    series in z = -ln d < ln 2.  Either argument is at most ln 2, where the
-    terms fall by (ln 2 / 2 pi)^2 ~ 0.012 each, and the sum runs until the
-    next term is below rounding (at most eight terms).
+    Summed until the next term is below 2^-53: it is added to
+    ln t - 1 - w/4 > 1 (t >= 10, w <= 1), so that is below rounding.
     """
-    w = s * t
-    if w <= _LN2:
-        v = w * w
-        acc = math.log(t) - 1.0 - 0.25 * w
-        p = 1.0
-        for c in _LI2_W:
-            p *= v
-            term = c * p
-            if abs(term) <= _EPS * abs(acc):
-                break
-            acc += term
-        return t * acc
-    z = -math.log(d)
+    v = w * w
+    acc = 0.0
+    p = 1.0
+    for c in _LI2_W:
+        p *= v
+        term = c * p
+        if abs(term) <= _EPS:
+            break
+        acc += term
+    return acc
+
+
+def _li2_z(z: float) -> float:
+    """sum_j B_2j z^(2j+1) / (2j+1)!: what the z-series adds to z - z^2/4
+    in Li_2(u), z = -ln(1-u) < ln 2, summed until the next term is below
+    2^-53 z (Li_2(u) > 0.8 z)."""
     v = z * z
-    acc = z - 0.25 * v
+    acc = 0.0
     p = z
     for c in _LI2_Z:
         p *= v
         term = c * p
-        if abs(term) <= _EPS * abs(acc):
+        if abs(term) <= _EPS * z:
             break
         acc += term
-    if ln_s is None:
-        return acc / s
-    return (acc - _ZETA2) / s - t * ln_s
+    return acc
 
 
-def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """ln Gamma_q(x) = (1-x) ln(1-q) + F(x) - F(1), F(x) = sum_{k>=0} h(x+k),
-    h(t) = -ln(1-q^t), by the q-Stirling expansion.
+def _li2_tail_difference(
+    tx: float, ty: float, s: float, zx: float, zy: float, dz: float, ln_s: Optional[float]
+) -> float:
+    """The integral of h(u) = -ln(1-q^u) over u > tx less that over u > ty
+    (tx >= ty >= 10), [Li_2(e^(-s tx)) - Li_2(e^(-s ty))] / s, less
+    (tx - ty) ln s when ln_s (= ln s) is given: that part joins the start
+    value of ln_gamma_q, and zeta(2)/s cancels.  zx = h(tx), zy = h(ty)
+    and dz = zx - zy, formed from the difference of the two q^T.
+
+    With ln_s given (s <= ln 2 / 10), tails at w = s t <= 1 take the series
+    in w, in which zeta(2) and t ln s drop out symbolically and
+    t ln t - t - s t^2/4 is left; otherwise tails at w > ln 2 take the
+    series in z = h(t) < ln 2.  When both take one series, the parts that
+    grow with t cancel in closed form: with d = tx - ty,
+    tx ln tx - ty ln ty = d ln tx + ty log1p(d / ty), and
+    zx - zx^2/4 - (zy - zy^2/4) = dz (1 - (zx + zy)/4), so that close
+    arguments keep their digits.  Otherwise s ty <= ln 2 < 1 < s tx, so
+    s d > 1 - ln 2, and each tail is taken whole.  Each series argument is
+    at most 1, where the terms fall by (1 / 2 pi)^2 ~ 0.025 or faster, and
+    at most nine are summed.
+    """
+    wy = s * ty
+    if ln_s is not None and s * tx <= 1.0:
+        d = tx - ty
+        tails = tx * _li2_w(s * tx) - ty * _li2_w(wy)
+        return d * (math.log(tx) - 1.0 - 0.25 * s * (tx + ty)) + ty * math.log1p(d / ty) + tails
+    if ln_s is None or wy > _LN2:
+        diff = (dz * (1.0 - 0.25 * (zx + zy)) + (_li2_z(zx) - _li2_z(zy))) / s
+        return diff if ln_s is None else diff - (tx - ty) * ln_s
+    ret_x = (zx - 0.25 * zx * zx + _li2_z(zx) - _ZETA2) / s - tx * ln_s
+    return ret_x - ty * (math.log(ty) - 1.0 - 0.25 * wy + _li2_w(wy))
+
+
+def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: float = 1.0) -> Evaluation:
+    """ln Gamma_q(x) - ln Gamma_q(y) = (y-x) ln(1-q) + F(x) - F(y),
+    F(t) = sum_{k>=0} h(t+k), h(t) = -ln(1-q^t), as one q-Stirling sum;
+    Gamma_q(1) = 1, so the default y = 1 gives ln Gamma_q(x).
+
+    The arguments are ordered so that x >= y, and a swap negates the result
+    at the end: ln_gamma_q(a, q, y=b) == -ln_gamma_q(b, q, y=a) exactly,
+    with the same bound and terms, and y == x gives exactly 0.
 
     With s = -ln q, each F is its first N terms plus the Euler-Maclaurin
-    tail at T = x + N (resp. 1 + N), N = max(9, ceil(10 - x)) so that both
+    tail at T = x + N (resp. y + N), N = 9 if y >= 1 else 10, so that both
     tails start at T >= 10:
-        [Li_2(e^(-sT)) - zeta(2)] / s + h(T)/2
+        Li_2(e^(-sT)) / s + h(T)/2
             + sum_j B_2j/(2j)! s^(2j-1) Li_{2-2j}(e^(-sT)).
-    The zeta(2)/s of the two tails cancels.  For q >= 2^(-1/10), where it
-    grows like 1/(1-q) and each tail's T ln s like ln(1-q), both are taken
-    out of each tail before the difference: T ln s cancels up to
-    (x-1) ln s, which joins (1-x) ln(1-q) as (1-x) ln((1-q)/s), and what is
-    left stays of the size of the result.  The first N terms of the two F
-    are paired as ln((1-q^(1+k)) / (1-q^(x+k))), every 1 - q^t being
-    -expm1(-s t), so a value near the pole at 0 keeps its digits.  At x = 1
-    every pair and both tails agree, so the value is exactly 0.
+    The first N terms are paired as ln((1-q^(y+k)) / (1-q^(x+k))), every
+    1 - q^t being -expm1(-s t), or s t below _TINY_W, so that a value near
+    the pole at 0 keeps its digits.  The two integrals are differenced by
+    _li2_tail_difference, in which the parts that grow with T cancel in
+    closed form; for q >= 2^(-1/10) it leaves out (tx - ty) ln s, which
+    joins (y-x) ln(1-q) as (y-x) ln((1-q)/s).  h(tx) - h(ty) is formed from
+    q^tx - q^ty, and each tail is moved from the rounded x + N (resp. y + N)
+    to the exact one by its slope.  So close arguments keep their digits,
+    and no F(1) of two ln Gamma_q values has to cancel in a ratio.
 
     h is completely monotone, so the remainder after any number of
-    corrections has the sign of the first omitted one and is bounded by it
-    (DLMF 2.10(i)); the two remainders have one sign, so the larger of the
-    two first omitted corrections bounds their difference.  Corrections are
-    added until that bound is at most REL_TOL * max(1, |value|) / 1024 (an
-    absolute error on ln Gamma_q is a relative one on Gamma_q), and at most
-    eight of them.  ``error_estimate`` is that bound; the Li_2 series are
-    summed to rounding and, like rounding, are left out of it.
-    ``terms_used`` is N plus the corrections added.  NonConvergence, with
-    the partial value and its bound, is raised when that would exceed
-    cfg.max_terms.
+    corrections has the sign of the first omitted one, the sign of B_2j,
+    and is bounded by it (DLMF 2.10(i)); the two remainders have one sign,
+    so the larger of the two first omitted corrections bounds their
+    difference.  Corrections are added until that bound is at most
+    REL_TOL * max(1, |value|) / 1024 (an absolute error on a log is a
+    relative one on the ratio), and at most eight of them.
+    ``error_estimate`` is that bound; the Li_2 series are summed to
+    rounding and, like rounding, are left out of it.  ``terms_used`` is N
+    plus the corrections added.  NonConvergence, with the partial value and
+    its bound, is raised when that would exceed cfg.max_terms.
     """
     require_positive(x)
+    require_positive(y, "y")
+    swapped = y > x
+    if swapped:
+        x, y = y, x
     expm1 = math.expm1
     log = math.log
     s = -q.ln_q
-    n = 9 if x >= 1.0 else 10
+    n = 9 if y >= 1.0 else 10
     if s * 10.0 <= _LN2:
         ln_s = log(s)
-        value = (1.0 - x) * log((1.0 - q.q) / s)
+        value = (y - x) * log((1.0 - q.q) / s)
     else:
         ln_s = None
-        value = (1.0 - x) * math.log1p(-q.q)
+        value = (y - x) * math.log1p(-q.q)
 
     limit = min(n, cfg.max_terms)
     start = 0
-    if s * x < _TINY_W:
-        value += log(-expm1(-s)) - log(s) - log(x)
+    if s * y < _TINY_W:
+        # The k = 0 pair is ln(s y / (1-q^x)), with 1 - q^x = s x if tiny.
+        value += log(y / x) if s * x < _TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
         start = 1
     for k in range(start, limit):
-        value += log(expm1(-s * (1.0 + k)) / expm1(-s * (x + k)))
+        value += log(expm1(-s * (y + k)) / expm1(-s * (x + k)))
     if limit < n:
         # The pair terms fall by a factor q or more each, from k = 0.
-        bound = abs(log(expm1(-s * (1.0 + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
-        raise cap_error(cfg, value, bound, limit)
+        bound = abs(log(expm1(-s * (y + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
+        raise cap_error(cfg, -value if swapped else value, bound, limit)
 
-    tx, t1 = x + n, 1.0 + n
-    dx, d1 = -expm1(-s * tx), -expm1(-s * t1)
-    value += 0.5 * log(d1 / dx) + (_li2_tail(tx, s, dx, ln_s) - _li2_tail(t1, s, d1, ln_s))
+    tx, ty = x + n, y + n
+    ux, uy = math.exp(-s * tx), math.exp(-s * ty)
+    dx, dy = -expm1(-s * tx), -expm1(-s * ty)
+    zx, zy = -log(dx), -log(dy)
+    dz = -math.log1p(-uy * expm1(-s * (tx - ty)) / dy)  # h(tx) - h(ty)
+    value += 0.5 * dz + _li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s)
+    # x + N and y + N are rounded, by ex = x + N - tx (exact, Fast2Sum) and
+    # ey: each tail is moved from T to T + e by its slope -h(T) to first
+    # order.  With ln_s, the T ln s taken out of the two tails is
+    # (tx - ty) ln s = (x - y - ex + ey) ln s, and the start value holds
+    # (x - y) ln s of it.
+    ex = n - (tx - x) if x >= n else x - (tx - n)
+    ey = n - (ty - y) if y >= n else y - (ty - n)
+    ln_s0 = 0.0 if ln_s is None else ln_s
+    value -= ex * (zx + ln_s0) - ey * (zy + ln_s0)
 
     tol = REL_TOL * _EM_STOP * max(1.0, abs(value))
-    ux, u1 = math.exp(-s * tx), math.exp(-s * t1)
-    rx, r1 = s / dx, s / d1
-    px, p1 = ux * rx, u1 * r1  # u r^(2j-1) at j = 1
+    rx, ry = s / dx, s / dy
+    px, py = ux * rx, uy * ry  # u r^(2j-1) at j = 1
     rx *= rx
-    r1 *= r1
+    ry *= ry
     allowed = min(_EM_TERMS, cfg.max_terms - n)
     for j, (coef, poly) in enumerate(_EM_COEF):
-        ax = a1 = 0.0
+        ax = ay = 0.0
         for c in poly:
             ax = ax * ux + c
-            a1 = a1 * u1 + c
-        cx, c1 = coef * px * ax, coef * p1 * a1
-        bound = max(abs(cx), abs(c1))
+            ay = ay * uy + c
+        cx, cy = coef * px * ax, coef * py * ay
+        bound = max(abs(cx), abs(cy))
         if bound <= tol or j == allowed:
             break
-        value += cx - c1
+        value += cx - cy
         px *= rx
-        p1 *= r1
+        py *= ry
+    if swapped:
+        value = -value
     if bound > tol and j < _EM_TERMS:
         raise cap_error(cfg, value, bound, n + j)
     return Evaluation(value, bound, n + j)
@@ -439,17 +496,24 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     low end, from one psi_q_m(1) call, until a second left point exists,
     then the secant of the last two left points.  Those iterates rise to
     the root and never pass it.  Over q in [0.05, 0.95] a solve takes about
-    8.5 psi_q calls and no psi_q_m call.
+    8.3 psi_q calls and no psi_q_m call.
 
     Each trial is clamped to half the width tolerance inside the bracket:
     once a step falls below that, the clamped trial lies across the root
     and closes the bracket to width 1e-12.  A high end where psi_q is
     exactly 0 is stepped right until psi_q > 0.  Every loop is bounded and
-    raises BracketFailure at its bound.
+    raises BracketFailure at its bound.  No point is evaluated twice: a
+    trial where psi_q is exactly 0 is stepped over, and the step or the
+    final midpoint can land on a point already evaluated, whose value is
+    reused.
     """
+    values: dict[float, float] = {}
 
     def f(t: float) -> float:
-        return psi_q(t, q, cfg).value
+        value = values.get(t)
+        if value is None:
+            value = values[t] = psi_q(t, q, cfg).value
+        return value
 
     lo, hi = 1.0, _CLASSICAL_ROOT
     f_lo = f(lo)

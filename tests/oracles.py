@@ -49,6 +49,18 @@ def mp_ln_gamma_q(x, q, terms=3000):
     raise RuntimeError(f"log-product oracle did not converge within {_MAX_TERMS} terms at x={x}, q={q}")
 
 
+def mp_ln_gamma_q_shift(y, m, q):
+    """ln Gamma_q(y+m) - ln Gamma_q(y) = sum_{k<m} ln [y+k]_q for an integer
+    m >= 0, [t]_q = (1-q^t)/(1-q) (the functional equation); 1 - q^t is
+    -expm1(t ln q), which keeps its digits as t -> 0 or q -> 1.  A finite
+    sum, so it holds where the product needs too many factors.
+    """
+    y = mpf(y)
+    q = mpf(q)
+    ln_q = mp.log(q)
+    return mp.fsum(mp.log(-mp.expm1((y + k) * ln_q) / (1 - q)) for k in range(m))
+
+
 def mp_gamma_q(x, q, terms=3000):
     return mp.e ** mp_ln_gamma_q(x, q, terms)
 

@@ -4,7 +4,8 @@
 operation reached through a reference captured at import time would drop out
 of the traced benchmark without any error.  These run tiny traced passes and
 require spans for each ``*_bounds`` operation, for the ``psi_q`` calls
-inside a root solve, and for the series terms of ``psi_q`` below x = 1.
+inside a root solve, for the one ``ln_gamma_q`` call of a ratio, and for the
+series terms of ``psi_q`` below x = 1.
 """
 
 import math
@@ -50,6 +51,15 @@ def test_tracer_counts_psi_evaluations_per_root_solve(monkeypatch):
     from tracing import layer_values
 
     assert layer_values(summary)["qspecial.psi_q_root.psi_evals_per_solve"] > 0
+
+
+def test_one_ln_gamma_q_span_per_ratio(monkeypatch):
+    # A bound takes its log ratio from one ln_gamma_q(x, q, y=y) call; a
+    # self-call inside ln_gamma_q would show as a second span, a missed
+    # rebinding as none.
+    summary = _traced_summary(monkeypatch, lambda: bounds.thm_mvt_bounds(3.0, 2.0, QParam(0.5)))
+    assert summary["spans"]["qspecial.ln_gamma_q"]["calls"] == 1
+    assert summary["counters"]["qspecial.ln_gamma_q.terms"] > 0
 
 
 def test_tracer_counts_series_terms_below_one(monkeypatch):

@@ -110,7 +110,15 @@ class TestThmMain:
             backward = thm_main_bounds(y, x, q)
             assert forward.log_lower == -backward.log_upper
             assert forward.log_upper == -backward.log_lower
+            assert forward.log_ratio == -backward.log_ratio
             assert forward.lower == pytest.approx(1.0 / backward.upper, rel=1e-12)
+            # thm_mvt needs x > y; the swapped call is exploratory.
+            high, low = max(x, y), min(x, y)
+            forward = thm_mvt_bounds(high, low, q)
+            backward = thm_mvt_bounds(low, high, q, force=True)
+            assert forward.log_lower == -backward.log_upper
+            assert forward.log_upper == -backward.log_lower
+            assert forward.log_ratio == -backward.log_ratio
 
     def test_ordering_holds(self):
         rng = np.random.default_rng(13)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp
-from oracles import mp_ln_gamma_q, mp_psi_q, mp_psi_q_m, mp_psi_q_root
+from oracles import mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_m, mp_psi_q_root
 
 import qgamma.qspecial as qspecial
 from qgamma.classical import ln_gamma_classical, psi_classical
@@ -119,6 +119,79 @@ class TestQStirling:
             assert info.value.terms_used == max_terms
             assert abs(info.value.partial_value - full.value) <= info.value.error_estimate
         assert ln_gamma_q(2.5, q, EvalConfig(max_terms=full.terms_used)) == full
+
+
+def _ratio_agrees(ev, ref):
+    return abs(ev.value - ref) <= ev.error_estimate + 1e-14 * max(1.0, abs(ref))
+
+
+class TestLnGammaRatio:
+    """ln_gamma_q(x, q, y=y) = ln Gamma_q(x) - ln Gamma_q(y) as one sum."""
+
+    # Both arguments below 1, pairs on either side of 1, and both above,
+    # each at gaps d = x - y from 1e-10 to 10.
+    LOWER = (0.05, 0.3, 0.9, 1.0, 2.5, 14.0, 29.0)
+    GAPS = (1e-10, 1e-7, 1e-4, 0.1, 0.5, 1.0, 3.0, 10.0)
+
+    @pytest.mark.parametrize("qv", [0.05, 0.5, 0.9, 0.95, 0.99])
+    def test_matches_difference_of_oracles(self, qv):
+        q = QParam(qv)
+        for y in self.LOWER:
+            ref_y = mp_ln_gamma_q(y, qv, terms=1)
+            for d in self.GAPS:
+                x = y + d
+                ref = float(mp_ln_gamma_q(x, qv, terms=1) - ref_y)
+                assert _ratio_agrees(ln_gamma_q(x, q, y=y), ref), (x, y)
+                assert _ratio_agrees(ln_gamma_q(y, q, y=x), -ref), (y, x)
+
+    @pytest.mark.parametrize("y, qv", [(299.4, 0.996), (199.6, 0.996), (40.0, 0.99)])
+    def test_close_arguments_far_out(self, y, qv):
+        # Tails with s T above 1 (z-series), below it (w-series) and, at
+        # d = 100 from y = 40, on either side; each holds parts of size
+        # T ln T or T ln s that must cancel between the two.
+        ref_y = mp_ln_gamma_q(y, qv, terms=1)
+        for d in (1.2e-7, 1e-3, 0.37, 100.0):
+            ref = float(mp_ln_gamma_q(y + d, qv, terms=1) - ref_y)
+            assert _ratio_agrees(ln_gamma_q(y + d, QParam(qv), y=y), ref), d
+
+    @pytest.mark.parametrize("x, y", [(1e-305, 0.5), (3.0, 1e-305), (2e-305, 1e-305), (1e-305, 1e-300)])
+    def test_where_s_t_underflows(self, x, y):
+        # s t < 1e-300 on one side or both, where 1 - q^t is taken as s t.
+        with mp.workdps(400):
+            ref = float(mp_ln_gamma_q(x, 0.5, terms=1) - mp_ln_gamma_q(y, 0.5, terms=1))
+        assert _ratio_agrees(ln_gamma_q(x, QParam(0.5), y=y), ref)
+
+    @pytest.mark.parametrize("y", [1e-305, 1e-8, 0.3, 0.7, 1.0, 2.5, 29.75])
+    def test_integer_gaps_near_q_one(self, y):
+        # At q = 1 - 1e-6 the product oracle needs about 7e7 factors; the
+        # functional equation gives integer gaps as a finite sum.
+        qv = 1.0 - 1e-6
+        for m in (1, 2, 5, 10):
+            ref = float(mp_ln_gamma_q_shift(y, m, qv))
+            assert _ratio_agrees(ln_gamma_q(y + m, QParam(qv), y=y), ref), m
+
+    def test_exact_antisymmetry_and_zero_on_the_diagonal(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            a, b = (float(v) for v in np.exp(rng.uniform(-8.0, 4.0, size=2)))
+            q = QParam(1.0 - float(np.exp(rng.uniform(math.log(1e-9), math.log(0.99)))))
+            forward, backward = ln_gamma_q(a, q, y=b), ln_gamma_q(b, q, y=a)
+            assert forward.value == -backward.value
+            assert forward.error_estimate == backward.error_estimate
+            assert forward.terms_used == backward.terms_used
+            assert ln_gamma_q(a, q, y=a).value == 0.0
+
+    @pytest.mark.parametrize("x, y", [(2.5, 0.7), (0.7, 2.5), (4.0, 3.5), (3.5, 4.0)])
+    def test_max_terms_raises_with_bounded_partial_value(self, x, y):
+        q = QParam(0.5)
+        full = ln_gamma_q(x, q, y=y)
+        # Cut inside the recurrence, then before the last correction.
+        for max_terms in (3, full.terms_used - 1):
+            with pytest.raises(NonConvergence) as info:
+                ln_gamma_q(x, q, EvalConfig(max_terms=max_terms), y=y)
+            assert info.value.terms_used == max_terms
+            assert abs(info.value.partial_value - full.value) <= info.value.error_estimate
+        assert ln_gamma_q(x, q, EvalConfig(max_terms=full.terms_used), y=y) == full
 
 
 class TestGammaQ:
@@ -258,6 +331,7 @@ class TestPositiveArguments:
         q = QParam(0.5)
         calls = (
             lambda x: ln_gamma_q(x, q),
+            lambda y: ln_gamma_q(2.0, q, y=y),
             lambda x: gamma_q(x, q),
             lambda x: psi_q(x, q),
             lambda x: psi_q_m(2, x, q),
@@ -475,6 +549,22 @@ class TestPsiQRoot:
             qspecial.psi_q_root(QParam(float(qv)))
             assert 0 < len(calls) <= 11, (qv, len(calls))
             assert len(slopes) <= 1, (qv, len(slopes))
+
+    def test_no_argument_evaluated_twice(self, monkeypatch):
+        # A trial where psi_q is exactly 0 is stepped over, and the final
+        # midpoint can land on it again; its value is reused, not recomputed.
+        calls = []
+
+        def counting_psi_q(*args, **kwargs):
+            calls.append(args[0])
+            return psi_q(*args, **kwargs)
+
+        monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
+        rng = np.random.default_rng(31)
+        for one_minus_q in np.exp(rng.uniform(math.log(0.05), math.log(0.95), size=600)):
+            calls.clear()
+            qspecial.psi_q_root(QParam(1.0 - float(one_minus_q)))
+            assert len(set(calls)) == len(calls), (1.0 - float(one_minus_q), calls)
 
     def test_sign_change_around_root(self):
         for qv in (0.2, 0.6, 0.9):
