@@ -61,7 +61,6 @@ from .propcheck import (
     check_lemma_monotone_slope,
     check_limits,
     evaluate_point,
-    explore_main_below_one,
     report_to_dict,
     report_to_text,
     run_check,

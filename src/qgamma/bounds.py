@@ -80,6 +80,32 @@ def ratio_gamma_q(x: float, y: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFI
     return _safe_exp(ln_gamma_q(x, q, cfg, y=y).value)
 
 
+# Proof functions f(t) = e^[t]_q Gamma_q(t) and g(t) = e^t Gamma_q(t+a)/(t+a):
+# ln f(x) - ln f(y) is the log ratio less the offset; slopes are t (ln f)'(t).
+
+def _f_offset(x: float, y: float, q: QParam) -> float:
+    return (q_pow(q, x) - q_pow(q, y)) / (1.0 - q.q)
+
+
+def _f_slope(t: float, q: QParam, cfg: EvalConfig) -> float:
+    return t * (q_bracket_derivative(t, q) + psi_q(t, q, cfg).value)
+
+
+def _g_offset(x: float, y: float, alpha: float) -> float:
+    return (y - x) + (math.log(x + alpha) - math.log(y + alpha))
+
+
+def _g_slope(t: float, alpha: float, q: QParam, cfg: EvalConfig) -> float:
+    return t * ((t + alpha - 1.0) / (t + alpha) + psi_q(t + alpha, q, cfg).value)
+
+
+def _require_alpha(alpha: float, q: QParam, cfg: EvalConfig) -> None:
+    """Raise AlphaBelowRoot if alpha is below the psi_q root by more than 1e-9."""
+    root = cached_psi_root(q, cfg)
+    if alpha < root - 1e-9:
+        raise AlphaBelowRoot(alpha, root)
+
+
 def thm_main_bounds(
     x: float, y: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, force: bool = False
 ) -> BoundPair:
@@ -94,9 +120,9 @@ def thm_main_bounds(
     if not force and (x < 1.0 or y < 1.0):
         raise DomainError(f"requires x >= 1 and y >= 1, got x={x!r}, y={y!r}")
     ldiff = math.log(x) - math.log(y)
-    shift = (q_pow(q, x) - q_pow(q, y)) / (1.0 - q.q)
-    slope_y = y * (q_bracket_derivative(y, q) + psi_q(y, q, cfg).value)
-    slope_x = x * (q_bracket_derivative(x, q) + psi_q(x, q, cfg).value)
+    shift = _f_offset(x, y, q)
+    slope_y = _f_slope(y, q, cfg)
+    slope_x = _f_slope(x, q, cfg)
     log_ratio = ln_gamma_q(x, q, cfg, y=y).value
     return _pair(slope_y * ldiff + shift, log_ratio, slope_x * ldiff + shift, strict=False)
 
@@ -127,13 +153,11 @@ def thm_alpha_bounds(
     require_positive(x)
     require_positive(y, "y")
     if not force:
-        root = cached_psi_root(q, cfg)
-        if alpha < root - 1e-9:
-            raise AlphaBelowRoot(alpha, root)
-    common = (y - x) + (math.log(x + alpha) - math.log(y + alpha))
+        _require_alpha(alpha, q, cfg)
+    common = _g_offset(x, y, alpha)
     ldiff = math.log(x) - math.log(y)
-    slope_y = y * ((y + alpha - 1.0) / (y + alpha) + psi_q(y + alpha, q, cfg).value)
-    slope_x = x * ((x + alpha - 1.0) / (x + alpha) + psi_q(x + alpha, q, cfg).value)
+    slope_y = _g_slope(y, alpha, q, cfg)
+    slope_x = _g_slope(x, alpha, q, cfg)
     log_ratio = ln_gamma_q(x + alpha, q, cfg, y=y + alpha).value
     return _pair(common + slope_y * ldiff, log_ratio, common + slope_x * ldiff, strict=False)
 
@@ -234,20 +258,22 @@ def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
 # Root cache, sampling domains and the inequality registry
 # --------------------------------------------------------------------------
 
-# psi_q root per q, kept for the life of the process: a second run in the
-# same process reuses the roots of the first.  Keyed by the exact float;
+# psi_q root per (q, max_terms), kept for the life of the process: a second
+# run in the same process reuses the roots of the first.  Keyed by the exact
+# float and the cap, so a capped solve never depends on what ran before;
 # concurrent initialization at worst recomputes the same value.
 # Unbounded on purpose: ``sample`` solves the root of every drawn point
 # before ``certify`` reads them all back, so a bound below the sample count
 # would solve each root twice; ``table`` rows share one q and hit it.
-_ROOT_CACHE: dict[float, float] = {}
+_ROOT_CACHE: dict[Tuple[float, int], float] = {}
 
 
 def cached_psi_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    root = _ROOT_CACHE.get(q.q)
+    key = (q.q, cfg.max_terms)
+    root = _ROOT_CACHE.get(key)
     if root is None:
         root = psi_q_root(q, cfg).root
-        _ROOT_CACHE[q.q] = root
+        _ROOT_CACHE[key] = root
     return root
 
 

@@ -2,9 +2,10 @@
 
 ``sample`` turns a DomainSpec into a reproducible point batch, ``certify``
 evaluates one inequality over a batch, and the ``check_*`` functions cover
-the geometric-convexity, slope-monotonicity and q->1 limit properties.  The
-registry at the bottom maps every check id to a runner so a single call can
-exercise the complete suite.
+the geometric-convexity, slope-monotonicity and q->1 limit properties, the
+first two by the log ratios, slopes and alpha rule of the theorems in
+``bounds``.  The registry at the bottom maps every check id to a runner so a
+single call can exercise the complete suite.
 
 Points are drawn from the standard library's ``random.Random(seed)``
 (Mersenne Twister) with integer seeds >= 0, and slope grids are evenly
@@ -25,7 +26,7 @@ from typing import Callable, Optional, Sequence, Tuple
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
 from .errors import AlphaBelowRoot, DomainError, QGammaError, RejectionOverflow
-from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative
+from .qcore import DEFAULT_CONFIG, EvalConfig, QParam
 from .qspecial import gamma_q, ln_gamma_q, psi_q, euler_gamma_q
 from .bounds import (
     BoundPair,
@@ -45,6 +46,7 @@ from .bounds import (
     thm_mvt_bounds,
     zhang_xu_situ_bounds,
 )
+from .bounds import _f_offset, _f_slope, _g_offset, _g_slope, _require_alpha
 
 SCHEMA_VERSION = 1
 
@@ -160,7 +162,8 @@ def _draw_q(rng: random.Random, q_range: Tuple[float, float]) -> float:
 
 def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
     """Draw ``count`` points from ``spec`` with rejection on its constraint,
-    from the stream of ``random.Random(seed)``."""
+    from the stream of ``random.Random(seed)``; alpha sits above the psi_q root
+    solved under DEFAULT_CONFIG, so the points depend on the seed alone."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     # random.Random(-s) would replay the stream of s.
@@ -254,22 +257,10 @@ def certify(
     """
     if inequality_id not in INEQUALITY_IDS:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
-    return _certify_points(inequality_id, inequality_id, batch, cfg, corrupt_upper=corrupt_upper)
-
-
-def _certify_points(
-    inequality_id: str,
-    report_id: str,
-    batch: SampleBatch,
-    cfg: EvalConfig,
-    force: bool = False,
-    corrupt_upper: bool = False,
-) -> CertificateReport:
-    """The per-point loop behind ``certify`` and ``explore_main_below_one``."""
-    tally = _Tally(report_id)
+    tally = _Tally(inequality_id)
     for point in batch.points:
         try:
-            pair = evaluate_point(inequality_id, point, cfg, force=force)
+            pair = evaluate_point(inequality_id, point, cfg)
         except QGammaError as exc:
             tally.error(_point_dict(point), exc)
             continue
@@ -296,33 +287,34 @@ def _certify_points(
 
 def _proof_function(
     function_id: str, q: QParam, aux, cfg: EvalConfig
-) -> Tuple[Callable[[float], float], Callable[[float], float]]:
-    """Log and closed-form slope x (ln f)'(x) of a proof function:
-    f(x) = e^[x]_q Gamma_q(x) on [1, inf), or g(x) = e^x Gamma_q(x+a) / (x+a)
-    on (0, inf) with a >= root.
+) -> Tuple[Callable[[float, float], float], Callable[[float], float]]:
+    """Log ratio ln f(t) - ln f(u) and slope t (ln f)'(t) of a proof function:
+    f(t) = e^[t]_q Gamma_q(t) on [1, inf), or g(t) = e^t Gamma_q(t+a) / (t+a)
+    on (0, inf) with a >= root.  The log ratio is one ln_gamma_q sum less the
+    offset of the theorem's bounds, and the slope is the theorem's own.
 
     A root solve that fails gives functions that raise its error, so that
     each point of the check records it.
     """
     if function_id == "f_thm_main":
         return (
-            lambda t: q_bracket(t, q) + ln_gamma_q(t, q, cfg).value,
-            lambda t: t * (q_bracket_derivative(t, q) + psi_q(t, q, cfg).value),
+            lambda t, u: ln_gamma_q(t, q, cfg, y=u).value - _f_offset(t, u, q),
+            lambda t: _f_slope(t, q, cfg),
         )
     if function_id == "g_thm_alpha":
         alpha = float(aux)
-        root = _attempt(cached_psi_root, q, cfg)
-        if isinstance(root, QGammaError):
+        failure = _attempt(_require_alpha, alpha, q, cfg)
+        if isinstance(failure, AlphaBelowRoot):
+            raise failure
+        if failure is not None:
 
-            def failed(t: float) -> float:
-                raise root.with_traceback(None)
+            def failed(*args: float) -> float:
+                raise failure.with_traceback(None)
 
             return failed, failed
-        if alpha < root - 1e-9:
-            raise AlphaBelowRoot(alpha, root)
         return (
-            lambda t: t + ln_gamma_q(t + alpha, q, cfg).value - math.log(t + alpha),
-            lambda t: t * (1.0 + psi_q(t + alpha, q, cfg).value - 1.0 / (t + alpha)),
+            lambda t, u: ln_gamma_q(t + alpha, q, cfg, y=u + alpha).value - _g_offset(t, u, alpha),
+            lambda t: _g_slope(t, alpha, q, cfg),
         )
     raise DomainError(f"unknown convexity function {function_id!r}")
 
@@ -336,17 +328,19 @@ def check_geometric_convexity(
 ) -> CertificateReport:
     """Verify ln f(sqrt(x1 x2)) <= (ln f(x1) + ln f(x2)) / 2 over a pair batch.
 
-    Pairs come from the (x, y) slots of the batch.  The one-sided midpoint
-    margin is reported in both worst-margin fields.
+    Pairs come from the (x, y) slots of the batch.  The midpoint margin,
+    (D(x1, m) + D(x2, m)) / 2 with m = sqrt(x1 x2) and D the log ratio of f,
+    is reported in both worst-margin fields.
     """
     tally = _Tally(f"convexity_{function_id}")
-    ln_f, _ = _proof_function(function_id, q, aux, cfg)
+    log_diff, _ = _proof_function(function_id, q, aux, cfg)
     for point in batch.points:
         x1, x2 = point[0], point[1]
         try:
             if function_id == "f_thm_main" and (x1 < 1.0 or x2 < 1.0):
                 raise DomainError(f"pair ({x1!r}, {x2!r}) outside [1, inf)")
-            margin = 0.5 * (ln_f(x1) + ln_f(x2)) - ln_f(math.sqrt(x1 * x2))
+            mid = math.sqrt(x1 * x2)
+            margin = 0.5 * (log_diff(x1, mid) + log_diff(x2, mid))
         except QGammaError as exc:
             tally.error(_point_dict(point), exc)
             continue
@@ -472,7 +466,7 @@ def _merge_reports(check_id: str, reports: Sequence[CertificateReport]) -> Certi
 
 def _combos(function_id: str) -> list:
     """(q, alpha) pairs a proof function is checked at: every grid q, and for
-    g each alpha offset above that q's psi_q root."""
+    g each alpha offset above that q's psi_q root under DEFAULT_CONFIG."""
     if function_id == "f_thm_main":
         return [(QParam(q), None) for q in _CHECK_Q_GRID]
     return [(QParam(q), cached_psi_root(QParam(q)) + off) for q in _CHECK_Q_GRID for off in _ALPHA_OFFSETS]
@@ -527,27 +521,6 @@ def run_check(
     if check_id not in _EXTRA_CHECKS:
         raise DomainError(f"unknown check id {check_id!r}")
     return _EXTRA_CHECKS[check_id](seed, samples, cfg)
-
-
-# --------------------------------------------------------------------------
-# Exploratory sweep outside the proven domain (reported, never certified)
-# --------------------------------------------------------------------------
-
-def explore_main_below_one(
-    seed: int = 42,
-    samples: int = 1000,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> CertificateReport:
-    """Sample the main bounds with arguments allowed below 1.
-
-    The main double inequality is only stated for x, y >= 1; whether it
-    extends below is open.  This sweep records worst margins and any
-    violations found, and is deliberately not part of the certification
-    registry: findings here are observations, not failures.
-    """
-    spec = DomainSpec((0.05, 5.0), (0.05, 5.0), (0.05, 0.95))
-    batch = sample(spec, seed, samples)
-    return _certify_points("thm_main", "exploratory_thm_main_below_one", batch, cfg, force=True)
 
 
 # --------------------------------------------------------------------------

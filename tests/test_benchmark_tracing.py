@@ -15,7 +15,7 @@ from pathlib import Path
 import qgamma.bounds as bounds
 import qgamma.propcheck as propcheck
 import qgamma.qspecial as qspecial
-from qgamma.bounds import INEQUALITY_IDS
+from qgamma.bounds import INEQUALITY_IDS, DomainSpec
 from qgamma.qcore import REL_TOL, QParam
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -60,6 +60,17 @@ def test_one_ln_gamma_q_span_per_ratio(monkeypatch):
     summary = _traced_summary(monkeypatch, lambda: bounds.thm_mvt_bounds(3.0, 2.0, QParam(0.5)))
     assert summary["spans"]["qspecial.ln_gamma_q"]["calls"] == 1
     assert summary["counters"]["qspecial.ln_gamma_q.terms"] > 0
+
+
+def test_convexity_takes_two_ln_gamma_q_spans_per_pair(monkeypatch):
+    # D(x1, m) and D(x2, m), m = sqrt(x1 x2), one ratio sum each.
+    q = QParam(0.5)
+    batch = propcheck.sample(DomainSpec((1.0, 20.0), (1.0, 20.0), None), 3, 7)
+    for function_id, aux in (("f_thm_main", None), ("g_thm_alpha", bounds.cached_psi_root(q) + 1.0)):
+        summary = _traced_summary(
+            monkeypatch, lambda: propcheck.check_geometric_convexity(function_id, batch, q, aux)
+        )
+        assert summary["spans"]["qspecial.ln_gamma_q"]["calls"] == 2 * 7, function_id
 
 
 def test_tracer_counts_series_terms_below_one(monkeypatch):

@@ -13,8 +13,8 @@ from oracles import (
     mp_ratio_gamma_q,
 )
 from qgamma.constants import CERT_SLACK_LOG
-from qgamma.errors import AlphaBelowRoot, DomainError
-from qgamma.qcore import QParam, q_bracket
+from qgamma.errors import AlphaBelowRoot, DomainError, NonConvergence
+from qgamma.qcore import EvalConfig, QParam, q_bracket
 from qgamma import bounds
 from qgamma.bounds import (
     BoundPair,
@@ -370,6 +370,17 @@ class TestRootCacheAndDomains:
         q = QParam(0.35)
         assert cached_psi_root(q) == psi_q_root(q).root
         assert cached_psi_root(q) == cached_psi_root(QParam(0.35))
+
+    def test_root_cache_honours_the_term_cap(self, monkeypatch):
+        # The q = 0.9 solve needs 32-term psi_q calls, so a 20-term cap fails
+        # it whether or not a default-cap root is cached.
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        capped = EvalConfig(max_terms=20)
+        with pytest.raises(NonConvergence):
+            thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9), capped)
+        cached_psi_root(QParam(0.9))
+        with pytest.raises(NonConvergence):
+            thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9), capped)
 
     def test_default_domains_cover_all_ids(self):
         for ineq in INEQUALITY_IDS:

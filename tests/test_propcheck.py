@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
-from qgamma.errors import DomainError, RejectionOverflow
+from oracles import mp_ln_gamma_q, mp_q_bracket
+from qgamma.errors import AlphaBelowRoot, DomainError, RejectionOverflow
 from qgamma import bounds, propcheck
-from qgamma.qcore import EvalConfig, QParam
+from qgamma.qcore import EvalConfig, QParam, q_bracket_derivative
+from qgamma.qspecial import psi_q
 from qgamma.bounds import DomainSpec, INEQUALITY_IDS, cached_psi_root, default_domain
 from qgamma.propcheck import (
     ALL_CHECK_IDS,
@@ -17,7 +20,6 @@ from qgamma.propcheck import (
     check_geometric_convexity,
     check_lemma_monotone_slope,
     check_limits,
-    explore_main_below_one,
     linspace,
     report_to_dict,
     report_to_text,
@@ -173,14 +175,55 @@ class TestConvexityCheck:
 
     def test_g_requires_alpha_at_least_root(self):
         spec = DomainSpec((0.05, 10.0), (0.05, 10.0), None)
-        from qgamma.errors import AlphaBelowRoot
         with pytest.raises(AlphaBelowRoot):
             check_geometric_convexity("g_thm_alpha", sample(spec, 2, 5), QParam(0.5), 0.2)
 
-    def test_g_failed_root_solve_is_recorded_per_point(self, monkeypatch):
-        # A cold root cache makes the check solve the root under its own
-        # 3-term config, which cannot converge.
-        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+    def test_g_alpha_grace_matches_thm_alpha(self):
+        # One rule for both: 1e-9 below the root passes, beyond it raises.
+        q = QParam(0.75)
+        root = cached_psi_root(q)
+        batch = sample(DomainSpec((0.05, 10.0), (0.05, 10.0), None), 4, 3)
+        report = check_geometric_convexity("g_thm_alpha", batch, q, root - 0.5e-9)
+        assert report.n_pass == report.n_samples == 3
+        assert bounds.thm_alpha_bounds(2.0, 1.0, root - 0.5e-9, q).log_ratio > 0.0
+        with pytest.raises(AlphaBelowRoot):
+            check_geometric_convexity("g_thm_alpha", batch, q, root - 2e-9)
+        with pytest.raises(AlphaBelowRoot):
+            bounds.thm_alpha_bounds(2.0, 1.0, root - 2e-9, q)
+
+    def test_margins_against_oracle(self):
+        # Close pairs on the check's q grid, alpha one above the root; the
+        # margins are quadratic in the gap, so the error is absolute.
+        def mp_ln_f(t, q):
+            return mp_q_bracket(t, q) + mp_ln_gamma_q(t, q)
+
+        def mp_ln_g(t, alpha, q):
+            return mpf(t) + mp_ln_gamma_q(mpf(t) + alpha, q) - mp.log(mpf(t) + alpha)
+
+        cases = {
+            "f_thm_main": ((12.5, 12.501, 0.5), (17.0, 17.01, 0.95), (3.0, 3.0001, 0.75),
+                           (19.0, 19.5, 0.25), (8.0, 8.001, 0.05), (15.0, 15.1, 0.95)),
+            "g_thm_alpha": ((7.5, 7.501, 0.5), (9.0, 9.01, 0.95), (2.0, 2.0001, 0.75),
+                            (9.5, 9.9, 0.25), (6.0, 6.001, 0.05), (8.0, 8.1, 0.95)),
+        }
+        for function_id, pairs in cases.items():
+            for x1, x2, qv in pairs:
+                q = QParam(qv)
+                alpha = None if function_id == "f_thm_main" else cached_psi_root(q) + 1.0
+                batch = SampleBatch(seed=0, count=1, points=((x1, x2, None, None),))
+                got = check_geometric_convexity(function_id, batch, q, alpha).worst_lower_margin
+                mid = math.sqrt(x1 * x2)
+                if alpha is None:
+                    ref = (mp_ln_f(x1, qv) + mp_ln_f(x2, qv)) / 2 - mp_ln_f(mid, qv)
+                else:
+                    a = mpf(alpha)
+                    ref = (mp_ln_g(x1, a, qv) + mp_ln_g(x2, a, qv)) / 2 - mp_ln_g(mid, a, qv)
+                assert abs(got - float(ref)) <= 4e-15, (function_id, x1, x2, qv)
+
+    def test_g_failed_root_solve_is_recorded_per_point(self):
+        # The check solves the root under its own 3-term config, which cannot
+        # converge, even with the default-config root already cached.
+        cached_psi_root(QParam(0.5))
         batch = sample(DomainSpec((0.05, 10.0), (0.05, 10.0), None), 1, 5)
         report = check_geometric_convexity("g_thm_alpha", batch, QParam(0.5), 3.0, EvalConfig(max_terms=3))
         assert report.n_samples == report.n_errors == 5
@@ -216,8 +259,26 @@ class TestSlopeCheck:
         with pytest.raises(DomainError):
             check_lemma_monotone_slope("f_thm_main", [1.0, 3.0, 2.0], QParam(0.5))
 
-    def test_g_failed_root_solve_is_recorded_per_comparison(self, monkeypatch):
-        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+    def test_margins_are_differences_of_the_theorem_slopes(self):
+        q = QParam(0.5)
+        alpha = cached_psi_root(q) + 1.0
+
+        def f_slope(t):
+            return t * (q_bracket_derivative(t, q) + psi_q(t, q).value)
+
+        def g_slope(t):
+            return t * ((t + alpha - 1.0) / (t + alpha) + psi_q(t + alpha, q).value)
+
+        for function_id, aux, slope, grid in (
+            ("f_thm_main", None, f_slope, (1.0, 1.3, 2.7, 6.1, 9.9)),
+            ("g_thm_alpha", alpha, g_slope, (0.05, 0.3, 1.7, 4.2, 9.9)),
+        ):
+            for a, b in zip(grid, grid[1:]):
+                report = check_lemma_monotone_slope(function_id, [a, b], q, aux)
+                assert report.worst_lower_margin == slope(b) - slope(a), (function_id, a, b)
+
+    def test_g_failed_root_solve_is_recorded_per_comparison(self):
+        cached_psi_root(QParam(0.5))
         cfg = EvalConfig(max_terms=3)
         report = check_lemma_monotone_slope("g_thm_alpha", [0.5, 1.0, 2.0, 4.0], QParam(0.5), 3.0, cfg)
         assert report.n_samples == report.n_errors == 3
@@ -294,18 +355,3 @@ class TestDeterminismAndSerialization:
         assert "inequality_id: thm_mvt" in text
         assert "failure:" in text
         assert f"n_samples: {report.n_samples}" in text
-
-
-class TestExploratorySweep:
-    def test_reports_without_failing(self):
-        report = explore_main_below_one(seed=3, samples=100)
-        assert report.inequality_id == "exploratory_thm_main_below_one"
-        assert report.n_samples == 100
-        assert math.isfinite(report.worst_lower_margin)
-
-    def test_evaluation_errors_are_recorded_failures(self):
-        report = explore_main_below_one(seed=3, samples=5, cfg=EvalConfig(max_terms=3))
-        assert report.n_samples == 5
-        assert report.n_pass == 0
-        assert len(report.failures) == 5
-        assert all("error" in f for f in report.failures)
