@@ -11,13 +11,15 @@ point; the antisymmetry of the main construction then holds to the bit.
 ``log_ratio`` is one ln_gamma_q sum, ln_gamma_q(x, q, y=y), rather than the
 difference of two: it takes half the ln Gamma_q work, keeps the digits the
 two F(1) terms would cancel, and is exactly antisymmetric too.
+
+BoundPair, DomainSpec and Inequality are immutable NamedTuple records (see
+``qcore``): they unpack, index and compare equal to plain tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .classical import ln_gamma_classical, psi_classical
 from .constants import CERT_SLACK_LOG, MAX_EXP
@@ -29,8 +31,7 @@ def _safe_exp(z: float) -> float:
     return math.inf if z > MAX_EXP else math.exp(z)
 
 
-@dataclass(frozen=True)
-class BoundPair:
+class BoundPair(NamedTuple):
     """Evaluated (lower, ratio, upper) triple of one double inequality.
 
     The log_* fields are the primary representation; lower/ratio/upper are
@@ -286,37 +287,53 @@ _CONSTRAINTS = {
 }
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class _DomainSpecFields(NamedTuple):
+    x_range: Tuple[float, float]
+    y_range: Optional[Tuple[float, float]]
+    q_range: Optional[Tuple[float, float]]
+    aux_range: Optional[Tuple[float, float]]
+    constraint: str
+
+
+class DomainSpec(_DomainSpecFields):
     """Sampling region for one inequality.
 
     ``aux_range`` holds the alpha offset above the psi_q root when the
     constraint is alpha_at_least_root, and the common (mu, lambda) range
     when it is mu_greater_than_lambda.  ``q_range`` is None for the
-    classical inequalities.
+    classical inequalities.  Every construction path, ``_replace`` and
+    ``_make`` included, checks the ranges and the constraint.
     """
 
-    x_range: Tuple[float, float]
-    y_range: Optional[Tuple[float, float]] = None
-    q_range: Optional[Tuple[float, float]] = (0.05, 0.95)
-    aux_range: Optional[Tuple[float, float]] = None
-    constraint: str = "none"
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, rng in (("x_range", self.x_range), ("y_range", self.y_range), ("aux_range", self.aux_range)):
+    def __new__(
+        cls,
+        x_range: Tuple[float, float],
+        y_range: Optional[Tuple[float, float]] = None,
+        q_range: Optional[Tuple[float, float]] = (0.05, 0.95),
+        aux_range: Optional[Tuple[float, float]] = None,
+        constraint: str = "none",
+    ):
+        for name, rng in (("x_range", x_range), ("y_range", y_range), ("aux_range", aux_range)):
             if rng is not None and not rng[0] <= rng[1]:
                 raise DomainError(f"{name} is empty: {rng!r}")
-        if self.q_range is not None and not (0.0 < self.q_range[0] <= self.q_range[1] < 1.0):
-            raise DomainError(f"q_range must sit inside (0, 1), got {self.q_range!r}")
-        if self.constraint not in _CONSTRAINTS:
-            raise DomainError(f"unknown constraint {self.constraint!r}")
-        missing = [name for name in _CONSTRAINTS[self.constraint] if getattr(self, name) is None]
+        if q_range is not None and not (0.0 < q_range[0] <= q_range[1] < 1.0):
+            raise DomainError(f"q_range must sit inside (0, 1), got {q_range!r}")
+        if constraint not in _CONSTRAINTS:
+            raise DomainError(f"unknown constraint {constraint!r}")
+        self = tuple.__new__(cls, (x_range, y_range, q_range, aux_range, constraint))
+        missing = [name for name in _CONSTRAINTS[constraint] if getattr(self, name) is None]
         if missing:
-            raise DomainError(f"constraint {self.constraint!r} requires " + ", ".join(missing))
+            raise DomainError(f"constraint {constraint!r} requires " + ", ".join(missing))
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> DomainSpec:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """Point slots and default sampling domain of one inequality.
 
     ``args`` names the slots in the order the inequality's ``*_bounds``

@@ -12,6 +12,9 @@ Points are drawn from the standard library's ``random.Random(seed)``
 spaced as ``linspace`` makes them, so the module needs nothing beyond the
 standard library.  Evaluation is sequential and reports depend only on
 (seed, spec, cfg); wall_time is the one field that varies between runs.
+SampleBatch and CertificateReport are immutable NamedTuple records (see
+``qcore``): they unpack, index and compare equal to plain tuples, and
+``report._replace(wall_time=0.0)`` is a report without its timing.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
@@ -57,8 +59,7 @@ _REJECTION_CAP = 1000
 Point = Tuple[Optional[float], Optional[float], Optional[float], object]
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+class SampleBatch(NamedTuple):
     """Deterministic point batch: same (seed, count, spec) => same points."""
 
     seed: int
@@ -66,8 +67,7 @@ class SampleBatch:
     points: tuple
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Per-check pass/fail statistics with worst log-space margins.
 
     ``failures`` is capped; ``n_errors`` counts every point whose
@@ -84,18 +84,15 @@ class CertificateReport:
     n_errors: int = 0
 
 
-@dataclass
 class _Tally:
     """Accumulates one CertificateReport, one checked point at a time."""
 
-    report_id: str
-    n_samples: int = 0
-    n_pass: int = 0
-    n_errors: int = 0
-    worst_lower: float = math.inf
-    worst_upper: float = math.inf
-    failures: list = field(default_factory=list)
-    start: float = field(default_factory=time.perf_counter)
+    def __init__(self, report_id: str):
+        self.report_id = report_id
+        self.n_samples = self.n_pass = self.n_errors = 0
+        self.worst_lower = self.worst_upper = math.inf
+        self.failures = []
+        self.start = time.perf_counter()
 
     def add(
         self, lower_margin: float, upper_margin: float, passed: bool, failure: Callable[[], dict]

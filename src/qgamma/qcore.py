@@ -4,13 +4,18 @@ All higher modules build on two things defined here: the deformation
 parameter wrapper ``QParam`` (which pins down how powers of q are computed)
 and ``sum_geometric_decay`` (which turns a term function plus a geometric
 domination ratio into a value with a certified truncation bound).
+
+The value types of the package (``QParam``, ``EvalConfig``, ``Evaluation``
+here, ``PsiRoot``, ``BoundPair``, ``DomainSpec`` and the report records of
+the other modules) are immutable ``typing.NamedTuple`` records: they unpack,
+index and compare equal to plain tuples of their fields.  Those with a
+domain rule check it on every construction path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DomainError, NonConvergence, Overflow
 
@@ -27,41 +32,67 @@ REL_TOL = 1e-13
 ABS_TOL = 1e-300
 
 
-@dataclass(frozen=True)
-class QParam:
+class _QParamFields(NamedTuple):
+    q: float
+    ln_q: float
+
+
+class QParam(_QParamFields):
     """Deformation parameter q, strictly inside (0, 1).
 
     ``ln_q`` is computed once at construction, and every power of q in the
     package is taken from it: q^x as exp(x * ln_q), 1 - q^x as
     -expm1(x * ln_q), through :func:`q_pow` and :func:`q_bracket` or written
-    out in the loops of ``psi_q``, ``psi_q_m`` and ``ln_gamma_q``.
+    out in the loops of ``psi_q``, ``psi_q_m`` and ``ln_gamma_q``.  Built
+    from q alone; ``_replace(q=...)``, ``_make``, copies and pickles all
+    pass through the same check.
     """
 
-    q: float
-    ln_q: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.q < _Q_UPPER_CUTOFF):
-            raise DomainError(f"q must satisfy 0 < q < 1 - 1e-12, got {self.q!r}")
-        object.__setattr__(self, "ln_q", math.log(self.q))
+    def __new__(cls, q: float):
+        if not (0.0 < q < _Q_UPPER_CUTOFF):
+            raise DomainError(f"q must satisfy 0 < q < 1 - 1e-12, got {q!r}")
+        return tuple.__new__(cls, (q, math.log(q)))
+
+    def __getnewargs__(self):
+        return (self.q,)
+
+    @classmethod
+    def _make(cls, iterable) -> QParam:
+        q, ln_q = iterable
+        made = cls(q)
+        if ln_q != made.ln_q:
+            raise DomainError(f"ln_q must be math.log(q), got {ln_q!r} for q={q!r}")
+        return made
+
+    def _replace(self, *, q: Optional[float] = None) -> QParam:
+        return QParam(self.q if q is None else q)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class _EvalConfigFields(NamedTuple):
+    max_terms: int
+
+
+class EvalConfig(_EvalConfigFields):
     """The term cap of series evaluation; the accuracy is fixed by REL_TOL."""
 
-    max_terms: int = 10**6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms!r}")
+    def __new__(cls, max_terms: int = 10**6):
+        if max_terms < 1:
+            raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
+        return tuple.__new__(cls, (max_terms,))
+
+    @classmethod
+    def _make(cls, iterable) -> EvalConfig:
+        return cls(*iterable)
 
 
 DEFAULT_CONFIG = EvalConfig()
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """A computed value with an a-posteriori truncation bound.
 
     ``error_estimate`` bounds the omitted series tail under the geometric
@@ -141,15 +172,10 @@ def sum_geometric_decay(
         raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
     inv_gap = 1.0 / (1.0 - decay_ratio)
     total = 0.0
-    used = 0
-    n = start_index
-    nxt = term(n)
-    estimate = abs(nxt) * inv_gap
-    while used < cfg.max_terms:
+    nxt = term(start_index)
+    for used in range(1, cfg.max_terms + 1):
         total += nxt
-        used += 1
-        n += 1
-        nxt = term(n)
+        nxt = term(start_index + used)
         estimate = abs(nxt) * inv_gap
         threshold = REL_TOL * total
         if threshold < 0.0:
@@ -158,4 +184,4 @@ def sum_geometric_decay(
             threshold = ABS_TOL
         if estimate <= threshold:
             return Evaluation(total, estimate, used)
-    raise cap_error(cfg, total, estimate, used)
+    raise cap_error(cfg, total, estimate, cfg.max_terms)

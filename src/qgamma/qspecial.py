@@ -16,14 +16,15 @@ psi_q and psi_q^(m) take K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
 (s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and sum the rest as their
 geometric n-series at x + K, one path for every x: at most about
 2 sqrt(30/(1-q)) terms, with the first omitted tail term, over one minus
-its certified ratio, as the error bound.
+its certified ratio, as the error bound.  Results are Evaluation and
+PsiRoot records, immutable NamedTuples that unpack, index and compare
+equal to plain tuples (see ``qcore``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constants import BERNOULLI, MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow
@@ -278,47 +279,6 @@ def _head_length(x: float, q: QParam) -> int:
     return max(0, math.ceil(math.sqrt(_TAIL_LOG / -q.ln_q) - x))
 
 
-def _head_plus_tail(
-    head, k_end: int, tail_term, tail_ratio: float, power: int,
-    offset: float, q: QParam, cfg: EvalConfig, name: str, *args,
-) -> Evaluation:
-    """offset + head(0, k_end) + (ln q)^power sum_{n>=1} tail_term(n), where
-    head(i, j) sums the k-form terms i <= k < j.
-
-    The head terms are the first k_end terms of a k-form whose ratio q is
-    certified from k = 0; they count against cfg.max_terms, and the tail
-    goes to sum_geometric_decay with the rest of the budget.  When the cap
-    is hit in the head, or leaves nothing for the tail, NonConvergence
-    carries the partial value with the bound |next head term| / (1-q) on
-    the rest of the k-form; when it is hit in the tail, the head plus the
-    tail's partial value.  ``terms_used`` is k_end plus the tail terms.
-
-    Only the k = 0 head term can leave the double range (x near the pole at
-    0, where 1 - q^x is 0 or small enough for a quotient or power by it to
-    overflow), and every term has the sign of the sum, so the sum leaves
-    it too: Overflow, named name(*args).  So does a tail summand, the tail
-    sum, the scale (ln q)^power or the value that leaves it.
-    """
-    limit = min(k_end, cfg.max_terms)
-    try:
-        value = head(0, limit)
-        scale = q.ln_q**power
-        if limit < cfg.max_terms and math.isfinite(value):
-            try:
-                tail = sum_geometric_decay(tail_term, tail_ratio, 1, EvalConfig(cfg.max_terms - limit) if limit else cfg)
-            except NonConvergence as exc:
-                partial = offset + (value + scale * exc.partial_value)
-                raise cap_error(cfg, partial, abs(scale) * exc.error_estimate, cfg.max_terms) from None
-            value = offset + (value + scale * tail.value)
-    except (ZeroDivisionError, OverflowError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise Overflow(f"{name}{args!r} exceeds the double range")
-    if limit == cfg.max_terms:
-        raise cap_error(cfg, offset + value, abs(head(limit, limit + 1)) / (1.0 - q.q), limit)
-    return Evaluation(value, abs(scale) * tail.error_estimate, limit + tail.terms_used)
-
-
 def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), as K
     recurrence steps plus that series at the shifted argument y = x + K.
@@ -338,37 +298,63 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     ln q inside, so that a value near the pole at 0 stays in range as long
     as the result does; one beyond it raises Overflow.  The tail's 1 - q^n
     is -expm1(n ln q), which keeps its digits as q -> 1.
+
+    The head terms count against cfg.max_terms and the tail goes to
+    sum_geometric_decay with the rest of the budget.  A cap in the head
+    raises NonConvergence with the head's partial value and the bound
+    |next head term| / (1-q) on the rest of the k-form, which falls by q
+    per term; a cap in the tail, with the head plus the tail's partial value
+    and the tail's bound.  ``terms_used`` is K plus the tail terms.
     """
     require_positive(x)
     exp = math.exp
     expm1 = math.expm1
     ln_q = q.ln_q
     s = -ln_q
+    max_terms = cfg.max_terms
     k_end = _head_length(x, q)
+    limit = min(k_end, max_terms)
     y_ln_q = (x + k_end) * ln_q
-
-    def head(start: int, stop: int) -> float:
-        acc = 0.0
-        for k in range(start, stop):
-            acc += ln_q / expm1(s * (x + k))
-        return acc
+    offset = -math.log1p(-q.q)
 
     # exp(n y ln q) inlined from q_pow; this loop dominates every
     # certification run.
     def tail_term(n: int) -> float:
         return exp(n * y_ln_q) / -expm1(n * ln_q)
 
-    qy = max(exp(y_ln_q), _LEAST_RATIO)
-    return _head_plus_tail(head, k_end, tail_term, qy, 1, -math.log1p(-q.q), q, cfg, "psi_q", x, q.q)
+    value = term = 0.0
+    try:
+        # Each term is added one step late, so that a cap in the head leaves
+        # the first term it cut in ``term``.
+        for k in range(limit + 1 if limit == max_terms else limit):
+            value += term
+            term = ln_q / expm1(s * (x + k))
+        if limit < max_terms:
+            value += term
+            if math.isfinite(value):
+                ratio = max(exp(y_ln_q), _LEAST_RATIO)
+                tail = sum_geometric_decay(tail_term, ratio, 1, EvalConfig(max_terms - limit) if limit else cfg)
+                value = offset + (value + ln_q * tail.value)
+    except NonConvergence as exc:
+        partial = offset + (value + ln_q * exc.partial_value)
+        raise cap_error(cfg, partial, s * exc.error_estimate, max_terms) from None
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise Overflow(f"psi_q{(x, q.q)!r} exceeds the double range")
+    if limit == max_terms:
+        raise cap_error(cfg, offset + value, abs(term) / (1.0 - q.q), limit)
+    return Evaluation(value, s * tail.error_estimate, limit + tail.terms_used)
 
 
 def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     """m-th derivative of psi_q: (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n),
     as K recurrence steps plus that series at y = x + K.
 
-    Sign follows (ln q)^(m+1): positive for odd m, negative for even m.
+    Sign follows (ln q)^(m+1) = (-1)^(m+1) s^(m+1), s = -ln q: positive for
+    odd m, negative for even m.
 
-    As for psi_q, with psi_q's K, the double series
+    As for psi_q, with psi_q's K and its cap rules, the double series
     sum_{n>=1, k>=0} n^m q^(n(x+k)) is summed along k for k < K and along
     n at y for the rest:
         (ln q)^(m+1) [sum_{k<K} Li_{-m}(u_k) + sum_{n>=1} n^m q^(ny) / (1-q^n)],
@@ -376,12 +362,14 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     and A_m the Eulerian polynomial.  Each 1 - u is -expm1((x+k) ln q), and
     (ln q)^(m+1) is taken into each head term as (ln q / (1-u_k))^(m+1), so
     that a value near the pole at 0 stays in range as long as the result
-    does; one beyond it raises Overflow.  So does a tail summand, taken as
-    (n q^(ny/m))^m / (1-q^n) so that no factor leaves the range before it,
-    the tail sum, or (ln q)^(m+1).  A_m takes about m^3 steps to build, so
-    it is built only for a nonempty head, and first s^(m+1) n^m q^(nx)
-    (s = -ln q), below |psi_q^(m)(x)| at every n >= 1, is checked against
-    the range at n = max(1, round(m / (s x))), near its largest.
+    does; one beyond it raises Overflow.  s^(m+1) is taken into each tail
+    summand too, as (n q^(ny/m) s^((m+1)/m))^m / (1-q^n), with the sign
+    applied once to the tail sum, so that no factor leaves the range before
+    the summand does; a summand or sum beyond it raises Overflow.  A_m
+    takes about m^3 steps to build, so it is built only for a nonempty
+    head, and first s^(m+1) n^m q^(nx), below |psi_q^(m)(x)| at every
+    n >= 1, is checked against the range at n = max(1, round(m / (s x))),
+    near its largest.
 
     The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) approaches q^y
     from above, so plain q^y does not dominate.  It is below 2^m q^y for
@@ -406,25 +394,14 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
         raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
     power = m + 1
+    sign = 1.0 if m % 2 else -1.0
+    max_terms = cfg.max_terms
     k_end = _head_length(x, q)
+    limit = min(k_end, max_terms)
     eulerian = _eulerian(int(m))[::-1] if k_end else ()
     y_ln_q = (x + k_end) * ln_q
     y_ln_q_over_m = y_ln_q / m
-
-    def head(start: int, stop: int) -> float:
-        acc = 0.0
-        for k in range(start, stop):
-            t = (x + k) * ln_q
-            u = exp(t)
-            a = 0.0
-            for c in eulerian:
-                a = a * u + c
-            acc += u * a * (ln_q / -expm1(t)) ** power
-        return acc
-
-    def tail_term(n: int) -> float:
-        return (n * exp(n * y_ln_q_over_m)) ** m / -expm1(n * ln_q)
-
+    scale = s * s ** (1.0 / m)  # s^((m+1)/m)
     qy = max(exp(y_ln_q), _LEAST_RATIO)
     if qy < 0.5 ** (m + 1):
         ratio = math.ldexp(qy, int(m))
@@ -437,7 +414,35 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
             inflated = exp(log_inflated)
             if inflated < ratio:
                 ratio = inflated if inflated > _LEAST_RATIO else _LEAST_RATIO
-    return _head_plus_tail(head, k_end, tail_term, ratio, power, 0.0, q, cfg, "psi_q_m", m, x, q.q)
+
+    def tail_term(n: int) -> float:
+        return (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+
+    value = term = 0.0
+    try:
+        # Added one step late, as in psi_q.
+        for k in range(limit + 1 if limit == max_terms else limit):
+            value += term
+            t = (x + k) * ln_q
+            u = exp(t)
+            a = 0.0
+            for c in eulerian:
+                a = a * u + c
+            term = u * a * (ln_q / -expm1(t)) ** power
+        if limit < max_terms:
+            value += term
+            if math.isfinite(value):
+                tail = sum_geometric_decay(tail_term, ratio, 1, EvalConfig(max_terms - limit) if limit else cfg)
+                value += sign * tail.value
+    except NonConvergence as exc:
+        raise cap_error(cfg, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
+    if limit == max_terms:
+        raise cap_error(cfg, value, abs(term) / (1.0 - q.q), limit)
+    return Evaluation(value, tail.error_estimate, limit + tail.terms_used)
 
 
 def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
@@ -446,8 +451,7 @@ def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     return Evaluation(-ev.value, ev.error_estimate, ev.terms_used)
 
 
-@dataclass(frozen=True)
-class PsiRoot:
+class PsiRoot(NamedTuple):
     """The unique positive zero of psi_q with its certifying bracket."""
 
     q: QParam

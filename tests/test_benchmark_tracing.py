@@ -84,3 +84,16 @@ def test_tracer_counts_series_terms_below_one(monkeypatch):
     # K = max(0, ceil(sqrt(-ln REL_TOL / -ln q) - x)), 17 here.
     k_end = max(0, math.ceil(math.sqrt(-math.log(REL_TOL) / -math.log(0.9)) - 0.05))
     assert values["qspecial.psi_q.terms"] - values["qcore.sum_geometric_decay.terms"] == k_end == 17
+
+
+def test_psi_q_m_sums_its_tail_through_the_engine(monkeypatch):
+    # psi_q_m sums its K head terms itself and hands the tail to
+    # sum_geometric_decay once, as psi_q does; K = 17 here, as above.
+    summary = _traced_summary(monkeypatch, lambda: qspecial.psi_q_m(2, 0.05, QParam(0.9)))
+    from tracing import layer_values
+
+    values = layer_values(summary)
+    assert summary["spans"]["qcore.sum_geometric_decay"]["calls"] == 1
+    assert values["qspecial.psi_q_m.calls"] == 1
+    assert values["qcore.sum_geometric_decay.terms"] > 0
+    assert values["qspecial.psi_q_m.terms"] - values["qcore.sum_geometric_decay.terms"] == 17

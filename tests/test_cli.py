@@ -363,3 +363,16 @@ def test_cli_import_loads_no_numpy():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # The value types are NamedTuple records; dataclasses pulls in inspect,
+    # about 30 ms of every cold start.
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qgamma.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

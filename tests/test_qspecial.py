@@ -302,14 +302,13 @@ class TestPsiQM:
 
     @pytest.mark.parametrize("qv", [1e-10, 0.9])
     def test_scale_or_sum_beyond_the_range_is_no_bare_overflow_error(self, qv):
-        # At m = 300, x = 30 the scale (ln q)^301 is about e^944 at q = 1e-10,
-        # and the n-sum passes e^1000 at q = 0.9, while the values are in
-        # range: an Overflow, or the right value, never a bare OverflowError.
-        try:
-            ev = psi_q_m(300, 30.0, QParam(qv))
-        except Overflow:
-            return
+        # At m = 300, x = 30 the scale (ln q)^301 alone is about e^944 at
+        # q = 1e-10, and the n-sum alone passes e^1000 at q = 0.9, while the
+        # values are in range: s^301 is taken into each tail summand, so
+        # they come out right, neither an OverflowError nor an Overflow.
+        ev = psi_q_m(300, 30.0, QParam(qv))
         oracle = float(mp_psi_q_m(300, 30, str(qv), terms=40))
+        assert oracle == pytest.approx({1e-10: -1.0640e110, 0.9: -7.4529e169}[qv], rel=1e-4)
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
 
     def test_cap_errors_share_one_message(self):
