@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional, Tuple
 from .classical import ln_gamma_classical, psi_classical
 from .constants import CERT_SLACK_LOG, MAX_EXP
 from .errors import AlphaBelowRoot, DomainError
-from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, q_bracket, q_bracket_derivative, q_pow, require_positive
+from .qcore import (DEFAULT_CONFIG, EvalConfig, QParam, new_record, q_bracket, q_bracket_derivative, q_pow,
+                    require_positive)
 from .qspecial import ln_gamma_q, psi_q, psi_q_root
 
 def _safe_exp(z: float) -> float:
@@ -56,16 +57,8 @@ def _pair(log_lower: float, log_ratio: float, log_upper: float, strict: bool) ->
     lower = _safe_exp(log_lower)
     ratio = _safe_exp(log_ratio)
     upper = _safe_exp(log_upper)
-    return BoundPair(
-        lower=lower,
-        ratio=ratio,
-        upper=upper,
-        lower_margin=ratio - lower,
-        upper_margin=upper - ratio,
-        strict=strict,
-        log_lower=log_lower,
-        log_ratio=log_ratio,
-        log_upper=log_upper,
+    return new_record(
+        BoundPair, (lower, ratio, upper, ratio - lower, upper - ratio, strict, log_lower, log_ratio, log_upper)
     )
 
 
@@ -214,16 +207,11 @@ def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONF
     lower = inner.lower / bracket
     ratio = inner.ratio / bracket
     upper = inner.upper / bracket
-    return BoundPair(
-        lower=lower,
-        ratio=ratio,
-        upper=upper,
-        lower_margin=ratio - lower,
-        upper_margin=upper - ratio,
-        strict=inner.strict,
-        log_lower=inner.log_lower - log_bracket,
-        log_ratio=inner.log_ratio - log_bracket,
-        log_upper=inner.log_upper - log_bracket,
+    log_lower = inner.log_lower - log_bracket
+    log_ratio = inner.log_ratio - log_bracket
+    log_upper = inner.log_upper - log_bracket
+    return new_record(
+        BoundPair, (lower, ratio, upper, ratio - lower, upper - ratio, inner.strict, log_lower, log_ratio, log_upper)
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .constants import BERNOULLI
-from .qcore import Evaluation, require_positive
+from .qcore import Evaluation, new_record, require_positive
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -62,7 +62,7 @@ def ln_gamma_classical(x: float) -> Evaluation:
             product *= x + k
         value -= math.log(x) + math.log(product)
     omitted = _LN_GAMMA_OMITTED * w**_SERIES_TERMS / z
-    return Evaluation(value, omitted, n + _SERIES_TERMS)
+    return new_record(Evaluation, (value, omitted, n + _SERIES_TERMS))
 
 
 def psi_classical(x: float) -> Evaluation:
@@ -78,4 +78,4 @@ def psi_classical(x: float) -> Evaluation:
     for k in range(n - 1, -1, -1):  # smallest reciprocals first
         value -= 1.0 / (x + k)
     omitted = _PSI_OMITTED * w ** (_SERIES_TERMS + 1)
-    return Evaluation(value, omitted, n + _SERIES_TERMS)
+    return new_record(Evaluation, (value, omitted, n + _SERIES_TERMS))

@@ -144,54 +144,73 @@ def _attempt(fn: Callable, *args):
         return exc
 
 
-def _draw(rng: random.Random, interval: Tuple[float, float]) -> float:
-    return rng.uniform(interval[0], interval[1])
+def _uniform(rng: random.Random, interval: Tuple[float, float]) -> Callable[[], float]:
+    """A draw function for ``interval``: a + (b - a) U with U = rng.random(),
+    what rng.uniform(a, b) computes, with b - a formed once."""
+    a, b = interval
+    width = b - a
+    unit = rng.random
+    return lambda: a + width * unit()
 
 
-def _draw_q(rng: random.Random, q_range: Tuple[float, float]) -> float:
+def _q_draw(rng: random.Random, q_range: Tuple[float, float]) -> Callable[[], float]:
+    """A draw function for q: log-uniform in 1 - q when the range spans more
+    than a decade of 1 - q, so both the q->0 and q->1 regimes get stressed,
+    as 1 - exp(rng.uniform(ln(1 - hi), ln(1 - lo))); uniform otherwise."""
     lo, hi = q_range
-    # Log-uniform in 1-q when the range spans more than a decade of 1-q,
-    # so both the q->0 and q->1 regimes get stressed.
     if (1.0 - lo) / (1.0 - hi) > 10.0:
-        return 1.0 - math.exp(rng.uniform(math.log(1.0 - hi), math.log(1.0 - lo)))
-    return _draw(rng, q_range)
+        a = math.log(1.0 - hi)
+        width = math.log(1.0 - lo) - a
+        unit = rng.random
+        exp = math.exp
+        return lambda: 1.0 - exp(a + width * unit())
+    return _uniform(rng, q_range)
 
 
 def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
     """Draw ``count`` points from ``spec`` with rejection on its constraint,
     from the stream of ``random.Random(seed)``; alpha sits above the psi_q root
-    solved under DEFAULT_CONFIG, so the points depend on the seed alone."""
+    solved under DEFAULT_CONFIG, so the points depend on the seed alone.
+
+    Each point draws x, then y, then q, then the alpha offset, or mu and
+    lambda, or the aux value, each as ``rng.uniform`` over its range would
+    (q log-uniform in 1 - q over ranges wider than a decade)."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     # random.Random(-s) would replay the stream of s.
     if not isinstance(seed, int) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = random.Random(seed)
+    draw_x = _uniform(rng, spec.x_range)
+    draw_y = _uniform(rng, spec.y_range) if spec.y_range is not None else None
+    draw_q = _q_draw(rng, spec.q_range) if spec.q_range is not None else None
+    draw_aux = _uniform(rng, spec.aux_range) if spec.aux_range is not None else None
+    constraint = spec.constraint
     points = []
     for index in range(count):
         for _ in range(_REJECTION_CAP):
-            x = _draw(rng, spec.x_range)
-            y = _draw(rng, spec.y_range) if spec.y_range is not None else None
-            q = _draw_q(rng, spec.q_range) if spec.q_range is not None else None
+            x = draw_x()
+            y = draw_y() if draw_y is not None else None
+            q = draw_q() if draw_q is not None else None
             aux = None
-            if spec.constraint == "alpha_at_least_root":
-                offset = _draw(rng, spec.aux_range)
+            if constraint == "alpha_at_least_root":
+                offset = draw_aux()
                 aux = cached_psi_root(QParam(q)) + offset
-            elif spec.constraint == "mu_greater_than_lambda":
-                mu = _draw(rng, spec.aux_range)
-                lam = _draw(rng, spec.aux_range)
+            elif constraint == "mu_greater_than_lambda":
+                mu = draw_aux()
+                lam = draw_aux()
                 if not mu > lam + MIN_PAIR_GAP:
                     continue
                 aux = (mu, lam)
-            elif spec.aux_range is not None:
-                aux = _draw(rng, spec.aux_range)
-            if spec.constraint == "x_greater_than_y" and not x > y + MIN_PAIR_GAP:
+            elif draw_aux is not None:
+                aux = draw_aux()
+            if constraint == "x_greater_than_y" and not x > y + MIN_PAIR_GAP:
                 continue
             points.append((x, y, q, aux))
             break
         else:
             raise RejectionOverflow(
-                f"constraint {spec.constraint!r} not satisfied within "
+                f"constraint {constraint!r} not satisfied within "
                 f"{_REJECTION_CAP} draws at point {index}"
             )
     return SampleBatch(seed=seed, count=count, points=tuple(points))

@@ -9,7 +9,10 @@ The value types of the package (``QParam``, ``EvalConfig``, ``Evaluation``
 here, ``PsiRoot``, ``BoundPair``, ``DomainSpec`` and the report records of
 the other modules) are immutable ``typing.NamedTuple`` records: they unpack,
 index and compare equal to plain tuples of their fields.  Those with a
-domain rule check it on every construction path.
+domain rule check it on every construction path.  Hot paths build
+``Evaluation`` and ``BoundPair`` with ``new_record`` (``tuple.__new__``):
+the same object the constructor makes, without its Python frame; a record
+with a domain rule is never built that way.
 """
 
 from __future__ import annotations
@@ -104,6 +107,12 @@ class Evaluation(NamedTuple):
     terms_used: int
 
 
+# new_record(Cls, (field, ...)) is Cls(field, ...) for a NamedTuple record
+# without a domain rule, built in one C call: a NamedTuple's generated
+# __new__ is tuple.__new__(cls, fields) behind a Python frame.
+new_record = tuple.__new__
+
+
 def require_positive(value: float, name: str = "x") -> None:
     """The one domain rule for an argument that must be positive: finite
     and > 0, else DomainError."""
@@ -156,24 +165,38 @@ def sum_geometric_decay(
     decay_ratio: float,
     start_index: int,
     cfg: EvalConfig = DEFAULT_CONFIG,
+    ratio_from: int = 0,
 ) -> Evaluation:
     """Sum term(n) for n >= start_index under geometric tail domination.
 
-    The caller guarantees |term(n+1)| <= decay_ratio * |term(n)| from some
-    index onward (each call site documents its ratio and threshold), which
-    makes |term(N+1)| / (1 - decay_ratio) an upper bound on the omitted
-    tail after N summed terms.  Summation stops at the first N where that
-    bound drops to max(REL_TOL * |S_N|, ABS_TOL).
+    The caller guarantees |term(n+1)| <= decay_ratio * |term(n)| for every
+    n >= ratio_from, or from start_index on by default (each call site
+    documents its ratio and threshold).  Once the first omitted index n is
+    at least ratio_from, |term(n)| / (1 - decay_ratio) therefore bounds the
+    omitted tail.  Summation stops at the first such n where that bound
+    drops to max(REL_TOL * |S|, ABS_TOL), S the partial sum; the terms
+    before it are summed with no stop test, and count against max_terms
+    like the rest.
 
     Raises NonConvergence, carrying the partial sum, if max_terms is
-    reached first.
+    reached first; its estimate is inf if no stop test was reached.
     """
     if not (0.0 < decay_ratio < 1.0):
         raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
     inv_gap = 1.0 / (1.0 - decay_ratio)
+    max_terms = cfg.max_terms
     total = 0.0
-    nxt = term(start_index)
-    for used in range(1, cfg.max_terms + 1):
+    untested = ratio_from - start_index - 1
+    if untested > 0:
+        # No bound holds before ratio_from, so no stop test either.
+        for n in range(start_index, start_index + min(untested, max_terms)):
+            total += term(n)
+        if untested >= max_terms:
+            raise cap_error(cfg, total, math.inf, max_terms)
+    else:
+        untested = 0
+    nxt = term(start_index + untested)
+    for used in range(untested + 1, max_terms + 1):
         total += nxt
         nxt = term(start_index + used)
         estimate = abs(nxt) * inv_gap
@@ -183,5 +206,5 @@ def sum_geometric_decay(
         if threshold < ABS_TOL:
             threshold = ABS_TOL
         if estimate <= threshold:
-            return Evaluation(total, estimate, used)
-    raise cap_error(cfg, total, estimate, cfg.max_terms)
+            return new_record(Evaluation, (total, estimate, used))
+    raise cap_error(cfg, total, estimate, max_terms)

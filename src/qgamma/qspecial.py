@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .constants import BERNOULLI, MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow
-from .qcore import (DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, cap_error,
+from .qcore import (DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, new_record,
                     require_positive, sum_geometric_decay)
 
 
@@ -239,7 +239,11 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
             ax = ax * ux + c
             ay = ay * uy + c
         cx, cy = coef * px * ax, coef * py * ay
-        bound = max(abs(cx), abs(cy))
+        # max(|cx|, |cy|): cx and cy have the sign of coef (or are zero).
+        if coef > 0.0:
+            bound = cx if cx > cy else cy
+        else:
+            bound = -cx if cx < cy else -cy
         if bound <= tol or j == allowed:
             break
         value += cx - cy
@@ -249,7 +253,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
         value = -value
     if bound > tol and j < _EM_TERMS:
         raise cap_error(cfg, value, bound, n + j)
-    return Evaluation(value, bound, n + j)
+    return new_record(Evaluation, (value, bound, n + j))
 
 
 def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
@@ -258,7 +262,7 @@ def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation
     if ln_ev.value > MAX_EXP:
         raise Overflow(f"Gamma_q({x}, q={q.q}) exceeds the double range (ln = {ln_ev.value:.6g})")
     value = math.exp(ln_ev.value)
-    return Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)
+    return new_record(Evaluation, (value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used))
 
 
 # -ln REL_TOL: a tail at ratio q^y falls below REL_TOL of its first term
@@ -344,7 +348,7 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
         raise Overflow(f"psi_q{(x, q.q)!r} exceeds the double range")
     if limit == max_terms:
         raise cap_error(cfg, offset + value, abs(term) / (1.0 - q.q), limit)
-    return Evaluation(value, s * tail.error_estimate, limit + tail.terms_used)
+    return new_record(Evaluation, (value, s * tail.error_estimate, limit + tail.terms_used))
 
 
 def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
@@ -377,10 +381,12 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     the tail bound holds after any number of terms, a cap stop included.
     Otherwise we pass the inflated ratio
         r = min((9/8)^m q^y, (1+q^y)/2),
-    valid for all n >= 8 in the first branch and for all n beyond a small
-    threshold ~2m/(1-q^y) in the second; there q^y >= 2^-(m+1), and the
-    stopping index exceeds both whenever the tail estimate is at all
-    significant.
+    which holds from n0 = 8 in the first branch and from
+    n0 = ceil(m / ln((1+q^y) / (2 q^y))) in the second, and
+    sum_geometric_decay sums the summands below n0 with no stop test.  They
+    can rise to a peak near n = m / (s y) from below the double range or
+    ABS_TOL, so a stop test there would bound nothing: at m = 2100,
+    x = 1000, q = 0.5 it would return 0.0 for about -3.14e-236.
     """
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
@@ -403,6 +409,7 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     y_ln_q_over_m = y_ln_q / m
     scale = s * s ** (1.0 / m)  # s^((m+1)/m)
     qy = max(exp(y_ln_q), _LEAST_RATIO)
+    ratio_from = 1
     if qy < 0.5 ** (m + 1):
         ratio = math.ldexp(qy, int(m))
     else:
@@ -410,10 +417,19 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         # m = 6027; at 1 or above it cannot be the smaller of the two.
         ratio = 0.5 * (1.0 + qy)
         log_inflated = m * _LN_9_8 + y_ln_q
-        if log_inflated < 0.0:
-            inflated = exp(log_inflated)
-            if inflated < ratio:
-                ratio = inflated if inflated > _LEAST_RATIO else _LEAST_RATIO
+        inflated = exp(log_inflated) if log_inflated < 0.0 else ratio
+        if inflated < ratio:
+            ratio = inflated if inflated > _LEAST_RATIO else _LEAST_RATIO
+            ratio_from = 8
+        else:
+            # (1+1/n)^m <= e^(m/n) <= (1+q^y) / (2 q^y) from n0 on; the log
+            # keeps its digits from 1 - q^y where q^y is near 1, and cannot
+            # overflow where q^y is tiny.
+            if qy > 0.25:
+                log_ratio_gap = math.log1p(-expm1(y_ln_q) / (2.0 * qy))
+            else:
+                log_ratio_gap = math.log1p(qy) - _LN2 - y_ln_q
+            ratio_from = math.ceil(m / log_ratio_gap)
 
     def tail_term(n: int) -> float:
         return (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
@@ -432,7 +448,8 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                tail = sum_geometric_decay(tail_term, ratio, 1, EvalConfig(max_terms - limit) if limit else cfg)
+                tail_cfg = EvalConfig(max_terms - limit) if limit else cfg
+                tail = sum_geometric_decay(tail_term, ratio, 1, tail_cfg, ratio_from)
                 value += sign * tail.value
     except NonConvergence as exc:
         raise cap_error(cfg, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
@@ -442,13 +459,13 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
     if limit == max_terms:
         raise cap_error(cfg, value, abs(term) / (1.0 - q.q), limit)
-    return Evaluation(value, tail.error_estimate, limit + tail.terms_used)
+    return new_record(Evaluation, (value, tail.error_estimate, limit + tail.terms_used))
 
 
 def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     """q-extension of the Euler-Mascheroni constant: -psi_q(1)."""
     ev = psi_q(1.0, q, cfg)
-    return Evaluation(-ev.value, ev.error_estimate, ev.terms_used)
+    return new_record(Evaluation, (-ev.value, ev.error_estimate, ev.terms_used))
 
 
 class PsiRoot(NamedTuple):

@@ -283,6 +283,18 @@ class TestVerify:
         seen = [r["inequality_id"] for r in json.loads(res.stdout)]
         assert seen == list(ALL_CHECK_IDS)
 
+    def test_all_is_determined_by_its_seed(self):
+        # Two processes, so that neither run can lean on the other's root cache.
+        outputs = []
+        for _ in range(2):
+            res = run_cli("verify", "--ineq", "all", "--samples", "20", "--seed", "3", "--format", "json")
+            assert res.returncode == 0, res.stderr
+            reports = json.loads(res.stdout)
+            for report in reports:
+                assert report.pop("wall_time_s") >= 0.0
+            outputs.append(json.dumps(reports))
+        assert outputs[0] == outputs[1]
+
 
 class TestRoot:
     def test_reference_root(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from oracles import mp_ln_gamma_q, mp_q_bracket
 from qgamma.errors import AlphaBelowRoot, DomainError, RejectionOverflow
 from qgamma import bounds, propcheck
 from qgamma.qcore import EvalConfig, QParam, q_bracket_derivative
-from qgamma.qspecial import psi_q
+from qgamma.constants import MIN_PAIR_GAP
+from qgamma.qspecial import psi_q, psi_q_root
 from qgamma.bounds import DomainSpec, INEQUALITY_IDS, cached_psi_root, default_domain
 from qgamma.propcheck import (
     ALL_CHECK_IDS,
@@ -86,11 +88,60 @@ class TestSample:
             assert point[:3] == (x, y, q)
             assert point[3] == pytest.approx(aux, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [5, 2024])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            default_domain("thm_main"),
+            default_domain("thm_mvt"),
+            default_domain("cor_mu_lambda"),
+            default_domain("thm_alpha"),
+            default_domain("keckic_vasic"),
+            DomainSpec((0.5, 2.0), None, (0.3, 0.6), (1.0, 4.0)),
+        ],
+        ids=["none", "x_greater_than_y", "mu_greater_than_lambda", "alpha_at_least_root", "no_q", "narrow_q_aux"],
+    )
+    def test_draws_what_random_uniform_draws(self, spec, seed):
+        assert sample(spec, seed, 40).points == _reference_points(spec, seed, 40)
+
     @pytest.mark.parametrize("seed", [-1, -42, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         # random.Random(-s) would replay the stream of s.
         with pytest.raises(DomainError):
             sample(default_domain("thm_main"), seed, 5)
+
+
+def _reference_points(spec: DomainSpec, seed: int, count: int) -> tuple:
+    """The documented draw order, from random.Random(seed).uniform: x, then
+    y, then q (log-uniform in 1 - q over ranges wider than a decade), then
+    the alpha offset above the psi_q root, or mu and lambda, or aux."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        x = rng.uniform(*spec.x_range)
+        y = rng.uniform(*spec.y_range) if spec.y_range is not None else None
+        q = None
+        if spec.q_range is not None:
+            lo, hi = spec.q_range
+            if (1.0 - lo) / (1.0 - hi) > 10.0:
+                q = 1.0 - math.exp(rng.uniform(math.log(1.0 - hi), math.log(1.0 - lo)))
+            else:
+                q = rng.uniform(lo, hi)
+        aux = None
+        if spec.constraint == "alpha_at_least_root":
+            aux = psi_q_root(QParam(q)).root + rng.uniform(*spec.aux_range)
+        elif spec.constraint == "mu_greater_than_lambda":
+            mu = rng.uniform(*spec.aux_range)
+            lam = rng.uniform(*spec.aux_range)
+            if not mu > lam + MIN_PAIR_GAP:
+                continue
+            aux = (mu, lam)
+        elif spec.aux_range is not None:
+            aux = rng.uniform(*spec.aux_range)
+        if spec.constraint == "x_greater_than_y" and not x > y + MIN_PAIR_GAP:
+            continue
+        points.append((x, y, q, aux))
+    return tuple(points)
 
 
 class TestLinspace:
@@ -332,12 +383,13 @@ class TestRegistry:
 
 class TestDeterminismAndSerialization:
     def test_reports_identical_apart_from_wall_time(self):
-        a = run_check("thm_mvt", seed=6, samples=80)
-        b = run_check("thm_mvt", seed=6, samples=80)
-        assert a._replace(wall_time=0.0) == b._replace(wall_time=0.0)
-        da, db = report_to_dict(a), report_to_dict(b)
-        da.pop("wall_time_s"), db.pop("wall_time_s")
-        assert json.dumps(da) == json.dumps(db)
+        for check_id, samples in (("thm_mvt", 80), *((cid, 20) for cid in ALL_CHECK_IDS)):
+            a = run_check(check_id, seed=6, samples=samples)
+            b = run_check(check_id, seed=6, samples=samples)
+            assert a._replace(wall_time=0.0) == b._replace(wall_time=0.0), check_id
+            da, db = report_to_dict(a), report_to_dict(b)
+            da.pop("wall_time_s"), db.pop("wall_time_s")
+            assert json.dumps(da) == json.dumps(db), check_id
 
     def test_json_schema_fields(self):
         report = run_check("thm_mvt", seed=1, samples=10)

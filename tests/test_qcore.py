@@ -193,6 +193,37 @@ class TestSumGeometricDecay:
         assert ev.terms_used == 1
         assert ev.error_estimate <= ABS_TOL
 
+    def test_no_stop_before_ratio_from(self):
+        # The terms rise to n = 5 and fall by 1/2 from there; the first two
+        # are zero, which alone would stop the sum after one term.
+        def term(n):
+            return 0.0 if n < 3 else 2.0 ** (n - 5 if n < 5 else 5 - n)
+
+        assert sum_geometric_decay(term, 0.5, 1).value == 0.0
+        ev = sum_geometric_decay(term, 0.5, 1, EvalConfig(), 5)
+        assert ev.value == pytest.approx(0.25 + 0.5 + 2.0, rel=1e-13)
+        assert ev.terms_used >= 4
+
+    def test_ratio_from_at_or_before_the_start_changes_nothing(self):
+        term = lambda n: 0.7**n / n
+        plain = sum_geometric_decay(term, 0.7, 1)
+        for ratio_from in (-3, 0, 1, 2):
+            assert sum_geometric_decay(term, 0.7, 1, EvalConfig(), ratio_from) == plain
+
+    def test_cap_before_ratio_from_has_no_bound(self):
+        calls = []
+
+        def term(n):
+            calls.append(n)
+            return 1.0
+
+        with pytest.raises(NonConvergence) as info:
+            sum_geometric_decay(term, 0.5, 1, EvalConfig(max_terms=3), 10)
+        assert calls == [1, 2, 3]
+        assert info.value.terms_used == 3
+        assert info.value.partial_value == 3.0
+        assert info.value.error_estimate == math.inf
+
 
 class TestRequirePositive:
     def test_accepts_finite_positive(self):

@@ -295,6 +295,31 @@ class TestPsiQM:
         oracle = float(mp_psi_q_m(m, 30, "0.5"))
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
 
+    def test_summands_rising_from_below_the_floor_match_oracle(self):
+        # At m = 2100, x = 1000, q = 0.5 the first summand underflows and the
+        # second is about 1e-305, while they peak near n = m / (s x) ~ 3 at
+        # about 3e-236: no stop test may run before the ratio holds, n >= 8.
+        ev = psi_q_m(2100, 1000.0, QParam(0.5))
+        oracle = float(mp_psi_q_m(2100, 1000, "0.5"))
+        assert oracle == pytest.approx(-3.1400e-236, rel=1e-4)
+        assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
+        assert ev.terms_used >= 7
+
+    @pytest.mark.parametrize("m, x, qv", [(1000, 316.0, 0.74), (800, 300.0, 0.78), (60, 5.0, 0.95)])
+    def test_ratio_past_its_threshold_matches_oracle(self, m, x, qv):
+        # (1+q^y)/2 is the ratio here, below (9/8)^m q^y; it holds only from
+        # n0 = ceil(m / ln((1+q^y) / (2 q^y))) > 8.  In the first two cases
+        # the first two summands are below 1e-300 and the value is about
+        # -2.1e65 and -5.4e-8: a stop test before n0 would return 0.0.
+        q = QParam(qv)
+        y = x + qspecial._head_length(x, q)
+        qy = qv**y
+        assert 1.125**m * qy > (1.0 + qy) / 2.0
+        assert m / math.log((1.0 + qy) / (2.0 * qy)) > 8.0
+        ev = psi_q_m(m, x, q)
+        oracle = float(mp_psi_q_m(m, x, str(qv)))
+        assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
+
     def test_beyond_the_double_range_raises_overflow(self):
         # One summand is about e^50000.
         with pytest.raises(Overflow, match=r"psi_q_m\(7000, 2.0, 0.5\) exceeds the double range"):

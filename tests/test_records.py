@@ -5,14 +5,17 @@ copies and pickles."""
 import copy
 import math
 import pickle
+from functools import partial
 
 import pytest
 
-from qgamma.bounds import INEQUALITIES, BoundPair, DomainSpec, thm_mvt_bounds
+from qgamma import bounds
+from qgamma.bounds import INEQUALITIES, INEQUALITY_IDS, BoundPair, DomainSpec, thm_mvt_bounds
+from qgamma.classical import ln_gamma_classical, psi_classical
 from qgamma.errors import DomainError
 from qgamma.propcheck import CertificateReport, SampleBatch, run_check, sample
-from qgamma.qcore import EvalConfig, Evaluation, QParam
-from qgamma.qspecial import psi_q, psi_q_root
+from qgamma.qcore import EvalConfig, Evaluation, QParam, sum_geometric_decay
+from qgamma.qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
 
 RECORDS = {
     "QParam": lambda: QParam(0.5),
@@ -93,3 +96,53 @@ def test_make_checks_the_domain():
         QParam._make([1.0, 0.0])
     spec = DomainSpec((1.0, 2.0))
     assert DomainSpec._make(spec) == spec
+
+
+# Hot paths build these records without their constructors; each output
+# must still be a record of its class and equal to the constructor's.
+_Q = QParam(0.5)
+BOUNDS_ARGS = {
+    "thm_main": (3.0, 2.0, _Q),
+    "cor_half_shift": (2.0, _Q),
+    "thm_alpha": (3.0, 2.0, 3.0, _Q),
+    "thm_mvt": (3.0, 2.0, _Q),
+    "cor_mu_lambda": (2.0, 1.5, 0.5, _Q),
+    "cor_one_half": (2.0, _Q),
+    "remark_rearranged": (2.0, _Q),
+    "keckic_vasic": (3.0, 2.0),
+    "zhang_xu_situ": (3.0, 2.0),
+}
+EVALUATIONS = {
+    "sum_geometric_decay": lambda: sum_geometric_decay(lambda n: 0.5**n, 0.5, 1),
+    "sum_geometric_decay_ratio_from": lambda: sum_geometric_decay(lambda n: 0.5**n, 0.5, 1, EvalConfig(), 8),
+    "psi_q": lambda: psi_q(2.0, _Q),
+    "psi_q_m": lambda: psi_q_m(2, 2.0, _Q),
+    "psi_q_m_ratio_from": lambda: psi_q_m(2100, 1000.0, _Q),
+    "ln_gamma_q": lambda: ln_gamma_q(2.5, _Q, y=1.5),
+    "gamma_q": lambda: gamma_q(2.5, _Q),
+    "euler_gamma_q": lambda: euler_gamma_q(_Q),
+    "ln_gamma_classical": lambda: ln_gamma_classical(2.5),
+    "psi_classical": lambda: psi_classical(2.5),
+}
+HOT_PATH_OUTPUTS = {
+    **{name: (Evaluation, make) for name, make in EVALUATIONS.items()},
+    **{
+        f"{ineq}_bounds": (BoundPair, partial(getattr(bounds, f"{ineq}_bounds"), *args))
+        for ineq, args in BOUNDS_ARGS.items()
+    },
+}
+
+
+def test_every_bounds_op_is_covered():
+    assert set(BOUNDS_ARGS) == set(INEQUALITY_IDS)
+
+
+@pytest.mark.parametrize("name", sorted(HOT_PATH_OUTPUTS))
+def test_hot_path_records_are_real_records(name):
+    cls, make = HOT_PATH_OUTPUTS[name]
+    record = make()
+    assert type(record) is cls
+    assert len(record) == len(cls._fields)
+    assert cls(*record) == record
+    if cls is Evaluation:
+        assert type(record.terms_used) is int
