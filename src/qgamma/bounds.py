@@ -143,16 +143,30 @@ def thm_alpha_bounds(
 
     x* is the positive root of psi_q; alpha below it (beyond a 1e-9 grace)
     raises AlphaBelowRoot unless force is set for exploratory evaluation.
+    The ratio is taken at the rounded sums x + alpha and y + alpha, so the
+    bounds are taken at the arguments those sums carry, (x + alpha) - alpha
+    and (y + alpha) - alpha; where one of them rounds to <= 0 (x below about
+    one ulp of alpha), DomainError is raised.
     """
     require_positive(x)
     require_positive(y, "y")
     if not force:
         _require_alpha(alpha, q, cfg)
+    x_alpha = x + alpha
+    y_alpha = y + alpha
+    x_eff = x_alpha - alpha
+    y_eff = y_alpha - alpha
+    if not (x_eff > 0.0 and y_eff > 0.0):
+        raise DomainError(
+            f"x={x!r} and y={y!r} are lost in x + alpha and y + alpha at alpha={alpha!r}: "
+            f"the sums carry {x_eff!r} and {y_eff!r}"
+        )
+    x, y = x_eff, y_eff
     common = _g_offset(x, y, alpha)
     ldiff = math.log(x) - math.log(y)
     slope_y = _g_slope(y, alpha, q, cfg)
     slope_x = _g_slope(x, alpha, q, cfg)
-    log_ratio = ln_gamma_q(x + alpha, q, cfg, y=y + alpha).value
+    log_ratio = ln_gamma_q(x_alpha, q, cfg, y=y_alpha).value
     return _pair(common + slope_y * ldiff, log_ratio, common + slope_x * ldiff, strict=False)
 
 

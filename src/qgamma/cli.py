@@ -14,8 +14,9 @@ explicit --max-terms flag beats the environment.
 
 verify samples each domain from the standard library's random.Random(seed)
 (Mersenne Twister), so its reports are fixed by the seed, an integer >= 0;
-a check that samples exits 2 on a negative seed.  Earlier releases drew
-from numpy's default_rng, so the same seed now samples different points.
+a check that samples exits 2 on a negative seed, and every check exits 2
+on --samples below 1.  Earlier releases drew from numpy's default_rng, so
+the same seed now samples different points.
 
 JSON report schema (one object per check):
   { "schema_version": 1, "inequality_id": str, "n_samples": int,

@@ -530,7 +530,10 @@ def run_check(
     cfg: EvalConfig = DEFAULT_CONFIG,
     corrupt_upper: bool = False,
 ) -> CertificateReport:
-    """Run one registered check; inequality ids honor ``corrupt_upper``."""
+    """Run one registered check; inequality ids honor ``corrupt_upper``.
+    ``samples`` must be >= 1 for every id, including those that ignore it."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples!r}")
     if check_id in INEQUALITY_IDS:
         batch = sample(default_domain(check_id), seed, samples)
         return certify(check_id, batch, cfg, corrupt_upper=corrupt_upper)

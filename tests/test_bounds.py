@@ -171,6 +171,38 @@ class TestThmAlpha:
         pair = thm_alpha_bounds(2.0, 1.0, 0.5, QParam(0.5), force=True)
         assert math.isfinite(pair.ratio)
 
+    @pytest.mark.parametrize("alpha", [1e4, 1e8])
+    def test_bounds_at_the_arguments_the_sums_carry(self, alpha):
+        # The ratio is taken at the rounded sums x + alpha and y + alpha; the
+        # bounds must be taken at the x and y those sums carry.  Taken at
+        # the unrounded y = 1 + 1e-9, the lower margin was -3.1e-13 at
+        # alpha = 1e4 and the upper margin -6.9e-10 at alpha = 1e8.
+        q = QParam(0.5)
+        x, y = 1.0, 1.0 + 1e-9
+        x_eff, y_eff = (x + alpha) - alpha, (y + alpha) - alpha
+        assert y_eff != y
+        pair = thm_alpha_bounds(x, y, alpha, q)
+        assert pair == thm_alpha_bounds(x_eff, y_eff, alpha, q)
+        assert pair.log_ratio - pair.log_lower >= -1e-15
+        assert pair.log_upper - pair.log_ratio >= -1e-15
+
+    def test_arguments_lost_in_the_sum_rejected(self):
+        # 1e16 + 1 rounds to 1e16: the ratio would be that of x = 0.
+        with pytest.raises(DomainError):
+            thm_alpha_bounds(1.0, 2.0, 1e16, QParam(0.5))
+        with pytest.raises(DomainError):
+            thm_alpha_bounds(2.0, 1.0, 1e16, QParam(0.5))
+
+    def test_arguments_rounded_in_the_sum(self):
+        # 1e16 + 3 rounds to 1e16 + 4 and 1e16 + 2.5 to 1e16 + 2, so the pair
+        # is the one at (4, 2): ratio Gamma_q(a + 4)/Gamma_q(a + 2), about
+        # (1 - q)^-2 = 4 at q = 1/2, inside its bounds.
+        q = QParam(0.5)
+        pair = thm_alpha_bounds(3.0, 2.5, 1e16, q)
+        assert pair == thm_alpha_bounds(4.0, 2.0, 1e16, q)
+        assert pair.log_ratio == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+        assert passes(pair.log_ratio - pair.log_lower, pair.log_upper - pair.log_ratio)
+
 
 class TestThmMvt:
     def test_reference_point(self):

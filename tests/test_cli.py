@@ -8,6 +8,7 @@ import pytest
 
 from qgamma.bounds import INEQUALITY_IDS, thm_mvt_bounds
 from qgamma.cli import main
+from qgamma.propcheck import EXTRA_CHECK_IDS
 from qgamma.qcore import QParam
 from qgamma.qspecial import psi_q
 
@@ -145,6 +146,13 @@ class TestBounds:
         fields = parse_plain(res.stdout)
         assert float(fields["lower"]) == float(fields["ratio"]) == float(fields["upper"]) == 1.0
 
+    def test_argument_lost_in_alpha_exits_2(self):
+        # 1e16 + 1 rounds to 1e16, so x = 1 would enter the ratio as 0.
+        res = run_cli("bounds", "--ineq", "thm_alpha", "--x", "1", "--y", "2",
+                      "--alpha", "1e16", "--q", "0.5")
+        assert res.returncode == 2
+        assert "alpha" in res.stderr
+
     def test_alpha_below_root_exits_2(self):
         res = run_cli("bounds", "--ineq", "thm_alpha", "--x", "1", "--y", "2",
                       "--alpha", "0.3", "--q", "0.5")
@@ -260,6 +268,14 @@ class TestVerify:
     def test_unknown_id_exits_2(self):
         res = run_cli("verify", "--ineq", "thm_nonexistent", "--samples", "10")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("check_id", ["thm_main", *EXTRA_CHECK_IDS])
+    def test_samples_below_one_exit_2(self, check_id, capsys):
+        # One rule for every id, including the checks that do not sample.
+        for samples in ("0", "-3"):
+            assert main(["verify", "--ineq", check_id, "--samples", samples, "--seed", "1"]) == 2, (check_id, samples)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "samples must be >= 1" in captured.err, (check_id, samples)
 
     def test_negative_seed_exits_2(self):
         res = run_cli("verify", "--ineq", "thm_main", "--samples", "5", "--seed", "-1")

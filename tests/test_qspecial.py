@@ -532,7 +532,9 @@ class TestPsiQRoot:
         res = psi_q_root(QParam(0.1))
         assert res.root == pytest.approx(ROOT_Q_TENTH, abs=1e-10)
 
-    @pytest.mark.parametrize("qv", [1e-30, 1e-6, 0.05, 0.3, 0.5, 0.77, 0.95])
+    # 0.0499, 0.05, 0.95, 0.9501 and 0.99 sit at the edges of the fitted
+    # guess's range, on both sides.
+    @pytest.mark.parametrize("qv", [1e-30, 1e-6, 0.0499, 0.05, 0.3, 0.5, 0.77, 0.95, 0.9501, 0.99])
     def test_matches_oracle(self, qv):
         # Bisection on [1, 2] to width 2^-45; the raw partial sum keeps
         # 50 / -ln q terms, so its tail is below 1e-20 for x >= 1.
@@ -540,20 +542,24 @@ class TestPsiQRoot:
         assert psi_q_root(QParam(qv)).root == pytest.approx(float(oracle), abs=1e-11)
 
     def test_invariants_across_q(self):
-        extremes = [1e-300, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.99, 0.999, 0.9999, 0.99999]
+        extremes = [1e-300, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.99, 0.999, 0.9999, 0.99999, 1.0 - 1e-8]
         for qv in [*np.arange(0.05, 0.951, 0.05), *extremes]:
             q = QParam(float(qv))
             res = psi_q_root(q)
             assert res.bracket_low < res.root < res.bracket_high
             assert psi_q(res.bracket_low, q).value < 0.0 < psi_q(res.bracket_high, q).value
+            assert res.bracket_high - res.bracket_low <= 1e-12
             assert abs(res.residual) <= 1e-10
             if euler_gamma_q(q).value > 0.0:
                 assert res.root > 1.0
 
     def test_psi_evaluations_per_solve(self, monkeypatch):
-        # Bisection takes about 44 psi_q calls.  Counting through the module
-        # names also pins that the solver calls psi_q and psi_q_m by those
-        # names, which the benchmark tracer relies on.
+        # Bisection takes about 44 psi_q calls, the secant from [1, x0] about
+        # 8.7; from the fitted guess a solve takes exactly 5: the two ends,
+        # the chord, one clamped secant step and the midpoint residual.
+        # Counting through the module names also pins that the solver calls
+        # psi_q and psi_q_m by those names, which the benchmark tracer
+        # relies on.
         calls = []
         slopes = []
 
@@ -571,8 +577,8 @@ class TestPsiQRoot:
             calls.clear()
             slopes.clear()
             qspecial.psi_q_root(QParam(float(qv)))
-            assert 0 < len(calls) <= 11, (qv, len(calls))
-            assert len(slopes) <= 1, (qv, len(slopes))
+            assert len(calls) == 5, (qv, len(calls))
+            assert len(slopes) == 0, (qv, len(slopes))
 
     def test_no_argument_evaluated_twice(self, monkeypatch):
         # A trial where psi_q is exactly 0 is stepped over, and the final
@@ -589,6 +595,56 @@ class TestPsiQRoot:
             calls.clear()
             qspecial.psi_q_root(QParam(1.0 - float(one_minus_q)))
             assert len(set(calls)) == len(calls), (1.0 - float(one_minus_q), calls)
+        # Below the guess's range the solve starts at [1, x0].
+        for ln_q in rng.uniform(math.log(1e-30), math.log(0.05), size=200):
+            q = QParam(math.exp(float(ln_q)))
+            assert qspecial._root_guess(q) is None
+            calls.clear()
+            qspecial.psi_q_root(q)
+            assert len(set(calls)) == len(calls), (q.q, calls)
+
+    def test_guess_that_misses_falls_back_to_the_wide_bracket(self, monkeypatch):
+        # A guess whose ends do not enclose the root hands over to [1, x0];
+        # its two values stay in the solve's memo, and the root is the one
+        # the wide bracket finds on its own.
+        calls = []
+
+        def counting_psi_q(*args, **kwargs):
+            calls.append(args[0])
+            return psi_q(*args, **kwargs)
+
+        true_guess = qspecial._root_guess
+        monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
+        for qv, miss in ((0.3, 1e-3), (0.7, -1e-3), (0.95, 0.2)):
+            q = QParam(qv)
+            expected = psi_q_root(q).root
+            monkeypatch.setattr(qspecial, "_root_guess", lambda q, miss=miss: true_guess(q) + miss)
+            calls.clear()
+            res = qspecial.psi_q_root(q)
+            monkeypatch.setattr(qspecial, "_root_guess", true_guess)
+            assert len(calls) > 5 and 1.0 in calls and qspecial._CLASSICAL_ROOT in calls, (qv, calls)
+            assert len(set(calls)) == len(calls), (qv, calls)
+            assert res.bracket_low < res.root < res.bracket_high
+            assert res.root == pytest.approx(expected, abs=1e-12)
+
+    def test_guess_within_half_the_bracket(self):
+        # The fitted guess stays within half the bracket's half-width of the
+        # solved root: uniform q and log-uniform 1 - q over the fitted range,
+        # and 1 - q log-uniform down to 1e-5 beyond it.
+        rng = np.random.default_rng(1601)
+        lo, hi = math.log(0.05), math.log(0.95)
+        qs = [
+            *np.linspace(0.05, 0.95, 1000),
+            *(1.0 - np.exp(rng.uniform(lo, hi, size=1000))),
+            *(1.0 - np.exp(rng.uniform(math.log(1e-5), lo, size=200))),
+            1.0 - 1e-5,
+        ]
+        assert len(qs) >= 2000
+        worst = 0.0
+        for qv in qs:
+            q = QParam(float(qv))
+            worst = max(worst, abs(qspecial._root_guess(q) - psi_q_root(q).root))
+        assert worst <= 0.5 * qspecial._ROOT_GUESS_HALF_WIDTH, worst
 
     def test_sign_change_around_root(self):
         for qv in (0.2, 0.6, 0.9):
