@@ -41,7 +41,6 @@ from typing import Optional
 from .classical import ln_gamma_classical, psi_classical
 from .constants import MAX_EXP
 from .errors import (
-    AlphaBelowRoot,
     BracketFailure,
     DomainError,
     NonConvergence,
@@ -281,9 +280,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DomainError, AlphaBelowRoot) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (NonConvergence, Overflow, BracketFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import qgamma.qspecial as qspecial
 from qgamma.bounds import INEQUALITY_IDS, thm_mvt_bounds
 from qgamma.cli import main
 from qgamma.propcheck import EXTRA_CHECK_IDS
@@ -331,6 +332,12 @@ class TestRoot:
 
     def test_bad_q_exits_2(self):
         assert run_cli("root", "--q", "1.5").returncode == 2
+
+    def test_bracket_failure_exits_3(self, capsys, monkeypatch):
+        # psi_q shifted right by 10 has no sign change across [1, x0].
+        monkeypatch.setattr(qspecial, "psi_q", lambda x, q, cfg: psi_q(x + 10.0, q, cfg))
+        assert main(["root", "--q", "0.5"]) == 3
+        assert capsys.readouterr().err.startswith("error: psi_q does not change sign")
 
 
 class TestTable:

@@ -7,7 +7,7 @@ from oracles import mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_m, mp
 
 import qgamma.qspecial as qspecial
 from qgamma.classical import ln_gamma_classical, psi_classical
-from qgamma.errors import DomainError, NonConvergence, Overflow
+from qgamma.errors import BracketFailure, DomainError, NonConvergence, Overflow
 from qgamma.qcore import REL_TOL, EvalConfig, QParam, q_bracket, q_factorial
 from qgamma.qspecial import (
     euler_gamma_q,
@@ -542,7 +542,11 @@ class TestPsiQRoot:
         assert psi_q_root(QParam(qv)).root == pytest.approx(float(oracle), abs=1e-11)
 
     def test_invariants_across_q(self):
-        extremes = [1e-300, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.99, 0.999, 0.9999, 0.99999, 1.0 - 1e-8]
+        # The last three hit psi_q == 0 exactly at a trial.
+        extremes = [
+            1e-300, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.99, 0.999, 0.9999, 0.99999, 1.0 - 1e-8,
+            0.9999978995096964, 0.999996912074033, 0.999999933814106,
+        ]
         for qv in [*np.arange(0.05, 0.951, 0.05), *extremes]:
             q = QParam(float(qv))
             res = psi_q_root(q)
@@ -558,8 +562,8 @@ class TestPsiQRoot:
         # 8.7; from the fitted guess a solve takes exactly 5: the two ends,
         # the chord, one clamped secant step and the midpoint residual.
         # Counting through the module names also pins that the solver calls
-        # psi_q and psi_q_m by those names, which the benchmark tracer
-        # relies on.
+        # psi_q by that name, which the benchmark tracer relies on, and
+        # never psi_q_m.
         calls = []
         slopes = []
 
@@ -581,15 +585,21 @@ class TestPsiQRoot:
             assert len(slopes) == 0, (qv, len(slopes))
 
     def test_no_argument_evaluated_twice(self, monkeypatch):
-        # A trial where psi_q is exactly 0 is stepped over, and the final
-        # midpoint can land on it again; its value is reused, not recomputed.
+        # The final midpoint can land on a point already evaluated; its
+        # value is reused, not recomputed.  No solve calls psi_q_m.
         calls = []
+        slopes = []
 
         def counting_psi_q(*args, **kwargs):
             calls.append(args[0])
             return psi_q(*args, **kwargs)
 
+        def counting_psi_q_m(*args, **kwargs):
+            slopes.append(args[1])
+            return psi_q_m(*args, **kwargs)
+
         monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
+        monkeypatch.setattr(qspecial, "psi_q_m", counting_psi_q_m)
         rng = np.random.default_rng(31)
         for one_minus_q in np.exp(rng.uniform(math.log(0.05), math.log(0.95), size=600)):
             calls.clear()
@@ -602,6 +612,43 @@ class TestPsiQRoot:
             calls.clear()
             qspecial.psi_q_root(q)
             assert len(set(calls)) == len(calls), (q.q, calls)
+            assert slopes == [], (q.q, slopes)
+
+    def test_wide_bracket_solves_stay_cheap(self, monkeypatch):
+        # From [1, x0] a solve takes 19 psi_q calls on average and at most
+        # 35 over 3,000 q log-uniform in (1e-300, 0.05); bound it at 40.
+        calls = []
+
+        def counting_psi_q(*args, **kwargs):
+            calls.append(args[0])
+            return psi_q(*args, **kwargs)
+
+        monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
+        rng = np.random.default_rng(1703)
+        for ln_q in rng.uniform(math.log(1e-300), math.log(0.05), size=2000):
+            q = QParam(math.exp(float(ln_q)))
+            calls.clear()
+            res = qspecial.psi_q_root(q)
+            assert res.bracket_low < res.root < res.bracket_high, q.q
+            assert len(calls) <= 40, (q.q, len(calls))
+
+    def test_no_sign_change_on_the_wide_bracket_raises(self, monkeypatch):
+        # With psi_q shifted right by 10 it is positive on [1, x0] and at the
+        # guess's ends; the solve raises after those four calls, searching
+        # no further.
+        calls = []
+
+        def shifted_psi_q(x, q, cfg):
+            calls.append(x)
+            return psi_q(x + 10.0, q, cfg)
+
+        monkeypatch.setattr(qspecial, "psi_q", shifted_psi_q)
+        q = QParam(0.5)
+        guess = qspecial._root_guess(q)
+        half = qspecial._ROOT_GUESS_HALF_WIDTH
+        with pytest.raises(BracketFailure):
+            qspecial.psi_q_root(q)
+        assert calls == [guess - half, guess + half, 1.0, qspecial._CLASSICAL_ROOT]
 
     def test_guess_that_misses_falls_back_to_the_wide_bracket(self, monkeypatch):
         # A guess whose ends do not enclose the root hands over to [1, x0];
