@@ -24,6 +24,7 @@ equal to plain tuples (see ``qcore``).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Optional
 
 from .constants import BERNOULLI, MAX_EXP
@@ -487,27 +488,49 @@ _ROOT_MAX_STEPS = 64
 # from 1e-300 to 1 - 2e-10.
 _CLASSICAL_ROOT = 1.4616321449683623
 
-# The root guess g(q) = x0 + s P(s), s = -ln q, P of degree 5 with these
-# coefficients, constant term first.  Fitted by least squares of root - x0
-# against s, s^2, ..., s^6 at 600 Chebyshev-Lobatto nodes in s over
-# [-ln 0.95, -ln 0.05] (ends q = 0.95 and q = 0.05 exactly), the roots from
-# the solve below started at [1, x0].  Its largest error is 9.0e-8 over 8,000
-# q in [0.05, 0.95] (5,000 uniform in q, 3,000 log-uniform in 1 - q) and
-# 2.2e-8 for q in (0.95, 1 - 1e-5], falling as q -> 1 (7.2e-12 at
-# q = 0.99999).  The constant term matches (2 x0 - 3) / (4 psi'(x0)) =
-# -0.0198248, the first order in s of psi_q(x) - psi(x) = -s (2x - 3) / 4
-# moved through the slope of psi at x0.
-_ROOT_GUESS_COEF = (
-    -0.019824110563209096,
-    -0.003241216278157273,
-    4.939240002033555e-05,
-    4.234258351289288e-05,
-    1.8959649697216642e-05,
-    -3.4390427967296145e-06,
+# The root guess g(q) = sum_k c_k T_k(t), a Chebyshev series of degree 22
+# in t = 2 s / s_max - 1, s = -ln q and s_max = -ln 0.05, so q in
+# [0.05, 1) maps to t in (-1, 1].  Its coefficients, highest degree first as
+# Clenshaw's recurrence takes them, minimise the largest error against the
+# zeros of psi_q, each bisected to adjacent doubles, at 400 Chebyshev-Gauss
+# nodes in s over [0, s_max] and 300 q with 1 - q log-spaced over
+# [1e-5, 0.05] (Lawson's iteratively reweighted least squares).  That error
+# is 1.2e-13 there and at most 1.3e-13 over 9,200 other q in
+# [0.05, 1 - 1e-5], 7,200 of them log-uniform in 1 - q.  Toward q = 1 the
+# computed zero drifts off the series that fits it elsewhere, by about
+# 2e-13 at 1 - q = 1e-5 (psi_q's error_estimate is 4e-13 there); the
+# log-spaced points hold the fit to that drift, and the fit stops at 1e-5.
+# When psi_q changes, refit with scripts/fit_root_guess.py, which prints
+# this tuple.
+_ROOT_GUESS_CHEB = (
+    -1.1537348416224806e-13,
+    3.869907083978238e-14,
+    1.6880779116151913e-14,
+    -2.804413494335968e-13,
+    -4.533966040973868e-14,
+    1.9284228959772547e-12,
+    2.716940542499977e-13,
+    -1.421958416410707e-11,
+    -6.855334872784212e-12,
+    1.1521195958102785e-10,
+    1.4894040106351948e-10,
+    -9.7744353932302e-10,
+    -2.9147549169734207e-09,
+    7.056605562168734e-09,
+    5.697262996004062e-08,
+    3.215904161597725e-08,
+    -1.2172575598310531e-06,
+    -5.627512643187457e-06,
+    3.587931240136352e-05,
+    0.00038967590039137027,
+    -0.002169671084998708,
+    -0.04120842846567188,
+    1.4229427580610823,
 )
 _ROOT_GUESS_S_MAX = -math.log(0.05)  # the fitted range's top
-# Half-width of the bracket around the guess: 2.8 times the largest error.
-_ROOT_GUESS_HALF_WIDTH = 2.5e-7
+# Half-width of the bracket around the guess: 2.3 times the largest error,
+# and small enough that the bracket is at most 1e-12 wide from the start.
+_ROOT_GUESS_HALF_WIDTH = 3e-13
 
 
 def _root_guess(q: QParam) -> Optional[float]:
@@ -516,26 +539,35 @@ def _root_guess(q: QParam) -> Optional[float]:
     s = -q.ln_q
     if s > _ROOT_GUESS_S_MAX:
         return None
-    c0, c1, c2, c3, c4, c5 = _ROOT_GUESS_COEF
-    return _CLASSICAL_ROOT + s * (c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5)))))
+    t = 2.0 * s / _ROOT_GUESS_S_MAX - 1.0
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in _ROOT_GUESS_CHEB[:-1]:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return _ROOT_GUESS_CHEB[-1] + t * b1 - b2
 
 
 def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
-    """Bracketed secant steps for the positive zero of psi_q.
+    """The positive zero of psi_q, certified by a sign change of psi_q
+    across a bracket at most 1e-12 wide.
 
-    For q >= 0.05 the bracket starts at g -+ 2.5e-7, g a fitted guess of the
-    root (see _root_guess) whose error is at most 9.0e-8 there.  Otherwise,
-    or if psi_q does not change sign across those ends, it starts at
-    [1, x0], x0 the classical digamma zero; BracketFailure if psi_q does not
-    change sign across that either.  Each trial is the secant of the last
-    two points evaluated, the first one the chord of the bracket, or the
-    bracket's midpoint if that secant lands outside the bracket (only at q
-    below about 5e-3 in the q tried, where psi_q is nearly flat right of
-    the root).  The trial's sign decides which end it replaces.  From the
-    guess a solve takes 5 psi_q calls at every q >= 0.05 tried: the two
-    ends, the chord, one secant step clamped across the root, and the
-    residual at the midpoint.  From [1, x0] it takes 19 on average and at
-    most 35 over 3,000 q log-uniform in (1e-300, 0.05).
+    For q >= 0.05 the bracket starts at g -+ 3e-13, g a fitted guess of the
+    root (see _root_guess) within 1.3e-13 of psi_q's zero for q in
+    [0.05, 1 - 1e-5].  That bracket is narrow enough from the start, so the
+    solve takes no trial: the bracket's two ends, whose signs certify it,
+    and the residual at its midpoint are 3 psi_q calls, at every q tried
+    in that range and beyond it up to 1 - 6e-7.  Otherwise, or if psi_q
+    does not change sign across those ends (at some q above 1 - 6e-7, where
+    the computed zero drifts off the fit; 8 calls then), it takes bracketed
+    secant steps from [1, x0], x0 the classical digamma zero, and raises
+    BracketFailure if psi_q does not change sign across that either.  Each
+    trial is the secant of the last two points evaluated, the first one
+    the chord of the bracket, or the bracket's midpoint if that secant
+    lands outside the bracket (only at q below about 5e-3 in the q tried,
+    where psi_q is nearly flat right of the root).  The trial's sign
+    decides which end it replaces.  From [1, x0] a solve takes 19 psi_q
+    calls on average and at most 35 over 3,000 q log-uniform in
+    (1e-300, 0.05).
 
     Each trial is clamped to half the width tolerance inside the bracket:
     once a step falls below that, the clamped trial lies across the root
@@ -544,7 +576,14 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     The loop is bounded and raises BracketFailure at its bound.  No point is
     evaluated twice: the final midpoint can land on a point already
     evaluated, whose value is reused.
+
+    q below the least normal double raises DomainError: psi_q is of order
+    q near its zero, so the signs that would certify a bracket come from
+    values that have lost their bits (at q = 1e-320 the root would be off
+    by 1.3e-4).
     """
+    if q.q < sys.float_info.min:
+        raise DomainError(f"psi_q's root is not certified for subnormal q={q.q!r}")
     values: dict[float, float] = {}
 
     def f(t: float) -> float:
@@ -566,6 +605,8 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     half_tol = 0.5 * _ROOT_WIDTH_TOL
     a, f_a, b, f_b = lo, f_lo, hi, f_hi  # the last two points, b the latest
     for _ in range(_ROOT_MAX_STEPS):
+        if hi - lo <= _ROOT_WIDTH_TOL:
+            break
         t = b - f_b * (b - a) / (f_b - f_a) if f_b != f_a else lo
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
@@ -583,9 +624,7 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
             lo = t
         else:
             hi = t
-        if hi - lo <= _ROOT_WIDTH_TOL:
-            break
-    else:
+    if hi - lo > _ROOT_WIDTH_TOL:
         raise BracketFailure(f"bracket wider than {_ROOT_WIDTH_TOL} after {_ROOT_MAX_STEPS} steps for q={q.q}")
 
     root = 0.5 * (lo + hi)

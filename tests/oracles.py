@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package under test: plain
 partial sums and log-products evaluated with mpmath at 40 digits.  The q-sums
 and q-log-products take the caller's term count as a floor and go on until
 their own rigorous tail bound is negligible, so that no caller has to know
-how many terms the library needed.  Tests freeze values
+how many terms the library needed.  The classical ln Gamma and digamma
+are mpmath's own ``loggamma`` and ``digamma``.  Tests freeze values
 produced by these functions (or call them live for spot checks); the library
 is never used to generate its own expectations.
 """
@@ -128,17 +129,8 @@ def mp_ratio_gamma_q(x, y, q, terms=3000):
     return mp.e ** (mp_ln_gamma_q(x, q, terms) - mp_ln_gamma_q(y, q, terms))
 
 
-def mp_psi_classical(x, terms=200000):
-    """-gamma + (x-1) * sum_{n>=0} 1/((1+n)(n+x)) with an integral tail patch."""
-    x = mpf(x)
-    s = mpf(0)
-    for n in range(terms):
-        s += 1 / ((1 + n) * (n + x))
-    # Remaining tail, midpoint integral estimate; at 2e5 terms this is far
-    # below the digits any test asserts on.
-    a = mpf(terms) - mpf("0.5")
-    tail = mp.log((a + x) / (a + 1))
-    return -mp.euler + (x - 1) * s + tail
+def mp_psi_classical(x):
+    return mp.digamma(mpf(x))
 
 
 def mp_ln_gamma_classical(x):

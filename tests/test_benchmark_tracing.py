@@ -50,8 +50,9 @@ def test_tracer_counts_psi_evaluations_per_root_solve(monkeypatch):
     summary = _traced_summary(monkeypatch, lambda: propcheck.run_check("thm_alpha", seed=1, samples=3))
     from tracing import layer_values
 
-    # Three sampled q in [0.05, 0.95], each solved from the fitted guess.
-    assert layer_values(summary)["qspecial.psi_q_root.psi_evals_per_solve"] == 5
+    # Three sampled q in [0.05, 0.95], each solved from the fitted guess:
+    # the bracket's two ends and the midpoint residual.
+    assert layer_values(summary)["qspecial.psi_q_root.psi_evals_per_solve"] == 3
 
 
 def test_one_ln_gamma_q_span_per_ratio(monkeypatch):

@@ -333,6 +333,12 @@ class TestRoot:
     def test_bad_q_exits_2(self):
         assert run_cli("root", "--q", "1.5").returncode == 2
 
+    def test_subnormal_q_exits_2(self, capsys):
+        # Below the least normal double the signs that would certify the
+        # bracket have lost their bits.
+        assert main(["root", "--q", "1e-320"]) == 2
+        assert "subnormal" in capsys.readouterr().err
+
     def test_bracket_failure_exits_3(self, capsys, monkeypatch):
         # psi_q shifted right by 10 has no sign change across [1, x0].
         monkeypatch.setattr(qspecial, "psi_q", lambda x, q, cfg: psi_q(x + 10.0, q, cfg))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -541,6 +542,21 @@ class TestPsiQRoot:
         oracle = mp_psi_q_root(qv, lo=1.0, hi=2.0, iters=45, terms=math.ceil(50.0 / -math.log(qv)))
         assert psi_q_root(QParam(qv)).root == pytest.approx(float(oracle), abs=1e-11)
 
+    def test_least_normal_q_matches_oracle(self):
+        # Near its zero psi_q is of order q, and at 40 digits the oracle
+        # rounds -ln(1-q) to 0; 400 digits resolve it.
+        qv = sys.float_info.min
+        with mp.workdps(400):
+            oracle = mp_psi_q_root(qv, lo=1.0, hi=2.0, iters=45, terms=1)
+        assert psi_q_root(QParam(qv)).root == pytest.approx(float(oracle), abs=1e-12)
+
+    @pytest.mark.parametrize("qv", [math.nextafter(sys.float_info.min, 0.0), 1e-320, 5e-324])
+    def test_subnormal_q_raises(self, qv):
+        # Below the least normal double psi_q's signs near its zero have
+        # lost their bits: at q = 1e-320 a "certified" root was 1.3e-4 off.
+        with pytest.raises(DomainError, match="subnormal"):
+            psi_q_root(QParam(qv))
+
     def test_invariants_across_q(self):
         # The last three hit psi_q == 0 exactly at a trial.
         extremes = [
@@ -559,8 +575,8 @@ class TestPsiQRoot:
 
     def test_psi_evaluations_per_solve(self, monkeypatch):
         # Bisection takes about 44 psi_q calls, the secant from [1, x0] about
-        # 8.7; from the fitted guess a solve takes exactly 5: the two ends,
-        # the chord, one clamped secant step and the midpoint residual.
+        # 8.7; from the fitted guess a solve takes exactly 3: the bracket's
+        # two ends, already at most 1e-12 apart, and the midpoint residual.
         # Counting through the module names also pins that the solver calls
         # psi_q by that name, which the benchmark tracer relies on, and
         # never psi_q_m.
@@ -577,12 +593,15 @@ class TestPsiQRoot:
 
         monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
         monkeypatch.setattr(qspecial, "psi_q_m", counting_psi_q_m)
-        for qv in np.arange(0.05, 0.951, 0.05):
+        rng = np.random.default_rng(1801)
+        one_minus_q = np.exp(rng.uniform(math.log(1e-5), math.log(0.95), size=600))
+        for qv in [*np.arange(0.05, 0.951, 0.05), *(1.0 - one_minus_q)]:
             calls.clear()
             slopes.clear()
-            qspecial.psi_q_root(QParam(float(qv)))
-            assert len(calls) == 5, (qv, len(calls))
+            res = qspecial.psi_q_root(QParam(float(qv)))
+            assert len(calls) == 3, (qv, len(calls))
             assert len(slopes) == 0, (qv, len(slopes))
+            assert res.bracket_high - res.bracket_low <= 1e-12, qv
 
     def test_no_argument_evaluated_twice(self, monkeypatch):
         # The final midpoint can land on a point already evaluated; its
@@ -675,9 +694,20 @@ class TestPsiQRoot:
             assert res.root == pytest.approx(expected, abs=1e-12)
 
     def test_guess_within_half_the_bracket(self):
-        # The fitted guess stays within half the bracket's half-width of the
-        # solved root: uniform q and log-uniform 1 - q over the fitted range,
-        # and 1 - q log-uniform down to 1e-5 beyond it.
+        # The fitted guess stays within half the bracket's half-width of
+        # psi_q's zero, bisected from [1, x0] to adjacent doubles without
+        # the solver: uniform q and log-uniform 1 - q over [0.05, 0.95], and
+        # 1 - q log-uniform down to 1e-5 beyond it.
+        def bisected_zero(q):
+            lo, hi = 1.0, qspecial._CLASSICAL_ROOT
+            assert psi_q(lo, q).value < 0.0 < psi_q(hi, q).value
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                f_mid = psi_q(mid, q).value
+                if f_mid == 0.0:
+                    return mid
+                lo, hi = (mid, hi) if f_mid < 0.0 else (lo, mid)
+            return mid
+
         rng = np.random.default_rng(1601)
         lo, hi = math.log(0.05), math.log(0.95)
         qs = [
@@ -690,7 +720,7 @@ class TestPsiQRoot:
         worst = 0.0
         for qv in qs:
             q = QParam(float(qv))
-            worst = max(worst, abs(qspecial._root_guess(q) - psi_q_root(q).root))
+            worst = max(worst, abs(qspecial._root_guess(q) - bisected_zero(q)))
         assert worst <= 0.5 * qspecial._ROOT_GUESS_HALF_WIDTH, worst
 
     def test_sign_change_around_root(self):
