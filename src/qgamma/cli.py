@@ -20,10 +20,13 @@ the same seed now samples different points.
 
 JSON report schema (one object per check):
   { "schema_version": 1, "inequality_id": str, "n_samples": int,
-    "n_pass": int, "worst_lower_margin": float, "worst_upper_margin": float,
+    "n_pass": int, "worst_lower_margin": float | null,
+    "worst_upper_margin": float | null,
     "failures": [ { "point": {"x","y","q","aux"},
                     "lower": float, "ratio": float, "upper": float } ],
     "wall_time_s": float }
+A worst margin is null when no point of the report was evaluated (every
+point raised, e.g. under a small --max-terms); the plain format prints inf.
 
 Table CSV: header ``x,lower,ratio,upper,lower_margin,upper_margin``, one
 row per grid point, '\\n' newlines, '.' decimal point, no locale formatting.

@@ -547,14 +547,16 @@ def run_check(
 # --------------------------------------------------------------------------
 
 def report_to_dict(report: CertificateReport) -> dict:
-    """JSON form; schema documented in the cli module."""
+    """JSON form; schema documented in the cli module.  A worst margin is
+    None (JSON null) when no point was evaluated: it is still math.inf in
+    the report, which JSON cannot hold."""
     return {
         "schema_version": SCHEMA_VERSION,
         "inequality_id": report.inequality_id,
         "n_samples": report.n_samples,
         "n_pass": report.n_pass,
-        "worst_lower_margin": report.worst_lower_margin,
-        "worst_upper_margin": report.worst_upper_margin,
+        "worst_lower_margin": None if report.worst_lower_margin == math.inf else report.worst_lower_margin,
+        "worst_upper_margin": None if report.worst_upper_margin == math.inf else report.worst_upper_margin,
         "failures": list(report.failures),
         "wall_time_s": report.wall_time,
     }

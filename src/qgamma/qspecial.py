@@ -16,9 +16,12 @@ psi_q and psi_q^(m) take K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
 (s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and sum the rest as their
 geometric n-series at x + K, one path for every x: at most about
 2 sqrt(30/(1-q)) terms, with the first omitted tail term, over one minus
-its certified ratio, as the error bound.  Results are Evaluation and
-PsiRoot records, immutable NamedTuples that unpack, index and compare
-equal to plain tuples (see ``qcore``).
+its certified ratio, as the error bound.  ln Gamma_q takes one log for
+the k = 0 recurrence term and one for the product of the others; the
+Eulerian polynomials A_0..A_16 of the corrections and of psi_q^(m)'s head
+are one table built at import.  Results are Evaluation and PsiRoot
+records, immutable NamedTuples that unpack, index and compare equal to
+plain tuples (see ``qcore``).
 """
 
 from __future__ import annotations
@@ -46,18 +49,20 @@ def _eulerian(m: int) -> list[int]:
     return coeffs
 
 
+# A_0 .. A_16 as floats (exact: every coefficient is below 2^53), built
+# once for the q-Stirling corrections and psi_q_m's head terms.  Each A_m is
+# a palindrome, so Horner's rule may take it in either order.
+_EULERIAN = tuple(tuple(float(c) for c in _eulerian(m)) for m in range(17))
+
 _ZETA2 = math.pi**2 / 6.0
 _LN2 = math.log(2.0)
 _EPS = 2.0**-53
 
 # q-Stirling corrections B_2j/(2j)! s^(2j-1) Li_{2-2j}(u), j = 1..9, with
 # Li_{2-2j}(u) = u A_{2j-2}(u) / (1-u)^(2j-1): the factor B_2j/(2j)! and the
-# coefficients of A_{2j-2} (a palindrome, so their order does not matter).
-# At most _EM_TERMS are added; the next one bounds the remainder.
-_EM_COEF = tuple(
-    (b / math.factorial(2 * j), tuple(float(c) for c in _eulerian(2 * j - 2)))
-    for j, b in enumerate(BERNOULLI, start=1)
-)
+# coefficients of A_{2j-2}.  At most _EM_TERMS are added; the next one
+# bounds the remainder.
+_EM_COEF = tuple((b / math.factorial(2 * j), _EULERIAN[2 * j - 2]) for j, b in enumerate(BERNOULLI, start=1))
 _EM_TERMS = len(_EM_COEF) - 1
 
 # Li_2(e^-w) - zeta(2) = w ln w - w - w^2/4 + sum_j B_2j w^(2j+1) / (2j (2j+1)!)
@@ -98,22 +103,6 @@ def _li2_w(w: float) -> float:
     return acc
 
 
-def _li2_z(z: float) -> float:
-    """sum_j B_2j z^(2j+1) / (2j+1)!: what the z-series adds to z - z^2/4
-    in Li_2(u), z = -ln(1-u) < ln 2, summed until the next term is below
-    2^-53 z (Li_2(u) > 0.8 z)."""
-    v = z * z
-    acc = 0.0
-    p = z
-    for c in _LI2_Z:
-        p *= v
-        term = c * p
-        if abs(term) <= _EPS * z:
-            break
-        acc += term
-    return acc
-
-
 def _li2_tail_difference(
     tx: float, ty: float, s: float, zx: float, zy: float, dz: float, ln_s: Optional[float]
 ) -> float:
@@ -134,16 +123,39 @@ def _li2_tail_difference(
     s d > 1 - ln 2, and each tail is taken whole.  Each series argument is
     at most 1, where the terms fall by (1 / 2 pi)^2 ~ 0.025 or faster, and
     at most nine are summed.
+
+    The z-series sum_j B_2j z^(2j+1) / (2j+1)!, what Li_2(u) adds to
+    z - z^2/4, is summed until its next term is below 2^-53 z
+    (Li_2(u) > 0.8 z).  Both are summed in one loop, of z_a = zy and
+    z_b = zx, or z_a = zx alone (z_b = 0) when y takes the w-series:
+    z_b <= z_a, so the z_b series stops first and the loop stops with z_a's.
     """
     wy = s * ty
     if ln_s is not None and s * tx <= 1.0:
         d = tx - ty
         tails = tx * _li2_w(s * tx) - ty * _li2_w(wy)
         return d * (math.log(tx) - 1.0 - 0.25 * s * (tx + ty)) + ty * math.log1p(d / ty) + tails
-    if ln_s is None or wy > _LN2:
-        diff = (dz * (1.0 - 0.25 * (zx + zy)) + (_li2_z(zx) - _li2_z(zy))) / s
+    both_z = ln_s is None or wy > _LN2
+    za, zb = (zy, zx) if both_z else (zx, 0.0)
+    pa, pb, va, vb = za, zb, za * za, zb * zb
+    tol_a, tol_b = _EPS * za, _EPS * zb
+    acc_a = acc_b = 0.0
+    for c in _LI2_Z:
+        pa *= va
+        term = c * pa
+        if abs(term) <= tol_a:
+            break
+        acc_a += term
+        pb *= vb
+        term = c * pb
+        if abs(term) <= tol_b:
+            pb = 0.0  # stopped: the later terms are 0
+        else:
+            acc_b += term
+    if both_z:
+        diff = (dz * (1.0 - 0.25 * (zx + zy)) + (acc_b - acc_a)) / s
         return diff if ln_s is None else diff - (tx - ty) * ln_s
-    ret_x = (zx - 0.25 * zx * zx + _li2_z(zx) - _ZETA2) / s - tx * ln_s
+    ret_x = (zx - 0.25 * zx * zx + acc_a - _ZETA2) / s - tx * ln_s
     return ret_x - ty * (math.log(ty) - 1.0 - 0.25 * wy + _li2_w(wy))
 
 
@@ -161,15 +173,23 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     tails start at T >= 10:
         Li_2(e^(-sT)) / s + h(T)/2
             + sum_j B_2j/(2j)! s^(2j-1) Li_{2-2j}(e^(-sT)).
-    The first N terms are paired as ln((1-q^(y+k)) / (1-q^(x+k))), every
+    The first N terms are paired as ratios (1-q^(y+k)) / (1-q^(x+k)), every
     1 - q^t being -expm1(-s t), or s t below _TINY_W, so that a value near
-    the pole at 0 keeps its digits.  The two integrals are differenced by
-    _li2_tail_difference, in which the parts that grow with T cancel in
-    closed form; for q >= 2^(-1/10) it leaves out (tx - ty) ln s, which
-    joins (y-x) ln(1-q) as (y-x) ln((1-q)/s).  h(tx) - h(ty) is formed from
-    q^tx - q^ty, and each tail is moved from the rounded x + N (resp. y + N)
-    to the exact one by its slope.  So close arguments keep their digits,
-    and no F(1) of two ln Gamma_q values has to cancel in a ratio.
+    the pole at 0 keeps its digits.  The k = 0 ratio takes a log of its
+    own, and the k >= 1 ratios one log of their product.  Each of those
+    lies in [1 - q^k, 1], and 1 - q^k >= k s / (1 + k s), which rises with
+    s, so their product is at least 9! s^9 / (1 + 9 s)^9: above 3.6e-103
+    at every q below 1 - 1e-12, and above 9e-139 at every q < 1
+    (s >= 2^-53), in the normal range.  The k = 0 ratio, about
+    s y / (1-q^x) for small s y, stays out of the product, which it could
+    take below the range (at y = 1e-280, x = 1e12 and q = 1 - 1e-9).  The
+    two integrals are differenced by _li2_tail_difference, in which the
+    parts that grow with T cancel in closed form; for q >= 2^(-1/10) it
+    leaves out (tx - ty) ln s, which joins (y-x) ln(1-q) as
+    (y-x) ln((1-q)/s).  h(tx) - h(ty) is formed from q^tx - q^ty, and each
+    tail is moved from the rounded x + N (resp. y + N) to the exact one by
+    its slope.  So close arguments keep their digits, and no F(1) of two
+    ln Gamma_q values has to cancel in a ratio.
 
     h is completely monotone, so the remainder after any number of
     corrections has the sign of the first omitted one, the sign of B_2j,
@@ -190,7 +210,8 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
         x, y = y, x
     expm1 = math.expm1
     log = math.log
-    s = -q.ln_q
+    ln_q = q.ln_q
+    s = -ln_q
     n = 9 if y >= 1.0 else 10
     if s * 10.0 <= _LN2:
         ln_s = log(s)
@@ -200,13 +221,15 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
         value = (y - x) * math.log1p(-q.q)
 
     limit = min(n, cfg.max_terms)
-    start = 0
     if s * y < _TINY_W:
         # The k = 0 pair is ln(s y / (1-q^x)), with 1 - q^x = s x if tiny.
         value += log(y / x) if s * x < _TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
-        start = 1
-    for k in range(start, limit):
-        value += log(expm1(-s * (y + k)) / expm1(-s * (x + k)))
+    else:
+        value += log(expm1(ln_q * y) / expm1(ln_q * x))
+    prod = 1.0
+    for k in range(1, limit):
+        prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
+    value += log(prod)
     if limit < n:
         # The pair terms fall by a factor q or more each, from k = 0.
         bound = abs(log(expm1(-s * (y + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
@@ -370,11 +393,12 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     does; one beyond it raises Overflow.  s^(m+1) is taken into each tail
     summand too, as (n q^(ny/m) s^((m+1)/m))^m / (1-q^n), with the sign
     applied once to the tail sum, so that no factor leaves the range before
-    the summand does; a summand or sum beyond it raises Overflow.  A_m
-    takes about m^3 steps to build, so it is built only for a nonempty
-    head, and first s^(m+1) n^m q^(nx), below |psi_q^(m)(x)| at every
-    n >= 1, is checked against the range at n = max(1, round(m / (s x))),
-    near its largest.
+    the summand does; a summand or sum beyond it raises Overflow.  A_m is
+    read from the table _EULERIAN for m <= 16 (an integer-valued float m
+    too) and takes about m^3 steps to build above that, so it is built per
+    call only for m > 16 with a nonempty head.  First s^(m+1) n^m q^(nx),
+    below |psi_q^(m)(x)| at every n >= 1, is checked against the range at
+    n = max(1, round(m / (s x))), near its largest.
 
     The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) approaches q^y
     from above, so plain q^y does not dominate.  It is below 2^m q^y for
@@ -405,7 +429,7 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     max_terms = cfg.max_terms
     k_end = _head_length(x, q)
     limit = min(k_end, max_terms)
-    eulerian = _eulerian(int(m))[::-1] if k_end else ()
+    eulerian = (_EULERIAN[int(m)] if m < len(_EULERIAN) else _eulerian(int(m))) if k_end else ()
     y_ln_q = (x + k_end) * ln_q
     y_ln_q_over_m = y_ln_q / m
     scale = s * s ** (1.0 / m)  # s^((m+1)/m)

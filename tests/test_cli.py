@@ -266,6 +266,20 @@ class TestVerify:
         reports = json.loads(res.stdout)
         assert [r["inequality_id"] for r in reports] == list(ALL_CHECK_IDS)
 
+    def test_json_without_evaluated_points_is_valid_json(self):
+        # No point evaluates under --max-terms 3, so neither worst margin
+        # exists: JSON null, never the non-JSON token Infinity.
+        res = run_cli("verify", "--ineq", "thm_alpha", "--samples", "3", "--max-terms", "3",
+                      "--format", "json")
+        assert res.returncode == 3
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads(res.stdout, parse_constant=reject)[0]
+        assert report["n_pass"] == 0
+        assert report["worst_lower_margin"] is None and report["worst_upper_margin"] is None
+
     def test_unknown_id_exits_2(self):
         res = run_cli("verify", "--ineq", "thm_nonexistent", "--samples", "10")
         assert res.returncode == 2

@@ -182,6 +182,20 @@ class TestLnGammaRatio:
             assert forward.terms_used == backward.terms_used
             assert ln_gamma_q(a, q, y=a).value == 0.0
 
+    def test_head_product_stays_in_range(self):
+        # At q = 1 - 1e-9 the k = 0 ratio (1 - q^y)/(1 - q^x) is about 1e-289
+        # and the k >= 1 ratios multiply to about 9! 1e-81: one product of
+        # all of them would underflow to 0.0, whose log is no value.
+        q, x, y = QParam(1.0 - 1e-9), 1e12, 1e-280
+        forward, backward = ln_gamma_q(x, q, y=y), ln_gamma_q(y, q, y=x)
+        assert math.isfinite(forward.value)
+        assert forward.value == -backward.value
+        assert forward.error_estimate == backward.error_estimate
+        assert forward.terms_used == backward.terms_used
+        at_x, at_y = ln_gamma_q(x, q), ln_gamma_q(y, q)
+        bound = forward.error_estimate + at_x.error_estimate + at_y.error_estimate
+        assert abs(forward.value - (at_x.value - at_y.value)) <= bound
+
     @pytest.mark.parametrize("x, y", [(2.5, 0.7), (0.7, 2.5), (4.0, 3.5), (3.5, 4.0)])
     def test_max_terms_raises_with_bounded_partial_value(self, x, y):
         q = QParam(0.5)
@@ -287,6 +301,28 @@ class TestPsiQM:
     def test_rejects_bad_m(self):
         with pytest.raises(DomainError):
             psi_q_m(0, 1.0, QParam(0.5))
+
+    def test_eulerian_table_rows(self):
+        assert len(qspecial._EULERIAN) == 17
+        for m, row in enumerate(qspecial._EULERIAN):
+            assert row == tuple(qspecial._eulerian(m)), m
+            assert row == row[::-1], m
+
+    def test_float_order_reads_the_table(self):
+        q = QParam(0.5)
+        for x in (0.3, 2.0):
+            assert psi_q_m(2.0, x, q) == psi_q_m(2, x, q)
+
+    @pytest.mark.parametrize("m", [16, 17])
+    def test_last_table_order_and_the_first_built_one_match_oracle(self, m):
+        # Every point has a head, which takes A_16 from the table and A_17
+        # built per call.
+        for x, qv in ((0.4, "0.5"), (1.5, "0.9"), (3.0, "0.2")):
+            q = QParam(float(qv))
+            assert qspecial._head_length(x, q) > 0, (x, qv)
+            ev = psi_q_m(m, x, q)
+            oracle = float(mp_psi_q_m(m, x, qv))
+            assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), (x, qv)
 
     @pytest.mark.parametrize("m", [250, 300])
     def test_large_m_matches_oracle(self, m):
