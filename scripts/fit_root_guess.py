@@ -11,7 +11,10 @@ iteratively reweighted least squares.  Refit whenever psi_q changes:
     PYTHONPATH=src python scripts/fit_root_guess.py
 
 prints the coefficients, highest degree first, for ``_ROOT_GUESS_CHEB``,
-and the largest error over the fit data.
+the largest error over the fit data and, over the same q, the worst ratio
+of |psi_q| at the midpoint of the bracket g -+ ``_ROOT_GUESS_HALF_WIDTH``
+to the reach that certifies it in ``psi_q_root``.  Where that ratio is
+below 1, a solve from the refitted guess still takes one psi_q call.
 """
 
 import math
@@ -20,7 +23,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from qgamma.qcore import QParam
-from qgamma.qspecial import _CLASSICAL_ROOT, _ROOT_GUESS_S_MAX, psi_q
+from qgamma.qspecial import (_CLASSICAL_ROOT, _ROOT_GUESS_HALF_WIDTH, _ROOT_GUESS_S_MAX, _psi_q_slope_floor,
+                             psi_q)
 
 DEGREE = 22
 GAUSS_NODES = 400
@@ -47,6 +51,15 @@ def bisected_zero(q: QParam) -> float:
             hi, f_hi = mid, f_mid
 
 
+def residual_over_reach(guess: float, q: QParam) -> float:
+    """|psi_q(m)| / (min(m - lo, hi - m) L) for the bracket [lo, hi] around
+    ``guess`` and its midpoint m, L the lower bound on psi_q' there: the
+    test that ``psi_q_root`` passes when it is below 1."""
+    lo, hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
+    mid = 0.5 * (lo + hi)
+    return abs(psi_q(mid, q).value) / (min(mid - lo, hi - mid) * _psi_q_slope_floor(hi, q))
+
+
 def main() -> None:
     nodes = np.cos(np.pi * (np.arange(GAUSS_NODES) + 0.5) / GAUSS_NODES)
     qs = [math.exp(-0.5 * _ROOT_GUESS_S_MAX * (t + 1.0)) for t in nodes]
@@ -66,7 +79,10 @@ def main() -> None:
     for c in coef[::-1]:
         print(f"    {float(c)!r},")
     print(")")
-    print(f"# largest error {np.abs(basis @ coef - zeros).max():.2e} over {len(t)} fitted q")
+    guesses = basis @ coef
+    print(f"# largest error {np.abs(guesses - zeros).max():.2e} over {len(t)} fitted q")
+    worst = max(residual_over_reach(float(g), q) for g, q in zip(guesses, params))
+    print(f"# worst |psi_q(m)| / reach {worst:.2f} over the same q (the one-call solve needs < 1)")
 
 
 if __name__ == "__main__":

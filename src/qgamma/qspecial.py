@@ -19,7 +19,9 @@ geometric n-series at x + K, one path for every x: at most about
 its certified ratio, as the error bound.  ln Gamma_q takes one log for
 the k = 0 recurrence term and one for the product of the others; the
 Eulerian polynomials A_0..A_16 of the corrections and of psi_q^(m)'s head
-are one table built at import.  Results are Evaluation and PsiRoot
+are one table built at import.  psi_q_root certifies psi_q's zero from
+one psi_q call for q in [0.05, 1 - 1e-5]: a fitted guess, the residual at
+it and a lower bound on psi_q'.  Results are Evaluation and PsiRoot
 records, immutable NamedTuples that unpack, index and compare equal to
 plain tuples (see ``qcore``).
 """
@@ -525,7 +527,8 @@ _CLASSICAL_ROOT = 1.4616321449683623
 # 2e-13 at 1 - q = 1e-5 (psi_q's error_estimate is 4e-13 there); the
 # log-spaced points hold the fit to that drift, and the fit stops at 1e-5.
 # When psi_q changes, refit with scripts/fit_root_guess.py, which prints
-# this tuple.
+# this tuple and the worst ratio of |psi_q| at the bracket's midpoint to
+# the reach that certifies it (see psi_q_root), which must stay below 1.
 _ROOT_GUESS_CHEB = (
     -1.1537348416224806e-13,
     3.869907083978238e-14,
@@ -553,7 +556,9 @@ _ROOT_GUESS_CHEB = (
 )
 _ROOT_GUESS_S_MAX = -math.log(0.05)  # the fitted range's top
 # Half-width of the bracket around the guess: 2.3 times the largest error,
-# and small enough that the bracket is at most 1e-12 wide from the start.
+# so that |psi_q| at the midpoint stays within 0.65 of the half-width times
+# a lower bound on psi_q' there, the reach that certifies the bracket, and
+# small enough that the bracket is at most 1e-12 wide from the start.
 _ROOT_GUESS_HALF_WIDTH = 3e-13
 
 
@@ -571,20 +576,39 @@ def _root_guess(q: QParam) -> Optional[float]:
     return _ROOT_GUESS_CHEB[-1] + t * b1 - b2
 
 
+def _psi_q_slope_floor(x: float, q: QParam) -> float:
+    """L = s^2 [(1+E_0) / E_0^2 + (1+E_1) / E_1^2], E_k = expm1(s (x+k)) and
+    s = -ln q: the first two terms of psi_q'(x) = s^2 sum_{k>=0} (1+E_k) / E_k^2,
+    the k-form of (ln q)^2 sum_n n q^(nx) / (1-q^n), so below psi_q' on
+    (0, x], where psi_q' decreases."""
+    s = -q.ln_q
+    e0, e1 = math.expm1(s * x), math.expm1(s * (x + 1.0))
+    return s * s * ((1.0 + e0) / (e0 * e0) + (1.0 + e1) / (e1 * e1))
+
+
 def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     """The positive zero of psi_q, certified by a sign change of psi_q
     across a bracket at most 1e-12 wide.
 
-    For q >= 0.05 the bracket starts at g -+ 3e-13, g a fitted guess of the
-    root (see _root_guess) within 1.3e-13 of psi_q's zero for q in
+    For q >= 0.05 the bracket is [lo, hi] = g -+ 3e-13, g a fitted guess of
+    the root (see _root_guess) within 1.3e-13 of psi_q's zero for q in
     [0.05, 1 - 1e-5].  That bracket is narrow enough from the start, so the
-    solve takes no trial: the bracket's two ends, whose signs certify it,
-    and the residual at its midpoint are 3 psi_q calls, at every q tried
-    in that range and beyond it up to 1 - 6e-7.  Otherwise, or if psi_q
-    does not change sign across those ends (at some q above 1 - 6e-7, where
-    the computed zero drifts off the fit; 8 calls then), it takes bracketed
-    secant steps from [1, x0], x0 the classical digamma zero, and raises
-    BracketFailure if psi_q does not change sign across that either.  Each
+    solve takes no trial and one psi_q call, the residual at the midpoint m,
+    which also certifies the sign change by the mean value theorem.
+    psi_q'' = (ln q)^3 sum_n n^2 q^(nx) / (1-q^n) < 0, so psi_q' is positive
+    and decreasing, and on [lo, hi] it is at least psi_q'(hi) and so at
+    least L, the first two terms of psi_q'(hi) (see _psi_q_slope_floor).
+    Then |psi_q(m)| < min(m - lo, hi - m) L, the reach, gives
+    psi_q(lo) < 0 < psi_q(hi).  The omitted terms are above 2e-3 of L for
+    s = -ln q <= -ln 0.05, far above the rounding of L and of the reach.  As
+    the sign test did, this takes the computed psi_q(m) as exact; its
+    error_estimate is left out of the comparison.  |psi_q(m)| is at most
+    0.65 of the reach at every q tried in [0.05, 1 - 1e-5].  If it is not
+    below the reach (at some q above 1 - 4e-6, where the computed zero
+    drifts off the fit; 7 calls then), or the residual is above 1e-10, or
+    q < 0.05, the solve takes bracketed secant steps from [1, x0], x0 the
+    classical digamma zero, with psi_q(m) kept for reuse, and raises
+    BracketFailure if psi_q does not change sign across [1, x0].  Each
     trial is the secant of the last two points evaluated, the first one
     the chord of the bracket, or the bracket's midpoint if that secant
     lands outside the bracket (only at q below about 5e-3 in the q tried,
@@ -598,8 +622,8 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     and closes the bracket to width 1e-12.  A trial where psi_q is exactly
     0 is the root, with the bracket t -+ 2.5e-13, whose signs are checked.
     The loop is bounded and raises BracketFailure at its bound.  No point is
-    evaluated twice: the final midpoint can land on a point already
-    evaluated, whose value is reused.
+    evaluated twice: a trial or the final midpoint can land on a point
+    already evaluated, whose value is reused.
 
     q below the least normal double raises DomainError: psi_q is of order
     q near its zero, so the signs that would certify a bracket come from
@@ -619,12 +643,15 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     guess = _root_guess(q)
     if guess is not None:
         lo, hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
-        f_lo, f_hi = f(lo), f(hi)
-    if guess is None or not f_lo < 0.0 < f_hi:
-        lo, hi = 1.0, _CLASSICAL_ROOT
-        f_lo, f_hi = f(lo), f(hi)
-        if not f_lo < 0.0 < f_hi:
-            raise BracketFailure(f"psi_q does not change sign across [{lo}, {hi}] for q={q.q}")
+        root = 0.5 * (lo + hi)
+        residual = f(root)
+        reach = min(root - lo, hi - root) * _psi_q_slope_floor(hi, q)
+        if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < reach:
+            return PsiRoot(q=q, root=root, bracket_low=lo, bracket_high=hi, residual=residual)
+    lo, hi = 1.0, _CLASSICAL_ROOT
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo < 0.0 < f_hi:
+        raise BracketFailure(f"psi_q does not change sign across [{lo}, {hi}] for q={q.q}")
 
     half_tol = 0.5 * _ROOT_WIDTH_TOL
     a, f_a, b, f_b = lo, f_lo, hi, f_hi  # the last two points, b the latest

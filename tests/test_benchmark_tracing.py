@@ -51,8 +51,8 @@ def test_tracer_counts_psi_evaluations_per_root_solve(monkeypatch):
     from tracing import layer_values
 
     # Three sampled q in [0.05, 0.95], each solved from the fitted guess:
-    # the bracket's two ends and the midpoint residual.
-    assert layer_values(summary)["qspecial.psi_q_root.psi_evals_per_solve"] == 3
+    # the midpoint residual, which also certifies the bracket.
+    assert layer_values(summary)["qspecial.psi_q_root.psi_evals_per_solve"] == 1
 
 
 def test_one_ln_gamma_q_span_per_ratio(monkeypatch):

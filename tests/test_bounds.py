@@ -193,6 +193,14 @@ class TestThmAlpha:
         with pytest.raises(DomainError):
             thm_alpha_bounds(2.0, 1.0, 1e16, QParam(0.5))
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("force", [False, True])
+    def test_non_finite_alpha_rejected(self, alpha, force):
+        # NaN is not below the root, and x + inf - inf is NaN: either way the
+        # error used to blame x and y.
+        with pytest.raises(DomainError, match="^alpha must be finite"):
+            thm_alpha_bounds(2.0, 1.0, alpha, QParam(0.5), force=force)
+
     def test_arguments_rounded_in_the_sum(self):
         # 1e16 + 3 rounds to 1e16 + 4 and 1e16 + 2.5 to 1e16 + 2, so the pair
         # is the one at (4, 2): ratio Gamma_q(a + 4)/Gamma_q(a + 2), about

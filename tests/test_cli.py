@@ -154,6 +154,14 @@ class TestBounds:
         assert res.returncode == 2
         assert "alpha" in res.stderr
 
+    @pytest.mark.parametrize("extra", [(), ("--force",)])
+    def test_nan_alpha_exits_2(self, extra):
+        res = run_cli("bounds", "--ineq", "thm_alpha", "--x", "2", "--y", "1",
+                      "--alpha", "nan", "--q", "0.5", *extra)
+        assert res.returncode == 2
+        assert "alpha must be finite" in res.stderr
+        assert "lost in" not in res.stderr
+
     def test_alpha_below_root_exits_2(self):
         res = run_cli("bounds", "--ineq", "thm_alpha", "--x", "1", "--y", "2",
                       "--alpha", "0.3", "--q", "0.5")

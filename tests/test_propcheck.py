@@ -228,6 +228,12 @@ class TestConvexityCheck:
         with pytest.raises(AlphaBelowRoot):
             check_geometric_convexity("g_thm_alpha", sample(spec, 2, 5), QParam(0.5), 0.2)
 
+    def test_g_rejects_non_finite_alpha_at_every_point(self):
+        batch = sample(DomainSpec((0.05, 10.0), (0.05, 10.0), None), 4, 3)
+        report = check_geometric_convexity("g_thm_alpha", batch, QParam(0.5), math.nan)
+        assert report.n_errors == report.n_samples == 3
+        assert all(f["error"] == "alpha must be finite, got nan" for f in report.failures)
+
     def test_g_alpha_grace_matches_thm_alpha(self):
         # One rule for both: 1e-9 below the root passes, beyond it raises.
         q = QParam(0.75)

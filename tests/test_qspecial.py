@@ -559,6 +559,22 @@ class TestEulerGammaQ:
         assert euler_gamma_q(QParam(0.999)).value == pytest.approx(0.577215664, abs=1e-2)
 
 
+def _assert_root_invariants(q, res):
+    """A bracket at most 1e-12 wide around the root, across which psi_q,
+    evaluated outside the solver, changes sign."""
+    assert res.bracket_low < res.root < res.bracket_high, q.q
+    assert psi_q(res.bracket_low, q).value < 0.0 < psi_q(res.bracket_high, q).value, q.q
+    assert res.bracket_high - res.bracket_low <= 1e-12, q.q
+    assert abs(res.residual) <= 1e-10, q.q
+    if euler_gamma_q(q).value > 0.0:
+        assert res.root > 1.0, q.q
+
+
+def _guess_midpoint(q):
+    guess, half = qspecial._root_guess(q), qspecial._ROOT_GUESS_HALF_WIDTH
+    return 0.5 * ((guess - half) + (guess + half))
+
+
 class TestPsiQRoot:
     def test_root_at_half(self):
         res = psi_q_root(QParam(0.5))
@@ -601,18 +617,14 @@ class TestPsiQRoot:
         ]
         for qv in [*np.arange(0.05, 0.951, 0.05), *extremes]:
             q = QParam(float(qv))
-            res = psi_q_root(q)
-            assert res.bracket_low < res.root < res.bracket_high
-            assert psi_q(res.bracket_low, q).value < 0.0 < psi_q(res.bracket_high, q).value
-            assert res.bracket_high - res.bracket_low <= 1e-12
-            assert abs(res.residual) <= 1e-10
-            if euler_gamma_q(q).value > 0.0:
-                assert res.root > 1.0
+            _assert_root_invariants(q, psi_q_root(q))
 
     def test_psi_evaluations_per_solve(self, monkeypatch):
         # Bisection takes about 44 psi_q calls, the secant from [1, x0] about
-        # 8.7; from the fitted guess a solve takes exactly 3: the bracket's
-        # two ends, already at most 1e-12 apart, and the midpoint residual.
+        # 8.7; from the fitted guess a solve takes exactly 1: the midpoint
+        # residual, which with a lower bound on psi_q' certifies the
+        # bracket, already at most 1e-12 wide.  Each bracket is then checked
+        # directly, outside the solver, on every q where the count is pinned.
         # Counting through the module names also pins that the solver calls
         # psi_q by that name, which the benchmark tracer relies on, and
         # never psi_q_m.
@@ -631,13 +643,15 @@ class TestPsiQRoot:
         monkeypatch.setattr(qspecial, "psi_q_m", counting_psi_q_m)
         rng = np.random.default_rng(1801)
         one_minus_q = np.exp(rng.uniform(math.log(1e-5), math.log(0.95), size=600))
+        roots = []
         for qv in [*np.arange(0.05, 0.951, 0.05), *(1.0 - one_minus_q)]:
             calls.clear()
             slopes.clear()
-            res = qspecial.psi_q_root(QParam(float(qv)))
-            assert len(calls) == 3, (qv, len(calls))
+            roots.append(qspecial.psi_q_root(QParam(float(qv))))
+            assert len(calls) == 1, (qv, len(calls))
             assert len(slopes) == 0, (qv, len(slopes))
-            assert res.bracket_high - res.bracket_low <= 1e-12, qv
+        for res in roots:
+            _assert_root_invariants(res.q, res)
 
     def test_no_argument_evaluated_twice(self, monkeypatch):
         # The final midpoint can land on a point already evaluated; its
@@ -689,8 +703,8 @@ class TestPsiQRoot:
 
     def test_no_sign_change_on_the_wide_bracket_raises(self, monkeypatch):
         # With psi_q shifted right by 10 it is positive on [1, x0] and at the
-        # guess's ends; the solve raises after those four calls, searching
-        # no further.
+        # guess's midpoint, whose residual is far above 1e-10; the solve
+        # raises after those three calls, searching no further.
         calls = []
 
         def shifted_psi_q(x, q, cfg):
@@ -699,16 +713,60 @@ class TestPsiQRoot:
 
         monkeypatch.setattr(qspecial, "psi_q", shifted_psi_q)
         q = QParam(0.5)
-        guess = qspecial._root_guess(q)
-        half = qspecial._ROOT_GUESS_HALF_WIDTH
         with pytest.raises(BracketFailure):
             qspecial.psi_q_root(q)
-        assert calls == [guess - half, guess + half, 1.0, qspecial._CLASSICAL_ROOT]
+        assert calls == [_guess_midpoint(q), 1.0, qspecial._CLASSICAL_ROOT]
+
+    @pytest.mark.parametrize("qv", [0.05, 0.3, 0.7, 0.95, 0.999])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_residual_beyond_the_reach_declines_the_guess(self, monkeypatch, qv, sign):
+        # psi_q moved by a constant 3 times the reach, still below the 1e-10
+        # residual bound: the midpoint no longer certifies the guess's
+        # bracket, so the solve goes on from [1, x0], reusing the midpoint's
+        # value, and finds the moved function's zero.
+        q = QParam(qv)
+        mid = _guess_midpoint(q)
+        hi = qspecial._root_guess(q) + qspecial._ROOT_GUESS_HALF_WIDTH
+        shift = sign * 3.0 * (hi - mid) * qspecial._psi_q_slope_floor(hi, q)
+        assert abs(psi_q(mid, q).value) < abs(shift) < 1e-10
+        calls = []
+
+        def shifted_psi_q(x, q, cfg):
+            calls.append(x)
+            ev = psi_q(x, q, cfg)
+            return ev._replace(value=ev.value + shift)
+
+        monkeypatch.setattr(qspecial, "psi_q", shifted_psi_q)
+        res = qspecial.psi_q_root(q)
+        assert calls[:3] == [mid, 1.0, qspecial._CLASSICAL_ROOT], (qv, calls)
+        assert len(set(calls)) == len(calls), (qv, calls)
+        moved = lambda t: psi_q(t, q).value + shift
+        assert moved(res.bracket_low) < 0.0 < moved(res.bracket_high)
+        assert res.bracket_high - res.bracket_low <= 1e-12
+
+    def test_slope_floor_is_below_psi_q_prime(self):
+        # L, the two-term floor that certifies the guess's bracket, stays
+        # below psi_q'(hi) at the bracket's top: 1 - q log-uniform over
+        # [0.05, 0.95] and down to 1e-5 beyond it, 1,000 q each.
+        rng = np.random.default_rng(2001)
+        lo, hi = math.log(0.05), math.log(0.95)
+        one_minus_q = [*np.exp(rng.uniform(lo, hi, size=1000)), *np.exp(rng.uniform(math.log(1e-5), lo, size=1000))]
+        for om in one_minus_q:
+            q = QParam(1.0 - float(om))
+            top = qspecial._root_guess(q) + qspecial._ROOT_GUESS_HALF_WIDTH
+            floor = qspecial._psi_q_slope_floor(top, q)
+            assert 0.0 < floor <= psi_q_m(1, top, q).value, (q.q, floor)
+
+    @pytest.mark.parametrize("qv", [0.05, 0.3, 0.7, 0.95, 0.99])
+    def test_slope_floor_is_below_oracle_psi_q_prime(self, qv):
+        q = QParam(qv)
+        top = qspecial._root_guess(q) + qspecial._ROOT_GUESS_HALF_WIDTH
+        assert qspecial._psi_q_slope_floor(top, q) < float(mp_psi_q_m(1, top, qv))
 
     def test_guess_that_misses_falls_back_to_the_wide_bracket(self, monkeypatch):
-        # A guess whose ends do not enclose the root hands over to [1, x0];
-        # its two values stay in the solve's memo, and the root is the one
-        # the wide bracket finds on its own.
+        # A guess whose bracket does not enclose the root hands over to
+        # [1, x0]; its midpoint's value stays in the solve's memo, and the
+        # root is the one the wide bracket finds on its own.
         calls = []
 
         def counting_psi_q(*args, **kwargs):
