@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from qgamma.qcore import QParam
-from qgamma.qspecial import (_CLASSICAL_ROOT, _ROOT_GUESS_HALF_WIDTH, _ROOT_GUESS_S_MAX, _psi_q_slope_floor,
+from qgamma.qspecial import (_CLASSICAL_ROOT, _ROOT_GUESS_HALF_WIDTH, _ROOT_GUESS_S_MAX, _psi_q_root_reach,
                              psi_q)
 
 DEGREE = 22
@@ -52,12 +52,11 @@ def bisected_zero(q: QParam) -> float:
 
 
 def residual_over_reach(guess: float, q: QParam) -> float:
-    """|psi_q(m)| / (min(m - lo, hi - m) L) for the bracket [lo, hi] around
-    ``guess`` and its midpoint m, L the lower bound on psi_q' there: the
-    test that ``psi_q_root`` passes when it is below 1."""
+    """|psi_q(m)| over the reach of the bracket [lo, hi] around ``guess``, m
+    its midpoint: the test that ``psi_q_root`` passes when it is below 1."""
     lo, hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
     mid = 0.5 * (lo + hi)
-    return abs(psi_q(mid, q).value) / (min(mid - lo, hi - mid) * _psi_q_slope_floor(hi, q))
+    return abs(psi_q(mid, q).value) / _psi_q_root_reach(lo, mid, hi, q)
 
 
 def main() -> None:

@@ -18,15 +18,22 @@ a check that samples exits 2 on a negative seed, and every check exits 2
 on --samples below 1.  Earlier releases drew from numpy's default_rng, so
 the same seed now samples different points.
 
+verify --corrupt-bounds halves every inequality's upper bound and must exit
+1; a request holding a check with no upper bound (convexity, slope, limits,
+and so --ineq all) exits 2, naming those checks, before any check runs.
+
+Every subcommand writes JSON through one writer, with null for each float
+that is not finite: a bound beyond the double range in `bounds` and
+`table`, or a worst margin of a report none of whose points evaluated
+(e.g. under a small --max-terms).  Plain and CSV print inf and nan.
+
 JSON report schema (one object per check):
   { "schema_version": 1, "inequality_id": str, "n_samples": int,
     "n_pass": int, "worst_lower_margin": float | null,
     "worst_upper_margin": float | null,
     "failures": [ { "point": {"x","y","q","aux"},
-                    "lower": float, "ratio": float, "upper": float } ],
+                    "lower", "ratio", "upper": float | null } ],
     "wall_time_s": float }
-A worst margin is null when no point of the report was evaluated (every
-point raised, e.g. under a small --max-terms); the plain format prints inf.
 
 Table CSV: header ``x,lower,ratio,upper,lower_margin,upper_margin``, one
 row per grid point, '\\n' newlines, '.' decimal point, no locale formatting.
@@ -36,31 +43,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional
 
 from .classical import ln_gamma_classical, psi_classical
-from .constants import MAX_EXP
-from .errors import (
-    BracketFailure,
-    DomainError,
-    NonConvergence,
-    Overflow,
-    QGammaError,
-)
-from .qcore import EvalConfig, Evaluation, QParam
-from .qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
+from .errors import BracketFailure, DomainError, NonConvergence, Overflow, QGammaError
+from .qcore import EvalConfig, QParam
+from .qspecial import _exp_evaluation, euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
 from .bounds import INEQUALITIES, INEQUALITY_IDS, passes
-from .propcheck import (
-    ALL_CHECK_IDS,
-    evaluate_point,
-    linspace,
-    report_to_dict,
-    report_to_text,
-    run_check,
-)
+from .propcheck import (ALL_CHECK_IDS, EXTRA_CHECK_IDS, _json_ready, evaluate_point, linspace, report_to_dict,
+                        report_to_text, run_check)
 
 EXIT_OK = 0
 EXIT_CERT_FAILURES = 1
@@ -68,6 +61,27 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 ENV_MAX_TERMS = "QGAMMA_MAX_TERMS"
+
+# Each `eval --fn` function with the flags it takes, in argument order; the
+# q-functions, which take --q, also take the series config.
+_EVAL_FUNCTIONS = {
+    "gamma_q": (gamma_q, ("x", "q")),
+    "ln_gamma_q": (ln_gamma_q, ("x", "q")),
+    "psi_q": (psi_q, ("x", "q")),
+    "psi_q_m": (psi_q_m, ("m", "x", "q")),
+    "euler_gamma_q": (euler_gamma_q, ("q",)),
+    "gamma": (lambda x: _exp_evaluation(ln_gamma_classical(x), f"Gamma({x})"), ("x",)),
+    "psi": (psi_classical, ("x",)),
+}
+
+# The point flags of `bounds` and `table`: every slot of an inequality, in
+# order of first use, with --lambda an alias of --lam.
+_SLOTS = tuple(dict.fromkeys(slot for ineq in INEQUALITIES.values() for slot in ineq.args))
+_SLOT_ALIASES = {"lambda": "lam"}
+
+# The bound pair fields that `bounds` prints and each `table` row holds.
+_PAIR_FIELDS = ("lower", "ratio", "upper", "lower_margin", "upper_margin")
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -86,21 +100,30 @@ def _eval_config(args) -> EvalConfig:
     return EvalConfig(max_terms=max_terms)
 
 
+def _write_json(payload) -> None:
+    """The one JSON writer: null for every float that is not finite."""
+    print(json.dumps(_json_ready(payload)))
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload))
+        _write_json(payload)
     else:
         for key, value in payload.items():
             print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
+
+
+def _require_flags(name: str, flags, args) -> None:
+    missing = [flag for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise DomainError(f"{name} requires --" + ", --".join(missing))
 
 
 def _point_from_args(ineq: str, args) -> tuple:
     """The (x, y, q, aux) point of ``ineq`` from its flags; aux packs the
     slots beyond x, y and q as ``bounds.Inequality`` describes."""
     slots = INEQUALITIES[ineq].args
-    missing = [name for name in slots if getattr(args, name) is None]
-    if missing:
-        raise DomainError(f"{ineq} requires --" + ", --".join(missing))
+    _require_flags(ineq, slots, args)
     extra = tuple(getattr(args, name) for name in slots if name not in ("x", "y", "q"))
     aux = extra[0] if len(extra) == 1 else extra or None
     y = args.y if "y" in slots else None
@@ -110,39 +133,11 @@ def _point_from_args(ineq: str, args) -> tuple:
 
 def _cmd_eval(args) -> int:
     cfg = _eval_config(args)
-    fn = args.fn
-    if fn in ("gamma_q", "ln_gamma_q", "psi_q", "psi_q_m", "euler_gamma_q"):
-        if args.q is None:
-            raise DomainError(f"{fn} requires --q")
-        q = QParam(args.q)
-        if fn == "euler_gamma_q":
-            ev = euler_gamma_q(q, cfg)
-        else:
-            if args.x is None:
-                raise DomainError(f"{fn} requires --x")
-            if fn == "gamma_q":
-                ev = gamma_q(args.x, q, cfg)
-            elif fn == "ln_gamma_q":
-                ev = ln_gamma_q(args.x, q, cfg)
-            elif fn == "psi_q":
-                ev = psi_q(args.x, q, cfg)
-            else:
-                ev = psi_q_m(args.m, args.x, q, cfg)
-    elif fn == "gamma":
-        if args.x is None:
-            raise DomainError("gamma requires --x")
-        ln_ev = ln_gamma_classical(args.x)
-        if ln_ev.value > MAX_EXP:
-            raise Overflow(f"Gamma({args.x}) exceeds the double range (ln = {ln_ev.value:.6g})")
-        value = math.exp(ln_ev.value)
-        ev = Evaluation(value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used)
-    elif fn == "psi":
-        if args.x is None:
-            raise DomainError("psi requires --x")
-        ev = psi_classical(args.x)
-    else:
-        raise DomainError(f"unknown function {fn!r}")
-    _emit({"value": ev.value, "error_estimate": ev.error_estimate, "terms_used": ev.terms_used}, args.format)
+    fn, flags = _EVAL_FUNCTIONS[args.fn]
+    _require_flags(args.fn, flags, args)
+    values = [QParam(args.q) if flag == "q" else getattr(args, flag) for flag in flags]
+    ev = fn(*values, cfg) if "q" in flags else fn(*values)
+    _emit(ev._asdict(), args.format)
     return EXIT_OK
 
 
@@ -151,11 +146,7 @@ def _cmd_bounds(args) -> int:
     pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), cfg, force=args.force)
     payload = {
         "inequality_id": args.ineq,
-        "lower": pair.lower,
-        "ratio": pair.ratio,
-        "upper": pair.upper,
-        "lower_margin": pair.lower_margin,
-        "upper_margin": pair.upper_margin,
+        **{name: getattr(pair, name) for name in _PAIR_FIELDS},
         "strict": pair.strict,
         "satisfied": passes(pair.log_ratio - pair.log_lower, pair.log_upper - pair.log_ratio),
     }
@@ -166,12 +157,15 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _eval_config(args)
     check_ids = ALL_CHECK_IDS if args.ineq == "all" else (args.ineq,)
+    unbounded = [cid for cid in check_ids if cid in EXTRA_CHECK_IDS]
+    if args.corrupt_bounds and unbounded:
+        raise DomainError("--corrupt-bounds: no upper bound to halve in " + ", ".join(unbounded))
     reports = [
         run_check(cid, seed=args.seed, samples=args.samples, cfg=cfg, corrupt_upper=args.corrupt_bounds)
         for cid in check_ids
     ]
     if args.format == "json":
-        print(json.dumps([report_to_dict(r) for r in reports]))
+        _write_json([report_to_dict(r) for r in reports])
     else:
         print("\n\n".join(report_to_text(r) for r in reports))
     if any(r.n_errors > r.n_samples / 2 for r in reports):
@@ -183,18 +177,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_root(args) -> int:
     cfg = _eval_config(args)
-    result = psi_q_root(QParam(args.q), cfg)
-    payload = {
-        "root": result.root,
-        "bracket_low": result.bracket_low,
-        "bracket_high": result.bracket_high,
-        "residual": result.residual,
-    }
+    payload = psi_q_root(QParam(args.q), cfg)._asdict()
+    del payload["q"]
     _emit(payload, args.format)
     return EXIT_OK
-
-
-_TABLE_FIELDS = ("lower", "ratio", "upper", "lower_margin", "upper_margin")
 
 
 def _cmd_table(args) -> int:
@@ -203,18 +189,18 @@ def _cmd_table(args) -> int:
         raise DomainError(f"steps must be >= 2, got {args.steps!r}")
     if not args.min < args.max:
         raise DomainError(f"requires min < max, got {args.min!r}, {args.max!r}")
-    var_slot = "lam" if args.var == "lambda" else args.var
+    var_slot = _SLOT_ALIASES.get(args.var, args.var)
     if var_slot not in INEQUALITIES[args.ineq].args:
         raise DomainError(f"{args.ineq} has no sweep variable {args.var!r}")
     rows = []
     for value in linspace(args.min, args.max, args.steps):
         setattr(args, var_slot, value)
         pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), cfg, force=args.force)
-        rows.append({"x": value, **{name: getattr(pair, name) for name in _TABLE_FIELDS}})
+        rows.append({"x": value, **{name: getattr(pair, name) for name in _PAIR_FIELDS}})
     if args.format == "json":
-        print(json.dumps(rows))
+        _write_json(rows)
     else:
-        lines = [",".join(("x",) + _TABLE_FIELDS)]
+        lines = [",".join(("x",) + _PAIR_FIELDS)]
         lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -229,15 +215,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-terms", dest="max_terms", type=int, default=None)
 
     def add_point_flags(p):
-        for name in ("x", "y", "q", "alpha", "mu"):
-            p.add_argument(f"--{name}", type=float)
-        p.add_argument("--lam", "--lambda", dest="lam", type=float)
+        for slot in _SLOTS:
+            aliases = [f"--{alias}" for alias, target in _SLOT_ALIASES.items() if target == slot]
+            p.add_argument(f"--{slot}", *aliases, dest=slot, type=float)
         p.add_argument("--force", action="store_true",
                        help="evaluate outside the stated hypothesis (exploratory)")
 
     p_eval = sub.add_parser("eval", help="evaluate one special function at a point")
-    p_eval.add_argument("--fn", required=True,
-                        choices=("gamma_q", "ln_gamma_q", "psi_q", "psi_q_m", "euler_gamma_q", "gamma", "psi"))
+    p_eval.add_argument("--fn", required=True, choices=tuple(_EVAL_FUNCTIONS))
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--q", type=float)
     p_eval.add_argument("--m", type=int, default=1)
@@ -267,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="sweep one variable, emit CSV or JSON rows")
     p_table.add_argument("--ineq", required=True, choices=INEQUALITY_IDS)
-    p_table.add_argument("--var", required=True, choices=("x", "y", "q", "alpha", "mu", "lam", "lambda"))
+    p_table.add_argument("--var", required=True, choices=_SLOTS + tuple(_SLOT_ALIASES))
     p_table.add_argument("--min", type=float, required=True)
     p_table.add_argument("--max", type=float, required=True)
     p_table.add_argument("--steps", type=int, required=True)
@@ -283,12 +268,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (NonConvergence, Overflow, BracketFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except QGammaError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERICAL if isinstance(exc, (NonConvergence, Overflow, BracketFailure)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

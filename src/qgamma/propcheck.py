@@ -2,10 +2,12 @@
 
 ``sample`` turns a DomainSpec into a reproducible point batch, ``certify``
 evaluates one inequality over a batch, and the ``check_*`` functions cover
-the geometric-convexity, slope-monotonicity and q->1 limit properties, the
-first two by the log ratios, slopes and alpha rule of the theorems in
-``bounds``.  The registry at the bottom maps every check id to a runner so a
-single call can exercise the complete suite.
+the geometric convexity and slope monotonicity of the proof functions f and
+g, by the log ratios, slopes and alpha rule of the theorems in ``bounds``,
+and the q->1 limits.  One table at the bottom, ``_CHECKS``, gives each check
+id its runner: one per inequality, a convexity and a slope check per proof
+function (one report over the q and alpha grid of the function's row of
+constants, ``_PROOF_ROWS``) and the limit check.
 
 Points are drawn from the standard library's ``random.Random(seed)``
 (Mersenne Twister) with integer seeds >= 0, and slope grids are evenly
@@ -23,7 +25,7 @@ import math
 import random
 import time
 from functools import partial
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
@@ -335,12 +337,47 @@ def _proof_function(
     raise DomainError(f"unknown convexity function {function_id!r}")
 
 
+class _ProofRow(NamedTuple):
+    """Where a proof function is checked: pairs from ``pair_domain``, each
+    argument at least ``least_argument``, and slopes on a grid spanning
+    ``slope_ends``; at every q of the check grid, and with alpha offsets at
+    alpha = that q's psi_q root plus each offset."""
+
+    pair_domain: DomainSpec
+    slope_ends: Tuple[float, float]
+    alpha_offsets: Optional[Tuple[float, ...]]
+    least_argument: float
+
+
+_PROOF_ROWS = {
+    "f_thm_main": _ProofRow(DomainSpec((1.0, 20.0), (1.0, 20.0), None), (1.0, 10.0), None, 1.0),
+    "g_thm_alpha": _ProofRow(DomainSpec((0.05, 10.0), (0.05, 10.0), None), (0.05, 10.0), (0.0, 1.0, 5.0), 0.0),
+}
+
+
+def _convexity_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> CertificateReport:
+    """One report of the midpoint margins over (batch, q, alpha) runs."""
+    tally = _Tally(f"convexity_{function_id}")
+    for batch, q, aux in runs:
+        log_diff, _ = _proof_function(function_id, q, aux, cfg)
+        least = _PROOF_ROWS[function_id].least_argument
+        for point in batch.points:
+            x1, x2 = point[0], point[1]
+            try:
+                if x1 < least or x2 < least:
+                    raise DomainError(f"pair ({x1!r}, {x2!r}) outside [{least:g}, inf)")
+                mid = math.sqrt(x1 * x2)
+                margin = 0.5 * (log_diff(x1, mid) + log_diff(x2, mid))
+            except QGammaError as exc:
+                tally.error(_point_dict(point), exc)
+                continue
+            tally.add(margin, margin, margin >= -CONVEXITY_SLACK_LOG,
+                      lambda: {"point": _point_dict(point), "margin": margin})
+    return tally.report()
+
+
 def check_geometric_convexity(
-    function_id: str,
-    batch: SampleBatch,
-    q: QParam,
-    aux=None,
-    cfg: EvalConfig = DEFAULT_CONFIG,
+    function_id: str, batch: SampleBatch, q: QParam, aux=None, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> CertificateReport:
     """Verify ln f(sqrt(x1 x2)) <= (ln f(x1) + ln f(x2)) / 2 over a pair batch.
 
@@ -348,57 +385,36 @@ def check_geometric_convexity(
     (D(x1, m) + D(x2, m)) / 2 with m = sqrt(x1 x2) and D the log ratio of f,
     is reported in both worst-margin fields.
     """
-    tally = _Tally(f"convexity_{function_id}")
-    log_diff, _ = _proof_function(function_id, q, aux, cfg)
-    for point in batch.points:
-        x1, x2 = point[0], point[1]
-        try:
-            if function_id == "f_thm_main" and (x1 < 1.0 or x2 < 1.0):
-                raise DomainError(f"pair ({x1!r}, {x2!r}) outside [1, inf)")
-            mid = math.sqrt(x1 * x2)
-            margin = 0.5 * (log_diff(x1, mid) + log_diff(x2, mid))
-        except QGammaError as exc:
-            tally.error(_point_dict(point), exc)
-            continue
-        tally.add(
-            margin,
-            margin,
-            margin >= -CONVEXITY_SLACK_LOG,
-            lambda: {"point": _point_dict(point), "margin": margin},
-        )
+    return _convexity_report(function_id, [(batch, q, aux)], cfg)
+
+
+def _slope_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> CertificateReport:
+    """One report of the slope differences over (grid, q, alpha) runs."""
+    tally = _Tally(f"slope_{function_id}")
+    for grid, q, aux in runs:
+        grid = [float(t) for t in grid]
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError("grid must be strictly increasing")
+        _, slope = _proof_function(function_id, q, aux, cfg)
+        values = [_attempt(slope, t) for t in grid]
+        for i, (a, b) in enumerate(zip(values, values[1:])):
+            point = {"x": grid[i], "y": grid[i + 1], "q": q.q, "aux": aux}
+            if tally.errored(point, a, b):
+                continue
+            margin = b - a
+            tally.add(margin, margin, margin >= -SLOPE_SLACK, lambda: {"point": point, "margin": margin})
     return tally.report()
 
 
 def check_lemma_monotone_slope(
-    function_id: str,
-    grid: Sequence[float],
-    q: QParam,
-    aux=None,
-    cfg: EvalConfig = DEFAULT_CONFIG,
+    function_id: str, grid: Sequence[float], q: QParam, aux=None, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> CertificateReport:
     """Verify x (ln f)'(x) is nondecreasing along a strictly increasing grid.
 
     A slope that fails to evaluate makes each comparison it enters a
     recorded error.
     """
-    grid = [float(t) for t in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError("grid must be strictly increasing")
-    tally = _Tally(f"slope_{function_id}")
-    _, slope = _proof_function(function_id, q, aux, cfg)
-    values = [_attempt(slope, t) for t in grid]
-    for i, (a, b) in enumerate(zip(values, values[1:])):
-        point = {"x": grid[i], "y": grid[i + 1], "q": q.q, "aux": aux}
-        if tally.errored(point, a, b):
-            continue
-        margin = b - a
-        tally.add(
-            margin,
-            margin,
-            margin >= -SLOPE_SLACK,
-            lambda: {"point": point, "margin": margin},
-        )
-    return tally.report()
+    return _slope_report(function_id, [(grid, q, aux)], cfg)
 
 
 _LIMIT_REL_TOL = 5e-2
@@ -456,71 +472,51 @@ def check_limits(
 # --------------------------------------------------------------------------
 
 _CHECK_Q_GRID = (0.05, 0.25, 0.5, 0.75, 0.95)
-_ALPHA_OFFSETS = (0.0, 1.0, 5.0)
 _LIMIT_Q_SEQUENCE = (0.9, 0.99, 0.999, 0.9999, 0.99999)
 _LIMIT_X_GRID = (0.5, 1.5, 2.5, 4.0)
 
-_CONVEXITY_DOMAIN_F = DomainSpec((1.0, 20.0), (1.0, 20.0), None)
-_CONVEXITY_DOMAIN_G = DomainSpec((0.05, 10.0), (0.05, 10.0), None)
+
+def _combos(row: _ProofRow) -> list:
+    """The (q, alpha) pairs of ``row``, roots solved under DEFAULT_CONFIG."""
+    grid = [QParam(q) for q in _CHECK_Q_GRID]
+    if row.alpha_offsets is None:
+        return [(q, None) for q in grid]
+    return [(q, cached_psi_root(q) + off) for q in grid for off in row.alpha_offsets]
 
 
-def _merge_reports(check_id: str, reports: Sequence[CertificateReport]) -> CertificateReport:
-    failures = []
-    for rep in reports:
-        failures.extend(rep.failures[: _FAILURE_CAP - len(failures)])
-    return CertificateReport(
-        inequality_id=check_id,
-        n_samples=sum(r.n_samples for r in reports),
-        n_pass=sum(r.n_pass for r in reports),
-        worst_lower_margin=min(r.worst_lower_margin for r in reports),
-        worst_upper_margin=min(r.worst_upper_margin for r in reports),
-        failures=tuple(failures),
-        wall_time=sum(r.wall_time for r in reports),
-        n_errors=sum(r.n_errors for r in reports),
-    )
-
-
-def _combos(function_id: str) -> list:
-    """(q, alpha) pairs a proof function is checked at: every grid q, and for
-    g each alpha offset above that q's psi_q root under DEFAULT_CONFIG."""
-    if function_id == "f_thm_main":
-        return [(QParam(q), None) for q in _CHECK_Q_GRID]
-    return [(QParam(q), cached_psi_root(QParam(q)) + off) for q in _CHECK_Q_GRID for off in _ALPHA_OFFSETS]
+def _run_inequality(inequality_id: str, seed: int, samples: int, cfg: EvalConfig, corrupt_upper=False):
+    return certify(inequality_id, sample(default_domain(inequality_id), seed, samples), cfg, corrupt_upper)
 
 
 def _run_convexity(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> CertificateReport:
-    domain = _CONVEXITY_DOMAIN_F if function_id == "f_thm_main" else _CONVEXITY_DOMAIN_G
-    combos = _combos(function_id)
-    per_combo = max(1, -(-samples // len(combos)))
-    reports = [
-        check_geometric_convexity(function_id, sample(domain, seed + i, per_combo), q, aux, cfg)
-        for i, (q, aux) in enumerate(combos)
-    ]
-    return _merge_reports(f"convexity_{function_id}", reports)
+    row = _PROOF_ROWS[function_id]
+    combos = _combos(row)
+    per_combo = -(-samples // len(combos))
+    runs = ((sample(row.pair_domain, seed + i, per_combo), q, aux) for i, (q, aux) in enumerate(combos))
+    return _convexity_report(function_id, runs, cfg)
 
 
 def _run_slope(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> CertificateReport:
-    lo, hi = (1.0, 10.0) if function_id == "f_thm_main" else (0.05, 10.0)
-    combos = _combos(function_id)
+    row = _PROOF_ROWS[function_id]
+    combos = _combos(row)
     # One extra grid point per combo so comparison counts reach ``samples``.
-    per_combo = max(2, -(-samples // len(combos)) + 1)
-    grid = linspace(lo, hi, per_combo)
-    reports = [check_lemma_monotone_slope(function_id, grid, q, aux, cfg) for q, aux in combos]
-    return _merge_reports(f"slope_{function_id}", reports)
+    grid = linspace(*row.slope_ends, -(-samples // len(combos)) + 1)
+    return _slope_report(function_id, [(grid, q, aux) for q, aux in combos], cfg)
 
 
-# Runner per check id beyond the inequalities, each called as (seed, samples, cfg).
-_EXTRA_CHECKS: dict[str, Callable[[int, int, EvalConfig], CertificateReport]] = {
-    "convexity_f_thm_main": partial(_run_convexity, "f_thm_main"),
-    "convexity_g_thm_alpha": partial(_run_convexity, "g_thm_alpha"),
-    "slope_f_thm_main": partial(_run_slope, "f_thm_main"),
-    "slope_g_thm_alpha": partial(_run_slope, "g_thm_alpha"),
+# Runner per check id, each called as (seed, samples, cfg); the inequality
+# runners alone take corrupt_upper, as only they have upper bounds.
+_CHECKS: dict[str, Callable[..., CertificateReport]] = {
+    **{ineq: partial(_run_inequality, ineq) for ineq in INEQUALITY_IDS},
+    **{f"convexity_{fid}": partial(_run_convexity, fid) for fid in _PROOF_ROWS},
+    **{f"slope_{fid}": partial(_run_slope, fid) for fid in _PROOF_ROWS},
     "limits": lambda seed, samples, cfg: check_limits(_LIMIT_Q_SEQUENCE, _LIMIT_X_GRID, cfg),
 }
 
-EXTRA_CHECK_IDS = tuple(_EXTRA_CHECKS)
+ALL_CHECK_IDS = tuple(_CHECKS)
 
-ALL_CHECK_IDS = INEQUALITY_IDS + EXTRA_CHECK_IDS
+# The checks beyond the inequalities: none has an upper bound to halve.
+EXTRA_CHECK_IDS = ALL_CHECK_IDS[len(INEQUALITY_IDS):]
 
 
 def run_check(
@@ -530,36 +526,48 @@ def run_check(
     cfg: EvalConfig = DEFAULT_CONFIG,
     corrupt_upper: bool = False,
 ) -> CertificateReport:
-    """Run one registered check; inequality ids honor ``corrupt_upper``.
-    ``samples`` must be >= 1 for every id, including those that ignore it."""
+    """Run one registered check.  ``corrupt_upper`` halves every upper bound
+    of an inequality id and raises DomainError for the other ids, which have
+    none.  ``samples`` must be >= 1 for every id, including those that
+    ignore it."""
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples!r}")
-    if check_id in INEQUALITY_IDS:
-        batch = sample(default_domain(check_id), seed, samples)
-        return certify(check_id, batch, cfg, corrupt_upper=corrupt_upper)
-    if check_id not in _EXTRA_CHECKS:
+    run = _CHECKS.get(check_id)
+    if run is None:
         raise DomainError(f"unknown check id {check_id!r}")
-    return _EXTRA_CHECKS[check_id](seed, samples, cfg)
+    if corrupt_upper and check_id in EXTRA_CHECK_IDS:
+        raise DomainError(f"{check_id} has no upper bound to halve")
+    return run(seed, samples, cfg, corrupt_upper=True) if corrupt_upper else run(seed, samples, cfg)
 
 
 # --------------------------------------------------------------------------
 # Report serialization
 # --------------------------------------------------------------------------
 
+def _json_ready(value):
+    """``value`` with each non-finite float in it, which JSON cannot hold, None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
+
+
 def report_to_dict(report: CertificateReport) -> dict:
-    """JSON form; schema documented in the cli module.  A worst margin is
-    None (JSON null) when no point was evaluated: it is still math.inf in
-    the report, which JSON cannot hold."""
-    return {
+    """JSON form; schema documented in the cli module.  A non-finite float is
+    None (JSON null): a worst margin when no point was evaluated, say."""
+    return _json_ready({
         "schema_version": SCHEMA_VERSION,
         "inequality_id": report.inequality_id,
         "n_samples": report.n_samples,
         "n_pass": report.n_pass,
-        "worst_lower_margin": None if report.worst_lower_margin == math.inf else report.worst_lower_margin,
-        "worst_upper_margin": None if report.worst_upper_margin == math.inf else report.worst_upper_margin,
-        "failures": list(report.failures),
+        "worst_lower_margin": report.worst_lower_margin,
+        "worst_upper_margin": report.worst_upper_margin,
+        "failures": report.failures,
         "wall_time_s": report.wall_time,
-    }
+    })
 
 
 def report_to_text(report: CertificateReport) -> str:

@@ -282,13 +282,17 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     return new_record(Evaluation, (value, bound, n + j))
 
 
-def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """Gamma_q(x) = exp(ln Gamma_q(x)); truncation bound scaled by the value."""
-    ln_ev = ln_gamma_q(x, q, cfg)
+def _exp_evaluation(ln_ev: Evaluation, label: str) -> Evaluation:
+    """exp of a log evaluation, bound scaled by the value; Overflow naming ``label`` beyond doubles."""
     if ln_ev.value > MAX_EXP:
-        raise Overflow(f"Gamma_q({x}, q={q.q}) exceeds the double range (ln = {ln_ev.value:.6g})")
+        raise Overflow(f"{label} exceeds the double range (ln = {ln_ev.value:.6g})")
     value = math.exp(ln_ev.value)
     return new_record(Evaluation, (value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used))
+
+
+def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+    """Gamma_q(x) = exp(ln Gamma_q(x)); truncation bound scaled by the value."""
+    return _exp_evaluation(ln_gamma_q(x, q, cfg), f"Gamma_q({x}, q={q.q})")
 
 
 # -ln REL_TOL: a tail at ratio q^y falls below REL_TOL of its first term
@@ -586,6 +590,11 @@ def _psi_q_slope_floor(x: float, q: QParam) -> float:
     return s * s * ((1.0 + e0) / (e0 * e0) + (1.0 + e1) / (e1 * e1))
 
 
+def _psi_q_root_reach(lo: float, mid: float, hi: float, q: QParam) -> float:
+    """The reach min(mid - lo, hi - mid) L that certifies [lo, hi] (see psi_q_root)."""
+    return min(mid - lo, hi - mid) * _psi_q_slope_floor(hi, q)
+
+
 def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     """The positive zero of psi_q, certified by a sign change of psi_q
     across a bracket at most 1e-12 wide.
@@ -645,8 +654,7 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
         lo, hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
         root = 0.5 * (lo + hi)
         residual = f(root)
-        reach = min(root - lo, hi - root) * _psi_q_slope_floor(hi, q)
-        if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < reach:
+        if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(lo, root, hi, q):
             return PsiRoot(q=q, root=root, bracket_low=lo, bracket_high=hi, residual=residual)
     lo, hi = 1.0, _CLASSICAL_ROOT
     f_lo, f_hi = f(lo), f(hi)

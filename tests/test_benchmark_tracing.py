@@ -35,6 +35,17 @@ def _traced_summary(monkeypatch, run):
     return tracer.summary()
 
 
+def test_check_ids_are_the_benchmarks(monkeypatch):
+    # The benchmark keeps its own copy of the ids and marks a verify pass
+    # failed when the reports' ids differ from it, in order.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracing
+
+    assert propcheck.ALL_CHECK_IDS == tracing.CHECK_IDS
+    assert bounds.INEQUALITY_IDS == INEQUALITY_IDS == tracing.INEQUALITY_IDS
+
+
 def test_tracer_sees_every_inequality_operation(monkeypatch):
     def run():
         for ineq in INEQUALITY_IDS:

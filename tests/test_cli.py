@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import qgamma.cli as cli
 import qgamma.qspecial as qspecial
 from qgamma.bounds import INEQUALITY_IDS, thm_mvt_bounds
 from qgamma.cli import main
@@ -30,6 +31,10 @@ def run_cli(*args, env_extra=None, timeout=None):
     )
     assert "Traceback" not in res.stderr, res.stderr
     return res
+
+
+def reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
 
 
 def parse_plain(stdout):
@@ -98,6 +103,51 @@ class TestEval:
         res = run_cli("eval", "--fn", "psi_q_m", "--m", "7000", "--x", "1e5", "--q", "0.5", "--format", "json")
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["value"] == 0.0
+
+    # One valid point per --fn choice, as CLI flags.
+    POINTS = {
+        "gamma_q": ("--x", "3", "--q", "0.5"),
+        "ln_gamma_q": ("--x", "0.7", "--q", "0.9"),
+        "psi_q": ("--x", "1.7", "--q", "0.37"),
+        "psi_q_m": ("--m", "2", "--x", "2", "--q", "0.5"),
+        "euler_gamma_q": ("--q", "0.8"),
+        "gamma": ("--x", "5.5"),
+        "psi": ("--x", "1.3"),
+    }
+
+    def test_every_function_evaluates(self, capsys, monkeypatch):
+        from qgamma.classical import ln_gamma_classical, psi_classical
+        from qgamma.qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q_m
+
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        assert tuple(cli._EVAL_FUNCTIONS) == tuple(self.POINTS)  # the --fn choices
+        expected = {
+            "gamma_q": gamma_q(3.0, QParam(0.5)).value,
+            "ln_gamma_q": ln_gamma_q(0.7, QParam(0.9)).value,
+            "psi_q": psi_q(1.7, QParam(0.37)).value,
+            "psi_q_m": psi_q_m(2, 2.0, QParam(0.5)).value,
+            "euler_gamma_q": euler_gamma_q(QParam(0.8)).value,
+            "gamma": math.exp(ln_gamma_classical(5.5).value),
+            "psi": psi_classical(1.3).value,
+        }
+        for fn, flags in self.POINTS.items():
+            assert main(["eval", "--fn", fn, *flags, "--format", "json"]) == 0, fn
+            blob = json.loads(capsys.readouterr().out)
+            assert list(blob) == ["value", "error_estimate", "terms_used"], fn
+            assert blob["value"] == expected[fn], fn
+
+    def test_missing_flag_exits_2_naming_it(self, capsys, monkeypatch):
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        for fn, flags in self.POINTS.items():
+            for i in range(0, len(flags), 2):
+                flag = flags[i]
+                if flag == "--m":
+                    continue  # --m defaults to 1
+                argv = ["eval", "--fn", fn, *flags[:i], *flags[i + 2:]]
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert captured.err == f"error: {fn} requires {flag}\n", argv
 
     def test_bad_function_exits_2(self):
         res = run_cli("eval", "--fn", "zeta", "--x", "1", "--q", "0.5")
@@ -200,6 +250,19 @@ class TestBounds:
                 else:
                     assert plain[key] == str(value), (ineq, key)
 
+    def test_json_beyond_the_double_range_is_valid_json(self, capsys, monkeypatch):
+        # Gamma(200) / Gamma(2) overflows: the plain format prints inf and
+        # nan, JSON writes null, never the non-JSON tokens Infinity or NaN.
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        flags = ["bounds", "--ineq", "keckic_vasic", "--x", "200", "--y", "2"]
+        assert main(flags) == 0
+        plain = parse_plain(capsys.readouterr().out)
+        assert plain["ratio"] == "inf" and plain["lower_margin"] == "nan"
+        assert main([*flags, "--format", "json"]) == 0
+        blob = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert [blob[k] for k in ("lower", "ratio", "upper", "lower_margin", "upper_margin")] == [None] * 5
+        assert blob["satisfied"] is True
+
     def test_satisfied_is_the_pass_verdict(self, capsys, monkeypatch):
         seen = []
 
@@ -257,6 +320,19 @@ class TestVerify:
         assert report["n_pass"] < report["n_samples"]
         assert len(report["failures"]) > 0
 
+    @pytest.mark.parametrize("ineq", [*EXTRA_CHECK_IDS, "all"])
+    def test_corrupted_bounds_need_an_upper_bound(self, ineq, capsys, monkeypatch):
+        # The convexity, slope and limit checks have no upper bound to
+        # halve; the self-test must not pass on them without a word.
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        ran = []
+        monkeypatch.setattr(cli, "run_check", lambda *args, **kwargs: ran.append(args))
+        assert main(["verify", "--ineq", ineq, "--samples", "5", "--corrupt-bounds"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        named = EXTRA_CHECK_IDS if ineq == "all" else (ineq,)
+        assert captured.err == "error: --corrupt-bounds: no upper bound to halve in " + ", ".join(named) + "\n"
+
     def test_pervasive_evaluation_errors_exit_3(self):
         # Every point errors; more of them than the report's failure list holds.
         res = run_cli("verify", "--ineq", "thm_mvt", "--samples", "1000", "--seed", "1",
@@ -281,10 +357,7 @@ class TestVerify:
                       "--format", "json")
         assert res.returncode == 3
 
-        def reject(token):
-            raise ValueError(f"not JSON: {token}")
-
-        report = json.loads(res.stdout, parse_constant=reject)[0]
+        report = json.loads(res.stdout, parse_constant=reject_constant)[0]
         assert report["n_pass"] == 0
         assert report["worst_lower_margin"] is None and report["worst_upper_margin"] is None
 
@@ -409,6 +482,26 @@ class TestTable:
         res = run_cli("table", "--ineq", "cor_one_half", "--var", "x",
                       "--min", "1", "--max", "5", "--steps", "1", "--q", "0.5")
         assert res.returncode == 2
+
+    def test_json_beyond_the_double_range_is_valid_json(self):
+        args = ("--ineq", "keckic_vasic", "--var", "x", "--min", "100", "--max", "300", "--steps", "3", "--y", "2")
+        csv_rows = run_cli("table", *args).stdout.strip().split("\n")[1:]
+        assert csv_rows[1].split(",")[1:] == ["inf", "inf", "inf", "nan", "nan"]
+        res = run_cli("table", *args, "--format", "json")
+        assert res.returncode == 0
+        rows = json.loads(res.stdout, parse_constant=reject_constant)
+        assert [row["x"] for row in rows] == [100.0, 200.0, 300.0]
+        assert rows[0]["ratio"] > 0.0
+        assert rows[1] == {"x": 200.0, "lower": None, "ratio": None, "upper": None,
+                           "lower_margin": None, "upper_margin": None}
+
+    @pytest.mark.parametrize("var", ["lam", "lambda"])
+    def test_lambda_sweeps_lam(self, var):
+        args = ("--ineq", "cor_mu_lambda", "--var", var, "--min", "0.1", "--max", "1", "--steps", "3",
+                "--x", "1", "--mu", "2", "--q", "0.5")
+        res = run_cli("table", *args)
+        assert res.returncode == 0, res.stderr
+        assert [float(line.split(",")[0]) for line in res.stdout.strip().split("\n")[1:]] == [0.1, 0.55, 1.0]
 
     def test_sweep_variable_must_apply(self):
         res = run_cli("table", "--ineq", "cor_one_half", "--var", "y",

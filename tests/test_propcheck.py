@@ -153,14 +153,17 @@ class TestLinspace:
     @pytest.mark.parametrize("function_id, lo", [("f_thm_main", 1.0), ("g_thm_alpha", 0.05)])
     def test_slope_grid_is_numpy_linspace(self, function_id, lo, monkeypatch):
         grids = []
+        slope_report = propcheck._slope_report
 
-        def record(fid, grid, *args):
-            grids.append(grid)
-            return check_lemma_monotone_slope(fid, grid, *args)
+        def record(fid, runs, *args):
+            runs = list(runs)
+            grids.extend(grid for grid, _, _ in runs)
+            return slope_report(fid, runs, *args)
 
-        monkeypatch.setattr(propcheck, "check_lemma_monotone_slope", record)
+        monkeypatch.setattr(propcheck, "_slope_report", record)
         report = run_check(f"slope_{function_id}", seed=1, samples=40)
         assert report.n_pass == report.n_samples
+        assert len(grids) == (5 if function_id == "f_thm_main" else 15)
         for grid in grids:
             assert grid == np.linspace(lo, 10.0, len(grid)).tolist()
 
@@ -376,6 +379,46 @@ class TestRegistry:
             "limits",
         }
         assert set(ALL_CHECK_IDS) == set(INEQUALITY_IDS) | set(EXTRA_CHECK_IDS)
+
+    def test_ids_in_registry_order(self):
+        assert ALL_CHECK_IDS == INEQUALITY_IDS + EXTRA_CHECK_IDS == INEQUALITY_IDS + (
+            "convexity_f_thm_main",
+            "convexity_g_thm_alpha",
+            "slope_f_thm_main",
+            "slope_g_thm_alpha",
+            "limits",
+        )
+
+    @pytest.mark.parametrize("check_id", EXTRA_CHECK_IDS)
+    def test_corrupt_upper_needs_an_upper_bound(self, check_id):
+        with pytest.raises(DomainError, match="no upper bound to halve"):
+            run_check(check_id, seed=1, samples=5, corrupt_upper=True)
+
+    @pytest.mark.parametrize("function_id", ["f_thm_main", "g_thm_alpha"])
+    @pytest.mark.parametrize("cfg", [EvalConfig(), EvalConfig(max_terms=10)])
+    def test_one_report_over_every_q_and_alpha(self, function_id, cfg):
+        # A registered convexity or slope check is the public check at each
+        # (q, alpha) of the grid, folded into one report; under 10 terms most
+        # points raise, so the failure list is capped across the grid.
+        seed, samples = 3, 200
+        row = propcheck._PROOF_ROWS[function_id]
+        combos = propcheck._combos(row)
+        per_combo = -(-samples // len(combos))
+        convexity = [
+            check_geometric_convexity(function_id, sample(row.pair_domain, seed + i, per_combo), q, aux, cfg)
+            for i, (q, aux) in enumerate(combos)
+        ]
+        grid = linspace(*row.slope_ends, per_combo + 1)
+        slope = [check_lemma_monotone_slope(function_id, grid, q, aux, cfg) for q, aux in combos]
+        for kind, parts in (("convexity", convexity), ("slope", slope)):
+            report = run_check(f"{kind}_{function_id}", seed=seed, samples=samples, cfg=cfg)
+            assert report.inequality_id == f"{kind}_{function_id}"
+            assert report.n_samples == sum(p.n_samples for p in parts) >= samples
+            assert report.n_pass == sum(p.n_pass for p in parts)
+            assert report.n_errors == sum(p.n_errors for p in parts)
+            assert report.worst_lower_margin == min(p.worst_lower_margin for p in parts)
+            assert report.worst_upper_margin == min(p.worst_upper_margin for p in parts)
+            assert report.failures == tuple(f for p in parts for f in p.failures)[:100]
 
     def test_run_check_unknown_id(self):
         with pytest.raises(DomainError):
