@@ -3,7 +3,7 @@
 Every operation returns a BoundPair holding the lower bound, the exact
 ratio, and the upper bound at one point.  All three are computed in log
 space (the exponent forms span hundreds of orders of magnitude) and
-exponentiated only for presentation; certification compares the log fields.
+exponentiated only for presentation; every verdict reads the log margins.
 
 Log differences are written as log(x) - log(y) rather than log(x/y) so that
 swapping the arguments negates every bound exponent exactly in floating
@@ -36,10 +36,11 @@ class BoundPair(NamedTuple):
     """Evaluated (lower, ratio, upper) triple of one double inequality.
 
     The log_* fields are the primary representation; lower/ratio/upper are
-    their exponentials.  ``strict`` records whether the source inequality
-    is strict.  A pair does not name its inequality: a corollary returns
-    its theorem's pair at the shifted arguments as it is, and the caller
-    knows which operation it called.
+    their exponentials.  The margins are the log margins every verdict
+    reads, log_ratio - log_lower and log_upper - log_ratio.  ``strict``
+    records whether the source inequality is strict.  A pair does not name
+    its inequality: a corollary returns its theorem's pair at the shifted
+    arguments as it is, and the caller knows which operation it called.
     """
 
     lower: float
@@ -54,17 +55,15 @@ class BoundPair(NamedTuple):
 
 
 def _pair(log_lower: float, log_ratio: float, log_upper: float, strict: bool) -> BoundPair:
-    lower = _safe_exp(log_lower)
-    ratio = _safe_exp(log_ratio)
-    upper = _safe_exp(log_upper)
-    return new_record(
-        BoundPair, (lower, ratio, upper, ratio - lower, upper - ratio, strict, log_lower, log_ratio, log_upper)
-    )
+    return new_record(BoundPair, (
+        _safe_exp(log_lower), _safe_exp(log_ratio), _safe_exp(log_upper),
+        log_ratio - log_lower, log_upper - log_ratio, strict, log_lower, log_ratio, log_upper,
+    ))
 
 
 def passes(lower_margin: float, upper_margin: float) -> bool:
-    """The pass verdict on one point: both log margins, log_ratio - log_lower
-    and log_upper - log_ratio, at least -CERT_SLACK_LOG."""
+    """The pass verdict on one point: both log margins of its BoundPair at
+    least -CERT_SLACK_LOG."""
     return lower_margin >= -CERT_SLACK_LOG and upper_margin >= -CERT_SLACK_LOG
 
 
@@ -223,15 +222,13 @@ def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONF
     inner = cor_one_half_bounds(x, q, cfg)
     bracket = q_bracket(x, q)
     log_bracket = math.log(bracket)
-    lower = inner.lower / bracket
-    ratio = inner.ratio / bracket
-    upper = inner.upper / bracket
     log_lower = inner.log_lower - log_bracket
     log_ratio = inner.log_ratio - log_bracket
     log_upper = inner.log_upper - log_bracket
-    return new_record(
-        BoundPair, (lower, ratio, upper, ratio - lower, upper - ratio, inner.strict, log_lower, log_ratio, log_upper)
-    )
+    return new_record(BoundPair, (
+        inner.lower / bracket, inner.ratio / bracket, inner.upper / bracket,
+        log_ratio - log_lower, log_upper - log_ratio, inner.strict, log_lower, log_ratio, log_upper,
+    ))
 
 
 def keckic_vasic_bounds(x: float, y: float, force: bool = False) -> BoundPair:

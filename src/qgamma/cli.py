@@ -2,9 +2,10 @@
 root finding and CSV table emission.
 
 Exit codes: 0 success / all checks pass, 1 certification failures,
-2 usage or domain error, 3 numerical trouble (non-convergence, overflow,
-bracket failure, or a verify run in which more than half of a report's
-points are evaluation errors).
+2 usage or domain error (such as a flag that the --fn or --ineq does not
+take), 3 numerical trouble (non-convergence, overflow, bracket failure,
+or a verify run in which more than half of a report's points are
+evaluation errors).
 
 Values print with 17 significant digits so they re-parse to the identical
 double.  Every series stops once its tail bound is at most 1e-13 of its
@@ -28,12 +29,16 @@ that is not finite: a bound beyond the double range in `bounds` and
 (e.g. under a small --max-terms).  Plain and CSV print inf and nan.
 
 JSON report schema (one object per check):
-  { "schema_version": 1, "inequality_id": str, "n_samples": int,
-    "n_pass": int, "worst_lower_margin": float | null,
+  { "schema_version": 2, "inequality_id": str, "n_samples": int,
+    "n_pass": int, "n_errors": int, "worst_lower_margin": float | null,
     "worst_upper_margin": float | null,
-    "failures": [ { "point": {"x","y","q","aux"},
-                    "lower", "ratio", "upper": float | null } ],
+    "failures": [ { "point": dict, "lower_margin": float | null,
+                    "upper_margin": float | null }
+                | { "point": dict, "error": str } ],
     "wall_time_s": float }
+A failure holds its point ({"track","q"} for limits) and its log margins,
+both the one margin of a convexity, slope or limit check; or the error
+the point raised, which n_errors counts past the 100 failures kept.
 
 Table CSV: header ``x,lower,ratio,upper,lower_margin,upper_margin``, one
 row per grid point, '\\n' newlines, '.' decimal point, no locale formatting.
@@ -63,7 +68,8 @@ EXIT_NUMERICAL = 3
 ENV_MAX_TERMS = "QGAMMA_MAX_TERMS"
 
 # Each `eval --fn` function with the flags it takes, in argument order; the
-# q-functions, which take --q, also take the series config.
+# q-functions, which take --q, also take the series config.  --m, taken by
+# psi_q_m alone, defaults to 1.
 _EVAL_FUNCTIONS = {
     "gamma_q": (gamma_q, ("x", "q")),
     "ln_gamma_q": (ln_gamma_q, ("x", "q")),
@@ -73,6 +79,7 @@ _EVAL_FUNCTIONS = {
     "gamma": (lambda x: _exp_evaluation(ln_gamma_classical(x), f"Gamma({x})"), ("x",)),
     "psi": (psi_classical, ("x",)),
 }
+_EVAL_FLAGS = tuple(dict.fromkeys(flag for _, flags in _EVAL_FUNCTIONS.values() for flag in flags))
 
 # The point flags of `bounds` and `table`: every slot of an inequality, in
 # order of first use, with --lambda an alias of --lam.
@@ -113,28 +120,33 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
 
 
-def _require_flags(name: str, flags, args) -> None:
+def _require_flags(name: str, flags, offered, args) -> None:
+    """Raise DomainError naming each of ``flags`` not given, or each given flag of ``offered`` outside them."""
     missing = [flag for flag in flags if getattr(args, flag) is None]
     if missing:
         raise DomainError(f"{name} requires --" + ", --".join(missing))
+    extra = [flag for flag in offered if flag not in flags and getattr(args, flag) is not None]
+    if extra:
+        raise DomainError(f"{name} does not take --" + ", --".join(extra))
 
 
 def _point_from_args(ineq: str, args) -> tuple:
-    """The (x, y, q, aux) point of ``ineq`` from its flags; aux packs the
-    slots beyond x, y and q as ``bounds.Inequality`` describes."""
+    """The (x, y, q, aux) point of ``ineq`` from its flags, each of them one
+    of its slots; aux packs the slots beyond x, y and q as
+    ``bounds.Inequality`` describes."""
     slots = INEQUALITIES[ineq].args
-    _require_flags(ineq, slots, args)
+    _require_flags(ineq, slots, _SLOTS, args)
     extra = tuple(getattr(args, name) for name in slots if name not in ("x", "y", "q"))
     aux = extra[0] if len(extra) == 1 else extra or None
-    y = args.y if "y" in slots else None
-    q = args.q if "q" in slots else None
-    return (args.x, y, q, aux)
+    return (args.x, args.y, args.q, aux)
 
 
 def _cmd_eval(args) -> int:
     cfg = _eval_config(args)
     fn, flags = _EVAL_FUNCTIONS[args.fn]
-    _require_flags(args.fn, flags, args)
+    if "m" in flags and args.m is None:
+        args.m = 1
+    _require_flags(args.fn, flags, _EVAL_FLAGS, args)
     values = [QParam(args.q) if flag == "q" else getattr(args, flag) for flag in flags]
     ev = fn(*values, cfg) if "q" in flags else fn(*values)
     _emit(ev._asdict(), args.format)
@@ -148,7 +160,7 @@ def _cmd_bounds(args) -> int:
         "inequality_id": args.ineq,
         **{name: getattr(pair, name) for name in _PAIR_FIELDS},
         "strict": pair.strict,
-        "satisfied": passes(pair.log_ratio - pair.log_lower, pair.log_upper - pair.log_ratio),
+        "satisfied": passes(pair.lower_margin, pair.upper_margin),
     }
     _emit(payload, args.format)
     return EXIT_OK
@@ -225,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--fn", required=True, choices=tuple(_EVAL_FUNCTIONS))
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--q", type=float)
-    p_eval.add_argument("--m", type=int, default=1)
+    p_eval.add_argument("--m", type=int)
     add_common(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 

@@ -36,7 +36,6 @@ from .bounds import (
     BoundPair,
     DomainSpec,
     INEQUALITY_IDS,
-    _safe_exp,
     cached_psi_root,
     cor_half_shift_bounds,
     cor_mu_lambda_bounds,
@@ -52,7 +51,7 @@ from .bounds import (
 )
 from .bounds import _f_offset, _f_slope, _g_offset, _g_slope, _require_alpha
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _LN_HALF = math.log(0.5)
 _FAILURE_CAP = 100
@@ -72,8 +71,9 @@ class SampleBatch(NamedTuple):
 class CertificateReport(NamedTuple):
     """Per-check pass/fail statistics with worst log-space margins.
 
-    ``failures`` is capped; ``n_errors`` counts every point whose
-    evaluation raised, whether or not ``failures`` still had room for it.
+    ``failures`` is capped, each ``{point, lower_margin, upper_margin}`` or
+    ``{point, error}``; ``n_errors`` counts every point whose evaluation
+    raised, whether or not ``failures`` still had room for it.
     """
 
     inequality_id: str
@@ -87,35 +87,36 @@ class CertificateReport(NamedTuple):
 
 
 class _Tally:
-    """Accumulates one CertificateReport, one checked point at a time."""
+    """Accumulates one CertificateReport, one checked point at a time;
+    ``point_dict`` turns only a recorded failure's point into its dict."""
 
-    def __init__(self, report_id: str):
+    def __init__(self, report_id: str, point_dict: Callable[[tuple], dict]):
         self.report_id = report_id
+        self.point_dict = point_dict
         self.n_samples = self.n_pass = self.n_errors = 0
         self.worst_lower = self.worst_upper = math.inf
         self.failures = []
         self.start = time.perf_counter()
 
-    def add(
-        self, lower_margin: float, upper_margin: float, passed: bool, failure: Callable[[], dict]
-    ) -> None:
-        """Record one evaluated point; ``failure`` builds its finding if it failed."""
+    def add(self, point: tuple, lower_margin: float, upper_margin: float, passed: bool) -> None:
+        """Record one evaluated point and, if it failed, its margins."""
         self.n_samples += 1
         self.worst_lower = min(self.worst_lower, lower_margin)
         self.worst_upper = min(self.worst_upper, upper_margin)
         if passed:
             self.n_pass += 1
         elif len(self.failures) < _FAILURE_CAP:
-            self.failures.append(failure())
+            self.failures.append({"point": self.point_dict(point), "lower_margin": lower_margin,
+                                  "upper_margin": upper_margin})
 
-    def error(self, point: dict, exc: QGammaError) -> None:
+    def error(self, point: tuple, exc: QGammaError) -> None:
         """Record one point whose evaluation raised, as a failure."""
         self.n_samples += 1
         self.n_errors += 1
         if len(self.failures) < _FAILURE_CAP:
-            self.failures.append({"point": point, "error": str(exc)})
+            self.failures.append({"point": self.point_dict(point), "error": str(exc)})
 
-    def errored(self, point: dict, *values) -> bool:
+    def errored(self, point: tuple, *values) -> bool:
         """Record ``point`` as an error if any of ``values`` is a QGammaError
         caught by ``_attempt``; True if one was."""
         for value in values:
@@ -275,27 +276,15 @@ def certify(
     """
     if inequality_id not in INEQUALITY_IDS:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
-    tally = _Tally(inequality_id)
+    tally = _Tally(inequality_id, _point_dict)
     for point in batch.points:
         try:
             pair = evaluate_point(inequality_id, point, cfg)
         except QGammaError as exc:
-            tally.error(_point_dict(point), exc)
+            tally.error(point, exc)
             continue
-        log_upper = pair.log_upper + _LN_HALF if corrupt_upper else pair.log_upper
-        lower_margin = pair.log_ratio - pair.log_lower
-        upper_margin = log_upper - pair.log_ratio
-        tally.add(
-            lower_margin,
-            upper_margin,
-            passes(lower_margin, upper_margin),
-            lambda: {
-                "point": _point_dict(point),
-                "lower": _safe_exp(pair.log_lower),
-                "ratio": pair.ratio,
-                "upper": _safe_exp(log_upper),
-            },
-        )
+        upper_margin = pair.upper_margin + _LN_HALF if corrupt_upper else pair.upper_margin
+        tally.add(point, pair.lower_margin, upper_margin, passes(pair.lower_margin, upper_margin))
     return tally.report()
 
 
@@ -357,7 +346,7 @@ _PROOF_ROWS = {
 
 def _convexity_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> CertificateReport:
     """One report of the midpoint margins over (batch, q, alpha) runs."""
-    tally = _Tally(f"convexity_{function_id}")
+    tally = _Tally(f"convexity_{function_id}", _point_dict)
     for batch, q, aux in runs:
         log_diff, _ = _proof_function(function_id, q, aux, cfg)
         least = _PROOF_ROWS[function_id].least_argument
@@ -369,10 +358,9 @@ def _convexity_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> Cert
                 mid = math.sqrt(x1 * x2)
                 margin = 0.5 * (log_diff(x1, mid) + log_diff(x2, mid))
             except QGammaError as exc:
-                tally.error(_point_dict(point), exc)
+                tally.error(point, exc)
                 continue
-            tally.add(margin, margin, margin >= -CONVEXITY_SLACK_LOG,
-                      lambda: {"point": _point_dict(point), "margin": margin})
+            tally.add(point, margin, margin, margin >= -CONVEXITY_SLACK_LOG)
     return tally.report()
 
 
@@ -390,7 +378,7 @@ def check_geometric_convexity(
 
 def _slope_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> CertificateReport:
     """One report of the slope differences over (grid, q, alpha) runs."""
-    tally = _Tally(f"slope_{function_id}")
+    tally = _Tally(f"slope_{function_id}", _point_dict)
     for grid, q, aux in runs:
         grid = [float(t) for t in grid]
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -398,11 +386,11 @@ def _slope_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> Certific
         _, slope = _proof_function(function_id, q, aux, cfg)
         values = [_attempt(slope, t) for t in grid]
         for i, (a, b) in enumerate(zip(values, values[1:])):
-            point = {"x": grid[i], "y": grid[i + 1], "q": q.q, "aux": aux}
+            point = (grid[i], grid[i + 1], q.q, aux)
             if tally.errored(point, a, b):
                 continue
             margin = b - a
-            tally.add(margin, margin, margin >= -SLOPE_SLACK, lambda: {"point": point, "margin": margin})
+            tally.add(point, margin, margin, margin >= -SLOPE_SLACK)
     return tally.report()
 
 
@@ -439,24 +427,23 @@ def check_limits(
     # the psi deviation at x = 1.5 no longer falls (5.0e-14 -> 5.7e-13).
     if max(q_sequence) > 0.99999:
         raise DomainError("q_sequence must stay <= 0.99999")
-    tally = _Tally("limits")
+    tally = _Tally("limits", lambda point: {"track": point[0], "q": point[1]})
 
     def run_track(label: str, evaluations: Sequence, reference: float):
         deviations = [
             ev if isinstance(ev, QGammaError) else abs(ev.value - reference) for ev in evaluations
         ]
         for i, (a, b) in enumerate(zip(deviations, deviations[1:])):
-            point = {"track": label, "q": q_sequence[i + 1]}
+            point = (label, q_sequence[i + 1])
             if tally.errored(point, a, b):
                 continue
             margin = a - b
-            tally.add(margin, margin, margin > 0.0, lambda: {"point": point, "margin": margin})
-        point = {"track": label, "q": q_sequence[-1]}
+            tally.add(point, margin, margin, margin > 0.0)
+        point = (label, q_sequence[-1])
         if tally.errored(point, deviations[-1]):
             return
-        terminal = deviations[-1] / max(abs(reference), 1e-300)
-        margin = _LIMIT_REL_TOL - terminal
-        tally.add(margin, margin, margin >= 0.0, lambda: {"point": point, "terminal": terminal})
+        margin = _LIMIT_REL_TOL - deviations[-1] / max(abs(reference), 1e-300)
+        tally.add(point, margin, margin, margin >= 0.0)
 
     for x in x_grid:
         gamma_ref = math.exp(ln_gamma_classical(x).value)
@@ -563,6 +550,7 @@ def report_to_dict(report: CertificateReport) -> dict:
         "inequality_id": report.inequality_id,
         "n_samples": report.n_samples,
         "n_pass": report.n_pass,
+        "n_errors": report.n_errors,
         "worst_lower_margin": report.worst_lower_margin,
         "worst_upper_margin": report.worst_upper_margin,
         "failures": report.failures,
@@ -576,6 +564,7 @@ def report_to_text(report: CertificateReport) -> str:
         f"inequality_id: {report.inequality_id}",
         f"n_samples: {report.n_samples}",
         f"n_pass: {report.n_pass}",
+        f"n_errors: {report.n_errors}",
         f"worst_lower_margin: {report.worst_lower_margin:.17g}",
         f"worst_upper_margin: {report.worst_upper_margin:.17g}",
         f"wall_time_s: {report.wall_time:.6f}",

@@ -496,3 +496,22 @@ class TestVerdict:
         assert not passes(double, 0.0)
         assert not passes(0.0, double)
         assert not passes(double, double)
+
+    def test_margins_are_the_log_margins_bit_for_bit(self):
+        # Every verdict reads the pair's margins, so each of the nine
+        # operations, corollaries included, must give exactly the log
+        # differences the verdict is defined on.
+        from qgamma.propcheck import evaluate_point, sample
+
+        for ineq in INEQUALITY_IDS:
+            for point in sample(default_domain(ineq), 11, 40).points:
+                pair = evaluate_point(ineq, point)
+                assert pair.lower_margin == pair.log_ratio - pair.log_lower, (ineq, point)
+                assert pair.upper_margin == pair.log_upper - pair.log_ratio, (ineq, point)
+
+    def test_margins_stay_finite_beyond_the_double_range(self):
+        # Gamma(200) / Gamma(2) overflows; its log margins do not.
+        pair = keckic_vasic_bounds(200.0, 2.0)
+        assert pair.lower == pair.ratio == pair.upper == math.inf
+        assert math.isfinite(pair.lower_margin) and math.isfinite(pair.upper_margin)
+        assert passes(pair.lower_margin, pair.upper_margin)

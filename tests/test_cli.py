@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -8,10 +9,10 @@ import pytest
 
 import qgamma.cli as cli
 import qgamma.qspecial as qspecial
-from qgamma.bounds import INEQUALITY_IDS, thm_mvt_bounds
+from qgamma.bounds import INEQUALITIES, INEQUALITY_IDS, keckic_vasic_bounds, thm_mvt_bounds
 from qgamma.cli import main
-from qgamma.propcheck import EXTRA_CHECK_IDS
-from qgamma.qcore import QParam
+from qgamma.propcheck import EXTRA_CHECK_IDS, SCHEMA_VERSION, report_to_dict, run_check
+from qgamma.qcore import EvalConfig, QParam
 from qgamma.qspecial import psi_q
 
 
@@ -149,6 +150,27 @@ class TestEval:
                 assert captured.out == "", argv
                 assert captured.err == f"error: {fn} requires {flag}\n", argv
 
+    def test_flag_not_taken_exits_2_naming_it(self, capsys, monkeypatch):
+        # Gamma(3) must not print where Gamma_q(3) was asked for.
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        extras = {"--x": "3", "--q": "0.5", "--m": "2"}
+        for fn, flags in self.POINTS.items():
+            for flag, value in extras.items():
+                if flag in flags:
+                    continue
+                argv = ["eval", "--fn", fn, *flags, flag, value]
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "", argv
+                assert captured.err == f"error: {fn} does not take {flag}\n", argv
+
+    def test_psi_q_m_takes_m_1_when_omitted(self, capsys, monkeypatch):
+        from qgamma.qspecial import psi_q_m
+
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        assert main(["eval", "--fn", "psi_q_m", "--x", "2", "--q", "0.5", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == psi_q_m(1, 2.0, QParam(0.5)).value
+
     def test_bad_function_exits_2(self):
         res = run_cli("eval", "--fn", "zeta", "--x", "1", "--q", "0.5")
         assert res.returncode == 2
@@ -221,6 +243,20 @@ class TestBounds:
         res = run_cli("bounds", "--ineq", "thm_mvt", "--x", "2", "--q", "0.5")
         assert res.returncode == 2
 
+    def test_slot_not_taken_exits_2_naming_it(self, capsys, monkeypatch):
+        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+        argv = ["bounds", "--ineq", "zhang_xu_situ", "--x", "2", "--y", "1", "--q", "0.5", "--alpha", "7"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: zhang_xu_situ does not take --q, --alpha\n"
+        for ineq, flags in self.POINTS.items():
+            taken = INEQUALITIES[ineq].args
+            for slot in cli._SLOTS:
+                if slot in taken:
+                    continue
+                argv = ["bounds", "--ineq", ineq, *flags, f"--{slot}", "0.5"]
+                assert main(argv) == 2, argv
+                assert capsys.readouterr().err == f"error: {ineq} does not take --{slot}\n", argv
+
     # One in-domain point per inequality, as CLI flags.
     POINTS = {
         "thm_main": ("--x", "2.5", "--y", "1.5", "--q", "0.3"),
@@ -257,10 +293,13 @@ class TestBounds:
         flags = ["bounds", "--ineq", "keckic_vasic", "--x", "200", "--y", "2"]
         assert main(flags) == 0
         plain = parse_plain(capsys.readouterr().out)
-        assert plain["ratio"] == "inf" and plain["lower_margin"] == "nan"
+        assert plain["ratio"] == "inf" and float(plain["lower_margin"]) > 0.0
         assert main([*flags, "--format", "json"]) == 0
         blob = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
-        assert [blob[k] for k in ("lower", "ratio", "upper", "lower_margin", "upper_margin")] == [None] * 5
+        assert [blob[k] for k in ("lower", "ratio", "upper")] == [None] * 3
+        # The margins are log margins, finite where the bounds overflow.
+        pair = keckic_vasic_bounds(200.0, 2.0)
+        assert [blob["lower_margin"], blob["upper_margin"]] == [pair.lower_margin, pair.upper_margin]
         assert blob["satisfied"] is True
 
     def test_satisfied_is_the_pass_verdict(self, capsys, monkeypatch):
@@ -310,7 +349,7 @@ class TestVerify:
         assert len(reports) == 1
         assert reports[0]["inequality_id"] == "thm_main"
         assert reports[0]["n_pass"] == 50
-        assert reports[0]["schema_version"] == 1
+        assert reports[0]["schema_version"] == 2
 
     def test_corrupted_bounds_self_test(self):
         res = run_cli("verify", "--ineq", "thm_mvt", "--samples", "100", "--seed", "7",
@@ -486,14 +525,22 @@ class TestTable:
     def test_json_beyond_the_double_range_is_valid_json(self):
         args = ("--ineq", "keckic_vasic", "--var", "x", "--min", "100", "--max", "300", "--steps", "3", "--y", "2")
         csv_rows = run_cli("table", *args).stdout.strip().split("\n")[1:]
-        assert csv_rows[1].split(",")[1:] == ["inf", "inf", "inf", "nan", "nan"]
+        pair = keckic_vasic_bounds(200.0, 2.0)
+        assert csv_rows[1].split(",")[1:4] == ["inf", "inf", "inf"]
+        assert list(map(float, csv_rows[1].split(",")[4:])) == [pair.lower_margin, pair.upper_margin]
         res = run_cli("table", *args, "--format", "json")
         assert res.returncode == 0
         rows = json.loads(res.stdout, parse_constant=reject_constant)
         assert [row["x"] for row in rows] == [100.0, 200.0, 300.0]
         assert rows[0]["ratio"] > 0.0
         assert rows[1] == {"x": 200.0, "lower": None, "ratio": None, "upper": None,
-                           "lower_margin": None, "upper_margin": None}
+                           "lower_margin": pair.lower_margin, "upper_margin": pair.upper_margin}
+
+    def test_slot_not_taken_exits_2_naming_it(self):
+        res = run_cli("table", "--ineq", "cor_one_half", "--var", "x", "--min", "1", "--max", "5",
+                      "--steps", "3", "--q", "0.5", "--y", "2")
+        assert res.returncode == 2
+        assert res.stdout == "" and res.stderr == "error: cor_one_half does not take --y\n"
 
     @pytest.mark.parametrize("var", ["lam", "lambda"])
     def test_lambda_sweeps_lam(self, var):
@@ -507,6 +554,40 @@ class TestTable:
         res = run_cli("table", "--ineq", "cor_one_half", "--var", "y",
                       "--min", "1", "--max", "5", "--steps", "3", "--q", "0.5")
         assert res.returncode == 2
+
+
+def _documented_schema():
+    """The top-level keys and the failure shapes (key sets) of the JSON
+    report schema block in the cli module docstring."""
+    doc = cli.__doc__
+    start = doc.index("{", doc.index("JSON report schema"))
+    top, shapes, depth = [], [], 0
+    for match in re.finditer(r'[{}]|"(\w+)"\s*:', doc[start:]):
+        token = match.group(0)
+        if token == "{":
+            depth += 1
+            if depth == 2:
+                shapes.append(set())
+        elif token == "}":
+            depth -= 1
+            if depth == 0:
+                return top, shapes
+        elif depth == 1:
+            top.append(match.group(1))
+        elif depth == 2:
+            shapes[-1].add(match.group(1))
+    raise AssertionError("unterminated schema block")
+
+
+def test_schema_doc_matches_the_reports():
+    top, shapes = _documented_schema()
+    report = run_check("thm_mvt", seed=7, samples=30, corrupt_upper=True)
+    assert top == list(report_to_dict(report))
+    assert shapes == [{"point", "lower_margin", "upper_margin"}, {"point", "error"}]
+    assert f'"schema_version": {SCHEMA_VERSION},' in cli.__doc__
+    errored = run_check("thm_mvt", seed=7, samples=30, cfg=EvalConfig(max_terms=3))
+    for failure in report.failures + errored.failures:
+        assert set(failure) in shapes, failure
 
 
 def test_cli_import_loads_no_numpy():

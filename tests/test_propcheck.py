@@ -443,10 +443,20 @@ class TestDeterminismAndSerialization:
     def test_json_schema_fields(self):
         report = run_check("thm_mvt", seed=1, samples=10)
         payload = report_to_dict(report)
-        assert payload["schema_version"] == 1
-        for key in ("inequality_id", "n_samples", "n_pass", "worst_lower_margin",
+        assert payload["schema_version"] == 2
+        for key in ("inequality_id", "n_samples", "n_pass", "n_errors", "worst_lower_margin",
                     "worst_upper_margin", "failures", "wall_time_s"):
             assert key in payload
+
+    def test_n_errors_is_serialized(self):
+        # alpha far below the root: both points raise, and verify's exit 3
+        # reads n_errors, so both report forms must show it.
+        batch = SampleBatch(seed=0, count=2, points=((2.0, 1.0, 0.5, 0.1), (3.0, 1.0, 0.5, 0.2)))
+        report = certify("thm_alpha", batch)
+        assert report.n_errors == 2
+        assert report_to_dict(report)["n_errors"] == 2
+        assert "\nn_errors: 2\n" in report_to_text(report)
+        assert report_to_dict(run_check("thm_mvt", seed=1, samples=10))["n_errors"] == 0
 
     def test_text_report_lists_findings(self):
         batch = sample(default_domain("thm_mvt"), 42, 30)
@@ -455,3 +465,44 @@ class TestDeterminismAndSerialization:
         assert "inequality_id: thm_mvt" in text
         assert "failure:" in text
         assert f"n_samples: {report.n_samples}" in text
+
+
+class TestFailureRecord:
+    """Every check reports a failure as its point and both log margins, and
+    an evaluation error as its point and the error."""
+
+    MARGINS = {"point", "lower_margin", "upper_margin"}
+    ERROR = {"point", "error"}
+
+    @pytest.mark.parametrize("check_id", ALL_CHECK_IDS)
+    def test_failing_points_carry_their_margins(self, check_id, monkeypatch):
+        # Corrupted upper bounds fail the inequalities; slacks and a
+        # tolerance that no margin can meet fail the other checks.
+        monkeypatch.setattr(propcheck, "CONVEXITY_SLACK_LOG", -math.inf)
+        monkeypatch.setattr(propcheck, "SLOPE_SLACK", -math.inf)
+        monkeypatch.setattr(propcheck, "_LIMIT_REL_TOL", -1.0)
+        corrupt = check_id in INEQUALITY_IDS
+        report = run_check(check_id, seed=5, samples=20, corrupt_upper=corrupt)
+        assert report.n_errors == 0 and report.failures, check_id
+        for failure in report.failures:
+            assert set(failure) == self.MARGINS, (check_id, failure)
+            assert isinstance(failure["point"], dict)
+            if not corrupt:
+                assert failure["lower_margin"] == failure["upper_margin"], (check_id, failure)
+        if check_id == "limits":
+            assert set(report.failures[0]["point"]) == {"track", "q"}
+
+    @pytest.mark.parametrize("check_id", ALL_CHECK_IDS)
+    def test_every_failure_has_one_of_two_shapes(self, check_id):
+        # Under a 3-term cap the q-series checks raise at most points.
+        report = run_check(check_id, seed=5, samples=20, cfg=EvalConfig(max_terms=3))
+        for failure in report.failures:
+            assert set(failure) in (self.MARGINS, self.ERROR), (check_id, failure)
+        assert sum(set(f) == self.ERROR for f in report.failures) == min(report.n_errors, 100)
+
+    def test_tally_add_takes_no_callable(self):
+        import inspect
+
+        assert list(inspect.signature(propcheck._Tally.add).parameters) == [
+            "self", "point", "lower_margin", "upper_margin", "passed"]
+        assert not hasattr(propcheck, "_safe_exp")
