@@ -130,15 +130,18 @@ def _require_flags(name: str, flags, offered, args) -> None:
         raise DomainError(f"{name} does not take --" + ", --".join(extra))
 
 
-def _point_from_args(ineq: str, args) -> tuple:
-    """The (x, y, q, aux) point of ``ineq`` from its flags, each of them one
-    of its slots; aux packs the slots beyond x, y and q as
-    ``bounds.Inequality`` describes."""
-    slots = INEQUALITIES[ineq].args
-    _require_flags(ineq, slots, _SLOTS, args)
-    extra = tuple(getattr(args, name) for name in slots if name not in ("x", "y", "q"))
+def _point(ineq: str, values: dict) -> tuple:
+    """The (x, y, q, aux) point of ``ineq`` from its slot values; aux packs
+    the slots beyond x, y and q as ``bounds.Inequality`` describes."""
+    extra = tuple(values[name] for name in INEQUALITIES[ineq].args if name not in ("x", "y", "q"))
     aux = extra[0] if len(extra) == 1 else extra or None
-    return (args.x, args.y, args.q, aux)
+    return (values.get("x"), values.get("y"), values.get("q"), aux)
+
+
+def _point_from_args(ineq: str, args) -> tuple:
+    """The point of ``ineq`` from its flags, each of them one of its slots."""
+    _require_flags(ineq, INEQUALITIES[ineq].args, _SLOTS, args)
+    return _point(ineq, vars(args))
 
 
 def _cmd_eval(args) -> int:
@@ -201,13 +204,18 @@ def _cmd_table(args) -> int:
         raise DomainError(f"steps must be >= 2, got {args.steps!r}")
     if not args.min < args.max:
         raise DomainError(f"requires min < max, got {args.min!r}, {args.max!r}")
+    slots = INEQUALITIES[args.ineq].args
     var_slot = _SLOT_ALIASES.get(args.var, args.var)
-    if var_slot not in INEQUALITIES[args.ineq].args:
+    if var_slot not in slots:
         raise DomainError(f"{args.ineq} has no sweep variable {args.var!r}")
+    if getattr(args, var_slot) is not None:
+        raise DomainError(f"--var {args.var} sweeps --{args.var}; drop that flag, which the sweep would overwrite")
+    fixed = [slot for slot in slots if slot != var_slot]
+    _require_flags(args.ineq, fixed, _SLOTS, args)
+    values = {slot: getattr(args, slot) for slot in fixed}
     rows = []
     for value in linspace(args.min, args.max, args.steps):
-        setattr(args, var_slot, value)
-        pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), cfg, force=args.force)
+        pair = evaluate_point(args.ineq, _point(args.ineq, {**values, var_slot: value}), cfg, force=args.force)
         rows.append({"x": value, **{name: getattr(pair, name) for name in _PAIR_FIELDS}})
     if args.format == "json":
         _write_json(rows)

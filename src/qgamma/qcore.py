@@ -2,8 +2,11 @@
 
 All higher modules build on two things defined here: the deformation
 parameter wrapper ``QParam`` (which pins down how powers of q are computed)
-and ``sum_geometric_decay`` (which turns a term function plus a geometric
-domination ratio into a value with a certified truncation bound).
+and ``sum_geometric_decay``, the series engine of psi_q and psi_q^(m): from
+the tail's numbers (y ln q, ln q, m, a scale and a certified geometric
+domination ratio) it computes each summand of their n-series in its own
+loop, with no per-term call, and returns the sum with a certified
+truncation bound.
 
 The value types of the package (``QParam``, ``EvalConfig``, ``Evaluation``
 here, ``PsiRoot``, ``BoundPair``, ``DomainSpec`` and the report records of
@@ -18,7 +21,7 @@ with a domain rule is never built that way.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, NonConvergence, Overflow
 
@@ -161,50 +164,73 @@ def q_factorial(n: int, q: QParam) -> float:
 
 
 def sum_geometric_decay(
-    term: Callable[[int], float],
+    y_ln_q: float,
+    ln_q: float,
     decay_ratio: float,
-    start_index: int,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    ratio_from: int = 0,
+    m: int = 0,
+    scale: float = 1.0,
+    ratio_from: int = 1,
 ) -> Evaluation:
-    """Sum term(n) for n >= start_index under geometric tail domination.
+    """The n-series tail of psi_q (m = 0) and psi_q^(m) (m >= 1) at
+    y = x + K, summed under geometric tail domination:
+        m = 0:   sum_{n>=1} exp(n y ln q) / (1 - q^n),
+        m >= 1:  sum_{n>=1} (n exp(n y ln q / m) scale)^m / (1 - q^n),
+    each 1 - q^n taken as -expm1(n ln q), with y_ln_q = y ln q, and scale
+    s^((m+1)/m), s = -ln q, from psi_q_m (see there).  ln q < 0, so every
+    summand is a quotient of two non-negative numbers and the partial sum
+    never decreases: the stop test needs no absolute values.
 
-    The caller guarantees |term(n+1)| <= decay_ratio * |term(n)| for every
-    n >= ratio_from, or from start_index on by default (each call site
-    documents its ratio and threshold).  Once the first omitted index n is
-    at least ratio_from, |term(n)| / (1 - decay_ratio) therefore bounds the
-    omitted tail.  Summation stops at the first such n where that bound
-    drops to max(REL_TOL * |S|, ABS_TOL), S the partial sum; the terms
-    before it are summed with no stop test, and count against max_terms
-    like the rest.
+    The caller guarantees term(n+1) <= decay_ratio * term(n) for every
+    n >= ratio_from, from n = 1 by default (each call site documents its
+    ratio and threshold; any ratio_from <= 2 tests from the first term).
+    Once the first omitted index n is at least ratio_from, term(n) /
+    (1 - decay_ratio) therefore bounds the omitted tail.  Summation stops
+    at the first such n where that bound drops to max(REL_TOL * S, ABS_TOL),
+    S the partial sum; the terms before it are summed with no stop test,
+    and count against max_terms like the rest.  A summand beyond the double
+    range raises OverflowError as math.exp and ** do.
 
     Raises NonConvergence, carrying the partial sum, if max_terms is
     reached first; its estimate is inf if no stop test was reached.
     """
     if not (0.0 < decay_ratio < 1.0):
         raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
+    exp = math.exp
+    expm1 = math.expm1
     inv_gap = 1.0 / (1.0 - decay_ratio)
+    rel_tol, abs_tol = REL_TOL, ABS_TOL
     max_terms = cfg.max_terms
+    # No bound holds before ratio_from, so the summands up to ratio_from - 2
+    # are added before the first stop test, whose first omitted index is
+    # ratio_from.
+    untested = min(max(ratio_from - 2, 0), max_terms)
     total = 0.0
-    untested = ratio_from - start_index - 1
-    if untested > 0:
-        # No bound holds before ratio_from, so no stop test either.
-        for n in range(start_index, start_index + min(untested, max_terms)):
-            total += term(n)
-        if untested >= max_terms:
+    if m:
+        y_ln_q_over_m = y_ln_q / m
+        for n in range(1, untested + 1):
+            total += (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+        if untested == max_terms:
             raise cap_error(cfg, total, math.inf, max_terms)
+        n = untested + 1
+        nxt = (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+        for n in range(untested + 2, max_terms + 2):
+            total += nxt
+            nxt = (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+            estimate = nxt * inv_gap
+            if estimate <= rel_tol * total or estimate <= abs_tol:
+                return new_record(Evaluation, (total, estimate, n - 1))
     else:
-        untested = 0
-    nxt = term(start_index + untested)
-    for used in range(untested + 1, max_terms + 1):
-        total += nxt
-        nxt = term(start_index + used)
-        estimate = abs(nxt) * inv_gap
-        threshold = REL_TOL * total
-        if threshold < 0.0:
-            threshold = -threshold
-        if threshold < ABS_TOL:
-            threshold = ABS_TOL
-        if estimate <= threshold:
-            return new_record(Evaluation, (total, estimate, used))
+        for n in range(1, untested + 1):
+            total += exp(n * y_ln_q) / -expm1(n * ln_q)
+        if untested == max_terms:
+            raise cap_error(cfg, total, math.inf, max_terms)
+        n = untested + 1
+        nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
+        for n in range(untested + 2, max_terms + 2):
+            total += nxt
+            nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
+            estimate = nxt * inv_gap
+            if estimate <= rel_tol * total or estimate <= abs_tol:
+                return new_record(Evaluation, (total, estimate, n - 1))
     raise cap_error(cfg, total, estimate, max_terms)

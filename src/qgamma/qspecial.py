@@ -351,11 +351,6 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     y_ln_q = (x + k_end) * ln_q
     offset = -math.log1p(-q.q)
 
-    # exp(n y ln q) inlined from q_pow; this loop dominates every
-    # certification run.
-    def tail_term(n: int) -> float:
-        return exp(n * y_ln_q) / -expm1(n * ln_q)
-
     value = term = 0.0
     try:
         # Each term is added one step late, so that a cap in the head leaves
@@ -367,7 +362,7 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
             value += term
             if math.isfinite(value):
                 ratio = max(exp(y_ln_q), _LEAST_RATIO)
-                tail = sum_geometric_decay(tail_term, ratio, 1, EvalConfig(max_terms - limit) if limit else cfg)
+                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, EvalConfig(max_terms - limit) if limit else cfg)
                 value = offset + (value + ln_q * tail.value)
     except NonConvergence as exc:
         partial = offset + (value + ln_q * exc.partial_value)
@@ -437,7 +432,6 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     limit = min(k_end, max_terms)
     eulerian = (_EULERIAN[int(m)] if m < len(_EULERIAN) else _eulerian(int(m))) if k_end else ()
     y_ln_q = (x + k_end) * ln_q
-    y_ln_q_over_m = y_ln_q / m
     scale = s * s ** (1.0 / m)  # s^((m+1)/m)
     qy = max(exp(y_ln_q), _LEAST_RATIO)
     ratio_from = 1
@@ -462,9 +456,6 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
                 log_ratio_gap = math.log1p(qy) - _LN2 - y_ln_q
             ratio_from = math.ceil(m / log_ratio_gap)
 
-    def tail_term(n: int) -> float:
-        return (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
-
     value = term = 0.0
     try:
         # Added one step late, as in psi_q.
@@ -480,7 +471,7 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
             value += term
             if math.isfinite(value):
                 tail_cfg = EvalConfig(max_terms - limit) if limit else cfg
-                tail = sum_geometric_decay(tail_term, ratio, 1, tail_cfg, ratio_from)
+                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, tail_cfg, m, scale, ratio_from)
                 value += sign * tail.value
     except NonConvergence as exc:
         raise cap_error(cfg, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
@@ -612,12 +603,17 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     s = -ln q <= -ln 0.05, far above the rounding of L and of the reach.  As
     the sign test did, this takes the computed psi_q(m) as exact; its
     error_estimate is left out of the comparison.  |psi_q(m)| is at most
-    0.65 of the reach at every q tried in [0.05, 1 - 1e-5].  If it is not
-    below the reach (at some q above 1 - 4e-6, where the computed zero
-    drifts off the fit; 7 calls then), or the residual is above 1e-10, or
-    q < 0.05, the solve takes bracketed secant steps from [1, x0], x0 the
-    classical digamma zero, with psi_q(m) kept for reuse, and raises
-    BracketFailure if psi_q does not change sign across [1, x0].  Each
+    0.65 of the reach at every q tried in [0.05, 1 - 1e-5].  Where it is
+    not below the reach but the residual is at most 1e-10 (at some q above
+    1 - 4e-6, where the computed zero drifts off the fit), psi_q(lo) and
+    psi_q(hi) are evaluated: if their signs differ, they certify [lo, hi]
+    directly (3 calls); if not, the nearest of lo, m and hi on each side of
+    the zero replaces 1 or x0 below.  1 - q log-uniform in [1e-6, 3e-6] then
+    takes 1.62 calls on average, and in [1e-7, 1e-6] 3.73.  Otherwise, with
+    a residual above 1e-10 or q < 0.05, the solve takes bracketed secant
+    steps from [1, x0], x0 the classical digamma zero, with the values
+    already computed kept for reuse, and raises BracketFailure if psi_q
+    does not change sign across that bracket.  Each
     trial is the secant of the last two points evaluated, the first one
     the chord of the bracket, or the bracket's midpoint if that secant
     lands outside the bracket (only at q below about 5e-3 in the q tried,
@@ -649,14 +645,23 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
             value = values[t] = psi_q(t, q, cfg).value
         return value
 
+    lo, hi = 1.0, _CLASSICAL_ROOT
     guess = _root_guess(q)
     if guess is not None:
-        lo, hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
-        root = 0.5 * (lo + hi)
+        g_lo, g_hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
+        root = 0.5 * (g_lo + g_hi)
         residual = f(root)
-        if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(lo, root, hi, q):
-            return PsiRoot(q=q, root=root, bracket_low=lo, bracket_high=hi, residual=residual)
-    lo, hi = 1.0, _CLASSICAL_ROOT
+        if abs(residual) <= _ROOT_RESIDUAL_TOL:
+            if abs(residual) < _psi_q_root_reach(g_lo, root, g_hi, q) or f(g_lo) < 0.0 < f(g_hi):
+                return PsiRoot(q=q, root=root, bracket_low=g_lo, bracket_high=g_hi, residual=residual)
+            # Declined by the reach and by the ends' signs: the nearest of the
+            # three points on each side of the zero narrow [1, x0], unless
+            # rounding has put them out of order.
+            near = (g_lo, root, g_hi)
+            lo = max((t for t in near if f(t) < 0.0), default=lo)
+            hi = min((t for t in near if f(t) > 0.0), default=hi)
+            if not lo < hi:
+                lo, hi = 1.0, _CLASSICAL_ROOT
     f_lo, f_hi = f(lo), f(hi)
     if not f_lo < 0.0 < f_hi:
         raise BracketFailure(f"psi_q does not change sign across [{lo}, {hi}] for q={q.q}")

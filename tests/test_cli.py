@@ -550,6 +550,29 @@ class TestTable:
         assert res.returncode == 0, res.stderr
         assert [float(line.split(",")[0]) for line in res.stdout.strip().split("\n")[1:]] == [0.1, 0.55, 1.0]
 
+    @pytest.mark.parametrize("ineq, var, flags", [
+        ("cor_one_half", "x", ("--q", "0.5", "--x", "7")),
+        ("thm_alpha", "alpha", ("--x", "2", "--y", "1.5", "--q", "0.5", "--alpha", "3")),
+        ("cor_mu_lambda", "lambda", ("--x", "1", "--mu", "2", "--q", "0.5", "--lambda", "0.3")),
+        ("cor_mu_lambda", "lam", ("--x", "1", "--mu", "2", "--q", "0.5", "--lambda", "0.3")),
+    ])
+    def test_point_flag_of_the_swept_variable_exits_2_naming_it(self, capsys, ineq, var, flags):
+        # The sweep would overwrite the flag's value on every row.
+        argv = ["table", "--ineq", ineq, "--var", var, "--min", "1", "--max", "2", "--steps", "2", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --var {var} sweeps --{var}; drop that flag, which the sweep would overwrite\n"
+
+    def test_sweep_leaves_the_parsed_flags_as_given(self, capsys):
+        args = cli._build_parser().parse_args(
+            ["table", "--ineq", "thm_alpha", "--var", "y", "--min", "1", "--max", "2", "--steps", "3",
+             "--x", "2", "--q", "0.5", "--alpha", "3"])
+        given = dict(vars(args))
+        assert args.handler(args) == 0
+        assert vars(args) == given
+        assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
     def test_sweep_variable_must_apply(self):
         res = run_cli("table", "--ineq", "cor_one_half", "--var", "y",
                       "--min", "1", "--max", "5", "--steps", "3", "--q", "0.5")

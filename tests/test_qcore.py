@@ -138,91 +138,111 @@ class TestQFactorial:
             q_factorial(400, QParam(1.0 - 1e-10))
 
 
+# ln q = -800 makes every 1 - q^n exactly 1 (expm1(-800 n) = -1), so the
+# m = 0 summand is exp(n y ln q) alone: a plain geometric series.
+FLAT_LN_Q = -800.0
+
+
 class TestSumGeometricDecay:
     def test_geometric_series(self):
-        ev = sum_geometric_decay(lambda n: 0.5**n, 0.5, 1)
+        ev = sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 0.5)
         assert ev.value == pytest.approx(1.0, rel=1e-13)
         assert ev.error_estimate <= 1e-13 * 1.01
 
     def test_zero_series_minimal_terms(self):
-        ev = sum_geometric_decay(lambda n: 0.0, 0.5, 0)
+        ev = sum_geometric_decay(FLAT_LN_Q, FLAT_LN_Q, 0.5)
         assert ev.value == 0.0
         assert ev.terms_used == 1
 
     def test_lambert_style_series(self):
         # sum q^n / (1 - q^n) at q = 0.5; expected from a 200-term
         # extended-precision partial sum.
-        q = 0.5
-        ev = sum_geometric_decay(lambda n: q**n / (1 - q**n), q, 1)
+        ln_q = math.log(0.5)
+        ev = sum_geometric_decay(ln_q, ln_q, 0.5)
         assert ev.value == pytest.approx(1.6066951524152917638, rel=1e-13)
+
+    # The m = 1 ratio (1+1/n) r certified as psi_q_m certifies it: 2r from
+    # n = 1 below r = 1/4, else min((9/8) r, (1+r)/2) from n = 8 or from
+    # ceil(1 / ln((1+r) / (2r))).
+    M1_RATIOS = {0.1: (0.2, 1), 0.5: (0.5625, 8), 0.9: (0.95, 19)}
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_error_estimate_covers_true_tail(self, r):
-        """Closed forms: sum r^n = r/(1-r), sum r^n/n = -ln(1-r)."""
-        ev = sum_geometric_decay(lambda n: r**n, r, 1)
+        """Closed forms: sum r^n = r/(1-r), sum n r^n = r/(1-r)^2."""
+        ratio, ratio_from = self.M1_RATIOS[r]
+        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, r)
         exact = r / (1 - r)
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
-        ev = sum_geometric_decay(lambda n: r**n / n, r, 1)
-        exact = -math.log1p(-r)
+        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, ratio, EvalConfig(), 1, 1.0, ratio_from)
+        exact = r / (1 - r) ** 2
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
 
-    def test_alternating_series(self):
-        r = 0.7
-        ev = sum_geometric_decay(lambda n: (-r) ** n, r, 0)
-        exact = 1.0 / (1.0 + r)
-        assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
+    def test_summands_are_the_psi_family_tails(self):
+        # n = 1..3 of exp(n y ln q) / (1 - q^n) and of
+        # (n exp(n y ln q / m) scale)^m / (1 - q^n), under a 3-term cap.
+        y_ln_q, ln_q, scale = -0.9, -0.4, 1.7
+        for m, term in (
+            (0, lambda n: math.exp(n * y_ln_q) / -math.expm1(n * ln_q)),
+            (3, lambda n: (n * math.exp(n * (y_ln_q / 3)) * scale) ** 3 / -math.expm1(n * ln_q)),
+        ):
+            with pytest.raises(NonConvergence) as info:
+                sum_geometric_decay(y_ln_q, ln_q, 0.5, EvalConfig(max_terms=3), m, scale)
+            assert info.value.partial_value == term(1) + term(2) + term(3)
+            assert info.value.error_estimate == term(4) / (1 - 0.5)
 
     def test_non_convergence_carries_partial(self):
         cfg = EvalConfig(max_terms=10)
         with pytest.raises(NonConvergence) as info:
-            sum_geometric_decay(lambda n: 0.999**n, 0.999, 1, cfg)
+            sum_geometric_decay(math.log(0.999), FLAT_LN_Q, 0.999, cfg)
         assert info.value.terms_used == 10
         assert info.value.partial_value > 0.0
         assert info.value.error_estimate > 0.0
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(DomainError):
-            sum_geometric_decay(lambda n: 0.5**n, 1.0, 1)
+            sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 1.0)
         with pytest.raises(DomainError):
-            sum_geometric_decay(lambda n: 0.5**n, 0.0, 1)
+            sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 0.0)
 
     def test_respects_abs_tol_floor(self):
-        # The sum is ~2e-305: its tail bound is under the fixed 1e-300
-        # underflow floor after one term, long before it reaches 1e-13 of it.
-        ev = sum_geometric_decay(lambda n: 1e-305 * 0.5**n, 0.5, 0)
+        # The sum n 0.25^n 1e-305 is ~4.4e-306: its tail bound is under the
+        # fixed 1e-300 underflow floor after one term, long before it reaches
+        # 1e-13 of it.
+        ev = sum_geometric_decay(math.log(0.25), FLAT_LN_Q, 0.5, EvalConfig(), 1, 1e-305)
         assert ev.terms_used == 1
         assert ev.error_estimate <= ABS_TOL
 
     def test_no_stop_before_ratio_from(self):
-        # The terms rise to n = 5 and fall by 1/2 from there; the first two
-        # are zero, which alone would stop the sum after one term.
-        def term(n):
-            return 0.0 if n < 3 else 2.0 ** (n - 5 if n < 5 else 5 - n)
+        # (n exp(-n/10) e/10)^1000 = (n/10 exp(1 - n/10))^1000 rises to 1 at
+        # n = 10 and falls from there; the first two summands underflow to
+        # zero, which alone would stop the sum after one term.  Its ratio
+        # is below 1/2 from n = 11 (psi_q_m's second branch at q^y = e^-100).
+        m, y_ln_q, scale = 1000, -100.0, math.e / 10.0
 
-        assert sum_geometric_decay(term, 0.5, 1).value == 0.0
-        ev = sum_geometric_decay(term, 0.5, 1, EvalConfig(), 5)
-        assert ev.value == pytest.approx(0.25 + 0.5 + 2.0, rel=1e-13)
-        assert ev.terms_used >= 4
+        def term(n):
+            return (n * math.exp(n * (y_ln_q / m)) * scale) ** m / -math.expm1(n * FLAT_LN_Q)
+
+        assert term(1) == term(2) == 0.0 < term(3)
+        assert sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, EvalConfig(), m, scale).value == 0.0
+        ev = sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, EvalConfig(), m, scale, 11)
+        assert ev.value == pytest.approx(math.fsum(term(n) for n in range(1, 100)), rel=1e-13)
+        assert ev.terms_used >= 10
 
     def test_ratio_from_at_or_before_the_start_changes_nothing(self):
-        term = lambda n: 0.7**n / n
-        plain = sum_geometric_decay(term, 0.7, 1)
-        for ratio_from in (-3, 0, 1, 2):
-            assert sum_geometric_decay(term, 0.7, 1, EvalConfig(), ratio_from) == plain
+        y_ln_q, ln_q = 2.0 * math.log(0.7), math.log(0.7)
+        for m in (0, 1):
+            plain = sum_geometric_decay(y_ln_q, ln_q, 0.9, EvalConfig(), m)
+            for ratio_from in (-3, 0, 1, 2):
+                assert sum_geometric_decay(y_ln_q, ln_q, 0.9, EvalConfig(), m, 1.0, ratio_from) == plain
 
     def test_cap_before_ratio_from_has_no_bound(self):
-        calls = []
-
-        def term(n):
-            calls.append(n)
-            return 1.0
-
-        with pytest.raises(NonConvergence) as info:
-            sum_geometric_decay(term, 0.5, 1, EvalConfig(max_terms=3), 10)
-        assert calls == [1, 2, 3]
-        assert info.value.terms_used == 3
-        assert info.value.partial_value == 3.0
-        assert info.value.error_estimate == math.inf
+        # y ln q = 0 and 1 - q^n = 1: the summands are 1 (m = 0) and n (m = 1).
+        for m, partial in ((0, 3.0), (1, 6.0)):
+            with pytest.raises(NonConvergence) as info:
+                sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, EvalConfig(max_terms=3), m, 1.0, 10)
+            assert info.value.terms_used == 3
+            assert info.value.partial_value == partial
+            assert info.value.error_estimate == math.inf
 
 
 class TestRequirePositive:

@@ -9,7 +9,7 @@ from oracles import mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_m, mp
 import qgamma.qspecial as qspecial
 from qgamma.classical import ln_gamma_classical, psi_classical
 from qgamma.errors import BracketFailure, DomainError, NonConvergence, Overflow
-from qgamma.qcore import REL_TOL, EvalConfig, QParam, q_bracket, q_factorial
+from qgamma.qcore import ABS_TOL, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, q_bracket, q_factorial
 from qgamma.qspecial import (
     euler_gamma_q,
     gamma_q,
@@ -405,6 +405,103 @@ class TestPositiveArguments:
                     call(bad)
 
 
+def _callback_engine(term, decay_ratio, start_index, cfg, ratio_from):
+    """The series engine as it was when the tails reached it as a per-term
+    callable, kept verbatim as the reference for the engine that computes
+    the summands itself."""
+    if not (0.0 < decay_ratio < 1.0):
+        raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
+    inv_gap = 1.0 / (1.0 - decay_ratio)
+    max_terms = cfg.max_terms
+    total = 0.0
+    untested = ratio_from - start_index - 1
+    if untested > 0:
+        for n in range(start_index, start_index + min(untested, max_terms)):
+            total += term(n)
+        if untested >= max_terms:
+            raise cap_error(cfg, total, math.inf, max_terms)
+    else:
+        untested = 0
+    nxt = term(start_index + untested)
+    for used in range(untested + 1, max_terms + 1):
+        total += nxt
+        nxt = term(start_index + used)
+        estimate = abs(nxt) * inv_gap
+        threshold = REL_TOL * total
+        if threshold < 0.0:
+            threshold = -threshold
+        if threshold < ABS_TOL:
+            threshold = ABS_TOL
+        if estimate <= threshold:
+            return Evaluation(total, estimate, used)
+    raise cap_error(cfg, total, estimate, max_terms)
+
+
+def _reference_tail(y_ln_q, ln_q, decay_ratio, cfg, m=0, scale=1.0, ratio_from=1):
+    """psi_q's (m = 0) and psi_q_m's tail closures, summed by the callback
+    engine from n = 1."""
+    exp, expm1 = math.exp, math.expm1
+    if m:
+        y_ln_q_over_m = y_ln_q / m
+
+        def tail_term(n):
+            return (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+    else:
+        def tail_term(n):
+            return exp(n * y_ln_q) / -expm1(n * ln_q)
+
+    return _callback_engine(tail_term, decay_ratio, 1, cfg, ratio_from)
+
+
+def _outcome(call):
+    """A call's result, or every field of the error it raised."""
+    try:
+        ev = call()
+    except NonConvergence as exc:
+        return ("NonConvergence", exc.partial_value, exc.error_estimate, exc.terms_used, str(exc))
+    except (Overflow, DomainError) as exc:
+        return (type(exc).__name__, str(exc))
+    assert type(ev) is Evaluation and type(ev.terms_used) is int
+    return tuple(ev)
+
+
+class TestTailEngineReference:
+    """The series engine sums psi_q's and psi_q_m's tails exactly as their
+    per-term closures did under the callback engine: the same Evaluation,
+    or the same NonConvergence partial value, estimate, terms and message,
+    bit for bit."""
+
+    ONE_MINUS_Q = np.geomspace(1e-6, 0.999, 9)
+    X = np.geomspace(0.01, 1000.0, 9)
+    ORDERS = (1, 2, 3, 7, 30)
+    # Large orders: a ratio certified from n0 > 1 with summands rising from
+    # below the double range, and one near the range's top.
+    EDGES = ((300, 30.0, 0.9), (300, 30.0, 1e-10), (2100, 1000.0, 0.5), (250, 30.0, 0.5), (7000, 1.0, 0.5))
+
+    @pytest.mark.parametrize("max_terms", [None, 1, 3, 15, 40])
+    def test_psi_q_and_psi_q_m_match_the_closures(self, monkeypatch, max_terms):
+        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        calls = []
+        for om in self.ONE_MINUS_Q:
+            q = QParam(1.0 - float(om))
+            for x in self.X:
+                x = float(x)
+                calls.append((("psi_q", x, q.q), lambda x=x, q=q: psi_q(x, q, cfg)))
+                for m in self.ORDERS:
+                    calls.append(((m, x, q.q), lambda m=m, x=x, q=q: psi_q_m(m, x, q, cfg)))
+        for m, x, qv in self.EDGES:
+            calls.append(((m, x, qv), lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q, cfg)))
+        assert len(calls) == 9 * 9 * 6 + 5
+        engine = [_outcome(call) for _, call in calls]
+        monkeypatch.setattr(qspecial, "sum_geometric_decay", _reference_tail)
+        mismatches = [(point, got, ref) for (point, call), got in zip(calls, engine) if got != (ref := _outcome(call))]
+        assert mismatches == []
+        if max_terms is None:
+            assert sum(len(out) == 3 for out in engine) > 400
+        else:
+            assert sum(out[0] == "NonConvergence" for out in engine) > 100
+
+
 class TestShiftedTail:
     """psi_q and psi_q_m as K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
     plus the n-form at x + K, L = -ln REL_TOL and s = -ln q."""
@@ -722,10 +819,13 @@ class TestPsiQRoot:
     def test_residual_beyond_the_reach_declines_the_guess(self, monkeypatch, qv, sign):
         # psi_q moved by a constant 3 times the reach, still below the 1e-10
         # residual bound: the midpoint no longer certifies the guess's
-        # bracket, so the solve goes on from [1, x0], reusing the midpoint's
-        # value, and finds the moved function's zero.
+        # bracket, and neither do its ends, whose moved values share the
+        # midpoint's sign.  The solve goes on from [1, x0] with the nearest
+        # of the three points in place of x0 (moved up) or 1 (moved down),
+        # evaluating only the other end, and finds the moved function's zero.
         q = QParam(qv)
         mid = _guess_midpoint(q)
+        lo = qspecial._root_guess(q) - qspecial._ROOT_GUESS_HALF_WIDTH
         hi = qspecial._root_guess(q) + qspecial._ROOT_GUESS_HALF_WIDTH
         shift = sign * 3.0 * (hi - mid) * qspecial._psi_q_slope_floor(hi, q)
         assert abs(psi_q(mid, q).value) < abs(shift) < 1e-10
@@ -738,11 +838,75 @@ class TestPsiQRoot:
 
         monkeypatch.setattr(qspecial, "psi_q", shifted_psi_q)
         res = qspecial.psi_q_root(q)
-        assert calls[:3] == [mid, 1.0, qspecial._CLASSICAL_ROOT], (qv, calls)
+        other_end = 1.0 if sign > 0.0 else qspecial._CLASSICAL_ROOT
+        assert calls[:4] == [mid, lo, hi, other_end], (qv, calls)
+        assert (1.0 in calls) != (qspecial._CLASSICAL_ROOT in calls), (qv, calls)
         assert len(set(calls)) == len(calls), (qv, calls)
         moved = lambda t: psi_q(t, q).value + shift
         assert moved(res.bracket_low) < 0.0 < moved(res.bracket_high)
         assert res.bracket_high - res.bracket_low <= 1e-12
+
+    def test_declined_guess_near_one_solves_from_its_bracket(self, monkeypatch):
+        # Near q = 1 the computed zero drifts off the fit and the one-call
+        # reach test declines some guesses, though |psi_q| at the midpoint
+        # is far below 1e-10.  The ends g -+ 3e-13 are then evaluated: their
+        # signs certify the bracket, or the nearest points on either side of
+        # the zero narrow [1, x0].  Over each scan, 1 - q log-uniform, the
+        # mean count stays below its band's bound (1.60 and 3.58 here; the
+        # guess, then the secant from [1, x0], averages 2.75 and 6.40), and
+        # every bracket past one call is checked; no solve takes
+        # more than one call beyond that path, 1 + a solve with no guess.
+        # That path takes at least 4 calls (midpoint, 1, x0, final midpoint),
+        # so solves of 5 or fewer calls need no comparison.
+        calls = []
+
+        def counting_psi_q(*args, **kwargs):
+            calls.append(args[0])
+            return psi_q(*args, **kwargs)
+
+        monkeypatch.setattr(qspecial, "psi_q", counting_psi_q)
+        true_guess = qspecial._root_guess
+        rng = np.random.default_rng(2301)
+        for (lo, hi), n, mean_bound in (((1e-6, 3e-6), 500, 1.75), ((1e-7, 1e-6), 100, 4.0)):
+            counts = []
+            for om in np.exp(rng.uniform(math.log(lo), math.log(hi), size=n)):
+                q = QParam(1.0 - float(om))
+                calls.clear()
+                res = qspecial.psi_q_root(q)
+                counts.append(len(calls))
+                assert len(set(calls)) == len(calls), (q.q, calls)
+                if counts[-1] > 1:
+                    _assert_root_invariants(q, res)
+                if counts[-1] > 5:
+                    monkeypatch.setattr(qspecial, "_root_guess", lambda q: None)
+                    calls.clear()
+                    qspecial.psi_q_root(q)
+                    monkeypatch.setattr(qspecial, "_root_guess", true_guess)
+                    assert counts[-1] <= 1 + len(calls) + 1, (q.q, counts[-1], len(calls))
+            assert sum(counts) / n <= mean_bound, (lo, hi, sum(counts) / n)
+
+    def test_declined_points_out_of_order_fall_back_to_the_wide_bracket(self, monkeypatch):
+        # psi_q moved at the three points near the guess only, so that they
+        # decrease (+1e-11, -1e-11, -2e-11): the nearest negative point, hi,
+        # lies right of the nearest positive one, lo.  No bracket can be
+        # made of them, so the solve takes [1, x0] and finds the true zero.
+        q = QParam(0.5)
+        mid = _guess_midpoint(q)
+        lo = qspecial._root_guess(q) - qspecial._ROOT_GUESS_HALF_WIDTH
+        hi = qspecial._root_guess(q) + qspecial._ROOT_GUESS_HALF_WIDTH
+        moved = {lo: 1e-11, mid: -1e-11, hi: -2e-11}
+        calls = []
+
+        def bumped_psi_q(x, q, cfg):
+            calls.append(x)
+            ev = psi_q(x, q, cfg)
+            return ev._replace(value=moved[x]) if x in moved else ev
+
+        monkeypatch.setattr(qspecial, "psi_q", bumped_psi_q)
+        res = qspecial.psi_q_root(q)
+        assert calls[:5] == [mid, lo, hi, 1.0, qspecial._CLASSICAL_ROOT], calls
+        assert res.bracket_low < res.root < res.bracket_high
+        assert res.root == pytest.approx(ROOT_Q_HALF, abs=1e-12)
 
     def test_slope_floor_is_below_psi_q_prime(self):
         # L, the two-term floor that certifies the guess's bracket, stays
