@@ -40,8 +40,10 @@ A failure holds its point ({"track","q"} for limits) and its log margins,
 both the one margin of a convexity, slope or limit check; or the error
 the point raised, which n_errors counts past the 100 failures kept.
 
-Table CSV: header ``x,lower,ratio,upper,lower_margin,upper_margin``, one
-row per grid point, '\\n' newlines, '.' decimal point, no locale formatting.
+Table CSV: header ``<var>,lower,ratio,upper,lower_margin,upper_margin``,
+the first column named by --var as given (``x`` for --var x, ``lambda``
+for --var lambda), one row per grid point, '\\n' newlines, '.' decimal
+point, no locale formatting.  A JSON row names its swept value the same.
 """
 
 from __future__ import annotations
@@ -216,11 +218,11 @@ def _cmd_table(args) -> int:
     rows = []
     for value in linspace(args.min, args.max, args.steps):
         pair = evaluate_point(args.ineq, _point(args.ineq, {**values, var_slot: value}), cfg, force=args.force)
-        rows.append({"x": value, **{name: getattr(pair, name) for name in _PAIR_FIELDS}})
+        rows.append({args.var: value, **{name: getattr(pair, name) for name in _PAIR_FIELDS}})
     if args.format == "json":
         _write_json(rows)
     else:
-        lines = [",".join(("x",) + _PAIR_FIELDS)]
+        lines = [",".join((args.var,) + _PAIR_FIELDS)]
         lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -4,9 +4,12 @@ All higher modules build on two things defined here: the deformation
 parameter wrapper ``QParam`` (which pins down how powers of q are computed)
 and ``sum_geometric_decay``, the series engine of psi_q and psi_q^(m): from
 the tail's numbers (y ln q, ln q, m, a scale and a certified geometric
-domination ratio) it computes each summand of their n-series in its own
-loop, with no per-term call, and returns the sum with a certified
-truncation bound.
+domination ratio) and its term budget, a plain count, it computes each
+summand of their n-series in its own loop, with no per-term call, and
+returns the sum with a certified truncation bound.  ``cap_error`` takes
+its cap as a count too, so a caller that has spent part of its
+``EvalConfig.max_terms`` on a head passes the rest on without building a
+config.
 
 The value types of the package (``QParam``, ``EvalConfig``, ``Evaluation``
 here, ``PsiRoot``, ``BoundPair``, ``DomainSpec`` and the report records of
@@ -123,11 +126,12 @@ def require_positive(value: float, name: str = "x") -> None:
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
-def cap_error(cfg: EvalConfig, partial_value: float, error_estimate: float, terms_used: int) -> NonConvergence:
-    """The NonConvergence of an evaluation stopped by cfg.max_terms, with its
-    partial value and the bound on what it left out."""
+def cap_error(max_terms: int, partial_value: float, error_estimate: float, terms_used: int) -> NonConvergence:
+    """The NonConvergence of an evaluation stopped by its term cap
+    ``max_terms`` (a count), with its partial value and the bound on what
+    it left out."""
     return NonConvergence(
-        f"no convergence within {cfg.max_terms} terms (estimate {error_estimate:.3e})",
+        f"no convergence within {max_terms} terms (estimate {error_estimate:.3e})",
         partial_value=partial_value,
         error_estimate=error_estimate,
         terms_used=terms_used,
@@ -167,7 +171,7 @@ def sum_geometric_decay(
     y_ln_q: float,
     ln_q: float,
     decay_ratio: float,
-    cfg: EvalConfig = DEFAULT_CONFIG,
+    max_terms: int = DEFAULT_CONFIG.max_terms,
     m: int = 0,
     scale: float = 1.0,
     ratio_from: int = 1,
@@ -188,49 +192,58 @@ def sum_geometric_decay(
     (1 - decay_ratio) therefore bounds the omitted tail.  Summation stops
     at the first such n where that bound drops to max(REL_TOL * S, ABS_TOL),
     S the partial sum; the terms before it are summed with no stop test,
-    and count against max_terms like the rest.  A summand beyond the double
-    range raises OverflowError as math.exp and ** do.
+    and count against max_terms like the rest.  Only a ratio_from above 2
+    (psi_q_m's inflated ratios) has such terms.  A summand beyond the
+    double range raises OverflowError as math.exp and ** do.
 
-    Raises NonConvergence, carrying the partial sum, if max_terms is
-    reached first; its estimate is inf if no stop test was reached.
+    ``max_terms`` is the term budget as a count, the ``EvalConfig.max_terms``
+    of a caller with no head, or what its head left of it; below 1 it
+    raises DomainError with EvalConfig's message.  Raises NonConvergence,
+    carrying the partial sum, once max_terms terms are summed with no stop;
+    its estimate is inf if no stop test was reached.
     """
     if not (0.0 < decay_ratio < 1.0):
         raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
+    if max_terms < 1:
+        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
     exp = math.exp
     expm1 = math.expm1
     inv_gap = 1.0 / (1.0 - decay_ratio)
     rel_tol, abs_tol = REL_TOL, ABS_TOL
-    max_terms = cfg.max_terms
-    # No bound holds before ratio_from, so the summands up to ratio_from - 2
-    # are added before the first stop test, whose first omitted index is
-    # ratio_from.
-    untested = min(max(ratio_from - 2, 0), max_terms)
     total = 0.0
+    n = 1  # the first summand not yet added
     if m:
         y_ln_q_over_m = y_ln_q / m
-        for n in range(1, untested + 1):
-            total += (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
-        if untested == max_terms:
-            raise cap_error(cfg, total, math.inf, max_terms)
-        n = untested + 1
+        if ratio_from > 2:
+            # No bound holds before ratio_from, so the summands up to
+            # ratio_from - 2 are added before the first stop test, whose
+            # first omitted index is ratio_from.
+            untested = min(ratio_from - 2, max_terms)
+            for n in range(1, untested + 1):
+                total += (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+            if untested == max_terms:
+                raise cap_error(max_terms, total, math.inf, max_terms)
+            n = untested + 1
         nxt = (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
-        for n in range(untested + 2, max_terms + 2):
+        for n in range(n + 1, max_terms + 2):
             total += nxt
             nxt = (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
             estimate = nxt * inv_gap
             if estimate <= rel_tol * total or estimate <= abs_tol:
                 return new_record(Evaluation, (total, estimate, n - 1))
     else:
-        for n in range(1, untested + 1):
-            total += exp(n * y_ln_q) / -expm1(n * ln_q)
-        if untested == max_terms:
-            raise cap_error(cfg, total, math.inf, max_terms)
-        n = untested + 1
+        if ratio_from > 2:
+            untested = min(ratio_from - 2, max_terms)  # as above
+            for n in range(1, untested + 1):
+                total += exp(n * y_ln_q) / -expm1(n * ln_q)
+            if untested == max_terms:
+                raise cap_error(max_terms, total, math.inf, max_terms)
+            n = untested + 1
         nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
-        for n in range(untested + 2, max_terms + 2):
+        for n in range(n + 1, max_terms + 2):
             total += nxt
             nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
             estimate = nxt * inv_gap
             if estimate <= rel_tol * total or estimate <= abs_tol:
                 return new_record(Evaluation, (total, estimate, n - 1))
-    raise cap_error(cfg, total, estimate, max_terms)
+    raise cap_error(max_terms, total, estimate, max_terms)

@@ -235,7 +235,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     if limit < n:
         # The pair terms fall by a factor q or more each, from k = 0.
         bound = abs(log(expm1(-s * (y + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
-        raise cap_error(cfg, -value if swapped else value, bound, limit)
+        raise cap_error(cfg.max_terms, -value if swapped else value, bound, limit)
 
     tx, ty = x + n, y + n
     ux, uy = math.exp(-s * tx), math.exp(-s * ty)
@@ -278,7 +278,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     if swapped:
         value = -value
     if bound > tol and j < _EM_TERMS:
-        raise cap_error(cfg, value, bound, n + j)
+        raise cap_error(cfg.max_terms, value, bound, n + j)
     return new_record(Evaluation, (value, bound, n + j))
 
 
@@ -333,12 +333,13 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     as the result does; one beyond it raises Overflow.  The tail's 1 - q^n
     is -expm1(n ln q), which keeps its digits as q -> 1.
 
-    The head terms count against cfg.max_terms and the tail goes to
-    sum_geometric_decay with the rest of the budget.  A cap in the head
-    raises NonConvergence with the head's partial value and the bound
-    |next head term| / (1-q) on the rest of the k-form, which falls by q
-    per term; a cap in the tail, with the head plus the tail's partial value
-    and the tail's bound.  ``terms_used`` is K plus the tail terms.
+    The head terms count against cfg.max_terms, and sum_geometric_decay
+    takes what they leave of it, cfg.max_terms - K, as a plain count.  A
+    cap in the head raises NonConvergence with the head's partial value and
+    the bound |next head term| / (1-q) on the rest of the k-form, which
+    falls by q per term; a cap in the tail, with the head plus the tail's
+    partial value and the tail's bound.  ``terms_used`` is K plus the tail
+    terms.
     """
     require_positive(x)
     exp = math.exp
@@ -362,17 +363,17 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
             value += term
             if math.isfinite(value):
                 ratio = max(exp(y_ln_q), _LEAST_RATIO)
-                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, EvalConfig(max_terms - limit) if limit else cfg)
+                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit)
                 value = offset + (value + ln_q * tail.value)
     except NonConvergence as exc:
         partial = offset + (value + ln_q * exc.partial_value)
-        raise cap_error(cfg, partial, s * exc.error_estimate, max_terms) from None
+        raise cap_error(max_terms, partial, s * exc.error_estimate, max_terms) from None
     except (ZeroDivisionError, OverflowError):
         value = math.inf
     if not math.isfinite(value):
         raise Overflow(f"psi_q{(x, q.q)!r} exceeds the double range")
     if limit == max_terms:
-        raise cap_error(cfg, offset + value, abs(term) / (1.0 - q.q), limit)
+        raise cap_error(max_terms, offset + value, abs(term) / (1.0 - q.q), limit)
     return new_record(Evaluation, (value, s * tail.error_estimate, limit + tail.terms_used))
 
 
@@ -383,7 +384,8 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     Sign follows (ln q)^(m+1) = (-1)^(m+1) s^(m+1), s = -ln q: positive for
     odd m, negative for even m.
 
-    As for psi_q, with psi_q's K and its cap rules, the double series
+    As for psi_q, with psi_q's K and its cap rules (the tail takes what
+    the head leaves of cfg.max_terms as a plain count), the double series
     sum_{n>=1, k>=0} n^m q^(n(x+k)) is summed along k for k < K and along
     n at y for the rest:
         (ln q)^(m+1) [sum_{k<K} Li_{-m}(u_k) + sum_{n>=1} n^m q^(ny) / (1-q^n)],
@@ -470,17 +472,16 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                tail_cfg = EvalConfig(max_terms - limit) if limit else cfg
-                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, tail_cfg, m, scale, ratio_from)
+                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit, m, scale, ratio_from)
                 value += sign * tail.value
     except NonConvergence as exc:
-        raise cap_error(cfg, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
+        raise cap_error(max_terms, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
     except (ZeroDivisionError, OverflowError):
         value = math.inf
     if not math.isfinite(value):
         raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
     if limit == max_terms:
-        raise cap_error(cfg, value, abs(term) / (1.0 - q.q), limit)
+        raise cap_error(max_terms, value, abs(term) / (1.0 - q.q), limit)
     return new_record(Evaluation, (value, tail.error_estimate, limit + tail.terms_used))
 
 
@@ -549,6 +550,8 @@ _ROOT_GUESS_CHEB = (
     -0.04120842846567188,
     1.4229427580610823,
 )
+# Clenshaw's recurrence runs over every coefficient but c_0, which it adds last.
+_ROOT_GUESS_CLENSHAW, _ROOT_GUESS_C0 = _ROOT_GUESS_CHEB[:-1], _ROOT_GUESS_CHEB[-1]
 _ROOT_GUESS_S_MAX = -math.log(0.05)  # the fitted range's top
 # Half-width of the bracket around the guess: 2.3 times the largest error,
 # so that |psi_q| at the midpoint stays within 0.65 of the half-width times
@@ -566,9 +569,9 @@ def _root_guess(q: QParam) -> Optional[float]:
     t = 2.0 * s / _ROOT_GUESS_S_MAX - 1.0
     t2 = t + t
     b1 = b2 = 0.0
-    for c in _ROOT_GUESS_CHEB[:-1]:
+    for c in _ROOT_GUESS_CLENSHAW:
         b1, b2 = c + t2 * b1 - b2, b1
-    return _ROOT_GUESS_CHEB[-1] + t * b1 - b2
+    return _ROOT_GUESS_C0 + t * b1 - b2
 
 
 def _psi_q_slope_floor(x: float, q: QParam) -> float:
@@ -603,8 +606,10 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     s = -ln q <= -ln 0.05, far above the rounding of L and of the reach.  As
     the sign test did, this takes the computed psi_q(m) as exact; its
     error_estimate is left out of the comparison.  |psi_q(m)| is at most
-    0.65 of the reach at every q tried in [0.05, 1 - 1e-5].  Where it is
-    not below the reach but the residual is at most 1e-10 (at some q above
+    0.65 of the reach at every q tried in [0.05, 1 - 1e-5].  That path
+    builds nothing per solve but the PsiRoot it returns: the memo of psi_q
+    values below and its closure are made only once it declines.  Where it
+    is not below the reach but the residual is at most 1e-10 (at some q above
     1 - 4e-6, where the computed zero drifts off the fit), psi_q(lo) and
     psi_q(hi) are evaluated: if their signs differ, they certify [lo, hi]
     directly (3 calls); if not, the nearest of lo, m and hi on each side of
@@ -613,8 +618,7 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     a residual above 1e-10 or q < 0.05, the solve takes bracketed secant
     steps from [1, x0], x0 the classical digamma zero, with the values
     already computed kept for reuse, and raises BracketFailure if psi_q
-    does not change sign across that bracket.  Each
-    trial is the secant of the last two points evaluated, the first one
+    does not change sign across that bracket.  Each trial is the secant of the last two points evaluated, the first one
     the chord of the bracket, or the bracket's midpoint if that secant
     lands outside the bracket (only at q below about 5e-3 in the q tried,
     where psi_q is nearly flat right of the root).  The trial's sign
@@ -637,7 +641,16 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     """
     if q.q < sys.float_info.min:
         raise DomainError(f"psi_q's root is not certified for subnormal q={q.q!r}")
-    values: dict[float, float] = {}
+    guess = _root_guess(q)
+    if guess is not None:
+        g_lo, g_hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
+        root = 0.5 * (g_lo + g_hi)
+        residual = psi_q(root, q, cfg).value
+        if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(g_lo, root, g_hi, q):
+            return new_record(PsiRoot, (q, root, g_lo, g_hi, residual))
+    # The fitted guess declined or is not there: every psi_q value from here
+    # on is kept, so that no point is evaluated twice.
+    values: dict[float, float] = {} if guess is None else {root: residual}
 
     def f(t: float) -> float:
         value = values.get(t)
@@ -646,22 +659,17 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
         return value
 
     lo, hi = 1.0, _CLASSICAL_ROOT
-    guess = _root_guess(q)
-    if guess is not None:
-        g_lo, g_hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
-        root = 0.5 * (g_lo + g_hi)
-        residual = f(root)
-        if abs(residual) <= _ROOT_RESIDUAL_TOL:
-            if abs(residual) < _psi_q_root_reach(g_lo, root, g_hi, q) or f(g_lo) < 0.0 < f(g_hi):
-                return PsiRoot(q=q, root=root, bracket_low=g_lo, bracket_high=g_hi, residual=residual)
-            # Declined by the reach and by the ends' signs: the nearest of the
-            # three points on each side of the zero narrow [1, x0], unless
-            # rounding has put them out of order.
-            near = (g_lo, root, g_hi)
-            lo = max((t for t in near if f(t) < 0.0), default=lo)
-            hi = min((t for t in near if f(t) > 0.0), default=hi)
-            if not lo < hi:
-                lo, hi = 1.0, _CLASSICAL_ROOT
+    if guess is not None and abs(residual) <= _ROOT_RESIDUAL_TOL:
+        # Declined by the reach: the ends' signs may still certify the bracket.
+        if f(g_lo) < 0.0 < f(g_hi):
+            return PsiRoot(q=q, root=root, bracket_low=g_lo, bracket_high=g_hi, residual=residual)
+        # Declined by both: the nearest of the three points on each side of
+        # the zero narrow [1, x0], unless rounding has put them out of order.
+        near = (g_lo, root, g_hi)
+        lo = max((t for t in near if f(t) < 0.0), default=lo)
+        hi = min((t for t in near if f(t) > 0.0), default=hi)
+        if not lo < hi:
+            lo, hi = 1.0, _CLASSICAL_ROOT
     f_lo, f_hi = f(lo), f(hi)
     if not f_lo < 0.0 < f_hi:
         raise BracketFailure(f"psi_q does not change sign across [{lo}, {hi}] for q={q.q}")

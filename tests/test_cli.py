@@ -550,6 +550,24 @@ class TestTable:
         assert res.returncode == 0, res.stderr
         assert [float(line.split(",")[0]) for line in res.stdout.strip().split("\n")[1:]] == [0.1, 0.55, 1.0]
 
+    @pytest.mark.parametrize("var, args", [
+        ("q", ("--ineq", "cor_one_half", "--var", "q", "--min", "0.1", "--max", "0.9", "--steps", "3",
+               "--x", "1")),
+        ("lambda", ("--ineq", "cor_mu_lambda", "--var", "lambda", "--min", "0.1", "--max", "1", "--steps", "3",
+                    "--x", "1", "--mu", "2", "--q", "0.5")),
+    ])
+    def test_swept_column_is_named_by_var(self, var, args):
+        res = run_cli("table", *args)
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.strip().split("\n")
+        assert lines[0] == f"{var},lower,ratio,upper,lower_margin,upper_margin"
+        sweep = [float(line.split(",")[0]) for line in lines[1:]]
+        res = run_cli("table", *args, "--format", "json")
+        assert res.returncode == 0, res.stderr
+        rows = json.loads(res.stdout)
+        assert [list(row) for row in rows] == [[var, *cli._PAIR_FIELDS]] * 3
+        assert [row[var] for row in rows] == sweep
+
     @pytest.mark.parametrize("ineq, var, flags", [
         ("cor_one_half", "x", ("--q", "0.5", "--x", "7")),
         ("thm_alpha", "alpha", ("--x", "2", "--y", "1.5", "--q", "0.5", "--alpha", "3")),

@@ -173,7 +173,7 @@ class TestSumGeometricDecay:
         ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, r)
         exact = r / (1 - r)
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
-        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, ratio, EvalConfig(), 1, 1.0, ratio_from)
+        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, ratio, 10**6, 1, 1.0, ratio_from)
         exact = r / (1 - r) ** 2
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
 
@@ -186,17 +186,44 @@ class TestSumGeometricDecay:
             (3, lambda n: (n * math.exp(n * (y_ln_q / 3)) * scale) ** 3 / -math.expm1(n * ln_q)),
         ):
             with pytest.raises(NonConvergence) as info:
-                sum_geometric_decay(y_ln_q, ln_q, 0.5, EvalConfig(max_terms=3), m, scale)
+                sum_geometric_decay(y_ln_q, ln_q, 0.5, 3, m, scale)
             assert info.value.partial_value == term(1) + term(2) + term(3)
             assert info.value.error_estimate == term(4) / (1 - 0.5)
 
     def test_non_convergence_carries_partial(self):
-        cfg = EvalConfig(max_terms=10)
         with pytest.raises(NonConvergence) as info:
-            sum_geometric_decay(math.log(0.999), FLAT_LN_Q, 0.999, cfg)
+            sum_geometric_decay(math.log(0.999), FLAT_LN_Q, 0.999, 10)
         assert info.value.terms_used == 10
         assert info.value.partial_value > 0.0
         assert info.value.error_estimate > 0.0
+
+    @pytest.mark.parametrize("m, ratio", [(0, 0.5), (1, 0.98)])
+    def test_non_convergence_at_exactly_the_budget(self, m, ratio):
+        # The budget is a count: a sum that stops after T terms returns the
+        # same under a budget of T, and raises after exactly T - 1.  The
+        # ratios are q^y = 0.49 and psi_q_m's 2^m q^y.
+        y_ln_q, ln_q = 2.0 * math.log(0.7), math.log(0.7)
+        full = sum_geometric_decay(y_ln_q, ln_q, ratio, 10**6, m)
+        assert full.terms_used > 2
+        assert sum_geometric_decay(y_ln_q, ln_q, ratio, full.terms_used, m) == full
+        budget = full.terms_used - 1
+        with pytest.raises(NonConvergence, match=rf"^no convergence within {budget} terms \(") as info:
+            sum_geometric_decay(y_ln_q, ln_q, ratio, budget, m)
+        assert info.value.terms_used == budget
+        assert 0.0 < full.value - info.value.partial_value <= info.value.error_estimate
+        # Summands that never fall (all 1) stop at the budget, every one added.
+        with pytest.raises(NonConvergence) as info:
+            sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 5)
+        assert (info.value.partial_value, info.value.terms_used) == (5.0, 5)
+
+    @pytest.mark.parametrize("budget", [0, -1, -(10**6)])
+    def test_budget_below_one_raises_like_eval_config(self, budget):
+        with pytest.raises(DomainError) as expected:
+            EvalConfig(budget)
+        for m, ratio_from in ((0, 1), (1, 8)):
+            with pytest.raises(DomainError) as info:
+                sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 0.5, budget, m, 1.0, ratio_from)
+            assert str(info.value) == str(expected.value) == f"max_terms must be >= 1, got {budget}"
 
     def test_rejects_bad_ratio(self):
         with pytest.raises(DomainError):
@@ -208,7 +235,7 @@ class TestSumGeometricDecay:
         # The sum n 0.25^n 1e-305 is ~4.4e-306: its tail bound is under the
         # fixed 1e-300 underflow floor after one term, long before it reaches
         # 1e-13 of it.
-        ev = sum_geometric_decay(math.log(0.25), FLAT_LN_Q, 0.5, EvalConfig(), 1, 1e-305)
+        ev = sum_geometric_decay(math.log(0.25), FLAT_LN_Q, 0.5, 10**6, 1, 1e-305)
         assert ev.terms_used == 1
         assert ev.error_estimate <= ABS_TOL
 
@@ -223,23 +250,23 @@ class TestSumGeometricDecay:
             return (n * math.exp(n * (y_ln_q / m)) * scale) ** m / -math.expm1(n * FLAT_LN_Q)
 
         assert term(1) == term(2) == 0.0 < term(3)
-        assert sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, EvalConfig(), m, scale).value == 0.0
-        ev = sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, EvalConfig(), m, scale, 11)
+        assert sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, 10**6, m, scale).value == 0.0
+        ev = sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, 10**6, m, scale, 11)
         assert ev.value == pytest.approx(math.fsum(term(n) for n in range(1, 100)), rel=1e-13)
         assert ev.terms_used >= 10
 
     def test_ratio_from_at_or_before_the_start_changes_nothing(self):
         y_ln_q, ln_q = 2.0 * math.log(0.7), math.log(0.7)
         for m in (0, 1):
-            plain = sum_geometric_decay(y_ln_q, ln_q, 0.9, EvalConfig(), m)
+            plain = sum_geometric_decay(y_ln_q, ln_q, 0.9, 10**6, m)
             for ratio_from in (-3, 0, 1, 2):
-                assert sum_geometric_decay(y_ln_q, ln_q, 0.9, EvalConfig(), m, 1.0, ratio_from) == plain
+                assert sum_geometric_decay(y_ln_q, ln_q, 0.9, 10**6, m, 1.0, ratio_from) == plain
 
     def test_cap_before_ratio_from_has_no_bound(self):
         # y ln q = 0 and 1 - q^n = 1: the summands are 1 (m = 0) and n (m = 1).
         for m, partial in ((0, 3.0), (1, 6.0)):
             with pytest.raises(NonConvergence) as info:
-                sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, EvalConfig(max_terms=3), m, 1.0, 10)
+                sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 3, m, 1.0, 10)
             assert info.value.terms_used == 3
             assert info.value.partial_value == partial
             assert info.value.error_estimate == math.inf
@@ -258,7 +285,7 @@ class TestRequirePositive:
 
 class TestCapError:
     def test_message_and_attributes(self):
-        exc = cap_error(EvalConfig(max_terms=7), 1.5, 2.5e-3, 6)
+        exc = cap_error(7, 1.5, 2.5e-3, 6)
         assert isinstance(exc, NonConvergence)
         assert str(exc) == "no convergence within 7 terms (estimate 2.500e-03)"
         assert (exc.partial_value, exc.error_estimate, exc.terms_used) == (1.5, 2.5e-3, 6)

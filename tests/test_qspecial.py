@@ -437,9 +437,9 @@ def _callback_engine(term, decay_ratio, start_index, cfg, ratio_from):
     raise cap_error(cfg, total, estimate, max_terms)
 
 
-def _reference_tail(y_ln_q, ln_q, decay_ratio, cfg, m=0, scale=1.0, ratio_from=1):
+def _reference_tail(y_ln_q, ln_q, decay_ratio, max_terms, m=0, scale=1.0, ratio_from=1):
     """psi_q's (m = 0) and psi_q_m's tail closures, summed by the callback
-    engine from n = 1."""
+    engine from n = 1 under the engine's term budget, a count."""
     exp, expm1 = math.exp, math.expm1
     if m:
         y_ln_q_over_m = y_ln_q / m
@@ -450,7 +450,7 @@ def _reference_tail(y_ln_q, ln_q, decay_ratio, cfg, m=0, scale=1.0, ratio_from=1
         def tail_term(n):
             return exp(n * y_ln_q) / -expm1(n * ln_q)
 
-    return _callback_engine(tail_term, decay_ratio, 1, cfg, ratio_from)
+    return _callback_engine(tail_term, decay_ratio, 1, EvalConfig(max_terms), ratio_from)
 
 
 def _outcome(call):
@@ -583,6 +583,34 @@ def _mp_psi_q_m_tail(m: int, y: float, qv: float, n_summed: int) -> float:
 
 
 BELOW_ONE_X = (0.05, 0.2, 0.7, math.nextafter(1.0, 0.0))
+
+
+class TestNoConfigPerCall:
+    """psi_q and psi_q_m hand their tail what the head left of the term cap
+    as a count, and a root solve certified from the fitted guess makes one
+    psi_q call: none of them builds an EvalConfig."""
+
+    def test_no_eval_config_is_built(self, monkeypatch):
+        built = []
+        new = EvalConfig.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        capped = EvalConfig(500)
+        monkeypatch.setattr(EvalConfig, "__new__", counting_new)
+        q, root_q = QParam(0.9), QParam(0.5)
+        assert qspecial._head_length(0.05, q) == 17  # a head, and a tail after it
+        assert qspecial._root_guess(root_q) is not None
+        for cfg in (qspecial.DEFAULT_CONFIG, capped):
+            psi_q(0.05, q, cfg)
+            psi_q_m(1, 0.05, q, cfg)
+            psi_q_m(2, 0.05, q, cfg)
+            psi_q_root(root_q, cfg)
+        assert built == []
+        EvalConfig(7)
+        assert built == [(7,)]
 
 
 class TestBelowOne:

@@ -15,7 +15,7 @@ from qgamma.classical import ln_gamma_classical, psi_classical
 from qgamma.errors import DomainError
 from qgamma.propcheck import CertificateReport, SampleBatch, run_check, sample
 from qgamma.qcore import EvalConfig, Evaluation, QParam, sum_geometric_decay
-from qgamma.qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
+from qgamma.qspecial import PsiRoot, euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
 
 RECORDS = {
     "QParam": lambda: QParam(0.5),
@@ -114,7 +114,7 @@ BOUNDS_ARGS = {
 }
 EVALUATIONS = {
     "sum_geometric_decay": lambda: sum_geometric_decay(_Q.ln_q, _Q.ln_q, 0.5),
-    "sum_geometric_decay_ratio_from": lambda: sum_geometric_decay(2.0 * _Q.ln_q, _Q.ln_q, 0.3, EvalConfig(), 1, 1.0, 8),
+    "sum_geometric_decay_ratio_from": lambda: sum_geometric_decay(2.0 * _Q.ln_q, _Q.ln_q, 0.3, 10**6, 1, 1.0, 8),
     "psi_q": lambda: psi_q(2.0, _Q),
     "psi_q_m": lambda: psi_q_m(2, 2.0, _Q),
     "psi_q_m_ratio_from": lambda: psi_q_m(2100, 1000.0, _Q),
@@ -126,6 +126,7 @@ EVALUATIONS = {
 }
 HOT_PATH_OUTPUTS = {
     **{name: (Evaluation, make) for name, make in EVALUATIONS.items()},
+    "psi_q_root": (PsiRoot, lambda: psi_q_root(_Q)),  # certified from the fitted guess
     **{
         f"{ineq}_bounds": (BoundPair, partial(getattr(bounds, f"{ineq}_bounds"), *args))
         for ineq, args in BOUNDS_ARGS.items()
