@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
 from .errors import AlphaBelowRoot, DomainError, QGammaError, RejectionOverflow
-from .qcore import DEFAULT_CONFIG, EvalConfig, QParam
+from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, require_count
 from .qspecial import gamma_q, ln_gamma_q, psi_q, euler_gamma_q
 from .bounds import (
     BoundPair,
@@ -171,15 +171,15 @@ def _q_draw(rng: random.Random, q_range: Tuple[float, float]) -> Callable[[], fl
 
 
 def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
-    """Draw ``count`` points from ``spec`` with rejection on its constraint,
-    from the stream of ``random.Random(seed)``; alpha sits above the psi_q root
-    solved under DEFAULT_CONFIG, so the points depend on the seed alone.
+    """Draw ``count`` points (an integer >= 1) from ``spec`` with rejection
+    on its constraint, from the stream of ``random.Random(seed)``; alpha sits
+    above the psi_q root solved under DEFAULT_CONFIG, so the points depend
+    on the seed alone.
 
     Each point draws x, then y, then q, then the alpha offset, or mu and
     lambda, or the aux value, each as ``rng.uniform`` over its range would
     (q log-uniform in 1 - q over ranges wider than a decade)."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    require_count(count, "count")
     # random.Random(-s) would replay the stream of s.
     if not isinstance(seed, int) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
@@ -222,7 +222,10 @@ def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
 def linspace(lo: float, hi: float, n: int) -> list:
     """``n >= 2`` evenly spaced floats from ``lo`` to ``hi`` inclusive, each
     i * step + lo with step = (hi - lo) / (n - 1), the last exactly ``hi``:
-    numpy.linspace's formula, and so its values bit for bit."""
+    numpy.linspace's formula, and so its values bit for bit.  DomainError
+    for n < 2, which has no step."""
+    if n < 2:
+        raise DomainError(f"linspace needs n >= 2 points, got {n!r}")
     step = (hi - lo) / (n - 1)
     return [i * step + lo for i in range(n - 1)] + [hi]
 
@@ -515,10 +518,9 @@ def run_check(
 ) -> CertificateReport:
     """Run one registered check.  ``corrupt_upper`` halves every upper bound
     of an inequality id and raises DomainError for the other ids, which have
-    none.  ``samples`` must be >= 1 for every id, including those that
-    ignore it."""
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples!r}")
+    none.  ``samples`` must be an integer >= 1 for every id, including
+    those that ignore it."""
+    require_count(samples, "samples")
     run = _CHECKS.get(check_id)
     if run is None:
         raise DomainError(f"unknown check id {check_id!r}")

@@ -79,18 +79,27 @@ class QParam(_QParamFields):
         return QParam(self.q if q is None else q)
 
 
+def require_count(value: int, name: str) -> None:
+    """The one domain rule for a count (a term cap, a number of samples):
+    an integer, else DomainError, and >= 1, else DomainError."""
+    if not isinstance(value, int):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value!r}")
+
+
 class _EvalConfigFields(NamedTuple):
     max_terms: int
 
 
 class EvalConfig(_EvalConfigFields):
-    """The term cap of series evaluation; the accuracy is fixed by REL_TOL."""
+    """The term cap of series evaluation, an integer >= 1; the accuracy is
+    fixed by REL_TOL."""
 
     __slots__ = ()
 
     def __new__(cls, max_terms: int = 10**6):
-        if max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
+        require_count(max_terms, "max_terms")
         return tuple.__new__(cls, (max_terms,))
 
     @classmethod

@@ -19,7 +19,11 @@ geometric n-series at x + K, one path for every x: at most about
 its certified ratio, as the error bound.  ln Gamma_q takes one log for
 the k = 0 recurrence term and one for the product of the others; the
 Eulerian polynomials A_0..A_16 of the corrections and of psi_q^(m)'s head
-are one table built at import.  psi_q_root certifies psi_q's zero from
+are one table built at import.  From it, each of the corrections'
+polynomials is compiled at import into straight-line Horner code at both
+tail arguments, with the multiplies and adds of a loop over its
+coefficients in the same order, so the values are those of the loop, bit
+for bit.  psi_q_root certifies psi_q's zero from
 one psi_q call for q in [0.05, 1 - 1e-5]: a fitted guess, the residual at
 it and a lower bound on psi_q'.  Results are Evaluation and PsiRoot
 records, immutable NamedTuples that unpack, index and compare equal to
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .constants import BERNOULLI, MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow
@@ -60,11 +64,31 @@ _ZETA2 = math.pi**2 / 6.0
 _LN2 = math.log(2.0)
 _EPS = 2.0**-53
 
+
+def _horner_pair(coeffs: tuple) -> Callable[[float, float], tuple]:
+    """A function of (ux, uy) that returns the polynomial with ``coeffs``
+    (a palindrome) at ux and at uy, each as one straight-line Horner
+    expression ((c_0 ux + c_1) ux + c_2) ... + c_last: the steps
+    a = a u + c of a loop over ``coeffs`` from a = 0, in their order, but
+    for the first, 0 u + c_0, which is exactly c_0."""
+    def horner(u: str) -> str:
+        expr = repr(coeffs[0])
+        for c in coeffs[1:]:
+            expr = f"({expr}) * {u} + {c!r}"
+        return expr
+
+    namespace: dict = {}
+    exec(f"def horner_pair(ux, uy):\n    return {horner('ux')}, {horner('uy')}\n", namespace)
+    return namespace["horner_pair"]
+
+
 # q-Stirling corrections B_2j/(2j)! s^(2j-1) Li_{2-2j}(u), j = 1..9, with
-# Li_{2-2j}(u) = u A_{2j-2}(u) / (1-u)^(2j-1): the factor B_2j/(2j)! and the
-# coefficients of A_{2j-2}.  At most _EM_TERMS are added; the next one
-# bounds the remainder.
-_EM_COEF = tuple((b / math.factorial(2 * j), _EULERIAN[2 * j - 2]) for j, b in enumerate(BERNOULLI, start=1))
+# Li_{2-2j}(u) = u A_{2j-2}(u) / (1-u)^(2j-1): the factor B_2j/(2j)! and
+# A_{2j-2} at (ux, uy) as straight-line Horner code.  At most _EM_TERMS are
+# added; the next one bounds the remainder.
+_EM_COEF = tuple(
+    (b / math.factorial(2 * j), _horner_pair(_EULERIAN[2 * j - 2])) for j, b in enumerate(BERNOULLI, start=1)
+)
 _EM_TERMS = len(_EM_COEF) - 1
 
 # Li_2(e^-w) - zeta(2) = w ln w - w - w^2/4 + sum_j B_2j w^(2j+1) / (2j (2j+1)!)
@@ -84,6 +108,7 @@ _TINY_W = 1e-300
 # below 0 stay above -4e-15, against -3e-14 when corrections stop at 1/16,
 # for about 1.4 more terms per call.
 _EM_STOP = 1.0 / 1024.0
+_EM_TOL = REL_TOL * _EM_STOP
 
 
 def _li2_w(w: float) -> float:
@@ -140,17 +165,19 @@ def _li2_tail_difference(
     both_z = ln_s is None or wy > _LN2
     za, zb = (zy, zx) if both_z else (zx, 0.0)
     pa, pb, va, vb = za, zb, za * za, zb * zb
+    # |term| <= tol as two comparisons, which decide the same way, NaN too.
     tol_a, tol_b = _EPS * za, _EPS * zb
+    neg_tol_a, neg_tol_b = -tol_a, -tol_b
     acc_a = acc_b = 0.0
     for c in _LI2_Z:
         pa *= va
         term = c * pa
-        if abs(term) <= tol_a:
+        if neg_tol_a <= term <= tol_a:
             break
         acc_a += term
         pb *= vb
         term = c * pb
-        if abs(term) <= tol_b:
+        if neg_tol_b <= term <= tol_b:
             pb = 0.0  # stopped: the later terms are 0
         else:
             acc_b += term
@@ -199,7 +226,11 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     so the larger of the two first omitted corrections bounds their
     difference.  Corrections are added until that bound is at most
     REL_TOL * max(1, |value|) / 1024 (an absolute error on a log is a
-    relative one on the ratio), and at most eight of them.
+    relative one on the ratio), and at most eight of them.  Each
+    correction's A_{2j-2}, at q^tx and at q^ty, is one straight-line Horner
+    expression built at import from _EULERIAN (see _horner_pair): the
+    steps of a loop over its coefficients, in their order, so the values,
+    bounds and terms are those of the loop bit for bit.
     ``error_estimate`` is that bound; the Li_2 series are summed to
     rounding and, like rounding, are left out of it.  ``terms_used`` is N
     plus the corrections added.  NonConvergence, with the partial value and
@@ -222,7 +253,8 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
         ln_s = None
         value = (y - x) * math.log1p(-q.q)
 
-    limit = min(n, cfg.max_terms)
+    max_terms = cfg.max_terms
+    limit = max_terms if max_terms < n else n
     if s * y < _TINY_W:
         # The k = 0 pair is ln(s y / (1-q^x)), with 1 - q^x = s x if tiny.
         value += log(y / x) if s * x < _TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
@@ -235,7 +267,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     if limit < n:
         # The pair terms fall by a factor q or more each, from k = 0.
         bound = abs(log(expm1(-s * (y + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
-        raise cap_error(cfg.max_terms, -value if swapped else value, bound, limit)
+        raise cap_error(max_terms, -value if swapped else value, bound, limit)
 
     tx, ty = x + n, y + n
     ux, uy = math.exp(-s * tx), math.exp(-s * ty)
@@ -253,17 +285,17 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     ln_s0 = 0.0 if ln_s is None else ln_s
     value -= ex * (zx + ln_s0) - ey * (zy + ln_s0)
 
-    tol = REL_TOL * _EM_STOP * max(1.0, abs(value))
+    # max(1, |value|) by comparisons, 1 for a NaN value as max takes it.
+    tol = _EM_TOL * (value if value > 1.0 else -value if value < -1.0 else 1.0)
     rx, ry = s / dx, s / dy
     px, py = ux * rx, uy * ry  # u r^(2j-1) at j = 1
     rx *= rx
     ry *= ry
-    allowed = min(_EM_TERMS, cfg.max_terms - n)
-    for j, (coef, poly) in enumerate(_EM_COEF):
-        ax = ay = 0.0
-        for c in poly:
-            ax = ax * ux + c
-            ay = ay * uy + c
+    allowed = max_terms - n
+    if allowed > _EM_TERMS:
+        allowed = _EM_TERMS
+    for j, (coef, horner_pair) in enumerate(_EM_COEF):
+        ax, ay = horner_pair(ux, uy)
         cx, cy = coef * px * ax, coef * py * ay
         # max(|cx|, |cy|): cx and cy have the sign of coef (or are zero).
         if coef > 0.0:
@@ -309,7 +341,8 @@ _LN_9_8 = math.log(1.125)
 def _head_length(x: float, q: QParam) -> int:
     """K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and L = -ln REL_TOL: the
     number of recurrence steps that minimises K + L / (s (x+K)), the head
-    terms plus the tail terms at ratio q^(x+K)."""
+    terms plus the tail terms at ratio q^(x+K).  psi_q writes the same
+    expression out; the tests hold the two to one value."""
     return max(0, math.ceil(math.sqrt(_TAIL_LOG / -q.ln_q) - x))
 
 
@@ -347,8 +380,12 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     ln_q = q.ln_q
     s = -ln_q
     max_terms = cfg.max_terms
-    k_end = _head_length(x, q)
-    limit = min(k_end, max_terms)
+    # K = _head_length(x, q), and the min and max below, written out as
+    # comparisons: the calls cost more than this hot path's arithmetic.
+    k_end = math.ceil(math.sqrt(_TAIL_LOG / s) - x)
+    if k_end < 0:
+        k_end = 0
+    limit = max_terms if max_terms < k_end else k_end
     y_ln_q = (x + k_end) * ln_q
     offset = -math.log1p(-q.q)
 
@@ -362,7 +399,9 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                ratio = max(exp(y_ln_q), _LEAST_RATIO)
+                ratio = exp(y_ln_q)
+                if ratio < _LEAST_RATIO:
+                    ratio = _LEAST_RATIO
                 tail = sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit)
                 value = offset + (value + ln_q * tail.value)
     except NonConvergence as exc:

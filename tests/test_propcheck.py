@@ -69,6 +69,11 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(default_domain("thm_main"), 1, 0)
 
+    @pytest.mark.parametrize("count", [2.0, 2.5, "3"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(DomainError, match=f"count must be an integer, got {count!r}"):
+            sample(default_domain("thm_main"), 1, count)
+
     def test_q_range_respected(self):
         batch = sample(default_domain("thm_main"), 19, 500)
         qs = [p[2] for p in batch.points]
@@ -149,6 +154,11 @@ class TestLinspace:
     def test_matches_numpy_bit_for_bit(self, lo, hi):
         for n in range(2, 400):
             assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist(), n
+
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_fewer_than_two_points_raise(self, n):
+        with pytest.raises(DomainError, match=f"n >= 2 points, got {n}"):
+            linspace(1.0, 10.0, n)
 
     @pytest.mark.parametrize("function_id, lo", [("f_thm_main", 1.0), ("g_thm_alpha", 0.05)])
     def test_slope_grid_is_numpy_linspace(self, function_id, lo, monkeypatch):
@@ -419,6 +429,11 @@ class TestRegistry:
             assert report.worst_lower_margin == min(p.worst_lower_margin for p in parts)
             assert report.worst_upper_margin == min(p.worst_upper_margin for p in parts)
             assert report.failures == tuple(f for p in parts for f in p.failures)[:100]
+
+    @pytest.mark.parametrize("check_id", ["thm_main", "limits"])
+    def test_samples_must_be_an_integer(self, check_id):
+        with pytest.raises(DomainError, match="samples must be an integer, got 2.5"):
+            run_check(check_id, samples=2.5)
 
     def test_run_check_unknown_id(self):
         with pytest.raises(DomainError):

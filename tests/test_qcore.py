@@ -57,6 +57,15 @@ class TestEvalConfig:
         with pytest.raises(DomainError):
             EvalConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_terms", [2.5, 3.0, "10"])
+    def test_rejects_a_cap_that_is_not_an_integer(self, max_terms):
+        # Accepted, 2.5 would reach psi_q's range() as a TypeError, which no
+        # QGammaError handler catches.
+        with pytest.raises(DomainError, match=f"max_terms must be an integer, got {max_terms!r}"):
+            EvalConfig(max_terms)
+        with pytest.raises(DomainError, match="max_terms must be an integer"):
+            EvalConfig._make((max_terms,))
+
     def test_term_cap_is_the_only_field(self):
         assert list(EvalConfig._fields) == ["max_terms"]
 

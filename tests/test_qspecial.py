@@ -8,8 +8,10 @@ from oracles import mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_m, mp
 
 import qgamma.qspecial as qspecial
 from qgamma.classical import ln_gamma_classical, psi_classical
+from qgamma.constants import BERNOULLI
 from qgamma.errors import BracketFailure, DomainError, NonConvergence, Overflow
-from qgamma.qcore import ABS_TOL, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, q_bracket, q_factorial
+from qgamma.qcore import (ABS_TOL, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, new_record, q_bracket,
+                          q_factorial, require_positive)
 from qgamma.qspecial import (
     euler_gamma_q,
     gamma_q,
@@ -500,6 +502,235 @@ class TestTailEngineReference:
             assert sum(len(out) == 3 for out in engine) > 400
         else:
             assert sum(out[0] == "NonConvergence" for out in engine) > 100
+
+
+def _eulerian_explicit(m: int) -> tuple:
+    """A_m's coefficients by the closed form A(m, k) = sum_{i<=k} (-1)^i
+    C(m+1, i) (k+1-i)^m (DLMF 26.14.5), independent of qspecial's table."""
+    if m == 0:
+        return (1.0,)
+    return tuple(
+        float(sum((-1) ** i * math.comb(m + 1, i) * (k + 1 - i) ** m for i in range(k + 1))) for k in range(m)
+    )
+
+
+# The q-Stirling corrections' factors and Eulerian coefficients, as the
+# loop form below reads them.
+_LOOP_EM_COEF = tuple((b / math.factorial(2 * j), _eulerian_explicit(2 * j - 2)) for j, b in enumerate(BERNOULLI, 1))
+
+
+def _reference_li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s):
+    """qspecial._li2_tail_difference with its two stop tests by abs, kept
+    verbatim as the reference for the comparisons that replace them."""
+    wy = s * ty
+    if ln_s is not None and s * tx <= 1.0:
+        d = tx - ty
+        tails = tx * qspecial._li2_w(s * tx) - ty * qspecial._li2_w(wy)
+        return d * (math.log(tx) - 1.0 - 0.25 * s * (tx + ty)) + ty * math.log1p(d / ty) + tails
+    both_z = ln_s is None or wy > qspecial._LN2
+    za, zb = (zy, zx) if both_z else (zx, 0.0)
+    pa, pb, va, vb = za, zb, za * za, zb * zb
+    tol_a, tol_b = qspecial._EPS * za, qspecial._EPS * zb
+    acc_a = acc_b = 0.0
+    for c in qspecial._LI2_Z:
+        pa *= va
+        term = c * pa
+        if abs(term) <= tol_a:
+            break
+        acc_a += term
+        pb *= vb
+        term = c * pb
+        if abs(term) <= tol_b:
+            pb = 0.0
+        else:
+            acc_b += term
+    if both_z:
+        diff = (dz * (1.0 - 0.25 * (zx + zy)) + (acc_b - acc_a)) / s
+        return diff if ln_s is None else diff - (tx - ty) * ln_s
+    ret_x = (zx - 0.25 * zx * zx + acc_a - qspecial._ZETA2) / s - tx * ln_s
+    return ret_x - ty * (math.log(ty) - 1.0 - 0.25 * wy + qspecial._li2_w(wy))
+
+
+def _reference_ln_gamma_q(x, q, cfg, y=1.0):
+    """ln_gamma_q with its corrections' Eulerian polynomials in a loop over
+    their coefficients, and its min, max and abs calls, kept verbatim as
+    the reference for the straight-line Horner code and the comparisons."""
+    require_positive(x)
+    require_positive(y, "y")
+    swapped = y > x
+    if swapped:
+        x, y = y, x
+    expm1 = math.expm1
+    log = math.log
+    ln_q = q.ln_q
+    s = -ln_q
+    n = 9 if y >= 1.0 else 10
+    if s * 10.0 <= qspecial._LN2:
+        ln_s = log(s)
+        value = (y - x) * log((1.0 - q.q) / s)
+    else:
+        ln_s = None
+        value = (y - x) * math.log1p(-q.q)
+
+    limit = min(n, cfg.max_terms)
+    if s * y < qspecial._TINY_W:
+        value += log(y / x) if s * x < qspecial._TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
+    else:
+        value += log(expm1(ln_q * y) / expm1(ln_q * x))
+    prod = 1.0
+    for k in range(1, limit):
+        prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
+    value += log(prod)
+    if limit < n:
+        bound = abs(log(expm1(-s * (y + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
+        raise cap_error(cfg.max_terms, -value if swapped else value, bound, limit)
+
+    tx, ty = x + n, y + n
+    ux, uy = math.exp(-s * tx), math.exp(-s * ty)
+    dx, dy = -expm1(-s * tx), -expm1(-s * ty)
+    zx, zy = -log(dx), -log(dy)
+    dz = -math.log1p(-uy * expm1(-s * (tx - ty)) / dy)
+    value += 0.5 * dz + _reference_li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s)
+    ex = n - (tx - x) if x >= n else x - (tx - n)
+    ey = n - (ty - y) if y >= n else y - (ty - n)
+    ln_s0 = 0.0 if ln_s is None else ln_s
+    value -= ex * (zx + ln_s0) - ey * (zy + ln_s0)
+
+    tol = REL_TOL * qspecial._EM_STOP * max(1.0, abs(value))
+    rx, ry = s / dx, s / dy
+    px, py = ux * rx, uy * ry
+    rx *= rx
+    ry *= ry
+    allowed = min(qspecial._EM_TERMS, cfg.max_terms - n)
+    for j, (coef, poly) in enumerate(_LOOP_EM_COEF):
+        ax = ay = 0.0
+        for c in poly:
+            ax = ax * ux + c
+            ay = ay * uy + c
+        cx, cy = coef * px * ax, coef * py * ay
+        if coef > 0.0:
+            bound = cx if cx > cy else cy
+        else:
+            bound = -cx if cx < cy else -cy
+        if bound <= tol or j == allowed:
+            break
+        value += cx - cy
+        px *= rx
+        py *= ry
+    if swapped:
+        value = -value
+    if bound > tol and j < qspecial._EM_TERMS:
+        raise cap_error(cfg.max_terms, value, bound, n + j)
+    return new_record(Evaluation, (value, bound, n + j))
+
+
+def _reference_psi_q(x, q, cfg):
+    """psi_q with K from _head_length and its tail ratio floored by max,
+    kept verbatim as the reference for the lines written out in their place."""
+    require_positive(x)
+    exp = math.exp
+    expm1 = math.expm1
+    ln_q = q.ln_q
+    s = -ln_q
+    max_terms = cfg.max_terms
+    k_end = qspecial._head_length(x, q)
+    limit = min(k_end, max_terms)
+    y_ln_q = (x + k_end) * ln_q
+    offset = -math.log1p(-q.q)
+
+    value = term = 0.0
+    try:
+        for k in range(limit + 1 if limit == max_terms else limit):
+            value += term
+            term = ln_q / expm1(s * (x + k))
+        if limit < max_terms:
+            value += term
+            if math.isfinite(value):
+                ratio = max(exp(y_ln_q), qspecial._LEAST_RATIO)
+                tail = qspecial.sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit)
+                value = offset + (value + ln_q * tail.value)
+    except NonConvergence as exc:
+        partial = offset + (value + ln_q * exc.partial_value)
+        raise cap_error(max_terms, partial, s * exc.error_estimate, max_terms) from None
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise Overflow(f"psi_q{(x, q.q)!r} exceeds the double range")
+    if limit == max_terms:
+        raise cap_error(max_terms, offset + value, abs(term) / (1.0 - q.q), limit)
+    return new_record(Evaluation, (value, s * tail.error_estimate, limit + tail.terms_used))
+
+
+class TestStraightLineReference:
+    """ln_gamma_q's corrections in straight-line Horner code, its
+    comparisons in place of min, max and abs, and psi_q's written-out K and
+    ratio floor give what the loop and the calls gave: the same Evaluation,
+    or the same NonConvergence partial value, estimate, terms and message,
+    bit for bit."""
+
+    # 1 - q log-uniform over [1e-9, 0.999]: s <= ln 2 / 10 below about
+    # 1 - q = 0.067 and above it, so both branches of _li2_tail_difference
+    # (and both of its series) run.
+    ONE_MINUS_Q = np.geomspace(1e-9, 0.999, 13)
+    # y < 1 and y >= 1, and s y < 1e-300 (with s x above and below it).
+    X = (1e-305, 1e-290, 0.3, 0.999, 1.0, 1.7, 4.5, 12.0, 80.0, 1e4)
+    Y = (1e-310, 1e-303, 0.01, 0.5, 1.0, 1.2, 9.5, 30.0)
+    MAX_TERMS = (1, 5, 9, 10, 12, 15)
+
+    def test_eulerian_table_is_the_closed_form(self):
+        assert tuple(poly for _, poly in _LOOP_EM_COEF) == qspecial._EULERIAN[::2][:len(BERNOULLI)]
+
+    def test_every_horner_pair_matches_the_loop(self):
+        # Each polynomial, the ninth too, which ln_gamma_q never reaches:
+        # near u = 1 every coefficient and step order shows in the value.
+        u = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
+        assert len(qspecial._EM_COEF) == len(_LOOP_EM_COEF)
+        for (coef, horner_pair), (ref_coef, poly) in zip(qspecial._EM_COEF, _LOOP_EM_COEF):
+            assert coef == ref_coef
+            for ux, uy in zip(u, reversed(u)):
+                ax = ay = 0.0
+                for c in poly:
+                    ax = ax * ux + c
+                    ay = ay * uy + c
+                assert horner_pair(ux, uy) == (ax, ay), (len(poly), ux, uy)
+
+    @pytest.mark.parametrize("max_terms", [None, *MAX_TERMS])
+    def test_ln_gamma_q_matches_the_loop_form(self, max_terms):
+        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        mismatches = []
+        outcomes = []
+        for om in self.ONE_MINUS_Q:
+            q = QParam(1.0 - float(om))
+            for x in self.X:
+                for y in self.Y:
+                    # Both argument orders: y > x takes the swapped path.
+                    for a, b in ((x, y), (y, x)):
+                        got = _outcome(lambda: ln_gamma_q(a, q, cfg, y=b))
+                        ref = _outcome(lambda: _reference_ln_gamma_q(a, q, cfg, y=b))
+                        outcomes.append(((a, b), got))
+                        if got != ref:
+                            mismatches.append(((a, b, q.q), got, ref))
+        assert mismatches == []
+        if max_terms is None:
+            # Seven corrections added and the eighth as the bound: the most
+            # any call reaches, as the eighth is below 5e-17 at every q and
+            # T >= 10, under the least stop, REL_TOL / 1024.
+            assert max(terms - (9 if min(a, b) >= 1.0 else 10) for (a, b), (_, _, terms) in outcomes) == 7
+        else:
+            assert sum(out[0] == "NonConvergence" for _, out in outcomes) > 100
+
+    @pytest.mark.parametrize("max_terms", [None, *MAX_TERMS])
+    def test_psi_q_matches_the_calls(self, max_terms):
+        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        mismatches = []
+        # q^(x+K) below the double range at the last two q: the floored ratio.
+        for qv in (*(1.0 - self.ONE_MINUS_Q), 1e-20, 1e-200):
+            q = QParam(float(qv))
+            for x in (*self.X, *self.Y[:3], 700.0):
+                got, ref = _outcome(lambda: psi_q(x, q, cfg)), _outcome(lambda: _reference_psi_q(x, q, cfg))
+                if got != ref:
+                    mismatches.append(((x, q.q), got, ref))
+        assert mismatches == []
 
 
 class TestShiftedTail:
