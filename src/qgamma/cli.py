@@ -9,9 +9,8 @@ evaluation errors).
 
 Values print with 17 significant digits so they re-parse to the identical
 double.  Every series stops once its tail bound is at most 1e-13 of its
-sum (``qcore.REL_TOL``); the series term cap is the only numeric option.
-The environment variable QGAMMA_MAX_TERMS overrides the default cap; an
-explicit --max-terms flag beats the environment.
+sum (``qcore.REL_TOL``); the series term cap, --max-terms, is the only
+numeric option, and no environment variable sets it.
 
 verify samples each domain from the standard library's random.Random(seed)
 (Mersenne Twister), so its reports are fixed by the seed, an integer >= 0;
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -66,8 +64,6 @@ EXIT_OK = 0
 EXIT_CERT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-ENV_MAX_TERMS = "QGAMMA_MAX_TERMS"
 
 # Each `eval --fn` function with the flags it takes, in argument order; the
 # q-functions, which take --q, also take the series config.  --m, taken by
@@ -97,16 +93,7 @@ def _fmt(value: float) -> str:
 
 
 def _eval_config(args) -> EvalConfig:
-    max_terms = args.max_terms
-    if max_terms is None:
-        env = os.environ.get(ENV_MAX_TERMS)
-        if env is None:
-            return EvalConfig()
-        try:
-            max_terms = int(env)
-        except ValueError:
-            raise DomainError(f"{ENV_MAX_TERMS} must be an integer, got {env!r}") from None
-    return EvalConfig(max_terms=max_terms)
+    return EvalConfig() if args.max_terms is None else EvalConfig(max_terms=args.max_terms)
 
 
 def _write_json(payload) -> None:

@@ -202,8 +202,10 @@ def sum_geometric_decay(
     at the first such n where that bound drops to max(REL_TOL * S, ABS_TOL),
     S the partial sum; the terms before it are summed with no stop test,
     and count against max_terms like the rest.  Only a ratio_from above 2
-    (psi_q_m's inflated ratios) has such terms.  A summand beyond the
-    double range raises OverflowError as math.exp and ** do.
+    (psi_q_m's inflated ratios) has such terms, and it is taken for m >= 1
+    only: with m = 0 it raises DomainError, as ignoring it would return a
+    bound not shown to hold.  A summand beyond the double range raises
+    OverflowError as math.exp and ** do.
 
     ``max_terms`` is the term budget as a count, the ``EvalConfig.max_terms``
     of a caller with no head, or what its head left of it; below 1 it
@@ -242,12 +244,7 @@ def sum_geometric_decay(
                 return new_record(Evaluation, (total, estimate, n - 1))
     else:
         if ratio_from > 2:
-            untested = min(ratio_from - 2, max_terms)  # as above
-            for n in range(1, untested + 1):
-                total += exp(n * y_ln_q) / -expm1(n * ln_q)
-            if untested == max_terms:
-                raise cap_error(max_terms, total, math.inf, max_terms)
-            n = untested + 1
+            raise DomainError(f"ratio_from above 2 needs m >= 1, got ratio_from={ratio_from!r} with m=0")
         nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
         for n in range(n + 1, max_terms + 2):
             total += nxt

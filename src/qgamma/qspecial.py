@@ -7,7 +7,7 @@ anyway.  Arguments x <= 0 are rejected: no analytic continuation.
 
 ln Gamma_q is Moak's q-Stirling expansion (Moak 1984, Rocky Mountain J.
 Math. 14): the recurrence up to T >= 10 plus Euler-Maclaurin for the tail,
-the scheme classical.py uses at q = 1.  It sums at most 18 terms at every q,
+the scheme classical.py uses at q = 1.  It sums at most 17 terms at every q,
 and its remainder is bounded by the larger first omitted term of the two
 tails (DLMF 2.10(i)).  It computes F(x) - F(y), F(t) = -sum_k ln(1-q^(t+k)),
 so ln_gamma_q(x, q, y=y) is the log ratio ln Gamma_q(x) - ln Gamma_q(y) in
@@ -19,11 +19,12 @@ geometric n-series at x + K, one path for every x: at most about
 its certified ratio, as the error bound.  ln Gamma_q takes one log for
 the k = 0 recurrence term and one for the product of the others; the
 Eulerian polynomials A_0..A_16 of the corrections and of psi_q^(m)'s head
-are one table built at import.  From it, each of the corrections'
-polynomials is compiled at import into straight-line Horner code at both
-tail arguments, with the multiplies and adds of a loop over its
-coefficients in the same order, so the values are those of the loop, bit
-for bit.  psi_q_root certifies psi_q's zero from
+are one table built at import.  From it, all the generated code is
+compiled at import in one exec: the corrections of ln Gamma_q as one
+unrolled function, and psi_q^(m)'s head kernel u A_m(u) for each
+m <= 16, every polynomial in straight-line Horner code with the multiplies
+and adds of a loop over its coefficients in the same order, so the values
+are those of the loop, bit for bit.  psi_q_root certifies psi_q's zero from
 one psi_q call for q in [0.05, 1 - 1e-5]: a fitted guess, the residual at
 it and a lower bound on psi_q'.  Results are Evaluation and PsiRoot
 records, immutable NamedTuples that unpack, index and compare equal to
@@ -65,31 +66,83 @@ _LN2 = math.log(2.0)
 _EPS = 2.0**-53
 
 
-def _horner_pair(coeffs: tuple) -> Callable[[float, float], tuple]:
-    """A function of (ux, uy) that returns the polynomial with ``coeffs``
-    (a palindrome) at ux and at uy, each as one straight-line Horner
-    expression ((c_0 ux + c_1) ux + c_2) ... + c_last: the steps
-    a = a u + c of a loop over ``coeffs`` from a = 0, in their order, but
-    for the first, 0 u + c_0, which is exactly c_0."""
-    def horner(u: str) -> str:
-        expr = repr(coeffs[0])
-        for c in coeffs[1:]:
-            expr = f"({expr}) * {u} + {c!r}"
-        return expr
-
-    namespace: dict = {}
-    exec(f"def horner_pair(ux, uy):\n    return {horner('ux')}, {horner('uy')}\n", namespace)
-    return namespace["horner_pair"]
+def _horner(coeffs: tuple, u: str) -> str:
+    """The polynomial with ``coeffs`` at ``u`` as one straight-line Horner
+    expression ((c_0 u + c_1) u + c_2) ... + c_last: the steps a = a u + c
+    of a loop over ``coeffs`` from a = 0, in their order, but for the
+    first, 0 u + c_0, which is exactly c_0 (u is finite)."""
+    expr = repr(coeffs[0])
+    for c in coeffs[1:]:
+        expr = f"({expr}) * {u} + {c!r}"
+    return expr
 
 
-# q-Stirling corrections B_2j/(2j)! s^(2j-1) Li_{2-2j}(u), j = 1..9, with
-# Li_{2-2j}(u) = u A_{2j-2}(u) / (1-u)^(2j-1): the factor B_2j/(2j)! and
-# A_{2j-2} at (ux, uy) as straight-line Horner code.  At most _EM_TERMS are
-# added; the next one bounds the remainder.
-_EM_COEF = tuple(
-    (b / math.factorial(2 * j), _horner_pair(_EULERIAN[2 * j - 2])) for j, b in enumerate(BERNOULLI, start=1)
+# q-Stirling corrections B_2j/(2j)! s^(2j-1) Li_{2-2j}(u), j = 1..8, with
+# Li_{2-2j}(u) = u A_{2j-2}(u) / (1-u)^(2j-1).  At most _EM_TERMS = 7 are
+# added, and the eighth bounds the remainder: it is at most 4.56e-17 at
+# every q and T >= 10 (largest at s = 1.49, T = 10; it falls as T rises),
+# below the least stop REL_TOL / 1024, so no call reaches a ninth.
+_EM_TERMS = 7
+
+
+def _ladder_source() -> str:
+    """Source of em_ladder(value, tol, ux, uy, px, py, rx, ry, allowed),
+    which returns (value, bound, j): ln_gamma_q's corrections unrolled,
+    step j = 0, 1, ... taking c px A_2j(ux) and c py A_2j(uy), with
+    c = B_(2j+2) / (2j+2)!.  The larger of the two in size is the bound;
+    the step returns it before adding their difference to value when it is
+    at most tol or j == allowed, and step _EM_TERMS always returns.  After
+    each added step px and py are multiplied by rx and ry.  These are the
+    operations, in the same order, of a loop over the corrections."""
+    lines = ["def em_ladder(value, tol, ux, uy, px, py, rx, ry, allowed):"]
+    for j, b in enumerate(BERNOULLI[:_EM_TERMS + 1]):
+        coef = b / math.factorial(2 * j + 2)
+        poly = _EULERIAN[2 * j]
+        lines += [f"    cx = ({coef!r}) * px * ({_horner(poly, 'ux')})",
+                  f"    cy = ({coef!r}) * py * ({_horner(poly, 'uy')})"]
+        # max(|cx|, |cy|): cx and cy have the sign of coef (or are zero).
+        bound = "cx if cx > cy else cy" if coef > 0.0 else "-cx if cx < cy else -cy"
+        if j == _EM_TERMS:
+            lines.append(f"    return value, {bound}, {j}")
+            break
+        lines += [f"    bound = {bound}",
+                  f"    if bound <= tol or allowed == {j}:",
+                  f"        return value, bound, {j}",
+                  "    value += cx - cy",
+                  "    px *= rx",
+                  "    py *= ry"]
+    return "\n".join(lines) + "\n"
+
+
+def _loop_head(m: int) -> Callable[[float], float]:
+    """u -> u A_m(u), A_m built now and evaluated by a loop over its
+    coefficients: psi_q_m's head kernel for an order above the table."""
+    coeffs = _eulerian(m)
+
+    def head(u: float) -> float:
+        a = 0.0
+        for c in coeffs:
+            a = a * u + c
+        return u * a
+
+    return head
+
+
+# The generated code, compiled in one exec at import: em_ladder, and for
+# each m = 1..16 the kernel u -> u A_m(u) of psi_q_m's head terms, with
+# the operations of _loop_head in the same order.  _LI_HEADS[m] holds that
+# kernel, m as an int and 0.5^(m+1), exact; an integer-valued float m finds
+# its entry too.
+_HEAD_ORDERS = len(_EULERIAN) - 1
+_GENERATED: dict = {}
+exec(
+    _ladder_source() + "".join(
+        f"def li_head_{m}(u):\n    return u * ({_horner(_EULERIAN[m], 'u')})\n" for m in range(1, _HEAD_ORDERS + 1)
+    ),
+    _GENERATED,
 )
-_EM_TERMS = len(_EM_COEF) - 1
+_em_ladder = _GENERATED["em_ladder"]
+_LI_HEADS = {m: (_GENERATED[f"li_head_{m}"], m, math.ldexp(0.5, -m)) for m in range(1, _HEAD_ORDERS + 1)}
 
 # Li_2(e^-w) - zeta(2) = w ln w - w - w^2/4 + sum_j B_2j w^(2j+1) / (2j (2j+1)!)
 # (the expansion about w = 0, with zeta(1-2j) = -B_2j/(2j)), and
@@ -226,11 +279,13 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     so the larger of the two first omitted corrections bounds their
     difference.  Corrections are added until that bound is at most
     REL_TOL * max(1, |value|) / 1024 (an absolute error on a log is a
-    relative one on the ratio), and at most eight of them.  Each
-    correction's A_{2j-2}, at q^tx and at q^ty, is one straight-line Horner
-    expression built at import from _EULERIAN (see _horner_pair): the
-    steps of a loop over its coefficients, in their order, so the values,
-    bounds and terms are those of the loop bit for bit.
+    relative one on the ratio), and at most seven of them: the eighth is
+    below that stop at every q (see _EM_TERMS), so a call takes at most 17
+    terms.  The corrections run as one function generated at import from
+    _EULERIAN (see _ladder_source), each A_{2j-2} at q^tx and at q^ty a
+    straight-line Horner expression: the steps of a loop over its
+    coefficients, in their order, so the values, bounds and terms are
+    those of the loop bit for bit.
     ``error_estimate`` is that bound; the Li_2 series are summed to
     rounding and, like rounding, are left out of it.  ``terms_used`` is N
     plus the corrections added.  NonConvergence, with the partial value and
@@ -291,22 +346,9 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     px, py = ux * rx, uy * ry  # u r^(2j-1) at j = 1
     rx *= rx
     ry *= ry
-    allowed = max_terms - n
-    if allowed > _EM_TERMS:
-        allowed = _EM_TERMS
-    for j, (coef, horner_pair) in enumerate(_EM_COEF):
-        ax, ay = horner_pair(ux, uy)
-        cx, cy = coef * px * ax, coef * py * ay
-        # max(|cx|, |cy|): cx and cy have the sign of coef (or are zero).
-        if coef > 0.0:
-            bound = cx if cx > cy else cy
-        else:
-            bound = -cx if cx < cy else -cy
-        if bound <= tol or j == allowed:
-            break
-        value += cx - cy
-        px *= rx
-        py *= ry
+    # max_terms - n >= 0 corrections are allowed; from _EM_TERMS on, the
+    # ladder's last step returns first.
+    value, bound, j = _em_ladder(value, tol, ux, uy, px, py, rx, ry, max_terms - n)
     if swapped:
         value = -value
     if bound > tol and j < _EM_TERMS:
@@ -336,13 +378,14 @@ _TAIL_LOG = -math.log(REL_TOL)
 _LEAST_RATIO = math.ulp(0.0)
 
 _LN_9_8 = math.log(1.125)
+_E = math.e
 
 
 def _head_length(x: float, q: QParam) -> int:
     """K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and L = -ln REL_TOL: the
     number of recurrence steps that minimises K + L / (s (x+K)), the head
-    terms plus the tail terms at ratio q^(x+K).  psi_q writes the same
-    expression out; the tests hold the two to one value."""
+    terms plus the tail terms at ratio q^(x+K).  psi_q and psi_q_m write
+    the same expression out; the tests hold them to this one."""
     return max(0, math.ceil(math.sqrt(_TAIL_LOG / -q.ln_q) - x))
 
 
@@ -435,12 +478,17 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     does; one beyond it raises Overflow.  s^(m+1) is taken into each tail
     summand too, as (n q^(ny/m) s^((m+1)/m))^m / (1-q^n), with the sign
     applied once to the tail sum, so that no factor leaves the range before
-    the summand does; a summand or sum beyond it raises Overflow.  A_m is
-    read from the table _EULERIAN for m <= 16 (an integer-valued float m
-    too) and takes about m^3 steps to build above that, so it is built per
-    call only for m > 16 with a nonempty head.  First s^(m+1) n^m q^(nx),
-    below |psi_q^(m)(x)| at every n >= 1, is checked against the range at
-    n = max(1, round(m / (s x))), near its largest.
+    the summand does; a summand or sum beyond it raises Overflow.  For
+    m <= 16 (an integer-valued float m too) each head term's u A_m(u) is a
+    kernel compiled at import from the table _EULERIAN, in straight-line
+    Horner code with the multiplies and adds of a loop over A_m's
+    coefficients in the same order, so the values are the loop's bit for
+    bit.  Above 16, A_m takes about m^3 steps to build, so it is built per
+    call, only with a nonempty head, and evaluated by that loop.  When
+    e x < m, s^(m+1) n^m q^(nx), below |psi_q^(m)(x)| at every n >= 1, is
+    first checked against the range at n = max(1, round(m / (s x))), near
+    its largest; when e x >= m its log is at most ln s <= ln 745 at every
+    n, far inside the range, and the check is skipped.
 
     The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) approaches q^y
     from above, so plain q^y does not dominate.  It is below 2^m q^y for
@@ -462,22 +510,37 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     expm1 = math.expm1
     ln_q = q.ln_q
     s = -ln_q
-    # Capped, so that an s x that underflows cannot make n infinite.
-    n = max(1, round(min(m / max(s * x, _LEAST_RATIO), 1e300)))
-    if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
-        raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
+    # Over real n > 0, (m+1) ln s + m ln n - n s x peaks at n = m / (s x),
+    # at ln s + m ln(m / (e x)), and ln s <= ln 745 (q >= 5e-324).  So where
+    # e x >= m the test below cannot exceed MAX_EXP, and is skipped: its
+    # rounding stays far below the gap of 700 for any m below 1e12.
+    if m > _E * x:
+        # Capped, so that an s x that underflows cannot make n infinite.
+        n = max(1, round(min(m / max(s * x, _LEAST_RATIO), 1e300)))
+        if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
+            raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
     power = m + 1
     sign = 1.0 if m % 2 else -1.0
     max_terms = cfg.max_terms
-    k_end = _head_length(x, q)
-    limit = min(k_end, max_terms)
-    eulerian = (_EULERIAN[int(m)] if m < len(_EULERIAN) else _eulerian(int(m))) if k_end else ()
+    # K = _head_length(x, q) and the min, written out as in psi_q.
+    k_end = math.ceil(math.sqrt(_TAIL_LOG / s) - x)
+    if k_end < 0:
+        k_end = 0
+    limit = max_terms if max_terms < k_end else k_end
+    if m <= _HEAD_ORDERS:
+        head, order, half_power = _LI_HEADS[m]
+    else:
+        order = int(m)
+        half_power = math.ldexp(0.5, -order)
+        head = _loop_head(order) if k_end else None
     y_ln_q = (x + k_end) * ln_q
     scale = s * s ** (1.0 / m)  # s^((m+1)/m)
-    qy = max(exp(y_ln_q), _LEAST_RATIO)
+    qy = exp(y_ln_q)
+    if qy < _LEAST_RATIO:
+        qy = _LEAST_RATIO
     ratio_from = 1
-    if qy < 0.5 ** (m + 1):
-        ratio = math.ldexp(qy, int(m))
+    if qy < half_power:  # 2^m q^y < 1/2
+        ratio = math.ldexp(qy, order)
     else:
         # (9/8)^m q^y is formed in logs, as 1.125**m alone overflows from
         # m = 6027; at 1 or above it cannot be the smaller of the two.
@@ -503,11 +566,7 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         for k in range(limit + 1 if limit == max_terms else limit):
             value += term
             t = (x + k) * ln_q
-            u = exp(t)
-            a = 0.0
-            for c in eulerian:
-                a = a * u + c
-            term = u * a * (ln_q / -expm1(t)) ** power
+            term = head(exp(t)) * (ln_q / -expm1(t)) ** power
         if limit < max_terms:
             value += term
             if math.isfinite(value):

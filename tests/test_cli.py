@@ -20,7 +20,6 @@ def run_cli(*args, env_extra=None, timeout=None):
     """Run the CLI in a subprocess.  Every outcome, failures included, must
     come through the documented exit codes, never an uncaught exception."""
     env = os.environ.copy()
-    env.pop("QGAMMA_MAX_TERMS", None)
     if env_extra:
         env.update(env_extra)
     res = subprocess.run(
@@ -116,11 +115,10 @@ class TestEval:
         "psi": ("--x", "1.3"),
     }
 
-    def test_every_function_evaluates(self, capsys, monkeypatch):
+    def test_every_function_evaluates(self, capsys):
         from qgamma.classical import ln_gamma_classical, psi_classical
         from qgamma.qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q_m
 
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
         assert tuple(cli._EVAL_FUNCTIONS) == tuple(self.POINTS)  # the --fn choices
         expected = {
             "gamma_q": gamma_q(3.0, QParam(0.5)).value,
@@ -137,8 +135,7 @@ class TestEval:
             assert list(blob) == ["value", "error_estimate", "terms_used"], fn
             assert blob["value"] == expected[fn], fn
 
-    def test_missing_flag_exits_2_naming_it(self, capsys, monkeypatch):
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+    def test_missing_flag_exits_2_naming_it(self, capsys):
         for fn, flags in self.POINTS.items():
             for i in range(0, len(flags), 2):
                 flag = flags[i]
@@ -150,9 +147,8 @@ class TestEval:
                 assert captured.out == "", argv
                 assert captured.err == f"error: {fn} requires {flag}\n", argv
 
-    def test_flag_not_taken_exits_2_naming_it(self, capsys, monkeypatch):
+    def test_flag_not_taken_exits_2_naming_it(self, capsys):
         # Gamma(3) must not print where Gamma_q(3) was asked for.
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
         extras = {"--x": "3", "--q": "0.5", "--m": "2"}
         for fn, flags in self.POINTS.items():
             for flag, value in extras.items():
@@ -164,10 +160,9 @@ class TestEval:
                 assert captured.out == "", argv
                 assert captured.err == f"error: {fn} does not take {flag}\n", argv
 
-    def test_psi_q_m_takes_m_1_when_omitted(self, capsys, monkeypatch):
+    def test_psi_q_m_takes_m_1_when_omitted(self, capsys):
         from qgamma.qspecial import psi_q_m
 
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
         assert main(["eval", "--fn", "psi_q_m", "--x", "2", "--q", "0.5", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == psi_q_m(1, 2.0, QParam(0.5)).value
 
@@ -186,12 +181,16 @@ class TestEval:
                                   "--format", "json").stdout)
         assert float(plain["value"]) == blob["value"]
 
-    def test_env_max_terms_causes_non_convergence(self):
-        res = run_cli("eval", "--fn", "psi_q", "--x", "0.5", "--q", "0.9",
-                      env_extra={"QGAMMA_MAX_TERMS": "5"})
-        assert res.returncode == 3
+    def test_max_terms_env_changes_nothing(self):
+        # QGAMMA_MAX_TERMS used to set the cap; only --max-terms does now.
+        argv = ("eval", "--fn", "psi_q", "--x", "0.5", "--q", "0.9", "--format", "json")
+        res = run_cli(*argv, env_extra={"QGAMMA_MAX_TERMS": "5"})
+        assert res.returncode == 0
+        assert res.stdout == run_cli(*argv).stdout
+        assert run_cli(*argv, "--max-terms", "5").returncode == 3
 
     def test_flag_beats_env(self):
+        # A stale QGAMMA_MAX_TERMS must not cap a run that passes --max-terms.
         res = run_cli("eval", "--fn", "psi_q", "--x", "0.5", "--q", "0.9",
                       "--max-terms", "100000", env_extra={"QGAMMA_MAX_TERMS": "5"})
         assert res.returncode == 0
@@ -243,8 +242,7 @@ class TestBounds:
         res = run_cli("bounds", "--ineq", "thm_mvt", "--x", "2", "--q", "0.5")
         assert res.returncode == 2
 
-    def test_slot_not_taken_exits_2_naming_it(self, capsys, monkeypatch):
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+    def test_slot_not_taken_exits_2_naming_it(self, capsys):
         argv = ["bounds", "--ineq", "zhang_xu_situ", "--x", "2", "--y", "1", "--q", "0.5", "--alpha", "7"]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: zhang_xu_situ does not take --q, --alpha\n"
@@ -270,8 +268,7 @@ class TestBounds:
         "zhang_xu_situ": ("--x", "0.5", "--y", "3"),
     }
 
-    def test_every_inequality_plain_matches_json(self, capsys, monkeypatch):
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+    def test_every_inequality_plain_matches_json(self, capsys):
         assert set(self.POINTS) == set(INEQUALITY_IDS)
         for ineq, flags in self.POINTS.items():
             assert main(["bounds", "--ineq", ineq, *flags]) == 0
@@ -286,10 +283,9 @@ class TestBounds:
                 else:
                     assert plain[key] == str(value), (ineq, key)
 
-    def test_json_beyond_the_double_range_is_valid_json(self, capsys, monkeypatch):
+    def test_json_beyond_the_double_range_is_valid_json(self, capsys):
         # Gamma(200) / Gamma(2) overflows: the plain format prints inf and
         # nan, JSON writes null, never the non-JSON tokens Infinity or NaN.
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
         flags = ["bounds", "--ineq", "keckic_vasic", "--x", "200", "--y", "2"]
         assert main(flags) == 0
         plain = parse_plain(capsys.readouterr().out)
@@ -309,7 +305,6 @@ class TestBounds:
             seen.append((lower_margin, upper_margin))
             return False
 
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
         monkeypatch.setattr("qgamma.cli.passes", verdict)
         assert main(["bounds", "--ineq", "thm_mvt", "--x", "2", "--y", "1", "--q", "0.5", "--format", "json"]) == 0
         blob = json.loads(capsys.readouterr().out)
@@ -318,8 +313,7 @@ class TestBounds:
         assert seen == [(pair.log_ratio - pair.log_lower, pair.log_upper - pair.log_ratio)]
 
 
-def test_infinite_x_is_a_domain_error(capsys, monkeypatch):
-    monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
+def test_infinite_x_is_a_domain_error(capsys):
     commands = [
         ["eval", "--fn", fn, "--x", "inf", *([] if fn in ("gamma", "psi") else ["--q", "0.5"])]
         for fn in ("gamma_q", "ln_gamma_q", "psi_q", "psi_q_m", "gamma", "psi")
@@ -363,7 +357,6 @@ class TestVerify:
     def test_corrupted_bounds_need_an_upper_bound(self, ineq, capsys, monkeypatch):
         # The convexity, slope and limit checks have no upper bound to
         # halve; the self-test must not pass on them without a word.
-        monkeypatch.delenv("QGAMMA_MAX_TERMS", raising=False)
         ran = []
         monkeypatch.setattr(cli, "run_check", lambda *args, **kwargs: ran.append(args))
         assert main(["verify", "--ineq", ineq, "--samples", "5", "--corrupt-bounds"]) == 2

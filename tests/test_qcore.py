@@ -272,13 +272,16 @@ class TestSumGeometricDecay:
                 assert sum_geometric_decay(y_ln_q, ln_q, 0.9, 10**6, m, 1.0, ratio_from) == plain
 
     def test_cap_before_ratio_from_has_no_bound(self):
-        # y ln q = 0 and 1 - q^n = 1: the summands are 1 (m = 0) and n (m = 1).
-        for m, partial in ((0, 3.0), (1, 6.0)):
-            with pytest.raises(NonConvergence) as info:
-                sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 3, m, 1.0, 10)
-            assert info.value.terms_used == 3
-            assert info.value.partial_value == partial
-            assert info.value.error_estimate == math.inf
+        # y ln q = 0 and 1 - q^n = 1: the summands are n (m = 1).
+        with pytest.raises(NonConvergence) as info:
+            sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 3, 1, 1.0, 10)
+        assert info.value.terms_used == 3
+        assert info.value.partial_value == 6.0
+        assert info.value.error_estimate == math.inf
+        # m = 0 takes no ratio_from above 2: ignoring it would return a
+        # bound that has not been shown to hold.
+        with pytest.raises(DomainError, match="^ratio_from above 2 needs m >= 1"):
+            sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 3, 0, 1.0, 10)
 
 
 class TestRequirePositive:

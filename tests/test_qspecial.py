@@ -8,7 +8,7 @@ from oracles import mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_m, mp
 
 import qgamma.qspecial as qspecial
 from qgamma.classical import ln_gamma_classical, psi_classical
-from qgamma.constants import BERNOULLI
+from qgamma.constants import BERNOULLI, MAX_EXP
 from qgamma.errors import BracketFailure, DomainError, NonConvergence, Overflow
 from qgamma.qcore import (ABS_TOL, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, new_record, q_bracket,
                           q_factorial, require_positive)
@@ -87,11 +87,30 @@ class TestQStirling:
             assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), qv
 
     def test_terms_uniform_in_q(self):
-        # The product series needs about 30 / (1-q) terms: about 600 at q = 0.95.
+        # The product series needs about 30 / (1-q) terms: about 600 at
+        # q = 0.95.  ln_gamma_q takes N <= 10 recurrence terms and at most
+        # seven corrections.
         for x in np.geomspace(0.05, 30.0, 25):
             for one_minus_q in np.geomspace(1e-9, 0.95, 25):
                 ev = ln_gamma_q(float(x), QParam(1.0 - float(one_minus_q)))
-                assert 0 < ev.terms_used <= 40, (x, one_minus_q)
+                assert 0 < ev.terms_used <= 17, (x, one_minus_q)
+
+    def test_eighth_correction_below_the_least_stop(self):
+        # The eighth correction B_16/16! s^15 Li_{-14}(u), u = e^(-sT), as
+        # ln_gamma_q forms it (u (s / (1-u))^15 A_14(u)), over 20,000 s
+        # spanning every q: at T = 10, where it is largest, since
+        # Li_{-14}(u) rises with u.  It stays below the least stop
+        # REL_TOL / 1024, so ln_gamma_q never adds it.
+        s = np.geomspace(1e-12, 745.0, 20_000)
+        u = np.exp(-10.0 * s)
+        a14 = np.zeros_like(u)
+        for c in _eulerian_explicit(14):
+            a14 = a14 * u + c
+        eighth = abs(BERNOULLI[7] / math.factorial(16)) * u * (s / -np.expm1(-10.0 * s)) ** 15 * a14
+        worst = float(eighth.max())
+        assert worst < REL_TOL * qspecial._EM_STOP
+        assert worst == pytest.approx(4.56e-17, rel=0.01)
+        assert s[eighth.argmax()] == pytest.approx(1.49, rel=0.01)
 
     @pytest.mark.parametrize("qv", NEAR_ONE_Q)
     def test_values_near_one(self, qv):
@@ -515,8 +534,10 @@ def _eulerian_explicit(m: int) -> tuple:
 
 
 # The q-Stirling corrections' factors and Eulerian coefficients, as the
-# loop form below reads them.
+# loop form below reads them: all nine, of which the loop adds at most
+# eight, as ln_gamma_q did before its ladder was cut to seven.
 _LOOP_EM_COEF = tuple((b / math.factorial(2 * j), _eulerian_explicit(2 * j - 2)) for j, b in enumerate(BERNOULLI, 1))
+_LOOP_EM_TERMS = len(_LOOP_EM_COEF) - 1
 
 
 def _reference_li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s):
@@ -601,7 +622,7 @@ def _reference_ln_gamma_q(x, q, cfg, y=1.0):
     px, py = ux * rx, uy * ry
     rx *= rx
     ry *= ry
-    allowed = min(qspecial._EM_TERMS, cfg.max_terms - n)
+    allowed = min(_LOOP_EM_TERMS, cfg.max_terms - n)
     for j, (coef, poly) in enumerate(_LOOP_EM_COEF):
         ax = ay = 0.0
         for c in poly:
@@ -619,9 +640,39 @@ def _reference_ln_gamma_q(x, q, cfg, y=1.0):
         py *= ry
     if swapped:
         value = -value
-    if bound > tol and j < qspecial._EM_TERMS:
+    if bound > tol and j < _LOOP_EM_TERMS:
         raise cap_error(cfg.max_terms, value, bound, n + j)
     return new_record(Evaluation, (value, bound, n + j))
+
+
+def _loop_ladder(value, tol, ux, uy, px, py, rx, ry, allowed):
+    """ln_gamma_q's correction loop over its first _EM_TERMS + 1
+    corrections, the reference for the unrolled em_ladder."""
+    allowed = min(qspecial._EM_TERMS, allowed)
+    for j, (coef, poly) in enumerate(_LOOP_EM_COEF[:qspecial._EM_TERMS + 1]):
+        ax = ay = 0.0
+        for c in poly:
+            ax = ax * ux + c
+            ay = ay * uy + c
+        cx, cy = coef * px * ax, coef * py * ay
+        if coef > 0.0:
+            bound = cx if cx > cy else cy
+        else:
+            bound = -cx if cx < cy else -cy
+        if bound <= tol or j == allowed:
+            break
+        value += cx - cy
+        px *= rx
+        py *= ry
+    return value, bound, j
+
+
+def _loop_kernel(m, u):
+    """u A_m(u) by a loop over A_m's coefficients, as psi_q_m's head took it."""
+    a = 0.0
+    for c in _eulerian_explicit(m):
+        a = a * u + c
+    return u * a
 
 
 def _reference_psi_q(x, q, cfg):
@@ -680,19 +731,34 @@ class TestStraightLineReference:
     def test_eulerian_table_is_the_closed_form(self):
         assert tuple(poly for _, poly in _LOOP_EM_COEF) == qspecial._EULERIAN[::2][:len(BERNOULLI)]
 
-    def test_every_horner_pair_matches_the_loop(self):
-        # Each polynomial, the ninth too, which ln_gamma_q never reaches:
-        # near u = 1 every coefficient and step order shows in the value.
+    def test_ladder_matches_the_loop(self):
+        # Every step of the ladder runs at tol = -1 and allowed = 7; near
+        # u = 1 every coefficient and step order shows in the value.
         u = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
-        assert len(qspecial._EM_COEF) == len(_LOOP_EM_COEF)
-        for (coef, horner_pair), (ref_coef, poly) in zip(qspecial._EM_COEF, _LOOP_EM_COEF):
-            assert coef == ref_coef
-            for ux, uy in zip(u, reversed(u)):
-                ax = ay = 0.0
-                for c in poly:
-                    ax = ax * ux + c
-                    ay = ay * uy + c
-                assert horner_pair(ux, uy) == (ax, ay), (len(poly), ux, uy)
+        rng = np.random.default_rng(26)
+        mismatches = []
+        for ux, uy in zip(u, reversed(u)):
+            for allowed in range(10):
+                for tol in (-1.0, 0.0, 1e-17, 1e-14, 1e-6):
+                    value, px, py, rx, ry = (float(v) for v in np.exp(rng.uniform(-30.0, 5.0, 5)))
+                    args = (value, tol, ux, uy, px, py, rx, ry, allowed)
+                    if qspecial._em_ladder(*args) != _loop_ladder(*args):
+                        mismatches.append(args)
+        assert mismatches == []
+        assert qspecial._em_ladder(1.0, -1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 99)[2] == qspecial._EM_TERMS == 7
+
+    def test_every_head_kernel_matches_the_loop(self):
+        u = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
+        assert sorted(qspecial._LI_HEADS) == list(range(1, 17))
+        for m in range(1, 21):
+            if m in qspecial._LI_HEADS:
+                kernel, order, half_power = qspecial._LI_HEADS[m]
+                assert (order, half_power) == (m, 0.5 ** (m + 1)), m
+                assert type(order) is int
+            else:
+                kernel = qspecial._loop_head(m)
+            for v in u:
+                assert kernel(v) == _loop_kernel(m, v), (m, v)
 
     @pytest.mark.parametrize("max_terms", [None, *MAX_TERMS])
     def test_ln_gamma_q_matches_the_loop_form(self, max_terms):
@@ -732,6 +798,140 @@ class TestStraightLineReference:
                     mismatches.append(((x, q.q), got, ref))
         assert mismatches == []
 
+
+
+def _reference_psi_q_m(m, x, q, cfg):
+    """psi_q_m with its head's A_m in a loop over its coefficients, its
+    range test at every call, K from _head_length and 0.5 ** (m + 1),
+    kept verbatim as the reference for the compiled head kernels and the
+    test skipped where it cannot fire."""
+    if m < 1 or m != int(m):
+        raise DomainError(f"m must be an integer >= 1, got {m!r}")
+    require_positive(x)
+    exp = math.exp
+    expm1 = math.expm1
+    ln_q = q.ln_q
+    s = -ln_q
+    n = max(1, round(min(m / max(s * x, qspecial._LEAST_RATIO), 1e300)))
+    if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
+        raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
+    power = m + 1
+    sign = 1.0 if m % 2 else -1.0
+    max_terms = cfg.max_terms
+    k_end = qspecial._head_length(x, q)
+    limit = min(k_end, max_terms)
+    eulerian = (
+        (qspecial._EULERIAN[int(m)] if m < len(qspecial._EULERIAN) else qspecial._eulerian(int(m))) if k_end else ()
+    )
+    y_ln_q = (x + k_end) * ln_q
+    scale = s * s ** (1.0 / m)
+    qy = max(exp(y_ln_q), qspecial._LEAST_RATIO)
+    ratio_from = 1
+    if qy < 0.5 ** (m + 1):
+        ratio = math.ldexp(qy, int(m))
+    else:
+        ratio = 0.5 * (1.0 + qy)
+        log_inflated = m * qspecial._LN_9_8 + y_ln_q
+        inflated = exp(log_inflated) if log_inflated < 0.0 else ratio
+        if inflated < ratio:
+            ratio = inflated if inflated > qspecial._LEAST_RATIO else qspecial._LEAST_RATIO
+            ratio_from = 8
+        else:
+            if qy > 0.25:
+                log_ratio_gap = math.log1p(-expm1(y_ln_q) / (2.0 * qy))
+            else:
+                log_ratio_gap = math.log1p(qy) - qspecial._LN2 - y_ln_q
+            ratio_from = math.ceil(m / log_ratio_gap)
+
+    value = term = 0.0
+    try:
+        for k in range(limit + 1 if limit == max_terms else limit):
+            value += term
+            t = (x + k) * ln_q
+            u = exp(t)
+            a = 0.0
+            for c in eulerian:
+                a = a * u + c
+            term = u * a * (ln_q / -expm1(t)) ** power
+        if limit < max_terms:
+            value += term
+            if math.isfinite(value):
+                tail = qspecial.sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit, m, scale, ratio_from)
+                value += sign * tail.value
+    except NonConvergence as exc:
+        raise cap_error(max_terms, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
+    if limit == max_terms:
+        raise cap_error(max_terms, value, abs(term) / (1.0 - q.q), limit)
+    return new_record(Evaluation, (value, tail.error_estimate, limit + tail.terms_used))
+
+
+class TestHeadKernelReference:
+    """psi_q_m's compiled head kernels, written-out K and 0.5^(m+1), and
+    its range test skipped where e x >= m, give what the loop head and the
+    full test gave: the same Evaluation, or the same Overflow message or
+    NonConvergence partial value, estimate, terms and message, bit for
+    bit."""
+
+    # Table orders, an integer-valued float, the first orders built per
+    # call, and a large one.
+    ORDERS = (1, 2, 2.0, 3, 7, 16, 17, 30, 300)
+    X = np.geomspace(1e-3, 1e3, 7)
+    ONE_MINUS_Q = np.geomspace(1e-9, 0.999, 7)
+
+    @pytest.mark.parametrize("max_terms", [None, 1, 3, 17, 40])
+    def test_psi_q_m_matches_the_loop_head(self, max_terms):
+        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        points = [
+            (m, float(x), QParam(1.0 - float(om)))
+            for om in self.ONE_MINUS_Q
+            for x in self.X
+            for m in self.ORDERS
+            # Uncapped, a call takes about 350,000 terms at 1 - q = 1e-9, so
+            # there the grid's corners stand for it, a table order and a
+            # built one.
+            if max_terms is not None or om > 1e-6 or (x in (self.X[0], self.X[-1]) and m in (2, 17))
+        ]
+        points += [(m, x, QParam(qv)) for m, x, qv in TestTailEngineReference.EDGES]
+        mismatches = []
+        outcomes = []
+        for m, x, q in points:
+            got = _outcome(lambda: psi_q_m(m, x, q, cfg))
+            ref = _outcome(lambda: _reference_psi_q_m(m, x, q, cfg))
+            outcomes.append(got)
+            if got != ref:
+                mismatches.append(((m, x, q.q), got, ref))
+        assert mismatches == []
+        # Each kind of outcome is reached.
+        assert sum(out[0] == "Overflow" for out in outcomes) > 10
+        if max_terms is None:
+            assert sum(len(out) == 3 for out in outcomes) > 200
+        else:
+            assert sum(out[0] == "NonConvergence" for out in outcomes) > 100
+
+    def test_skipped_range_test_cannot_fire(self):
+        # Wherever e x >= m, the range test's expression stays at most
+        # ln s <= ln 745 + rounding, far below MAX_EXP: for m up to 7000,
+        # s up to -ln of the least normal double, and x from m / e up.
+        s_values = np.geomspace(1e-12, -math.log(sys.float_info.min), 400)
+        orders = (1, 2, 3, 7, 16, 17, 30, 100, 300, 1000, 2100, 7000)
+        worst = -math.inf
+        checked = 0
+        for m in orders:
+            for factor in (1.0, 1.0 + 1e-12, 1.001, 1.1, 2.0, 10.0, 1e3, 1e8, 1e300):
+                x = factor * m / math.e
+                if not qspecial._E * x >= m:
+                    continue  # psi_q_m runs the test here
+                for s in s_values:
+                    s = float(s)
+                    n = max(1, round(min(m / max(s * x, qspecial._LEAST_RATIO), 1e300)))
+                    worst = max(worst, (m + 1) * math.log(s) + m * math.log(n) - n * s * x)
+                    checked += 1
+        assert checked > 40_000
+        assert worst <= math.log(745.0) + 1e-9 < MAX_EXP
 
 class TestShiftedTail:
     """psi_q and psi_q_m as K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
