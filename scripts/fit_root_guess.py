@@ -23,19 +23,21 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from qgamma.qcore import QParam
-from qgamma.qspecial import (_CLASSICAL_ROOT, _ROOT_GUESS_HALF_WIDTH, _ROOT_GUESS_S_MAX, _psi_q_root_reach,
-                             psi_q)
+from qgamma.qspecial import _ROOT_GUESS_HALF_WIDTH, _ROOT_GUESS_S_MAX, _psi_q_root_reach, psi_q
 
 DEGREE = 22
 GAUSS_NODES = 400
 NEAR_ONE = np.geomspace(1e-5, 0.05, 300)
 LAWSON_STEPS = 500
+# The positive zero of the classical digamma (DLMF 5.4(iii)), where psi_q's
+# zero tends as q -> 1: psi_q(1) < 0 < psi_q(x0) over the fitted range.
+CLASSICAL_ROOT = 1.4616321449683623
 
 
 def bisected_zero(q: QParam) -> float:
     """psi_q's zero in [1, x0], bisected until the bracket's ends are
     adjacent doubles; the end with the smaller |psi_q|."""
-    lo, hi = 1.0, _CLASSICAL_ROOT
+    lo, hi = 1.0, CLASSICAL_ROOT
     f_lo, f_hi = psi_q(lo, q).value, psi_q(hi, q).value
     assert f_lo < 0.0 < f_hi, q
     while True:

@@ -45,7 +45,6 @@ from .bounds import (
     cor_one_half_bounds,
     default_domain,
     keckic_vasic_bounds,
-    ratio_gamma_q,
     remark_rearranged_bounds,
     thm_alpha_bounds,
     thm_main_bounds,

@@ -67,12 +67,6 @@ def passes(lower_margin: float, upper_margin: float) -> bool:
     return lower_margin >= -CERT_SLACK_LOG and upper_margin >= -CERT_SLACK_LOG
 
 
-def ratio_gamma_q(x: float, y: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Gamma_q(x) / Gamma_q(y), computed as exp(ln Gamma_q(x) - ln Gamma_q(y))
-    from one ln_gamma_q sum."""
-    return _safe_exp(ln_gamma_q(x, q, cfg, y=y).value)
-
-
 # Proof functions f(t) = e^[t]_q Gamma_q(t) and g(t) = e^t Gamma_q(t+a)/(t+a):
 # ln f(x) - ln f(y) is the log ratio less the offset; slopes are t (ln f)'(t).
 
@@ -270,8 +264,9 @@ def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
 # Unbounded on purpose: ``sample`` solves the root of every drawn point
 # before ``certify`` reads them all back, so a bound below the sample count
 # would solve each root twice; ``table`` rows share one q and hit it.
-# A miss costs one psi_q call for q in [0.05, 1 - 1e-5] and 19 on average
-# below 0.05 (see psi_q_root); a hit, one dict lookup.
+# A miss costs one psi_q call for q in [0.05, 1 - 1e-5], and below 0.05
+# 1.05 on average and at most 4 with 3 psi_q_m calls (see psi_q_root); a
+# hit, one dict lookup.
 _ROOT_CACHE: dict[Tuple[float, int], float] = {}
 
 

@@ -24,9 +24,10 @@ compiled at import in one exec: the corrections of ln Gamma_q as one
 unrolled function, and psi_q^(m)'s head kernel u A_m(u) for each
 m <= 16, every polynomial in straight-line Horner code with the multiplies
 and adds of a loop over its coefficients in the same order, so the values
-are those of the loop, bit for bit.  psi_q_root certifies psi_q's zero from
-one psi_q call for q in [0.05, 1 - 1e-5]: a fitted guess, the residual at
-it and a lower bound on psi_q'.  Results are Evaluation and PsiRoot
+are those of the loop, bit for bit.  psi_q_root certifies psi_q's zero by
+the residual at a centre and a lower bound on psi_q': one psi_q call at a
+fitted guess for q in [0.05, 1 - 1e-5], and Newton steps from the guess
+where that call declines.  Results are Evaluation and PsiRoot
 records, immutable NamedTuples that unpack, index and compare equal to
 plain tuples (see ``qcore``).
 """
@@ -599,14 +600,11 @@ class PsiRoot(NamedTuple):
     residual: float
 
 
-_ROOT_WIDTH_TOL = 1e-12
 _ROOT_RESIDUAL_TOL = 1e-10
-_ROOT_MAX_STEPS = 64
-
-# The positive zero of the classical digamma (DLMF 5.4(iii)), where the
-# root of psi_q tends as q -> 1; psi_q(1) < 0 < psi_q(x0) at every q tried,
-# from 1e-300 to 1 - 2e-10.
-_CLASSICAL_ROOT = 1.4616321449683623
+# The most centres a solve evaluates: twice the most any solve took, 4 over
+# 5,000 q log-uniform in [least normal, 0.05], and 2 over 1 - q in
+# [1e-10, 1e-5].
+_ROOT_CENTRES = 8
 
 # The root guess g(q) = sum_k c_k T_k(t), a Chebyshev series of degree 22
 # in t = 2 s / s_max - 1, s = -ln q and s_max = -ln 0.05, so q in
@@ -651,19 +649,21 @@ _ROOT_GUESS_CHEB = (
 # Clenshaw's recurrence runs over every coefficient but c_0, which it adds last.
 _ROOT_GUESS_CLENSHAW, _ROOT_GUESS_C0 = _ROOT_GUESS_CHEB[:-1], _ROOT_GUESS_CHEB[-1]
 _ROOT_GUESS_S_MAX = -math.log(0.05)  # the fitted range's top
-# Half-width of the bracket around the guess: 2.3 times the largest error,
-# so that |psi_q| at the midpoint stays within 0.65 of the half-width times
-# a lower bound on psi_q' there, the reach that certifies the bracket, and
-# small enough that the bracket is at most 1e-12 wide from the start.
+# Half-width of the bracket around each centre: 2.3 times the guess's
+# largest error, so that |psi_q| at the midpoint stays within 0.65 of the
+# half-width times a lower bound on psi_q' there, the reach that certifies
+# the bracket, and small enough that every bracket is below 1e-12 wide.
 _ROOT_GUESS_HALF_WIDTH = 3e-13
 
 
-def _root_guess(q: QParam) -> Optional[float]:
-    """The fitted guess g(q) of psi_q's positive zero, or None for q below
-    the fitted range (s > -ln 0.05)."""
+def _root_guess(q: QParam) -> float:
+    """The guess of psi_q's positive zero that psi_q_root starts from: the
+    fitted g(q) for q >= 0.05, and below that range (s > -ln 0.05)
+    x_s = 1 + ln(s) / s, s = -ln q, where the first terms of psi_q,
+    -ln(1-q) ~ q and -s q^x, cancel (s q^(x-1) = 1)."""
     s = -q.ln_q
     if s > _ROOT_GUESS_S_MAX:
-        return None
+        return 1.0 + math.log(s) / s
     t = 2.0 * s / _ROOT_GUESS_S_MAX - 1.0
     t2 = t + t
     b1 = b2 = 0.0
@@ -672,14 +672,22 @@ def _root_guess(q: QParam) -> Optional[float]:
     return _ROOT_GUESS_C0 + t * b1 - b2
 
 
+# The slope floor is taken 2^-48 of itself below its computed value, several
+# times the rounding of its few operations: for q below about 1e-7 the terms
+# it leaves out of psi_q' fall below that rounding.
+_SLOPE_FLOOR_SCALE = 1.0 - 2.0**-48
+
+
 def _psi_q_slope_floor(x: float, q: QParam) -> float:
-    """L = s^2 [(1+E_0) / E_0^2 + (1+E_1) / E_1^2], E_k = expm1(s (x+k)) and
-    s = -ln q: the first two terms of psi_q'(x) = s^2 sum_{k>=0} (1+E_k) / E_k^2,
+    """L = s^2 [u_0 / (1-u_0)^2 + u_1 / (1-u_1)^2], u_k = q^(x+k) and
+    s = -ln q: the first two terms of psi_q'(x) = s^2 sum_{k>=0} u_k / (1-u_k)^2,
     the k-form of (ln q)^2 sum_n n q^(nx) / (1-q^n), so below psi_q' on
-    (0, x], where psi_q' decreases."""
+    (0, x], where psi_q' decreases.  Each 1 - u_k is -expm1(-s (x+k)), and
+    a u_k that underflows adds 0, so L is finite at every q."""
     s = -q.ln_q
-    e0, e1 = math.expm1(s * x), math.expm1(s * (x + 1.0))
-    return s * s * ((1.0 + e0) / (e0 * e0) + (1.0 + e1) / (e1 * e1))
+    w0, w1 = -s * x, -s * (x + 1.0)
+    d0, d1 = math.expm1(w0), math.expm1(w1)
+    return _SLOPE_FLOOR_SCALE * s * s * (math.exp(w0) / (d0 * d0) + math.exp(w1) / (d1 * d1))
 
 
 def _psi_q_root_reach(lo: float, mid: float, hi: float, q: QParam) -> float:
@@ -689,48 +697,37 @@ def _psi_q_root_reach(lo: float, mid: float, hi: float, q: QParam) -> float:
 
 def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     """The positive zero of psi_q, certified by a sign change of psi_q
-    across a bracket at most 1e-12 wide.
+    across the bracket [lo, hi] = c -+ 3e-13 around a centre c.
 
-    For q >= 0.05 the bracket is [lo, hi] = g -+ 3e-13, g a fitted guess of
-    the root (see _root_guess) within 1.3e-13 of psi_q's zero for q in
-    [0.05, 1 - 1e-5].  That bracket is narrow enough from the start, so the
-    solve takes no trial and one psi_q call, the residual at the midpoint m,
-    which also certifies the sign change by the mean value theorem.
-    psi_q'' = (ln q)^3 sum_n n^2 q^(nx) / (1-q^n) < 0, so psi_q' is positive
-    and decreasing, and on [lo, hi] it is at least psi_q'(hi) and so at
-    least L, the first two terms of psi_q'(hi) (see _psi_q_slope_floor).
-    Then |psi_q(m)| < min(m - lo, hi - m) L, the reach, gives
-    psi_q(lo) < 0 < psi_q(hi).  The omitted terms are above 2e-3 of L for
-    s = -ln q <= -ln 0.05, far above the rounding of L and of the reach.  As
-    the sign test did, this takes the computed psi_q(m) as exact; its
-    error_estimate is left out of the comparison.  |psi_q(m)| is at most
-    0.65 of the reach at every q tried in [0.05, 1 - 1e-5].  That path
-    builds nothing per solve but the PsiRoot it returns: the memo of psi_q
-    values below and its closure are made only once it declines.  Where it
-    is not below the reach but the residual is at most 1e-10 (at some q above
-    1 - 4e-6, where the computed zero drifts off the fit), psi_q(lo) and
-    psi_q(hi) are evaluated: if their signs differ, they certify [lo, hi]
-    directly (3 calls); if not, the nearest of lo, m and hi on each side of
-    the zero replaces 1 or x0 below.  1 - q log-uniform in [1e-6, 3e-6] then
-    takes 1.62 calls on average, and in [1e-7, 1e-6] 3.73.  Otherwise, with
-    a residual above 1e-10 or q < 0.05, the solve takes bracketed secant
-    steps from [1, x0], x0 the classical digamma zero, with the values
-    already computed kept for reuse, and raises BracketFailure if psi_q
-    does not change sign across that bracket.  Each trial is the secant of the last two points evaluated, the first one
-    the chord of the bracket, or the bracket's midpoint if that secant
-    lands outside the bracket (only at q below about 5e-3 in the q tried,
-    where psi_q is nearly flat right of the root).  The trial's sign
-    decides which end it replaces.  From [1, x0] a solve takes 19 psi_q
-    calls on average and at most 35 over 3,000 q log-uniform in
-    (1e-300, 0.05).
+    The first centre is the guess (see _root_guess): for q >= 0.05 a fitted
+    series within 1.3e-13 of psi_q's zero for q in [0.05, 1 - 1e-5], and
+    below that range x_s = 1 + ln(s)/s.  At each centre one psi_q call
+    gives the residual at the bracket's midpoint m, which certifies the
+    bracket by the mean value theorem.  psi_q'' = (ln q)^3 sum_n n^2
+    q^(nx) / (1-q^n) < 0, so psi_q' is positive and decreasing, and on
+    [lo, hi] it is at least psi_q'(hi) and so at least L, the first two
+    terms of psi_q'(hi) (see _psi_q_slope_floor).  Then |psi_q(m)| < min(m
+    - lo, hi - m) L, the reach, gives psi_q(lo) < 0 < psi_q(hi).  For
+    s = -ln q <= -ln 0.05 the omitted terms are above 2e-3 of L, far above
+    its rounding; below 0.05 they fall toward it, and L is taken 2^-48 of
+    itself low.  The computed psi_q(m) is taken as exact; its
+    error_estimate is left out of the comparison.  A certified bracket must
+    also have |psi_q(m)| <= 1e-10.  |psi_q(m)| is at most 0.65 of the reach
+    at every q tried in [0.05, 1 - 1e-5], so there the solve is that one
+    call, and builds nothing but the PsiRoot it returns.
 
-    Each trial is clamped to half the width tolerance inside the bracket:
-    once a step falls below that, the clamped trial lies across the root
-    and closes the bracket to width 1e-12.  A trial where psi_q is exactly
-    0 is the root, with the bracket t -+ 2.5e-13, whose signs are checked.
-    The loop is bounded and raises BracketFailure at its bound.  No point is
-    evaluated twice: a trial or the final midpoint can land on a point
-    already evaluated, whose value is reused.
+    A centre that is not certified moves by one Newton step from m, with
+    psi_q'(m) from psi_q_m; the step needs no certificate, so a psi_q_m
+    stopped by cfg's term cap gives its partial sum.  Below 0.05 the steps
+    refine x_s, which is 1.3e-2 off the zero at q = 0.049 and within 3e-13
+    of it below q = 1e-12: over 5,000 q log-uniform in [least normal, 0.05],
+    4,851 solves take 1 psi_q call and none more than 4 psi_q and 3 psi_q_m
+    calls.  Near q = 1, where psi_q's computed zero drifts off the fit, one
+    step follows it: 1 - q in [1e-10, 1e-5] takes at most 2 psi_q calls and
+    1 psi_q_m call; for 1 - q below about 9.9e-11 psi_q itself needs more
+    terms than the default cap, and raises NonConvergence.  A solve raises
+    BracketFailure when a centre falls outside (0, inf), or when none of
+    _ROOT_CENTRES centres is certified.
 
     q below the least normal double raises DomainError: psi_q is of order
     q near its zero, so the signs that would certify a bracket come from
@@ -739,68 +736,20 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     """
     if q.q < sys.float_info.min:
         raise DomainError(f"psi_q's root is not certified for subnormal q={q.q!r}")
-    guess = _root_guess(q)
-    if guess is not None:
-        g_lo, g_hi = guess - _ROOT_GUESS_HALF_WIDTH, guess + _ROOT_GUESS_HALF_WIDTH
-        root = 0.5 * (g_lo + g_hi)
-        residual = psi_q(root, q, cfg).value
-        if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(g_lo, root, g_hi, q):
-            return new_record(PsiRoot, (q, root, g_lo, g_hi, residual))
-    # The fitted guess declined or is not there: every psi_q value from here
-    # on is kept, so that no point is evaluated twice.
-    values: dict[float, float] = {} if guess is None else {root: residual}
-
-    def f(t: float) -> float:
-        value = values.get(t)
-        if value is None:
-            value = values[t] = psi_q(t, q, cfg).value
-        return value
-
-    lo, hi = 1.0, _CLASSICAL_ROOT
-    if guess is not None and abs(residual) <= _ROOT_RESIDUAL_TOL:
-        # Declined by the reach: the ends' signs may still certify the bracket.
-        if f(g_lo) < 0.0 < f(g_hi):
-            return PsiRoot(q=q, root=root, bracket_low=g_lo, bracket_high=g_hi, residual=residual)
-        # Declined by both: the nearest of the three points on each side of
-        # the zero narrow [1, x0], unless rounding has put them out of order.
-        near = (g_lo, root, g_hi)
-        lo = max((t for t in near if f(t) < 0.0), default=lo)
-        hi = min((t for t in near if f(t) > 0.0), default=hi)
-        if not lo < hi:
-            lo, hi = 1.0, _CLASSICAL_ROOT
-    f_lo, f_hi = f(lo), f(hi)
-    if not f_lo < 0.0 < f_hi:
-        raise BracketFailure(f"psi_q does not change sign across [{lo}, {hi}] for q={q.q}")
-
-    half_tol = 0.5 * _ROOT_WIDTH_TOL
-    a, f_a, b, f_b = lo, f_lo, hi, f_hi  # the last two points, b the latest
-    for _ in range(_ROOT_MAX_STEPS):
-        if hi - lo <= _ROOT_WIDTH_TOL:
+    centre = _root_guess(q)
+    for _ in range(_ROOT_CENTRES):
+        if not 0.0 < centre < math.inf:
             break
-        t = b - f_b * (b - a) / (f_b - f_a) if f_b != f_a else lo
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        t = min(max(t, lo + half_tol), hi - half_tol)
-        f_t = f(t)
-        if f_t == 0.0:
-            lo, hi = t - 0.5 * half_tol, t + 0.5 * half_tol
-            if not f(lo) < 0.0 < f(hi):
-                raise BracketFailure(
-                    f"psi_q does not change sign across [{lo}, {hi}] around a zero for q={q.q}"
-                )
-            return PsiRoot(q=q, root=t, bracket_low=lo, bracket_high=hi, residual=f_t)
-        a, f_a, b, f_b = b, f_b, t, f_t
-        if f_t < 0.0:
-            lo = t
-        else:
-            hi = t
-    if hi - lo > _ROOT_WIDTH_TOL:
-        raise BracketFailure(f"bracket wider than {_ROOT_WIDTH_TOL} after {_ROOT_MAX_STEPS} steps for q={q.q}")
-
-    root = 0.5 * (lo + hi)
-    residual = f(root)
-    if abs(residual) > _ROOT_RESIDUAL_TOL:
-        raise BracketFailure(
-            f"root residual {residual:.3e} exceeds {_ROOT_RESIDUAL_TOL} for q={q.q}"
-        )
-    return PsiRoot(q=q, root=root, bracket_low=lo, bracket_high=hi, residual=residual)
+        lo, hi = centre - _ROOT_GUESS_HALF_WIDTH, centre + _ROOT_GUESS_HALF_WIDTH
+        root = 0.5 * (lo + hi)
+        residual = psi_q(root, q, cfg).value
+        if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(lo, root, hi, q):
+            return new_record(PsiRoot, (q, root, lo, hi, residual))
+        # The certificate does not rest on the slope, so a capped psi_q_m
+        # gives its partial sum; psi_q' > 0, so a slope of 0 leaves no step.
+        try:
+            slope = psi_q_m(1, root, q, cfg).value
+        except NonConvergence as exc:
+            slope = exc.partial_value
+        centre = root - residual / slope if slope > 0.0 else math.nan
+    raise BracketFailure(f"psi_q's zero not certified within {_ROOT_CENTRES} centres (next {centre!r}) for q={q.q}")

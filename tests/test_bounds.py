@@ -27,7 +27,6 @@ from qgamma.bounds import (
     default_domain,
     keckic_vasic_bounds,
     passes,
-    ratio_gamma_q,
     remark_rearranged_bounds,
     thm_alpha_bounds,
     thm_main_bounds,
@@ -66,18 +65,6 @@ def assert_triple(pair, expected, rel=1e-10):
     assert pair.lower == pytest.approx(float(expected[0]), rel=rel)
     assert pair.ratio == pytest.approx(float(expected[1]), rel=rel)
     assert pair.upper == pytest.approx(float(expected[2]), rel=rel)
-
-
-class TestRatioGammaQ:
-    def test_identical_arguments(self):
-        assert ratio_gamma_q(3.0, 3.0, QParam(0.5)) == 1.0
-
-    def test_one_step(self):
-        assert ratio_gamma_q(4.0, 3.0, QParam(0.5)) == pytest.approx(1.75, rel=1e-12)
-
-    def test_against_product_oracle(self):
-        expected = float(mp_ratio_gamma_q("2.5", "1.25", "0.4"))
-        assert ratio_gamma_q(2.5, 1.25, QParam(0.4)) == pytest.approx(expected, rel=1e-12)
 
 
 class TestThmMain:

@@ -467,10 +467,10 @@ class TestRoot:
         assert "subnormal" in capsys.readouterr().err
 
     def test_bracket_failure_exits_3(self, capsys, monkeypatch):
-        # psi_q shifted right by 10 has no sign change across [1, x0].
+        # psi_q shifted right by 10 has no zero that a centre reaches.
         monkeypatch.setattr(qspecial, "psi_q", lambda x, q, cfg: psi_q(x + 10.0, q, cfg))
         assert main(["root", "--q", "0.5"]) == 3
-        assert capsys.readouterr().err.startswith("error: psi_q does not change sign")
+        assert capsys.readouterr().err.startswith("error: psi_q's zero not certified within 8 centres")
 
 
 class TestTable:
