@@ -3,10 +3,11 @@
 All higher modules build on two things defined here: the deformation
 parameter wrapper ``QParam`` (which pins down how powers of q are computed)
 and ``sum_geometric_decay``, the series engine of psi_q and psi_q^(m): from
-the tail's numbers (y ln q, ln q, m, a scale and a certified geometric
-domination ratio) and its term budget, a plain count, it computes each
-summand of their n-series in its own loop, with no per-term call, and
-returns the sum with a certified truncation bound.  ``cap_error`` takes
+the tail's numbers (y ln q, ln q, m and a scale) and its term budget, a
+plain count, it computes each summand of their n-series in its own loop,
+with no per-term call, and returns the sum with a truncation bound it
+certifies itself, from the ratio (1+1/n)^m q^y that bounds every later
+summand ratio.  ``cap_error`` takes
 its cap as a count too, so a caller that has spent part of its
 ``EvalConfig.max_terms`` on a head passes the rest on without building a
 config.
@@ -179,74 +180,69 @@ def q_factorial(n: int, q: QParam) -> float:
 def sum_geometric_decay(
     y_ln_q: float,
     ln_q: float,
-    decay_ratio: float,
     max_terms: int = DEFAULT_CONFIG.max_terms,
     m: int = 0,
     scale: float = 1.0,
-    ratio_from: int = 1,
 ) -> Evaluation:
     """The n-series tail of psi_q (m = 0) and psi_q^(m) (m >= 1) at
-    y = x + K, summed under geometric tail domination:
-        m = 0:   sum_{n>=1} exp(n y ln q) / (1 - q^n),
-        m >= 1:  sum_{n>=1} (n exp(n y ln q / m) scale)^m / (1 - q^n),
+    y = x + K, with a truncation bound it certifies itself:
+        m = 0:   sum_{n>=1} t(n),  t(n) = exp(n y ln q) / (1 - q^n),
+        m >= 1:  sum_{n>=1} t(n),  t(n) = (n exp(n y ln q / m) scale)^m / (1 - q^n),
     each 1 - q^n taken as -expm1(n ln q), with y_ln_q = y ln q, and scale
     s^((m+1)/m), s = -ln q, from psi_q_m (see there).  ln q < 0, so every
     summand is a quotient of two non-negative numbers and the partial sum
     never decreases: the stop test needs no absolute values.
 
-    The caller guarantees term(n+1) <= decay_ratio * term(n) for every
-    n >= ratio_from, from n = 1 by default (each call site documents its
-    ratio and threshold; any ratio_from <= 2 tests from the first term).
-    Once the first omitted index n is at least ratio_from, term(n) /
-    (1 - decay_ratio) therefore bounds the omitted tail.  Summation stops
-    at the first such n where that bound drops to max(REL_TOL * S, ABS_TOL),
-    S the partial sum; the terms before it are summed with no stop test,
-    and count against max_terms like the rest.  Only a ratio_from above 2
-    (psi_q_m's inflated ratios) has such terms, and it is taken for m >= 1
-    only: with m = 0 it raises DomainError, as ignoring it would return a
-    bound not shown to hold.  A summand beyond the double range raises
-    OverflowError as math.exp and ** do.
+    One rule, for every m: t(n+1) / t(n) = r_n (1 - q^n) / (1 - q^(n+1))
+    is below r_n = (1 + 1/n)^m q^y, and r_n falls as n grows, so wherever
+    r_n < 1 the tail from index n is at most t(n) / (1 - r_n).  Summation
+    stops at the first omitted index n where that bound is at most
+    max(REL_TOL * S, ABS_TOL), S the partial sum.  At m = 0, r_n = q^y,
+    taken once as exp(y ln q).  For m >= 1 a step first tests
+    t(n) / (1 - q^y), below the bound as r_n >= q^y, and only when that
+    passes takes ln r_n = m log1p(1/n) + y ln q.  No stop fires while
+    r_n >= 1, so summands that rise to a peak from below ABS_TOL or the
+    double range (m = 2100, y = 1000, q = 1/2) are summed through it.  A
+    summand beyond the double range raises OverflowError as math.exp and
+    ** do.
 
-    ``max_terms`` is the term budget as a count, the ``EvalConfig.max_terms``
-    of a caller with no head, or what its head left of it; below 1 it
-    raises DomainError with EvalConfig's message.  Raises NonConvergence,
-    carrying the partial sum, once max_terms terms are summed with no stop;
-    its estimate is inf if no stop test was reached.
+    DomainError unless exp(y_ln_q) < 1 and ln_q < 0, where the series
+    diverges (or q^y rounds to 1).  ``max_terms`` is the term budget as a
+    count, the ``EvalConfig.max_terms`` of a caller with no head, or what
+    its head left of it; below 1 it raises DomainError with EvalConfig's
+    message.  Raises NonConvergence, carrying the partial sum, once
+    max_terms terms are summed with no stop; its estimate is the bound at
+    the first omitted index, inf while r_n >= 1 there.
     """
-    if not (0.0 < decay_ratio < 1.0):
-        raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
+    ratio = math.exp(y_ln_q)
+    if not (ratio < 1.0 and ln_q < 0.0):
+        raise DomainError(f"the tail needs exp(y_ln_q) < 1 and ln_q < 0, got y_ln_q={y_ln_q!r}, ln_q={ln_q!r}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
     exp = math.exp
     expm1 = math.expm1
-    inv_gap = 1.0 / (1.0 - decay_ratio)
+    inv_gap = 1.0 / (1.0 - ratio)
     rel_tol, abs_tol = REL_TOL, ABS_TOL
     total = 0.0
-    n = 1  # the first summand not yet added
     if m:
+        log1p = math.log1p
         y_ln_q_over_m = y_ln_q / m
-        if ratio_from > 2:
-            # No bound holds before ratio_from, so the summands up to
-            # ratio_from - 2 are added before the first stop test, whose
-            # first omitted index is ratio_from.
-            untested = min(ratio_from - 2, max_terms)
-            for n in range(1, untested + 1):
-                total += (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
-            if untested == max_terms:
-                raise cap_error(max_terms, total, math.inf, max_terms)
-            n = untested + 1
-        nxt = (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
-        for n in range(n + 1, max_terms + 2):
+        nxt = (exp(y_ln_q_over_m) * scale) ** m / -expm1(ln_q)
+        for n in range(2, max_terms + 2):
             total += nxt
             nxt = (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
             estimate = nxt * inv_gap
             if estimate <= rel_tol * total or estimate <= abs_tol:
-                return new_record(Evaluation, (total, estimate, n - 1))
+                ln_ratio = m * log1p(1.0 / n) + y_ln_q
+                if ln_ratio < 0.0:
+                    estimate = nxt / -expm1(ln_ratio)
+                    if estimate <= rel_tol * total or estimate <= abs_tol:
+                        return new_record(Evaluation, (total, estimate, n - 1))
+        ln_ratio = m * log1p(1.0 / n) + y_ln_q
+        estimate = nxt / -expm1(ln_ratio) if ln_ratio < 0.0 else math.inf
     else:
-        if ratio_from > 2:
-            raise DomainError(f"ratio_from above 2 needs m >= 1, got ratio_from={ratio_from!r} with m=0")
-        nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
-        for n in range(n + 1, max_terms + 2):
+        nxt = ratio / -expm1(ln_q)
+        for n in range(2, max_terms + 2):
             total += nxt
             nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
             estimate = nxt * inv_gap

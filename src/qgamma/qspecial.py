@@ -15,11 +15,11 @@ one sum (y = 1 by default, Gamma_q(1) = 1), exactly antisymmetric in x, y.
 psi_q and psi_q^(m) take K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
 (s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and sum the rest as their
 geometric n-series at x + K, one path for every x: at most about
-2 sqrt(30/(1-q)) terms, with the first omitted tail term, over one minus
-its certified ratio, as the error bound.  ln Gamma_q takes one log for
-the k = 0 recurrence term and one for the product of the others; the
-Eulerian polynomials A_0..A_16 of the corrections and of psi_q^(m)'s head
-are one table built at import.  From it, all the generated code is
+2 sqrt(30/(1-q)) terms, with the bound the series engine certifies from
+the summands' own ratio (see ``qcore.sum_geometric_decay``).  ln Gamma_q
+takes one log for the k = 0 recurrence term and one for the product of
+the others; the Eulerian polynomials A_0..A_16 of the corrections and of
+psi_q^(m)'s head are one table built at import.  From it, all the generated code is
 compiled at import in one exec: the corrections of ln Gamma_q as one
 unrolled function, and psi_q^(m)'s head kernel u A_m(u) for each
 m <= 16, every polynomial in straight-line Horner code with the multiplies
@@ -131,9 +131,8 @@ def _loop_head(m: int) -> Callable[[float], float]:
 
 # The generated code, compiled in one exec at import: em_ladder, and for
 # each m = 1..16 the kernel u -> u A_m(u) of psi_q_m's head terms, with
-# the operations of _loop_head in the same order.  _LI_HEADS[m] holds that
-# kernel, m as an int and 0.5^(m+1), exact; an integer-valued float m finds
-# its entry too.
+# the operations of _loop_head in the same order.  _LI_HEADS[m] is that
+# kernel; an integer-valued float m finds its entry too.
 _HEAD_ORDERS = len(_EULERIAN) - 1
 _GENERATED: dict = {}
 exec(
@@ -143,7 +142,7 @@ exec(
     _GENERATED,
 )
 _em_ladder = _GENERATED["em_ladder"]
-_LI_HEADS = {m: (_GENERATED[f"li_head_{m}"], m, math.ldexp(0.5, -m)) for m in range(1, _HEAD_ORDERS + 1)}
+_LI_HEADS = {m: _GENERATED[f"li_head_{m}"] for m in range(1, _HEAD_ORDERS + 1)}
 
 # Li_2(e^-w) - zeta(2) = w ln w - w - w^2/4 + sum_j B_2j w^(2j+1) / (2j (2j+1)!)
 # (the expansion about w = 0, with zeta(1-2j) = -B_2j/(2j)), and
@@ -374,11 +373,9 @@ def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation
 # after about this / (s y) terms, s = -ln q.
 _TAIL_LOG = -math.log(REL_TOL)
 
-# q^y underflows to 0 once s y > 745 (tiny q, or large x); the tail ratio
-# is then rounded up to the least positive double, a valid bound still.
+# The least positive double: psi_q_m's range test floors s x at it.
 _LEAST_RATIO = math.ulp(0.0)
 
-_LN_9_8 = math.log(1.125)
 _E = math.e
 
 
@@ -400,8 +397,9 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     taken K times), and the rest along n at y:
         psi_q(x) = -ln(1-q) + (ln q) [sum_{k<K} u_k / (1-u_k)
                                       + sum_{n>=1} q^(ny) / (1-q^n)],
-    u_k = q^(x+k).  The n-summand ratio q^y (1-q^n)/(1-q^(n+1)) < q^y is
-    certified from n = 1.  K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and
+    u_k = q^(x+k).  The n-summand ratio q^y (1-q^n)/(1-q^(n+1)) is below
+    q^y, from which sum_geometric_decay bounds the tail after any number of
+    terms.  K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and
     L = -ln REL_TOL, so that the head and the tail each take at most about
     sqrt(L/s) terms, about 2 sqrt(30/(1-q)) in all as q -> 1.
 
@@ -419,7 +417,6 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
     terms.
     """
     require_positive(x)
-    exp = math.exp
     expm1 = math.expm1
     ln_q = q.ln_q
     s = -ln_q
@@ -443,10 +440,7 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                ratio = exp(y_ln_q)
-                if ratio < _LEAST_RATIO:
-                    ratio = _LEAST_RATIO
-                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit)
+                tail = sum_geometric_decay(y_ln_q, ln_q, max_terms - limit)
                 value = offset + (value + ln_q * tail.value)
     except NonConvergence as exc:
         partial = offset + (value + ln_q * exc.partial_value)
@@ -491,18 +485,13 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     its largest; when e x >= m its log is at most ln s <= ln 745 at every
     n, far inside the range, and the check is skipped.
 
-    The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) approaches q^y
-    from above, so plain q^y does not dominate.  It is below 2^m q^y for
-    every n >= 1, so when 2^m q^y < 1/2 that is the ratio passed on, and
-    the tail bound holds after any number of terms, a cap stop included.
-    Otherwise we pass the inflated ratio
-        r = min((9/8)^m q^y, (1+q^y)/2),
-    which holds from n0 = 8 in the first branch and from
-    n0 = ceil(m / ln((1+q^y) / (2 q^y))) in the second, and
-    sum_geometric_decay sums the summands below n0 with no stop test.  They
-    can rise to a peak near n = m / (s y) from below the double range or
-    ABS_TOL, so a stop test there would bound nothing: at m = 2100,
-    x = 1000, q = 0.5 it would return 0.0 for about -3.14e-236.
+    The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) is below
+    r_n = (1+1/n)^m q^y, which falls toward q^y as n grows, and
+    sum_geometric_decay bounds the tail by it wherever r_n < 1, after any
+    number of terms, a cap stop included (see there).  Summands that rise
+    to a peak near n = m / (s y) from below the double range or ABS_TOL
+    keep r_n >= 1 until they peak, so no stop fires before: at m = 2100,
+    x = 1000, q = 0.5 the sum is about -3.14e-236.
     """
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
@@ -529,37 +518,11 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         k_end = 0
     limit = max_terms if max_terms < k_end else k_end
     if m <= _HEAD_ORDERS:
-        head, order, half_power = _LI_HEADS[m]
+        head = _LI_HEADS[m]
     else:
-        order = int(m)
-        half_power = math.ldexp(0.5, -order)
-        head = _loop_head(order) if k_end else None
+        head = _loop_head(int(m)) if k_end else None
     y_ln_q = (x + k_end) * ln_q
     scale = s * s ** (1.0 / m)  # s^((m+1)/m)
-    qy = exp(y_ln_q)
-    if qy < _LEAST_RATIO:
-        qy = _LEAST_RATIO
-    ratio_from = 1
-    if qy < half_power:  # 2^m q^y < 1/2
-        ratio = math.ldexp(qy, order)
-    else:
-        # (9/8)^m q^y is formed in logs, as 1.125**m alone overflows from
-        # m = 6027; at 1 or above it cannot be the smaller of the two.
-        ratio = 0.5 * (1.0 + qy)
-        log_inflated = m * _LN_9_8 + y_ln_q
-        inflated = exp(log_inflated) if log_inflated < 0.0 else ratio
-        if inflated < ratio:
-            ratio = inflated if inflated > _LEAST_RATIO else _LEAST_RATIO
-            ratio_from = 8
-        else:
-            # (1+1/n)^m <= e^(m/n) <= (1+q^y) / (2 q^y) from n0 on; the log
-            # keeps its digits from 1 - q^y where q^y is near 1, and cannot
-            # overflow where q^y is tiny.
-            if qy > 0.25:
-                log_ratio_gap = math.log1p(-expm1(y_ln_q) / (2.0 * qy))
-            else:
-                log_ratio_gap = math.log1p(qy) - _LN2 - y_ln_q
-            ratio_from = math.ceil(m / log_ratio_gap)
 
     value = term = 0.0
     try:
@@ -571,7 +534,7 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                tail = sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit, m, scale, ratio_from)
+                tail = sum_geometric_decay(y_ln_q, ln_q, max_terms - limit, m, scale)
                 value += sign * tail.value
     except NonConvergence as exc:
         raise cap_error(max_terms, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
@@ -725,9 +688,10 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     calls.  Near q = 1, where psi_q's computed zero drifts off the fit, one
     step follows it: 1 - q in [1e-10, 1e-5] takes at most 2 psi_q calls and
     1 psi_q_m call; for 1 - q below about 9.9e-11 psi_q itself needs more
-    terms than the default cap, and raises NonConvergence.  A solve raises
-    BracketFailure when a centre falls outside (0, inf), or when none of
-    _ROOT_CENTRES centres is certified.
+    terms than the default cap, and raises NonConvergence.  The guess is
+    positive at every q; a solve raises BracketFailure when a Newton step
+    leaves (0, inf), or when none of _ROOT_CENTRES centres is certified,
+    naming the last centre and its residual, with no step after it.
 
     q below the least normal double raises DomainError: psi_q is of order
     q near its zero, so the signs that would certify a bracket come from
@@ -737,19 +701,24 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     if q.q < sys.float_info.min:
         raise DomainError(f"psi_q's root is not certified for subnormal q={q.q!r}")
     centre = _root_guess(q)
-    for _ in range(_ROOT_CENTRES):
-        if not 0.0 < centre < math.inf:
-            break
+    for step in range(_ROOT_CENTRES):
+        if step:
+            # The certificate does not rest on the slope, so a capped psi_q_m
+            # gives its partial sum; psi_q' > 0, so a slope of 0 leaves no step.
+            try:
+                slope = psi_q_m(1, root, q, cfg).value
+            except NonConvergence as exc:
+                slope = exc.partial_value
+            centre = root - residual / slope if slope > 0.0 else math.nan
+            if not 0.0 < centre < math.inf:
+                raise BracketFailure(
+                    f"psi_q's zero not certified: Newton step out of (0, inf) (next {centre!r}) for q={q.q}"
+                )
         lo, hi = centre - _ROOT_GUESS_HALF_WIDTH, centre + _ROOT_GUESS_HALF_WIDTH
         root = 0.5 * (lo + hi)
         residual = psi_q(root, q, cfg).value
         if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(lo, root, hi, q):
             return new_record(PsiRoot, (q, root, lo, hi, residual))
-        # The certificate does not rest on the slope, so a capped psi_q_m
-        # gives its partial sum; psi_q' > 0, so a slope of 0 leaves no step.
-        try:
-            slope = psi_q_m(1, root, q, cfg).value
-        except NonConvergence as exc:
-            slope = exc.partial_value
-        centre = root - residual / slope if slope > 0.0 else math.nan
-    raise BracketFailure(f"psi_q's zero not certified within {_ROOT_CENTRES} centres (next {centre!r}) for q={q.q}")
+    raise BracketFailure(
+        f"psi_q's zero not certified within {_ROOT_CENTRES} centres (last {root!r}, residual {residual!r}) for q={q.q}"
+    )

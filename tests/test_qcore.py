@@ -154,12 +154,12 @@ FLAT_LN_Q = -800.0
 
 class TestSumGeometricDecay:
     def test_geometric_series(self):
-        ev = sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 0.5)
+        ev = sum_geometric_decay(math.log(0.5), FLAT_LN_Q)
         assert ev.value == pytest.approx(1.0, rel=1e-13)
         assert ev.error_estimate <= 1e-13 * 1.01
 
     def test_zero_series_minimal_terms(self):
-        ev = sum_geometric_decay(FLAT_LN_Q, FLAT_LN_Q, 0.5)
+        ev = sum_geometric_decay(FLAT_LN_Q, FLAT_LN_Q)
         assert ev.value == 0.0
         assert ev.terms_used == 1
 
@@ -167,121 +167,128 @@ class TestSumGeometricDecay:
         # sum q^n / (1 - q^n) at q = 0.5; expected from a 200-term
         # extended-precision partial sum.
         ln_q = math.log(0.5)
-        ev = sum_geometric_decay(ln_q, ln_q, 0.5)
+        ev = sum_geometric_decay(ln_q, ln_q)
         assert ev.value == pytest.approx(1.6066951524152917638, rel=1e-13)
-
-    # The m = 1 ratio (1+1/n) r certified as psi_q_m certifies it: 2r from
-    # n = 1 below r = 1/4, else min((9/8) r, (1+r)/2) from n = 8 or from
-    # ceil(1 / ln((1+r) / (2r))).
-    M1_RATIOS = {0.1: (0.2, 1), 0.5: (0.5625, 8), 0.9: (0.95, 19)}
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 0.9])
     def test_error_estimate_covers_true_tail(self, r):
         """Closed forms: sum r^n = r/(1-r), sum n r^n = r/(1-r)^2."""
-        ratio, ratio_from = self.M1_RATIOS[r]
-        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, r)
+        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q)
         exact = r / (1 - r)
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
-        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, ratio, 10**6, 1, 1.0, ratio_from)
+        ev = sum_geometric_decay(math.log(r), FLAT_LN_Q, 10**6, 1)
         exact = r / (1 - r) ** 2
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
 
     def test_summands_are_the_psi_family_tails(self):
         # n = 1..3 of exp(n y ln q) / (1 - q^n) and of
-        # (n exp(n y ln q / m) scale)^m / (1 - q^n), under a 3-term cap.
+        # (n exp(n y ln q / m) scale)^m / (1 - q^n), under a 3-term cap,
+        # with the bound from index 4 at q^y and at (1 + 1/4)^m q^y.
         y_ln_q, ln_q, scale = -0.9, -0.4, 1.7
-        for m, term in (
-            (0, lambda n: math.exp(n * y_ln_q) / -math.expm1(n * ln_q)),
-            (3, lambda n: (n * math.exp(n * (y_ln_q / 3)) * scale) ** 3 / -math.expm1(n * ln_q)),
+        for m, term, bound in (
+            (
+                0,
+                lambda n: math.exp(n * y_ln_q) / -math.expm1(n * ln_q),
+                lambda t: t * (1.0 / (1.0 - math.exp(y_ln_q))),
+            ),
+            (
+                3,
+                lambda n: (n * math.exp(n * (y_ln_q / 3)) * scale) ** 3 / -math.expm1(n * ln_q),
+                lambda t: t / -math.expm1(3 * math.log1p(1 / 4) + y_ln_q),
+            ),
         ):
             with pytest.raises(NonConvergence) as info:
-                sum_geometric_decay(y_ln_q, ln_q, 0.5, 3, m, scale)
+                sum_geometric_decay(y_ln_q, ln_q, 3, m, scale)
             assert info.value.partial_value == term(1) + term(2) + term(3)
-            assert info.value.error_estimate == term(4) / (1 - 0.5)
+            assert info.value.error_estimate == bound(term(4))
 
     def test_non_convergence_carries_partial(self):
         with pytest.raises(NonConvergence) as info:
-            sum_geometric_decay(math.log(0.999), FLAT_LN_Q, 0.999, 10)
+            sum_geometric_decay(math.log(0.999), FLAT_LN_Q, 10)
         assert info.value.terms_used == 10
         assert info.value.partial_value > 0.0
         assert info.value.error_estimate > 0.0
 
-    @pytest.mark.parametrize("m, ratio", [(0, 0.5), (1, 0.98)])
-    def test_non_convergence_at_exactly_the_budget(self, m, ratio):
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_non_convergence_at_exactly_the_budget(self, m):
         # The budget is a count: a sum that stops after T terms returns the
-        # same under a budget of T, and raises after exactly T - 1.  The
-        # ratios are q^y = 0.49 and psi_q_m's 2^m q^y.
+        # same under a budget of T, and raises after exactly T - 1.
         y_ln_q, ln_q = 2.0 * math.log(0.7), math.log(0.7)
-        full = sum_geometric_decay(y_ln_q, ln_q, ratio, 10**6, m)
+        full = sum_geometric_decay(y_ln_q, ln_q, 10**6, m)
         assert full.terms_used > 2
-        assert sum_geometric_decay(y_ln_q, ln_q, ratio, full.terms_used, m) == full
+        assert sum_geometric_decay(y_ln_q, ln_q, full.terms_used, m) == full
         budget = full.terms_used - 1
         with pytest.raises(NonConvergence, match=rf"^no convergence within {budget} terms \(") as info:
-            sum_geometric_decay(y_ln_q, ln_q, ratio, budget, m)
+            sum_geometric_decay(y_ln_q, ln_q, budget, m)
         assert info.value.terms_used == budget
         assert 0.0 < full.value - info.value.partial_value <= info.value.error_estimate
-        # Summands that never fall (all 1) stop at the budget, every one added.
+        # Summands that barely fall (q^y = e^-1e-9) stop at the budget,
+        # every one added.
         with pytest.raises(NonConvergence) as info:
-            sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 5)
-        assert (info.value.partial_value, info.value.terms_used) == (5.0, 5)
+            sum_geometric_decay(-1e-9, FLAT_LN_Q, 5)
+        assert info.value.partial_value == sum(math.exp(n * -1e-9) for n in range(1, 6))
+        assert info.value.terms_used == 5
 
     @pytest.mark.parametrize("budget", [0, -1, -(10**6)])
     def test_budget_below_one_raises_like_eval_config(self, budget):
         with pytest.raises(DomainError) as expected:
             EvalConfig(budget)
-        for m, ratio_from in ((0, 1), (1, 8)):
+        for m in (0, 1):
             with pytest.raises(DomainError) as info:
-                sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 0.5, budget, m, 1.0, ratio_from)
+                sum_geometric_decay(math.log(0.5), FLAT_LN_Q, budget, m, 1.0)
             assert str(info.value) == str(expected.value) == f"max_terms must be >= 1, got {budget}"
 
     def test_rejects_bad_ratio(self):
+        # The series diverge unless q^y = exp(y ln q) < 1 and ln q < 0; the
+        # last y ln q is so near 0 that exp rounds it to 1.
+        for y_ln_q, ln_q in ((0.0, FLAT_LN_Q), (0.5, FLAT_LN_Q), (-1.0, 0.0), (-1.0, 0.1), (-1e-17, FLAT_LN_Q)):
+            for m in (0, 1):
+                with pytest.raises(DomainError, match="^the tail needs exp"):
+                    sum_geometric_decay(y_ln_q, ln_q, 10, m)
         with pytest.raises(DomainError):
-            sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 1.0)
-        with pytest.raises(DomainError):
-            sum_geometric_decay(math.log(0.5), FLAT_LN_Q, 0.0)
+            sum_geometric_decay(math.nan, FLAT_LN_Q)
 
     def test_respects_abs_tol_floor(self):
         # The sum n 0.25^n 1e-305 is ~4.4e-306: its tail bound is under the
         # fixed 1e-300 underflow floor after one term, long before it reaches
         # 1e-13 of it.
-        ev = sum_geometric_decay(math.log(0.25), FLAT_LN_Q, 0.5, 10**6, 1, 1e-305)
+        ev = sum_geometric_decay(math.log(0.25), FLAT_LN_Q, 10**6, 1, 1e-305)
         assert ev.terms_used == 1
         assert ev.error_estimate <= ABS_TOL
 
-    def test_no_stop_before_ratio_from(self):
-        # (n exp(-n/10) e/10)^1000 = (n/10 exp(1 - n/10))^1000 rises to 1 at
-        # n = 10 and falls from there; the first two summands underflow to
-        # zero, which alone would stop the sum after one term.  Its ratio
-        # is below 1/2 from n = 11 (psi_q_m's second branch at q^y = e^-100).
-        m, y_ln_q, scale = 1000, -100.0, math.e / 10.0
+    # (n exp(-n/10) e/10)^1000 = (n/10 exp(1 - n/10))^1000 rises to 1 at
+    # n = 10 and falls from there; the first two summands underflow to zero,
+    # which a bound at q^y = e^-100 alone would stop on after one term.
+    RISING = (1000, -100.0, math.e / 10.0)
 
-        def term(n):
-            return (n * math.exp(n * (y_ln_q / m)) * scale) ** m / -math.expm1(n * FLAT_LN_Q)
+    def _rising_term(self, n):
+        m, y_ln_q, scale = self.RISING
+        return (n * math.exp(n * (y_ln_q / m)) * scale) ** m / -math.expm1(n * FLAT_LN_Q)
 
-        assert term(1) == term(2) == 0.0 < term(3)
-        assert sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, 10**6, m, scale).value == 0.0
-        ev = sum_geometric_decay(y_ln_q, FLAT_LN_Q, 0.5, 10**6, m, scale, 11)
-        assert ev.value == pytest.approx(math.fsum(term(n) for n in range(1, 100)), rel=1e-13)
+    def test_no_stop_while_the_ratio_bound_is_at_least_one(self):
+        # r_n = (1 + 1/n)^1000 e^-100 is at least 1 up to n = 9, so no stop
+        # can fire before the peak at n = 10.
+        m, y_ln_q, scale = self.RISING
+        assert self._rising_term(1) == self._rising_term(2) == 0.0 < self._rising_term(3)
+        assert m * math.log1p(1 / 9) + y_ln_q >= 0.0 > m * math.log1p(1 / 10) + y_ln_q
+        ev = sum_geometric_decay(y_ln_q, FLAT_LN_Q, 10**6, m, scale)
+        assert ev.value == pytest.approx(math.fsum(self._rising_term(n) for n in range(1, 100)), rel=1e-13)
         assert ev.terms_used >= 10
 
-    def test_ratio_from_at_or_before_the_start_changes_nothing(self):
-        y_ln_q, ln_q = 2.0 * math.log(0.7), math.log(0.7)
-        for m in (0, 1):
-            plain = sum_geometric_decay(y_ln_q, ln_q, 0.9, 10**6, m)
-            for ratio_from in (-3, 0, 1, 2):
-                assert sum_geometric_decay(y_ln_q, ln_q, 0.9, 10**6, m, 1.0, ratio_from) == plain
-
-    def test_cap_before_ratio_from_has_no_bound(self):
-        # y ln q = 0 and 1 - q^n = 1: the summands are n (m = 1).
+    def test_cap_while_the_ratio_bound_is_at_least_one_has_no_bound(self):
+        # Capped before r_n drops below 1 the estimate is inf; capped after
+        # it, the bound from the first omitted index.
+        m, y_ln_q, scale = self.RISING
+        for cap in (3, 8):
+            with pytest.raises(NonConvergence) as info:
+                sum_geometric_decay(y_ln_q, FLAT_LN_Q, cap, m, scale)
+            assert info.value.terms_used == cap
+            assert info.value.partial_value == sum(self._rising_term(n) for n in range(1, cap + 1))
+            assert info.value.error_estimate == math.inf
         with pytest.raises(NonConvergence) as info:
-            sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 3, 1, 1.0, 10)
-        assert info.value.terms_used == 3
-        assert info.value.partial_value == 6.0
-        assert info.value.error_estimate == math.inf
-        # m = 0 takes no ratio_from above 2: ignoring it would return a
-        # bound that has not been shown to hold.
-        with pytest.raises(DomainError, match="^ratio_from above 2 needs m >= 1"):
-            sum_geometric_decay(0.0, FLAT_LN_Q, 0.5, 3, 0, 1.0, 10)
+            sum_geometric_decay(y_ln_q, FLAT_LN_Q, 10, m, scale)
+        ratio_log = m * math.log1p(1 / 11) + y_ln_q
+        assert info.value.error_estimate == self._rising_term(11) / -math.expm1(ratio_log) < math.inf
 
 
 class TestRequirePositive:

@@ -13,7 +13,7 @@ from qgamma.classical import ln_gamma_classical, psi_classical
 from qgamma.constants import BERNOULLI, MAX_EXP
 from qgamma.errors import BracketFailure, DomainError, NonConvergence, Overflow
 from qgamma.qcore import (ABS_TOL, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, new_record, q_bracket,
-                          q_factorial, require_positive)
+                          q_factorial, require_positive, sum_geometric_decay)
 from qgamma.qspecial import (
     euler_gamma_q,
     gamma_q,
@@ -358,24 +358,24 @@ class TestPsiQM:
     def test_summands_rising_from_below_the_floor_match_oracle(self):
         # At m = 2100, x = 1000, q = 0.5 the first summand underflows and the
         # second is about 1e-305, while they peak near n = m / (s x) ~ 3 at
-        # about 3e-236: no stop test may run before the ratio holds, n >= 8.
+        # about 3e-236: r_n = (1+1/n)^2100 2^-1000 stays at least 1 until
+        # then, so no stop fires before, and the bound from the stop holds.
         ev = psi_q_m(2100, 1000.0, QParam(0.5))
         oracle = float(mp_psi_q_m(2100, 1000, "0.5"))
         assert oracle == pytest.approx(-3.1400e-236, rel=1e-4)
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
-        assert ev.terms_used >= 7
+        assert qspecial._head_length(1000.0, QParam(0.5)) == 0
+        assert _mp_psi_q_m_tail(2100, 1000.0, 0.5, ev.terms_used) <= ev.error_estimate * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("m, x, qv", [(1000, 316.0, 0.74), (800, 300.0, 0.78), (60, 5.0, 0.95)])
     def test_ratio_past_its_threshold_matches_oracle(self, m, x, qv):
-        # (1+q^y)/2 is the ratio here, below (9/8)^m q^y; it holds only from
-        # n0 = ceil(m / ln((1+q^y) / (2 q^y))) > 8.  In the first two cases
-        # the first two summands are below 1e-300 and the value is about
-        # -2.1e65 and -5.4e-8: a stop test before n0 would return 0.0.
+        # The ratio bound r_n = (1+1/n)^m q^y is still above 1 at n = 8
+        # here.  In the first two cases the first two summands are below
+        # 1e-300 and the value is about -2.1e65 and -5.4e-8: a stop at the
+        # bound q^y alone would return 0.0.
         q = QParam(qv)
         y = x + qspecial._head_length(x, q)
-        qy = qv**y
-        assert 1.125**m * qy > (1.0 + qy) / 2.0
-        assert m / math.log((1.0 + qy) / (2.0 * qy)) > 8.0
+        assert m * math.log1p(1 / 8) + y * q.ln_q > 0.0
         ev = psi_q_m(m, x, q)
         oracle = float(mp_psi_q_m(m, x, str(qv)))
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
@@ -460,20 +460,34 @@ def _callback_engine(term, decay_ratio, start_index, cfg, ratio_from):
     raise cap_error(cfg, total, estimate, max_terms)
 
 
-def _reference_tail(y_ln_q, ln_q, decay_ratio, max_terms, m=0, scale=1.0, ratio_from=1):
-    """psi_q's (m = 0) and psi_q_m's tail closures, summed by the callback
-    engine from n = 1 under the engine's term budget, a count."""
+def _reference_tail(y_ln_q, ln_q, max_terms):
+    """psi_q's tail closure, summed by the callback engine from n = 1 under
+    the engine's term budget, a count, at the ratio psi_q passed it: q^y,
+    floored at the least positive double."""
     exp, expm1 = math.exp, math.expm1
-    if m:
-        y_ln_q_over_m = y_ln_q / m
 
-        def tail_term(n):
-            return (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
-    else:
-        def tail_term(n):
-            return exp(n * y_ln_q) / -expm1(n * ln_q)
+    def tail_term(n):
+        return exp(n * y_ln_q) / -expm1(n * ln_q)
 
-    return _callback_engine(tail_term, decay_ratio, 1, EvalConfig(max_terms), ratio_from)
+    ratio = max(exp(y_ln_q), math.ulp(0.0))
+    return _callback_engine(tail_term, ratio, 1, EvalConfig(max_terms), 1)
+
+
+def _closure_tail_m(y_ln_q, ln_q, max_terms, m, scale, terms):
+    """psi_q_m's tail closure summed in order over the first ``terms``
+    summands, with the bound t(N) / (1 - r_N) at the first omitted index N,
+    r_N = (1+1/N)^m q^y, or inf where r_N >= 1: (sum, bound, terms)."""
+    exp, expm1 = math.exp, math.expm1
+    y_ln_q_over_m = y_ln_q / m
+
+    def tail_term(n):
+        return (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+
+    total = 0.0
+    for n in range(1, terms + 1):
+        total += tail_term(n)
+    ln_ratio = m * math.log1p(1.0 / (terms + 1)) + y_ln_q
+    return total, tail_term(terms + 1) / -expm1(ln_ratio) if ln_ratio < 0.0 else math.inf, terms
 
 
 def _outcome(call):
@@ -489,40 +503,93 @@ def _outcome(call):
 
 
 class TestTailEngineReference:
-    """The series engine sums psi_q's and psi_q_m's tails exactly as their
-    per-term closures did under the callback engine: the same Evaluation,
-    or the same NonConvergence partial value, estimate, terms and message,
-    bit for bit."""
+    """The series engine sums psi_q's tail exactly as its per-term closure
+    did under the callback engine: the same Evaluation, or the same
+    NonConvergence partial value, estimate, terms and message, bit for bit.
+    psi_q_m's tail, bounded from (1+1/n)^m q^y, which the callback engine's
+    fixed ratio cannot express, is its closure summed over the terms the
+    engine took, with the bound at the first omitted index, bit for bit;
+    and that bound holds: the tail left, in 40 digits, is at most it."""
 
     ONE_MINUS_Q = np.geomspace(1e-6, 0.999, 9)
     X = np.geomspace(0.01, 1000.0, 9)
     ORDERS = (1, 2, 3, 7, 30)
-    # Large orders: a ratio certified from n0 > 1 with summands rising from
-    # below the double range, and one near the range's top.
+    # Large orders: summands rising from below the double range, summands
+    # near the range's top, and a value beyond it.
     EDGES = ((300, 30.0, 0.9), (300, 30.0, 1e-10), (2100, 1000.0, 0.5), (250, 30.0, 0.5), (7000, 1.0, 0.5))
 
     @pytest.mark.parametrize("max_terms", [None, 1, 3, 15, 40])
     def test_psi_q_and_psi_q_m_match_the_closures(self, monkeypatch, max_terms):
         cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
-        calls = []
+        calls, m_calls = [], []
         for om in self.ONE_MINUS_Q:
             q = QParam(1.0 - float(om))
             for x in self.X:
                 x = float(x)
-                calls.append((("psi_q", x, q.q), lambda x=x, q=q: psi_q(x, q, cfg)))
-                for m in self.ORDERS:
-                    calls.append(((m, x, q.q), lambda m=m, x=x, q=q: psi_q_m(m, x, q, cfg)))
-        for m, x, qv in self.EDGES:
-            calls.append(((m, x, qv), lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q, cfg)))
-        assert len(calls) == 9 * 9 * 6 + 5
+                calls.append(((x, q.q), lambda x=x, q=q: psi_q(x, q, cfg)))
+                m_calls += [lambda m=m, x=x, q=q: psi_q_m(m, x, q, cfg) for m in self.ORDERS]
+        m_calls += [lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q, cfg) for m, x, qv in self.EDGES]
+        assert len(calls) * len(self.ORDERS) + len(self.EDGES) == len(m_calls) == 410
         engine = [_outcome(call) for _, call in calls]
+
+        tails = []
+
+        def recording_tail(*args):
+            try:
+                ev = sum_geometric_decay(*args)
+            except NonConvergence as exc:
+                tails.append((args, (exc.partial_value, exc.error_estimate, exc.terms_used)))
+                raise
+            tails.append((args, tuple(ev)))
+            return ev
+
+        monkeypatch.setattr(qspecial, "sum_geometric_decay", recording_tail)
+        for call in m_calls:
+            _outcome(call)
+        assert [args for args, got in tails if got != _closure_tail_m(*args, got[2])] == []
+
         monkeypatch.setattr(qspecial, "sum_geometric_decay", _reference_tail)
         mismatches = [(point, got, ref) for (point, call), got in zip(calls, engine) if got != (ref := _outcome(call))]
         assert mismatches == []
         if max_terms is None:
-            assert sum(len(out) == 3 for out in engine) > 400
+            assert sum(len(out) == 3 for out in engine) == 81
+            assert len(tails) > 350
         else:
-            assert sum(out[0] == "NonConvergence" for out in engine) > 100
+            assert sum(out[0] == "NonConvergence" for out in engine) > 50
+            assert sum(got[1] == math.inf for _, got in tails) > 0
+
+    @pytest.mark.parametrize("max_terms", [None, 3, 15, 40])
+    def test_psi_q_m_bound_covers_the_tail(self, max_terms):
+        # From 1 - q = 1e-4 up, where the 40-digit tail takes at most a few
+        # thousand terms.  A cap in the tail reports the engine's bound from
+        # the first omitted index, or inf; a cap in the head, the k-form's
+        # bound, which is not the engine's, and is left out.
+        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        points = [
+            (m, float(x), QParam(1.0 - float(om)))
+            for om in self.ONE_MINUS_Q
+            if om >= 1e-4
+            for x in self.X
+            for m in self.ORDERS
+        ]
+        points += [(m, x, QParam(qv)) for m, x, qv in self.EDGES]
+        checked = capped = 0
+        for m, x, q in points:
+            k_end = qspecial._head_length(x, q)
+            if k_end >= cfg.max_terms:
+                continue
+            try:
+                ev = psi_q_m(m, x, q, cfg)
+            except NonConvergence as exc:
+                ev = Evaluation(exc.partial_value, exc.error_estimate, exc.terms_used)
+                capped += 1
+            except Overflow:
+                continue
+            remainder = _mp_psi_q_m_tail(m, x + k_end, q.q, ev.terms_used - k_end)
+            assert remainder <= ev.error_estimate * (1.0 + 1e-12), (m, x, q.q, remainder, ev)
+            checked += 1
+        assert checked > {None: 270, 3: 95, 15: 130, 40: 165}[max_terms], checked
+        assert (capped > 50) is (max_terms is not None), capped
 
 
 def _eulerian_explicit(m: int) -> tuple:
@@ -678,10 +745,9 @@ def _loop_kernel(m, u):
 
 
 def _reference_psi_q(x, q, cfg):
-    """psi_q with K from _head_length and its tail ratio floored by max,
-    kept verbatim as the reference for the lines written out in their place."""
+    """psi_q with K from _head_length, kept verbatim as the reference for
+    the lines written out in its place."""
     require_positive(x)
-    exp = math.exp
     expm1 = math.expm1
     ln_q = q.ln_q
     s = -ln_q
@@ -699,8 +765,7 @@ def _reference_psi_q(x, q, cfg):
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                ratio = max(exp(y_ln_q), qspecial._LEAST_RATIO)
-                tail = qspecial.sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit)
+                tail = qspecial.sum_geometric_decay(y_ln_q, ln_q, max_terms - limit)
                 value = offset + (value + ln_q * tail.value)
     except NonConvergence as exc:
         partial = offset + (value + ln_q * exc.partial_value)
@@ -716,10 +781,10 @@ def _reference_psi_q(x, q, cfg):
 
 class TestStraightLineReference:
     """ln_gamma_q's corrections in straight-line Horner code, its
-    comparisons in place of min, max and abs, and psi_q's written-out K and
-    ratio floor give what the loop and the calls gave: the same Evaluation,
-    or the same NonConvergence partial value, estimate, terms and message,
-    bit for bit."""
+    comparisons in place of min, max and abs, and psi_q's written-out K
+    give what the loop and the calls gave: the same Evaluation, or the same
+    NonConvergence partial value, estimate, terms and message, bit for
+    bit."""
 
     # 1 - q log-uniform over [1e-9, 0.999]: s <= ln 2 / 10 below about
     # 1 - q = 0.067 and above it, so both branches of _li2_tail_difference
@@ -754,9 +819,7 @@ class TestStraightLineReference:
         assert sorted(qspecial._LI_HEADS) == list(range(1, 17))
         for m in range(1, 21):
             if m in qspecial._LI_HEADS:
-                kernel, order, half_power = qspecial._LI_HEADS[m]
-                assert (order, half_power) == (m, 0.5 ** (m + 1)), m
-                assert type(order) is int
+                kernel = qspecial._LI_HEADS[m]
             else:
                 kernel = qspecial._loop_head(m)
             for v in u:
@@ -791,7 +854,7 @@ class TestStraightLineReference:
     def test_psi_q_matches_the_calls(self, max_terms):
         cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
         mismatches = []
-        # q^(x+K) below the double range at the last two q: the floored ratio.
+        # q^(x+K) below the double range at the last two q.
         for qv in (*(1.0 - self.ONE_MINUS_Q), 1e-20, 1e-200):
             q = QParam(float(qv))
             for x in (*self.X, *self.Y[:3], 700.0):
@@ -804,9 +867,9 @@ class TestStraightLineReference:
 
 def _reference_psi_q_m(m, x, q, cfg):
     """psi_q_m with its head's A_m in a loop over its coefficients, its
-    range test at every call, K from _head_length and 0.5 ** (m + 1),
-    kept verbatim as the reference for the compiled head kernels and the
-    test skipped where it cannot fire."""
+    range test at every call and K from _head_length, kept verbatim as the
+    reference for the compiled head kernels and the test skipped where it
+    cannot fire."""
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     require_positive(x)
@@ -827,23 +890,6 @@ def _reference_psi_q_m(m, x, q, cfg):
     )
     y_ln_q = (x + k_end) * ln_q
     scale = s * s ** (1.0 / m)
-    qy = max(exp(y_ln_q), qspecial._LEAST_RATIO)
-    ratio_from = 1
-    if qy < 0.5 ** (m + 1):
-        ratio = math.ldexp(qy, int(m))
-    else:
-        ratio = 0.5 * (1.0 + qy)
-        log_inflated = m * qspecial._LN_9_8 + y_ln_q
-        inflated = exp(log_inflated) if log_inflated < 0.0 else ratio
-        if inflated < ratio:
-            ratio = inflated if inflated > qspecial._LEAST_RATIO else qspecial._LEAST_RATIO
-            ratio_from = 8
-        else:
-            if qy > 0.25:
-                log_ratio_gap = math.log1p(-expm1(y_ln_q) / (2.0 * qy))
-            else:
-                log_ratio_gap = math.log1p(qy) - qspecial._LN2 - y_ln_q
-            ratio_from = math.ceil(m / log_ratio_gap)
 
     value = term = 0.0
     try:
@@ -858,7 +904,7 @@ def _reference_psi_q_m(m, x, q, cfg):
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                tail = qspecial.sum_geometric_decay(y_ln_q, ln_q, ratio, max_terms - limit, m, scale, ratio_from)
+                tail = qspecial.sum_geometric_decay(y_ln_q, ln_q, max_terms - limit, m, scale)
                 value += sign * tail.value
     except NonConvergence as exc:
         raise cap_error(max_terms, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
@@ -872,9 +918,9 @@ def _reference_psi_q_m(m, x, q, cfg):
 
 
 class TestHeadKernelReference:
-    """psi_q_m's compiled head kernels, written-out K and 0.5^(m+1), and
-    its range test skipped where e x >= m, give what the loop head and the
-    full test gave: the same Evaluation, or the same Overflow message or
+    """psi_q_m's compiled head kernels and written-out K, and its range
+    test skipped where e x >= m, give what the loop head and the full test
+    gave: the same Evaluation, or the same Overflow message or
     NonConvergence partial value, estimate, terms and message, bit for
     bit."""
 
@@ -952,9 +998,42 @@ class TestShiftedTail:
                     ev = psi_q(x, q) if m == 0 else psi_q_m(m, x, q)
                     assert 0 < ev.terms_used <= cap, (x, one_minus_q, m)
 
+    @pytest.mark.parametrize("max_terms", [None, 1, 7, 60])
+    def test_tail_starts_at_x_plus_head_length(self, monkeypatch, max_terms):
+        # psi_q and psi_q_m write K out; the y ln q each hands the engine is
+        # (x + _head_length(x, q)) ln q bit for bit, for x on both sides of
+        # sqrt(L/s) (K > 0 and K = 0) and at it, and only when the head
+        # fits the cap.
+        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        seen = []
+
+        def recording_tail(y_ln_q, *args):
+            seen.append(y_ln_q)
+            return sum_geometric_decay(y_ln_q, *args)
+
+        monkeypatch.setattr(qspecial, "sum_geometric_decay", recording_tail)
+        reached = 0
+        for qv in (1e-12, 0.05, 0.5, 0.9, 0.999):
+            q = QParam(qv)
+            edge = math.sqrt(-math.log(REL_TOL) / -q.ln_q)
+            xs = (0.01, 0.3 * edge, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 3.0 * edge + 0.5)
+            for x in xs:
+                k_end = qspecial._head_length(x, q)
+                for m in (0, 1, 2, 17):
+                    seen.clear()
+                    try:
+                        psi_q(x, q, cfg) if m == 0 else psi_q_m(m, x, q, cfg)
+                    except NonConvergence:
+                        pass
+                    expected = [(x + k_end) * q.ln_q] if k_end < cfg.max_terms else []
+                    assert seen == expected, (x, qv, m, seen, expected)
+                    reached += len(seen)
+        assert reached > {None: 110, 1: 45, 7: 50, 60: 75}[max_terms], reached
+
     @pytest.mark.parametrize("x, qv", [(30.0, 1e-20), (2.0, 1e-300), (0.1, 1e-320)])
     def test_tail_ratio_below_the_double_range(self, x, qv):
-        # q^(x+K) underflows to 0, and the ratio passed on must stay positive.
+        # q^(x+K) underflows to 0, where the engine's bound is the first
+        # omitted summand over 1 - 0.
         # 400 digits resolve -ln(1-q) ~ q.
         for m in range(3):
             ev = psi_q(x, QParam(qv)) if m == 0 else psi_q_m(m, x, QParam(qv))
@@ -980,8 +1059,8 @@ class TestShiftedTail:
 
     @pytest.mark.parametrize("qv", [0.01, 0.05, 0.1, 0.2, 0.3, 0.5])
     def test_psi_q_m_error_estimate_bounds_the_tail(self, qv):
-        # The n-form tail left after N = terms_used - K terms, in 40 digits.
-        # Stops after few tail terms need a ratio that holds from n = 1.
+        # The n-form tail left after N = terms_used - K terms, in 40 digits,
+        # at stops after few tail terms too.
         q = QParam(qv)
         for x in (0.05, 0.5, 1.0, 3.0, 10.0, 30.0):
             k_end = qspecial._head_length(x, q)
@@ -1187,7 +1266,8 @@ class TestPsiQRoot:
             psi_q_root(QParam(qv))
 
     def test_invariants_across_q(self):
-        # The last three hit psi_q == 0 exactly at a trial.
+        # The last three are q at which psi_q was exactly 0 at a trial
+        # point of the bisection that once found the root.
         extremes = [
             1e-300, 1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.99, 0.999, 0.9999, 0.99999, 1.0 - 1e-8,
             0.9999978995096964, 0.999996912074033, 0.999999933814106,
@@ -1270,20 +1350,26 @@ class TestPsiQRoot:
         # With psi_q shifted right by 10 it is positive near the guess, and
         # each Newton step moves the centre left but keeps it above 0: the
         # solve raises BracketFailure after _ROOT_CENTRES centres, never
-        # evaluating at x <= 0 (which would raise DomainError).
+        # evaluating at x <= 0 (which would raise DomainError), and takes
+        # no step after the last centre, which the error names with its
+        # residual.
         calls, slopes = _count_root_calls(monkeypatch)
+        residuals = []
 
         def shifted_psi_q(x, q, cfg):
             calls.append(x)
-            return psi_q(x + 10.0, q, cfg)
+            ev = psi_q(x + 10.0, q, cfg)
+            residuals.append(ev.value)
+            return ev
 
         monkeypatch.setattr(qspecial, "psi_q", shifted_psi_q)
         q = QParam(0.5)
-        with pytest.raises(BracketFailure, match=f"within {qspecial._ROOT_CENTRES} centres"):
+        with pytest.raises(BracketFailure, match=f"within {qspecial._ROOT_CENTRES} centres") as info:
             qspecial.psi_q_root(q)
         assert calls[0] == _guess_midpoint(q)
-        assert len(set(calls)) == len(calls) == qspecial._ROOT_CENTRES, calls
-        assert slopes == calls and min(calls) > 0.0, (calls, slopes)
+        assert len(set(calls)) == len(calls) == qspecial._ROOT_CENTRES == 8, calls
+        assert slopes == calls[:-1] and len(slopes) == 7 and min(calls) > 0.0, (calls, slopes)
+        assert f"(last {calls[-1]!r}, residual {residuals[-1]!r})" in str(info.value)
 
     def test_centre_below_zero_raises(self, monkeypatch):
         # psi_q moved up by 1: the Newton step from the guess lands below 0,

@@ -113,8 +113,7 @@ BOUNDS_ARGS = {
     "zhang_xu_situ": (3.0, 2.0),
 }
 EVALUATIONS = {
-    "sum_geometric_decay": lambda: sum_geometric_decay(_Q.ln_q, _Q.ln_q, 0.5),
-    "sum_geometric_decay_ratio_from": lambda: sum_geometric_decay(2.0 * _Q.ln_q, _Q.ln_q, 0.3, 10**6, 1, 1.0, 8),
+    "sum_geometric_decay": lambda: sum_geometric_decay(_Q.ln_q, _Q.ln_q),
     "psi_q": lambda: psi_q(2.0, _Q),
     "psi_q_m": lambda: psi_q_m(2, 2.0, _Q),
     "psi_q_m_ratio_from": lambda: psi_q_m(2100, 1000.0, _Q),
