@@ -5,10 +5,10 @@ parameter wrapper ``QParam`` (which pins down how powers of q are computed)
 and ``sum_geometric_decay``, the series engine of psi_q and psi_q^(m): from
 the tail's numbers (y ln q, ln q, m and a scale) and its term budget, a
 plain count, it computes each summand of their n-series in its own loop,
-with no per-term call, and returns the sum with a truncation bound it
-certifies itself, from the ratio (1+1/n)^m q^y that bounds every later
-summand ratio.  ``cap_error`` takes
-its cap as a count too, so a caller that has spent part of its
+each power of q from the one before, with no exp or expm1 call per term,
+and returns the sum with a truncation bound it certifies itself, from the
+ratio (1+1/n)^m q^y that bounds every later summand ratio.  ``cap_error``
+takes its cap as a count too, so a caller that has spent part of its
 ``EvalConfig.max_terms`` on a head passes the rest on without building a
 config.
 
@@ -53,9 +53,11 @@ class QParam(_QParamFields):
     ``ln_q`` is computed once at construction, and every power of q in the
     package is taken from it: q^x as exp(x * ln_q), 1 - q^x as
     -expm1(x * ln_q), through :func:`q_pow` and :func:`q_bracket` or written
-    out in the loops of ``psi_q``, ``psi_q_m`` and ``ln_gamma_q``.  Built
-    from q alone; ``_replace(q=...)``, ``_make``, copies and pickles all
-    pass through the same check.
+    out in ``ln_gamma_q`` and ``psi_q``'s head.  The series loops of
+    ``sum_geometric_decay`` and ``psi_q_m``'s head take q, 1 - q and their
+    first power so once per call, and each later power from the one before
+    (see there).  Built from q alone; ``_replace(q=...)``, ``_make``, copies
+    and pickles all pass through the same check.
     """
 
     __slots__ = ()
@@ -149,8 +151,8 @@ def cap_error(max_terms: int, partial_value: float, error_estimate: float, terms
 
 
 def q_pow(q: QParam, x: float) -> float:
-    """q^x as exp(x * ln q); ``psi_q``, ``psi_q_m`` and ``ln_gamma_q`` write
-    the same expression out in their loops rather than call this."""
+    """q^x as exp(x * ln q); ``ln_gamma_q`` and the series loops' first
+    powers write the same expression out rather than call this."""
     return math.exp(x * q.ln_q)
 
 
@@ -186,12 +188,25 @@ def sum_geometric_decay(
 ) -> Evaluation:
     """The n-series tail of psi_q (m = 0) and psi_q^(m) (m >= 1) at
     y = x + K, with a truncation bound it certifies itself:
-        m = 0:   sum_{n>=1} t(n),  t(n) = exp(n y ln q) / (1 - q^n),
-        m >= 1:  sum_{n>=1} t(n),  t(n) = (n exp(n y ln q / m) scale)^m / (1 - q^n),
-    each 1 - q^n taken as -expm1(n ln q), with y_ln_q = y ln q, and scale
-    s^((m+1)/m), s = -ln q, from psi_q_m (see there).  ln q < 0, so every
-    summand is a quotient of two non-negative numbers and the partial sum
-    never decreases: the stop test needs no absolute values.
+        m = 0:   sum_{n>=1} t(n),  t(n) = q^(ny) / (1 - q^n),
+        m >= 1:  sum_{n>=1} t(n),  t(n) = (n q^(ny/m) scale)^m / (1 - q^n),
+    with q^y = exp(y_ln_q), q = exp(ln_q), and scale s^((m+1)/m),
+    s = -ln q, from psi_q_m (see there).  ln q < 0, so every summand is a
+    quotient of two non-negative numbers and the partial sum never
+    decreases: the stop test needs no absolute values.
+
+    The summands take no exp or expm1 call each.  q = exp(ln q),
+    1 - q = -expm1(ln q) and q^y (m = 0) or q^(y/m) (m >= 1) are taken once,
+    each later power of q^y or q^(y/m) is the one before times it, and
+    1 - q^n is carried as (1 - q^(n-1)) + q^(n-1) (1 - q), a sum of positive
+    terms.  The n-th power so carried is off by about n roundings, which the
+    m-th power of a summand multiplies by m: so where q^(y/m) >= 1/2 its
+    own rounding eps, exact from expm1(y ln q / m), is taken back out of
+    the n-th summand as the factor 1 + n eps on scale (below 1/2,
+    q^y < 2^-m and few terms are summed).  A call makes 3 exp and expm1
+    calls at m = 0 and at most 5 at m >= 1, and for m >= 1 one log1p and
+    one expm1 more at each candidate stop (see below); each summand's m-th
+    power is one ``**``.
 
     One rule, for every m: t(n+1) / t(n) = r_n (1 - q^n) / (1 - q^(n+1))
     is below r_n = (1 + 1/n)^m q^y, and r_n falls as n grows, so wherever
@@ -203,8 +218,7 @@ def sum_geometric_decay(
     passes takes ln r_n = m log1p(1/n) + y ln q.  No stop fires while
     r_n >= 1, so summands that rise to a peak from below ABS_TOL or the
     double range (m = 2100, y = 1000, q = 1/2) are summed through it.  A
-    summand beyond the double range raises OverflowError as math.exp and
-    ** do.
+    summand beyond the double range raises OverflowError as ** does.
 
     DomainError unless exp(y_ln_q) < 1 and ln_q < 0, where the series
     diverges (or q^y rounds to 1).  ``max_terms`` is the term budget as a
@@ -219,18 +233,30 @@ def sum_geometric_decay(
         raise DomainError(f"the tail needs exp(y_ln_q) < 1 and ln_q < 0, got y_ln_q={y_ln_q!r}, ln_q={ln_q!r}")
     if max_terms < 1:
         raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
-    exp = math.exp
     expm1 = math.expm1
     inv_gap = 1.0 / (1.0 - ratio)
     rel_tol, abs_tol = REL_TOL, ABS_TOL
+    # q and 1 - q once; 1 - q^n is carried as the sum of q^j (1 - q), j < n.
+    base = math.exp(ln_q)
+    gap = -expm1(ln_q)
+    one_minus_q_n = gap
+    rise = gap * base  # q^n (1 - q), the next addend
     total = 0.0
     if m:
         log1p = math.log1p
-        y_ln_q_over_m = y_ln_q / m
-        nxt = (exp(y_ln_q_over_m) * scale) ** m / -expm1(ln_q)
+        a = y_ln_q / m
+        step = math.exp(a)  # q^(y/m)
+        # scale eps, eps = (e^a - step) / step: 1 - step and its sum with
+        # expm1(a) are exact for step in [1/2, 1] (Sterbenz).
+        drift = scale * ((1.0 - step) + expm1(a)) / step if step >= 0.5 else 0.0
+        power = step
+        nxt = (power * (scale + drift)) ** m / gap
         for n in range(2, max_terms + 2):
             total += nxt
-            nxt = (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
+            one_minus_q_n += rise
+            rise *= base
+            power *= step
+            nxt = (n * power * (scale + n * drift)) ** m / one_minus_q_n
             estimate = nxt * inv_gap
             if estimate <= rel_tol * total or estimate <= abs_tol:
                 ln_ratio = m * log1p(1.0 / n) + y_ln_q
@@ -241,10 +267,14 @@ def sum_geometric_decay(
         ln_ratio = m * log1p(1.0 / n) + y_ln_q
         estimate = nxt / -expm1(ln_ratio) if ln_ratio < 0.0 else math.inf
     else:
-        nxt = ratio / -expm1(ln_q)
+        power = ratio
+        nxt = power / gap
         for n in range(2, max_terms + 2):
             total += nxt
-            nxt = exp(n * y_ln_q) / -expm1(n * ln_q)
+            one_minus_q_n += rise
+            rise *= base
+            power *= ratio
+            nxt = power / one_minus_q_n
             estimate = nxt * inv_gap
             if estimate <= rel_tol * total or estimate <= abs_tol:
                 return new_record(Evaluation, (total, estimate, n - 1))

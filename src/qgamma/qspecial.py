@@ -16,9 +16,11 @@ psi_q and psi_q^(m) take K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
 (s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and sum the rest as their
 geometric n-series at x + K, one path for every x: at most about
 2 sqrt(30/(1-q)) terms, with the bound the series engine certifies from
-the summands' own ratio (see ``qcore.sum_geometric_decay``).  ln Gamma_q
-takes one log for the k = 0 recurrence term and one for the product of
-the others; the Eulerian polynomials A_0..A_16 of the corrections and of
+the summands' own ratio (see ``qcore.sum_geometric_decay``).  psi_q's
+head takes one expm1 per term; psi_q^(m)'s head and both tails take each
+power of q from the one before, with a fixed number of exp and expm1
+calls per call.  ln Gamma_q takes one log for the k = 0 recurrence term
+and one for the product of the others; the Eulerian polynomials A_0..A_16 of the corrections and of
 psi_q^(m)'s head are one table built at import.  From it, all the generated code is
 compiled at import in one exec: the corrections of ln Gamma_q as one
 unrolled function, and psi_q^(m)'s head kernel u A_m(u) for each
@@ -374,7 +376,7 @@ def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation
 _TAIL_LOG = -math.log(REL_TOL)
 
 # The least positive double: psi_q_m's range test floors s x at it.
-_LEAST_RATIO = math.ulp(0.0)
+_SX_FLOOR = math.ulp(0.0)
 
 _E = math.e
 
@@ -405,8 +407,10 @@ def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
 
     Each head term (ln q) u/(1-u) is taken as ln q / expm1(s (x+k)), with
     ln q inside, so that a value near the pole at 0 stays in range as long
-    as the result does; one beyond it raises Overflow.  The tail's 1 - q^n
-    is -expm1(n ln q), which keeps its digits as q -> 1.
+    as the result does; one beyond it raises Overflow.  The tail carries
+    1 - q^n as a sum of positive terms, which keeps its digits as q -> 1,
+    and makes 3 exp and expm1 calls however many terms it sums (see
+    sum_geometric_decay), so a call makes K + 3 of them and one log1p.
 
     The head terms count against cfg.max_terms, and sum_geometric_decay
     takes what they leave of it, cfg.max_terms - K, as a plain count.  A
@@ -467,13 +471,17 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     n at y for the rest:
         (ln q)^(m+1) [sum_{k<K} Li_{-m}(u_k) + sum_{n>=1} n^m q^(ny) / (1-q^n)],
     u_k = q^(x+k), with Li_{-m}(u) = sum_n n^m u^n = u A_m(u) / (1-u)^(m+1)
-    and A_m the Eulerian polynomial.  Each 1 - u is -expm1((x+k) ln q), and
-    (ln q)^(m+1) is taken into each head term as (ln q / (1-u_k))^(m+1), so
-    that a value near the pole at 0 stays in range as long as the result
-    does; one beyond it raises Overflow.  s^(m+1) is taken into each tail
-    summand too, as (n q^(ny/m) s^((m+1)/m))^m / (1-q^n), with the sign
-    applied once to the tail sum, so that no factor leaves the range before
-    the summand does; a summand or sum beyond it raises Overflow.  For
+    and A_m the Eulerian polynomial.  u_0 = exp(x ln q) and
+    1 - u_0 = -expm1(x ln q) keep the digits of x near 0; from there each
+    u_(k+1) = u_k q and 1 - u_(k+1) = (1 - u_k) + u_k (1 - q), a sum of
+    positive terms, with q and 1 - q taken once, so a head makes 4 exp and
+    expm1 calls in all rather than 2 per term.  (ln q)^(m+1) is taken into
+    each head term as (ln q / (1-u_k))^(m+1), so that a value near the pole
+    at 0 stays in range as long as the result does; one beyond it raises
+    Overflow.  s^(m+1) is taken into each tail summand too, as
+    (n q^(ny/m) s^((m+1)/m))^m / (1-q^n), with the sign applied once to
+    the tail sum, so that no factor leaves the range before the summand
+    does; a summand or sum beyond it raises Overflow.  For
     m <= 16 (an integer-valued float m too) each head term's u A_m(u) is a
     kernel compiled at import from the table _EULERIAN, in straight-line
     Horner code with the multiplies and adds of a loop over A_m's
@@ -506,7 +514,7 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     # rounding stays far below the gap of 700 for any m below 1e12.
     if m > _E * x:
         # Capped, so that an s x that underflows cannot make n infinite.
-        n = max(1, round(min(m / max(s * x, _LEAST_RATIO), 1e300)))
+        n = max(1, round(min(m / max(s * x, _SX_FLOOR), 1e300)))
         if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
             raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
     power = m + 1
@@ -524,13 +532,20 @@ def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Ev
     y_ln_q = (x + k_end) * ln_q
     scale = s * s ** (1.0 / m)  # s^((m+1)/m)
 
+    # u_k = q^(x+k) and 1 - u_k, carried from one head term to the next.
+    if limit:
+        base = exp(ln_q)
+        gap = -expm1(ln_q)
+        u = exp(x * ln_q)
+        one_minus_u = -expm1(x * ln_q)
     value = term = 0.0
     try:
         # Added one step late, as in psi_q.
         for k in range(limit + 1 if limit == max_terms else limit):
             value += term
-            t = (x + k) * ln_q
-            term = head(exp(t)) * (ln_q / -expm1(t)) ** power
+            term = head(u) * (ln_q / one_minus_u) ** power
+            one_minus_u += u * gap
+            u *= base
         if limit < max_terms:
             value += term
             if math.isfinite(value):
@@ -576,7 +591,7 @@ _ROOT_CENTRES = 8
 # zeros of psi_q, each bisected to adjacent doubles, at 400 Chebyshev-Gauss
 # nodes in s over [0, s_max] and 300 q with 1 - q log-spaced over
 # [1e-5, 0.05] (Lawson's iteratively reweighted least squares).  That error
-# is 1.2e-13 there and at most 1.3e-13 over 9,200 other q in
+# is 1.3e-13 there and at most 1.3e-13 over 9,400 other q in
 # [0.05, 1 - 1e-5], 7,200 of them log-uniform in 1 - q.  Toward q = 1 the
 # computed zero drifts off the series that fits it elsewhere, by about
 # 2e-13 at 1 - q = 1e-5 (psi_q's error_estimate is 4e-13 there); the
@@ -585,29 +600,29 @@ _ROOT_CENTRES = 8
 # this tuple and the worst ratio of |psi_q| at the bracket's midpoint to
 # the reach that certifies it (see psi_q_root), which must stay below 1.
 _ROOT_GUESS_CHEB = (
-    -1.1537348416224806e-13,
-    3.869907083978238e-14,
-    1.6880779116151913e-14,
-    -2.804413494335968e-13,
-    -4.533966040973868e-14,
-    1.9284228959772547e-12,
-    2.716940542499977e-13,
-    -1.421958416410707e-11,
-    -6.855334872784212e-12,
-    1.1521195958102785e-10,
-    1.4894040106351948e-10,
-    -9.7744353932302e-10,
-    -2.9147549169734207e-09,
-    7.056605562168734e-09,
-    5.697262996004062e-08,
-    3.215904161597725e-08,
-    -1.2172575598310531e-06,
-    -5.627512643187457e-06,
-    3.587931240136352e-05,
-    0.00038967590039137027,
-    -0.002169671084998708,
-    -0.04120842846567188,
-    1.4229427580610823,
+    -1.1758451445086397e-13,
+    3.899059276898797e-14,
+    1.704243492549411e-14,
+    -2.8142890686954926e-13,
+    -4.583512452664969e-14,
+    1.9278823781041667e-12,
+    2.709932614879798e-13,
+    -1.4219094191333043e-11,
+    -6.85542171274863e-12,
+    1.1521023368565413e-10,
+    1.4894116498331073e-10,
+    -9.774443259962468e-10,
+    -2.9147557434781824e-09,
+    7.0566056078972355e-09,
+    5.697262911252759e-08,
+    3.215904095821041e-08,
+    -1.2172575595047428e-06,
+    -5.627512643998248e-06,
+    3.5879312401448785e-05,
+    0.00038967590039087983,
+    -0.002169671085000568,
+    -0.04120842846567202,
+    1.4229427580610812,
 )
 # Clenshaw's recurrence runs over every coefficient but c_0, which it adds last.
 _ROOT_GUESS_CLENSHAW, _ROOT_GUESS_C0 = _ROOT_GUESS_CHEB[:-1], _ROOT_GUESS_CHEB[-1]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import rounding
 from hypothesis import given, settings, strategies as st
 from oracles import mp_q_bracket
 
@@ -147,9 +148,42 @@ class TestQFactorial:
             q_factorial(400, QParam(1.0 - 1e-10))
 
 
-# ln q = -800 makes every 1 - q^n exactly 1 (expm1(-800 n) = -1), so the
-# m = 0 summand is exp(n y ln q) alone: a plain geometric series.
+# ln q = -800 makes every 1 - q^n exactly 1 (q = exp(-800) = 0), so the
+# m = 0 summand is q^(ny) alone: a plain geometric series.
 FLAT_LN_Q = -800.0
+
+
+def _carried_summands(y_ln_q, ln_q, m, scale, count):
+    """The first ``count`` summands as sum_geometric_decay forms them:
+    q = exp(ln q), 1 - q = -expm1(ln q) and q^y (m = 0) or q^(y/m) taken
+    once, each later power the one before times its base, 1 - q^n as
+    (1 - q^(n-1)) + q^(n-1) (1 - q), and for m >= 1 the rounding eps of
+    q^(y/m) >= 1/2 taken back out as scale (1 + n eps)."""
+    base, gap = math.exp(ln_q), -math.expm1(ln_q)
+    a = y_ln_q / m if m else y_ln_q
+    step = math.exp(a)
+    drift = scale * ((1.0 - step) + math.expm1(a)) / step if m and step >= 0.5 else 0.0
+    one_minus_q_n, rise, power = gap, gap * base, step
+    summands = []
+    for n in range(1, count + 1):
+        if n > 1:
+            one_minus_q_n += rise
+            rise *= base
+            power *= step
+        summands.append((n * power * (scale + n * drift)) ** m / one_minus_q_n if m else power / one_minus_q_n)
+    return summands
+
+
+def _near_the_closures(carried, closures, y_ln_q, m):
+    """Each carried summand is within both forms' rounding bounds
+    (tests/rounding.py) of its closure, which takes one exp and one expm1."""
+    return all(
+        abs(got - ref)
+        <= rounding.term_bound(
+            ref, rounding.tail_summand_closure(n, y_ln_q, m), rounding.tail_summand_carried(n, y_ln_q, m)
+        )
+        for n, (got, ref) in enumerate(zip(carried, closures), start=1)
+    )
 
 
 class TestSumGeometricDecay:
@@ -181,9 +215,10 @@ class TestSumGeometricDecay:
         assert abs(ev.value - exact) <= ev.error_estimate + 1e-13 * abs(exact)
 
     def test_summands_are_the_psi_family_tails(self):
-        # n = 1..3 of exp(n y ln q) / (1 - q^n) and of
-        # (n exp(n y ln q / m) scale)^m / (1 - q^n), under a 3-term cap,
-        # with the bound from index 4 at q^y and at (1 + 1/4)^m q^y.
+        # n = 1..3 of q^(ny) / (1 - q^n) and of (n q^(ny/m) scale)^m / (1 - q^n),
+        # formed as the engine carries them, under a 3-term cap, with the
+        # bound from index 4 at q^y and at (1 + 1/4)^m q^y; each within
+        # rounding of the closed form with one exp and one expm1 per term.
         y_ln_q, ln_q, scale = -0.9, -0.4, 1.7
         for m, term, bound in (
             (
@@ -197,10 +232,12 @@ class TestSumGeometricDecay:
                 lambda t: t / -math.expm1(3 * math.log1p(1 / 4) + y_ln_q),
             ),
         ):
+            carried = _carried_summands(y_ln_q, ln_q, m, scale, 4)
+            assert _near_the_closures(carried, [term(n) for n in range(1, 5)], y_ln_q, m)
             with pytest.raises(NonConvergence) as info:
                 sum_geometric_decay(y_ln_q, ln_q, 3, m, scale)
-            assert info.value.partial_value == term(1) + term(2) + term(3)
-            assert info.value.error_estimate == bound(term(4))
+            assert info.value.partial_value == carried[0] + carried[1] + carried[2]
+            assert info.value.error_estimate == bound(carried[3])
 
     def test_non_convergence_carries_partial(self):
         with pytest.raises(NonConvergence) as info:
@@ -277,18 +314,21 @@ class TestSumGeometricDecay:
 
     def test_cap_while_the_ratio_bound_is_at_least_one_has_no_bound(self):
         # Capped before r_n drops below 1 the estimate is inf; capped after
-        # it, the bound from the first omitted index.
+        # it, the bound from the first omitted index.  The summands are the
+        # engine's carried ones, within rounding of the closed form's.
         m, y_ln_q, scale = self.RISING
+        carried = _carried_summands(y_ln_q, FLAT_LN_Q, m, scale, 11)
+        assert _near_the_closures(carried, [self._rising_term(n) for n in range(1, 12)], y_ln_q, m)
         for cap in (3, 8):
             with pytest.raises(NonConvergence) as info:
                 sum_geometric_decay(y_ln_q, FLAT_LN_Q, cap, m, scale)
             assert info.value.terms_used == cap
-            assert info.value.partial_value == sum(self._rising_term(n) for n in range(1, cap + 1))
+            assert info.value.partial_value == sum(carried[:cap])
             assert info.value.error_estimate == math.inf
         with pytest.raises(NonConvergence) as info:
             sum_geometric_decay(y_ln_q, FLAT_LN_Q, 10, m, scale)
         ratio_log = m * math.log1p(1 / 11) + y_ln_q
-        assert info.value.error_estimate == self._rising_term(11) / -math.expm1(ratio_log) < math.inf
+        assert info.value.error_estimate == carried[10] / -math.expm1(ratio_log) < math.inf
 
 
 class TestRequirePositive:

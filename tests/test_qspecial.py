@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp
+import rounding
 from oracles import mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_m, mp_psi_q_root
 
 import qgamma.qspecial as qspecial
@@ -368,7 +369,7 @@ class TestPsiQM:
         assert _mp_psi_q_m_tail(2100, 1000.0, 0.5, ev.terms_used) <= ev.error_estimate * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("m, x, qv", [(1000, 316.0, 0.74), (800, 300.0, 0.78), (60, 5.0, 0.95)])
-    def test_ratio_past_its_threshold_matches_oracle(self, m, x, qv):
+    def test_ratio_bound_above_one_at_n_8_matches_oracle(self, m, x, qv):
         # The ratio bound r_n = (1+1/n)^m q^y is still above 1 at n = 8
         # here.  In the first two cases the first two summands are below
         # 1e-300 and the value is about -2.1e65 and -5.4e-8: a stop at the
@@ -428,66 +429,50 @@ class TestPositiveArguments:
                     call(bad)
 
 
-def _callback_engine(term, decay_ratio, start_index, cfg, ratio_from):
-    """The series engine as it was when the tails reached it as a per-term
-    callable, kept verbatim as the reference for the engine that computes
-    the summands itself."""
-    if not (0.0 < decay_ratio < 1.0):
-        raise DomainError(f"decay_ratio must be in (0, 1), got {decay_ratio!r}")
-    inv_gap = 1.0 / (1.0 - decay_ratio)
-    max_terms = cfg.max_terms
-    total = 0.0
-    untested = ratio_from - start_index - 1
-    if untested > 0:
-        for n in range(start_index, start_index + min(untested, max_terms)):
-            total += term(n)
-        if untested >= max_terms:
-            raise cap_error(cfg, total, math.inf, max_terms)
+def _closure_tail(y_ln_q, ln_q, max_terms, m=0, scale=1.0):
+    """sum_geometric_decay's stop rule over summands that each take one exp
+    and one expm1, as the engine formed them before it carried the powers
+    of q: the reference for the carried summands.  Returns ("stop" or
+    "cap", sum, bound, terms, summands), the bound at the first omitted
+    index, inf where r_n >= 1."""
+    exp, expm1 = math.exp, math.expm1
+    if m:
+        a = y_ln_q / m
+
+        def term(n):
+            return (n * exp(n * a) * scale) ** m / -expm1(n * ln_q)
     else:
-        untested = 0
-    nxt = term(start_index + untested)
-    for used in range(untested + 1, max_terms + 1):
-        total += nxt
-        nxt = term(start_index + used)
-        estimate = abs(nxt) * inv_gap
-        threshold = REL_TOL * total
-        if threshold < 0.0:
-            threshold = -threshold
-        if threshold < ABS_TOL:
-            threshold = ABS_TOL
-        if estimate <= threshold:
-            return Evaluation(total, estimate, used)
-    raise cap_error(cfg, total, estimate, max_terms)
 
+        def term(n):
+            return exp(n * y_ln_q) / -expm1(n * ln_q)
 
-def _reference_tail(y_ln_q, ln_q, max_terms):
-    """psi_q's tail closure, summed by the callback engine from n = 1 under
-    the engine's term budget, a count, at the ratio psi_q passed it: q^y,
-    floored at the least positive double."""
-    exp, expm1 = math.exp, math.expm1
-
-    def tail_term(n):
-        return exp(n * y_ln_q) / -expm1(n * ln_q)
-
-    ratio = max(exp(y_ln_q), math.ulp(0.0))
-    return _callback_engine(tail_term, ratio, 1, EvalConfig(max_terms), 1)
-
-
-def _closure_tail_m(y_ln_q, ln_q, max_terms, m, scale, terms):
-    """psi_q_m's tail closure summed in order over the first ``terms``
-    summands, with the bound t(N) / (1 - r_N) at the first omitted index N,
-    r_N = (1+1/N)^m q^y, or inf where r_N >= 1: (sum, bound, terms)."""
-    exp, expm1 = math.exp, math.expm1
-    y_ln_q_over_m = y_ln_q / m
-
-    def tail_term(n):
-        return (n * exp(n * y_ln_q_over_m) * scale) ** m / -expm1(n * ln_q)
-
+    inv_gap = 1.0 / (1.0 - exp(y_ln_q))
+    summands = [term(1)]
     total = 0.0
-    for n in range(1, terms + 1):
-        total += tail_term(n)
-    ln_ratio = m * math.log1p(1.0 / (terms + 1)) + y_ln_q
-    return total, tail_term(terms + 1) / -expm1(ln_ratio) if ln_ratio < 0.0 else math.inf, terms
+    for n in range(2, max_terms + 2):
+        total += summands[-1]
+        nxt = term(n)
+        summands.append(nxt)
+        estimate = nxt * inv_gap
+        if estimate <= REL_TOL * total or estimate <= ABS_TOL:
+            if not m:
+                return "stop", total, estimate, n - 1, summands
+            ln_ratio = m * math.log1p(1.0 / n) + y_ln_q
+            if ln_ratio < 0.0:
+                estimate = nxt / -expm1(ln_ratio)
+                if estimate <= REL_TOL * total or estimate <= ABS_TOL:
+                    return "stop", total, estimate, n - 1, summands
+    if m:
+        ln_ratio = m * math.log1p(1.0 / n) + y_ln_q
+        estimate = nxt / -expm1(ln_ratio) if ln_ratio < 0.0 else math.inf
+    return "cap", total, estimate, max_terms, summands
+
+
+def _within(got, ref, bound):
+    """|got - ref| <= bound, with both infinite alike."""
+    if math.isinf(ref):
+        return got == ref
+    return abs(got - ref) <= bound
 
 
 def _outcome(call):
@@ -503,13 +488,11 @@ def _outcome(call):
 
 
 class TestTailEngineReference:
-    """The series engine sums psi_q's tail exactly as its per-term closure
-    did under the callback engine: the same Evaluation, or the same
-    NonConvergence partial value, estimate, terms and message, bit for bit.
-    psi_q_m's tail, bounded from (1+1/n)^m q^y, which the callback engine's
-    fixed ratio cannot express, is its closure summed over the terms the
-    engine took, with the bound at the first omitted index, bit for bit;
-    and that bound holds: the tail left, in 40 digits, is at most it."""
+    """The series engine, each power of q carried from the one before, sums
+    psi_q's and psi_q_m's tails as their per-term closures do: the same
+    stop or cap at the same index, and a sum and bound within the two
+    forms' rounding bounds of each other (tests/rounding.py); and the
+    bound holds: the tail left, in 40 digits, is at most it."""
 
     ONE_MINUS_Q = np.geomspace(1e-6, 0.999, 9)
     X = np.geomspace(0.01, 1000.0, 9)
@@ -521,16 +504,15 @@ class TestTailEngineReference:
     @pytest.mark.parametrize("max_terms", [None, 1, 3, 15, 40])
     def test_psi_q_and_psi_q_m_match_the_closures(self, monkeypatch, max_terms):
         cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
-        calls, m_calls = [], []
+        calls = []
         for om in self.ONE_MINUS_Q:
             q = QParam(1.0 - float(om))
             for x in self.X:
                 x = float(x)
-                calls.append(((x, q.q), lambda x=x, q=q: psi_q(x, q, cfg)))
-                m_calls += [lambda m=m, x=x, q=q: psi_q_m(m, x, q, cfg) for m in self.ORDERS]
-        m_calls += [lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q, cfg) for m, x, qv in self.EDGES]
-        assert len(calls) * len(self.ORDERS) + len(self.EDGES) == len(m_calls) == 410
-        engine = [_outcome(call) for _, call in calls]
+                calls.append(lambda x=x, q=q: psi_q(x, q, cfg))
+                calls += [lambda m=m, x=x, q=q: psi_q_m(m, x, q, cfg) for m in self.ORDERS]
+        calls += [lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q, cfg) for m, x, qv in self.EDGES]
+        assert len(calls) == 81 * (1 + len(self.ORDERS)) + len(self.EDGES)
 
         tails = []
 
@@ -538,25 +520,48 @@ class TestTailEngineReference:
             try:
                 ev = sum_geometric_decay(*args)
             except NonConvergence as exc:
-                tails.append((args, (exc.partial_value, exc.error_estimate, exc.terms_used)))
+                tails.append((args, ("cap", exc.partial_value, exc.error_estimate, exc.terms_used)))
                 raise
-            tails.append((args, tuple(ev)))
+            except OverflowError:
+                tails.append((args, ("overflow",)))
+                raise
+            tails.append((args, ("stop", *ev)))
             return ev
 
         monkeypatch.setattr(qspecial, "sum_geometric_decay", recording_tail)
-        for call in m_calls:
+        for call in calls:
             _outcome(call)
-        assert [args for args, got in tails if got != _closure_tail_m(*args, got[2])] == []
-
-        monkeypatch.setattr(qspecial, "sum_geometric_decay", _reference_tail)
-        mismatches = [(point, got, ref) for (point, call), got in zip(calls, engine) if got != (ref := _outcome(call))]
+        mismatches = []
+        for args, got in tails:
+            try:
+                ref = _closure_tail(*args)
+            except OverflowError:
+                ref = ("overflow",)
+            if got[0] == "overflow" or ref[0] == "overflow":
+                if got[:1] != ref[:1]:
+                    mismatches.append((args, got, ref[:4]))
+                continue
+            kind, total, estimate, terms, summands = ref
+            y_ln_q, m = args[0], args[3] if len(args) > 3 else 0
+            charges_ref = [rounding.tail_summand_closure(n, y_ln_q, m) for n in range(1, len(summands) + 1)]
+            charges_got = [rounding.tail_summand_carried(n, y_ln_q, m) for n in range(1, len(summands) + 1)]
+            # The bound is the first omitted summand times one factor both
+            # forms share, rounded once by each.
+            estimate_bound = rounding.term_bound(estimate, charges_ref[-1] + rounding.U, charges_got[-1] + rounding.U)
+            if not (
+                got[0] == kind
+                and got[3] == terms
+                and _within(got[1], total, rounding.sum_bound(summands[:-1], charges_ref[:-1], charges_got[:-1]))
+                and _within(got[2], estimate, estimate_bound)
+            ):
+                mismatches.append((args, got, ref[:4]))
         assert mismatches == []
         if max_terms is None:
-            assert sum(len(out) == 3 for out in engine) == 81
             assert len(tails) > 350
+            assert sum(got[0] == "stop" and len(args) == 3 for args, got in tails) == 81
         else:
-            assert sum(out[0] == "NonConvergence" for out in engine) > 50
-            assert sum(got[1] == math.inf for _, got in tails) > 0
+            assert sum(got[0] == "cap" for _, got in tails) > 50
+            assert sum(got[0] == "cap" and got[2] == math.inf for _, got in tails) > 0
 
     @pytest.mark.parametrize("max_terms", [None, 3, 15, 40])
     def test_psi_q_m_bound_covers_the_tail(self, max_terms):
@@ -865,11 +870,13 @@ class TestStraightLineReference:
 
 
 
-def _reference_psi_q_m(m, x, q, cfg):
-    """psi_q_m with its head's A_m in a loop over its coefficients, its
-    range test at every call and K from _head_length, kept verbatim as the
-    reference for the compiled head kernels and the test skipped where it
-    cannot fire."""
+def _reference_psi_q_m(m, x, q, cfg, parts=None):
+    """psi_q_m with its head's A_m in a loop over its coefficients, each
+    head term from its own exp and expm1, its range test at every call and
+    K from _head_length, kept as the reference for the compiled head
+    kernels, the carried powers of q and the test skipped where it cannot
+    fire.  ``parts``, a dict, receives the head terms and the signed tail
+    value or partial value it adds."""
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     require_positive(x)
@@ -877,9 +884,11 @@ def _reference_psi_q_m(m, x, q, cfg):
     expm1 = math.expm1
     ln_q = q.ln_q
     s = -ln_q
-    n = max(1, round(min(m / max(s * x, qspecial._LEAST_RATIO), 1e300)))
+    n = max(1, round(min(m / max(s * x, qspecial._SX_FLOOR), 1e300)))
     if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
         raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
+    parts = {} if parts is None else parts
+    parts["head"], parts["tail"] = [], None
     power = m + 1
     sign = 1.0 if m % 2 else -1.0
     max_terms = cfg.max_terms
@@ -901,12 +910,15 @@ def _reference_psi_q_m(m, x, q, cfg):
             for c in eulerian:
                 a = a * u + c
             term = u * a * (ln_q / -expm1(t)) ** power
+            parts["head"].append(term)
         if limit < max_terms:
             value += term
             if math.isfinite(value):
                 tail = qspecial.sum_geometric_decay(y_ln_q, ln_q, max_terms - limit, m, scale)
+                parts["tail"] = sign * tail.value
                 value += sign * tail.value
     except NonConvergence as exc:
+        parts["tail"] = sign * exc.partial_value
         raise cap_error(max_terms, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
     except (ZeroDivisionError, OverflowError):
         value = math.inf
@@ -917,12 +929,54 @@ def _reference_psi_q_m(m, x, q, cfg):
     return new_record(Evaluation, (value, tail.error_estimate, limit + tail.terms_used))
 
 
+def _kind(outcome):
+    """The kind of an _outcome: the error's name, or "Evaluation"."""
+    return outcome[0] if isinstance(outcome[0], str) else "Evaluation"
+
+
+def _matches_the_loop_head(got, ref, parts, m, x, q):
+    """Whether psi_q_m's outcome ``got`` is the loop-head reference's
+    ``ref``, from the same tail, to within both head forms' rounding bounds
+    (tests/rounding.py): the same kind, terms, message and tail bound; the
+    value or partial value within the bound on its head terms and
+    additions, and a head cap's estimate |next head term| / (1 - q) within
+    that term's."""
+    if _kind(ref) not in ("Evaluation", "NonConvergence") or _kind(got) != _kind(ref):
+        return got == ref
+    if _kind(ref) == "Evaluation":
+        (value, estimate, terms), message = ref, ""
+        (got_value, got_estimate, got_terms), got_message = got, ""
+    else:
+        _, value, estimate, terms, message = ref
+        _, got_value, got_estimate, got_terms, got_message = got
+    head = parts["head"]
+    charges_ref = [rounding.head_term_loop(k, x, q.ln_q, m) for k in range(len(head))]
+    charges_got = [rounding.head_term_carried(k, x, q.ln_q, m) for k in range(len(head))]
+    if parts["tail"] is None:
+        # Capped in the head: the last term computed is the one cut, and
+        # its estimate is |term| / (1 - q), one more rounding in each form.
+        value_bound = rounding.sum_bound(head[:-1], charges_ref[:-1], charges_got[:-1])
+        estimate_bound = rounding.term_bound(estimate, charges_ref[-1] + rounding.U, charges_got[-1] + rounding.U)
+        estimate_ok = _within(got_estimate, estimate, estimate_bound)
+    else:
+        # The tail's sum, the same double in both, is the last term added.
+        value_bound = rounding.sum_bound([*head, parts["tail"]], [*charges_ref, 0.0], [*charges_got, 0.0])
+        estimate_ok = got_estimate == estimate
+    return (
+        got_terms == terms
+        and got_message.split(" (estimate")[0] == message.split(" (estimate")[0]
+        and estimate_ok
+        and _within(got_value, value, value_bound)
+    )
+
+
 class TestHeadKernelReference:
-    """psi_q_m's compiled head kernels and written-out K, and its range
-    test skipped where e x >= m, give what the loop head and the full test
-    gave: the same Evaluation, or the same Overflow message or
-    NonConvergence partial value, estimate, terms and message, bit for
-    bit."""
+    """psi_q_m's compiled head kernels, written-out K and carried powers of
+    q, and its range test skipped where e x >= m, give what the loop head,
+    each term from its own exp and expm1, and the full test gave: the same
+    Overflow message, or the same Evaluation or NonConvergence terms,
+    message and tail bound, with values within the two head forms'
+    rounding bounds of each other."""
 
     # Table orders, an integer-valued float, the first orders built per
     # call, and a large one.
@@ -947,10 +1001,11 @@ class TestHeadKernelReference:
         mismatches = []
         outcomes = []
         for m, x, q in points:
+            parts = {}
             got = _outcome(lambda: psi_q_m(m, x, q, cfg))
-            ref = _outcome(lambda: _reference_psi_q_m(m, x, q, cfg))
+            ref = _outcome(lambda: _reference_psi_q_m(m, x, q, cfg, parts))
             outcomes.append(got)
-            if got != ref:
+            if not _matches_the_loop_head(got, ref, parts, m, x, q):
                 mismatches.append(((m, x, q.q), got, ref))
         assert mismatches == []
         # Each kind of outcome is reached.
@@ -975,7 +1030,7 @@ class TestHeadKernelReference:
                     continue  # psi_q_m runs the test here
                 for s in s_values:
                     s = float(s)
-                    n = max(1, round(min(m / max(s * x, qspecial._LEAST_RATIO), 1e300)))
+                    n = max(1, round(min(m / max(s * x, qspecial._SX_FLOOR), 1e300)))
                     worst = max(worst, (m + 1) * math.log(s) + m * math.log(n) - n * s * x)
                     checked += 1
         assert checked > 40_000
@@ -1095,6 +1150,65 @@ def _mp_psi_q_m_tail(m: int, y: float, qv: float, n_summed: int) -> float:
 
 
 BELOW_ONE_X = (0.05, 0.2, 0.7, math.nextafter(1.0, 0.0))
+
+
+class _CountingMath:
+    """The math module, counting each call of exp and expm1."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(math, name)
+        if name not in ("exp", "expm1"):
+            return attr
+
+        def counted(*args):
+            self.calls += 1
+            return attr(*args)
+
+        return counted
+
+
+class TestLibmCallsPerCall:
+    """The tails of psi_q and psi_q_m and psi_q_m's head take each power
+    of q from the one before, so their exp and expm1 calls do not grow with
+    the terms they sum: the same at 2 terms (x = 30, q = 0.5) as at more
+    than 40 (x = 0.05, q = 0.95)."""
+
+    def test_exp_and_expm1_calls_do_not_grow_with_terms(self, monkeypatch):
+        import qgamma.qcore as qcore
+
+        counting = _CountingMath()
+        monkeypatch.setattr(qcore, "math", counting)
+        monkeypatch.setattr(qspecial, "math", counting)
+        tail_calls = []
+
+        def counted_tail(*args):
+            before = counting.calls
+            ev = sum_geometric_decay(*args)
+            tail_calls.append((counting.calls - before, ev.terms_used))
+            return ev
+
+        monkeypatch.setattr(qspecial, "sum_geometric_decay", counted_tail)
+        found = []
+        for x, qv in ((0.05, 0.95), (30.0, 0.5)):
+            q = QParam(qv)
+            tail_calls.clear()
+            psi_q(x, q)
+            counting.calls = 0
+            ev = psi_q_m(2, x, q)
+            found.append((*tail_calls[0], counting.calls, ev.terms_used, qspecial._head_length(x, q)))
+        (many_tail, many_tail_terms, many, many_terms, head), (few_tail, few_tail_terms, few, few_terms, no_head) = found
+        assert many_tail_terms > 20 and many_terms > 40 and head > 20
+        assert few_tail_terms == few_terms == 2 and no_head == 0
+        # psi_q's tail: q^y, q and 1 - q.
+        assert many_tail == few_tail == 3
+        # psi_q_m's tail adds q^(y/m), and expm1 of y ln q / m for its
+        # rounding where q^(y/m) >= 1/2, and one expm1 at its one candidate
+        # stop; a head adds q, 1 - q, q^x and 1 - q^x.
+        assert few == 3 + 1 + 1
+        assert many == 3 + 2 + 1 + 4
 
 
 class TestNoConfigPerCall:

@@ -116,7 +116,7 @@ EVALUATIONS = {
     "sum_geometric_decay": lambda: sum_geometric_decay(_Q.ln_q, _Q.ln_q),
     "psi_q": lambda: psi_q(2.0, _Q),
     "psi_q_m": lambda: psi_q_m(2, 2.0, _Q),
-    "psi_q_m_ratio_from": lambda: psi_q_m(2100, 1000.0, _Q),
+    "psi_q_m_rising_summands": lambda: psi_q_m(2100, 1000.0, _Q),
     "ln_gamma_q": lambda: ln_gamma_q(2.5, _Q, y=1.5),
     "gamma_q": lambda: gamma_q(2.5, _Q),
     "euler_gamma_q": lambda: euler_gamma_q(_Q),
