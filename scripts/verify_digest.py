@@ -1,4 +1,5 @@
-"""Print two SHA-256 digests per standard run of ``qgamma verify --ineq all --format json``.
+"""Print SHA-256 digests of the standard ``qgamma verify --ineq all --format json``
+runs and of a seeded scan of the special functions.
 
 The standard runs are --samples 600 at seeds 1000, 1001 and 2000, and
 --samples 10000 at seeds 7 and 42.  Each run is a fresh ``python -m
@@ -8,14 +9,25 @@ margins and failures print the same full digests.  The verdict digest is
 taken over each report's ``inequality_id``, ``n_samples``, ``n_pass`` and
 ``n_errors`` and the run's exit code alone, so a change that moves margins
 by rounding but no verdict prints new full digests and the same verdict
-digests.  A change is checked by running this on both checkouts and
-comparing:
+digests.
+
+The scan, in one more fresh process, draws SCAN_POINTS points from a
+fixed seed: x and b log-uniform in [1e-3, 1e3], 1 - q log-uniform in
+[1e-6, 0.999] and a term cap from SCAN_CAPS (None is the default).  At
+each it calls psi_q, psi_q_m at every order of SCAN_GROUPS and
+ln_gamma_q(x, q, y=b), and records each outcome as (value, bound, terms)
+or as (error type, message, partial value, estimate, terms).  It prints
+one digest per group, so bit-identity of the special functions, or the
+one group a change moves, shows at a glance.
+
+A change is checked by running this on both checkouts and comparing:
 
     python scripts/verify_digest.py              # the qgamma under ./src
     python scripts/verify_digest.py OTHER/src    # another checkout's qgamma
 
-Each line is ``samples seed exit_code full_sha256 verdict_sha256``.  All
-five runs take about 7 s on a 2-vCPU host.
+Each verify line is ``samples seed exit_code full_sha256 verdict_sha256``,
+and each scan line ``scan group sha256``.  The five runs take about 7 s and
+the scan about 15 s on a 2-vCPU host.
 """
 
 import hashlib
@@ -51,11 +63,66 @@ def digest(src: Path, samples: int, seed: int) -> tuple[int, str, str]:
     )
 
 
+SCAN_SEED = 2015
+SCAN_POINTS = 10000
+SCAN_CAPS = (None, 1, 3, 10, 40, 200)
+# psi_q, the orders whose head kernels are compiled, the orders above
+# them, and ln_gamma_q (order None).
+SCAN_GROUPS = (("psi_q", (0,)), ("psi_q_m:m<=16", (1, 2, 3, 7, 16)), ("psi_q_m:m=17,30", (17, 30)),
+               ("ln_gamma_q:y=b", (None,)))
+
+
+def scan_outcomes() -> dict:
+    """Each group's outcomes over the seeded scan, from the qgamma on sys.path."""
+    import math
+    import random
+
+    from qgamma.errors import QGammaError
+    from qgamma.qcore import EvalConfig, QParam
+    from qgamma.qspecial import ln_gamma_q, psi_q, psi_q_m
+
+    def outcome(call):
+        try:
+            ev = call()
+        except QGammaError as exc:
+            return [type(exc).__name__, str(exc), getattr(exc, "partial_value", None),
+                    getattr(exc, "error_estimate", None), getattr(exc, "terms_used", None)]
+        return [ev.value, ev.error_estimate, ev.terms_used]
+
+    rng = random.Random(SCAN_SEED)
+    top = math.log10(0.999)
+    outcomes = {name: [] for name, _ in SCAN_GROUPS}
+    for _ in range(SCAN_POINTS):
+        x, b = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 3.0)
+        q = QParam(1.0 - 10.0 ** rng.uniform(-6.0, top))
+        cap = rng.choice(SCAN_CAPS)
+        cfg = EvalConfig() if cap is None else EvalConfig(cap)
+        for name, orders in SCAN_GROUPS:
+            for m in orders:
+                if m is None:
+                    outcomes[name].append(outcome(lambda: ln_gamma_q(x, q, cfg, y=b)))
+                elif m == 0:
+                    outcomes[name].append(outcome(lambda: psi_q(x, q, cfg)))
+                else:
+                    outcomes[name].append(outcome(lambda: psi_q_m(m, x, q, cfg)))
+    return outcomes
+
+
+def print_scan_digests() -> None:
+    """Print ``scan group sha256`` for each group of the scan."""
+    for name, values in scan_outcomes().items():
+        print("scan", name, hashlib.sha256(json.dumps(values).encode()).hexdigest(), flush=True)
+
+
 def main() -> None:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "src"
     for samples, seed in STANDARD_RUNS:
         code, full, verdicts = digest(src.resolve(), samples, seed)
         print(samples, seed, code, full, verdicts, flush=True)
+    # The scan imports this script in a fresh process over ``src``.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src.resolve()), str(Path(__file__).resolve().parent)))}
+    subprocess.run([sys.executable, "-c", "import verify_digest; verify_digest.print_scan_digests()"],
+                   env=env, check=True)
 
 
 if __name__ == "__main__":

@@ -191,9 +191,9 @@ def sum_geometric_decay(
         m = 0:   sum_{n>=1} t(n),  t(n) = q^(ny) / (1 - q^n),
         m >= 1:  sum_{n>=1} t(n),  t(n) = (n q^(ny/m) scale)^m / (1 - q^n),
     with q^y = exp(y_ln_q), q = exp(ln_q), and scale s^((m+1)/m),
-    s = -ln q, from psi_q_m (see there).  ln q < 0, so every summand is a
-    quotient of two non-negative numbers and the partial sum never
-    decreases: the stop test needs no absolute values.
+    s = -ln q, from qspecial._psi_series (see there).  ln q < 0, so every
+    summand is a quotient of two non-negative numbers and the partial sum
+    never decreases: the stop test needs no absolute values.
 
     The summands take no exp or expm1 call each.  q = exp(ln q),
     1 - q = -expm1(ln q) and q^y (m = 0) or q^(y/m) (m >= 1) are taken once,

@@ -12,22 +12,24 @@ and its remainder is bounded by the larger first omitted term of the two
 tails (DLMF 2.10(i)).  It computes F(x) - F(y), F(t) = -sum_k ln(1-q^(t+k)),
 so ln_gamma_q(x, q, y=y) is the log ratio ln Gamma_q(x) - ln Gamma_q(y) in
 one sum (y = 1 by default, Gamma_q(1) = 1), exactly antisymmetric in x, y.
-psi_q and psi_q^(m) take K = max(0, ceil(sqrt(L/s) - x)) recurrence steps
-(s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and sum the rest as their
-geometric n-series at x + K, one path for every x: at most about
-2 sqrt(30/(1-q)) terms, with the bound the series engine certifies from
-the summands' own ratio (see ``qcore.sum_geometric_decay``).  psi_q's
-head takes one expm1 per term; psi_q^(m)'s head and both tails take each
-power of q from the one before, with a fixed number of exp and expm1
-calls per call.  ln Gamma_q takes one log for the k = 0 recurrence term
-and one for the product of the others; the Eulerian polynomials A_0..A_16 of the corrections and of
-psi_q^(m)'s head are one table built at import.  From it, all the generated code is
-compiled at import in one exec: the corrections of ln Gamma_q as one
-unrolled function, and psi_q^(m)'s head kernel u A_m(u) for each
-m <= 16, every polynomial in straight-line Horner code with the multiplies
-and adds of a loop over its coefficients in the same order, so the values
-are those of the loop, bit for bit.  psi_q_root certifies psi_q's zero by
-the residual at a centre and a lower bound on psi_q': one psi_q call at a
+psi_q and every psi_q^(m) are one routine, _psi_series: K = max(0,
+ceil(sqrt(L/s) - x)) recurrence steps (s = -ln q, L = -ln REL_TOL; DLMF
+5.5.2 with q) and the rest as the geometric n-series at x + K, one path
+for every x and m: at most about 2 sqrt(30/(1-q)) terms, with the bound
+the series engine certifies from the summands' own ratio (see
+``qcore.sum_geometric_decay``).  psi_q's head takes one expm1 per term;
+psi_q^(m)'s head and both tails take each power of q from the one
+before, with a fixed number of exp and expm1 calls per call.  ln Gamma_q
+takes one log for the k = 0 recurrence term and one for the product of
+the others; the Eulerian polynomials A_0..A_16 of the corrections and of
+psi_q^(m)'s head are one table built at import.  From it, all the
+generated code is compiled at import in one exec: the corrections of
+ln Gamma_q as one unrolled function, and psi_q^(m)'s head term
+u A_m(u) r^(m+1) for each m <= 16, every polynomial in straight-line
+Horner code with the multiplies and adds of a loop over its coefficients
+in the same order, so the values are those of the loop, bit for bit.
+psi_q_root certifies psi_q's zero by the residual at a centre and a
+lower bound on psi_q': one psi_q call at a
 fitted guess for q in [0.05, 1 - 1e-5], and Newton steps from the guess
 where that call declines.  Results are Evaluation and PsiRoot
 records, immutable NamedTuples that unpack, index and compare equal to
@@ -117,29 +119,41 @@ def _ladder_source() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loop_head(m: int) -> Callable[[float], float]:
-    """u -> u A_m(u), A_m built now and evaluated by a loop over its
-    coefficients: psi_q_m's head kernel for an order above the table."""
+def _loop_head(m: int) -> Callable[[float, float], float]:
+    """(u, r) -> psi_q^(m)'s head term u A_m(u) r^(m+1), r = ln q / (1-u),
+    for an order above the table: A_m built now and evaluated by a loop
+    over its coefficients, and the product taken as
+    ((u A_m(u))^(1/(m+1)) r)^(m+1).  Apart, r^(m+1) underflows to 0 once
+    (m+1) ln(x+k) passes about 745 while u A_m(u), near m!, stays finite
+    (from about m = 48 as q -> 1); the root keeps both in the one base.
+    u A_m(u) rounds to inf at u near 1 from m = 171, and from m = 172
+    converting A_m's coefficients raises OverflowError: either way the
+    call raises Overflow."""
     coeffs = _eulerian(m)
+    power = m + 1
+    root = 1.0 / power
 
-    def head(u: float) -> float:
+    def head(u: float, r: float) -> float:
         a = 0.0
         for c in coeffs:
             a = a * u + c
-        return u * a
+        return ((u * a) ** root * r) ** power
 
     return head
 
 
 # The generated code, compiled in one exec at import: em_ladder, and for
-# each m = 1..16 the kernel u -> u A_m(u) of psi_q_m's head terms, with
-# the operations of _loop_head in the same order.  _LI_HEADS[m] is that
-# kernel; an integer-valued float m finds its entry too.
+# each m = 1..16 the kernel (u, r) -> u A_m(u) r^(m+1) of psi_q_m's head
+# terms, with the operations of a loop over A_m's coefficients in the same
+# order.  A head term has x + k < sqrt(L/s) < 5.5e6 (q < 1 - 1e-12) and
+# |r| >= 1 / (x + k), so up to m = 16 r^(m+1) stays above 2.8e-115 and is
+# taken on its own.  _LI_HEADS[m] is that kernel; an integer-valued float
+# m finds its entry too.
 _HEAD_ORDERS = len(_EULERIAN) - 1
 _GENERATED: dict = {}
 exec(
     _ladder_source() + "".join(
-        f"def li_head_{m}(u):\n    return u * ({_horner(_EULERIAN[m], 'u')})\n" for m in range(1, _HEAD_ORDERS + 1)
+        f"def li_head_{m}(u, r):\n    return u * ({_horner(_EULERIAN[m], 'u')}) * r ** {m + 1}\n" for m in range(1, _HEAD_ORDERS + 1)
     ),
     _GENERATED,
 )
@@ -375,191 +389,157 @@ def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation
 # after about this / (s y) terms, s = -ln q.
 _TAIL_LOG = -math.log(REL_TOL)
 
-# The least positive double: psi_q_m's range test floors s x at it.
+# The least positive double: _psi_series's range test floors s x at it.
 _SX_FLOOR = math.ulp(0.0)
 
 _E = math.e
 
 
-def _head_length(x: float, q: QParam) -> int:
-    """K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and L = -ln REL_TOL: the
-    number of recurrence steps that minimises K + L / (s (x+K)), the head
-    terms plus the tail terms at ratio q^(x+K).  psi_q and psi_q_m write
-    the same expression out; the tests hold them to this one."""
-    return max(0, math.ceil(math.sqrt(_TAIL_LOG / -q.ln_q) - x))
-
-
-def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), as K
-    recurrence steps plus that series at the shifted argument y = x + K.
+def _psi_series(m: int, x: float, q: QParam, cfg: EvalConfig) -> Evaluation:
+    """psi_q (m = 0) and its m-th derivative (m >= 1, checked by psi_q_m),
+        [m = 0] (-ln(1-q)) + (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n).
 
     Expanding 1/(1-q^n) = sum_{k>=0} q^(nk) makes the sum the double series
-    sum_{n>=1, k>=0} q^(n(x+k)).  Its first K terms along k are summed
-    directly (the recurrence psi_q(x+1) = psi_q(x) - (ln q) u/(1-u), u = q^x,
-    taken K times), and the rest along n at y:
-        psi_q(x) = -ln(1-q) + (ln q) [sum_{k<K} u_k / (1-u_k)
-                                      + sum_{n>=1} q^(ny) / (1-q^n)],
-    u_k = q^(x+k).  The n-summand ratio q^y (1-q^n)/(1-q^(n+1)) is below
-    q^y, from which sum_geometric_decay bounds the tail after any number of
-    terms.  K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and
+    sum_{n>=1, k>=0} n^m q^(n(x+k)).  Its first K terms along k, the
+    recurrence step taken K times, are summed directly and the rest along
+    n at y = x + K:
+        (ln q)^(m+1) [sum_{k<K} Li_{-m}(u_k) + sum_{n>=1} n^m q^(ny) / (1-q^n)],
+    u_k = q^(x+k), Li_{-m}(u) = u A_m(u) / (1-u)^(m+1) and A_m the Eulerian
+    polynomial (A_0 = 1).  K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and
     L = -ln REL_TOL, so that the head and the tail each take at most about
     sqrt(L/s) terms, about 2 sqrt(30/(1-q)) in all as q -> 1.
 
-    Each head term (ln q) u/(1-u) is taken as ln q / expm1(s (x+k)), with
-    ln q inside, so that a value near the pole at 0 stays in range as long
-    as the result does; one beyond it raises Overflow.  The tail carries
-    1 - q^n as a sum of positive terms, which keeps its digits as q -> 1,
-    and makes 3 exp and expm1 calls however many terms it sums (see
-    sum_geometric_decay), so a call makes K + 3 of them and one log1p.
+    Each head term keeps (ln q)^(m+1) inside, so that a value near the pole
+    at 0 stays in range as long as the result does.  At m = 0 it is
+    ln q / expm1(s (x+k)), one expm1 per term.  At m >= 1 it is the
+    kernel _LI_HEADS[m](u_k, ln q / (1-u_k)), or _loop_head's above
+    m = 16: u_0 = exp(x ln q) and 1 - u_0 = -expm1(x ln q) keep the digits
+    of x near 0, and from there u_(k+1) = u_k q and 1 - u_(k+1) =
+    (1 - u_k) + u_k (1 - q), a sum of positive terms, with q and 1 - q
+    taken once, so a head makes 4 exp and expm1 calls in all.
+
+    The tail is sum_geometric_decay at y, which carries 1 - q^n as a sum
+    of positive terms and certifies its own bound (see there); at m >= 1
+    it takes s^(m+1) into each summand through scale = s^((m+1)/m), so
+    that no factor leaves the range before the summand does.  The value
+    is offset + (head + factor tail), with (offset, factor) = (-ln(1-q),
+    ln q) and the tail's bound times s at m = 0, and (0, (-1)^(m+1), the
+    sign of (ln q)^(m+1)) and the tail's bound as it is at m >= 1.  The
+    engine stops only where its ratio bound (1+1/n)^m q^y is below 1, so
+    summands that rise to a peak near n = m / (s y) from below the double
+    range or ABS_TOL are summed through it: at m = 2100, x = 1000, q = 0.5
+    the sum is about -3.14e-236.
+
+    When e x < m, s^(m+1) n^m q^(nx), below |psi_q^(m)(x)| at every
+    n >= 1, is first checked against the range at n = max(1, round(m /
+    (s x))), near its largest; when e x >= m (at m = 0 always) its log is
+    at most ln s <= ln 745 at every n, far inside the range, and the check
+    is skipped.  A value, head term, summand or sum beyond the double range
+    raises Overflow naming psi_q(x, q) or psi_q_m(m, x, q); so does a head
+    whose u A_m(u) leaves the doubles, from m = 171 at u near 1, and at
+    every u from m = 172, where A_m's coefficients do.
 
     The head terms count against cfg.max_terms, and sum_geometric_decay
     takes what they leave of it, cfg.max_terms - K, as a plain count.  A
-    cap in the head raises NonConvergence with the head's partial value and
-    the bound |next head term| / (1-q) on the rest of the k-form, which
-    falls by q per term; a cap in the tail, with the head plus the tail's
-    partial value and the tail's bound.  ``terms_used`` is K plus the tail
-    terms.
+    cap in the head raises NonConvergence with the head's partial value
+    (plus the offset) and the bound |next head term| / (1-q) on the rest of
+    the k-form, which falls by q per term; a cap in the tail, with the
+    partial value of the whole and the tail's bound, scaled as above.
+    ``terms_used`` is K plus the tail terms.
     """
     require_positive(x)
-    expm1 = math.expm1
     ln_q = q.ln_q
     s = -ln_q
     max_terms = cfg.max_terms
-    # K = _head_length(x, q), and the min and max below, written out as
-    # comparisons: the calls cost more than this hot path's arithmetic.
+    # K, and the min and max, written out as comparisons: the calls cost
+    # more than this hot path's arithmetic.
     k_end = math.ceil(math.sqrt(_TAIL_LOG / s) - x)
     if k_end < 0:
         k_end = 0
     limit = max_terms if max_terms < k_end else k_end
+    # Each head term is added one step late, so that a cap in the head
+    # leaves the first term it cut in ``term``.
+    head_steps = limit + 1 if limit == max_terms else limit
     y_ln_q = (x + k_end) * ln_q
-    offset = -math.log1p(-q.q)
 
     value = term = 0.0
     try:
-        # Each term is added one step late, so that a cap in the head leaves
-        # the first term it cut in ``term``.
-        for k in range(limit + 1 if limit == max_terms else limit):
-            value += term
-            term = ln_q / expm1(s * (x + k))
-        if limit < max_terms:
-            value += term
-            if math.isfinite(value):
-                tail = sum_geometric_decay(y_ln_q, ln_q, max_terms - limit)
-                value = offset + (value + ln_q * tail.value)
-    except NonConvergence as exc:
-        partial = offset + (value + ln_q * exc.partial_value)
-        raise cap_error(max_terms, partial, s * exc.error_estimate, max_terms) from None
-    except (ZeroDivisionError, OverflowError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise Overflow(f"psi_q{(x, q.q)!r} exceeds the double range")
-    if limit == max_terms:
-        raise cap_error(max_terms, offset + value, abs(term) / (1.0 - q.q), limit)
-    return new_record(Evaluation, (value, s * tail.error_estimate, limit + tail.terms_used))
-
-
-def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
-    """m-th derivative of psi_q: (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n),
-    as K recurrence steps plus that series at y = x + K.
-
-    Sign follows (ln q)^(m+1) = (-1)^(m+1) s^(m+1), s = -ln q: positive for
-    odd m, negative for even m.
-
-    As for psi_q, with psi_q's K and its cap rules (the tail takes what
-    the head leaves of cfg.max_terms as a plain count), the double series
-    sum_{n>=1, k>=0} n^m q^(n(x+k)) is summed along k for k < K and along
-    n at y for the rest:
-        (ln q)^(m+1) [sum_{k<K} Li_{-m}(u_k) + sum_{n>=1} n^m q^(ny) / (1-q^n)],
-    u_k = q^(x+k), with Li_{-m}(u) = sum_n n^m u^n = u A_m(u) / (1-u)^(m+1)
-    and A_m the Eulerian polynomial.  u_0 = exp(x ln q) and
-    1 - u_0 = -expm1(x ln q) keep the digits of x near 0; from there each
-    u_(k+1) = u_k q and 1 - u_(k+1) = (1 - u_k) + u_k (1 - q), a sum of
-    positive terms, with q and 1 - q taken once, so a head makes 4 exp and
-    expm1 calls in all rather than 2 per term.  (ln q)^(m+1) is taken into
-    each head term as (ln q / (1-u_k))^(m+1), so that a value near the pole
-    at 0 stays in range as long as the result does; one beyond it raises
-    Overflow.  s^(m+1) is taken into each tail summand too, as
-    (n q^(ny/m) s^((m+1)/m))^m / (1-q^n), with the sign applied once to
-    the tail sum, so that no factor leaves the range before the summand
-    does; a summand or sum beyond it raises Overflow.  For
-    m <= 16 (an integer-valued float m too) each head term's u A_m(u) is a
-    kernel compiled at import from the table _EULERIAN, in straight-line
-    Horner code with the multiplies and adds of a loop over A_m's
-    coefficients in the same order, so the values are the loop's bit for
-    bit.  Above 16, A_m takes about m^3 steps to build, so it is built per
-    call, only with a nonempty head, and evaluated by that loop.  When
-    e x < m, s^(m+1) n^m q^(nx), below |psi_q^(m)(x)| at every n >= 1, is
-    first checked against the range at n = max(1, round(m / (s x))), near
-    its largest; when e x >= m its log is at most ln s <= ln 745 at every
-    n, far inside the range, and the check is skipped.
-
-    The n-summand ratio (1+1/n)^m q^y (1-q^n)/(1-q^(n+1)) is below
-    r_n = (1+1/n)^m q^y, which falls toward q^y as n grows, and
-    sum_geometric_decay bounds the tail by it wherever r_n < 1, after any
-    number of terms, a cap stop included (see there).  Summands that rise
-    to a peak near n = m / (s y) from below the double range or ABS_TOL
-    keep r_n >= 1 until they peak, so no stop fires before: at m = 2100,
-    x = 1000, q = 0.5 the sum is about -3.14e-236.
-    """
-    if m < 1 or m != int(m):
-        raise DomainError(f"m must be an integer >= 1, got {m!r}")
-    require_positive(x)
-    exp = math.exp
-    expm1 = math.expm1
-    ln_q = q.ln_q
-    s = -ln_q
-    # Over real n > 0, (m+1) ln s + m ln n - n s x peaks at n = m / (s x),
-    # at ln s + m ln(m / (e x)), and ln s <= ln 745 (q >= 5e-324).  So where
-    # e x >= m the test below cannot exceed MAX_EXP, and is skipped: its
-    # rounding stays far below the gap of 700 for any m below 1e12.
-    if m > _E * x:
-        # Capped, so that an s x that underflows cannot make n infinite.
-        n = max(1, round(min(m / max(s * x, _SX_FLOOR), 1e300)))
-        if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
-            raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
-    power = m + 1
-    sign = 1.0 if m % 2 else -1.0
-    max_terms = cfg.max_terms
-    # K = _head_length(x, q) and the min, written out as in psi_q.
-    k_end = math.ceil(math.sqrt(_TAIL_LOG / s) - x)
-    if k_end < 0:
-        k_end = 0
-    limit = max_terms if max_terms < k_end else k_end
-    if m <= _HEAD_ORDERS:
-        head = _LI_HEADS[m]
-    else:
-        head = _loop_head(int(m)) if k_end else None
-    y_ln_q = (x + k_end) * ln_q
-    scale = s * s ** (1.0 / m)  # s^((m+1)/m)
-
-    # u_k = q^(x+k) and 1 - u_k, carried from one head term to the next.
-    if limit:
-        base = exp(ln_q)
-        gap = -expm1(ln_q)
-        u = exp(x * ln_q)
-        one_minus_u = -expm1(x * ln_q)
-    value = term = 0.0
-    try:
-        # Added one step late, as in psi_q.
-        for k in range(limit + 1 if limit == max_terms else limit):
-            value += term
-            term = head(u) * (ln_q / one_minus_u) ** power
-            one_minus_u += u * gap
-            u *= base
+        if m:
+            # Over real n > 0, (m+1) ln s + m ln n - n s x peaks at
+            # n = m / (s x), at ln s + m ln(m / (e x)), and ln s <= ln 745
+            # (q >= 5e-324).  So where e x >= m the test cannot exceed
+            # MAX_EXP, and is skipped: its rounding stays far below the gap
+            # of 700 for any m below 1e12.
+            if m > _E * x:
+                # Capped, so that an s x that underflows cannot make n infinite.
+                n = max(1, round(min(m / max(s * x, _SX_FLOOR), 1e300)))
+                if (m + 1) * math.log(s) + m * math.log(n) - n * s * x > MAX_EXP:
+                    raise OverflowError
+            offset, factor, bound_scale = 0.0, (1.0 if m % 2 else -1.0), 1.0
+            scale = s * s ** (1.0 / m)  # s^((m+1)/m)
+            if m <= _HEAD_ORDERS:
+                head = _LI_HEADS[m]
+            else:
+                head = _loop_head(int(m)) if k_end else None
+            if limit:
+                base = math.exp(ln_q)
+                gap = -math.expm1(ln_q)
+                u = math.exp(x * ln_q)
+                one_minus_u = -math.expm1(x * ln_q)
+            for _ in range(head_steps):
+                value += term
+                term = head(u, ln_q / one_minus_u)
+                one_minus_u += u * gap
+                u *= base
+        else:
+            offset, factor, bound_scale = -math.log1p(-q.q), ln_q, s
+            scale = 1.0
+            expm1 = math.expm1
+            for k in range(head_steps):
+                value += term
+                term = ln_q / expm1(s * (x + k))
         if limit < max_terms:
             value += term
             if math.isfinite(value):
                 tail = sum_geometric_decay(y_ln_q, ln_q, max_terms - limit, m, scale)
-                value += sign * tail.value
+                value = offset + (value + factor * tail.value)
     except NonConvergence as exc:
-        raise cap_error(max_terms, value + sign * exc.partial_value, exc.error_estimate, max_terms) from None
+        partial = offset + (value + factor * exc.partial_value)
+        raise cap_error(max_terms, partial, bound_scale * exc.error_estimate, max_terms) from None
     except (ZeroDivisionError, OverflowError):
         value = math.inf
     if not math.isfinite(value):
-        raise Overflow(f"psi_q_m{(m, x, q.q)!r} exceeds the double range")
+        name = f"psi_q_m{(m, x, q.q)!r}" if m else f"psi_q{(x, q.q)!r}"
+        raise Overflow(f"{name} exceeds the double range")
     if limit == max_terms:
-        raise cap_error(max_terms, value, abs(term) / (1.0 - q.q), limit)
-    return new_record(Evaluation, (value, tail.error_estimate, limit + tail.terms_used))
+        raise cap_error(max_terms, offset + value, abs(term) / (1.0 - q.q), limit)
+    return new_record(Evaluation, (value, bound_scale * tail.error_estimate, limit + tail.terms_used))
+
+
+def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+    """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), as
+    _psi_series at m = 0, with K + 3 exp and expm1 calls and one log1p.
+    ``error_estimate`` is s = -ln q times the tail's certified bound and
+    ``terms_used`` K plus the tail terms.  Raises DomainError unless x is
+    finite and positive, NonConvergence (with the partial value and its
+    bound) past cfg.max_terms, and Overflow for a value beyond the doubles.
+    """
+    return _psi_series(0, x, q, cfg)
+
+
+def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+    """m-th derivative of psi_q: (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n),
+    as _psi_series at m.  Its sign is that of (ln q)^(m+1): positive for
+    odd m, negative for even m.  m must be an integer >= 1 (an
+    integer-valued float too), else DomainError.  Bound, terms and errors
+    as for psi_q, with the tail's bound as it is, and Overflow also where
+    a head term's u A_m(u) leaves the doubles, from m = 171
+    (psi_q_m(180, 100.0, QParam(0.9999)) raises it, though the value is
+    about -2.41e-33).
+    """
+    if m < 1 or m != int(m):
+        raise DomainError(f"m must be an integer >= 1, got {m!r}")
+    return _psi_series(m, x, q, cfg)
 
 
 def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
@@ -628,7 +608,7 @@ _ROOT_GUESS_CHEB = (
 _ROOT_GUESS_CLENSHAW, _ROOT_GUESS_C0 = _ROOT_GUESS_CHEB[:-1], _ROOT_GUESS_CHEB[-1]
 _ROOT_GUESS_S_MAX = -math.log(0.05)  # the fitted range's top
 # Half-width of the bracket around each centre: 2.3 times the guess's
-# largest error, so that |psi_q| at the midpoint stays within 0.65 of the
+# largest error, so that |psi_q| at the midpoint stays within 0.655 of the
 # half-width times a lower bound on psi_q' there, the reach that certifies
 # the bracket, and small enough that every bracket is below 1e-12 wide.
 _ROOT_GUESS_HALF_WIDTH = 3e-13
@@ -690,7 +670,7 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
     its rounding; below 0.05 they fall toward it, and L is taken 2^-48 of
     itself low.  The computed psi_q(m) is taken as exact; its
     error_estimate is left out of the comparison.  A certified bracket must
-    also have |psi_q(m)| <= 1e-10.  |psi_q(m)| is at most 0.65 of the reach
+    also have |psi_q(m)| <= 1e-10.  |psi_q(m)| is at most 0.655 of the reach
     at every q tried in [0.05, 1 - 1e-5], so there the solve is that one
     call, and builds nothing but the PsiRoot it returns.
 

@@ -107,7 +107,22 @@ def head_term_carried(k: int, x: float, ln_q: float, m: int) -> float:
     u0 = U * abs(x * ln_q) + LIBM
     e_u = u0 + 3 * k * U
     e_d = U + LIBM if k == 0 else u0 + 3 * (k - 1) * U + 3 * U + k * U
-    return _head_term(e_u, e_d, m)
+    charge = _head_term(e_u, e_d, m)
+    if m > 16:
+        charge += _root_form(k, x, ln_q, m)
+    return charge
+
+
+def _root_form(k: int, x: float, ln_q: float, m: int) -> float:
+    """What the form ((u A_m(u))^(1/(m+1)) r)^(m+1) of the kernels above
+    m = 16 adds to _head_term's charge: in place of the product of
+    u A_m(u) and r^(m+1) (U), the root (LIBM) and its product with r (U),
+    each taken to the power m + 1, and the rounded exponent 1/(m+1) (U
+    relative), which moves P^(1/(m+1)) by |ln P| U / (m+1), so P by
+    |ln P| U.  P = u A_m(u) lies in [u, m!], so |ln P| is at most the
+    larger of ln m! and |(x + k) ln q|."""
+    ln_p = max(math.lgamma(m + 1), abs((x + k) * ln_q))
+    return (m + 1) * (LIBM + U) + ln_p * U - U
 
 
 def _head_term(e_u: float, e_d: float, m: int) -> float:

@@ -37,6 +37,14 @@ ROOT_Q_TENTH = 1.4013087307419981
 NEAR_ONE_Q = (0.99999, 1.0 - 1e-9, 1.0 - 2e-12)
 
 
+def _head_length(x: float, q: QParam) -> int:
+    """K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and L = -ln REL_TOL: the
+    number of recurrence steps that minimises K + L / (s (x+K)), the head
+    terms plus the tail terms at ratio q^(x+K), as psi_q and psi_q_m take
+    it."""
+    return max(0, math.ceil(math.sqrt(-math.log(REL_TOL) / -q.ln_q) - x))
+
+
 class TestLnGammaQ:
     def test_value_one_is_exactly_zero(self):
         for qv in (0.1, 0.5, 0.9, *NEAR_ONE_Q):
@@ -343,7 +351,7 @@ class TestPsiQM:
         # built per call.
         for x, qv in ((0.4, "0.5"), (1.5, "0.9"), (3.0, "0.2")):
             q = QParam(float(qv))
-            assert qspecial._head_length(x, q) > 0, (x, qv)
+            assert _head_length(x, q) > 0, (x, qv)
             ev = psi_q_m(m, x, q)
             oracle = float(mp_psi_q_m(m, x, qv))
             assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), (x, qv)
@@ -356,6 +364,27 @@ class TestPsiQM:
         oracle = float(mp_psi_q_m(m, 30, "0.5"))
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
 
+    @pytest.mark.parametrize("m, x, qv, oracle", [
+        (170, 100.0, 0.9999, -8.8841193781856054e-36),
+        (120, 1000.0, 0.99999, -5.9158044692867353e-164),
+        (180, 100.0, 0.9999, -2.4080216997416601e-33),
+    ])
+    def test_large_m_head_matches_oracle(self, m, x, qv, oracle):
+        # Each head term's (ln q / (1 - u))^(m+1) is below 1e-320 here while
+        # u A_m(u) is near m!: taken apart, the power underflows to 0 and the
+        # head is lost.  The oracles are the n-form in 40 digits (38,245,
+        # 30,676 and 39,696 terms), frozen.  At m = 180, A_m's coefficients
+        # leave the doubles, so a head term does, and the call raises
+        # Overflow although the value is in range: the limit that stays.
+        q = QParam(qv)
+        assert _head_length(x, q) > 0
+        if m > 171:
+            with pytest.raises(Overflow, match=rf"psi_q_m\({m}, {x}, {qv}\) exceeds the double range"):
+                psi_q_m(m, x, q)
+            return
+        ev = psi_q_m(m, x, q)
+        assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
+
     def test_summands_rising_from_below_the_floor_match_oracle(self):
         # At m = 2100, x = 1000, q = 0.5 the first summand underflows and the
         # second is about 1e-305, while they peak near n = m / (s x) ~ 3 at
@@ -365,7 +394,7 @@ class TestPsiQM:
         oracle = float(mp_psi_q_m(2100, 1000, "0.5"))
         assert oracle == pytest.approx(-3.1400e-236, rel=1e-4)
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
-        assert qspecial._head_length(1000.0, QParam(0.5)) == 0
+        assert _head_length(1000.0, QParam(0.5)) == 0
         assert _mp_psi_q_m_tail(2100, 1000.0, 0.5, ev.terms_used) <= ev.error_estimate * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("m, x, qv", [(1000, 316.0, 0.74), (800, 300.0, 0.78), (60, 5.0, 0.95)])
@@ -375,7 +404,7 @@ class TestPsiQM:
         # 1e-300 and the value is about -2.1e65 and -5.4e-8: a stop at the
         # bound q^y alone would return 0.0.
         q = QParam(qv)
-        y = x + qspecial._head_length(x, q)
+        y = x + _head_length(x, q)
         assert m * math.log1p(1 / 8) + y * q.ln_q > 0.0
         ev = psi_q_m(m, x, q)
         oracle = float(mp_psi_q_m(m, x, str(qv)))
@@ -542,7 +571,7 @@ class TestTailEngineReference:
                     mismatches.append((args, got, ref[:4]))
                 continue
             kind, total, estimate, terms, summands = ref
-            y_ln_q, m = args[0], args[3] if len(args) > 3 else 0
+            y_ln_q, m = args[0], args[3]
             charges_ref = [rounding.tail_summand_closure(n, y_ln_q, m) for n in range(1, len(summands) + 1)]
             charges_got = [rounding.tail_summand_carried(n, y_ln_q, m) for n in range(1, len(summands) + 1)]
             # The bound is the first omitted summand times one factor both
@@ -558,7 +587,7 @@ class TestTailEngineReference:
         assert mismatches == []
         if max_terms is None:
             assert len(tails) > 350
-            assert sum(got[0] == "stop" and len(args) == 3 for args, got in tails) == 81
+            assert sum(got[0] == "stop" and args[3] == 0 for args, got in tails) == 81
         else:
             assert sum(got[0] == "cap" for _, got in tails) > 50
             assert sum(got[0] == "cap" and got[2] == math.inf for _, got in tails) > 0
@@ -580,7 +609,7 @@ class TestTailEngineReference:
         points += [(m, x, QParam(qv)) for m, x, qv in self.EDGES]
         checked = capped = 0
         for m, x, q in points:
-            k_end = qspecial._head_length(x, q)
+            k_end = _head_length(x, q)
             if k_end >= cfg.max_terms:
                 continue
             try:
@@ -757,7 +786,7 @@ def _reference_psi_q(x, q, cfg):
     ln_q = q.ln_q
     s = -ln_q
     max_terms = cfg.max_terms
-    k_end = qspecial._head_length(x, q)
+    k_end = _head_length(x, q)
     limit = min(k_end, max_terms)
     y_ln_q = (x + k_end) * ln_q
     offset = -math.log1p(-q.q)
@@ -820,7 +849,11 @@ class TestStraightLineReference:
         assert qspecial._em_ladder(1.0, -1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 99)[2] == qspecial._EM_TERMS == 7
 
     def test_every_head_kernel_matches_the_loop(self):
+        # A kernel returns the whole head term u A_m(u) r^(m+1): up to m = 16
+        # as the loop's u A_m(u) times r^(m+1), above as
+        # ((u A_m(u))^(1/(m+1)) r)^(m+1).
         u = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
+        r = (-1e-6, -0.3, -1.0, -7.5, -1e4)
         assert sorted(qspecial._LI_HEADS) == list(range(1, 17))
         for m in range(1, 21):
             if m in qspecial._LI_HEADS:
@@ -828,7 +861,12 @@ class TestStraightLineReference:
             else:
                 kernel = qspecial._loop_head(m)
             for v in u:
-                assert kernel(v) == _loop_kernel(m, v), (m, v)
+                for w in r:
+                    if m <= 16:
+                        expected = _loop_kernel(m, v) * w ** (m + 1)
+                    else:
+                        expected = (_loop_kernel(m, v) ** (1.0 / (m + 1)) * w) ** (m + 1)
+                    assert kernel(v, w) == expected, (m, v, w)
 
     @pytest.mark.parametrize("max_terms", [None, *MAX_TERMS])
     def test_ln_gamma_q_matches_the_loop_form(self, max_terms):
@@ -892,7 +930,7 @@ def _reference_psi_q_m(m, x, q, cfg, parts=None):
     power = m + 1
     sign = 1.0 if m % 2 else -1.0
     max_terms = cfg.max_terms
-    k_end = qspecial._head_length(x, q)
+    k_end = _head_length(x, q)
     limit = min(k_end, max_terms)
     eulerian = (
         (qspecial._EULERIAN[int(m)] if m < len(qspecial._EULERIAN) else qspecial._eulerian(int(m))) if k_end else ()
@@ -1055,10 +1093,10 @@ class TestShiftedTail:
 
     @pytest.mark.parametrize("max_terms", [None, 1, 7, 60])
     def test_tail_starts_at_x_plus_head_length(self, monkeypatch, max_terms):
-        # psi_q and psi_q_m write K out; the y ln q each hands the engine is
-        # (x + _head_length(x, q)) ln q bit for bit, for x on both sides of
-        # sqrt(L/s) (K > 0 and K = 0) and at it, and only when the head
-        # fits the cap.
+        # The library writes K out; the y ln q psi_q and psi_q_m hand the
+        # engine is (x + _head_length(x, q)) ln q bit for bit, K from the
+        # helper above, for x on both sides of sqrt(L/s) (K > 0 and K = 0)
+        # and at it, and only when the head fits the cap.
         cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
         seen = []
 
@@ -1073,7 +1111,7 @@ class TestShiftedTail:
             edge = math.sqrt(-math.log(REL_TOL) / -q.ln_q)
             xs = (0.01, 0.3 * edge, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 3.0 * edge + 0.5)
             for x in xs:
-                k_end = qspecial._head_length(x, q)
+                k_end = _head_length(x, q)
                 for m in (0, 1, 2, 17):
                     seen.clear()
                     try:
@@ -1118,7 +1156,7 @@ class TestShiftedTail:
         # at stops after few tail terms too.
         q = QParam(qv)
         for x in (0.05, 0.5, 1.0, 3.0, 10.0, 30.0):
-            k_end = qspecial._head_length(x, q)
+            k_end = _head_length(x, q)
             for m in (1, 2, 3):
                 ev = psi_q_m(m, x, q)
                 remainder = _mp_psi_q_m_tail(m, x + k_end, qv, ev.terms_used - k_end)
@@ -1198,7 +1236,7 @@ class TestLibmCallsPerCall:
             psi_q(x, q)
             counting.calls = 0
             ev = psi_q_m(2, x, q)
-            found.append((*tail_calls[0], counting.calls, ev.terms_used, qspecial._head_length(x, q)))
+            found.append((*tail_calls[0], counting.calls, ev.terms_used, _head_length(x, q)))
         (many_tail, many_tail_terms, many, many_terms, head), (few_tail, few_tail_terms, few, few_terms, no_head) = found
         assert many_tail_terms > 20 and many_terms > 40 and head > 20
         assert few_tail_terms == few_terms == 2 and no_head == 0
@@ -1228,7 +1266,7 @@ class TestNoConfigPerCall:
         capped = EvalConfig(500)
         monkeypatch.setattr(EvalConfig, "__new__", counting_new)
         q, root_qs = QParam(0.9), (QParam(0.5), QParam(0.049))
-        assert qspecial._head_length(0.05, q) == 17  # a head, and a tail after it
+        assert _head_length(0.05, q) == 17  # a head, and a tail after it
         for cfg in (qspecial.DEFAULT_CONFIG, capped):
             psi_q(0.05, q, cfg)
             psi_q_m(1, 0.05, q, cfg)
