@@ -20,14 +20,21 @@ or as (error type, message, partial value, estimate, terms).  It prints
 one digest per group, so bit-identity of the special functions, or the
 one group a change moves, shows at a glance.
 
+The CLI digests, in that same process, run ``qgamma table`` over a fixed
+sweep of each inequality (CLI_SWEEPS) in --format json and in --format
+csv, and ``qgamma bounds`` at one point of it in plain and json, through
+``qgamma.cli.main``.  They print one line per inequality id, so the ids
+whose printed bounds a change moves show at a glance.
+
 A change is checked by running this on both checkouts and comparing:
 
     python scripts/verify_digest.py              # the qgamma under ./src
     python scripts/verify_digest.py OTHER/src    # another checkout's qgamma
 
 Each verify line is ``samples seed exit_code full_sha256 verdict_sha256``,
-and each scan line ``scan group sha256``.  The five runs take about 7 s and
-the scan about 15 s on a 2-vCPU host.
+each CLI line ``cli id table_json_sha256 table_csv_sha256 bounds_sha256``
+and each scan line ``scan group sha256``.  The five runs take about 7 s,
+the CLI digests about 1 s and the scan about 15 s on a 2-vCPU host.
 """
 
 import hashlib
@@ -70,6 +77,58 @@ SCAN_CAPS = (None, 1, 3, 10, 40, 200)
 # them, and ln_gamma_q (order None).
 SCAN_GROUPS = (("psi_q", (0,)), ("psi_q_m:m<=16", (1, 2, 3, 7, 16)), ("psi_q_m:m=17,30", (17, 30)),
                ("ln_gamma_q:y=b", (None,)))
+
+
+# Per inequality id: the swept flag, its range and the fixed flags of a
+# CLI_STEPS-step `qgamma table` sweep inside the id's domain.  `qgamma
+# bounds` takes the fixed flags and the swept flag at POINT_VALUES[id], or
+# 1.25.  keckic_vasic runs past the double range, where the bounds print
+# inf (null in JSON).
+CLI_STEPS = 400
+CLI_SWEEPS = {
+    "thm_main": ("x", 1.0, 30.0, ("--y", "2.5", "--q", "0.7")),
+    "cor_half_shift": ("x", 0.05, 30.0, ("--q", "0.7")),
+    "thm_alpha": ("x", 0.05, 20.0, ("--y", "1.5", "--alpha", "3", "--q", "0.7")),
+    "thm_mvt": ("x", 0.1, 30.0, ("--y", "0.05", "--q", "0.7")),
+    "cor_mu_lambda": ("x", 0.05, 30.0, ("--mu", "1.5", "--lambda", "0.25", "--q", "0.7")),
+    "cor_one_half": ("x", 0.05, 30.0, ("--q", "0.7")),
+    "remark_rearranged": ("x", 0.05, 30.0, ("--q", "0.7")),
+    "keckic_vasic": ("x", 1.5, 200.0, ("--y", "1.5")),
+    "zhang_xu_situ": ("x", 0.05, 8.0, ("--y", "1.5")),
+}
+POINT_VALUES = {"keckic_vasic": "200"}
+
+
+def cli_outputs() -> dict:
+    """Each id's stdout of `table` (json, csv) and `bounds` (plain + json),
+    from the qgamma on sys.path."""
+    import contextlib
+    import io
+
+    from qgamma.cli import main as cli_main
+
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(argv)
+        if code != 0:
+            raise SystemExit(f"qgamma {' '.join(argv)} exited {code}")
+        return out.getvalue()
+
+    outputs = {}
+    for ineq, (var, low, high, fixed) in CLI_SWEEPS.items():
+        table = ["table", "--ineq", ineq, "--var", var, "--min", repr(low), "--max", repr(high),
+                 "--steps", str(CLI_STEPS), *fixed]
+        bounds = ["bounds", "--ineq", ineq, f"--{var}", POINT_VALUES.get(ineq, "1.25"), *fixed]
+        outputs[ineq] = (run(table + ["--format", "json"]), run(table + ["--format", "csv"]),
+                         run(bounds) + run(bounds + ["--format", "json"]))
+    return outputs
+
+
+def print_cli_digests() -> None:
+    """Print ``cli id table_json table_csv bounds`` digests for each id."""
+    for ineq, texts in cli_outputs().items():
+        print("cli", ineq, *(hashlib.sha256(text.encode()).hexdigest() for text in texts), flush=True)
 
 
 def scan_outcomes() -> dict:
@@ -119,9 +178,10 @@ def main() -> None:
     for samples, seed in STANDARD_RUNS:
         code, full, verdicts = digest(src.resolve(), samples, seed)
         print(samples, seed, code, full, verdicts, flush=True)
-    # The scan imports this script in a fresh process over ``src``.
+    # The CLI digests and the scan import this script in a fresh process over ``src``.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src.resolve()), str(Path(__file__).resolve().parent)))}
-    subprocess.run([sys.executable, "-c", "import verify_digest; verify_digest.print_scan_digests()"],
+    subprocess.run([sys.executable, "-c",
+                    "import verify_digest; verify_digest.print_cli_digests(); verify_digest.print_scan_digests()"],
                    env=env, check=True)
 
 

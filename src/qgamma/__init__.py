@@ -17,7 +17,6 @@ from .qcore import (
     QParam,
     q_bracket,
     q_bracket_derivative,
-    q_factorial,
     q_pow,
     sum_geometric_decay,
 )

@@ -1,9 +1,10 @@
 """One operation per ratio inequality.
 
-Every operation returns a BoundPair holding the lower bound, the exact
-ratio, and the upper bound at one point.  All three are computed in log
-space (the exponent forms span hundreds of orders of magnitude) and
-exponentiated only for presentation; every verdict reads the log margins.
+Every operation returns a BoundPair holding the logs of the lower bound,
+the exact ratio and the upper bound at one point, with the two log margins
+between them.  All three are computed in log space (the exponent forms
+span hundreds of orders of magnitude) and never exponentiated here: every
+verdict reads the log margins, and the CLI exponentiates what it prints.
 
 Log differences are written as log(x) - log(y) rather than log(x/y) so that
 swapping the arguments negates every bound exponent exactly in floating
@@ -22,30 +23,25 @@ import math
 from typing import NamedTuple, Optional, Tuple
 
 from .classical import ln_gamma_classical, psi_classical
-from .constants import CERT_SLACK_LOG, MAX_EXP
+from .constants import CERT_SLACK_LOG
 from .errors import AlphaBelowRoot, DomainError
 from .qcore import (DEFAULT_CONFIG, EvalConfig, QParam, new_record, q_bracket, q_bracket_derivative, q_pow,
                     require_positive)
 from .qspecial import ln_gamma_q, psi_q, psi_q_root
 
-def _safe_exp(z: float) -> float:
-    return math.inf if z > MAX_EXP else math.exp(z)
-
 
 class BoundPair(NamedTuple):
-    """Evaluated (lower, ratio, upper) triple of one double inequality.
+    """Evaluated (lower, ratio, upper) triple of one double inequality, in
+    log space.
 
-    The log_* fields are the primary representation; lower/ratio/upper are
-    their exponentials.  The margins are the log margins every verdict
-    reads, log_ratio - log_lower and log_upper - log_ratio.  ``strict``
-    records whether the source inequality is strict.  A pair does not name
-    its inequality: a corollary returns its theorem's pair at the shifted
+    The log_* fields are the logs of the lower bound, the ratio and the
+    upper bound.  The margins are the log margins every verdict reads,
+    log_ratio - log_lower and log_upper - log_ratio.  ``strict`` records
+    whether the source inequality is strict.  A pair does not name its
+    inequality: a corollary returns its theorem's pair at the shifted
     arguments as it is, and the caller knows which operation it called.
     """
 
-    lower: float
-    ratio: float
-    upper: float
     lower_margin: float
     upper_margin: float
     strict: bool
@@ -55,8 +51,8 @@ class BoundPair(NamedTuple):
 
 
 def _pair(log_lower: float, log_ratio: float, log_upper: float, strict: bool) -> BoundPair:
+    """The one builder of a BoundPair: the margins from the three logs."""
     return new_record(BoundPair, (
-        _safe_exp(log_lower), _safe_exp(log_ratio), _safe_exp(log_upper),
         log_ratio - log_lower, log_upper - log_ratio, strict, log_lower, log_ratio, log_upper,
     ))
 
@@ -209,20 +205,14 @@ def cor_one_half_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -
 def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
     """Rearranged half-shift bounds on Gamma_q(x)/Gamma_q(x+1/2).
 
-    Every component is the corresponding cor_one_half component divided by
-    [x]_q, exactly as the functional equation Gamma_q(x+1) = [x]_q Gamma_q(x)
-    rearranges the displayed inequality.
+    Every log component is the corresponding cor_one_half one less
+    ln [x]_q, exactly as the functional equation Gamma_q(x+1) = [x]_q
+    Gamma_q(x) rearranges the displayed inequality.
     """
     inner = cor_one_half_bounds(x, q, cfg)
-    bracket = q_bracket(x, q)
-    log_bracket = math.log(bracket)
-    log_lower = inner.log_lower - log_bracket
-    log_ratio = inner.log_ratio - log_bracket
-    log_upper = inner.log_upper - log_bracket
-    return new_record(BoundPair, (
-        inner.lower / bracket, inner.ratio / bracket, inner.upper / bracket,
-        log_ratio - log_lower, log_upper - log_ratio, inner.strict, log_lower, log_ratio, log_upper,
-    ))
+    log_bracket = math.log(q_bracket(x, q))
+    return _pair(inner.log_lower - log_bracket, inner.log_ratio - log_bracket, inner.log_upper - log_bracket,
+                 inner.strict)
 
 
 def keckic_vasic_bounds(x: float, y: float, force: bool = False) -> BoundPair:
@@ -303,7 +293,8 @@ class DomainSpec(_DomainSpecFields):
     constraint is alpha_at_least_root, and the common (mu, lambda) range
     when it is mu_greater_than_lambda.  ``q_range`` is None for the
     classical inequalities.  Every construction path, ``_replace`` and
-    ``_make`` included, checks the ranges and the constraint.
+    ``_make`` included, checks the ranges (ordered, with finite ends and
+    width) and the constraint.
     """
 
     __slots__ = ()
@@ -317,8 +308,13 @@ class DomainSpec(_DomainSpecFields):
         constraint: str = "none",
     ):
         for name, rng in (("x_range", x_range), ("y_range", y_range), ("aux_range", aux_range)):
-            if rng is not None and not rng[0] <= rng[1]:
+            if rng is None:
+                continue
+            if not rng[0] <= rng[1]:
                 raise DomainError(f"{name} is empty: {rng!r}")
+            # A uniform draw is a + (b - a) U: an infinite end or width draws inf.
+            if not math.isfinite(rng[1] - rng[0]):
+                raise DomainError(f"{name} must have finite ends and width, got {rng!r}")
         if q_range is not None and not (0.0 < q_range[0] <= q_range[1] < 1.0):
             raise DomainError(f"q_range must sit inside (0, 1), got {q_range!r}")
         if constraint not in _CONSTRAINTS:

@@ -22,6 +22,11 @@ verify --corrupt-bounds halves every inequality's upper bound and must exit
 1; a request holding a check with no upper bound (convexity, slope, limits,
 and so --ineq all) exits 2, naming those checks, before any check runs.
 
+`bounds` and `table` print each pair's lower, ratio and upper as the
+exponentials of its log fields, computed here, where they are printed: a
+``bounds.BoundPair`` holds the logs and the log margins alone.  A log above
+``constants.MAX_EXP`` prints as inf.
+
 Every subcommand writes JSON through one writer, with null for each float
 that is not finite: a bound beyond the double range in `bounds` and
 `table`, or a worst margin of a report none of whose points evaluated
@@ -49,10 +54,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from .classical import ln_gamma_classical, psi_classical
+from .constants import MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow, QGammaError
 from .qcore import EvalConfig, QParam
 from .qspecial import _exp_evaluation, euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
@@ -86,6 +93,13 @@ _SLOT_ALIASES = {"lambda": "lam"}
 
 # The bound pair fields that `bounds` prints and each `table` row holds.
 _PAIR_FIELDS = ("lower", "ratio", "upper", "lower_margin", "upper_margin")
+
+
+def _pair_fields(pair) -> dict:
+    """The _PAIR_FIELDS of a BoundPair: the exponentials of its three logs,
+    inf for a log above MAX_EXP, then its two log margins."""
+    values = [math.inf if z > MAX_EXP else math.exp(z) for z in (pair.log_lower, pair.log_ratio, pair.log_upper)]
+    return dict(zip(_PAIR_FIELDS, (*values, pair.lower_margin, pair.upper_margin)))
 
 
 def _fmt(value: float) -> str:
@@ -150,7 +164,7 @@ def _cmd_bounds(args) -> int:
     pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), cfg, force=args.force)
     payload = {
         "inequality_id": args.ineq,
-        **{name: getattr(pair, name) for name in _PAIR_FIELDS},
+        **_pair_fields(pair),
         "strict": pair.strict,
         "satisfied": passes(pair.lower_margin, pair.upper_margin),
     }
@@ -181,9 +195,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_root(args) -> int:
     cfg = _eval_config(args)
-    payload = psi_q_root(QParam(args.q), cfg)._asdict()
-    del payload["q"]
-    _emit(payload, args.format)
+    _emit(psi_q_root(QParam(args.q), cfg)._asdict(), args.format)
     return EXIT_OK
 
 
@@ -205,7 +217,7 @@ def _cmd_table(args) -> int:
     rows = []
     for value in linspace(args.min, args.max, args.steps):
         pair = evaluate_point(args.ineq, _point(args.ineq, {**values, var_slot: value}), cfg, force=args.force)
-        rows.append({args.var: value, **{name: getattr(pair, name) for name in _PAIR_FIELDS}})
+        rows.append({args.var: value, **_pair_fields(pair)})
     if args.format == "json":
         _write_json(rows)
     else:

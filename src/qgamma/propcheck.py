@@ -180,8 +180,8 @@ def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
     lambda, or the aux value, each as ``rng.uniform`` over its range would
     (q log-uniform in 1 - q over ranges wider than a decade)."""
     require_count(count, "count")
-    # random.Random(-s) would replay the stream of s.
-    if not isinstance(seed, int) or seed < 0:
+    # random.Random(-s) would replay the stream of s, and Random(True) that of 1.
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = random.Random(seed)
     draw_x = _uniform(rng, spec.x_range)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from .errors import DomainError, NonConvergence, Overflow
+from .errors import DomainError, NonConvergence
 
 # QParam construction rejects q this close to 1.  ln Gamma_q takes the same
 # few terms at every q up to here, but psi_q and psi_q^(m) still need about
@@ -84,8 +84,9 @@ class QParam(_QParamFields):
 
 def require_count(value: int, name: str) -> None:
     """The one domain rule for a count (a term cap, a number of samples):
-    an integer, else DomainError, and >= 1, else DomainError."""
-    if not isinstance(value, int):
+    an integer and not a bool, else DomainError, and >= 1, else
+    DomainError."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value!r}")
@@ -165,18 +166,6 @@ def q_bracket(x: float, q: QParam) -> float:
 def q_bracket_derivative(x: float, q: QParam) -> float:
     """d/dx of the q-bracket: -(ln q) q^x / (1 - q); positive for all x."""
     return -q.ln_q * q_pow(q, x) / (1.0 - q.q)
-
-
-def q_factorial(n: int, q: QParam) -> float:
-    """prod_{k=1..n} [k]_q with the empty product equal to 1."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    acc = 1.0
-    for k in range(1, int(n) + 1):
-        acc *= q_bracket(float(k), q)
-    if math.isinf(acc):
-        raise Overflow(f"q-factorial overflowed at n={n}, q={q.q}")
-    return acc
 
 
 def sum_geometric_decay(

@@ -551,7 +551,6 @@ def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
 class PsiRoot(NamedTuple):
     """The unique positive zero of psi_q with its certifying bracket."""
 
-    q: QParam
     root: float
     bracket_low: float
     bracket_high: float
@@ -713,7 +712,7 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
         root = 0.5 * (lo + hi)
         residual = psi_q(root, q, cfg).value
         if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(lo, root, hi, q):
-            return new_record(PsiRoot, (q, root, lo, hi, residual))
+            return new_record(PsiRoot, (root, lo, hi, residual))
     raise BracketFailure(
         f"psi_q's zero not certified within {_ROOT_CENTRES} centres (last {root!r}, residual {residual!r}) for q={q.q}"
     )

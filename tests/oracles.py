@@ -109,6 +109,12 @@ def mp_q_bracket(x, q):
     return (1 - mpf(q) ** mpf(x)) / (1 - mpf(q))
 
 
+def mp_q_factorial(n, q):
+    """[n]_q! = prod_{k=1..n} (1-q^k)/(1-q), the empty product 1: Gamma_q(n+1)."""
+    q = mpf(q)
+    return mp.fprod((1 - q**k) / (1 - q) for k in range(1, n + 1))
+
+
 def mp_psi_q_root(q, lo=0.5, hi=8.0, iters=200, terms=3000):
     """Bisection for the positive zero of psi_q on the raw partial sums."""
     lo = mpf(lo)

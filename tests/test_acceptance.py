@@ -13,9 +13,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from oracles import mp_gamma_q, mp_psi_q, mp_psi_q_m
+from oracles import mp_gamma_q, mp_psi_q, mp_psi_q_m, mp_q_factorial
 from qgamma.classical import ln_gamma_classical, psi_classical
-from qgamma.qcore import QParam, q_bracket, q_factorial
+from qgamma.qcore import QParam, q_bracket
 from qgamma.qspecial import euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
 from qgamma.bounds import (
     INEQUALITY_IDS,
@@ -58,7 +58,7 @@ def test_criterion_2_integer_value_suite():
         for qv in (0.1, 0.3, 0.5, 0.7, 0.9):
             q = QParam(qv)
             for n in range(0, 21):
-                expected = q_factorial(n, q)
+                expected = float(mp_q_factorial(n, qv))
                 value = gamma_q(n + 1.0, q).value
                 assert abs(value - expected) <= 1e-12 * abs(expected), (n, qv)
 
@@ -111,22 +111,23 @@ def test_criterion_5_specialization_identities():
             x = float(rng.uniform(0.05, 20.0))
             a = cor_half_shift_bounds(x, q)
             b = thm_main_bounds(x + 1.0, x + 0.5, q, force=True)
-            assert (a.lower, a.ratio, a.upper) == (b.lower, b.ratio, b.upper)
+            assert (a.log_lower, a.log_ratio, a.log_upper) == (b.log_lower, b.log_ratio, b.log_upper)
 
             a = cor_one_half_bounds(x, q)
             b = thm_mvt_bounds(x + 1.0, x + 0.5, q)
-            assert (a.lower, a.ratio, a.upper) == (b.lower, b.ratio, b.upper)
+            assert (a.log_lower, a.log_ratio, a.log_upper) == (b.log_lower, b.log_ratio, b.log_upper)
 
             lam = float(rng.uniform(0.05, 3.0))
             mu = lam + float(rng.uniform(1e-3, 2.0))
             a = cor_mu_lambda_bounds(x, mu, lam, q)
             b = thm_mvt_bounds(x + mu, x + lam, q)
-            assert (a.lower, a.ratio, a.upper) == (b.lower, b.ratio, b.upper)
+            assert (a.log_lower, a.log_ratio, a.log_upper) == (b.log_lower, b.log_ratio, b.log_upper)
 
             a = remark_rearranged_bounds(x, q)
             b = cor_one_half_bounds(x, q)
-            bracket = q_bracket(x, q)
-            assert (a.lower, a.ratio, a.upper) == (b.lower / bracket, b.ratio / bracket, b.upper / bracket)
+            log_bracket = math.log(q_bracket(x, q))
+            assert (a.log_lower, a.log_ratio, a.log_upper) == (
+                b.log_lower - log_bracket, b.log_ratio - log_bracket, b.log_upper - log_bracket)
 
 
 def test_criterion_6_convexity_and_lemma_suites():

@@ -11,7 +11,7 @@ from oracles import (
     mp_psi_q,
     mp_ratio_gamma_q,
 )
-from qgamma.constants import CERT_SLACK_LOG
+from qgamma.constants import CERT_SLACK_LOG, MAX_EXP
 from qgamma.errors import AlphaBelowRoot, DomainError, NonConvergence
 from qgamma.qcore import EvalConfig, QParam, q_bracket
 from qgamma import bounds
@@ -61,21 +61,28 @@ def mp_thm_mvt_triple(x, y, q):
     return (mp.e ** ((x - y) * mp_psi_q(y, q)), ratio, mp.e ** ((x - y) * mp_psi_q(x, q)))
 
 
+def exps(pair):
+    """(lower, ratio, upper): the exponentials of the pair's log fields."""
+    return tuple(math.exp(z) for z in (pair.log_lower, pair.log_ratio, pair.log_upper))
+
+
 def assert_triple(pair, expected, rel=1e-10):
-    assert pair.lower == pytest.approx(float(expected[0]), rel=rel)
-    assert pair.ratio == pytest.approx(float(expected[1]), rel=rel)
-    assert pair.upper == pytest.approx(float(expected[2]), rel=rel)
+    lower, ratio, upper = exps(pair)
+    assert lower == pytest.approx(float(expected[0]), rel=rel)
+    assert ratio == pytest.approx(float(expected[1]), rel=rel)
+    assert upper == pytest.approx(float(expected[2]), rel=rel)
 
 
 class TestThmMain:
     def test_collapse_at_equal_arguments(self):
         pair = thm_main_bounds(2.0, 2.0, QParam(0.5))
-        assert pair.lower == pair.ratio == pair.upper == 1.0
+        assert pair.log_lower == pair.log_ratio == pair.log_upper == 0.0
 
     def test_unit_ratio_point(self):
         pair = thm_main_bounds(2.0, 1.0, QParam(0.5))
-        assert pair.ratio == pytest.approx(1.0, abs=1e-12)
-        assert pair.lower <= 1.0 <= pair.upper
+        lower, ratio, upper = exps(pair)
+        assert ratio == pytest.approx(1.0, abs=1e-12)
+        assert lower <= 1.0 <= upper
 
     def test_triple_against_oracle(self):
         pair = thm_main_bounds(3.0, 1.5, QParam(0.3))
@@ -97,7 +104,7 @@ class TestThmMain:
             assert forward.log_lower == -backward.log_upper
             assert forward.log_upper == -backward.log_lower
             assert forward.log_ratio == -backward.log_ratio
-            assert forward.lower == pytest.approx(1.0 / backward.upper, rel=1e-12)
+            assert math.exp(forward.log_lower) == pytest.approx(1.0 / math.exp(backward.log_upper), rel=1e-12)
             # thm_mvt needs x > y; the swapped call is exploratory.
             high, low = max(x, y), min(x, y)
             forward = thm_mvt_bounds(high, low, q)
@@ -126,14 +133,13 @@ class TestCorHalfShift:
             spec = cor_half_shift_bounds(x, q)
             direct = thm_main_bounds(x + 1.0, x + 0.5, q, force=True)
             assert spec == direct
-            assert (spec.lower, spec.ratio, spec.upper) == (direct.lower, direct.ratio, direct.upper)
             assert (spec.log_lower, spec.log_ratio, spec.log_upper) == (
                 direct.log_lower, direct.log_ratio, direct.log_upper)
 
     def test_ratio_at_one(self):
         pair = cor_half_shift_bounds(1.0, QParam(0.5))
         expected = float(mp_ratio_gamma_q(2, "1.5", "0.5"))
-        assert pair.ratio == pytest.approx(expected, rel=1e-12)
+        assert math.exp(pair.log_ratio) == pytest.approx(expected, rel=1e-12)
 
     def test_triple_at_quarter(self):
         pair = cor_half_shift_bounds(0.5, QParam(0.25))
@@ -143,12 +149,12 @@ class TestCorHalfShift:
 class TestThmAlpha:
     def test_collapse_at_equal_arguments(self):
         pair = thm_alpha_bounds(1.0, 1.0, 5.0, QParam(0.5))
-        assert pair.lower == pair.ratio == pair.upper == 1.0
+        assert pair.log_lower == pair.log_ratio == pair.log_upper == 0.0
 
     def test_triple_against_oracle(self):
         pair = thm_alpha_bounds(2.0, 1.0, 2.0, QParam(0.5))
         assert_triple(pair, mp_thm_alpha_triple(2, 1, 2, "0.5"))
-        assert pair.ratio == pytest.approx(1.75, rel=1e-12)  # G_q(4)/G_q(3)
+        assert math.exp(pair.log_ratio) == pytest.approx(1.75, rel=1e-12)  # G_q(4)/G_q(3)
 
     def test_alpha_below_root_rejected(self):
         with pytest.raises(AlphaBelowRoot):
@@ -156,7 +162,7 @@ class TestThmAlpha:
 
     def test_force_overrides_hypothesis_check(self):
         pair = thm_alpha_bounds(2.0, 1.0, 0.5, QParam(0.5), force=True)
-        assert math.isfinite(pair.ratio)
+        assert math.isfinite(pair.log_ratio)
 
     @pytest.mark.parametrize("alpha", [1e4, 1e8])
     def test_bounds_at_the_arguments_the_sums_carry(self, alpha):
@@ -203,13 +209,14 @@ class TestThmMvt:
     def test_reference_point(self):
         pair = thm_mvt_bounds(2.0, 1.0, QParam(0.5))
         assert pair.strict
-        assert pair.ratio == pytest.approx(1.0, abs=1e-12)
-        assert pair.lower == pytest.approx(float(mp.e ** mp_psi_q(1, "0.5")), rel=1e-12)
-        assert pair.upper == pytest.approx(float(mp.e ** mp_psi_q(2, "0.5")), rel=1e-12)
+        lower, ratio, upper = exps(pair)
+        assert ratio == pytest.approx(1.0, abs=1e-12)
+        assert lower == pytest.approx(float(mp.e ** mp_psi_q(1, "0.5")), rel=1e-12)
+        assert upper == pytest.approx(float(mp.e ** mp_psi_q(2, "0.5")), rel=1e-12)
 
     def test_narrow_gap_tends_to_one(self):
         pair = thm_mvt_bounds(1.0 + 1e-9, 1.0, QParam(0.5))
-        for value in (pair.lower, pair.ratio, pair.upper):
+        for value in exps(pair):
             assert value == pytest.approx(1.0, abs=1e-8)
 
     def test_triple_against_oracle(self):
@@ -248,13 +255,14 @@ class TestMvtCorollaries:
             spec = cor_mu_lambda_bounds(x, mu, lam, q)
             direct = thm_mvt_bounds(x + mu, x + lam, q)
             assert spec == direct
-            assert (spec.lower, spec.ratio, spec.upper) == (direct.lower, direct.ratio, direct.upper)
+            assert (spec.log_lower, spec.log_ratio, spec.log_upper) == (
+                direct.log_lower, direct.log_ratio, direct.log_upper)
 
     def test_mu_one_reduces_to_one_half_form(self):
         q = QParam(0.5)
         a = cor_mu_lambda_bounds(1.0, 1.0, 0.5, q)
         b = cor_one_half_bounds(1.0, q)
-        assert (a.lower, a.ratio, a.upper) == (b.lower, b.ratio, b.upper)
+        assert (a.log_lower, a.log_ratio, a.log_upper) == (b.log_lower, b.log_ratio, b.log_upper)
 
     def test_mu_lambda_triple_against_oracle(self):
         pair = cor_mu_lambda_bounds(2.0, 1.5, 0.25, QParam(0.6))
@@ -275,7 +283,8 @@ class TestMvtCorollaries:
             spec = cor_one_half_bounds(x, q)
             direct = thm_mvt_bounds(x + 1.0, x + 0.5, q)
             assert spec == direct
-            assert (spec.lower, spec.ratio, spec.upper) == (direct.lower, direct.ratio, direct.upper)
+            assert (spec.log_lower, spec.log_ratio, spec.log_upper) == (
+                direct.log_lower, direct.log_ratio, direct.log_upper)
 
     def test_one_half_triple_against_oracle(self):
         pair = cor_one_half_bounds(1.0, QParam(0.5))
@@ -285,8 +294,8 @@ class TestMvtCorollaries:
         q = QParam(0.5)
         pair = cor_one_half_bounds(60.0, q)
         limit = (1.0 - 0.5) ** -0.5
-        assert pair.lower == pytest.approx(limit, rel=1e-8)
-        assert pair.upper == pytest.approx(limit, rel=1e-8)
+        assert math.exp(pair.log_lower) == pytest.approx(limit, rel=1e-8)
+        assert math.exp(pair.log_upper) == pytest.approx(limit, rel=1e-8)
 
 
 class TestRemarkRearranged:
@@ -297,15 +306,16 @@ class TestRemarkRearranged:
             q = QParam(float(rng.uniform(0.05, 0.95)))
             remark = remark_rearranged_bounds(x, q)
             base = cor_one_half_bounds(x, q)
-            bracket = q_bracket(x, q)
-            assert remark.lower == base.lower / bracket
-            assert remark.ratio == base.ratio / bracket
-            assert remark.upper == base.upper / bracket
+            log_bracket = math.log(q_bracket(x, q))
+            assert remark.log_lower == base.log_lower - log_bracket
+            assert remark.log_ratio == base.log_ratio - log_bracket
+            assert remark.log_upper == base.log_upper - log_bracket
+            assert remark.strict == base.strict
 
     def test_ratio_at_one(self):
         pair = remark_rearranged_bounds(1.0, QParam(0.5))
         expected = float(mp_ratio_gamma_q(1, "1.5", "0.5"))
-        assert pair.ratio == pytest.approx(expected, rel=1e-12)
+        assert math.exp(pair.log_ratio) == pytest.approx(expected, rel=1e-12)
 
     def test_triple_against_oracle(self):
         pair = remark_rearranged_bounds(2.0, QParam(0.3))
@@ -318,23 +328,23 @@ class TestRemarkRearranged:
 class TestKeckicVasic:
     def test_collapse_at_equal_arguments(self):
         pair = keckic_vasic_bounds(2.0, 2.0)
-        assert pair.lower == pair.ratio == pair.upper == 1.0
+        assert pair.log_lower == pair.log_ratio == pair.log_upper == 0.0
 
     def test_three_two_point(self):
-        pair = keckic_vasic_bounds(3.0, 2.0)
-        assert pair.ratio == pytest.approx(2.0, rel=1e-7)
-        assert pair.lower == pytest.approx(9.0 / (2.0 * math.e), rel=1e-12)
-        assert pair.upper == pytest.approx(3.0**2.5 * math.exp(-1.0) / 2.0**1.5, rel=1e-12)
+        lower, ratio, upper = exps(keckic_vasic_bounds(3.0, 2.0))
+        assert ratio == pytest.approx(2.0, rel=1e-7)
+        assert lower == pytest.approx(9.0 / (2.0 * math.e), rel=1e-12)
+        assert upper == pytest.approx(3.0**2.5 * math.exp(-1.0) / 2.0**1.5, rel=1e-12)
 
     def test_triple_against_oracle(self):
-        pair = keckic_vasic_bounds(5.0, 1.5)
+        got_lower, got_ratio, got_upper = exps(keckic_vasic_bounds(5.0, 1.5))
         x, y = mpf(5), mpf("1.5")
         ratio = mp.e ** (mp_ln_gamma_classical(x) - mp_ln_gamma_classical(y))
         lower = x ** (x - 1) * mp.e**y / (y ** (y - 1) * mp.e**x)
         upper = x ** (x - mpf("0.5")) * mp.e**y / (y ** (y - mpf("0.5")) * mp.e**x)
-        assert pair.lower == pytest.approx(float(lower), rel=1e-12)
-        assert pair.upper == pytest.approx(float(upper), rel=1e-12)
-        assert pair.ratio == pytest.approx(float(ratio), rel=1e-7)
+        assert got_lower == pytest.approx(float(lower), rel=1e-12)
+        assert got_upper == pytest.approx(float(upper), rel=1e-12)
+        assert got_ratio == pytest.approx(float(ratio), rel=1e-7)
 
     def test_rejects_outside_domain(self):
         with pytest.raises(DomainError):
@@ -346,16 +356,16 @@ class TestKeckicVasic:
 class TestZhangXuSitu:
     def test_collapse_at_equal_arguments(self):
         pair = zhang_xu_situ_bounds(1.7, 1.7)
-        assert pair.lower == pair.ratio == pair.upper == 1.0
+        assert pair.log_lower == pair.log_ratio == pair.log_upper == 0.0
 
     def test_two_one_point(self):
-        pair = zhang_xu_situ_bounds(2.0, 1.0)
-        assert pair.ratio == pytest.approx(1.0, rel=1e-7)
+        got_lower, got_ratio, got_upper = exps(zhang_xu_situ_bounds(2.0, 1.0))
+        assert got_ratio == pytest.approx(1.0, rel=1e-7)
         x, y = mpf(2), mpf(1)
         lower = (x**x / y**y) * (x / y) ** (y * (mp_psi_classical(y) - mp.log(y))) * mp.e ** (y - x)
         upper = (x**x / y**y) * (x / y) ** (x * (mp_psi_classical(x) - mp.log(x))) * mp.e ** (y - x)
-        assert pair.lower == pytest.approx(float(lower), rel=1e-7)
-        assert pair.upper == pytest.approx(float(upper), rel=1e-7)
+        assert got_lower == pytest.approx(float(lower), rel=1e-7)
+        assert got_upper == pytest.approx(float(upper), rel=1e-7)
 
     def test_allows_x_below_y(self):
         pair = zhang_xu_situ_bounds(0.5, 1.5)
@@ -363,9 +373,10 @@ class TestZhangXuSitu:
         ratio = mp.e ** (mp_ln_gamma_classical(x) - mp_ln_gamma_classical(y))
         lower = (x**x / y**y) * (x / y) ** (y * (mp_psi_classical(y) - mp.log(y))) * mp.e ** (y - x)
         upper = (x**x / y**y) * (x / y) ** (x * (mp_psi_classical(x) - mp.log(x))) * mp.e ** (y - x)
-        assert pair.lower == pytest.approx(float(lower), rel=1e-7)
-        assert pair.ratio == pytest.approx(float(ratio), rel=1e-7)
-        assert pair.upper == pytest.approx(float(upper), rel=1e-7)
+        got_lower, got_ratio, got_upper = exps(pair)
+        assert got_lower == pytest.approx(float(lower), rel=1e-7)
+        assert got_ratio == pytest.approx(float(ratio), rel=1e-7)
+        assert got_upper == pytest.approx(float(upper), rel=1e-7)
         assert pair.log_lower <= pair.log_ratio <= pair.log_upper
 
     def test_rejects_nonpositive(self):
@@ -385,7 +396,7 @@ class TestQToOneConsistency:
                 math.exp(ln_gamma_classical(x).value - ln_gamma_classical(y).value),
                 math.exp((x - y) * psi_classical(x).value),
             )
-            for got, ref in zip((pair.lower, pair.ratio, pair.upper), classical):
+            for got, ref in zip(exps(pair), classical):
                 assert abs(got / ref - 1.0) <= 0.02
 
 
@@ -445,6 +456,16 @@ class TestRootCacheAndDomains:
         with pytest.raises(DomainError):
             DomainSpec((1.0, 2.0), constraint="alpha_at_least_root")
 
+    @pytest.mark.parametrize("rng", [(1.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308), (math.nan, 1.0)])
+    def test_domain_spec_rejects_ranges_that_are_not_finite(self, rng):
+        # A uniform draw a + (b - a) U is inf at every point when an end is
+        # infinite, and at most points when only the width b - a is.
+        for args in ((rng,), ((1.0, 2.0), rng), ((1.0, 2.0), (1.0, 2.0), None, rng)):
+            with pytest.raises(DomainError):
+                DomainSpec(*args)
+        with pytest.raises(DomainError):
+            DomainSpec((1.0, 2.0))._replace(x_range=rng)
+
 
 def test_bound_pair_has_no_inequality_id():
     # A corollary returns its theorem's pair as it is (the *_equals_* tests
@@ -499,6 +520,6 @@ class TestVerdict:
     def test_margins_stay_finite_beyond_the_double_range(self):
         # Gamma(200) / Gamma(2) overflows; its log margins do not.
         pair = keckic_vasic_bounds(200.0, 2.0)
-        assert pair.lower == pair.ratio == pair.upper == math.inf
+        assert min(pair.log_lower, pair.log_ratio, pair.log_upper) > MAX_EXP
         assert math.isfinite(pair.lower_margin) and math.isfinite(pair.upper_margin)
         assert passes(pair.lower_margin, pair.upper_margin)

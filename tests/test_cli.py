@@ -9,6 +9,7 @@ import pytest
 
 import qgamma.cli as cli
 import qgamma.qspecial as qspecial
+from qgamma import bounds
 from qgamma.bounds import INEQUALITIES, INEQUALITY_IDS, keckic_vasic_bounds, thm_mvt_bounds
 from qgamma.cli import main
 from qgamma.propcheck import EXTRA_CHECK_IDS, SCHEMA_VERSION, report_to_dict, run_check
@@ -311,6 +312,61 @@ class TestBounds:
         assert blob["satisfied"] is False
         pair = thm_mvt_bounds(2.0, 1.0, QParam(0.5))
         assert seen == [(pair.log_ratio - pair.log_lower, pair.log_upper - pair.log_ratio)]
+
+
+def _exp(z):
+    """e^z, inf where it overflows the double range."""
+    try:
+        return math.exp(z)
+    except OverflowError:
+        return math.inf
+
+
+class TestPrintedBounds:
+    """`bounds` and `table` print lower, ratio and upper as the exponentials
+    of the pair's log fields: inf in plain and CSV, null in JSON, past the
+    double range."""
+
+    # Every in-domain point of TestBounds, and Gamma(200)/Gamma(2), all of
+    # whose exponentials overflow.
+    POINTS = [*TestBounds.POINTS.items(), ("keckic_vasic", ("--x", "200", "--y", "2"))]
+
+    @staticmethod
+    def expected(ineq, flags):
+        """lower, ratio, upper at the point of ``flags`` (flag name to
+        value), from the bounds operation called directly."""
+        values = {cli._SLOT_ALIASES.get(flag[2:], flag[2:]): float(v) for flag, v in flags.items()}
+        args = [QParam(values[slot]) if slot == "q" else values[slot] for slot in INEQUALITIES[ineq].args]
+        pair = getattr(bounds, f"{ineq}_bounds")(*args)
+        return [_exp(z) for z in (pair.log_lower, pair.log_ratio, pair.log_upper)]
+
+    def test_bounds_prints_the_exponentials_of_the_logs(self, capsys):
+        assert {ineq for ineq, _ in self.POINTS} == set(INEQUALITY_IDS)
+        for ineq, flags in self.POINTS:
+            expected = self.expected(ineq, dict(zip(flags[::2], flags[1::2])))
+            assert main(["bounds", "--ineq", ineq, *flags]) == 0
+            plain = parse_plain(capsys.readouterr().out)
+            assert [float(plain[key]) for key in ("lower", "ratio", "upper")] == expected, ineq
+            assert main(["bounds", "--ineq", ineq, *flags, "--format", "json"]) == 0
+            blob = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+            json_expected = [v if math.isfinite(v) else None for v in expected]
+            assert [blob[key] for key in ("lower", "ratio", "upper")] == json_expected, ineq
+
+    def test_table_prints_the_exponentials_of_the_logs(self, capsys):
+        # Each sweep runs from the point's x to x + 1 in two steps.
+        for ineq, flags in self.POINTS:
+            fixed = dict(zip(flags[::2], flags[1::2]))
+            x = float(fixed.pop("--x"))
+            rows = [self.expected(ineq, {**fixed, "--x": value}) for value in (x, x + 1.0)]
+            sweep = ["table", "--ineq", ineq, "--var", "x", "--min", repr(x), "--max", repr(x + 1.0), "--steps", "2",
+                     *(token for item in fixed.items() for token in item)]
+            assert main(sweep) == 0
+            csv_rows = capsys.readouterr().out.strip().split("\n")[1:]
+            assert [list(map(float, line.split(",")[1:4])) for line in csv_rows] == rows, ineq
+            assert main([*sweep, "--format", "json"]) == 0
+            blob = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+            json_rows = [[v if math.isfinite(v) else None for v in row] for row in rows]
+            assert [[row[key] for key in ("lower", "ratio", "upper")] for row in blob] == json_rows, ineq
 
 
 def test_infinite_x_is_a_domain_error(capsys):

@@ -2,7 +2,7 @@
 
 from mpmath import mp, mpf
 
-from oracles import mp_ln_gamma_q, mp_psi_q
+from oracles import mp_ln_gamma_q, mp_psi_q, mp_q_factorial
 
 
 def test_psi_q_oracle_converges_on_its_own():
@@ -19,3 +19,17 @@ def test_ln_gamma_q_oracle_converges_on_its_own():
         mp.log(1 - q ** (n + 1)) - mp.log(1 - q ** (n + x)) for n in range(3000)
     )
     assert abs(mp_ln_gamma_q("0.05", "0.95", terms=1) - reference) <= mpf("1e-30") * abs(reference)
+
+
+def test_q_factorial_oracle_known_values():
+    # [2]_q! = 1 + q and [3]_q! = (1 + q)(1 + q + q^2); the empty product is 1.
+    q = mpf("0.5")
+    assert mp_q_factorial(0, "0.9") == 1
+    assert abs(mp_q_factorial(2, "0.5") - (1 + q)) <= mpf("1e-38")
+    assert abs(mp_q_factorial(3, "0.5") - (1 + q) * (1 + q + q**2)) <= mpf("1e-38")
+
+
+def test_q_factorial_oracle_is_the_q_gamma_product_at_integers():
+    # Gamma_q(n+1) from the independent log-product oracle.
+    for n in (1, 5, 20):
+        assert abs(mp_q_factorial(n, "0.7") / mp.e ** mp_ln_gamma_q(n + 1, "0.7") - 1) <= mpf("1e-30")

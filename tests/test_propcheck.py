@@ -69,7 +69,7 @@ class TestSample:
         with pytest.raises(DomainError):
             sample(default_domain("thm_main"), 1, 0)
 
-    @pytest.mark.parametrize("count", [2.0, 2.5, "3"])
+    @pytest.mark.parametrize("count", [2.0, 2.5, "3", True])
     def test_count_must_be_an_integer(self, count):
         with pytest.raises(DomainError, match=f"count must be an integer, got {count!r}"):
             sample(default_domain("thm_main"), 1, count)
@@ -109,11 +109,13 @@ class TestSample:
     def test_draws_what_random_uniform_draws(self, spec, seed):
         assert sample(spec, seed, 40).points == _reference_points(spec, seed, 40)
 
-    @pytest.mark.parametrize("seed", [-1, -42, 1.5])
+    @pytest.mark.parametrize("seed", [-1, -42, 1.5, True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        # random.Random(-s) would replay the stream of s.
+        # random.Random(-s) would replay the stream of s, and Random(True)
+        # that of 1.
         with pytest.raises(DomainError):
             sample(default_domain("thm_main"), seed, 5)
+
 
 
 def _reference_points(spec: DomainSpec, seed: int, count: int) -> tuple:
@@ -434,6 +436,12 @@ class TestRegistry:
     def test_samples_must_be_an_integer(self, check_id):
         with pytest.raises(DomainError, match="samples must be an integer, got 2.5"):
             run_check(check_id, samples=2.5)
+
+    @pytest.mark.parametrize("check_id", ["thm_main", "limits"])
+    def test_samples_must_not_be_a_bool(self, check_id):
+        # True would run one sample.
+        with pytest.raises(DomainError, match="samples must be an integer, got True"):
+            run_check(check_id, samples=True)
 
     def test_run_check_unknown_id(self):
         with pytest.raises(DomainError):

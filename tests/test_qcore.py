@@ -6,7 +6,7 @@ import rounding
 from hypothesis import given, settings, strategies as st
 from oracles import mp_q_bracket
 
-from qgamma.errors import DomainError, NonConvergence, Overflow
+from qgamma.errors import DomainError, NonConvergence
 from qgamma.qcore import (
     ABS_TOL,
     EvalConfig,
@@ -14,7 +14,6 @@ from qgamma.qcore import (
     cap_error,
     q_bracket,
     q_bracket_derivative,
-    q_factorial,
     q_pow,
     require_positive,
     sum_geometric_decay,
@@ -58,10 +57,11 @@ class TestEvalConfig:
         with pytest.raises(DomainError):
             EvalConfig(**kwargs)
 
-    @pytest.mark.parametrize("max_terms", [2.5, 3.0, "10"])
+    @pytest.mark.parametrize("max_terms", [2.5, 3.0, "10", True])
     def test_rejects_a_cap_that_is_not_an_integer(self, max_terms):
         # Accepted, 2.5 would reach psi_q's range() as a TypeError, which no
-        # QGammaError handler catches.
+        # QGammaError handler catches, and True, an int, would build a
+        # 1-term config.
         with pytest.raises(DomainError, match=f"max_terms must be an integer, got {max_terms!r}"):
             EvalConfig(max_terms)
         with pytest.raises(DomainError, match="max_terms must be an integer"):
@@ -131,21 +131,6 @@ class TestQBracketDerivative:
                 x = float(x)
                 fd = (q_pow(q, x - h) - q_pow(q, x + h)) / ((1.0 - qv) * 2 * h)
                 assert q_bracket_derivative(x, q) == pytest.approx(fd, rel=1e-7)
-
-
-class TestQFactorial:
-    def test_known_values(self):
-        assert q_factorial(0, QParam(0.9)) == 1.0
-        assert q_factorial(2, QParam(0.5)) == pytest.approx(1.5, rel=1e-15)
-        assert q_factorial(3, QParam(0.5)) == pytest.approx(2.625, rel=1e-15)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            q_factorial(-1, QParam(0.5))
-
-    def test_overflow_reported(self):
-        with pytest.raises(Overflow):
-            q_factorial(400, QParam(1.0 - 1e-10))
 
 
 # ln q = -800 makes every 1 - q^n exactly 1 (q = exp(-800) = 0), so the

@@ -63,7 +63,8 @@ def test_records_are_tuples_of_their_fields():
     value, error_estimate, terms_used = ev = psi_q(2.0, q)
     assert (value, error_estimate, terms_used) == (ev.value, ev[1], ev.terms_used)
     assert Evaluation(*ev) == ev
-    assert BoundPair._fields[-3:] == ("log_lower", "log_ratio", "log_upper")
+    assert BoundPair._fields == ("lower_margin", "upper_margin", "strict", "log_lower", "log_ratio", "log_upper")
+    assert PsiRoot._fields == ("root", "bracket_low", "bracket_high", "residual")
     assert CertificateReport._fields[0] == "inequality_id"
     assert SampleBatch._fields == ("seed", "count", "points")
 
