@@ -11,8 +11,6 @@ from .errors import (
     RejectionOverflow,
 )
 from .qcore import (
-    DEFAULT_CONFIG,
-    EvalConfig,
     Evaluation,
     QParam,
     q_bracket,

@@ -25,8 +25,7 @@ from typing import NamedTuple, Optional, Tuple
 from .classical import ln_gamma_classical, psi_classical
 from .constants import CERT_SLACK_LOG
 from .errors import AlphaBelowRoot, DomainError
-from .qcore import (DEFAULT_CONFIG, EvalConfig, QParam, new_record, q_bracket, q_bracket_derivative, q_pow,
-                    require_positive)
+from .qcore import QParam, new_record, q_bracket, q_bracket_derivative, q_pow, require_positive
 from .qspecial import ln_gamma_q, psi_q, psi_q_root
 
 
@@ -70,33 +69,31 @@ def _f_offset(x: float, y: float, q: QParam) -> float:
     return (q_pow(q, x) - q_pow(q, y)) / (1.0 - q.q)
 
 
-def _f_slope(t: float, q: QParam, cfg: EvalConfig) -> float:
-    return t * (q_bracket_derivative(t, q) + psi_q(t, q, cfg).value)
+def _f_slope(t: float, q: QParam) -> float:
+    return t * (q_bracket_derivative(t, q) + psi_q(t, q).value)
 
 
 def _g_offset(x: float, y: float, alpha: float) -> float:
     return (y - x) + (math.log(x + alpha) - math.log(y + alpha))
 
 
-def _g_slope(t: float, alpha: float, q: QParam, cfg: EvalConfig) -> float:
-    return t * ((t + alpha - 1.0) / (t + alpha) + psi_q(t + alpha, q, cfg).value)
+def _g_slope(t: float, alpha: float, q: QParam) -> float:
+    return t * ((t + alpha - 1.0) / (t + alpha) + psi_q(t + alpha, q).value)
 
 
-def _require_alpha(alpha: float, q: QParam, cfg: EvalConfig, force: bool = False) -> None:
+def _require_alpha(alpha: float, q: QParam, *, force: bool = False) -> None:
     """Raise DomainError if alpha is not finite, and unless force is set,
     AlphaBelowRoot if alpha is below the psi_q root by more than 1e-9."""
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     if force:
         return
-    root = cached_psi_root(q, cfg)
+    root = cached_psi_root(q)
     if alpha < root - 1e-9:
         raise AlphaBelowRoot(alpha, root)
 
 
-def thm_main_bounds(
-    x: float, y: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, force: bool = False
-) -> BoundPair:
+def thm_main_bounds(x: float, y: float, q: QParam, *, force: bool = False) -> BoundPair:
     """Geometric-convexity bounds on Gamma_q(x)/Gamma_q(y) for x, y >= 1.
 
     Log form: s(t) * (log x - log y) + (q^x - q^y)/(1 - q), with the slope
@@ -109,30 +106,23 @@ def thm_main_bounds(
         raise DomainError(f"requires x >= 1 and y >= 1, got x={x!r}, y={y!r}")
     ldiff = math.log(x) - math.log(y)
     shift = _f_offset(x, y, q)
-    slope_y = _f_slope(y, q, cfg)
-    slope_x = _f_slope(x, q, cfg)
-    log_ratio = ln_gamma_q(x, q, cfg, y=y).value
+    slope_y = _f_slope(y, q)
+    slope_x = _f_slope(x, q)
+    log_ratio = ln_gamma_q(x, q, y=y).value
     return _pair(slope_y * ldiff + shift, log_ratio, slope_x * ldiff + shift, strict=False)
 
 
-def cor_half_shift_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
+def cor_half_shift_bounds(x: float, q: QParam) -> BoundPair:
     """The main bounds specialized to the ratio Gamma_q(x+1)/Gamma_q(x+1/2).
 
     Defined for x > 0 by substitution; equality with thm_main_bounds at
     (x+1, x+1/2) is an identity of this implementation, not an approximation.
     """
     require_positive(x)
-    return thm_main_bounds(x + 1.0, x + 0.5, q, cfg, force=True)
+    return thm_main_bounds(x + 1.0, x + 0.5, q, force=True)
 
 
-def thm_alpha_bounds(
-    x: float,
-    y: float,
-    alpha: float,
-    q: QParam,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    force: bool = False,
-) -> BoundPair:
+def thm_alpha_bounds(x: float, y: float, alpha: float, q: QParam, *, force: bool = False) -> BoundPair:
     """Shifted-argument bounds on Gamma_q(x+a)/Gamma_q(y+a) for a >= x*.
 
     x* is the positive root of psi_q; alpha below it (beyond a 1e-9 grace)
@@ -145,7 +135,7 @@ def thm_alpha_bounds(
     """
     require_positive(x)
     require_positive(y, "y")
-    _require_alpha(alpha, q, cfg, force)
+    _require_alpha(alpha, q, force=force)
     x_alpha = x + alpha
     y_alpha = y + alpha
     x_eff = x_alpha - alpha
@@ -158,64 +148,55 @@ def thm_alpha_bounds(
     x, y = x_eff, y_eff
     common = _g_offset(x, y, alpha)
     ldiff = math.log(x) - math.log(y)
-    slope_y = _g_slope(y, alpha, q, cfg)
-    slope_x = _g_slope(x, alpha, q, cfg)
-    log_ratio = ln_gamma_q(x_alpha, q, cfg, y=y_alpha).value
+    slope_y = _g_slope(y, alpha, q)
+    slope_x = _g_slope(x, alpha, q)
+    log_ratio = ln_gamma_q(x_alpha, q, y=y_alpha).value
     return _pair(common + slope_y * ldiff, log_ratio, common + slope_x * ldiff, strict=False)
 
 
-def thm_mvt_bounds(
-    x: float, y: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, force: bool = False
-) -> BoundPair:
+def thm_mvt_bounds(x: float, y: float, q: QParam, *, force: bool = False) -> BoundPair:
     """Mean-value bounds: (x-y) psi_q(y) < ln ratio < (x-y) psi_q(x), x > y > 0."""
     require_positive(x)
     require_positive(y, "y")
     if not force and not x > y:
         raise DomainError(f"requires x > y, got x={x!r}, y={y!r}")
     gap = x - y
-    log_lower = gap * psi_q(y, q, cfg).value
-    log_upper = gap * psi_q(x, q, cfg).value
-    log_ratio = ln_gamma_q(x, q, cfg, y=y).value
+    log_lower = gap * psi_q(y, q).value
+    log_upper = gap * psi_q(x, q).value
+    log_ratio = ln_gamma_q(x, q, y=y).value
     return _pair(log_lower, log_ratio, log_upper, strict=True)
 
 
-def cor_mu_lambda_bounds(
-    x: float,
-    mu: float,
-    lam: float,
-    q: QParam,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    force: bool = False,
-) -> BoundPair:
+def cor_mu_lambda_bounds(x: float, mu: float, lam: float, q: QParam, *, force: bool = False) -> BoundPair:
     """Mean-value bounds for Gamma_q(x+mu)/Gamma_q(x+lambda), mu > lambda > 0."""
     if not force:
         require_positive(lam, "lambda")
         if not mu > lam:
             raise DomainError(f"requires mu > lambda, got mu={mu!r}, lambda={lam!r}")
         require_positive(x)
-    return thm_mvt_bounds(x + mu, x + lam, q, cfg, force=force)
+    return thm_mvt_bounds(x + mu, x + lam, q, force=force)
 
 
-def cor_one_half_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
+def cor_one_half_bounds(x: float, q: QParam) -> BoundPair:
     """Mean-value bounds for Gamma_q(x+1)/Gamma_q(x+1/2), x > 0."""
     require_positive(x)
-    return thm_mvt_bounds(x + 1.0, x + 0.5, q, cfg)
+    return thm_mvt_bounds(x + 1.0, x + 0.5, q)
 
 
-def remark_rearranged_bounds(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundPair:
+def remark_rearranged_bounds(x: float, q: QParam) -> BoundPair:
     """Rearranged half-shift bounds on Gamma_q(x)/Gamma_q(x+1/2).
 
     Every log component is the corresponding cor_one_half one less
     ln [x]_q, exactly as the functional equation Gamma_q(x+1) = [x]_q
     Gamma_q(x) rearranges the displayed inequality.
     """
-    inner = cor_one_half_bounds(x, q, cfg)
+    inner = cor_one_half_bounds(x, q)
     log_bracket = math.log(q_bracket(x, q))
     return _pair(inner.log_lower - log_bracket, inner.log_ratio - log_bracket, inner.log_upper - log_bracket,
                  inner.strict)
 
 
-def keckic_vasic_bounds(x: float, y: float, force: bool = False) -> BoundPair:
+def keckic_vasic_bounds(x: float, y: float, *, force: bool = False) -> BoundPair:
     """Classical power-exponential bounds on Gamma(x)/Gamma(y) for x >= y > 1."""
     require_positive(x)
     require_positive(y, "y")
@@ -247,25 +228,25 @@ def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
 # Root cache, sampling domains and the inequality registry
 # --------------------------------------------------------------------------
 
-# psi_q root per (q, max_terms), kept for the life of the process: a second
-# run in the same process reuses the roots of the first.  Keyed by the exact
-# float and the cap, so a capped solve never depends on what ran before;
-# concurrent initialization at worst recomputes the same value.
+# psi_q root per q, kept for the life of the process: a second run in the
+# same process reuses the roots of the first.  Keyed by the exact float; a
+# solve that raises (NonConvergence past the term cap, BracketFailure)
+# stores nothing, and concurrent initialization at worst recomputes the
+# same value.
 # Unbounded on purpose: ``sample`` solves the root of every drawn point
 # before ``certify`` reads them all back, so a bound below the sample count
 # would solve each root twice; ``table`` rows share one q and hit it.
 # A miss costs one psi_q call for q in [0.05, 1 - 1e-5], and below 0.05
 # 1.05 on average and at most 4 with 3 psi_q_m calls (see psi_q_root); a
 # hit, one dict lookup.
-_ROOT_CACHE: dict[Tuple[float, int], float] = {}
+_ROOT_CACHE: dict[float, float] = {}
 
 
-def cached_psi_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    key = (q.q, cfg.max_terms)
-    root = _ROOT_CACHE.get(key)
+def cached_psi_root(q: QParam) -> float:
+    root = _ROOT_CACHE.get(q.q)
     if root is None:
-        root = psi_q_root(q, cfg).root
-        _ROOT_CACHE[key] = root
+        root = psi_q_root(q).root
+        _ROOT_CACHE[q.q] = root
     return root
 
 

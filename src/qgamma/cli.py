@@ -9,8 +9,10 @@ evaluation errors).
 
 Values print with 17 significant digits so they re-parse to the identical
 double.  Every series stops once its tail bound is at most 1e-13 of its
-sum (``qcore.REL_TOL``); the series term cap, --max-terms, is the only
-numeric option, and no environment variable sets it.
+sum (``qcore.REL_TOL``), within a fixed cap of 10^6 terms
+(``qcore.MAX_TERMS``); no subcommand takes a numeric evaluation option,
+and no environment variable sets one.  Earlier releases took the cap as
+--max-terms, which now exits 2 as an unknown flag.
 
 verify samples each domain from the standard library's random.Random(seed)
 (Mersenne Twister), so its reports are fixed by the seed, an integer >= 0;
@@ -24,13 +26,13 @@ and so --ineq all) exits 2, naming those checks, before any check runs.
 
 `bounds` and `table` print each pair's lower, ratio and upper as the
 exponentials of its log fields, computed here, where they are printed: a
-``bounds.BoundPair`` holds the logs and the log margins alone.  A log above
-``constants.MAX_EXP`` prints as inf.
+``bounds.BoundPair`` holds the logs and the log margins alone.  A log whose
+exponential overflows the doubles (above about 709.78) prints as inf.
 
 Every subcommand writes JSON through one writer, with null for each float
 that is not finite: a bound beyond the double range in `bounds` and
-`table`, or a worst margin of a report none of whose points evaluated
-(e.g. under a small --max-terms).  Plain and CSV print inf and nan.
+`table`, or a worst margin of a report none of whose points evaluated.
+Plain and CSV print inf and nan.
 
 JSON report schema (one object per check):
   { "schema_version": 2, "inequality_id": str, "n_samples": int,
@@ -59,9 +61,8 @@ import sys
 from typing import Optional
 
 from .classical import ln_gamma_classical, psi_classical
-from .constants import MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow, QGammaError
-from .qcore import EvalConfig, QParam
+from .qcore import QParam
 from .qspecial import _exp_evaluation, euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
 from .bounds import INEQUALITIES, INEQUALITY_IDS, passes
 from .propcheck import (ALL_CHECK_IDS, EXTRA_CHECK_IDS, _json_ready, evaluate_point, linspace, report_to_dict,
@@ -72,9 +73,8 @@ EXIT_CERT_FAILURES = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# Each `eval --fn` function with the flags it takes, in argument order; the
-# q-functions, which take --q, also take the series config.  --m, taken by
-# psi_q_m alone, defaults to 1.
+# Each `eval --fn` function with the flags it takes, in argument order.
+# --m, taken by psi_q_m alone, defaults to 1.
 _EVAL_FUNCTIONS = {
     "gamma_q": (gamma_q, ("x", "q")),
     "ln_gamma_q": (ln_gamma_q, ("x", "q")),
@@ -95,19 +95,23 @@ _SLOT_ALIASES = {"lambda": "lam"}
 _PAIR_FIELDS = ("lower", "ratio", "upper", "lower_margin", "upper_margin")
 
 
+def _exp_or_inf(z: float) -> float:
+    """e^z, or inf where math.exp overflows."""
+    try:
+        return math.exp(z)
+    except OverflowError:
+        return math.inf
+
+
 def _pair_fields(pair) -> dict:
     """The _PAIR_FIELDS of a BoundPair: the exponentials of its three logs,
-    inf for a log above MAX_EXP, then its two log margins."""
-    values = [math.inf if z > MAX_EXP else math.exp(z) for z in (pair.log_lower, pair.log_ratio, pair.log_upper)]
+    inf for one beyond the doubles, then its two log margins."""
+    values = [_exp_or_inf(z) for z in (pair.log_lower, pair.log_ratio, pair.log_upper)]
     return dict(zip(_PAIR_FIELDS, (*values, pair.lower_margin, pair.upper_margin)))
 
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
-
-
-def _eval_config(args) -> EvalConfig:
-    return EvalConfig() if args.max_terms is None else EvalConfig(max_terms=args.max_terms)
 
 
 def _write_json(payload) -> None:
@@ -148,20 +152,18 @@ def _point_from_args(ineq: str, args) -> tuple:
 
 
 def _cmd_eval(args) -> int:
-    cfg = _eval_config(args)
     fn, flags = _EVAL_FUNCTIONS[args.fn]
     if "m" in flags and args.m is None:
         args.m = 1
     _require_flags(args.fn, flags, _EVAL_FLAGS, args)
     values = [QParam(args.q) if flag == "q" else getattr(args, flag) for flag in flags]
-    ev = fn(*values, cfg) if "q" in flags else fn(*values)
+    ev = fn(*values)
     _emit(ev._asdict(), args.format)
     return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    cfg = _eval_config(args)
-    pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), cfg, force=args.force)
+    pair = evaluate_point(args.ineq, _point_from_args(args.ineq, args), force=args.force)
     payload = {
         "inequality_id": args.ineq,
         **_pair_fields(pair),
@@ -173,13 +175,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _eval_config(args)
     check_ids = ALL_CHECK_IDS if args.ineq == "all" else (args.ineq,)
     unbounded = [cid for cid in check_ids if cid in EXTRA_CHECK_IDS]
     if args.corrupt_bounds and unbounded:
         raise DomainError("--corrupt-bounds: no upper bound to halve in " + ", ".join(unbounded))
     reports = [
-        run_check(cid, seed=args.seed, samples=args.samples, cfg=cfg, corrupt_upper=args.corrupt_bounds)
+        run_check(cid, seed=args.seed, samples=args.samples, corrupt_upper=args.corrupt_bounds)
         for cid in check_ids
     ]
     if args.format == "json":
@@ -194,13 +195,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_root(args) -> int:
-    cfg = _eval_config(args)
-    _emit(psi_q_root(QParam(args.q), cfg)._asdict(), args.format)
+    _emit(psi_q_root(QParam(args.q))._asdict(), args.format)
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    cfg = _eval_config(args)
     if args.steps < 2:
         raise DomainError(f"steps must be >= 2, got {args.steps!r}")
     if not args.min < args.max:
@@ -216,7 +215,7 @@ def _cmd_table(args) -> int:
     values = {slot: getattr(args, slot) for slot in fixed}
     rows = []
     for value in linspace(args.min, args.max, args.steps):
-        pair = evaluate_point(args.ineq, _point(args.ineq, {**values, var_slot: value}), cfg, force=args.force)
+        pair = evaluate_point(args.ineq, _point(args.ineq, {**values, var_slot: value}), force=args.force)
         rows.append({args.var: value, **_pair_fields(pair)})
     if args.format == "json":
         _write_json(rows)
@@ -231,9 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgamma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("plain", "json")):
+    def add_format(p, formats=("plain", "json")):
         p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--max-terms", dest="max_terms", type=int, default=None)
 
     def add_point_flags(p):
         for slot in _SLOTS:
@@ -247,13 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--q", type=float)
     p_eval.add_argument("--m", type=int)
-    add_common(p_eval)
+    add_format(p_eval)
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_bounds = sub.add_parser("bounds", help="evaluate one inequality's bound pair at a point")
     p_bounds.add_argument("--ineq", required=True, choices=INEQUALITY_IDS)
     add_point_flags(p_bounds)
-    add_common(p_bounds)
+    add_format(p_bounds)
     p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="certify inequalities over sampled domains")
@@ -263,12 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--corrupt-bounds", dest="corrupt_bounds", action="store_true",
                           help="harness self-test: halve every upper bound, must fail")
-    add_common(p_verify)
+    add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_root = sub.add_parser("root", help="positive root of the q-digamma")
     p_root.add_argument("--q", type=float, required=True)
-    add_common(p_root)
+    add_format(p_root)
     p_root.set_defaults(handler=_cmd_root)
 
     p_table = sub.add_parser("table", help="sweep one variable, emit CSV or JSON rows")
@@ -278,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max", type=float, required=True)
     p_table.add_argument("--steps", type=int, required=True)
     add_point_flags(p_table)
-    add_common(p_table, ("csv", "json"))
+    add_format(p_table, ("csv", "json"))
     p_table.set_defaults(handler=_cmd_table)
 
     return parser

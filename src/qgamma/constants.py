@@ -5,7 +5,9 @@ Bernoulli numbers of the asymptotic series live here so that every module
 certifies against the same numbers.
 """
 
-# ln of the largest finite double, rounded down; exp above it overflows.
+# ln of the largest finite double (709.7827...), rounded down: the log-space
+# range test of psi_q^(m)'s summands.  Exponentials decide by math.exp's own
+# OverflowError instead, so a log up to 709.7827 still gives a finite value.
 MAX_EXP = 709.78
 
 # B_2, B_4, ..., B_18 (DLMF 24.2.1), as plain floats: the coefficients of

@@ -13,7 +13,7 @@ Points are drawn from the standard library's ``random.Random(seed)``
 (Mersenne Twister) with integer seeds >= 0, and slope grids are evenly
 spaced as ``linspace`` makes them, so the module needs nothing beyond the
 standard library.  Evaluation is sequential and reports depend only on
-(seed, spec, cfg); wall_time is the one field that varies between runs.
+(seed, spec); wall_time is the one field that varies between runs.
 SampleBatch and CertificateReport are immutable NamedTuple records (see
 ``qcore``): they unpack, index and compare equal to plain tuples, and
 ``report._replace(wall_time=0.0)`` is a report without its timing.
@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
 from .errors import AlphaBelowRoot, DomainError, QGammaError, RejectionOverflow
-from .qcore import DEFAULT_CONFIG, EvalConfig, QParam, require_count
+from .qcore import QParam, require_count
 from .qspecial import gamma_q, ln_gamma_q, psi_q, euler_gamma_q
 from .bounds import (
     BoundPair,
@@ -173,8 +173,7 @@ def _q_draw(rng: random.Random, q_range: Tuple[float, float]) -> Callable[[], fl
 def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
     """Draw ``count`` points (an integer >= 1) from ``spec`` with rejection
     on its constraint, from the stream of ``random.Random(seed)``; alpha sits
-    above the psi_q root solved under DEFAULT_CONFIG, so the points depend
-    on the seed alone.
+    above the psi_q root, so the points depend on the seed alone.
 
     Each point draws x, then y, then q, then the alpha offset, or mu and
     lambda, or the aux value, each as ``rng.uniform`` over its range would
@@ -235,29 +234,24 @@ def _point_dict(point: Point) -> dict:
     return {"x": x, "y": y, "q": q, "aux": aux}
 
 
-def evaluate_point(
-    inequality_id: str,
-    point: Point,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    force: bool = False,
-) -> BoundPair:
+def evaluate_point(inequality_id: str, point: Point, *, force: bool = False) -> BoundPair:
     """Evaluate one inequality's BoundPair at a sampled point."""
     x, y, q, aux = point
     if inequality_id == "thm_main":
-        return thm_main_bounds(x, y, QParam(q), cfg, force=force)
+        return thm_main_bounds(x, y, QParam(q), force=force)
     if inequality_id == "cor_half_shift":
-        return cor_half_shift_bounds(x, QParam(q), cfg)
+        return cor_half_shift_bounds(x, QParam(q))
     if inequality_id == "thm_alpha":
-        return thm_alpha_bounds(x, y, aux, QParam(q), cfg, force=force)
+        return thm_alpha_bounds(x, y, aux, QParam(q), force=force)
     if inequality_id == "thm_mvt":
-        return thm_mvt_bounds(x, y, QParam(q), cfg, force=force)
+        return thm_mvt_bounds(x, y, QParam(q), force=force)
     if inequality_id == "cor_mu_lambda":
         mu, lam = aux
-        return cor_mu_lambda_bounds(x, mu, lam, QParam(q), cfg, force=force)
+        return cor_mu_lambda_bounds(x, mu, lam, QParam(q), force=force)
     if inequality_id == "cor_one_half":
-        return cor_one_half_bounds(x, QParam(q), cfg)
+        return cor_one_half_bounds(x, QParam(q))
     if inequality_id == "remark_rearranged":
-        return remark_rearranged_bounds(x, QParam(q), cfg)
+        return remark_rearranged_bounds(x, QParam(q))
     if inequality_id == "keckic_vasic":
         return keckic_vasic_bounds(x, y, force=force)
     if inequality_id == "zhang_xu_situ":
@@ -265,12 +259,7 @@ def evaluate_point(
     raise DomainError(f"unknown inequality id {inequality_id!r}")
 
 
-def certify(
-    inequality_id: str,
-    batch: SampleBatch,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    corrupt_upper: bool = False,
-) -> CertificateReport:
+def certify(inequality_id: str, batch: SampleBatch, *, corrupt_upper: bool = False) -> CertificateReport:
     """Check lower <= ratio <= upper (log space, 1e-9 slack) over a batch.
 
     Evaluation errors at a point are recorded as failures, never skipped.
@@ -282,7 +271,7 @@ def certify(
     tally = _Tally(inequality_id, _point_dict)
     for point in batch.points:
         try:
-            pair = evaluate_point(inequality_id, point, cfg)
+            pair = evaluate_point(inequality_id, point)
         except QGammaError as exc:
             tally.error(point, exc)
             continue
@@ -296,7 +285,7 @@ def certify(
 # --------------------------------------------------------------------------
 
 def _proof_function(
-    function_id: str, q: QParam, aux, cfg: EvalConfig
+    function_id: str, q: QParam, aux
 ) -> Tuple[Callable[[float, float], float], Callable[[float], float]]:
     """Log ratio ln f(t) - ln f(u) and slope t (ln f)'(t) of a proof function:
     f(t) = e^[t]_q Gamma_q(t) on [1, inf), or g(t) = e^t Gamma_q(t+a) / (t+a)
@@ -308,12 +297,12 @@ def _proof_function(
     """
     if function_id == "f_thm_main":
         return (
-            lambda t, u: ln_gamma_q(t, q, cfg, y=u).value - _f_offset(t, u, q),
-            lambda t: _f_slope(t, q, cfg),
+            lambda t, u: ln_gamma_q(t, q, y=u).value - _f_offset(t, u, q),
+            lambda t: _f_slope(t, q),
         )
     if function_id == "g_thm_alpha":
         alpha = float(aux)
-        failure = _attempt(_require_alpha, alpha, q, cfg)
+        failure = _attempt(_require_alpha, alpha, q)
         if isinstance(failure, AlphaBelowRoot):
             raise failure
         if failure is not None:
@@ -323,8 +312,8 @@ def _proof_function(
 
             return failed, failed
         return (
-            lambda t, u: ln_gamma_q(t + alpha, q, cfg, y=u + alpha).value - _g_offset(t, u, alpha),
-            lambda t: _g_slope(t, alpha, q, cfg),
+            lambda t, u: ln_gamma_q(t + alpha, q, y=u + alpha).value - _g_offset(t, u, alpha),
+            lambda t: _g_slope(t, alpha, q),
         )
     raise DomainError(f"unknown convexity function {function_id!r}")
 
@@ -347,11 +336,11 @@ _PROOF_ROWS = {
 }
 
 
-def _convexity_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> CertificateReport:
+def _convexity_report(function_id: str, runs: Iterable) -> CertificateReport:
     """One report of the midpoint margins over (batch, q, alpha) runs."""
     tally = _Tally(f"convexity_{function_id}", _point_dict)
     for batch, q, aux in runs:
-        log_diff, _ = _proof_function(function_id, q, aux, cfg)
+        log_diff, _ = _proof_function(function_id, q, aux)
         least = _PROOF_ROWS[function_id].least_argument
         for point in batch.points:
             x1, x2 = point[0], point[1]
@@ -367,26 +356,24 @@ def _convexity_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> Cert
     return tally.report()
 
 
-def check_geometric_convexity(
-    function_id: str, batch: SampleBatch, q: QParam, aux=None, cfg: EvalConfig = DEFAULT_CONFIG
-) -> CertificateReport:
+def check_geometric_convexity(function_id: str, batch: SampleBatch, q: QParam, aux=None) -> CertificateReport:
     """Verify ln f(sqrt(x1 x2)) <= (ln f(x1) + ln f(x2)) / 2 over a pair batch.
 
     Pairs come from the (x, y) slots of the batch.  The midpoint margin,
     (D(x1, m) + D(x2, m)) / 2 with m = sqrt(x1 x2) and D the log ratio of f,
     is reported in both worst-margin fields.
     """
-    return _convexity_report(function_id, [(batch, q, aux)], cfg)
+    return _convexity_report(function_id, [(batch, q, aux)])
 
 
-def _slope_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> CertificateReport:
+def _slope_report(function_id: str, runs: Iterable) -> CertificateReport:
     """One report of the slope differences over (grid, q, alpha) runs."""
     tally = _Tally(f"slope_{function_id}", _point_dict)
     for grid, q, aux in runs:
         grid = [float(t) for t in grid]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be strictly increasing")
-        _, slope = _proof_function(function_id, q, aux, cfg)
+        _, slope = _proof_function(function_id, q, aux)
         values = [_attempt(slope, t) for t in grid]
         for i, (a, b) in enumerate(zip(values, values[1:])):
             point = (grid[i], grid[i + 1], q.q, aux)
@@ -397,25 +384,19 @@ def _slope_report(function_id: str, runs: Iterable, cfg: EvalConfig) -> Certific
     return tally.report()
 
 
-def check_lemma_monotone_slope(
-    function_id: str, grid: Sequence[float], q: QParam, aux=None, cfg: EvalConfig = DEFAULT_CONFIG
-) -> CertificateReport:
+def check_lemma_monotone_slope(function_id: str, grid: Sequence[float], q: QParam, aux=None) -> CertificateReport:
     """Verify x (ln f)'(x) is nondecreasing along a strictly increasing grid.
 
     A slope that fails to evaluate makes each comparison it enters a
     recorded error.
     """
-    return _slope_report(function_id, [(grid, q, aux)], cfg)
+    return _slope_report(function_id, [(grid, q, aux)])
 
 
 _LIMIT_REL_TOL = 5e-2
 
 
-def check_limits(
-    q_sequence: Sequence[float],
-    x_grid: Sequence[float],
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> CertificateReport:
+def check_limits(q_sequence: Sequence[float], x_grid: Sequence[float]) -> CertificateReport:
     """Verify Gamma_q -> Gamma, psi_q -> psi and gamma_q -> gamma as q -> 1.
 
     For each x the absolute deviations must decrease strictly along
@@ -451,9 +432,9 @@ def check_limits(
     for x in x_grid:
         gamma_ref = math.exp(ln_gamma_classical(x).value)
         psi_ref = psi_classical(x).value
-        run_track(f"gamma@x={x}", [_attempt(gamma_q, x, QParam(q), cfg) for q in q_sequence], gamma_ref)
-        run_track(f"psi@x={x}", [_attempt(psi_q, x, QParam(q), cfg) for q in q_sequence], psi_ref)
-    run_track("euler_gamma", [_attempt(euler_gamma_q, QParam(q), cfg) for q in q_sequence], EULER_GAMMA)
+        run_track(f"gamma@x={x}", [_attempt(gamma_q, x, QParam(q)) for q in q_sequence], gamma_ref)
+        run_track(f"psi@x={x}", [_attempt(psi_q, x, QParam(q)) for q in q_sequence], psi_ref)
+    run_track("euler_gamma", [_attempt(euler_gamma_q, QParam(q)) for q in q_sequence], EULER_GAMMA)
     return tally.report()
 
 
@@ -467,40 +448,40 @@ _LIMIT_X_GRID = (0.5, 1.5, 2.5, 4.0)
 
 
 def _combos(row: _ProofRow) -> list:
-    """The (q, alpha) pairs of ``row``, roots solved under DEFAULT_CONFIG."""
+    """The (q, alpha) pairs of ``row``, alpha each offset above q's psi_q root."""
     grid = [QParam(q) for q in _CHECK_Q_GRID]
     if row.alpha_offsets is None:
         return [(q, None) for q in grid]
     return [(q, cached_psi_root(q) + off) for q in grid for off in row.alpha_offsets]
 
 
-def _run_inequality(inequality_id: str, seed: int, samples: int, cfg: EvalConfig, corrupt_upper=False):
-    return certify(inequality_id, sample(default_domain(inequality_id), seed, samples), cfg, corrupt_upper)
+def _run_inequality(inequality_id: str, seed: int, samples: int, corrupt_upper=False):
+    return certify(inequality_id, sample(default_domain(inequality_id), seed, samples), corrupt_upper=corrupt_upper)
 
 
-def _run_convexity(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> CertificateReport:
+def _run_convexity(function_id: str, seed: int, samples: int) -> CertificateReport:
     row = _PROOF_ROWS[function_id]
     combos = _combos(row)
     per_combo = -(-samples // len(combos))
     runs = ((sample(row.pair_domain, seed + i, per_combo), q, aux) for i, (q, aux) in enumerate(combos))
-    return _convexity_report(function_id, runs, cfg)
+    return _convexity_report(function_id, runs)
 
 
-def _run_slope(function_id: str, seed: int, samples: int, cfg: EvalConfig) -> CertificateReport:
+def _run_slope(function_id: str, seed: int, samples: int) -> CertificateReport:
     row = _PROOF_ROWS[function_id]
     combos = _combos(row)
     # One extra grid point per combo so comparison counts reach ``samples``.
     grid = linspace(*row.slope_ends, -(-samples // len(combos)) + 1)
-    return _slope_report(function_id, [(grid, q, aux) for q, aux in combos], cfg)
+    return _slope_report(function_id, [(grid, q, aux) for q, aux in combos])
 
 
-# Runner per check id, each called as (seed, samples, cfg); the inequality
+# Runner per check id, each called as (seed, samples); the inequality
 # runners alone take corrupt_upper, as only they have upper bounds.
 _CHECKS: dict[str, Callable[..., CertificateReport]] = {
     **{ineq: partial(_run_inequality, ineq) for ineq in INEQUALITY_IDS},
     **{f"convexity_{fid}": partial(_run_convexity, fid) for fid in _PROOF_ROWS},
     **{f"slope_{fid}": partial(_run_slope, fid) for fid in _PROOF_ROWS},
-    "limits": lambda seed, samples, cfg: check_limits(_LIMIT_Q_SEQUENCE, _LIMIT_X_GRID, cfg),
+    "limits": lambda seed, samples: check_limits(_LIMIT_Q_SEQUENCE, _LIMIT_X_GRID),
 }
 
 ALL_CHECK_IDS = tuple(_CHECKS)
@@ -509,13 +490,7 @@ ALL_CHECK_IDS = tuple(_CHECKS)
 EXTRA_CHECK_IDS = ALL_CHECK_IDS[len(INEQUALITY_IDS):]
 
 
-def run_check(
-    check_id: str,
-    seed: int = 42,
-    samples: int = 1000,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    corrupt_upper: bool = False,
-) -> CertificateReport:
+def run_check(check_id: str, seed: int = 42, samples: int = 1000, *, corrupt_upper: bool = False) -> CertificateReport:
     """Run one registered check.  ``corrupt_upper`` halves every upper bound
     of an inequality id and raises DomainError for the other ids, which have
     none.  ``samples`` must be an integer >= 1 for every id, including
@@ -526,7 +501,7 @@ def run_check(
         raise DomainError(f"unknown check id {check_id!r}")
     if corrupt_upper and check_id in EXTRA_CHECK_IDS:
         raise DomainError(f"{check_id} has no upper bound to halve")
-    return run(seed, samples, cfg, corrupt_upper=True) if corrupt_upper else run(seed, samples, cfg)
+    return run(seed, samples, corrupt_upper=True) if corrupt_upper else run(seed, samples)
 
 
 # --------------------------------------------------------------------------

@@ -7,14 +7,13 @@ the tail's numbers (y ln q, ln q, m and a scale) and its term budget, a
 plain count, it computes each summand of their n-series in its own loop,
 each power of q from the one before, with no exp or expm1 call per term,
 and returns the sum with a truncation bound it certifies itself, from the
-ratio (1+1/n)^m q^y that bounds every later summand ratio.  ``cap_error``
-takes its cap as a count too, so a caller that has spent part of its
-``EvalConfig.max_terms`` on a head passes the rest on without building a
-config.
+ratio (1+1/n)^m q^y that bounds every later summand ratio.  Every series
+is capped at the one fixed ``MAX_TERMS``; ``cap_error`` takes a cap as a
+count, so a caller that has spent part of it on a head passes the rest on.
 
-The value types of the package (``QParam``, ``EvalConfig``, ``Evaluation``
-here, ``PsiRoot``, ``BoundPair``, ``DomainSpec`` and the report records of
-the other modules) are immutable ``typing.NamedTuple`` records: they unpack,
+The value types of the package (``QParam`` and ``Evaluation`` here,
+``PsiRoot``, ``BoundPair``, ``DomainSpec`` and the report records of the
+other modules) are immutable ``typing.NamedTuple`` records: they unpack,
 index and compare equal to plain tuples of their fields.  Those with a
 domain rule check it on every construction path.  Hot paths build
 ``Evaluation`` and ``BoundPair`` with ``new_record`` (``tuple.__new__``):
@@ -31,8 +30,8 @@ from .errors import DomainError, NonConvergence
 
 # QParam construction rejects q this close to 1.  ln Gamma_q takes the same
 # few terms at every q up to here, but psi_q and psi_q^(m) still need about
-# 2 sqrt(30/(1-q)) terms (the default cap of 10^6 near 1 - 1e-10), and the
-# q->1 limit itself belongs to the classical module.
+# 2 sqrt(30/(1-q)) terms (MAX_TERMS near 1 - q = 1e-10), and the q->1
+# limit itself belongs to the classical module.
 _Q_UPPER_CUTOFF = 1.0 - 1e-12
 
 # The accuracy contract of every series: summation stops once the tail
@@ -40,6 +39,11 @@ _Q_UPPER_CUTOFF = 1.0 - 1e-12
 # zero to the double range (an underflow floor, not an accuracy target).
 REL_TOL = 1e-13
 ABS_TOL = 1e-300
+
+# The term cap of every series, fixed: a psi_q or psi_q^(m) call that
+# needs more raises NonConvergence with its partial sum.  It binds where
+# 1 - q is below about 1e-10; ln Gamma_q never takes more than 17 terms.
+MAX_TERMS = 10**6
 
 
 class _QParamFields(NamedTuple):
@@ -83,35 +87,13 @@ class QParam(_QParamFields):
 
 
 def require_count(value: int, name: str) -> None:
-    """The one domain rule for a count (a term cap, a number of samples):
+    """The one domain rule for a count (a number of samples or points):
     an integer and not a bool, else DomainError, and >= 1, else
     DomainError."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value!r}")
-
-
-class _EvalConfigFields(NamedTuple):
-    max_terms: int
-
-
-class EvalConfig(_EvalConfigFields):
-    """The term cap of series evaluation, an integer >= 1; the accuracy is
-    fixed by REL_TOL."""
-
-    __slots__ = ()
-
-    def __new__(cls, max_terms: int = 10**6):
-        require_count(max_terms, "max_terms")
-        return tuple.__new__(cls, (max_terms,))
-
-    @classmethod
-    def _make(cls, iterable) -> EvalConfig:
-        return cls(*iterable)
-
-
-DEFAULT_CONFIG = EvalConfig()
 
 
 class Evaluation(NamedTuple):
@@ -171,7 +153,7 @@ def q_bracket_derivative(x: float, q: QParam) -> float:
 def sum_geometric_decay(
     y_ln_q: float,
     ln_q: float,
-    max_terms: int = DEFAULT_CONFIG.max_terms,
+    max_terms: int = MAX_TERMS,
     m: int = 0,
     scale: float = 1.0,
 ) -> Evaluation:
@@ -211,11 +193,10 @@ def sum_geometric_decay(
 
     DomainError unless exp(y_ln_q) < 1 and ln_q < 0, where the series
     diverges (or q^y rounds to 1).  ``max_terms`` is the term budget as a
-    count, the ``EvalConfig.max_terms`` of a caller with no head, or what
-    its head left of it; below 1 it raises DomainError with EvalConfig's
-    message.  Raises NonConvergence, carrying the partial sum, once
-    max_terms terms are summed with no stop; its estimate is the bound at
-    the first omitted index, inf while r_n >= 1 there.
+    count, MAX_TERMS for a caller with no head, or what its head left of
+    it; below 1 it raises DomainError.  Raises NonConvergence, carrying the
+    partial sum, once max_terms terms are summed with no stop; its estimate
+    is the bound at the first omitted index, inf while r_n >= 1 there.
     """
     ratio = math.exp(y_ln_q)
     if not (ratio < 1.0 and ln_q < 0.0):

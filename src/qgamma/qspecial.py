@@ -44,8 +44,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .constants import BERNOULLI, MAX_EXP
 from .errors import BracketFailure, DomainError, NonConvergence, Overflow
-from .qcore import (DEFAULT_CONFIG, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, new_record,
-                    require_positive, sum_geometric_decay)
+from .qcore import (MAX_TERMS, REL_TOL, Evaluation, QParam, cap_error, new_record, require_positive,
+                    sum_geometric_decay)
 
 
 def _eulerian(m: int) -> list[int]:
@@ -91,15 +91,15 @@ _EM_TERMS = 7
 
 
 def _ladder_source() -> str:
-    """Source of em_ladder(value, tol, ux, uy, px, py, rx, ry, allowed),
-    which returns (value, bound, j): ln_gamma_q's corrections unrolled,
-    step j = 0, 1, ... taking c px A_2j(ux) and c py A_2j(uy), with
+    """Source of em_ladder(value, tol, ux, uy, px, py, rx, ry), which
+    returns (value, bound, j): ln_gamma_q's corrections unrolled, step
+    j = 0, 1, ... taking c px A_2j(ux) and c py A_2j(uy), with
     c = B_(2j+2) / (2j+2)!.  The larger of the two in size is the bound;
     the step returns it before adding their difference to value when it is
-    at most tol or j == allowed, and step _EM_TERMS always returns.  After
-    each added step px and py are multiplied by rx and ry.  These are the
-    operations, in the same order, of a loop over the corrections."""
-    lines = ["def em_ladder(value, tol, ux, uy, px, py, rx, ry, allowed):"]
+    at most tol, and step _EM_TERMS always returns.  After each added step
+    px and py are multiplied by rx and ry.  These are the operations, in
+    the same order, of a loop over the corrections."""
+    lines = ["def em_ladder(value, tol, ux, uy, px, py, rx, ry):"]
     for j, b in enumerate(BERNOULLI[:_EM_TERMS + 1]):
         coef = b / math.factorial(2 * j + 2)
         poly = _EULERIAN[2 * j]
@@ -111,7 +111,7 @@ def _ladder_source() -> str:
             lines.append(f"    return value, {bound}, {j}")
             break
         lines += [f"    bound = {bound}",
-                  f"    if bound <= tol or allowed == {j}:",
+                  "    if bound <= tol:",
                   f"        return value, bound, {j}",
                   "    value += cx - cy",
                   "    px *= rx",
@@ -257,7 +257,7 @@ def _li2_tail_difference(
     return ret_x - ty * (math.log(ty) - 1.0 - 0.25 * wy + _li2_w(wy))
 
 
-def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: float = 1.0) -> Evaluation:
+def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
     """ln Gamma_q(x) - ln Gamma_q(y) = (y-x) ln(1-q) + F(x) - F(y),
     F(t) = sum_{k>=0} h(t+k), h(t) = -ln(1-q^t), as one q-Stirling sum;
     Gamma_q(1) = 1, so the default y = 1 gives ln Gamma_q(x).
@@ -304,8 +304,7 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     those of the loop bit for bit.
     ``error_estimate`` is that bound; the Li_2 series are summed to
     rounding and, like rounding, are left out of it.  ``terms_used`` is N
-    plus the corrections added.  NonConvergence, with the partial value and
-    its bound, is raised when that would exceed cfg.max_terms.
+    plus the corrections added, so no call reaches the term cap MAX_TERMS.
     """
     require_positive(x)
     require_positive(y, "y")
@@ -324,21 +323,15 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
         ln_s = None
         value = (y - x) * math.log1p(-q.q)
 
-    max_terms = cfg.max_terms
-    limit = max_terms if max_terms < n else n
     if s * y < _TINY_W:
         # The k = 0 pair is ln(s y / (1-q^x)), with 1 - q^x = s x if tiny.
         value += log(y / x) if s * x < _TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
     else:
         value += log(expm1(ln_q * y) / expm1(ln_q * x))
     prod = 1.0
-    for k in range(1, limit):
+    for k in range(1, n):
         prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
     value += log(prod)
-    if limit < n:
-        # The pair terms fall by a factor q or more each, from k = 0.
-        bound = abs(log(expm1(-s * (y + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
-        raise cap_error(max_terms, -value if swapped else value, bound, limit)
 
     tx, ty = x + n, y + n
     ux, uy = math.exp(-s * tx), math.exp(-s * ty)
@@ -362,27 +355,25 @@ def ln_gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG, *, y: floa
     px, py = ux * rx, uy * ry  # u r^(2j-1) at j = 1
     rx *= rx
     ry *= ry
-    # max_terms - n >= 0 corrections are allowed; from _EM_TERMS on, the
-    # ladder's last step returns first.
-    value, bound, j = _em_ladder(value, tol, ux, uy, px, py, rx, ry, max_terms - n)
+    value, bound, j = _em_ladder(value, tol, ux, uy, px, py, rx, ry)
     if swapped:
         value = -value
-    if bound > tol and j < _EM_TERMS:
-        raise cap_error(cfg.max_terms, value, bound, n + j)
     return new_record(Evaluation, (value, bound, n + j))
 
 
 def _exp_evaluation(ln_ev: Evaluation, label: str) -> Evaluation:
-    """exp of a log evaluation, bound scaled by the value; Overflow naming ``label`` beyond doubles."""
-    if ln_ev.value > MAX_EXP:
-        raise Overflow(f"{label} exceeds the double range (ln = {ln_ev.value:.6g})")
-    value = math.exp(ln_ev.value)
+    """exp of a log evaluation, bound scaled by the value; Overflow naming
+    ``label`` where math.exp overflows, past ln of the largest double."""
+    try:
+        value = math.exp(ln_ev.value)
+    except OverflowError:
+        raise Overflow(f"{label} exceeds the double range (ln = {ln_ev.value:.6g})") from None
     return new_record(Evaluation, (value, abs(value) * ln_ev.error_estimate, ln_ev.terms_used))
 
 
-def gamma_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+def gamma_q(x: float, q: QParam) -> Evaluation:
     """Gamma_q(x) = exp(ln Gamma_q(x)); truncation bound scaled by the value."""
-    return _exp_evaluation(ln_gamma_q(x, q, cfg), f"Gamma_q({x}, q={q.q})")
+    return _exp_evaluation(ln_gamma_q(x, q), f"Gamma_q({x}, q={q.q})")
 
 
 # -ln REL_TOL: a tail at ratio q^y falls below REL_TOL of its first term
@@ -395,7 +386,7 @@ _SX_FLOOR = math.ulp(0.0)
 _E = math.e
 
 
-def _psi_series(m: int, x: float, q: QParam, cfg: EvalConfig) -> Evaluation:
+def _psi_series(m: int, x: float, q: QParam) -> Evaluation:
     """psi_q (m = 0) and its m-th derivative (m >= 1, checked by psi_q_m),
         [m = 0] (-ln(1-q)) + (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n).
 
@@ -439,18 +430,21 @@ def _psi_series(m: int, x: float, q: QParam, cfg: EvalConfig) -> Evaluation:
     whose u A_m(u) leaves the doubles, from m = 171 at u near 1, and at
     every u from m = 172, where A_m's coefficients do.
 
-    The head terms count against cfg.max_terms, and sum_geometric_decay
-    takes what they leave of it, cfg.max_terms - K, as a plain count.  A
-    cap in the head raises NonConvergence with the head's partial value
-    (plus the offset) and the bound |next head term| / (1-q) on the rest of
-    the k-form, which falls by q per term; a cap in the tail, with the
-    partial value of the whole and the tail's bound, scaled as above.
+    The head terms count against the term cap MAX_TERMS, read from this
+    module at each call, and sum_geometric_decay takes what they leave of
+    it, MAX_TERMS - K, as a plain count.  The cap binds only near q = 1:
+    at x = 1.5, psi_q stops in the head at q = 1 - 1e-11 and in the tail
+    at 1 - 5e-11.  A cap in the head raises NonConvergence with the head's
+    partial value (plus the offset) and the bound |next head term| / (1-q)
+    on the rest of the k-form, which falls by q per term; a cap in the
+    tail, with the partial value of the whole and the tail's bound, scaled
+    as above.
     ``terms_used`` is K plus the tail terms.
     """
     require_positive(x)
     ln_q = q.ln_q
     s = -ln_q
-    max_terms = cfg.max_terms
+    max_terms = MAX_TERMS
     # K, and the min and max, written out as comparisons: the calls cost
     # more than this hot path's arithmetic.
     k_end = math.ceil(math.sqrt(_TAIL_LOG / s) - x)
@@ -516,35 +510,36 @@ def _psi_series(m: int, x: float, q: QParam, cfg: EvalConfig) -> Evaluation:
     return new_record(Evaluation, (value, bound_scale * tail.error_estimate, limit + tail.terms_used))
 
 
-def psi_q(x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+def psi_q(x: float, q: QParam) -> Evaluation:
     """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), as
     _psi_series at m = 0, with K + 3 exp and expm1 calls and one log1p.
     ``error_estimate`` is s = -ln q times the tail's certified bound and
     ``terms_used`` K plus the tail terms.  Raises DomainError unless x is
     finite and positive, NonConvergence (with the partial value and its
-    bound) past cfg.max_terms, and Overflow for a value beyond the doubles.
+    bound) past the term cap MAX_TERMS, and Overflow for a value beyond
+    the doubles.
     """
-    return _psi_series(0, x, q, cfg)
+    return _psi_series(0, x, q)
 
 
-def psi_q_m(m: int, x: float, q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+def psi_q_m(m: int, x: float, q: QParam) -> Evaluation:
     """m-th derivative of psi_q: (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n),
     as _psi_series at m.  Its sign is that of (ln q)^(m+1): positive for
     odd m, negative for even m.  m must be an integer >= 1 (an
-    integer-valued float too), else DomainError.  Bound, terms and errors
-    as for psi_q, with the tail's bound as it is, and Overflow also where
-    a head term's u A_m(u) leaves the doubles, from m = 171
-    (psi_q_m(180, 100.0, QParam(0.9999)) raises it, though the value is
-    about -2.41e-33).
+    integer-valued float too, but not a bool), else DomainError.  Bound,
+    terms and errors as for psi_q, with the tail's bound as it is, and
+    Overflow also where a head term's u A_m(u) leaves the doubles, from
+    m = 171 (psi_q_m(180, 100.0, QParam(0.9999)) raises it, though the
+    value is about -2.41e-33).
     """
-    if m < 1 or m != int(m):
+    if m < 1 or m != int(m) or isinstance(m, bool):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
-    return _psi_series(m, x, q, cfg)
+    return _psi_series(m, x, q)
 
 
-def euler_gamma_q(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> Evaluation:
+def euler_gamma_q(q: QParam) -> Evaluation:
     """q-extension of the Euler-Mascheroni constant: -psi_q(1)."""
-    ev = psi_q(1.0, q, cfg)
+    ev = psi_q(1.0, q)
     return new_record(Evaluation, (-ev.value, ev.error_estimate, ev.terms_used))
 
 
@@ -652,7 +647,7 @@ def _psi_q_root_reach(lo: float, mid: float, hi: float, q: QParam) -> float:
     return min(mid - lo, hi - mid) * _psi_q_slope_floor(hi, q)
 
 
-def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
+def psi_q_root(q: QParam) -> PsiRoot:
     """The positive zero of psi_q, certified by a sign change of psi_q
     across the bracket [lo, hi] = c -+ 3e-13 around a centre c.
 
@@ -675,14 +670,14 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
 
     A centre that is not certified moves by one Newton step from m, with
     psi_q'(m) from psi_q_m; the step needs no certificate, so a psi_q_m
-    stopped by cfg's term cap gives its partial sum.  Below 0.05 the steps
+    stopped by the term cap gives its partial sum.  Below 0.05 the steps
     refine x_s, which is 1.3e-2 off the zero at q = 0.049 and within 3e-13
     of it below q = 1e-12: over 5,000 q log-uniform in [least normal, 0.05],
     4,851 solves take 1 psi_q call and none more than 4 psi_q and 3 psi_q_m
     calls.  Near q = 1, where psi_q's computed zero drifts off the fit, one
     step follows it: 1 - q in [1e-10, 1e-5] takes at most 2 psi_q calls and
     1 psi_q_m call; for 1 - q below about 9.9e-11 psi_q itself needs more
-    terms than the default cap, and raises NonConvergence.  The guess is
+    terms than MAX_TERMS, and raises NonConvergence.  The guess is
     positive at every q; a solve raises BracketFailure when a Newton step
     leaves (0, inf), or when none of _ROOT_CENTRES centres is certified,
     naming the last centre and its residual, with no step after it.
@@ -700,7 +695,7 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
             # The certificate does not rest on the slope, so a capped psi_q_m
             # gives its partial sum; psi_q' > 0, so a slope of 0 leaves no step.
             try:
-                slope = psi_q_m(1, root, q, cfg).value
+                slope = psi_q_m(1, root, q).value
             except NonConvergence as exc:
                 slope = exc.partial_value
             centre = root - residual / slope if slope > 0.0 else math.nan
@@ -710,7 +705,7 @@ def psi_q_root(q: QParam, cfg: EvalConfig = DEFAULT_CONFIG) -> PsiRoot:
                 )
         lo, hi = centre - _ROOT_GUESS_HALF_WIDTH, centre + _ROOT_GUESS_HALF_WIDTH
         root = 0.5 * (lo + hi)
-        residual = psi_q(root, q, cfg).value
+        residual = psi_q(root, q).value
         if abs(residual) <= _ROOT_RESIDUAL_TOL and abs(residual) < _psi_q_root_reach(lo, root, hi, q):
             return new_record(PsiRoot, (root, lo, hi, residual))
     raise BracketFailure(

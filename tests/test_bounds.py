@@ -13,8 +13,8 @@ from oracles import (
 )
 from qgamma.constants import CERT_SLACK_LOG, MAX_EXP
 from qgamma.errors import AlphaBelowRoot, DomainError, NonConvergence
-from qgamma.qcore import EvalConfig, QParam, q_bracket
-from qgamma import bounds
+from qgamma.qcore import QParam, q_bracket
+from qgamma import bounds, qspecial
 from qgamma.bounds import (
     BoundPair,
     DomainSpec,
@@ -409,15 +409,19 @@ class TestRootCacheAndDomains:
         assert cached_psi_root(q) == cached_psi_root(QParam(0.35))
 
     def test_root_cache_honours_the_term_cap(self, monkeypatch):
-        # The q = 0.9 solve needs 32-term psi_q calls, so a 20-term cap fails
-        # it whether or not a default-cap root is cached.
+        # The q = 0.9 solve needs 32-term psi_q calls: under a 20-term cap it
+        # raises, and the cache, keyed by q alone, stores nothing for it.
+        # Once the cap is back the same q solves and is stored.
         monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
-        capped = EvalConfig(max_terms=20)
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 20)
         with pytest.raises(NonConvergence):
-            thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9), capped)
-        cached_psi_root(QParam(0.9))
-        with pytest.raises(NonConvergence):
-            thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9), capped)
+            thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9))
+        assert bounds._ROOT_CACHE == {}
+        monkeypatch.undo()
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        root = cached_psi_root(QParam(0.9))
+        assert bounds._ROOT_CACHE == {0.9: root}
+        assert passes(*thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9))[:2])
 
     def test_default_domains_cover_all_ids(self):
         for ineq in INEQUALITY_IDS:
@@ -427,6 +431,28 @@ class TestRootCacheAndDomains:
     def test_unknown_id_rejected(self):
         with pytest.raises(DomainError):
             default_domain("nope")
+
+    def test_no_positional_argument_past_the_slots(self):
+        # Earlier releases took a series config after q, and force after it:
+        # an old call passing the config positionally raises TypeError, and
+        # cannot land in force, which is keyword-only.
+        old_config = (10**6,)
+        q = QParam(0.5)
+        points = {"thm_main": (3.0, 2.0), "cor_half_shift": (2.0,), "thm_alpha": (3.0, 2.0, 2.0),
+                  "thm_mvt": (3.0, 2.0), "cor_mu_lambda": (2.0, 1.0, 0.5), "cor_one_half": (2.0,),
+                  "remark_rearranged": (2.0,), "keckic_vasic": (3.0, 2.0), "zhang_xu_situ": (3.0, 2.0)}
+        assert set(points) == set(INEQUALITIES)
+        for ineq, spec in INEQUALITIES.items():
+            fn = getattr(bounds, f"{ineq}_bounds")
+            slots = points[ineq]
+            if "q" in spec.args:
+                with pytest.raises(TypeError, match="positional argument"):
+                    fn(*slots, q, old_config)
+            else:
+                with pytest.raises(TypeError, match="positional argument"):
+                    fn(*slots, True)
+            params = inspect.signature(fn).parameters
+            assert "force" not in params or params["force"].kind is inspect.Parameter.KEYWORD_ONLY, ineq
 
     def test_registry_args_match_operation_signatures(self):
         # The CLI assembles points and table sweeps call fn(*args, QParam(q))

@@ -13,7 +13,7 @@ from qgamma import bounds
 from qgamma.bounds import INEQUALITIES, INEQUALITY_IDS, keckic_vasic_bounds, thm_mvt_bounds
 from qgamma.cli import main
 from qgamma.propcheck import EXTRA_CHECK_IDS, SCHEMA_VERSION, report_to_dict, run_check
-from qgamma.qcore import EvalConfig, QParam
+from qgamma.qcore import QParam
 from qgamma.qspecial import psi_q
 
 
@@ -183,18 +183,47 @@ class TestEval:
         assert float(plain["value"]) == blob["value"]
 
     def test_max_terms_env_changes_nothing(self):
-        # QGAMMA_MAX_TERMS used to set the cap; only --max-terms does now.
+        # QGAMMA_MAX_TERMS used to set the cap, which is fixed now.
         argv = ("eval", "--fn", "psi_q", "--x", "0.5", "--q", "0.9", "--format", "json")
         res = run_cli(*argv, env_extra={"QGAMMA_MAX_TERMS": "5"})
         assert res.returncode == 0
         assert res.stdout == run_cli(*argv).stdout
-        assert run_cli(*argv, "--max-terms", "5").returncode == 3
 
-    def test_flag_beats_env(self):
-        # A stale QGAMMA_MAX_TERMS must not cap a run that passes --max-terms.
-        res = run_cli("eval", "--fn", "psi_q", "--x", "0.5", "--q", "0.9",
-                      "--max-terms", "100000", env_extra={"QGAMMA_MAX_TERMS": "5"})
-        assert res.returncode == 0
+    def test_max_terms_flag_exits_2(self, capsys):
+        # Every subcommand refuses the flag before any evaluation.
+        for argv in (["eval", "--fn", "psi_q", "--x", "1.5", "--q", "0.5"],
+                     ["bounds", "--ineq", "thm_main", "--x", "3", "--y", "2", "--q", "0.5"],
+                     ["verify", "--ineq", "limits"], ["root", "--q", "0.5"],
+                     ["table", "--ineq", "cor_one_half", "--var", "x", "--min", "1", "--max", "2",
+                      "--steps", "2", "--q", "0.5"]):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--max-terms", "5"])
+            assert info.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "unrecognized arguments: --max-terms 5" in captured.err, argv
+
+    def test_fixed_cap_exits_3(self, capsys):
+        # Near q = 1 psi_q needs more than the fixed cap of 10^6 terms.
+        assert main(["eval", "--fn", "psi_q", "--x", "1.5", "--q", "0.99999999999"]) == 3
+        assert capsys.readouterr().err.startswith("error: no convergence within 1000000 terms")
+
+    def test_gamma_just_below_the_double_range_is_finite(self, capsys):
+        # ln Gamma(171.6243) = 709.78232 lies below ln of the largest double,
+        # 709.78271, and above the 709.78 that once printed it as overflow;
+        # ln Gamma(171.6244) = 709.78283 lies past it.
+        assert main(["eval", "--fn", "gamma", "--x", "171.6243"]) == 0
+        assert float(parse_plain(capsys.readouterr().out)["value"]) == pytest.approx(1.7970e308, rel=1e-4)
+        assert main(["eval", "--fn", "gamma", "--x", "171.6244"]) == 3
+        assert "exceeds the double range" in capsys.readouterr().err
+
+
+def test_printed_exponentials_overflow_where_math_exp_does():
+    # A log of 709.782 is below ln of the largest double, 709.78271: its
+    # exponential prints finite; 709.79 prints inf.
+    pair = bounds._pair(709.782, 709.79, 709.79, False)
+    fields = cli._pair_fields(pair)
+    assert fields["lower"] == math.exp(709.782) == pytest.approx(1.7964e308, rel=1e-4)
+    assert fields["ratio"] == fields["upper"] == math.inf
 
 
 class TestBounds:
@@ -421,31 +450,34 @@ class TestVerify:
         named = EXTRA_CHECK_IDS if ineq == "all" else (ineq,)
         assert captured.err == "error: --corrupt-bounds: no upper bound to halve in " + ", ".join(named) + "\n"
 
-    def test_pervasive_evaluation_errors_exit_3(self):
-        # Every point errors; more of them than the report's failure list holds.
-        res = run_cli("verify", "--ineq", "thm_mvt", "--samples", "1000", "--seed", "1",
-                      "--max-terms", "3")
-        assert res.returncode == 3
-        assert "n_pass: 0" in res.stdout
+    def test_pervasive_evaluation_errors_exit_3(self, monkeypatch, capsys):
+        # Under a 3-term cap most points error, more of them than the
+        # report's failure list holds: over half a report's points.
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        assert main(["verify", "--ineq", "thm_mvt", "--samples", "1000", "--seed", "1"]) == 3
+        fields = parse_plain(capsys.readouterr().out.split("\nfailure: ")[0])
+        assert int(fields["n_errors"]) > int(fields["n_samples"]) / 2 == 500
 
-    def test_evaluation_errors_keep_every_report(self):
+    def test_evaluation_errors_keep_every_report(self, monkeypatch, capsys):
         # Slope and limit checks record errors too, so no report is lost.
+        # A first uncapped run caches the roots that sampling needs.
         from qgamma.propcheck import ALL_CHECK_IDS
 
-        res = run_cli("verify", "--ineq", "all", "--samples", "20", "--seed", "1",
-                      "--max-terms", "3", "--format", "json")
-        assert res.returncode == 3
-        reports = json.loads(res.stdout)
+        argv = ["verify", "--ineq", "all", "--samples", "20", "--seed", "1", "--format", "json"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        assert main(argv) == 3
+        reports = json.loads(capsys.readouterr().out)
         assert [r["inequality_id"] for r in reports] == list(ALL_CHECK_IDS)
 
-    def test_json_without_evaluated_points_is_valid_json(self):
-        # No point evaluates under --max-terms 3, so neither worst margin
+    def test_json_without_evaluated_points_is_valid_json(self, monkeypatch, capsys):
+        # No point evaluates under a 3-term cap, so neither worst margin
         # exists: JSON null, never the non-JSON token Infinity.
-        res = run_cli("verify", "--ineq", "thm_alpha", "--samples", "3", "--max-terms", "3",
-                      "--format", "json")
-        assert res.returncode == 3
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        assert main(["verify", "--ineq", "thm_main", "--samples", "3", "--seed", "1", "--format", "json"]) == 3
 
-        report = json.loads(res.stdout, parse_constant=reject_constant)[0]
+        report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)[0]
         assert report["n_pass"] == 0
         assert report["worst_lower_margin"] is None and report["worst_upper_margin"] is None
 
@@ -524,7 +556,7 @@ class TestRoot:
 
     def test_bracket_failure_exits_3(self, capsys, monkeypatch):
         # psi_q shifted right by 10 has no zero that a centre reaches.
-        monkeypatch.setattr(qspecial, "psi_q", lambda x, q, cfg: psi_q(x + 10.0, q, cfg))
+        monkeypatch.setattr(qspecial, "psi_q", lambda x, q: psi_q(x + 10.0, q))
         assert main(["root", "--q", "0.5"]) == 3
         assert capsys.readouterr().err.startswith("error: psi_q's zero not certified within 8 centres")
 
@@ -669,13 +701,15 @@ def _documented_schema():
     raise AssertionError("unterminated schema block")
 
 
-def test_schema_doc_matches_the_reports():
+def test_schema_doc_matches_the_reports(monkeypatch):
     top, shapes = _documented_schema()
     report = run_check("thm_mvt", seed=7, samples=30, corrupt_upper=True)
     assert top == list(report_to_dict(report))
     assert shapes == [{"point", "lower_margin", "upper_margin"}, {"point", "error"}]
     assert f'"schema_version": {SCHEMA_VERSION},' in cli.__doc__
-    errored = run_check("thm_mvt", seed=7, samples=30, cfg=EvalConfig(max_terms=3))
+    monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+    errored = run_check("thm_mvt", seed=7, samples=30)
+    assert errored.n_errors > 0
     for failure in report.failures + errored.failures:
         assert set(failure) in shapes, failure
 

@@ -8,8 +8,8 @@ from mpmath import mp, mpf
 
 from oracles import mp_ln_gamma_q, mp_q_bracket
 from qgamma.errors import AlphaBelowRoot, DomainError, RejectionOverflow
-from qgamma import bounds, propcheck
-from qgamma.qcore import EvalConfig, QParam, q_bracket_derivative
+from qgamma import bounds, propcheck, qspecial
+from qgamma.qcore import QParam, q_bracket_derivative
 from qgamma.constants import MIN_PAIR_GAP
 from qgamma.qspecial import psi_q, psi_q_root
 from qgamma.bounds import DomainSpec, INEQUALITY_IDS, cached_psi_root, default_domain
@@ -291,12 +291,13 @@ class TestConvexityCheck:
                     ref = (mp_ln_g(x1, a, qv) + mp_ln_g(x2, a, qv)) / 2 - mp_ln_g(mid, a, qv)
                 assert abs(got - float(ref)) <= 4e-15, (function_id, x1, x2, qv)
 
-    def test_g_failed_root_solve_is_recorded_per_point(self):
-        # The check solves the root under its own 3-term config, which cannot
-        # converge, even with the default-config root already cached.
-        cached_psi_root(QParam(0.5))
+    def test_g_failed_root_solve_is_recorded_per_point(self, monkeypatch):
+        # With no root cached, the check solves it under a 3-term cap, which
+        # cannot converge.
         batch = sample(DomainSpec((0.05, 10.0), (0.05, 10.0), None), 1, 5)
-        report = check_geometric_convexity("g_thm_alpha", batch, QParam(0.5), 3.0, EvalConfig(max_terms=3))
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        report = check_geometric_convexity("g_thm_alpha", batch, QParam(0.5), 3.0)
         assert report.n_samples == report.n_errors == 5
         assert report.n_pass == 0
         assert all("no convergence" in f["error"] for f in report.failures)
@@ -348,10 +349,10 @@ class TestSlopeCheck:
                 report = check_lemma_monotone_slope(function_id, [a, b], q, aux)
                 assert report.worst_lower_margin == slope(b) - slope(a), (function_id, a, b)
 
-    def test_g_failed_root_solve_is_recorded_per_comparison(self):
-        cached_psi_root(QParam(0.5))
-        cfg = EvalConfig(max_terms=3)
-        report = check_lemma_monotone_slope("g_thm_alpha", [0.5, 1.0, 2.0, 4.0], QParam(0.5), 3.0, cfg)
+    def test_g_failed_root_solve_is_recorded_per_comparison(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        report = check_lemma_monotone_slope("g_thm_alpha", [0.5, 1.0, 2.0, 4.0], QParam(0.5), 3.0)
         assert report.n_samples == report.n_errors == 3
         assert report.n_pass == 0
 
@@ -407,23 +408,26 @@ class TestRegistry:
             run_check(check_id, seed=1, samples=5, corrupt_upper=True)
 
     @pytest.mark.parametrize("function_id", ["f_thm_main", "g_thm_alpha"])
-    @pytest.mark.parametrize("cfg", [EvalConfig(), EvalConfig(max_terms=10)])
-    def test_one_report_over_every_q_and_alpha(self, function_id, cfg):
+    @pytest.mark.parametrize("max_terms", [None, 10])
+    def test_one_report_over_every_q_and_alpha(self, monkeypatch, function_id, max_terms):
         # A registered convexity or slope check is the public check at each
-        # (q, alpha) of the grid, folded into one report; under 10 terms most
-        # points raise, so the failure list is capped across the grid.
+        # (q, alpha) of the grid, folded into one report; under a 10-term
+        # cap most points raise, so the failure list is capped across the
+        # grid.  The grid's roots are solved, and cached, before the cap.
         seed, samples = 3, 200
         row = propcheck._PROOF_ROWS[function_id]
         combos = propcheck._combos(row)
+        if max_terms is not None:
+            monkeypatch.setattr(qspecial, "MAX_TERMS", max_terms)
         per_combo = -(-samples // len(combos))
         convexity = [
-            check_geometric_convexity(function_id, sample(row.pair_domain, seed + i, per_combo), q, aux, cfg)
+            check_geometric_convexity(function_id, sample(row.pair_domain, seed + i, per_combo), q, aux)
             for i, (q, aux) in enumerate(combos)
         ]
         grid = linspace(*row.slope_ends, per_combo + 1)
-        slope = [check_lemma_monotone_slope(function_id, grid, q, aux, cfg) for q, aux in combos]
+        slope = [check_lemma_monotone_slope(function_id, grid, q, aux) for q, aux in combos]
         for kind, parts in (("convexity", convexity), ("slope", slope)):
-            report = run_check(f"{kind}_{function_id}", seed=seed, samples=samples, cfg=cfg)
+            report = run_check(f"{kind}_{function_id}", seed=seed, samples=samples)
             assert report.inequality_id == f"{kind}_{function_id}"
             assert report.n_samples == sum(p.n_samples for p in parts) >= samples
             assert report.n_pass == sum(p.n_pass for p in parts)
@@ -442,6 +446,16 @@ class TestRegistry:
         # True would run one sample.
         with pytest.raises(DomainError, match="samples must be an integer, got True"):
             run_check(check_id, samples=True)
+
+    def test_a_positional_config_raises_type_error(self):
+        # Earlier releases took a series config after samples, and
+        # corrupt_upper after it: an old positional call cannot land in
+        # corrupt_upper, which is keyword-only.
+        old_config = (10**6,)
+        with pytest.raises(TypeError, match="positional argument"):
+            run_check("thm_mvt", 1, 5, old_config)
+        with pytest.raises(TypeError, match="positional argument"):
+            certify("thm_mvt", sample(default_domain("thm_mvt"), 1, 5), old_config)
 
     def test_run_check_unknown_id(self):
         with pytest.raises(DomainError):
@@ -516,9 +530,12 @@ class TestFailureRecord:
             assert set(report.failures[0]["point"]) == {"track", "q"}
 
     @pytest.mark.parametrize("check_id", ALL_CHECK_IDS)
-    def test_every_failure_has_one_of_two_shapes(self, check_id):
-        # Under a 3-term cap the q-series checks raise at most points.
-        report = run_check(check_id, seed=5, samples=20, cfg=EvalConfig(max_terms=3))
+    def test_every_failure_has_one_of_two_shapes(self, check_id, monkeypatch):
+        # Under a 3-term cap the q-series checks raise at most points; a
+        # first uncapped run caches the roots that sampling needs.
+        run_check(check_id, seed=5, samples=20)
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        report = run_check(check_id, seed=5, samples=20)
         for failure in report.failures:
             assert set(failure) in (self.MARGINS, self.ERROR), (check_id, failure)
         assert sum(set(f) == self.ERROR for f in report.failures) == min(report.n_errors, 100)

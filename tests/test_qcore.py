@@ -9,12 +9,13 @@ from oracles import mp_q_bracket
 from qgamma.errors import DomainError, NonConvergence
 from qgamma.qcore import (
     ABS_TOL,
-    EvalConfig,
+    MAX_TERMS,
     QParam,
     cap_error,
     q_bracket,
     q_bracket_derivative,
     q_pow,
+    require_count,
     require_positive,
     sum_geometric_decay,
 )
@@ -41,34 +42,6 @@ class TestQParam:
     def test_q_pow_definition(self):
         q = QParam(0.3)
         assert q_pow(q, 2.5) == math.exp(2.5 * math.log(0.3))
-
-
-class TestEvalConfig:
-    def test_defaults(self):
-        assert EvalConfig().max_terms == 10**6
-
-    @pytest.mark.parametrize("kwargs", [
-        {"max_terms": -(10**6)},
-        {"max_terms": -2},
-        {"max_terms": -1},
-        {"max_terms": 0},
-    ])
-    def test_rejects_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            EvalConfig(**kwargs)
-
-    @pytest.mark.parametrize("max_terms", [2.5, 3.0, "10", True])
-    def test_rejects_a_cap_that_is_not_an_integer(self, max_terms):
-        # Accepted, 2.5 would reach psi_q's range() as a TypeError, which no
-        # QGammaError handler catches, and True, an int, would build a
-        # 1-term config.
-        with pytest.raises(DomainError, match=f"max_terms must be an integer, got {max_terms!r}"):
-            EvalConfig(max_terms)
-        with pytest.raises(DomainError, match="max_terms must be an integer"):
-            EvalConfig._make((max_terms,))
-
-    def test_term_cap_is_the_only_field(self):
-        assert list(EvalConfig._fields) == ["max_terms"]
 
 
 class TestQBracket:
@@ -252,13 +225,20 @@ class TestSumGeometricDecay:
         assert info.value.terms_used == 5
 
     @pytest.mark.parametrize("budget", [0, -1, -(10**6)])
-    def test_budget_below_one_raises_like_eval_config(self, budget):
+    def test_budget_below_one_raises_like_require_count(self, budget):
         with pytest.raises(DomainError) as expected:
-            EvalConfig(budget)
+            require_count(budget, "max_terms")
         for m in (0, 1):
             with pytest.raises(DomainError) as info:
                 sum_geometric_decay(math.log(0.5), FLAT_LN_Q, budget, m, 1.0)
             assert str(info.value) == str(expected.value) == f"max_terms must be >= 1, got {budget}"
+
+    def test_default_budget_is_the_fixed_cap(self):
+        # Summands that barely fall (q^y = e^-1e-9) run to the budget.
+        assert MAX_TERMS == 10**6
+        with pytest.raises(NonConvergence, match=r"^no convergence within 1000000 terms \(") as info:
+            sum_geometric_decay(-1e-9, FLAT_LN_Q)
+        assert info.value.terms_used == MAX_TERMS
 
     def test_rejects_bad_ratio(self):
         # The series diverge unless q^y = exp(y ln q) < 1 and ln q < 0; the

@@ -13,7 +13,7 @@ import qgamma.qspecial as qspecial
 from qgamma.classical import ln_gamma_classical, psi_classical
 from qgamma.constants import BERNOULLI, MAX_EXP
 from qgamma.errors import BracketFailure, DomainError, NonConvergence, Overflow
-from qgamma.qcore import (ABS_TOL, REL_TOL, EvalConfig, Evaluation, QParam, cap_error, new_record, q_bracket,
+from qgamma.qcore import (ABS_TOL, MAX_TERMS, REL_TOL, Evaluation, QParam, cap_error, new_record, q_bracket,
                           require_positive, sum_geometric_decay)
 from qgamma.qspecial import (
     euler_gamma_q,
@@ -43,6 +43,15 @@ def _head_length(x: float, q: QParam) -> int:
     terms plus the tail terms at ratio q^(x+K), as psi_q and psi_q_m take
     it."""
     return max(0, math.ceil(math.sqrt(-math.log(REL_TOL) / -q.ln_q) - x))
+
+
+def _cap(monkeypatch, max_terms):
+    """Cap psi_q and psi_q^(m) at ``max_terms`` terms by patching
+    qspecial.MAX_TERMS, the test seam that reaches their cap paths
+    cheaply; None keeps the fixed cap.  Returns the cap in force."""
+    if max_terms is not None:
+        monkeypatch.setattr(qspecial, "MAX_TERMS", max_terms)
+    return qspecial.MAX_TERMS
 
 
 class TestLnGammaQ:
@@ -77,7 +86,7 @@ class TestLnGammaQ:
 
 class TestQStirling:
     """ln_gamma_q by recurrence plus Euler-Maclaurin: the same few terms at
-    every q, digits kept near the pole, and the max_terms budget."""
+    every q, and digits kept near the pole."""
 
     @pytest.mark.parametrize("qv", [0.05, 0.5, 0.95, 0.999])
     def test_matches_product_oracle(self, qv):
@@ -141,17 +150,6 @@ class TestQStirling:
             devs = [abs(ln_gamma_q(x, QParam(qv)).value - ln_gamma_classical(x).value) for qv in NEAR_ONE_Q]
             assert devs[0] > devs[1] > devs[2], (x, devs)
             assert devs[2] <= 1e-9, (x, devs)
-
-    def test_max_terms_raises_with_bounded_partial_value(self):
-        q = QParam(0.5)
-        full = ln_gamma_q(2.5, q)
-        # Cut inside the recurrence, then before the last correction.
-        for max_terms in (3, full.terms_used - 1):
-            with pytest.raises(NonConvergence) as info:
-                ln_gamma_q(2.5, q, EvalConfig(max_terms=max_terms))
-            assert info.value.terms_used == max_terms
-            assert abs(info.value.partial_value - full.value) <= info.value.error_estimate
-        assert ln_gamma_q(2.5, q, EvalConfig(max_terms=full.terms_used)) == full
 
 
 def _ratio_agrees(ev, ref):
@@ -228,18 +226,6 @@ class TestLnGammaRatio:
         bound = forward.error_estimate + at_x.error_estimate + at_y.error_estimate
         assert abs(forward.value - (at_x.value - at_y.value)) <= bound
 
-    @pytest.mark.parametrize("x, y", [(2.5, 0.7), (0.7, 2.5), (4.0, 3.5), (3.5, 4.0)])
-    def test_max_terms_raises_with_bounded_partial_value(self, x, y):
-        q = QParam(0.5)
-        full = ln_gamma_q(x, q, y=y)
-        # Cut inside the recurrence, then before the last correction.
-        for max_terms in (3, full.terms_used - 1):
-            with pytest.raises(NonConvergence) as info:
-                ln_gamma_q(x, q, EvalConfig(max_terms=max_terms), y=y)
-            assert info.value.terms_used == max_terms
-            assert abs(info.value.partial_value - full.value) <= info.value.error_estimate
-        assert ln_gamma_q(x, q, EvalConfig(max_terms=full.terms_used), y=y) == full
-
 
 class TestGammaQ:
     def test_value_one(self):
@@ -257,7 +243,16 @@ class TestGammaQ:
 
     def test_overflow(self):
         with pytest.raises(Overflow):
-            gamma_q(500.0, QParam(0.95), EvalConfig(max_terms=10**6))
+            gamma_q(500.0, QParam(0.95))
+
+    def test_exp_overflows_where_math_exp_does(self):
+        # ln of the largest double is 709.78271: a log of 709.782 has a
+        # finite exponential, and one of 709.79 does not.
+        ev = qspecial._exp_evaluation(Evaluation(709.782, 1e-16, 12), "label")
+        assert ev == (math.exp(709.782), math.exp(709.782) * 1e-16, 12)
+        assert ev.value == pytest.approx(1.7964e308, rel=1e-4)
+        with pytest.raises(Overflow, match=r"^label exceeds the double range \(ln = 709.79\)$"):
+            qspecial._exp_evaluation(Evaluation(709.79, 1e-16, 12), "label")
 
 
 class TestPsiQ:
@@ -333,6 +328,12 @@ class TestPsiQM:
     def test_rejects_bad_m(self):
         with pytest.raises(DomainError):
             psi_q_m(0, 1.0, QParam(0.5))
+
+    @pytest.mark.parametrize("m", [True, False])
+    def test_rejects_a_bool_order(self, m):
+        # True == 1, and psi_q_m(True, ...) once returned psi_q'.
+        with pytest.raises(DomainError, match=f"m must be an integer >= 1, got {m!r}"):
+            psi_q_m(m, 2.0, QParam(0.5))
 
     def test_eulerian_table_rows(self):
         assert len(qspecial._EULERIAN) == 17
@@ -426,18 +427,18 @@ class TestPsiQM:
         assert oracle == pytest.approx({1e-10: -1.0640e110, 0.9: -7.4529e169}[qv], rel=1e-4)
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
 
-    def test_cap_errors_share_one_message(self):
+    def test_cap_errors_share_one_message(self, monkeypatch):
         q = QParam(0.9)
         calls = (
-            (lambda cfg: ln_gamma_q(2.5, q, cfg), 5),  # in the recurrence
-            (lambda cfg: ln_gamma_q(2.5, q, cfg), 10),  # in the corrections
-            (lambda cfg: psi_q(2.5, q, cfg), 3),  # in the head
-            (lambda cfg: psi_q(2.5, q, cfg), 20),  # in the tail
-            (lambda cfg: psi_q_m(2, 2.5, q, cfg), 20),
+            (lambda: psi_q(2.5, q), 3),  # in the head
+            (lambda: psi_q(2.5, q), 20),  # in the tail
+            (lambda: psi_q_m(2, 2.5, q), 3),
+            (lambda: psi_q_m(2, 2.5, q), 20),
         )
         for call, max_terms in calls:
+            _cap(monkeypatch, max_terms)
             with pytest.raises(NonConvergence, match=rf"^no convergence within {max_terms} terms \(estimate "):
-                call(EvalConfig(max_terms=max_terms))
+                call()
 
 
 class TestPositiveArguments:
@@ -532,15 +533,15 @@ class TestTailEngineReference:
 
     @pytest.mark.parametrize("max_terms", [None, 1, 3, 15, 40])
     def test_psi_q_and_psi_q_m_match_the_closures(self, monkeypatch, max_terms):
-        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        _cap(monkeypatch, max_terms)
         calls = []
         for om in self.ONE_MINUS_Q:
             q = QParam(1.0 - float(om))
             for x in self.X:
                 x = float(x)
-                calls.append(lambda x=x, q=q: psi_q(x, q, cfg))
-                calls += [lambda m=m, x=x, q=q: psi_q_m(m, x, q, cfg) for m in self.ORDERS]
-        calls += [lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q, cfg) for m, x, qv in self.EDGES]
+                calls.append(lambda x=x, q=q: psi_q(x, q))
+                calls += [lambda m=m, x=x, q=q: psi_q_m(m, x, q) for m in self.ORDERS]
+        calls += [lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q) for m, x, qv in self.EDGES]
         assert len(calls) == 81 * (1 + len(self.ORDERS)) + len(self.EDGES)
 
         tails = []
@@ -593,12 +594,12 @@ class TestTailEngineReference:
             assert sum(got[0] == "cap" and got[2] == math.inf for _, got in tails) > 0
 
     @pytest.mark.parametrize("max_terms", [None, 3, 15, 40])
-    def test_psi_q_m_bound_covers_the_tail(self, max_terms):
+    def test_psi_q_m_bound_covers_the_tail(self, monkeypatch, max_terms):
         # From 1 - q = 1e-4 up, where the 40-digit tail takes at most a few
         # thousand terms.  A cap in the tail reports the engine's bound from
         # the first omitted index, or inf; a cap in the head, the k-form's
         # bound, which is not the engine's, and is left out.
-        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+        cap = _cap(monkeypatch, max_terms)
         points = [
             (m, float(x), QParam(1.0 - float(om)))
             for om in self.ONE_MINUS_Q
@@ -610,10 +611,10 @@ class TestTailEngineReference:
         checked = capped = 0
         for m, x, q in points:
             k_end = _head_length(x, q)
-            if k_end >= cfg.max_terms:
+            if k_end >= cap:
                 continue
             try:
-                ev = psi_q_m(m, x, q, cfg)
+                ev = psi_q_m(m, x, q)
             except NonConvergence as exc:
                 ev = Evaluation(exc.partial_value, exc.error_estimate, exc.terms_used)
                 capped += 1
@@ -675,7 +676,7 @@ def _reference_li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s):
     return ret_x - ty * (math.log(ty) - 1.0 - 0.25 * wy + qspecial._li2_w(wy))
 
 
-def _reference_ln_gamma_q(x, q, cfg, y=1.0):
+def _reference_ln_gamma_q(x, q, y=1.0):
     """ln_gamma_q with its corrections' Eulerian polynomials in a loop over
     their coefficients, and its min, max and abs calls, kept verbatim as
     the reference for the straight-line Horner code and the comparisons."""
@@ -696,18 +697,14 @@ def _reference_ln_gamma_q(x, q, cfg, y=1.0):
         ln_s = None
         value = (y - x) * math.log1p(-q.q)
 
-    limit = min(n, cfg.max_terms)
     if s * y < qspecial._TINY_W:
         value += log(y / x) if s * x < qspecial._TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
     else:
         value += log(expm1(ln_q * y) / expm1(ln_q * x))
     prod = 1.0
-    for k in range(1, limit):
+    for k in range(1, n):
         prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
     value += log(prod)
-    if limit < n:
-        bound = abs(log(expm1(-s * (y + limit)) / expm1(-s * (x + limit)))) / (1.0 - q.q)
-        raise cap_error(cfg.max_terms, -value if swapped else value, bound, limit)
 
     tx, ty = x + n, y + n
     ux, uy = math.exp(-s * tx), math.exp(-s * ty)
@@ -725,7 +722,6 @@ def _reference_ln_gamma_q(x, q, cfg, y=1.0):
     px, py = ux * rx, uy * ry
     rx *= rx
     ry *= ry
-    allowed = min(_LOOP_EM_TERMS, cfg.max_terms - n)
     for j, (coef, poly) in enumerate(_LOOP_EM_COEF):
         ax = ay = 0.0
         for c in poly:
@@ -736,22 +732,19 @@ def _reference_ln_gamma_q(x, q, cfg, y=1.0):
             bound = cx if cx > cy else cy
         else:
             bound = -cx if cx < cy else -cy
-        if bound <= tol or j == allowed:
+        if bound <= tol or j == _LOOP_EM_TERMS:
             break
         value += cx - cy
         px *= rx
         py *= ry
     if swapped:
         value = -value
-    if bound > tol and j < _LOOP_EM_TERMS:
-        raise cap_error(cfg.max_terms, value, bound, n + j)
     return new_record(Evaluation, (value, bound, n + j))
 
 
-def _loop_ladder(value, tol, ux, uy, px, py, rx, ry, allowed):
+def _loop_ladder(value, tol, ux, uy, px, py, rx, ry):
     """ln_gamma_q's correction loop over its first _EM_TERMS + 1
     corrections, the reference for the unrolled em_ladder."""
-    allowed = min(qspecial._EM_TERMS, allowed)
     for j, (coef, poly) in enumerate(_LOOP_EM_COEF[:qspecial._EM_TERMS + 1]):
         ax = ay = 0.0
         for c in poly:
@@ -762,7 +755,7 @@ def _loop_ladder(value, tol, ux, uy, px, py, rx, ry, allowed):
             bound = cx if cx > cy else cy
         else:
             bound = -cx if cx < cy else -cy
-        if bound <= tol or j == allowed:
+        if bound <= tol or j == qspecial._EM_TERMS:
             break
         value += cx - cy
         px *= rx
@@ -778,14 +771,14 @@ def _loop_kernel(m, u):
     return u * a
 
 
-def _reference_psi_q(x, q, cfg):
+def _reference_psi_q(x, q):
     """psi_q with K from _head_length, kept verbatim as the reference for
-    the lines written out in its place."""
+    the lines written out in its place, under the same cap."""
     require_positive(x)
     expm1 = math.expm1
     ln_q = q.ln_q
     s = -ln_q
-    max_terms = cfg.max_terms
+    max_terms = qspecial.MAX_TERMS
     k_end = _head_length(x, q)
     limit = min(k_end, max_terms)
     y_ln_q = (x + k_end) * ln_q
@@ -816,9 +809,9 @@ def _reference_psi_q(x, q, cfg):
 class TestStraightLineReference:
     """ln_gamma_q's corrections in straight-line Horner code, its
     comparisons in place of min, max and abs, and psi_q's written-out K
-    give what the loop and the calls gave: the same Evaluation, or the same
-    NonConvergence partial value, estimate, terms and message, bit for
-    bit."""
+    give what the loop and the calls gave: the same Evaluation, or (psi_q
+    under a cap) the same NonConvergence partial value, estimate, terms and
+    message, bit for bit."""
 
     # 1 - q log-uniform over [1e-9, 0.999]: s <= ln 2 / 10 below about
     # 1 - q = 0.067 and above it, so both branches of _li2_tail_difference
@@ -827,26 +820,26 @@ class TestStraightLineReference:
     # y < 1 and y >= 1, and s y < 1e-300 (with s x above and below it).
     X = (1e-305, 1e-290, 0.3, 0.999, 1.0, 1.7, 4.5, 12.0, 80.0, 1e4)
     Y = (1e-310, 1e-303, 0.01, 0.5, 1.0, 1.2, 9.5, 30.0)
-    MAX_TERMS = (1, 5, 9, 10, 12, 15)
+    CAPS = (1, 5, 9, 10, 12, 15)
 
     def test_eulerian_table_is_the_closed_form(self):
         assert tuple(poly for _, poly in _LOOP_EM_COEF) == qspecial._EULERIAN[::2][:len(BERNOULLI)]
 
     def test_ladder_matches_the_loop(self):
-        # Every step of the ladder runs at tol = -1 and allowed = 7; near
-        # u = 1 every coefficient and step order shows in the value.
+        # Every step of the ladder runs at tol = -1; near u = 1 every
+        # coefficient and step order shows in the value.
         u = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
         rng = np.random.default_rng(26)
         mismatches = []
         for ux, uy in zip(u, reversed(u)):
-            for allowed in range(10):
+            for _ in range(10):
                 for tol in (-1.0, 0.0, 1e-17, 1e-14, 1e-6):
                     value, px, py, rx, ry = (float(v) for v in np.exp(rng.uniform(-30.0, 5.0, 5)))
-                    args = (value, tol, ux, uy, px, py, rx, ry, allowed)
+                    args = (value, tol, ux, uy, px, py, rx, ry)
                     if qspecial._em_ladder(*args) != _loop_ladder(*args):
                         mismatches.append(args)
         assert mismatches == []
-        assert qspecial._em_ladder(1.0, -1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 99)[2] == qspecial._EM_TERMS == 7
+        assert qspecial._em_ladder(1.0, -1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)[2] == qspecial._EM_TERMS == 7
 
     def test_every_head_kernel_matches_the_loop(self):
         # A kernel returns the whole head term u A_m(u) r^(m+1): up to m = 16
@@ -868,9 +861,7 @@ class TestStraightLineReference:
                         expected = (_loop_kernel(m, v) ** (1.0 / (m + 1)) * w) ** (m + 1)
                     assert kernel(v, w) == expected, (m, v, w)
 
-    @pytest.mark.parametrize("max_terms", [None, *MAX_TERMS])
-    def test_ln_gamma_q_matches_the_loop_form(self, max_terms):
-        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+    def test_ln_gamma_q_matches_the_loop_form(self):
         mismatches = []
         outcomes = []
         for om in self.ONE_MINUS_Q:
@@ -879,42 +870,39 @@ class TestStraightLineReference:
                 for y in self.Y:
                     # Both argument orders: y > x takes the swapped path.
                     for a, b in ((x, y), (y, x)):
-                        got = _outcome(lambda: ln_gamma_q(a, q, cfg, y=b))
-                        ref = _outcome(lambda: _reference_ln_gamma_q(a, q, cfg, y=b))
+                        got = _outcome(lambda: ln_gamma_q(a, q, y=b))
+                        ref = _outcome(lambda: _reference_ln_gamma_q(a, q, y=b))
                         outcomes.append(((a, b), got))
                         if got != ref:
                             mismatches.append(((a, b, q.q), got, ref))
         assert mismatches == []
-        if max_terms is None:
-            # Seven corrections added and the eighth as the bound: the most
-            # any call reaches, as the eighth is below 5e-17 at every q and
-            # T >= 10, under the least stop, REL_TOL / 1024.
-            assert max(terms - (9 if min(a, b) >= 1.0 else 10) for (a, b), (_, _, terms) in outcomes) == 7
-        else:
-            assert sum(out[0] == "NonConvergence" for _, out in outcomes) > 100
+        # Seven corrections added and the eighth as the bound: the most any
+        # call reaches, as the eighth is below 5e-17 at every q and T >= 10,
+        # under the least stop, REL_TOL / 1024.
+        assert max(terms - (9 if min(a, b) >= 1.0 else 10) for (a, b), (_, _, terms) in outcomes) == 7
 
-    @pytest.mark.parametrize("max_terms", [None, *MAX_TERMS])
-    def test_psi_q_matches_the_calls(self, max_terms):
-        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+    @pytest.mark.parametrize("max_terms", [None, *CAPS])
+    def test_psi_q_matches_the_calls(self, monkeypatch, max_terms):
+        _cap(monkeypatch, max_terms)
         mismatches = []
         # q^(x+K) below the double range at the last two q.
         for qv in (*(1.0 - self.ONE_MINUS_Q), 1e-20, 1e-200):
             q = QParam(float(qv))
             for x in (*self.X, *self.Y[:3], 700.0):
-                got, ref = _outcome(lambda: psi_q(x, q, cfg)), _outcome(lambda: _reference_psi_q(x, q, cfg))
+                got, ref = _outcome(lambda: psi_q(x, q)), _outcome(lambda: _reference_psi_q(x, q))
                 if got != ref:
                     mismatches.append(((x, q.q), got, ref))
         assert mismatches == []
 
 
 
-def _reference_psi_q_m(m, x, q, cfg, parts=None):
+def _reference_psi_q_m(m, x, q, parts=None):
     """psi_q_m with its head's A_m in a loop over its coefficients, each
     head term from its own exp and expm1, its range test at every call and
     K from _head_length, kept as the reference for the compiled head
     kernels, the carried powers of q and the test skipped where it cannot
-    fire.  ``parts``, a dict, receives the head terms and the signed tail
-    value or partial value it adds."""
+    fire, under the same cap.  ``parts``, a dict, receives the head terms
+    and the signed tail value or partial value it adds."""
     if m < 1 or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     require_positive(x)
@@ -929,7 +917,7 @@ def _reference_psi_q_m(m, x, q, cfg, parts=None):
     parts["head"], parts["tail"] = [], None
     power = m + 1
     sign = 1.0 if m % 2 else -1.0
-    max_terms = cfg.max_terms
+    max_terms = qspecial.MAX_TERMS
     k_end = _head_length(x, q)
     limit = min(k_end, max_terms)
     eulerian = (
@@ -1023,8 +1011,8 @@ class TestHeadKernelReference:
     ONE_MINUS_Q = np.geomspace(1e-9, 0.999, 7)
 
     @pytest.mark.parametrize("max_terms", [None, 1, 3, 17, 40])
-    def test_psi_q_m_matches_the_loop_head(self, max_terms):
-        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
+    def test_psi_q_m_matches_the_loop_head(self, monkeypatch, max_terms):
+        _cap(monkeypatch, max_terms)
         points = [
             (m, float(x), QParam(1.0 - float(om)))
             for om in self.ONE_MINUS_Q
@@ -1040,8 +1028,8 @@ class TestHeadKernelReference:
         outcomes = []
         for m, x, q in points:
             parts = {}
-            got = _outcome(lambda: psi_q_m(m, x, q, cfg))
-            ref = _outcome(lambda: _reference_psi_q_m(m, x, q, cfg, parts))
+            got = _outcome(lambda: psi_q_m(m, x, q))
+            ref = _outcome(lambda: _reference_psi_q_m(m, x, q, parts))
             outcomes.append(got)
             if not _matches_the_loop_head(got, ref, parts, m, x, q):
                 mismatches.append(((m, x, q.q), got, ref))
@@ -1097,7 +1085,6 @@ class TestShiftedTail:
         # engine is (x + _head_length(x, q)) ln q bit for bit, K from the
         # helper above, for x on both sides of sqrt(L/s) (K > 0 and K = 0)
         # and at it, and only when the head fits the cap.
-        cfg = EvalConfig() if max_terms is None else EvalConfig(max_terms)
         seen = []
 
         def recording_tail(y_ln_q, *args):
@@ -1105,6 +1092,7 @@ class TestShiftedTail:
             return sum_geometric_decay(y_ln_q, *args)
 
         monkeypatch.setattr(qspecial, "sum_geometric_decay", recording_tail)
+        cap = _cap(monkeypatch, max_terms)
         reached = 0
         for qv in (1e-12, 0.05, 0.5, 0.9, 0.999):
             q = QParam(qv)
@@ -1115,10 +1103,10 @@ class TestShiftedTail:
                 for m in (0, 1, 2, 17):
                     seen.clear()
                     try:
-                        psi_q(x, q, cfg) if m == 0 else psi_q_m(m, x, q, cfg)
+                        psi_q(x, q) if m == 0 else psi_q_m(m, x, q)
                     except NonConvergence:
                         pass
-                    expected = [(x + k_end) * q.ln_q] if k_end < cfg.max_terms else []
+                    expected = [(x + k_end) * q.ln_q] if k_end < cap else []
                     assert seen == expected, (x, qv, m, seen, expected)
                     reached += len(seen)
         assert reached > {None: 110, 1: 45, 7: 50, 60: 75}[max_terms], reached
@@ -1135,20 +1123,22 @@ class TestShiftedTail:
             assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle), m
 
     @pytest.mark.parametrize("m", [0, 2])
-    def test_max_terms_raises_with_bounded_partial_value(self, m):
+    def test_max_terms_raises_with_bounded_partial_value(self, monkeypatch, m):
         q = QParam(0.9)
 
-        def evaluate(cfg):
-            return psi_q(2.5, q, cfg) if m == 0 else psi_q_m(m, 2.5, q, cfg)
+        def evaluate():
+            return psi_q(2.5, q) if m == 0 else psi_q_m(m, 2.5, q)
 
-        full = evaluate(EvalConfig())
+        full = evaluate()
         # Cut inside the head, where it ends (K = 15 here) and in the tail.
         for max_terms in (3, 15, full.terms_used - 1):
+            _cap(monkeypatch, max_terms)
             with pytest.raises(NonConvergence) as info:
-                evaluate(EvalConfig(max_terms=max_terms))
+                evaluate()
             assert info.value.terms_used == max_terms
             assert abs(info.value.partial_value - full.value) <= info.value.error_estimate
-        assert evaluate(EvalConfig(max_terms=full.terms_used)) == full
+        _cap(monkeypatch, full.terms_used)
+        assert evaluate() == full
 
     @pytest.mark.parametrize("qv", [0.01, 0.05, 0.1, 0.2, 0.3, 0.5])
     def test_psi_q_m_error_estimate_bounds_the_tail(self, qv):
@@ -1162,13 +1152,14 @@ class TestShiftedTail:
                 remainder = _mp_psi_q_m_tail(m, x + k_end, qv, ev.terms_used - k_end)
                 assert remainder <= ev.error_estimate * (1.0 + 1e-12), (x, m, ev.terms_used - k_end)
 
-    def test_psi_q_m_cap_in_the_first_tail_terms_is_bounded(self):
+    def test_psi_q_m_cap_in_the_first_tail_terms_is_bounded(self, monkeypatch):
         # K = 5 here: caps of 6-10 terms stop after 1-5 tail terms.
         q = QParam(0.5)
         full = psi_q_m(2, 2.5, q)
         for max_terms in range(6, 11):
+            _cap(monkeypatch, max_terms)
             with pytest.raises(NonConvergence) as info:
-                psi_q_m(2, 2.5, q, EvalConfig(max_terms=max_terms))
+                psi_q_m(2, 2.5, q)
             assert abs(info.value.partial_value - full.value) <= info.value.error_estimate, max_terms
 
 
@@ -1249,33 +1240,33 @@ class TestLibmCallsPerCall:
         assert many == 3 + 2 + 1 + 4
 
 
-class TestNoConfigPerCall:
-    """psi_q and psi_q_m hand their tail what the head left of the term cap
-    as a count, and a root solve, certified from the fitted guess in one
-    psi_q call or after Newton steps below its range, calls only those:
-    none of them builds an EvalConfig."""
+class TestFixedCap:
+    """The term cap is the fixed MAX_TERMS = 10^6, reached with no patch
+    near q = 1: at x = 1.5 the head alone is K = 1,732,051 terms at
+    1 - q = 1e-11, and at 1 - q = 5e-11 the head of K = 774,596 leaves the
+    tail too few terms.  Each call takes about 0.2 s."""
 
-    def test_no_eval_config_is_built(self, monkeypatch):
-        built = []
-        new = EvalConfig.__new__
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("one_minus_q, in_head", [(1e-11, True), (5e-11, False)])
+    def test_real_cap_stops_in_the_head_or_the_tail(self, monkeypatch, m, one_minus_q, in_head):
+        tails = []
 
-        def counting_new(cls, *args, **kwargs):
-            built.append(args)
-            return new(cls, *args, **kwargs)
+        def recording_tail(*args):
+            try:
+                return sum_geometric_decay(*args)
+            except NonConvergence as exc:
+                tails.append(exc.terms_used)
+                raise
 
-        capped = EvalConfig(500)
-        monkeypatch.setattr(EvalConfig, "__new__", counting_new)
-        q, root_qs = QParam(0.9), (QParam(0.5), QParam(0.049))
-        assert _head_length(0.05, q) == 17  # a head, and a tail after it
-        for cfg in (qspecial.DEFAULT_CONFIG, capped):
-            psi_q(0.05, q, cfg)
-            psi_q_m(1, 0.05, q, cfg)
-            psi_q_m(2, 0.05, q, cfg)
-            for root_q in root_qs:
-                psi_q_root(root_q, cfg)
-        assert built == []
-        EvalConfig(7)
-        assert built == [(7,)]
+        monkeypatch.setattr(qspecial, "sum_geometric_decay", recording_tail)
+        q = QParam(1.0 - one_minus_q)
+        assert MAX_TERMS == qspecial.MAX_TERMS == 10**6
+        assert (_head_length(1.5, q) >= MAX_TERMS) is in_head
+        with pytest.raises(NonConvergence, match=r"^no convergence within 1000000 terms \(estimate ") as info:
+            psi_q(1.5, q) if m == 0 else psi_q_m(m, 1.5, q)
+        assert info.value.terms_used == MAX_TERMS
+        assert math.isfinite(info.value.partial_value) and info.value.error_estimate > 0.0
+        assert tails == ([] if in_head else [MAX_TERMS - _head_length(1.5, q)])
 
 
 class TestBelowOne:
@@ -1509,9 +1500,9 @@ class TestPsiQRoot:
         calls, slopes = _count_root_calls(monkeypatch)
         residuals = []
 
-        def shifted_psi_q(x, q, cfg):
+        def shifted_psi_q(x, q):
             calls.append(x)
-            ev = psi_q(x + 10.0, q, cfg)
+            ev = psi_q(x + 10.0, q)
             residuals.append(ev.value)
             return ev
 
@@ -1529,9 +1520,9 @@ class TestPsiQRoot:
         # where the solve stops with BracketFailure, evaluating nothing there.
         calls, slopes = _count_root_calls(monkeypatch)
 
-        def raised_psi_q(x, q, cfg):
+        def raised_psi_q(x, q):
             calls.append(x)
-            ev = psi_q(x, q, cfg)
+            ev = psi_q(x, q)
             return ev._replace(value=ev.value + 1.0)
 
         monkeypatch.setattr(qspecial, "psi_q", raised_psi_q)
@@ -1556,14 +1547,15 @@ class TestPsiQRoot:
         # Under a cap of 5 terms psi_q near q = 0.049's zero fits and
         # psi_q' does not: each Newton step takes psi_q_m's partial sum, and
         # the solve certifies the same bracket as with no cap.
-        q, cfg = QParam(0.049), EvalConfig(5)
+        q = QParam(0.049)
         expected = psi_q_root(q)
         calls, slopes = _count_root_calls(monkeypatch)
-        assert psi_q_root(q, cfg) == expected
+        _cap(monkeypatch, 5)
+        assert psi_q_root(q) == expected
         assert len(slopes) == len(calls) - 1 >= 1, (calls, slopes)
         for x in slopes:
             with pytest.raises(NonConvergence):
-                psi_q_m(1, x, q, cfg)
+                psi_q_m(1, x, q)
 
     @pytest.mark.parametrize("qv", [0.05, 0.3, 0.7, 0.95, 0.999])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -1581,9 +1573,9 @@ class TestPsiQRoot:
         assert abs(psi_q(mid, q).value) < abs(shift) < 1e-10
         calls, slopes = _count_root_calls(monkeypatch)
 
-        def shifted_psi_q(x, q, cfg):
+        def shifted_psi_q(x, q):
             calls.append(x)
-            ev = psi_q(x, q, cfg)
+            ev = psi_q(x, q)
             return ev._replace(value=ev.value + shift)
 
         monkeypatch.setattr(qspecial, "psi_q", shifted_psi_q)
@@ -1633,9 +1625,9 @@ class TestPsiQRoot:
         moved = {lo: 1e-11, mid: -1e-11, hi: -2e-11}
         calls, slopes = _count_root_calls(monkeypatch)
 
-        def bumped_psi_q(x, q, cfg):
+        def bumped_psi_q(x, q):
             calls.append(x)
-            ev = psi_q(x, q, cfg)
+            ev = psi_q(x, q)
             return ev._replace(value=moved[x]) if x in moved else ev
 
         monkeypatch.setattr(qspecial, "psi_q", bumped_psi_q)

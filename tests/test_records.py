@@ -14,12 +14,11 @@ from qgamma.bounds import INEQUALITIES, INEQUALITY_IDS, BoundPair, DomainSpec, t
 from qgamma.classical import ln_gamma_classical, psi_classical
 from qgamma.errors import DomainError
 from qgamma.propcheck import CertificateReport, SampleBatch, run_check, sample
-from qgamma.qcore import EvalConfig, Evaluation, QParam, sum_geometric_decay
+from qgamma.qcore import Evaluation, QParam, sum_geometric_decay
 from qgamma.qspecial import PsiRoot, euler_gamma_q, gamma_q, ln_gamma_q, psi_q, psi_q_m, psi_q_root
 
 RECORDS = {
     "QParam": lambda: QParam(0.5),
-    "EvalConfig": lambda: EvalConfig(5),
     "Evaluation": lambda: psi_q(2.0, QParam(0.5)),
     "PsiRoot": lambda: psi_q_root(QParam(0.5)),
     "BoundPair": lambda: thm_mvt_bounds(3.0, 2.0, QParam(0.5)),
@@ -73,11 +72,8 @@ def test_replace_checks_the_domain():
     with pytest.raises(DomainError):
         QParam(0.5)._replace(q=2.0)
     with pytest.raises(DomainError):
-        EvalConfig(5)._replace(max_terms=0)
-    with pytest.raises(DomainError):
         DomainSpec((1.0, 2.0))._replace(constraint="alpha_at_least_root")
     assert QParam(0.5)._replace(q=0.25) == QParam(0.25)
-    assert EvalConfig(5)._replace(max_terms=7) == EvalConfig(7)
 
 
 def test_ln_q_follows_q():
@@ -89,8 +85,6 @@ def test_ln_q_follows_q():
 
 
 def test_make_checks_the_domain():
-    with pytest.raises(DomainError):
-        EvalConfig._make([0])
     with pytest.raises(DomainError):
         DomainSpec._make([(2.0, 1.0), None, None, None, "none"])
     with pytest.raises(DomainError):
