@@ -233,9 +233,10 @@ def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
 # solve that raises (NonConvergence past the term cap, BracketFailure)
 # stores nothing, and concurrent initialization at worst recomputes the
 # same value.
-# Unbounded on purpose: ``sample`` solves the root of every drawn point
-# before ``certify`` reads them all back, so a bound below the sample count
-# would solve each root twice; ``table`` rows share one q and hit it.
+# Unbounded on purpose: ``propcheck.certify`` solves the root of every
+# thm_alpha point in one pass before it evaluates them, and each evaluation
+# looks its root up again, so a bound below the sample count would solve
+# each root twice; ``table`` rows share one q and hit it.
 # A miss costs one psi_q call for q in [0.05, 1 - 1e-5], and below 0.05
 # 1.05 on average and at most 4 with 3 psi_q_m calls (see psi_q_root); a
 # hit, one dict lookup.

@@ -172,12 +172,13 @@ def _q_draw(rng: random.Random, q_range: Tuple[float, float]) -> Callable[[], fl
 
 def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
     """Draw ``count`` points (an integer >= 1) from ``spec`` with rejection
-    on its constraint, from the stream of ``random.Random(seed)``; alpha sits
-    above the psi_q root, so the points depend on the seed alone.
+    on its constraint, from the stream of ``random.Random(seed)``; the points
+    depend on the seed alone, and drawing them evaluates nothing.
 
-    Each point draws x, then y, then q, then the alpha offset, or mu and
-    lambda, or the aux value, each as ``rng.uniform`` over its range would
-    (q log-uniform in 1 - q over ranges wider than a decade)."""
+    Each point draws x, then y, then q, then mu and lambda, or the aux
+    value, each as ``rng.uniform`` over its range would (q log-uniform in
+    1 - q over ranges wider than a decade); under alpha_at_least_root aux
+    is the offset above the psi_q root, which ``certify`` solves."""
     require_count(count, "count")
     # random.Random(-s) would replay the stream of s, and Random(True) that of 1.
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -195,10 +196,7 @@ def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
             y = draw_y() if draw_y is not None else None
             q = draw_q() if draw_q is not None else None
             aux = None
-            if constraint == "alpha_at_least_root":
-                offset = draw_aux()
-                aux = cached_psi_root(QParam(q)) + offset
-            elif constraint == "mu_greater_than_lambda":
+            if constraint == "mu_greater_than_lambda":
                 mu = draw_aux()
                 lam = draw_aux()
                 if not mu > lam + MIN_PAIR_GAP:
@@ -259,8 +257,22 @@ def evaluate_point(inequality_id: str, point: Point, *, force: bool = False) -> 
     raise DomainError(f"unknown inequality id {inequality_id!r}")
 
 
+def _alpha(q: QParam, offset: float):
+    """alpha = q's psi_q root + ``offset``, or the QGammaError the root solve
+    raised."""
+    try:
+        return cached_psi_root(q) + offset
+    except QGammaError as exc:
+        return exc
+
+
 def certify(inequality_id: str, batch: SampleBatch, *, corrupt_upper: bool = False) -> CertificateReport:
     """Check lower <= ratio <= upper (log space, 1e-9 slack) over a batch.
+
+    A thm_alpha point's aux is its offset above the psi_q root, as
+    ``sample`` draws it: each root is solved before evaluation, a reported
+    point has aux alpha = root + offset, and a solve that raises is that
+    point's error, with aux None (such errors come first in ``failures``).
 
     Evaluation errors at a point are recorded as failures, never skipped.
     ``corrupt_upper`` halves every upper bound; it exists so the harness can
@@ -269,7 +281,19 @@ def certify(inequality_id: str, batch: SampleBatch, *, corrupt_upper: bool = Fal
     if inequality_id not in INEQUALITY_IDS:
         raise DomainError(f"unknown inequality id {inequality_id!r}")
     tally = _Tally(inequality_id, _point_dict)
-    for point in batch.points:
+    points = batch.points
+    if default_domain(inequality_id).constraint == "alpha_at_least_root":
+        # Every root in one pass, outside the per-point loop that all nine
+        # inequalities share.
+        solved = []
+        for x, y, q, offset in points:
+            alpha = _alpha(QParam(q), offset)
+            if isinstance(alpha, QGammaError):
+                tally.error((x, y, q, None), alpha)
+            else:
+                solved.append((x, y, q, alpha))
+        points = solved
+    for point in points:
         try:
             pair = evaluate_point(inequality_id, point)
         except QGammaError as exc:
@@ -292,8 +316,8 @@ def _proof_function(
     on (0, inf) with a >= root.  The log ratio is one ln_gamma_q sum less the
     offset of the theorem's bounds, and the slope is the theorem's own.
 
-    A root solve that fails gives functions that raise its error, so that
-    each point of the check records it.
+    A root solve that fails, here or before (``aux`` is then its error),
+    gives functions that raise its error, so that each point records it.
     """
     if function_id == "f_thm_main":
         return (
@@ -301,8 +325,7 @@ def _proof_function(
             lambda t: _f_slope(t, q),
         )
     if function_id == "g_thm_alpha":
-        alpha = float(aux)
-        failure = _attempt(_require_alpha, alpha, q)
+        failure = aux if isinstance(aux, QGammaError) else _attempt(_require_alpha, float(aux), q)
         if isinstance(failure, AlphaBelowRoot):
             raise failure
         if failure is not None:
@@ -311,6 +334,7 @@ def _proof_function(
                 raise failure.with_traceback(None)
 
             return failed, failed
+        alpha = float(aux)
         return (
             lambda t, u: ln_gamma_q(t + alpha, q, y=u + alpha).value - _g_offset(t, u, alpha),
             lambda t: _g_slope(t, alpha, q),
@@ -374,6 +398,8 @@ def _slope_report(function_id: str, runs: Iterable) -> CertificateReport:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must be strictly increasing")
         _, slope = _proof_function(function_id, q, aux)
+        if isinstance(aux, QGammaError):
+            aux = None
         values = [_attempt(slope, t) for t in grid]
         for i, (a, b) in enumerate(zip(values, values[1:])):
             point = (grid[i], grid[i + 1], q.q, aux)
@@ -448,11 +474,12 @@ _LIMIT_X_GRID = (0.5, 1.5, 2.5, 4.0)
 
 
 def _combos(row: _ProofRow) -> list:
-    """The (q, alpha) pairs of ``row``, alpha each offset above q's psi_q root."""
+    """The (q, alpha) pairs of ``row``, alpha each offset above q's psi_q root,
+    or the QGammaError its solve raised, which each point of the run records."""
     grid = [QParam(q) for q in _CHECK_Q_GRID]
     if row.alpha_offsets is None:
         return [(q, None) for q in grid]
-    return [(q, cached_psi_root(q) + off) for q in grid for off in row.alpha_offsets]
+    return [(q, _alpha(q, off)) for q in grid for off in row.alpha_offsets]
 
 
 def _run_inequality(inequality_id: str, seed: int, samples: int, corrupt_upper=False):

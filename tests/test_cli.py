@@ -459,17 +459,20 @@ class TestVerify:
         assert int(fields["n_errors"]) > int(fields["n_samples"]) / 2 == 500
 
     def test_evaluation_errors_keep_every_report(self, monkeypatch, capsys):
-        # Slope and limit checks record errors too, so no report is lost.
-        # A first uncapped run caches the roots that sampling needs.
+        # Slope and limit checks record errors too, and so does a psi_q root
+        # solve that raises (none is cached, and none converges within 3
+        # terms), so no report is lost.
         from qgamma.propcheck import ALL_CHECK_IDS
 
-        argv = ["verify", "--ineq", "all", "--samples", "20", "--seed", "1", "--format", "json"]
-        assert main(argv) == 0
-        capsys.readouterr()
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
         monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        argv = ["verify", "--ineq", "all", "--samples", "20", "--seed", "1", "--format", "json"]
         assert main(argv) == 3
-        reports = json.loads(capsys.readouterr().out)
-        assert [r["inequality_id"] for r in reports] == list(ALL_CHECK_IDS)
+        reports = {r["inequality_id"]: r for r in json.loads(capsys.readouterr().out, parse_constant=reject_constant)}
+        assert list(reports) == list(ALL_CHECK_IDS)
+        assert reports["thm_alpha"]["n_errors"] == reports["thm_alpha"]["n_samples"] == 20
+        assert reports["convexity_g_thm_alpha"]["n_errors"] > 0
+        assert reports["slope_g_thm_alpha"]["n_errors"] > 0
 
     def test_json_without_evaluated_points_is_valid_json(self, monkeypatch, capsys):
         # No point evaluates under a 3-term cap, so neither worst margin

@@ -11,7 +11,7 @@ from qgamma.errors import AlphaBelowRoot, DomainError, RejectionOverflow
 from qgamma import bounds, propcheck, qspecial
 from qgamma.qcore import QParam, q_bracket_derivative
 from qgamma.constants import MIN_PAIR_GAP
-from qgamma.qspecial import psi_q, psi_q_root
+from qgamma.qspecial import psi_q
 from qgamma.bounds import DomainSpec, INEQUALITY_IDS, cached_psi_root, default_domain
 from qgamma.propcheck import (
     ALL_CHECK_IDS,
@@ -51,10 +51,31 @@ class TestSample:
         batch = sample(default_domain("cor_mu_lambda"), 3, 300)
         assert all(aux[0] > aux[1] for _, _, _, aux in batch.points)
 
-    def test_alpha_constraint_sits_above_root(self):
-        batch = sample(default_domain("thm_alpha"), 5, 50)
-        for x, y, q, alpha in batch.points:
-            assert alpha >= cached_psi_root(QParam(q))
+    def test_alpha_constraint_sits_above_root(self, monkeypatch):
+        # aux is the drawn offset; certify reports each point with alpha =
+        # root + offset, at or above the psi_q root.  No point passes, so
+        # every point is a failure that carries its aux.
+        spec = default_domain("thm_alpha")
+        batch = sample(spec, 5, 50)
+        assert all(spec.aux_range[0] <= offset <= spec.aux_range[1] for _, _, _, offset in batch.points)
+        monkeypatch.setattr(propcheck, "passes", lambda lower, upper: False)
+        report = certify("thm_alpha", batch)
+        assert report.n_errors == 0 and len(report.failures) == 50
+        for failure, (x, y, q, offset) in zip(report.failures, batch.points):
+            root = cached_psi_root(QParam(q))
+            assert failure["point"] == {"x": x, "y": y, "q": q, "aux": root + offset}
+            assert failure["point"]["aux"] >= root
+
+    def test_drawing_solves_no_root(self, monkeypatch):
+        # Sampling does no numerics, so a root solve that would raise
+        # cannot abort it.
+        expected = sample(default_domain("thm_alpha"), 7, 50)
+
+        def fail(q):
+            raise AssertionError("sample solved a root")
+
+        monkeypatch.setattr(propcheck, "cached_psi_root", fail)
+        assert sample(default_domain("thm_alpha"), 7, 50) == expected
 
     def test_classical_points_have_no_q(self):
         batch = sample(default_domain("keckic_vasic"), 5, 20)
@@ -81,17 +102,18 @@ class TestSample:
 
     def test_stream_is_pinned(self):
         # A change of stream or of draw order changes these literals.  aux is
-        # the psi_q root plus the drawn offset, so it carries the solver's
-        # rounding.
-        expected = [
-            (12.806564629234781, 0.5489645666922054, 0.887626285781104, 3.6913304202388844),
-            (14.742600722572048, 13.550154774087082, 0.3084113786732331, 2.3034110634881584),
-            (8.467340302721146, 0.6444545277895034, 0.9048181587181494, 6.513169798401669),
-        ]
+        # the drawn offset; the psi_q root plus it is the alpha that releases
+        # which put alpha in aux drew, bit for bit.
+        expected = (
+            (12.806564629234781, 0.5489645666922054, 0.887626285781104, 2.2321073814882277),
+            (14.742600722572048, 13.550154774087082, 0.3084113786732331, 0.8693883262941615),
+            (8.467340302721146, 0.6444545277895034, 0.9048181587181494, 5.053552881033624),
+        )
+        alphas = (3.69133042023872, 2.3034110634878964, 6.513169798401453)
         batch = sample(default_domain("thm_alpha"), 42, 3)
-        for point, (x, y, q, aux) in zip(batch.points, expected):
-            assert point[:3] == (x, y, q)
-            assert point[3] == pytest.approx(aux, rel=1e-12)
+        assert batch.points == expected
+        for (_, _, q, offset), alpha in zip(batch.points, alphas):
+            assert cached_psi_root(QParam(q)) + offset == alpha
 
     @pytest.mark.parametrize("seed", [5, 2024])
     @pytest.mark.parametrize(
@@ -121,7 +143,8 @@ class TestSample:
 def _reference_points(spec: DomainSpec, seed: int, count: int) -> tuple:
     """The documented draw order, from random.Random(seed).uniform: x, then
     y, then q (log-uniform in 1 - q over ranges wider than a decade), then
-    the alpha offset above the psi_q root, or mu and lambda, or aux."""
+    mu and lambda, or aux (the alpha offset above the psi_q root under
+    alpha_at_least_root)."""
     rng = random.Random(seed)
     points = []
     while len(points) < count:
@@ -135,9 +158,7 @@ def _reference_points(spec: DomainSpec, seed: int, count: int) -> tuple:
             else:
                 q = rng.uniform(lo, hi)
         aux = None
-        if spec.constraint == "alpha_at_least_root":
-            aux = psi_q_root(QParam(q)).root + rng.uniform(*spec.aux_range)
-        elif spec.constraint == "mu_greater_than_lambda":
+        if spec.constraint == "mu_greater_than_lambda":
             mu = rng.uniform(*spec.aux_range)
             lam = rng.uniform(*spec.aux_range)
             if not mu > lam + MIN_PAIR_GAP:
@@ -203,13 +224,29 @@ class TestCertify:
         assert report.worst_upper_margin < 0
 
     def test_evaluation_errors_recorded_not_skipped(self):
-        # alpha far below the root: every point errors out
-        points = ((2.0, 1.0, 0.5, 0.1), (3.0, 1.0, 0.5, 0.2))
+        # A negative offset puts alpha below the root: every point errors
+        # out, and reports the alpha it was evaluated at.
+        points = ((2.0, 1.0, 0.5, -0.5), (3.0, 1.0, 0.5, -0.2))
         batch = SampleBatch(seed=0, count=2, points=points)
         report = certify("thm_alpha", batch)
+        root = cached_psi_root(QParam(0.5))
         assert report.n_pass == 0
         assert len(report.failures) == 2
-        assert all("error" in f for f in report.failures)
+        for failure, (_, _, _, offset) in zip(report.failures, points):
+            assert failure["error"] == str(AlphaBelowRoot(root + offset, root))
+            assert failure["point"]["aux"] == root + offset
+
+    def test_failed_root_solve_is_the_points_error(self, monkeypatch):
+        # With no root cached, a 3-term cap fails every solve: each point
+        # records the solve's error, with aux None since alpha is unknown.
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
+        batch = sample(default_domain("thm_alpha"), 1, 7)
+        report = certify("thm_alpha", batch)
+        assert report.n_samples == report.n_errors == 7
+        for failure, (x, y, q, _) in zip(report.failures, batch.points):
+            assert failure["point"] == {"x": x, "y": y, "q": q, "aux": None}
+            assert "no convergence within 3 terms" in failure["error"]
 
     def test_unknown_id(self):
         batch = sample(default_domain("thm_main"), 1, 1)
@@ -477,6 +514,13 @@ class TestDeterminismAndSerialization:
             da.pop("wall_time_s"), db.pop("wall_time_s")
             assert json.dumps(da) == json.dumps(db), check_id
 
+    def test_thm_alpha_report_does_not_depend_on_the_root_cache(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        cold = run_check("thm_alpha", seed=7, samples=200)
+        assert bounds._ROOT_CACHE
+        warm = run_check("thm_alpha", seed=7, samples=200)
+        assert cold._replace(wall_time=0.0) == warm._replace(wall_time=0.0)
+
     def test_json_schema_fields(self):
         report = run_check("thm_mvt", seed=1, samples=10)
         payload = report_to_dict(report)
@@ -486,9 +530,9 @@ class TestDeterminismAndSerialization:
             assert key in payload
 
     def test_n_errors_is_serialized(self):
-        # alpha far below the root: both points raise, and verify's exit 3
-        # reads n_errors, so both report forms must show it.
-        batch = SampleBatch(seed=0, count=2, points=((2.0, 1.0, 0.5, 0.1), (3.0, 1.0, 0.5, 0.2)))
+        # A negative offset puts alpha below the root: both points raise, and
+        # verify's exit 3 reads n_errors, so both report forms must show it.
+        batch = SampleBatch(seed=0, count=2, points=((2.0, 1.0, 0.5, -0.5), (3.0, 1.0, 0.5, -0.2)))
         report = certify("thm_alpha", batch)
         assert report.n_errors == 2
         assert report_to_dict(report)["n_errors"] == 2
@@ -531,9 +575,9 @@ class TestFailureRecord:
 
     @pytest.mark.parametrize("check_id", ALL_CHECK_IDS)
     def test_every_failure_has_one_of_two_shapes(self, check_id, monkeypatch):
-        # Under a 3-term cap the q-series checks raise at most points; a
-        # first uncapped run caches the roots that sampling needs.
-        run_check(check_id, seed=5, samples=20)
+        # Under a 3-term cap the q-series checks raise at most points, and
+        # with no root cached every psi_q root solve raises.
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
         monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
         report = run_check(check_id, seed=5, samples=20)
         for failure in report.failures:
