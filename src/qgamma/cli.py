@@ -42,11 +42,11 @@ JSON report schema (one object per check):
                     "upper_margin": float | null }
                 | { "point": dict, "error": str } ],
     "wall_time_s": float }
-A failure holds its point ({"track","q"} for limits) and its log margins,
-both the one margin of a convexity, slope or limit check; or the error
-the point raised, which n_errors counts past the 100 failures kept.
-A point's "aux" is alpha for thm_alpha and slope_g_thm_alpha, and null
-in an error whose psi_q root solve raised, where alpha is unknown.
+A failure holds its point (limits: {"track","q"}; convexity and slope: the
+pair as x, y, the run's q and aux) and its log margins (both the one
+margin for convexity, slope and limits), or the error it raised, which
+n_errors counts past the 100 failures kept.  A point's "aux" is alpha for
+thm_alpha and the g checks; null otherwise and where a root solve raised.
 
 Table CSV: header ``<var>,lower,ratio,upper,lower_margin,upper_margin``,
 the first column named by --var as given (``x`` for --var x, ``lambda``

@@ -6,8 +6,9 @@ the geometric convexity and slope monotonicity of the proof functions f and
 g, by the log ratios, slopes and alpha rule of the theorems in ``bounds``,
 and the q->1 limits.  One table at the bottom, ``_CHECKS``, gives each check
 id its runner: one per inequality, a convexity and a slope check per proof
-function (one report over the q and alpha grid of the function's row of
-constants, ``_PROOF_ROWS``) and the limit check.
+function (one report over the q and alpha grid of the function's row in
+``_PROOF_ROWS``, which holds its log ratio, slope and constants) and the
+limit check.
 
 Points are drawn from the standard library's ``random.Random(seed)``
 (Mersenne Twister) with integer seeds >= 0, and slope grids are evenly
@@ -258,12 +259,9 @@ def evaluate_point(inequality_id: str, point: Point, *, force: bool = False) -> 
 
 
 def _alpha(q: QParam, offset: float):
-    """alpha = q's psi_q root + ``offset``, or the QGammaError the root solve
-    raised."""
-    try:
-        return cached_psi_root(q) + offset
-    except QGammaError as exc:
-        return exc
+    """alpha = q's psi_q root + ``offset``, or the QGammaError its solve raised."""
+    root = _attempt(cached_psi_root, q)
+    return root if isinstance(root, QGammaError) else root + offset
 
 
 def certify(inequality_id: str, batch: SampleBatch, *, corrupt_upper: bool = False) -> CertificateReport:
@@ -308,71 +306,72 @@ def certify(inequality_id: str, batch: SampleBatch, *, corrupt_upper: bool = Fal
 # Convexity, slope and limit checks
 # --------------------------------------------------------------------------
 
-def _proof_function(
-    function_id: str, q: QParam, aux
-) -> Tuple[Callable[[float, float], float], Callable[[float], float]]:
-    """Log ratio ln f(t) - ln f(u) and slope t (ln f)'(t) of a proof function:
-    f(t) = e^[t]_q Gamma_q(t) on [1, inf), or g(t) = e^t Gamma_q(t+a) / (t+a)
-    on (0, inf) with a >= root.  The log ratio is one ln_gamma_q sum less the
-    offset of the theorem's bounds, and the slope is the theorem's own.
-
-    A root solve that fails, here or before (``aux`` is then its error),
-    gives functions that raise its error, so that each point records it.
-    """
-    if function_id == "f_thm_main":
-        return (
-            lambda t, u: ln_gamma_q(t, q, y=u).value - _f_offset(t, u, q),
-            lambda t: _f_slope(t, q),
-        )
-    if function_id == "g_thm_alpha":
-        failure = aux if isinstance(aux, QGammaError) else _attempt(_require_alpha, float(aux), q)
-        if isinstance(failure, AlphaBelowRoot):
-            raise failure
-        if failure is not None:
-
-            def failed(*args: float) -> float:
-                raise failure.with_traceback(None)
-
-            return failed, failed
-        alpha = float(aux)
-        return (
-            lambda t, u: ln_gamma_q(t + alpha, q, y=u + alpha).value - _g_offset(t, u, alpha),
-            lambda t: _g_slope(t, alpha, q),
-        )
-    raise DomainError(f"unknown convexity function {function_id!r}")
-
-
 class _ProofRow(NamedTuple):
-    """Where a proof function is checked: pairs from ``pair_domain``, each
-    argument at least ``least_argument``, and slopes on a grid spanning
-    ``slope_ends``; at every q of the check grid, and with alpha offsets at
-    alpha = that q's psi_q root plus each offset."""
+    """A proof function: its log ratio ln f(t) - ln f(u), one ln_gamma_q sum
+    less the offset of its theorem's bounds, and slope t (ln f)'(t), its
+    theorem's own, at (q, alpha); pairs from ``pair_domain``, each argument at
+    least ``least_argument``; a slope grid spanning ``slope_ends``; and at
+    each q of the check grid, alpha = q's psi_q root plus each offset."""
 
     pair_domain: DomainSpec
     slope_ends: Tuple[float, float]
     alpha_offsets: Optional[Tuple[float, ...]]
     least_argument: float
+    log_ratio: Callable[[float, float, QParam, Optional[float]], float]
+    slope: Callable[[float, QParam, Optional[float]], float]
 
 
 _PROOF_ROWS = {
-    "f_thm_main": _ProofRow(DomainSpec((1.0, 20.0), (1.0, 20.0), None), (1.0, 10.0), None, 1.0),
-    "g_thm_alpha": _ProofRow(DomainSpec((0.05, 10.0), (0.05, 10.0), None), (0.05, 10.0), (0.0, 1.0, 5.0), 0.0),
+    # f(t) = e^[t]_q Gamma_q(t) on [1, inf)
+    "f_thm_main": _ProofRow(
+        DomainSpec((1.0, 20.0), (1.0, 20.0), None), (1.0, 10.0), None, 1.0,
+        lambda t, u, q, alpha: ln_gamma_q(t, q, y=u).value - _f_offset(t, u, q),
+        lambda t, q, alpha: _f_slope(t, q),
+    ),
+    # g(t) = e^t Gamma_q(t+a) / (t+a) on (0, inf) with a >= root
+    "g_thm_alpha": _ProofRow(
+        DomainSpec((0.05, 10.0), (0.05, 10.0), None), (0.05, 10.0), (0.0, 1.0, 5.0), 0.0,
+        lambda t, u, q, alpha: ln_gamma_q(t + alpha, q, y=u + alpha).value - _g_offset(t, u, alpha),
+        lambda t, q, alpha: _g_slope(t, alpha, q),
+    ),
 }
 
 
+def _public_alpha(function_id: str, q: QParam, aux):
+    """The alpha of a public proof check: None for f; for g ``aux``, or the
+    QGammaError it fails thm_alpha's rule with (non-finite, a failed root
+    solve), which each point records.  AlphaBelowRoot, an unknown id and a
+    missing or extra alpha raise."""
+    row = _PROOF_ROWS.get(function_id)
+    if row is None:
+        raise DomainError(f"unknown proof function {function_id!r}")
+    if (aux is None) != (row.alpha_offsets is None):
+        raise DomainError(f"{function_id} takes {'an' if aux is None else 'no'} alpha, got {aux!r}")
+    if aux is None:
+        return None
+    failure = _attempt(_require_alpha, float(aux), q)
+    if isinstance(failure, AlphaBelowRoot):
+        raise failure
+    return float(aux) if failure is None else failure
+
+
 def _convexity_report(function_id: str, runs: Iterable) -> CertificateReport:
-    """One report of the midpoint margins over (batch, q, alpha) runs."""
+    """One report of the midpoint margins over (batch, q, alpha) runs; a
+    failure's point holds the pair, the run's q and its alpha."""
+    row = _PROOF_ROWS[function_id]
+    least = row.least_argument
     tally = _Tally(f"convexity_{function_id}", _point_dict)
-    for batch, q, aux in runs:
-        log_diff, _ = _proof_function(function_id, q, aux)
-        least = _PROOF_ROWS[function_id].least_argument
-        for point in batch.points:
-            x1, x2 = point[0], point[1]
+    for batch, q, alpha in runs:
+        aux = None if isinstance(alpha, QGammaError) else alpha
+        for x1, x2, *_ in batch.points:
+            point = (x1, x2, q.q, aux)
+            if tally.errored(point, alpha):
+                continue
             try:
                 if x1 < least or x2 < least:
                     raise DomainError(f"pair ({x1!r}, {x2!r}) outside [{least:g}, inf)")
                 mid = math.sqrt(x1 * x2)
-                margin = 0.5 * (log_diff(x1, mid) + log_diff(x2, mid))
+                margin = 0.5 * (row.log_ratio(x1, mid, q, alpha) + row.log_ratio(x2, mid, q, alpha))
             except QGammaError as exc:
                 tally.error(point, exc)
                 continue
@@ -385,22 +384,22 @@ def check_geometric_convexity(function_id: str, batch: SampleBatch, q: QParam, a
 
     Pairs come from the (x, y) slots of the batch.  The midpoint margin,
     (D(x1, m) + D(x2, m)) / 2 with m = sqrt(x1 x2) and D the log ratio of f,
-    is reported in both worst-margin fields.
+    is reported in both worst-margin fields.  ``aux`` is g's alpha.
     """
-    return _convexity_report(function_id, [(batch, q, aux)])
+    return _convexity_report(function_id, [(batch, q, _public_alpha(function_id, q, aux))])
 
 
 def _slope_report(function_id: str, runs: Iterable) -> CertificateReport:
     """One report of the slope differences over (grid, q, alpha) runs."""
+    slope = _PROOF_ROWS[function_id].slope
     tally = _Tally(f"slope_{function_id}", _point_dict)
-    for grid, q, aux in runs:
+    for grid, q, alpha in runs:
         grid = [float(t) for t in grid]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DomainError("grid must be strictly increasing")
-        _, slope = _proof_function(function_id, q, aux)
-        if isinstance(aux, QGammaError):
-            aux = None
-        values = [_attempt(slope, t) for t in grid]
+        if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError("grid must hold >= 2 strictly increasing points")
+        failed = isinstance(alpha, QGammaError)
+        aux = None if failed else alpha
+        values = [alpha if failed else _attempt(slope, t, q, alpha) for t in grid]
         for i, (a, b) in enumerate(zip(values, values[1:])):
             point = (grid[i], grid[i + 1], q.q, aux)
             if tally.errored(point, a, b):
@@ -411,12 +410,13 @@ def _slope_report(function_id: str, runs: Iterable) -> CertificateReport:
 
 
 def check_lemma_monotone_slope(function_id: str, grid: Sequence[float], q: QParam, aux=None) -> CertificateReport:
-    """Verify x (ln f)'(x) is nondecreasing along a strictly increasing grid.
+    """Verify x (ln f)'(x) is nondecreasing along a strictly increasing grid
+    of at least 2 points; ``aux`` is g's alpha.
 
     A slope that fails to evaluate makes each comparison it enters a
     recorded error.
     """
-    return _slope_report(function_id, [(grid, q, aux)])
+    return _slope_report(function_id, [(grid, q, _public_alpha(function_id, q, aux))])
 
 
 _LIMIT_REL_TOL = 5e-2

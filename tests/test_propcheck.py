@@ -338,6 +338,37 @@ class TestConvexityCheck:
         assert report.n_samples == report.n_errors == 5
         assert report.n_pass == 0
         assert all("no convergence" in f["error"] for f in report.failures)
+        for failure, (x1, x2, _, _) in zip(report.failures, batch.points):
+            assert failure["point"] == {"x": x1, "y": x2, "q": 0.5, "aux": None}
+
+    def test_failures_name_their_q_and_alpha(self, monkeypatch):
+        # With no root cached, a 10-term cap fails the root solves of the
+        # larger grid q; each failure names the q and alpha of the grid run
+        # it came from (alpha None where it has none), not the batch's blanks.
+        offsets = propcheck._PROOF_ROWS["g_thm_alpha"].alpha_offsets
+        alphas = {qv: {qspecial.psi_q_root(QParam(qv)).root + off for off in offsets}
+                  for qv in propcheck._CHECK_Q_GRID}
+        monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 10)
+        report = run_check("convexity_g_thm_alpha", seed=3, samples=200)
+        assert report.failures
+        for failure in report.failures:
+            point = failure["point"]
+            assert point["q"] in alphas, point
+            assert point["aux"] is None or point["aux"] in alphas[point["q"]], point
+
+    @pytest.mark.parametrize("check, function_id, aux", [
+        (check_geometric_convexity, "g_thm_alpha", None),
+        (check_geometric_convexity, "f_thm_main", 3.0),
+        (check_lemma_monotone_slope, "g_thm_alpha", None),
+        (check_lemma_monotone_slope, "f_thm_main", 3.0),
+    ])
+    def test_missing_or_extra_alpha_raises(self, check, function_id, aux):
+        # g needs its alpha and f has none: neither may be guessed or dropped.
+        pairs = sample(DomainSpec((1.0, 10.0), (1.0, 10.0), None), 1, 3)
+        points = pairs if check is check_geometric_convexity else [1.0, 2.0, 3.0]
+        with pytest.raises(DomainError, match=f"{function_id} takes (an|no) alpha"):
+            check(function_id, points, QParam(0.5), aux)
 
     def test_f_pairs_below_one_rejected_as_errors(self):
         points = ((0.5, 2.0, None, None),)
@@ -348,11 +379,11 @@ class TestConvexityCheck:
 
 
 class TestSlopeCheck:
-    def test_single_point_grid_trivially_passes(self):
-        report = check_lemma_monotone_slope("f_thm_main", [2.0], QParam(0.5))
-        assert report.n_samples == 0
-        assert report.n_pass == 0
-        assert report.failures == ()
+    @pytest.mark.parametrize("grid", [[2.0], []])
+    def test_short_grid_raises(self, grid):
+        # A grid with no comparison would report 0 of 0, which reads as a pass.
+        with pytest.raises(DomainError, match=">= 2 strictly increasing points"):
+            check_lemma_monotone_slope("f_thm_main", grid, QParam(0.5))
 
     def test_f_nondecreasing_on_grid(self):
         report = check_lemma_monotone_slope("f_thm_main", np.linspace(1.0, 10.0, 200), QParam(0.5))
