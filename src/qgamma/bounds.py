@@ -228,18 +228,9 @@ def zhang_xu_situ_bounds(x: float, y: float) -> BoundPair:
 # Root cache, sampling domains and the inequality registry
 # --------------------------------------------------------------------------
 
-# psi_q root per q, kept for the life of the process: a second run in the
-# same process reuses the roots of the first.  Keyed by the exact float; a
-# solve that raises (NonConvergence past the term cap, BracketFailure)
-# stores nothing, and concurrent initialization at worst recomputes the
-# same value.
-# Unbounded on purpose: ``propcheck.certify`` solves the root of every
-# thm_alpha point in one pass before it evaluates them, and each evaluation
-# looks its root up again, so a bound below the sample count would solve
-# each root twice; ``table`` rows share one q and hit it.
-# A miss costs one psi_q call for q in [0.05, 1 - 1e-5], and below 0.05
-# 1.05 on average and at most 4 with 3 psi_q_m calls (see psi_q_root); a
-# hit, one dict lookup.
+# The psi_q root of the last q solved, keyed by the exact float: it exists
+# because thm_alpha_bounds re-checks alpha against the root its caller has
+# just solved.  A solve that raises stores nothing.
 _ROOT_CACHE: dict[float, float] = {}
 
 
@@ -247,6 +238,7 @@ def cached_psi_root(q: QParam) -> float:
     root = _ROOT_CACHE.get(q.q)
     if root is None:
         root = psi_q_root(q).root
+        _ROOT_CACHE.clear()
         _ROOT_CACHE[q.q] = root
     return root
 
@@ -289,7 +281,7 @@ class DomainSpec(_DomainSpecFields):
         aux_range: Optional[Tuple[float, float]] = None,
         constraint: str = "none",
     ):
-        for name, rng in (("x_range", x_range), ("y_range", y_range), ("aux_range", aux_range)):
+        for name, rng in (("x_range", x_range), ("y_range", y_range), ("q_range", q_range), ("aux_range", aux_range)):
             if rng is None:
                 continue
             if not rng[0] <= rng[1]:
@@ -297,8 +289,8 @@ class DomainSpec(_DomainSpecFields):
             # A uniform draw is a + (b - a) U: an infinite end or width draws inf.
             if not math.isfinite(rng[1] - rng[0]):
                 raise DomainError(f"{name} must have finite ends and width, got {rng!r}")
-        if q_range is not None and not (0.0 < q_range[0] <= q_range[1] < 1.0):
-            raise DomainError(f"q_range must sit inside (0, 1), got {q_range!r}")
+        if q_range is not None:
+            QParam(q_range[0]), QParam(q_range[1])  # every q drawn is a QParam
         if constraint not in _CONSTRAINTS:
             raise DomainError(f"unknown constraint {constraint!r}")
         self = tuple.__new__(cls, (x_range, y_range, q_range, aux_range, constraint))

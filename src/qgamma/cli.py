@@ -11,14 +11,12 @@ Values print with 17 significant digits so they re-parse to the identical
 double.  Every series stops once its tail bound is at most 1e-13 of its
 sum (``qcore.REL_TOL``), within a fixed cap of 10^6 terms
 (``qcore.MAX_TERMS``); no subcommand takes a numeric evaluation option,
-and no environment variable sets one.  Earlier releases took the cap as
---max-terms, which now exits 2 as an unknown flag.
+and no environment variable sets one.
 
 verify samples each domain from the standard library's random.Random(seed)
 (Mersenne Twister), so its reports are fixed by the seed, an integer >= 0;
 a check that samples exits 2 on a negative seed, and every check exits 2
-on --samples below 1.  Earlier releases drew from numpy's default_rng, so
-the same seed now samples different points.
+on --samples below 1.
 
 verify --corrupt-bounds halves every inequality's upper bound and must exit
 1; a request holding a check with no upper bound (convexity, slope, limits,
@@ -29,10 +27,12 @@ exponentials of its log fields, computed here, where they are printed: a
 ``bounds.BoundPair`` holds the logs and the log margins alone.  A log whose
 exponential overflows the doubles (above about 709.78) prints as inf.
 
-Every subcommand writes JSON through one writer, with null for each float
-that is not finite: a bound beyond the double range in `bounds` and
-`table`, or a worst margin of a report none of whose points evaluated.
-Plain and CSV print inf and nan.
+Every subcommand writes its output through one writer.  Once the reader
+has closed the pipe, the rest of the output is dropped and the subcommand
+still exits with its own code.  JSON holds null for each float that is not
+finite: a bound beyond the double range in `bounds` and `table`, or a
+worst margin of a report none of whose points evaluated.  Plain and CSV
+print inf and nan.
 
 JSON report schema (one object per check):
   { "schema_version": 2, "inequality_id": str, "n_samples": int,
@@ -59,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -116,17 +117,30 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write(text: str) -> None:
+    """The one writer of every subcommand's output: ``text`` and a newline.
+    Once the reader has closed the pipe, stdout points at os.devnull, so
+    neither a later write nor the flush at exit raises."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _write_json(payload) -> None:
-    """The one JSON writer: null for every float that is not finite."""
-    print(json.dumps(_json_ready(payload)))
+    """JSON output: null for every float that is not finite."""
+    _write(json.dumps(_json_ready(payload)))
 
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         _write_json(payload)
     else:
-        for key, value in payload.items():
-            print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
+        _write("\n".join(f"{key}: {_fmt(value) if isinstance(value, float) else value}"
+                         for key, value in payload.items()))
 
 
 def _require_flags(name: str, flags, offered, args) -> None:
@@ -188,7 +202,7 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _write_json([report_to_dict(r) for r in reports])
     else:
-        print("\n\n".join(report_to_text(r) for r in reports))
+        _write("\n\n".join(report_to_text(r) for r in reports))
     if any(r.n_errors > r.n_samples / 2 for r in reports):
         return EXIT_NUMERICAL
     if any(r.n_pass < r.n_samples for r in reports):
@@ -224,7 +238,7 @@ def _cmd_table(args) -> int:
     else:
         lines = [",".join((args.var,) + _PAIR_FIELDS)]
         lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write("\n".join(lines))
     return EXIT_OK
 
 

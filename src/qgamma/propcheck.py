@@ -268,30 +268,23 @@ def certify(inequality_id: str, batch: SampleBatch, *, corrupt_upper: bool = Fal
     """Check lower <= ratio <= upper (log space, 1e-9 slack) over a batch.
 
     A thm_alpha point's aux is its offset above the psi_q root, as
-    ``sample`` draws it: each root is solved before evaluation, a reported
-    point has aux alpha = root + offset, and a solve that raises is that
-    point's error, with aux None (such errors come first in ``failures``).
+    ``sample`` draws it: each point's root is solved just before the point
+    is evaluated, a reported point has aux alpha = root + offset, and a
+    solve that raises is that point's error, in sample order, with aux None.
 
     Evaluation errors at a point are recorded as failures, never skipped.
     ``corrupt_upper`` halves every upper bound; it exists so the harness can
     prove to itself that it is able to fail.
     """
-    if inequality_id not in INEQUALITY_IDS:
-        raise DomainError(f"unknown inequality id {inequality_id!r}")
+    solve_alpha = default_domain(inequality_id).constraint == "alpha_at_least_root"
     tally = _Tally(inequality_id, _point_dict)
-    points = batch.points
-    if default_domain(inequality_id).constraint == "alpha_at_least_root":
-        # Every root in one pass, outside the per-point loop that all nine
-        # inequalities share.
-        solved = []
-        for x, y, q, offset in points:
+    for point in batch.points:
+        if solve_alpha:
+            x, y, q, offset = point
             alpha = _alpha(QParam(q), offset)
-            if isinstance(alpha, QGammaError):
-                tally.error((x, y, q, None), alpha)
-            else:
-                solved.append((x, y, q, alpha))
-        points = solved
-    for point in points:
+            if tally.errored((x, y, q, None), alpha):
+                continue
+            point = (x, y, q, alpha)
         try:
             pair = evaluate_point(inequality_id, point)
         except QGammaError as exc:

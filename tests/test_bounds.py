@@ -492,6 +492,17 @@ class TestRootCacheAndDomains:
         with pytest.raises(DomainError):
             DomainSpec((1.0, 2.0))._replace(x_range=rng)
 
+    @pytest.mark.parametrize("q_range", [(0.5, 1.0 - 1e-13), (0.5, 1.0 - 1e-12)])
+    def test_domain_spec_q_range_follows_the_qparam_rule(self, q_range):
+        # Every q a spec draws is one QParam accepts: an end at or past
+        # 1 - 1e-12 fails when the spec is built, not at each point drawn.
+        from qgamma.propcheck import sample
+
+        with pytest.raises(DomainError):
+            DomainSpec((1.0, 2.0), (1.0, 2.0), q_range)
+        spec = DomainSpec((1.0, 2.0), (1.0, 2.0), (0.5, 1.0 - 2e-12))
+        assert all(QParam(q) for _, _, q, _ in sample(spec, 3, 200).points)
+
 
 def test_bound_pair_has_no_inequality_id():
     # A corollary returns its theorem's pair as it is (the *_equals_* tests

@@ -474,6 +474,27 @@ class TestVerify:
         assert reports["convexity_g_thm_alpha"]["n_errors"] > 0
         assert reports["slope_g_thm_alpha"]["n_errors"] > 0
 
+    def test_all_leaves_one_root_cached(self, capsys):
+        main(["verify", "--ineq", "all", "--samples", "20", "--seed", "1"])
+        assert len(bounds._ROOT_CACHE) <= 1
+
+    @pytest.mark.parametrize("args, code", [
+        (("--ineq", "slope_g_thm_alpha", "--samples", "150", "--seed", "1"), 0),
+        (("--ineq", "thm_mvt", "--corrupt-bounds"), 1),
+    ])
+    def test_closed_pipe_keeps_the_exit_code(self, args, code):
+        # A reader that closed its end early (`| head`) drops the output,
+        # not the verdict.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run([sys.executable, "-m", "qgamma.cli", "verify", *args],
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in res.stderr, res.stderr
+        assert res.returncode == code
+
     def test_json_without_evaluated_points_is_valid_json(self, monkeypatch, capsys):
         # No point evaluates under a 3-term cap, so neither worst margin
         # exists: JSON null, never the non-JSON token Infinity.

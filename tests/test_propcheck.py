@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import mp_ln_gamma_q, mp_q_bracket
-from qgamma.errors import AlphaBelowRoot, DomainError, RejectionOverflow
+from qgamma.errors import AlphaBelowRoot, BracketFailure, DomainError, RejectionOverflow
 from qgamma import bounds, propcheck, qspecial
 from qgamma.qcore import QParam, q_bracket_derivative
 from qgamma.constants import MIN_PAIR_GAP
@@ -247,6 +247,23 @@ class TestCertify:
         for failure, (x, y, q, _) in zip(report.failures, batch.points):
             assert failure["point"] == {"x": x, "y": y, "q": q, "aux": None}
             assert "no convergence within 3 terms" in failure["error"]
+
+    def test_failures_keep_sample_order(self, monkeypatch):
+        # Each root is solved in the per-point loop, so a failed solve is
+        # recorded where its point sits, after the point before it.
+        root = cached_psi_root(QParam(0.5))
+
+        def solve(q):
+            if q.q == 0.3:
+                raise BracketFailure("no root at q = 0.3")
+            return cached_psi_root(q)
+
+        monkeypatch.setattr(propcheck, "cached_psi_root", solve)
+        points = ((2.0, 1.0, 0.5, -0.5), (3.0, 1.0, 0.3, 1.0))
+        report = certify("thm_alpha", SampleBatch(seed=0, count=2, points=points))
+        assert report.n_samples == report.n_errors == 2
+        assert [f["error"] for f in report.failures] == [str(AlphaBelowRoot(root - 0.5, root)), "no root at q = 0.3"]
+        assert [f["point"]["aux"] for f in report.failures] == [root - 0.5, None]
 
     def test_unknown_id(self):
         batch = sample(default_domain("thm_main"), 1, 1)
@@ -551,6 +568,10 @@ class TestDeterminismAndSerialization:
         assert bounds._ROOT_CACHE
         warm = run_check("thm_alpha", seed=7, samples=200)
         assert cold._replace(wall_time=0.0) == warm._replace(wall_time=0.0)
+
+    def test_root_cache_holds_the_last_q_alone(self):
+        run_check("thm_alpha", seed=7, samples=200)
+        assert len(bounds._ROOT_CACHE) <= 1
 
     def test_json_schema_fields(self):
         report = run_check("thm_mvt", seed=1, samples=10)
