@@ -8,7 +8,6 @@ from .errors import (
     NonConvergence,
     Overflow,
     QGammaError,
-    RejectionOverflow,
 )
 from .qcore import (
     Evaluation,

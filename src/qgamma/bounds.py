@@ -23,7 +23,7 @@ import math
 from typing import NamedTuple, Optional, Tuple
 
 from .classical import ln_gamma_classical, psi_classical
-from .constants import CERT_SLACK_LOG
+from .constants import CERT_SLACK_LOG, MIN_PAIR_GAP
 from .errors import AlphaBelowRoot, DomainError
 from .qcore import QParam, new_record, q_bracket, q_bracket_derivative, q_pow, require_positive
 from .qspecial import ln_gamma_q, psi_q, psi_q_root
@@ -267,8 +267,9 @@ class DomainSpec(_DomainSpecFields):
     constraint is alpha_at_least_root, and the common (mu, lambda) range
     when it is mu_greater_than_lambda.  ``q_range`` is None for the
     classical inequalities.  Every construction path, ``_replace`` and
-    ``_make`` included, checks the ranges (ordered, with finite ends and
-    width) and the constraint.
+    ``_make`` included, checks the ranges ((low, high) pairs, ordered, with
+    finite ends and width) and the constraint; an ordered pair's range, the
+    common x and y range or the aux range, must be wider than MIN_PAIR_GAP.
     """
 
     __slots__ = ()
@@ -284,10 +285,15 @@ class DomainSpec(_DomainSpecFields):
         for name, rng in (("x_range", x_range), ("y_range", y_range), ("q_range", q_range), ("aux_range", aux_range)):
             if rng is None:
                 continue
-            if not rng[0] <= rng[1]:
+            try:
+                lo, hi = rng
+                width = hi - lo
+            except (TypeError, ValueError):
+                raise DomainError(f"{name} must be a (low, high) pair, got {rng!r}") from None
+            if not lo <= hi:
                 raise DomainError(f"{name} is empty: {rng!r}")
             # A uniform draw is a + (b - a) U: an infinite end or width draws inf.
-            if not math.isfinite(rng[1] - rng[0]):
+            if not math.isfinite(width):
                 raise DomainError(f"{name} must have finite ends and width, got {rng!r}")
         if q_range is not None:
             QParam(q_range[0]), QParam(q_range[1])  # every q drawn is a QParam
@@ -297,6 +303,13 @@ class DomainSpec(_DomainSpecFields):
         missing = [name for name in _CONSTRAINTS[constraint] if getattr(self, name) is None]
         if missing:
             raise DomainError(f"constraint {constraint!r} requires " + ", ".join(missing))
+        # An ordered pair is two draws from (a, b - MIN_PAIR_GAP), sorted.
+        if constraint == "x_greater_than_y" and tuple(y_range) != tuple(x_range):
+            raise DomainError(f"constraint {constraint!r} requires y_range == x_range, got {x_range!r}, {y_range!r}")
+        pair_range = {"x_greater_than_y": x_range, "mu_greater_than_lambda": aux_range}.get(constraint)
+        if pair_range is not None and not pair_range[1] - MIN_PAIR_GAP > pair_range[0]:
+            raise DomainError(f"constraint {constraint!r} requires a range wider than {MIN_PAIR_GAP!r}, "
+                              f"got {pair_range!r}")
         return self
 
     @classmethod

@@ -43,6 +43,3 @@ class AlphaBelowRoot(QGammaError, ValueError):
         self.alpha = alpha
         self.root = root
 
-
-class RejectionOverflow(QGammaError):
-    """Constraint rejection sampling exceeded its per-point iteration cap."""

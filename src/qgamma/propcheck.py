@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
-from .errors import AlphaBelowRoot, DomainError, QGammaError, RejectionOverflow
+from .errors import AlphaBelowRoot, DomainError, QGammaError
 from .qcore import QParam, require_count
 from .qspecial import gamma_q, ln_gamma_q, psi_q, euler_gamma_q
 from .bounds import (
@@ -56,7 +56,6 @@ SCHEMA_VERSION = 2
 
 _LN_HALF = math.log(0.5)
 _FAILURE_CAP = 100
-_REJECTION_CAP = 1000
 
 Point = Tuple[Optional[float], Optional[float], Optional[float], object]
 
@@ -171,50 +170,53 @@ def _q_draw(rng: random.Random, q_range: Tuple[float, float]) -> Callable[[], fl
     return _uniform(rng, q_range)
 
 
-def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
-    """Draw ``count`` points (an integer >= 1) from ``spec`` with rejection
-    on its constraint, from the stream of ``random.Random(seed)``; the points
-    depend on the seed alone, and drawing them evaluates nothing.
+def _ordered_pair(rng: random.Random, interval: Tuple[float, float]) -> Callable[[], tuple]:
+    """A draw function for an ordered pair from ``interval`` (a, b): with u, v
+    two draws of rng.uniform(a, b - g) and g = MIN_PAIR_GAP, (max(u, v) + g,
+    min(u, v)).  These order statistics are uniform over {a <= y, y + g <= x
+    <= b}, as redrawing until x > y + g would be."""
+    a, b = interval
+    draw = _uniform(rng, (a, b - MIN_PAIR_GAP))
 
-    Each point draws x, then y, then q, then mu and lambda, or the aux
-    value, each as ``rng.uniform`` over its range would (q log-uniform in
-    1 - q over ranges wider than a decade); under alpha_at_least_root aux
-    is the offset above the psi_q root, which ``certify`` solves."""
+    def pair() -> tuple:
+        u, v = draw(), draw()
+        return (u + MIN_PAIR_GAP, v) if u > v else (v + MIN_PAIR_GAP, u)
+
+    return pair
+
+
+def sample(spec: DomainSpec, seed: int, count: int) -> SampleBatch:
+    """Draw ``count`` points (an integer >= 1) from ``spec``, each once, from
+    the stream of ``random.Random(seed)``; the points depend on the seed
+    alone, and drawing them evaluates nothing.
+
+    Each point draws x and y (an ordered pair under x_greater_than_y), then
+    q, then mu and lambda (an ordered pair under mu_greater_than_lambda) or
+    the aux value, each as ``rng.uniform`` over its range would (q
+    log-uniform in 1 - q over ranges wider than a decade).  An ordered pair
+    is the larger of two draws from (a, b - MIN_PAIR_GAP) plus the gap, then
+    the smaller.  Under alpha_at_least_root aux is the offset above the
+    psi_q root, which ``certify`` solves.  DomainError for a bad count or
+    seed is the only error: ``DomainSpec`` rejects an unsatisfiable
+    constraint when it is built."""
     require_count(count, "count")
     # random.Random(-s) would replay the stream of s, and Random(True) that of 1.
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     rng = random.Random(seed)
-    draw_x = _uniform(rng, spec.x_range)
-    draw_y = _uniform(rng, spec.y_range) if spec.y_range is not None else None
-    draw_q = _q_draw(rng, spec.q_range) if spec.q_range is not None else None
-    draw_aux = _uniform(rng, spec.aux_range) if spec.aux_range is not None else None
-    constraint = spec.constraint
-    points = []
-    for index in range(count):
-        for _ in range(_REJECTION_CAP):
-            x = draw_x()
-            y = draw_y() if draw_y is not None else None
-            q = draw_q() if draw_q is not None else None
-            aux = None
-            if constraint == "mu_greater_than_lambda":
-                mu = draw_aux()
-                lam = draw_aux()
-                if not mu > lam + MIN_PAIR_GAP:
-                    continue
-                aux = (mu, lam)
-            elif draw_aux is not None:
-                aux = draw_aux()
-            if constraint == "x_greater_than_y" and not x > y + MIN_PAIR_GAP:
-                continue
-            points.append((x, y, q, aux))
-            break
-        else:
-            raise RejectionOverflow(
-                f"constraint {constraint!r} not satisfied within "
-                f"{_REJECTION_CAP} draws at point {index}"
-            )
-    return SampleBatch(seed=seed, count=count, points=tuple(points))
+    if spec.constraint == "x_greater_than_y":
+        draw_xy = _ordered_pair(rng, spec.x_range)
+    else:
+        draw_x = _uniform(rng, spec.x_range)
+        draw_y = _uniform(rng, spec.y_range) if spec.y_range is not None else lambda: None
+        draw_xy = lambda: (draw_x(), draw_y())
+    draw_q = _q_draw(rng, spec.q_range) if spec.q_range is not None else lambda: None
+    if spec.constraint == "mu_greater_than_lambda":
+        draw_aux = _ordered_pair(rng, spec.aux_range)
+    else:
+        draw_aux = _uniform(rng, spec.aux_range) if spec.aux_range is not None else lambda: None
+    points = tuple((*draw_xy(), draw_q(), draw_aux()) for _ in range(count))
+    return SampleBatch(seed=seed, count=count, points=points)
 
 
 def linspace(lo: float, hi: float, n: int) -> list:
@@ -419,13 +421,13 @@ def check_limits(q_sequence: Sequence[float], x_grid: Sequence[float]) -> Certif
     """Verify Gamma_q -> Gamma, psi_q -> psi and gamma_q -> gamma as q -> 1.
 
     For each x the absolute deviations must decrease strictly along
-    q_sequence and the terminal relative deviation must be <= 5e-2.  A
-    q-value that fails to evaluate makes each comparison it enters a
-    recorded error.
+    q_sequence, at least 2 q values, and the terminal relative deviation
+    must be <= 5e-2.  A q-value that fails to evaluate makes each
+    comparison it enters a recorded error.
     """
     q_sequence = [float(q) for q in q_sequence]
-    if any(b <= a for a, b in zip(q_sequence, q_sequence[1:])):
-        raise DomainError("q_sequence must be strictly increasing")
+    if len(q_sequence) < 2 or any(b <= a for a, b in zip(q_sequence, q_sequence[1:])):
+        raise DomainError("q_sequence must hold >= 2 strictly increasing values")
     # Beyond 1 - 1e-5 the deviations reach psi_q's own error: at q = 1 - 1e-6
     # the psi deviation at x = 1.5 no longer falls (5.0e-14 -> 5.7e-13).
     if max(q_sequence) > 0.99999:

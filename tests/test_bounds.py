@@ -481,6 +481,11 @@ class TestRootCacheAndDomains:
             DomainSpec((1.0, 2.0), (1.0, 2.0), None, (0.0, 1.0), "alpha_at_least_root")
         with pytest.raises(DomainError):
             DomainSpec((1.0, 2.0), constraint="alpha_at_least_root")
+        # Every given range is a (low, high) pair.
+        shapes = (((1.0, 2.0, 3.0),), ((1.0, 2.0), None, (0.5,)), ((1.0, 2.0), 1.5), ((), (1.0, 2.0)), (("a", "b"),))
+        for args in shapes:
+            with pytest.raises(DomainError, match="must be a \\(low, high\\) pair"):
+                DomainSpec(*args)
 
     @pytest.mark.parametrize("rng", [(1.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308), (math.nan, 1.0)])
     def test_domain_spec_rejects_ranges_that_are_not_finite(self, rng):

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from oracles import mp_ln_gamma_q, mp_q_bracket
-from qgamma.errors import AlphaBelowRoot, BracketFailure, DomainError, RejectionOverflow
+from qgamma.errors import AlphaBelowRoot, BracketFailure, DomainError
 from qgamma import bounds, propcheck, qspecial
 from qgamma.qcore import QParam, q_bracket_derivative
 from qgamma.constants import MIN_PAIR_GAP
@@ -81,10 +81,52 @@ class TestSample:
         batch = sample(default_domain("keckic_vasic"), 5, 20)
         assert all(p[2] is None for p in batch.points)
 
-    def test_unsatisfiable_constraint(self):
-        spec = DomainSpec((0.0, 1.0), (5.0, 6.0), (0.05, 0.95), None, "x_greater_than_y")
-        with pytest.raises(RejectionOverflow):
-            sample(spec, 11, 3)
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ((0.0, 1.0), (5.0, 6.0), (0.05, 0.95), None, "x_greater_than_y"),
+            ((0.0, 1.0), (0.0, 2.0), (0.05, 0.95), None, "x_greater_than_y"),
+            ((1.0, 1.0 + 0.5 * MIN_PAIR_GAP), (1.0, 1.0 + 0.5 * MIN_PAIR_GAP), None, None, "x_greater_than_y"),
+            ((1.0, 2.0), None, (0.05, 0.95), (1.0, 1.0 + MIN_PAIR_GAP), "mu_greater_than_lambda"),
+        ],
+        ids=["disjoint", "unequal", "narrow_xy", "narrow_aux"],
+    )
+    def test_unsatisfiable_constraint_fails_at_construction(self, args):
+        # An ordered pair is sorted from two draws of one range, so a spec
+        # that no sampled point could satisfy is refused when it is built.
+        with pytest.raises(DomainError):
+            DomainSpec(*args)
+
+    @pytest.mark.parametrize("inequality_id", ["thm_mvt", "cor_mu_lambda", "keckic_vasic"])
+    def test_ordered_pairs_are_order_statistics(self, inequality_id):
+        # With w = b - g - a, the larger of two uniform draws plus the gap g
+        # has CDF ((t - g - a) / w)^2 on [a + g, b], and the smaller
+        # 1 - (1 - (t - a) / w)^2 on [a, b - g].
+        spec = default_domain(inequality_id)
+        points = sample(spec, 2024, 20_000).points
+        if inequality_id == "cor_mu_lambda":
+            (a, b), pairs = spec.aux_range, [aux for _, _, _, aux in points]
+        else:
+            (a, b), pairs = spec.x_range, [(x, y) for x, y, _, _ in points]
+        w = b - MIN_PAIR_GAP - a
+        larger, smaller = (np.array(values) for values in zip(*pairs))
+        # Kolmogorov-Smirnov at level 1e-3: D below c / sqrt(n), c = sqrt(-ln(5e-4) / 2).
+        critical = math.sqrt(-math.log(5e-4) / 2) / math.sqrt(len(points))
+        assert _ks_statistic(larger, lambda t: ((t - MIN_PAIR_GAP - a) / w) ** 2) < critical
+        assert _ks_statistic(smaller, lambda t: 1 - (1 - (t - a) / w) ** 2) < critical
+
+    @pytest.mark.parametrize("unit", [0.0, 1.0 - 2.0**-53])
+    @pytest.mark.parametrize("inequality_id", ["thm_mvt", "cor_mu_lambda", "keckic_vasic"])
+    def test_ordered_pairs_stay_in_range_at_the_extreme_draws(self, inequality_id, unit, monkeypatch):
+        monkeypatch.setattr(random.Random, "random", lambda self: unit)
+        spec = default_domain(inequality_id)
+        for x, y, _, aux in sample(spec, 1, 3).points:
+            if inequality_id == "cor_mu_lambda":
+                (high, low), (a, b) = aux, spec.aux_range
+            else:
+                (high, low), (a, b) = (x, y), spec.x_range
+            assert a <= low < high <= b
+            assert spec.x_range[0] <= x <= spec.x_range[1]
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
@@ -140,16 +182,34 @@ class TestSample:
 
 
 
+def _ks_statistic(values: np.ndarray, cdf) -> float:
+    """The Kolmogorov-Smirnov distance sup |F_n - F| of ``values`` from ``cdf``."""
+    values = np.sort(values)
+    n = len(values)
+    expected = cdf(values)
+    return max(np.max(np.arange(1, n + 1) / n - expected), np.max(expected - np.arange(n) / n))
+
+
 def _reference_points(spec: DomainSpec, seed: int, count: int) -> tuple:
-    """The documented draw order, from random.Random(seed).uniform: x, then
-    y, then q (log-uniform in 1 - q over ranges wider than a decade), then
-    mu and lambda, or aux (the alpha offset above the psi_q root under
-    alpha_at_least_root)."""
+    """The documented draw order, from random.Random(seed).uniform: x and y
+    (under x_greater_than_y, two draws u, v from (a, b - MIN_PAIR_GAP) make
+    the pair (max + gap, min)), then q (log-uniform in 1 - q over ranges
+    wider than a decade), then mu and lambda (an ordered pair likewise), or
+    aux (the alpha offset above the psi_q root under alpha_at_least_root)."""
     rng = random.Random(seed)
+
+    def ordered(lo, hi):
+        u = rng.uniform(lo, hi - MIN_PAIR_GAP)
+        v = rng.uniform(lo, hi - MIN_PAIR_GAP)
+        return max(u, v) + MIN_PAIR_GAP, min(u, v)
+
     points = []
-    while len(points) < count:
-        x = rng.uniform(*spec.x_range)
-        y = rng.uniform(*spec.y_range) if spec.y_range is not None else None
+    for _ in range(count):
+        if spec.constraint == "x_greater_than_y":
+            x, y = ordered(*spec.x_range)
+        else:
+            x = rng.uniform(*spec.x_range)
+            y = rng.uniform(*spec.y_range) if spec.y_range is not None else None
         q = None
         if spec.q_range is not None:
             lo, hi = spec.q_range
@@ -159,15 +219,9 @@ def _reference_points(spec: DomainSpec, seed: int, count: int) -> tuple:
                 q = rng.uniform(lo, hi)
         aux = None
         if spec.constraint == "mu_greater_than_lambda":
-            mu = rng.uniform(*spec.aux_range)
-            lam = rng.uniform(*spec.aux_range)
-            if not mu > lam + MIN_PAIR_GAP:
-                continue
-            aux = (mu, lam)
+            aux = ordered(*spec.aux_range)
         elif spec.aux_range is not None:
             aux = rng.uniform(*spec.aux_range)
-        if spec.constraint == "x_greater_than_y" and not x > y + MIN_PAIR_GAP:
-            continue
         points.append((x, y, q, aux))
     return tuple(points)
 
@@ -462,6 +516,13 @@ class TestLimitsCheck:
     def test_rejects_q_too_close_to_one(self):
         with pytest.raises(DomainError):
             check_limits((0.9, 0.999999), (1.5,))
+
+    @pytest.mark.parametrize("q_sequence", [(), (0.99,)])
+    def test_rejects_fewer_than_two_q_values(self, q_sequence):
+        # No q makes no comparison at all, and one q makes no decrease
+        # comparison, so the check would pass on the terminal test alone.
+        with pytest.raises(DomainError, match=">= 2 strictly increasing values"):
+            check_limits(q_sequence, (1.0,))
 
 
 class TestRegistry:
