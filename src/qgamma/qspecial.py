@@ -6,12 +6,14 @@ and underflows quickly and every downstream inequality works in log space
 anyway.  Arguments x <= 0 are rejected: no analytic continuation.
 
 ln Gamma_q is Moak's q-Stirling expansion (Moak 1984, Rocky Mountain J.
-Math. 14): the recurrence up to T >= 10 plus Euler-Maclaurin for the tail,
-the scheme classical.py uses at q = 1.  It sums at most 17 terms at every q,
-and its remainder is bounded by the larger first omitted term of the two
-tails (DLMF 2.10(i)).  It computes F(x) - F(y), F(t) = -sum_k ln(1-q^(t+k)),
-so ln_gamma_q(x, q, y=y) is the log ratio ln Gamma_q(x) - ln Gamma_q(y) in
-one sum (y = 1 by default, Gamma_q(1) = 1), exactly antisymmetric in x, y.
+Math. 14): the recurrence up to T >= 10, N = max(0, ceil(10 - y)) steps for
+the smaller argument y, as classical._shift, plus Euler-Maclaurin for the
+tail, the scheme classical.py uses at q = 1.  It sums at most 17 terms at
+every q, its corrections alone from y = 10 on, and its remainder is
+bounded by the larger first omitted term of the two tails (DLMF 2.10(i)).
+It computes F(x) - F(y), F(t) = -sum_k ln(1-q^(t+k)), so ln_gamma_q(x, q,
+y=y) is the log ratio ln Gamma_q(x) - ln Gamma_q(y) in one sum (y = 1 by
+default, Gamma_q(1) = 1), exactly antisymmetric in x, y.
 psi_q and every psi_q^(m) are one routine, _psi_series: K = max(0,
 ceil(sqrt(L/s) - x)) recurrence steps (s = -ln q, L = -ln REL_TOL; DLMF
 5.5.2 with q) and the rest as the geometric n-series at x + K, one path
@@ -21,8 +23,8 @@ the series engine certifies from the summands' own ratio (see
 psi_q^(m)'s head and both tails take each power of q from the one
 before, with a fixed number of exp and expm1 calls per call.  ln Gamma_q
 takes one log for the k = 0 recurrence term and one for the product of
-the others; the Eulerian polynomials A_0..A_16 of the corrections and of
-psi_q^(m)'s head are one table built at import.  From it, all the
+the others, at most nine; the Eulerian polynomials A_0..A_16 of the
+corrections and of psi_q^(m)'s head are one table built at import.  From it, all the
 generated code is compiled at import in one exec: the corrections of
 ln Gamma_q as one unrolled function, and psi_q^(m)'s head term
 u A_m(u) r^(m+1) for each m <= 16, every polynomial in straight-line
@@ -267,18 +269,21 @@ def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
     with the same bound and terms, and y == x gives exactly 0.
 
     With s = -ln q, each F is its first N terms plus the Euler-Maclaurin
-    tail at T = x + N (resp. y + N), N = 9 if y >= 1 else 10, so that both
-    tails start at T >= 10:
+    tail at T = x + N (resp. y + N), N = max(0, ceil(10 - y)), as
+    classical._shift, so that both tails start at T >= 10.  Below y = 10,
+    N is taken as 10 - floor(y), that ceiling exactly: the ceiling of the
+    rounded 10 - y is 9 at y = 1 - 2^-53, which would leave T below 10:
         Li_2(e^(-sT)) / s + h(T)/2
             + sum_j B_2j/(2j)! s^(2j-1) Li_{2-2j}(e^(-sT)).
     The first N terms are paired as ratios (1-q^(y+k)) / (1-q^(x+k)), every
     1 - q^t being -expm1(-s t), or s t below _TINY_W, so that a value near
-    the pole at 0 keeps its digits.  The k = 0 ratio takes a log of its
-    own, and the k >= 1 ratios one log of their product.  Each of those
-    lies in [1 - q^k, 1], and 1 - q^k >= k s / (1 + k s), which rises with
-    s, so their product is at least 9! s^9 / (1 + 9 s)^9: above 3.6e-103
-    at every q below 1 - 1e-12, and above 9e-139 at every q < 1
-    (s >= 2^-53), in the normal range.  The k = 0 ratio, about
+    the pole at 0 keeps its digits.  At N >= 1 the k = 0 ratio takes a log
+    of its own and the k >= 1 ratios one log of their product (empty at
+    N = 1, adding log 1 = 0 exactly); at N = 0 there are none.  Each of the
+    at most nine k >= 1 ratios lies in [1 - q^k, 1], and 1 - q^k >=
+    k s / (1 + k s), which rises with s, so their product is at least
+    9! s^9 / (1 + 9 s)^9: above 3.6e-103 at every q below 1 - 1e-12, and
+    above 9e-139 at every q < 1 (s >= 2^-53), in the normal range.  The k = 0 ratio, about
     s y / (1-q^x) for small s y, stays out of the product, which it could
     take below the range (at y = 1e-280, x = 1e12 and q = 1 - 1e-9).  The
     two integrals are differenced by _li2_tail_difference, in which the
@@ -315,7 +320,7 @@ def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
     log = math.log
     ln_q = q.ln_q
     s = -ln_q
-    n = 9 if y >= 1.0 else 10
+    n = 10 - math.floor(y) if y < 10.0 else 0
     if s * 10.0 <= _LN2:
         ln_s = log(s)
         value = (y - x) * log((1.0 - q.q) / s)
@@ -323,15 +328,16 @@ def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
         ln_s = None
         value = (y - x) * math.log1p(-q.q)
 
-    if s * y < _TINY_W:
-        # The k = 0 pair is ln(s y / (1-q^x)), with 1 - q^x = s x if tiny.
-        value += log(y / x) if s * x < _TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
-    else:
-        value += log(expm1(ln_q * y) / expm1(ln_q * x))
-    prod = 1.0
-    for k in range(1, n):
-        prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
-    value += log(prod)
+    if n:
+        if s * y < _TINY_W:
+            # The k = 0 pair is ln(s y / (1-q^x)), with 1 - q^x = s x if tiny.
+            value += log(y / x) if s * x < _TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
+        else:
+            value += log(expm1(ln_q * y) / expm1(ln_q * x))
+        prod = 1.0
+        for k in range(1, n):
+            prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
+        value += log(prod)
 
     tx, ty = x + n, y + n
     ux, uy = math.exp(-s * tx), math.exp(-s * ty)

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,23 @@ class TestQStirling:
                 ev = ln_gamma_q(float(x), QParam(1.0 - float(one_minus_q)))
                 assert 0 < ev.terms_used <= 17, (x, one_minus_q)
 
+    def test_recurrence_steps_follow_the_smaller_argument(self):
+        # N = max(0, ceil(10 - min(x, y))) recurrence steps, the shift of
+        # classical._shift, so that both tails start at T >= 10; from
+        # min(x, y) = 10 on, a call takes its corrections alone.  N is the
+        # exact ceiling: 10 - y rounds to an integer just below 1 and 2.
+        lower = (1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0, math.nextafter(2.0, 0.0), 2.5, 9.5,
+                 math.nextafter(10.0, 0.0), 10.0, 14.0, 29.0, 1e4)
+        for qv in (0.05, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+            q = QParam(qv)
+            for y in lower:
+                n = max(0, math.ceil(10 - Fraction(y)))
+                for d in (0.0, 1e-7, 0.5, 3.0, 100.0):
+                    terms = ln_gamma_q(y + d, q, y=y).terms_used
+                    assert 0 <= terms - n <= 7, (y, d, qv, terms)
+                    if y >= 10.0:
+                        assert terms <= 7, (y, d, qv, terms)
+
     def test_eighth_correction_below_the_least_stop(self):
         # The eighth correction B_16/16! s^15 Li_{-14}(u), u = e^(-sT), as
         # ln_gamma_q forms it (u (s / (1-u))^15 A_14(u)), over 20,000 s
@@ -160,8 +178,9 @@ class TestLnGammaRatio:
     """ln_gamma_q(x, q, y=y) = ln Gamma_q(x) - ln Gamma_q(y) as one sum."""
 
     # Both arguments below 1, pairs on either side of 1, and both above,
-    # each at gaps d = x - y from 1e-10 to 10.
-    LOWER = (0.05, 0.3, 0.9, 1.0, 2.5, 14.0, 29.0)
+    # each at gaps d = x - y from 1e-10 to 10; y on either side of 10 takes
+    # one recurrence step or none.
+    LOWER = (0.05, 0.3, 0.9, 1.0, 2.5, math.nextafter(10.0, 0.0), 10.0, 14.0, 29.0)
     GAPS = (1e-10, 1e-7, 1e-4, 0.1, 0.5, 1.0, 3.0, 10.0)
 
     @pytest.mark.parametrize("qv", [0.05, 0.5, 0.9, 0.95, 0.99])
@@ -192,7 +211,7 @@ class TestLnGammaRatio:
             ref = float(mp_ln_gamma_q(x, 0.5, terms=1) - mp_ln_gamma_q(y, 0.5, terms=1))
         assert _ratio_agrees(ln_gamma_q(x, QParam(0.5), y=y), ref)
 
-    @pytest.mark.parametrize("y", [1e-305, 1e-8, 0.3, 0.7, 1.0, 2.5, 29.75])
+    @pytest.mark.parametrize("y", [1e-305, 1e-8, 0.3, 0.7, 1.0, 2.5, math.nextafter(10.0, 0.0), 10.0, 29.75])
     def test_integer_gaps_near_q_one(self, y):
         # At q = 1 - 1e-6 the product oracle needs about 7e7 factors; the
         # functional equation gives integer gaps as a finite sum.
@@ -689,7 +708,7 @@ def _reference_ln_gamma_q(x, q, y=1.0):
     log = math.log
     ln_q = q.ln_q
     s = -ln_q
-    n = 9 if y >= 1.0 else 10
+    n = max(0, math.ceil(10 - Fraction(y)))
     if s * 10.0 <= qspecial._LN2:
         ln_s = log(s)
         value = (y - x) * log((1.0 - q.q) / s)
@@ -697,10 +716,11 @@ def _reference_ln_gamma_q(x, q, y=1.0):
         ln_s = None
         value = (y - x) * math.log1p(-q.q)
 
-    if s * y < qspecial._TINY_W:
-        value += log(y / x) if s * x < qspecial._TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
-    else:
-        value += log(expm1(ln_q * y) / expm1(ln_q * x))
+    if n:
+        if s * y < qspecial._TINY_W:
+            value += log(y / x) if s * x < qspecial._TINY_W else log(y) - (log(-expm1(-s * x)) - log(s))
+        else:
+            value += log(expm1(ln_q * y) / expm1(ln_q * x))
     prod = 1.0
     for k in range(1, n):
         prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
@@ -817,9 +837,11 @@ class TestStraightLineReference:
     # 1 - q = 0.067 and above it, so both branches of _li2_tail_difference
     # (and both of its series) run.
     ONE_MINUS_Q = np.geomspace(1e-9, 0.999, 13)
-    # y < 1 and y >= 1, and s y < 1e-300 (with s x above and below it).
+    # y < 1 and y >= 1, s y < 1e-300 (with s x above and below it), y just
+    # below 1, where 10 - y rounds to 9 but N is 10, and y on either side of
+    # 10, where N falls from 1 to 0.
     X = (1e-305, 1e-290, 0.3, 0.999, 1.0, 1.7, 4.5, 12.0, 80.0, 1e4)
-    Y = (1e-310, 1e-303, 0.01, 0.5, 1.0, 1.2, 9.5, 30.0)
+    Y = (1e-310, 1e-303, 0.01, 0.5, math.nextafter(1.0, 0.0), 1.0, 1.2, 9.5, math.nextafter(10.0, 0.0), 10.0, 30.0)
     CAPS = (1, 5, 9, 10, 12, 15)
 
     def test_eulerian_table_is_the_closed_form(self):
@@ -879,7 +901,7 @@ class TestStraightLineReference:
         # Seven corrections added and the eighth as the bound: the most any
         # call reaches, as the eighth is below 5e-17 at every q and T >= 10,
         # under the least stop, REL_TOL / 1024.
-        assert max(terms - (9 if min(a, b) >= 1.0 else 10) for (a, b), (_, _, terms) in outcomes) == 7
+        assert max(terms - max(0, math.ceil(10 - Fraction(min(a, b)))) for (a, b), (_, _, terms) in outcomes) == 7
 
     @pytest.mark.parametrize("max_terms", [None, *CAPS])
     def test_psi_q_matches_the_calls(self, monkeypatch, max_terms):
