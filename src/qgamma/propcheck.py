@@ -223,9 +223,11 @@ def linspace(lo: float, hi: float, n: int) -> list:
     """``n >= 2`` evenly spaced floats from ``lo`` to ``hi`` inclusive, each
     i * step + lo with step = (hi - lo) / (n - 1), the last exactly ``hi``:
     numpy.linspace's formula, and so its values bit for bit.  DomainError
-    for n < 2, which has no step."""
-    if n < 2:
+    for an integer n < 2, which has no step, and, through require_count,
+    for an n that is not an integer."""
+    if isinstance(n, int) and n < 2:
         raise DomainError(f"linspace needs n >= 2 points, got {n!r}")
+    require_count(n, "n")
     step = (hi - lo) / (n - 1)
     return [i * step + lo for i in range(n - 1)] + [hi]
 
@@ -390,7 +392,7 @@ def _slope_report(function_id: str, runs: Iterable) -> CertificateReport:
     tally = _Tally(f"slope_{function_id}", _point_dict)
     for grid, q, alpha in runs:
         grid = [float(t) for t in grid]
-        if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        if len(grid) < 2 or not all(a < b for a, b in zip(grid, grid[1:])):
             raise DomainError("grid must hold >= 2 strictly increasing points")
         failed = isinstance(alpha, QGammaError)
         aux = None if failed else alpha
@@ -426,7 +428,7 @@ def check_limits(q_sequence: Sequence[float], x_grid: Sequence[float]) -> Certif
     comparison it enters a recorded error.
     """
     q_sequence = [float(q) for q in q_sequence]
-    if len(q_sequence) < 2 or any(b <= a for a, b in zip(q_sequence, q_sequence[1:])):
+    if len(q_sequence) < 2 or not all(a < b for a, b in zip(q_sequence, q_sequence[1:])):
         raise DomainError("q_sequence must hold >= 2 strictly increasing values")
     # Beyond 1 - 1e-5 the deviations reach psi_q's own error: at q = 1 - 1e-6
     # the psi deviation at x = 1.5 no longer falls (5.0e-14 -> 5.7e-13).

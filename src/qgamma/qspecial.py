@@ -23,13 +23,19 @@ the series engine certifies from the summands' own ratio (see
 psi_q^(m)'s head and both tails take each power of q from the one
 before, with a fixed number of exp and expm1 calls per call.  ln Gamma_q
 takes one log for the k = 0 recurrence term and one for the product of
-the others, at most nine; the Eulerian polynomials A_0..A_16 of the
-corrections and of psi_q^(m)'s head are one table built at import.  From it, all the
-generated code is compiled at import in one exec: the corrections of
-ln Gamma_q as one unrolled function, and psi_q^(m)'s head term
-u A_m(u) r^(m+1) for each m <= 16, every polynomial in straight-line
-Horner code with the multiplies and adds of a loop over its coefficients
-in the same order, so the values are those of the loop, bit for bit.
+the others, at most nine; the Eulerian polynomials A_0..A_16 of
+psi_q^(m)'s head are one table built at import, and the gamma vectors of
+the corrections' A_2..A_14 are peeled from it in integers (every A_m is
+gamma-positive, A_m(u) = sum_k g_k u^k (1+u)^(m-1-2k) with g_k >= 0:
+Foata & Schutzenberger 1970).  From these, all the generated code is
+compiled at import in one exec: the corrections of ln Gamma_q as one
+unrolled function, each A_2j taken as (1+u)^(2j-1) times a polynomial of
+j coefficients in t = u/(1+u)^2, the (1+u) powers folded into the power
+of r the corrections carry, and psi_q^(m)'s head term u A_m(u) r^(m+1)
+for each m <= 16 in its Eulerian form (its u changes every term, so no
+power can be folded).  Every polynomial is straight-line Horner code with
+the multiplies and adds of a loop over its coefficients in the same
+order, so the values are those of the loop, bit for bit.
 psi_q_root certifies psi_q's zero by the residual at a centre and a
 lower bound on psi_q': one psi_q call at a
 fitted guess for q in [0.05, 1 - 1e-5], and Newton steps from the guess
@@ -64,9 +70,30 @@ def _eulerian(m: int) -> list[int]:
 
 
 # A_0 .. A_16 as floats (exact: every coefficient is below 2^53), built
-# once for the q-Stirling corrections and psi_q_m's head terms.  Each A_m is
-# a palindrome, so Horner's rule may take it in either order.
+# once for psi_q_m's head terms and the q-Stirling corrections' gamma
+# vectors.  Each A_m is a palindrome, so Horner's rule may take it in either
+# order.
 _EULERIAN = tuple(tuple(float(c) for c in _eulerian(m)) for m in range(17))
+
+
+def _gamma_vector(m: int) -> list[int]:
+    """The gamma vector of A_m, 1 <= m <= 16: the integers g_k >= 0 with
+    A_m(u) = sum_k g_k u^k (1+u)^(m-1-2k), k <= (m-1)/2 (A_m is gamma-
+    positive: Foata & Schutzenberger 1970, Theorie geometrique des
+    polynomes euleriens, LNM 138).  Peeled from _EULERIAN[m] in integers:
+    g_k is the coefficient of u^k left after the terms below k, and
+    subtracting g_k u^k (1+u)^(m-1-2k) clears it (and, A_m being a
+    palindrome, that of u^(m-1-k))."""
+    rest = [int(c) for c in _EULERIAN[m]]
+    gammas = []
+    for k in range((m + 1) // 2):
+        g = rest[k]
+        gammas.append(g)
+        width = m - 1 - 2 * k
+        for i in range(width + 1):
+            rest[k + i] -= g * math.comb(width, i)
+    return gammas
+
 
 _ZETA2 = math.pi**2 / 6.0
 _LN2 = math.log(2.0)
@@ -91,22 +118,34 @@ def _horner(coeffs: tuple, u: str) -> str:
 # below the least stop REL_TOL / 1024, so no call reaches a ninth.
 _EM_TERMS = 7
 
+# G_0 = 1 (A_0 = 1), then the gamma vectors of A_2, A_4, ..., A_14, one
+# per correction, as floats (exact: every entry is below 2^53).
+_EM_GAMMA = ((1.0,),) + tuple(tuple(float(g) for g in _gamma_vector(2 * j)) for j in range(1, _EM_TERMS + 1))
+
 
 def _ladder_source() -> str:
     """Source of em_ladder(value, tol, ux, uy, px, py, rx, ry), which
-    returns (value, bound, j): ln_gamma_q's corrections unrolled, step
-    j = 0, 1, ... taking c px A_2j(ux) and c py A_2j(uy), with
-    c = B_(2j+2) / (2j+2)!.  The larger of the two in size is the bound;
-    the step returns it before adding their difference to value when it is
-    at most tol, and step _EM_TERMS always returns.  After each added step
-    px and py are multiplied by rx and ry.  These are the operations, in
-    the same order, of a loop over the corrections."""
+    returns (value, bound, j): ln_gamma_q's corrections unrolled, step j
+    taking c ux r^(2j+1) A_2j(ux) and the same at uy, c = B_(2j+2) /
+    (2j+2)! and r = s / (1 - ux), from px = ux r and rx = r^2 (and py, ry
+    at uy).  The larger of the two in size is the bound; the step returns
+    it before adding their difference to value when it is at most tol, and
+    step _EM_TERMS always returns.
+
+    Step 0 takes A_0 = 1.  The later steps take A_2j in its gamma form
+    (see _gamma_vector), A_2j(u) = (1+u)^(2j-1) G_2j(t), t = u / (1+u)^2 in
+    [0, 1/4] and G_2j(t) = sum_k g_k t^k, j positive coefficients where
+    A_2j has 2j: after step 0 the ladder forms a = 1 + ux and t = ux / a^2
+    once, multiplies px by rx a and rx by a^2, and after each later step px
+    by rx, so that step j holds px = ux r^(2j+1) a^(2j-1) and takes
+    c px G_2j(tx), G_2j in straight-line Horner code (see _horner) from its
+    top coefficient.  Likewise at uy."""
     lines = ["def em_ladder(value, tol, ux, uy, px, py, rx, ry):"]
     for j, b in enumerate(BERNOULLI[:_EM_TERMS + 1]):
         coef = b / math.factorial(2 * j + 2)
-        poly = _EULERIAN[2 * j]
-        lines += [f"    cx = ({coef!r}) * px * ({_horner(poly, 'ux')})",
-                  f"    cy = ({coef!r}) * py * ({_horner(poly, 'uy')})"]
+        poly = _EM_GAMMA[j][::-1]
+        lines += [f"    cx = ({coef!r}) * px * ({_horner(poly, 'tx')})",
+                  f"    cy = ({coef!r}) * py * ({_horner(poly, 'ty')})"]
         # max(|cx|, |cy|): cx and cy have the sign of coef (or are zero).
         bound = "cx if cx > cy else cy" if coef > 0.0 else "-cx if cx < cy else -cy"
         if j == _EM_TERMS:
@@ -115,9 +154,21 @@ def _ladder_source() -> str:
         lines += [f"    bound = {bound}",
                   "    if bound <= tol:",
                   f"        return value, bound, {j}",
-                  "    value += cx - cy",
-                  "    px *= rx",
-                  "    py *= ry"]
+                  "    value += cx - cy"]
+        if j == 0:
+            lines += ["    ax = 1.0 + ux",
+                      "    ay = 1.0 + uy",
+                      "    aax = ax * ax",
+                      "    aay = ay * ay",
+                      "    tx = ux / aax",
+                      "    ty = uy / aay",
+                      "    px *= rx * ax",
+                      "    py *= ry * ay",
+                      "    rx *= aax",
+                      "    ry *= aay"]
+        else:
+            lines += ["    px *= rx",
+                      "    py *= ry"]
     return "\n".join(lines) + "\n"
 
 
@@ -302,11 +353,14 @@ def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
     REL_TOL * max(1, |value|) / 1024 (an absolute error on a log is a
     relative one on the ratio), and at most seven of them: the eighth is
     below that stop at every q (see _EM_TERMS), so a call takes at most 17
-    terms.  The corrections run as one function generated at import from
-    _EULERIAN (see _ladder_source), each A_{2j-2} at q^tx and at q^ty a
-    straight-line Horner expression: the steps of a loop over its
-    coefficients, in their order, so the values, bounds and terms are
-    those of the loop bit for bit.
+    terms.  The corrections run as one function generated at import (see
+    _ladder_source), each A_{2j-2} after A_0 = 1, at u = q^tx and at
+    q^ty, in its gamma form (Foata & Schutzenberger 1970): (1+u)^(2j-3) times a polynomial of
+    j - 1 positive coefficients in t = u/(1+u)^2, the (1+u) power folded
+    into the running power of s/(1-u), so a step takes half the multiplies
+    and adds of A_{2j-2} itself.  Each polynomial is a straight-line Horner
+    expression: the steps of a loop over its coefficients, in their order,
+    so the values, bounds and terms are those of that loop bit for bit.
     ``error_estimate`` is that bound; the Li_2 series are summed to
     rounding and, like rounding, are left out of it.  ``terms_used`` is N
     plus the corrections added, so no call reaches the term cap MAX_TERMS.
@@ -538,7 +592,8 @@ def psi_q_m(m: int, x: float, q: QParam) -> Evaluation:
     m = 171 (psi_q_m(180, 100.0, QParam(0.9999)) raises it, though the
     value is about -2.41e-33).
     """
-    if m < 1 or m != int(m) or isinstance(m, bool):
+    # The range test comes first, and rejects NaN and inf, which int() cannot take.
+    if isinstance(m, bool) or not 1 <= m < math.inf or m != int(m):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
     return _psi_series(m, x, q)
 

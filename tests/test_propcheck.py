@@ -237,6 +237,12 @@ class TestLinspace:
         with pytest.raises(DomainError, match=f"n >= 2 points, got {n}"):
             linspace(1.0, 10.0, n)
 
+    @pytest.mark.parametrize("n", [3.0, math.nan, "3"])
+    def test_a_count_that_is_not_an_integer_raises(self, n):
+        # 3.0 once raised TypeError from range().
+        with pytest.raises(DomainError, match="n must be an integer"):
+            linspace(0.0, 1.0, n)
+
     @pytest.mark.parametrize("function_id, lo", [("f_thm_main", 1.0), ("g_thm_alpha", 0.05)])
     def test_slope_grid_is_numpy_linspace(self, function_id, lo, monkeypatch):
         grids = []
@@ -450,9 +456,10 @@ class TestConvexityCheck:
 
 
 class TestSlopeCheck:
-    @pytest.mark.parametrize("grid", [[2.0], []])
+    @pytest.mark.parametrize("grid", [[2.0], [], [1.0, math.nan, 2.0]])
     def test_short_grid_raises(self, grid):
-        # A grid with no comparison would report 0 of 0, which reads as a pass.
+        # A grid with no comparison would report 0 of 0, which reads as a pass;
+        # a NaN, which compares false with every point, orders no pair.
         with pytest.raises(DomainError, match=">= 2 strictly increasing points"):
             check_lemma_monotone_slope("f_thm_main", grid, QParam(0.5))
 
@@ -517,10 +524,11 @@ class TestLimitsCheck:
         with pytest.raises(DomainError):
             check_limits((0.9, 0.999999), (1.5,))
 
-    @pytest.mark.parametrize("q_sequence", [(), (0.99,)])
+    @pytest.mark.parametrize("q_sequence", [(), (0.99,), (0.9, math.nan, 0.99)])
     def test_rejects_fewer_than_two_q_values(self, q_sequence):
         # No q makes no comparison at all, and one q makes no decrease
-        # comparison, so the check would pass on the terminal test alone.
+        # comparison, so the check would pass on the terminal test alone; a
+        # NaN, which compares false with every q, orders no pair.
         with pytest.raises(DomainError, match=">= 2 strictly increasing values"):
             check_limits(q_sequence, (1.0,))
 

@@ -348,9 +348,10 @@ class TestPsiQM:
         with pytest.raises(DomainError):
             psi_q_m(0, 1.0, QParam(0.5))
 
-    @pytest.mark.parametrize("m", [True, False])
+    @pytest.mark.parametrize("m", [True, False, math.inf, -math.inf, math.nan])
     def test_rejects_a_bool_order(self, m):
-        # True == 1, and psi_q_m(True, ...) once returned psi_q'.
+        # True == 1, and psi_q_m(True, ...) once returned psi_q'; int()
+        # raised OverflowError at an infinite order and ValueError at NaN.
         with pytest.raises(DomainError, match=f"m must be an integer >= 1, got {m!r}"):
             psi_q_m(m, 2.0, QParam(0.5))
 
@@ -656,11 +657,25 @@ def _eulerian_explicit(m: int) -> tuple:
     )
 
 
-# The q-Stirling corrections' factors and Eulerian coefficients, as the
-# loop form below reads them: all nine, of which the loop adds at most
-# eight, as ln_gamma_q did before its ladder was cut to seven.
-_LOOP_EM_COEF = tuple((b / math.factorial(2 * j), _eulerian_explicit(2 * j - 2)) for j, b in enumerate(BERNOULLI, 1))
-_LOOP_EM_TERMS = len(_LOOP_EM_COEF) - 1
+def _gamma_explicit(m: int) -> tuple:
+    """The gamma vector of A_m, m >= 1, solved from _eulerian_explicit(m):
+    the coefficient of u^i in sum_k g_k u^k (1+u)^(m-1-2k) is
+    sum_{k<=i} g_k C(m-1-2k, i-k), and C(m-1-2i, 0) = 1, so each g_i
+    follows from the ones below it, in integers."""
+    a = [int(c) for c in _eulerian_explicit(m)]
+    g = []
+    for i in range((m + 1) // 2):
+        g.append(a[i] - sum(gk * math.comb(m - 1 - 2 * k, i - k) for k, gk in enumerate(g)))
+    return tuple(g)
+
+
+# The q-Stirling corrections' factors and gamma vectors (G_0 = 1 for
+# A_0 = 1), as the loop form below reads them: all nine, of which the loop
+# adds at most eight, as ln_gamma_q did before its ladder was cut to seven.
+_LOOP_EM_COEF = tuple(
+    (b / math.factorial(2 * j), tuple(map(float, _gamma_explicit(2 * j - 2))) if j > 1 else (1.0,))
+    for j, b in enumerate(BERNOULLI, 1)
+)
 
 
 def _reference_li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s):
@@ -696,8 +711,8 @@ def _reference_li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s):
 
 
 def _reference_ln_gamma_q(x, q, y=1.0):
-    """ln_gamma_q with its corrections' Eulerian polynomials in a loop over
-    their coefficients, and its min, max and abs calls, kept verbatim as
+    """ln_gamma_q with its corrections in a loop (_loop_ladder, in gamma
+    form, over all nine), and its min, max and abs calls, kept verbatim as
     the reference for the straight-line Horner code and the comparisons."""
     require_positive(x)
     require_positive(y, "y")
@@ -742,45 +757,66 @@ def _reference_ln_gamma_q(x, q, y=1.0):
     px, py = ux * rx, uy * ry
     rx *= rx
     ry *= ry
-    for j, (coef, poly) in enumerate(_LOOP_EM_COEF):
-        ax = ay = 0.0
-        for c in poly:
-            ax = ax * ux + c
-            ay = ay * uy + c
-        cx, cy = coef * px * ax, coef * py * ay
-        if coef > 0.0:
-            bound = cx if cx > cy else cy
-        else:
-            bound = -cx if cx < cy else -cy
-        if bound <= tol or j == _LOOP_EM_TERMS:
-            break
-        value += cx - cy
-        px *= rx
-        py *= ry
+    value, bound, j = _loop_ladder(value, tol, ux, uy, px, py, rx, ry, _LOOP_EM_COEF)
     if swapped:
         value = -value
     return new_record(Evaluation, (value, bound, n + j))
 
 
-def _loop_ladder(value, tol, ux, uy, px, py, rx, ry):
-    """ln_gamma_q's correction loop over its first _EM_TERMS + 1
-    corrections, the reference for the unrolled em_ladder."""
-    for j, (coef, poly) in enumerate(_LOOP_EM_COEF[:qspecial._EM_TERMS + 1]):
-        ax = ay = 0.0
-        for c in poly:
-            ax = ax * ux + c
-            ay = ay * uy + c
-        cx, cy = coef * px * ax, coef * py * ay
+def _loop_ladder(value, tol, ux, uy, px, py, rx, ry, coefs=_LOOP_EM_COEF[:qspecial._EM_TERMS + 1]):
+    """ln_gamma_q's correction loop in gamma form over ``coefs`` (its first
+    _EM_TERMS + 1 corrections by default), the reference for the unrolled
+    em_ladder: A_2j(u) = (1+u)^(2j-1) G_2j(t), t = u/(1+u)^2, each G_2j by a
+    loop over its coefficients from the top, the (1+u) powers carried in
+    px and rx from the first step on."""
+    tx = ty = 0.0
+    for j, (coef, gamma) in enumerate(coefs):
+        gx = gy = 0.0
+        for c in reversed(gamma):
+            gx = gx * tx + c
+            gy = gy * ty + c
+        cx, cy = coef * px * gx, coef * py * gy
         if coef > 0.0:
             bound = cx if cx > cy else cy
         else:
             bound = -cx if cx < cy else -cy
+        if bound <= tol or j == len(coefs) - 1:
+            break
+        value += cx - cy
+        if j == 0:
+            ax, ay = 1.0 + ux, 1.0 + uy
+            tx, ty = ux / (ax * ax), uy / (ay * ay)
+            px *= rx * ax
+            py *= ry * ay
+            rx *= ax * ax
+            ry *= ay * ay
+        else:
+            px *= rx
+            py *= ry
+    return value, bound, j
+
+
+def _eulerian_loop_ladder(value, tol, ux, uy, px, py, rx, ry):
+    """The correction loop with each A_2j by a loop over its Eulerian
+    coefficients, as ln_gamma_q took it before the gamma form, and the size
+    |value| + sum (|cx| + |cy|) over the steps taken, which bounds every
+    partial sum."""
+    size = abs(value)
+    for j, b in enumerate(BERNOULLI[:qspecial._EM_TERMS + 1]):
+        coef = b / math.factorial(2 * j + 2)
+        ax = ay = 0.0
+        for c in _eulerian_explicit(2 * j):
+            ax = ax * ux + c
+            ay = ay * uy + c
+        cx, cy = coef * px * ax, coef * py * ay
+        size += abs(cx) + abs(cy)
+        bound = max(abs(cx), abs(cy))
         if bound <= tol or j == qspecial._EM_TERMS:
             break
         value += cx - cy
         px *= rx
         py *= ry
-    return value, bound, j
+    return value, bound, j, size
 
 
 def _loop_kernel(m, u):
@@ -843,17 +879,35 @@ class TestStraightLineReference:
     X = (1e-305, 1e-290, 0.3, 0.999, 1.0, 1.7, 4.5, 12.0, 80.0, 1e4)
     Y = (1e-310, 1e-303, 0.01, 0.5, math.nextafter(1.0, 0.0), 1.0, 1.2, 9.5, math.nextafter(10.0, 0.0), 10.0, 30.0)
     CAPS = (1, 5, 9, 10, 12, 15)
+    # Powers of q for the ladder and the head kernels: near u = 1 every
+    # coefficient and step order shows in the value.
+    U = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
 
     def test_eulerian_table_is_the_closed_form(self):
-        assert tuple(poly for _, poly in _LOOP_EM_COEF) == qspecial._EULERIAN[::2][:len(BERNOULLI)]
+        assert qspecial._EULERIAN == tuple(_eulerian_explicit(m) for m in range(17))
+
+    def test_gamma_table_is_the_closed_form(self):
+        assert qspecial._EM_GAMMA == tuple(gamma for _, gamma in _LOOP_EM_COEF[:qspecial._EM_TERMS + 1])
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_gamma_vector_expands_to_the_eulerian_polynomial(self, m):
+        # sum_k g_k u^k (1+u)^(m-1-2k) = A_m(u) coefficient by coefficient,
+        # in integers; every g_k >= 0, and below 2^53, so that float(g_k)
+        # is exact.
+        gamma = qspecial._gamma_vector(m)
+        assert tuple(gamma) == _gamma_explicit(m)
+        expanded = [0] * m
+        for k, g in enumerate(gamma):
+            for i in range(m - 2 * k):
+                expanded[k + i] += g * math.comb(m - 1 - 2 * k, i)
+        assert expanded == qspecial._eulerian(m) == [int(c) for c in _eulerian_explicit(m)]
+        assert all(0 <= g < 2**53 for g in gamma), gamma
 
     def test_ladder_matches_the_loop(self):
-        # Every step of the ladder runs at tol = -1; near u = 1 every
-        # coefficient and step order shows in the value.
-        u = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
+        # Every step of the ladder runs at tol = -1.
         rng = np.random.default_rng(26)
         mismatches = []
-        for ux, uy in zip(u, reversed(u)):
+        for ux, uy in zip(self.U, reversed(self.U)):
             for _ in range(10):
                 for tol in (-1.0, 0.0, 1e-17, 1e-14, 1e-6):
                     value, px, py, rx, ry = (float(v) for v in np.exp(rng.uniform(-30.0, 5.0, 5)))
@@ -863,11 +917,35 @@ class TestStraightLineReference:
         assert mismatches == []
         assert qspecial._em_ladder(1.0, -1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)[2] == qspecial._EM_TERMS == 7
 
+    def test_ladder_matches_the_eulerian_form(self):
+        # The gamma form rounds differently.  With u in [0, 1] every factor
+        # is positive, so each correction is within about (5j + 2) eps of
+        # its exact value in the Eulerian loop (a Horner of 2j steps, then
+        # j + 2 products) and about 12j eps in the gamma form (t, a^2 and
+        # the carried a powers add about 4 eps per power of t or r^2 a^2):
+        # at most 84 eps at j = 7.  The additions round each partial sum,
+        # which is below the size |value| + sum (|cx| + |cy|), once per
+        # step.  So 256 eps of the size bounds the difference of the two
+        # values, and 256 eps of the bound that of the two bounds.
+        rng = np.random.default_rng(26)
+        worst = 0.0
+        for ux, uy in zip(self.U, reversed(self.U)):
+            for _ in range(10):
+                for tol in (-1.0, 0.0, 1e-17, 1e-14, 1e-6):
+                    value, px, py, rx, ry = (float(v) for v in np.exp(rng.uniform(-30.0, 5.0, 5)))
+                    args = (value, tol, ux, uy, px, py, rx, ry)
+                    got_value, got_bound, got_j = qspecial._em_ladder(*args)
+                    ref_value, ref_bound, ref_j, size = _eulerian_loop_ladder(*args)
+                    assert got_j == ref_j, args
+                    assert abs(got_value - ref_value) <= 256 * qspecial._EPS * size, args
+                    assert abs(got_bound - ref_bound) <= 256 * qspecial._EPS * ref_bound, args
+                    worst = max(worst, abs(got_value - ref_value) / size, abs(got_bound - ref_bound) / ref_bound)
+        print(f"gamma vs Eulerian form: worst difference {worst / qspecial._EPS:.1f} eps")
+
     def test_every_head_kernel_matches_the_loop(self):
         # A kernel returns the whole head term u A_m(u) r^(m+1): up to m = 16
         # as the loop's u A_m(u) times r^(m+1), above as
         # ((u A_m(u))^(1/(m+1)) r)^(m+1).
-        u = (0.0, 1e-300, 1e-10, 0.1, 0.37, 0.5, 0.9, 0.999, 0.9999999, 1.0)
         r = (-1e-6, -0.3, -1.0, -7.5, -1e4)
         assert sorted(qspecial._LI_HEADS) == list(range(1, 17))
         for m in range(1, 21):
@@ -875,7 +953,7 @@ class TestStraightLineReference:
                 kernel = qspecial._LI_HEADS[m]
             else:
                 kernel = qspecial._loop_head(m)
-            for v in u:
+            for v in self.U:
                 for w in r:
                     if m <= 16:
                         expected = _loop_kernel(m, v) * w ** (m + 1)
