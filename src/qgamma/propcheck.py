@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .classical import EULER_GAMMA, ln_gamma_classical, psi_classical
 from .constants import CONVEXITY_SLACK_LOG, MIN_PAIR_GAP, SLOPE_SLACK
-from .errors import AlphaBelowRoot, DomainError, QGammaError
+from .errors import AlphaBelowRoot, DomainError, Overflow, QGammaError
 from .qcore import QParam, require_count
 from .qspecial import gamma_q, ln_gamma_q, psi_q, euler_gamma_q
 from .bounds import (
@@ -425,7 +425,9 @@ def check_limits(q_sequence: Sequence[float], x_grid: Sequence[float]) -> Certif
     For each x the absolute deviations must decrease strictly along
     q_sequence, at least 2 q values, and the terminal relative deviation
     must be <= 5e-2.  A q-value that fails to evaluate makes each
-    comparison it enters a recorded error.
+    comparison it enters a recorded error, and so does a reference that
+    leaves the doubles (Gamma(x) past x = 171.6): every comparison of its
+    track.
     """
     q_sequence = [float(q) for q in q_sequence]
     if len(q_sequence) < 2 or not all(a < b for a, b in zip(q_sequence, q_sequence[1:])):
@@ -436,7 +438,9 @@ def check_limits(q_sequence: Sequence[float], x_grid: Sequence[float]) -> Certif
         raise DomainError("q_sequence must stay <= 0.99999")
     tally = _Tally("limits", lambda point: {"track": point[0], "q": point[1]})
 
-    def run_track(label: str, evaluations: Sequence, reference: float):
+    def run_track(label: str, evaluations: Sequence, reference: float | QGammaError):
+        if isinstance(reference, QGammaError):
+            evaluations = [reference] * len(evaluations)
         deviations = [
             ev if isinstance(ev, QGammaError) else abs(ev.value - reference) for ev in evaluations
         ]
@@ -453,7 +457,11 @@ def check_limits(q_sequence: Sequence[float], x_grid: Sequence[float]) -> Certif
         tally.add(point, margin, margin, margin >= 0.0)
 
     for x in x_grid:
-        gamma_ref = math.exp(ln_gamma_classical(x).value)
+        ln_gamma_ref = ln_gamma_classical(x).value
+        try:
+            gamma_ref = math.exp(ln_gamma_ref)
+        except OverflowError:
+            gamma_ref = Overflow(f"Gamma({x}) exceeds the double range (ln = {ln_gamma_ref:.6g})")
         psi_ref = psi_classical(x).value
         run_track(f"gamma@x={x}", [_attempt(gamma_q, x, QParam(q)) for q in q_sequence], gamma_ref)
         run_track(f"psi@x={x}", [_attempt(psi_q, x, QParam(q)) for q in q_sequence], psi_ref)

@@ -5,15 +5,21 @@ Gamma_q is only ever computed through its logarithm; the raw product over-
 and underflows quickly and every downstream inequality works in log space
 anyway.  Arguments x <= 0 are rejected: no analytic continuation.
 
-ln Gamma_q is Moak's q-Stirling expansion (Moak 1984, Rocky Mountain J.
-Math. 14): the recurrence up to T >= 10, N = max(0, ceil(10 - y)) steps for
-the smaller argument y, as classical._shift, plus Euler-Maclaurin for the
-tail, the scheme classical.py uses at q = 1.  It sums at most 17 terms at
-every q, its corrections alone from y = 10 on, and its remainder is
-bounded by the larger first omitted term of the two tails (DLMF 2.10(i)).
-It computes F(x) - F(y), F(t) = -sum_k ln(1-q^(t+k)), so ln_gamma_q(x, q,
-y=y) is the log ratio ln Gamma_q(x) - ln Gamma_q(y) in one sum (y = 1 by
-default, Gamma_q(1) = 1), exactly antisymmetric in x, y.
+ln Gamma_q computes F(x) - F(y), F(t) = -sum_k ln(1-q^(t+k)), so
+ln_gamma_q(x, q, y=y) is the log ratio ln Gamma_q(x) - ln Gamma_q(y) in one
+sum (y = 1 by default, Gamma_q(1) = 1), exactly antisymmetric in x, y.  It
+takes N recurrence steps for the smaller argument y and one of two tails,
+split at s = -ln q = _QSERIES_S = 0.49 (q = 0.6126).  From there up in s,
+the q-series (Askey 1978) sum_k u^k (e^(ka) - 1) / (k (1-q^k)), u =
+q^(y+N) and a = (x-y) ln q, after N = max(0, ceil(sqrt(Lambda/s) - y))
+steps, Lambda = -ln(REL_TOL/1024), the balance psi_q's K strikes; its
+terms fall by u or faster, which bounds its remainder.  Below it, Moak's
+q-Stirling expansion (Moak 1984, Rocky Mountain J. Math. 14): the
+recurrence up to T >= 10, N = max(0, ceil(10 - y)) steps, as
+classical._shift, plus Euler-Maclaurin for the tail, the scheme
+classical.py uses at q = 1, its corrections alone from y = 10 on, and its
+remainder bounded by the larger first omitted term of the two tails (DLMF
+2.10(i)).  Either side sums at most 17 terms at every q.
 psi_q and every psi_q^(m) are one routine, _psi_series: K = max(0,
 ceil(sqrt(L/s) - x)) recurrence steps (s = -ln q, L = -ln REL_TOL; DLMF
 5.5.2 with q) and the rest as the geometric n-series at x + K, one path
@@ -232,6 +238,20 @@ _TINY_W = 1e-300
 _EM_STOP = 1.0 / 1024.0
 _EM_TOL = REL_TOL * _EM_STOP
 
+# Lambda = -ln _EM_TOL, about 36.87: the q-series' head of N' recurrence
+# pairs and its tail at ratio u = q^(y+N') balance at N' = ceil(sqrt(Lambda/s)
+# - y), as psi_q's K does with REL_TOL in place of the corrections' stop.
+_QSERIES_LOG = -math.log(_EM_TOL)
+
+# ln_gamma_q takes the q-series from s = -ln q >= _QSERIES_S (q <= 0.6126).
+# After N' pairs its k-th term is at most u^k / (k (1-q^k)), u = q^(y+N'),
+# and it adds terms up to the first whose size over 1 - u is at most
+# _EM_TOL, the least tol.  N' plus that k, over every y > 0 (the most at
+# y -> 0, where N' = ceil(c) and u = q^ceil(c), c = sqrt(Lambda/s)), is at
+# most 17 from s = 0.4836 on, and 18 just below it.  0.49 is that least s to
+# two digits, so neither side of the split takes more than 17 terms.
+_QSERIES_S = 0.49
+
 
 def _li2_w(w: float) -> float:
     """sum_j B_2j w^(2j) / (2j (2j+1)!): what the w-series adds, over w, to
@@ -312,32 +332,47 @@ def _li2_tail_difference(
 
 def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
     """ln Gamma_q(x) - ln Gamma_q(y) = (y-x) ln(1-q) + F(x) - F(y),
-    F(t) = sum_{k>=0} h(t+k), h(t) = -ln(1-q^t), as one q-Stirling sum;
-    Gamma_q(1) = 1, so the default y = 1 gives ln Gamma_q(x).
+    F(t) = sum_{k>=0} h(t+k), h(t) = -ln(1-q^t), as one sum; Gamma_q(1) = 1,
+    so the default y = 1 gives ln Gamma_q(x).
 
     The arguments are ordered so that x >= y, and a swap negates the result
     at the end: ln_gamma_q(a, q, y=b) == -ln_gamma_q(b, q, y=a) exactly,
     with the same bound and terms, and y == x gives exactly 0.
 
-    With s = -ln q, each F is its first N terms plus the Euler-Maclaurin
-    tail at T = x + N (resp. y + N), N = max(0, ceil(10 - y)), as
-    classical._shift, so that both tails start at T >= 10.  Below y = 10,
-    N is taken as 10 - floor(y), that ceiling exactly: the ceiling of the
-    rounded 10 - y is 9 at y = 1 - 2^-53, which would leave T below 10:
+    With s = -ln q, F(x) - F(y) is a head of N recurrence pairs for the
+    smaller argument y and a tail, taken one of two ways, by s alone:
+      * s >= _QSERIES_S (q <= 0.6126): the q-series (Askey 1978),
+        N = max(0, ceil(sqrt(Lambda/s) - y)), Lambda = -ln(REL_TOL/1024)
+        (see _QSERIES_LOG), and the tail
+            sum_{k>=1} u^k (e^(ka) - 1) / (k (1-q^k)),
+        u = q^(y+N) and a = (x-y) ln q, each -ln(1-q^(t+j)) expanded in
+        powers of q^(t+j);
+      * below it, Moak's q-Stirling expansion (Moak 1984): N = max(0,
+        ceil(10 - y)), as classical._shift, and Euler-Maclaurin tails.
+    Each side takes at most 17 terms at every q of its own, and each is
+    the faster of the two there.
+
+    The head is the same code on both sides.  Its N terms are paired as
+    ratios (1-q^(y+k)) / (1-q^(x+k)), every 1 - q^t being -expm1(-s t), or
+    s t below _TINY_W, so that a value near the pole at 0 keeps its digits.
+    At N >= 1 the k = 0 ratio takes a log of its own and the k >= 1 ratios
+    one log of their product (empty at N = 1, adding log 1 = 0 exactly); at
+    N = 0 there are none.  Each of the at most nine k >= 1 ratios (N <= 10
+    on both sides) lies in [1 - q^k, 1], and 1 - q^k >= k s / (1 + k s),
+    which rises with s, so their product is at least 9! s^9 / (1 + 9 s)^9:
+    above 3.6e-103 at every q below 1 - 1e-12, and above 9e-139 at every
+    q < 1 (s >= 2^-53), in the normal range.  The k = 0 ratio, about
+    s y / (1-q^x) for small s y, stays out of the product, which it could
+    take below the range (at y = 1e-280, x = 1e12 and q = 1 - 1e-9).
+
+    q-Stirling: each F is its head plus the Euler-Maclaurin tail at
+    T = x + N (resp. y + N), so that both tails start at T >= 10.  Below
+    y = 10, N is taken as 10 - floor(y), that ceiling exactly: the ceiling
+    of the rounded 10 - y is 9 at y = 1 - 2^-53, which would leave T below
+    10:
         Li_2(e^(-sT)) / s + h(T)/2
             + sum_j B_2j/(2j)! s^(2j-1) Li_{2-2j}(e^(-sT)).
-    The first N terms are paired as ratios (1-q^(y+k)) / (1-q^(x+k)), every
-    1 - q^t being -expm1(-s t), or s t below _TINY_W, so that a value near
-    the pole at 0 keeps its digits.  At N >= 1 the k = 0 ratio takes a log
-    of its own and the k >= 1 ratios one log of their product (empty at
-    N = 1, adding log 1 = 0 exactly); at N = 0 there are none.  Each of the
-    at most nine k >= 1 ratios lies in [1 - q^k, 1], and 1 - q^k >=
-    k s / (1 + k s), which rises with s, so their product is at least
-    9! s^9 / (1 + 9 s)^9: above 3.6e-103 at every q below 1 - 1e-12, and
-    above 9e-139 at every q < 1 (s >= 2^-53), in the normal range.  The k = 0 ratio, about
-    s y / (1-q^x) for small s y, stays out of the product, which it could
-    take below the range (at y = 1e-280, x = 1e12 and q = 1 - 1e-9).  The
-    two integrals are differenced by _li2_tail_difference, in which the
+    The two integrals are differenced by _li2_tail_difference, in which the
     parts that grow with T cancel in closed form; for q >= 2^(-1/10) it
     leaves out (tx - ty) ln s, which joins (y-x) ln(1-q) as
     (y-x) ln((1-q)/s).  h(tx) - h(ty) is formed from q^tx - q^ty, and each
@@ -355,15 +390,34 @@ def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
     below that stop at every q (see _EM_TERMS), so a call takes at most 17
     terms.  The corrections run as one function generated at import (see
     _ladder_source), each A_{2j-2} after A_0 = 1, at u = q^tx and at
-    q^ty, in its gamma form (Foata & Schutzenberger 1970): (1+u)^(2j-3) times a polynomial of
-    j - 1 positive coefficients in t = u/(1+u)^2, the (1+u) power folded
-    into the running power of s/(1-u), so a step takes half the multiplies
-    and adds of A_{2j-2} itself.  Each polynomial is a straight-line Horner
-    expression: the steps of a loop over its coefficients, in their order,
-    so the values, bounds and terms are those of that loop bit for bit.
-    ``error_estimate`` is that bound; the Li_2 series are summed to
-    rounding and, like rounding, are left out of it.  ``terms_used`` is N
-    plus the corrections added, so no call reaches the term cap MAX_TERMS.
+    q^ty, in its gamma form (Foata & Schutzenberger 1970): (1+u)^(2j-3)
+    times a polynomial of j - 1 positive coefficients in t = u/(1+u)^2,
+    the (1+u) power folded into the running power of s/(1-u), so a step
+    takes half the multiplies and adds of A_{2j-2} itself.  Each polynomial
+    is a straight-line Horner expression: the steps of a loop over its
+    coefficients, in their order, so the values, bounds and terms are those
+    of that loop bit for bit.  ``error_estimate`` is that bound; the Li_2
+    series are summed to rounding and, like rounding, are left out of it.
+    ``terms_used`` is N plus the corrections added.
+
+    q-series: u is q^y q^N, a product of two exps, and a is formed from
+    x - y, so no rounded y + N enters the tail and no slope move is needed.
+    u^k, 1 - q^k (from q and 1 - q) and e^(ka) - 1 (from expm1(a)) are
+    each carried from the one before as a sum or product of terms of one
+    sign, as sum_geometric_decay carries its powers.  Every term t_k is
+    <= 0, and |t_(k+1)| <= u |t_k|, since (1 - e^(-kb)) / k falls with k
+    (b = -a >= 0) and 1 - q^k rises, so the tail from t_k on is at most
+    |t_k| / (1-u).  Terms are added up to and including the first t_k whose
+    |t_k| / (1-u) is at most the corrections' stop, REL_TOL * max(1,
+    |value|) / 1024 of the value before the tail, which leaves at most
+    u |t_k| / (1-u), u times that stop or less (u = q^(y+N) <=
+    exp(-sqrt(Lambda s)) < 0.015): the omitted tail has one sign, so one
+    left near the stop would move every value the same way, and the margins
+    of the strict inequalities with it.  ``error_estimate`` is that bound
+    on the omitted tail (it leaves out rounding, and the head is exact but
+    for rounding), and ``terms_used`` is N plus the terms added, at most 17
+    (see _QSERIES_S).  So no call on either side reaches the term cap
+    MAX_TERMS.
     """
     require_positive(x)
     require_positive(y, "y")
@@ -374,7 +428,13 @@ def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
     log = math.log
     ln_q = q.ln_q
     s = -ln_q
-    n = 10 - math.floor(y) if y < 10.0 else 0
+    qseries = s >= _QSERIES_S
+    if qseries:
+        n = math.ceil(math.sqrt(_QSERIES_LOG / s) - y)
+        if n < 0:
+            n = 0
+    else:
+        n = 10 - math.floor(y) if y < 10.0 else 0
     if s * 10.0 <= _LN2:
         ln_s = log(s)
         value = (y - x) * log((1.0 - q.q) / s)
@@ -392,6 +452,36 @@ def ln_gamma_q(x: float, q: QParam, *, y: float = 1.0) -> Evaluation:
         for k in range(1, n):
             prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
         value += log(prod)
+
+    if qseries:
+        # t_k = u^k (e^(ka) - 1) / (k (1-q^k)), u = q^(y+N) and a = (x-y) ln q,
+        # with u^k, 1 - q^k and e^(ka) - 1 = (e^((k-1)a) - 1) e^a + (e^a - 1)
+        # each from the one before: no term sums two of opposite sign.
+        tol = _EM_TOL * (value if value > 1.0 else -value if value < -1.0 else 1.0)
+        u = math.exp(y * ln_q) * math.exp(n * ln_q)
+        em1 = expm1((x - y) * ln_q)
+        e = 1.0 + em1
+        base = q.q
+        one_minus_qk = 1.0 - base
+        rise = one_minus_qk * base
+        one_minus_u = 1.0 - u
+        power, em, j = u, em1, 1
+        term = total = power * em / one_minus_qk
+        bound = -term / one_minus_u
+        while bound > tol:
+            j += 1
+            power *= u
+            em = em * e + em1
+            one_minus_qk += rise
+            rise *= base
+            term = power * em / (j * one_minus_qk)
+            total += term
+            bound = -term / one_minus_u
+        value += total
+        if swapped:
+            value = -value
+        # The tail after t_j is at most u |t_j| / (1-u): at most u tol.
+        return new_record(Evaluation, (value, u * bound, n + j))
 
     tx, ty = x + n, y + n
     ux, uy = math.exp(-s * tx), math.exp(-s * ty)

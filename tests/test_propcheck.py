@@ -516,6 +516,23 @@ class TestLimitsCheck:
         assert report.n_samples == 45
         assert report.n_pass == report.n_samples
 
+    def test_gamma_reference_beyond_the_doubles_is_recorded(self):
+        # Gamma(200) ~ 3.9e372 leaves the doubles: both comparisons of the
+        # gamma track are errors at their points, and the psi track and the
+        # Euler constant's are still evaluated.
+        report = check_limits((0.9, 0.99), (200.0,))
+        assert report.n_samples == 6
+        assert report.n_errors == 2
+        errors = [f for f in report.failures if "error" in f]
+        assert [f["point"] for f in errors] == [{"track": "gamma@x=200.0", "q": 0.99}] * 2
+        assert all("Gamma(200.0) exceeds the double range" in f["error"] for f in errors)
+        # psi_q(200) at q = 0.99 is still 0.69 off psi(200) = 5.29, above
+        # the terminal 5e-2: an evaluated failure, with its margin.
+        evaluated = [f for f in report.failures if "error" not in f]
+        assert report.n_pass + len(evaluated) == 4
+        assert [f["point"] for f in evaluated] == [{"track": "psi@x=200.0", "q": 0.99}]
+        assert evaluated[0]["lower_margin"] < 0.0
+
     def test_rejects_decreasing_sequence(self):
         with pytest.raises(DomainError):
             check_limits((0.99, 0.9), (1.5,))

@@ -109,28 +109,47 @@ class TestQStirling:
 
     def test_terms_uniform_in_q(self):
         # The product series needs about 30 / (1-q) terms: about 600 at
-        # q = 0.95.  ln_gamma_q takes N <= 10 recurrence terms and at most
-        # seven corrections.
+        # q = 0.95.  Below the split s = -ln q = _QSERIES_S (q = 0.6126),
+        # ln_gamma_q takes N <= 10 recurrence terms and at most seven
+        # corrections; from it on, N <= 10 and a q-series whose terms fall
+        # by u = q^(y+N) <= exp(-sqrt(36.87 s)), at most 17 in all (see
+        # _QSERIES_S).  The grid's top two 1 - q, 0.40 and 0.95, are on the
+        # q-series side; TestQSeries covers it down to q = exp(-700).
         for x in np.geomspace(0.05, 30.0, 25):
             for one_minus_q in np.geomspace(1e-9, 0.95, 25):
                 ev = ln_gamma_q(float(x), QParam(1.0 - float(one_minus_q)))
                 assert 0 < ev.terms_used <= 17, (x, one_minus_q)
 
     def test_recurrence_steps_follow_the_smaller_argument(self):
-        # N = max(0, ceil(10 - min(x, y))) recurrence steps, the shift of
-        # classical._shift, so that both tails start at T >= 10; from
-        # min(x, y) = 10 on, a call takes its corrections alone.  N is the
-        # exact ceiling: 10 - y rounds to an integer just below 1 and 2.
+        # Below the split (s = -ln q < _QSERIES_S), N = max(0, ceil(10 -
+        # min(x, y))) recurrence steps, the shift of classical._shift, so
+        # that both tails start at T >= 10; from min(x, y) = 10 on, a call
+        # takes its corrections alone.  N is the exact ceiling: 10 - y rounds
+        # to an integer just below 1 and 2.  From the split on, N = max(0,
+        # ceil(sqrt(Lambda/s) - min(x, y))), Lambda = -ln(REL_TOL/1024), the
+        # balance of head and q-series that psi_q's K strikes: a balance, not
+        # a bound, so the test rounds it as the code does.  At x = y every
+        # series term is 0, so the call takes its N head terms and t_1 = 0.
         lower = (1e-300, 0.3, math.nextafter(1.0, 0.0), 1.0, math.nextafter(2.0, 0.0), 2.5, 9.5,
                  math.nextafter(10.0, 0.0), 10.0, 14.0, 29.0, 1e4)
-        for qv in (0.05, 0.5, 0.9, 0.999, 1.0 - 1e-9):
+        lam = -math.log(REL_TOL / 1024.0)
+        for qv in (1e-300, 0.05, 0.5, 0.6, 0.7, 0.9, 0.999, 1.0 - 1e-9):
             q = QParam(qv)
+            s = -q.ln_q
+            qseries = s >= qspecial._QSERIES_S
+            assert qseries is (qv <= 0.6), qv
             for y in lower:
-                n = max(0, math.ceil(10 - Fraction(y)))
+                if qseries:
+                    n, most = max(0, math.ceil(math.sqrt(lam / s) - y)), 17
+                else:
+                    n = max(0, math.ceil(10 - Fraction(y)))
+                    most = n + 7
                 for d in (0.0, 1e-7, 0.5, 3.0, 100.0):
                     terms = ln_gamma_q(y + d, q, y=y).terms_used
-                    assert 0 <= terms - n <= 7, (y, d, qv, terms)
-                    if y >= 10.0:
+                    assert n <= terms <= most, (y, d, qv, terms)
+                    if qseries and d == 0.0:
+                        assert terms == n + 1, (y, qv, terms)
+                    if not qseries and y >= 10.0:
                         assert terms <= 7, (y, d, qv, terms)
 
     def test_eighth_correction_below_the_least_stop(self):
@@ -244,6 +263,105 @@ class TestLnGammaRatio:
         at_x, at_y = ln_gamma_q(x, q), ln_gamma_q(y, q)
         bound = forward.error_estimate + at_x.error_estimate + at_y.error_estimate
         assert abs(forward.value - (at_x.value - at_y.value)) <= bound
+
+
+def _split_q_pair() -> tuple:
+    """(q_at, q_below): the largest q whose s = -ln q is at least
+    _QSERIES_S, and the next double above it, whose s is below."""
+    q = math.exp(-qspecial._QSERIES_S)
+    while -QParam(q).ln_q < qspecial._QSERIES_S:
+        q = math.nextafter(q, 0.0)
+    while -QParam(math.nextafter(q, 1.0)).ln_q >= qspecial._QSERIES_S:
+        q = math.nextafter(q, 1.0)
+    return q, math.nextafter(q, 1.0)
+
+
+class TestQSeries:
+    """ln_gamma_q from s = -ln q >= _QSERIES_S: a head of N recurrence
+    pairs and the q-series sum_k u^k (e^(ka) - 1) / (k (1-q^k)), against
+    the product oracle."""
+
+    @staticmethod
+    def _points(seed: int, count: int) -> list:
+        # s log-uniform over [_QSERIES_S, 700], x and y log-uniform over
+        # [1e-3, 30], and every third pair close: y (1 + d), d log-uniform
+        # over [1e-10, 1e-1].
+        rng = np.random.default_rng(seed)
+        points = []
+        for i in range(count):
+            s = math.exp(rng.uniform(math.log(qspecial._QSERIES_S), math.log(700.0)))
+            y = 10.0 ** rng.uniform(-3.0, math.log10(30.0))
+            if i % 3 == 0:
+                x = y * (1.0 + 10.0 ** rng.uniform(-10.0, -1.0))
+            else:
+                x = 10.0 ** rng.uniform(-3.0, math.log10(30.0))
+            points.append((float(x), float(y), math.exp(-s)))
+        return points
+
+    def test_matches_difference_of_oracles(self):
+        points = self._points(39, 330)
+        misses = []
+        for x, y, qv in points:
+            q = QParam(qv)
+            assert -q.ln_q >= qspecial._QSERIES_S, qv
+            ref = float(mp_ln_gamma_q(x, qv, terms=1) - mp_ln_gamma_q(y, qv, terms=1))
+            forward, backward = ln_gamma_q(x, q, y=y), ln_gamma_q(y, q, y=x)
+            if not (_ratio_agrees(forward, ref) and _ratio_agrees(backward, -ref)):
+                misses.append((x, y, qv, forward, ref))
+            assert forward.value == -backward.value
+            assert forward.error_estimate == backward.error_estimate
+            assert forward.terms_used == backward.terms_used <= 17, (x, y, qv, forward)
+            assert ln_gamma_q(x, q, y=x).value == 0.0
+        assert misses == []
+
+    def test_both_paths_agree_at_the_split(self, monkeypatch):
+        # q_at takes the q-series and q_below, the next double up, the
+        # q-Stirling tails; at each, either path (forced by moving the
+        # split) agrees with the oracle and with the other.
+        q_at, q_below = _split_q_pair()
+        points = self._points(40, 24)
+        for qv, path in ((q_at, "series"), (q_below, "stirling")):
+            q = QParam(qv)
+            default = [ln_gamma_q(x, q, y=y) for x, y, _ in points]
+            monkeypatch.setattr(qspecial, "_QSERIES_S", 0.0)
+            series = [ln_gamma_q(x, q, y=y) for x, y, _ in points]
+            monkeypatch.setattr(qspecial, "_QSERIES_S", math.inf)
+            stirling = [ln_gamma_q(x, q, y=y) for x, y, _ in points]
+            monkeypatch.undo()
+            assert default == (series if path == "series" else stirling), qv
+            for (x, y, _), a, b in zip(points, series, stirling):
+                ref = float(mp_ln_gamma_q(x, qv, terms=1) - mp_ln_gamma_q(y, qv, terms=1))
+                assert _ratio_agrees(a, ref) and _ratio_agrees(b, ref), (x, y, qv, a, b, ref)
+                assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + 1e-14 * max(1.0, abs(ref))
+
+    def test_split_is_the_least_s_within_17_terms(self):
+        # The worst case of _QSERIES_S's comment: tol = REL_TOL / 1024 (|value|
+        # <= 1) and e^(ka) -> 0, so the series adds terms up to the first k
+        # with u^k / (k (1-q^k) (1-u)) <= tol, after N = ceil(c - y) pairs,
+        # c = sqrt(Lambda/s).  Over y in (0, c + 2], with y just above and
+        # below each point where N steps, N plus that k is at most 17 at the
+        # split and above it, and 18 at s = 0.48.
+        lam = -math.log(qspecial._EM_TOL)
+
+        def most_terms(s):
+            c = math.sqrt(lam / s)
+            q = math.exp(-s)
+            frac = c - math.floor(c)
+            ys = [1e-300, *np.linspace(1e-9, c + 2.0, 801)]
+            ys += [frac + j + e for j in range(int(c) + 3) for e in (-1e-9, 1e-9) if frac + j + e > 0]
+            worst = 0
+            for y in ys:
+                n = max(0, math.ceil(c - float(y)))
+                u = math.exp(-s * (float(y) + n))
+                k = 1
+                while u ** k / (k * (1.0 - q ** k) * (1.0 - u)) > qspecial._EM_TOL:
+                    k += 1
+                worst = max(worst, n + k)
+            return worst
+
+        assert most_terms(qspecial._QSERIES_S) == 17
+        assert most_terms(0.48) == 18
+        assert all(most_terms(float(s)) <= 17 for s in np.geomspace(qspecial._QSERIES_S, 745.0, 40))
 
 
 class TestGammaQ:
@@ -713,7 +831,11 @@ def _reference_li2_tail_difference(tx, ty, s, zx, zy, dz, ln_s):
 def _reference_ln_gamma_q(x, q, y=1.0):
     """ln_gamma_q with its corrections in a loop (_loop_ladder, in gamma
     form, over all nine), and its min, max and abs calls, kept verbatim as
-    the reference for the straight-line Horner code and the comparisons."""
+    the reference for the straight-line Horner code and the comparisons;
+    from s = _QSERIES_S on, its q-series as a loop over k with the term,
+    its stop test and its bound written out in the closed form of the
+    docstring, u^k (e^(ka) - 1) / (k (1-q^k)), |t_k| / (1-u) and u |t_k| /
+    (1-u), the powers carried in the same order."""
     require_positive(x)
     require_positive(y, "y")
     swapped = y > x
@@ -723,7 +845,11 @@ def _reference_ln_gamma_q(x, q, y=1.0):
     log = math.log
     ln_q = q.ln_q
     s = -ln_q
-    n = max(0, math.ceil(10 - Fraction(y)))
+    qseries = s >= qspecial._QSERIES_S
+    if qseries:
+        n = max(0, math.ceil(math.sqrt(-math.log(REL_TOL * qspecial._EM_STOP) / s) - y))
+    else:
+        n = max(0, math.ceil(10 - Fraction(y)))
     if s * 10.0 <= qspecial._LN2:
         ln_s = log(s)
         value = (y - x) * log((1.0 - q.q) / s)
@@ -740,6 +866,26 @@ def _reference_ln_gamma_q(x, q, y=1.0):
     for k in range(1, n):
         prod *= expm1(ln_q * (y + k)) / expm1(ln_q * (x + k))
     value += log(prod)
+
+    if qseries:
+        tol = REL_TOL * qspecial._EM_STOP * max(1.0, abs(value))
+        u = math.exp(y * ln_q) * math.exp(n * ln_q)
+        ea = expm1((x - y) * ln_q)
+        powers = {"u^k": u, "e^(ka) - 1": ea, "1 - q^k": 1.0 - q.q, "q^k (1-q)": (1.0 - q.q) * q.q}
+        total = 0.0
+        for k in range(1, MAX_TERMS):
+            term = powers["u^k"] * powers["e^(ka) - 1"] / (k * powers["1 - q^k"])
+            total += term
+            if abs(term) / (1.0 - u) <= tol:
+                break
+            powers["u^k"] *= u
+            powers["e^(ka) - 1"] = powers["e^(ka) - 1"] * (1.0 + ea) + ea
+            powers["1 - q^k"] += powers["q^k (1-q)"]
+            powers["q^k (1-q)"] *= q.q
+        value += total
+        if swapped:
+            value = -value
+        return new_record(Evaluation, (value, u * (abs(term) / (1.0 - u)), n + k))
 
     tx, ty = x + n, y + n
     ux, uy = math.exp(-s * tx), math.exp(-s * ty)
@@ -963,23 +1109,29 @@ class TestStraightLineReference:
 
     def test_ln_gamma_q_matches_the_loop_form(self):
         mismatches = []
-        outcomes = []
-        for om in self.ONE_MINUS_Q:
-            q = QParam(1.0 - float(om))
+        outcomes = {False: [], True: []}
+        # The grid's last q (1 - q = 0.999) and the four after it take the
+        # q-series; the rest take the q-Stirling tails.
+        for qv in (*(1.0 - self.ONE_MINUS_Q), 0.6, 0.3, 1e-20, 1e-200):
+            q = QParam(float(qv))
+            qseries = -q.ln_q >= qspecial._QSERIES_S
             for x in self.X:
                 for y in self.Y:
                     # Both argument orders: y > x takes the swapped path.
                     for a, b in ((x, y), (y, x)):
                         got = _outcome(lambda: ln_gamma_q(a, q, y=b))
                         ref = _outcome(lambda: _reference_ln_gamma_q(a, q, y=b))
-                        outcomes.append(((a, b), got))
+                        outcomes[qseries].append(((a, b), got))
                         if got != ref:
                             mismatches.append(((a, b, q.q), got, ref))
         assert mismatches == []
+        assert len(outcomes[True]) == 5 * 2 * len(self.X) * len(self.Y)
         # Seven corrections added and the eighth as the bound: the most any
         # call reaches, as the eighth is below 5e-17 at every q and T >= 10,
         # under the least stop, REL_TOL / 1024.
-        assert max(terms - max(0, math.ceil(10 - Fraction(min(a, b)))) for (a, b), (_, _, terms) in outcomes) == 7
+        stirling = outcomes[False]
+        assert max(terms - max(0, math.ceil(10 - Fraction(min(a, b)))) for (a, b), (_, _, terms) in stirling) == 7
+        assert max(terms for _, (_, _, terms) in outcomes[True]) <= 17
 
     @pytest.mark.parametrize("max_terms", [None, *CAPS])
     def test_psi_q_matches_the_calls(self, monkeypatch, max_terms):
