@@ -35,7 +35,8 @@ Each verify line is ``samples seed exit_code full_sha256 verdict_sha256``,
 each CLI line ``cli id table_json_sha256 table_csv_sha256 bounds_sha256``
 and each scan line ``scan group sha256``.  The five runs take about 7 s,
 the CLI digests about 1 s and the scan about 65 s on a 2-vCPU host, where
-its psi_q and psi_q_m calls near q = 1 sum thousands of terms each.
+its psi_q_m calls near q = 1 sum thousands of terms each (psi_q takes at
+most 17 there).
 """
 
 import hashlib

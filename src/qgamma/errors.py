@@ -14,7 +14,7 @@ class Overflow(QGammaError, OverflowError):
 
 
 class NonConvergence(QGammaError):
-    """A psi_q or psi_q^(m) series hit the term cap before its stopping rule fired.
+    """A psi_q or psi_q^(m) n-series hit the term cap before its stopping rule fired.
 
     Carries the partial sum and the last error estimate so callers can
     inspect how far the evaluation got.

@@ -432,8 +432,9 @@ def check_limits(q_sequence: Sequence[float], x_grid: Sequence[float]) -> Certif
     q_sequence = [float(q) for q in q_sequence]
     if len(q_sequence) < 2 or not all(a < b for a, b in zip(q_sequence, q_sequence[1:])):
         raise DomainError("q_sequence must hold >= 2 strictly increasing values")
-    # Beyond 1 - 1e-5 the deviations reach psi_q's own error: at q = 1 - 1e-6
-    # the psi deviation at x = 1.5 no longer falls (5.0e-14 -> 5.7e-13).
+    # Beyond 1 - 1e-5 the psi deviation at x = 1.5, where its first-order
+    # term -(2x - 3) s / 4 vanishes, nears rounding: 3.5e-13 at 1 - 1e-5,
+    # 4.5e-15 at 1 - 1e-6 and 1.1e-15 at 1 - 1e-7.
     if max(q_sequence) > 0.99999:
         raise DomainError("q_sequence must stay <= 0.99999")
     tally = _Tally("limits", lambda point: {"track": point[0], "q": point[1]})

@@ -2,14 +2,15 @@
 
 All higher modules build on two things defined here: the deformation
 parameter wrapper ``QParam`` (which pins down how powers of q are computed)
-and ``sum_geometric_decay``, the series engine of psi_q and psi_q^(m): from
-the tail's numbers (y ln q, ln q, m and a scale) and its term budget, a
-plain count, it computes each summand of their n-series in its own loop,
-each power of q from the one before, with no exp or expm1 call per term,
-and returns the sum with a truncation bound it certifies itself, from the
-ratio (1+1/n)^m q^y that bounds every later summand ratio.  Every series
-is capped at the one fixed ``MAX_TERMS``; ``cap_error`` takes a cap as a
-count, so a caller that has spent part of it on a head passes the rest on.
+and ``sum_geometric_decay``, the series engine of psi_q's n-series side
+(q <= 0.6126) and of psi_q^(m): from the tail's numbers (y ln q, ln q, m
+and a scale) and its term budget, a plain count, it computes each summand
+of their n-series in its own loop, each power of q from the one before,
+with no exp or expm1 call per term, and returns the sum with a truncation
+bound it certifies itself, from the ratio (1+1/n)^m q^y that bounds every
+later summand ratio.  Every n-series is capped at the one fixed
+``MAX_TERMS``; ``cap_error`` takes a cap as a count, so a caller that has
+spent part of it on a head passes the rest on.
 
 The value types of the package (``QParam`` and ``Evaluation`` here,
 ``PsiRoot``, ``BoundPair``, ``DomainSpec`` and the report records of the
@@ -28,8 +29,8 @@ from typing import NamedTuple, Optional
 
 from .errors import DomainError, NonConvergence
 
-# QParam construction rejects q this close to 1.  ln Gamma_q takes the same
-# few terms at every q up to here, but psi_q and psi_q^(m) still need about
+# QParam construction rejects q this close to 1.  ln Gamma_q and psi_q take
+# the same few terms at every q up to here, but psi_q^(m) still needs about
 # 2 sqrt(30/(1-q)) terms (MAX_TERMS near 1 - q = 1e-10), and the q->1
 # limit itself belongs to the classical module.
 _Q_UPPER_CUTOFF = 1.0 - 1e-12
@@ -40,9 +41,10 @@ _Q_UPPER_CUTOFF = 1.0 - 1e-12
 REL_TOL = 1e-13
 ABS_TOL = 1e-300
 
-# The term cap of every series, fixed: a psi_q or psi_q^(m) call that
-# needs more raises NonConvergence with its partial sum.  It binds where
-# 1 - q is below about 1e-10; ln Gamma_q never takes more than 17 terms.
+# The term cap of every series, fixed: a psi_q^(m) call that needs more
+# raises NonConvergence with its partial sum.  It binds where 1 - q is
+# below about 1e-10; ln Gamma_q and psi_q never take more than 17 terms,
+# and psi_q's q-Stirling side (q > 0.6126) does not read it.
 MAX_TERMS = 10**6
 
 

@@ -20,34 +20,40 @@ classical._shift, plus Euler-Maclaurin for the tail, the scheme
 classical.py uses at q = 1, its corrections alone from y = 10 on, and its
 remainder bounded by the larger first omitted term of the two tails (DLMF
 2.10(i)).  Either side sums at most 17 terms at every q.
-psi_q and every psi_q^(m) are one routine, _psi_series: K = max(0,
-ceil(sqrt(L/s) - x)) recurrence steps (s = -ln q, L = -ln REL_TOL; DLMF
-5.5.2 with q) and the rest as the geometric n-series at x + K, one path
-for every x and m: at most about 2 sqrt(30/(1-q)) terms, with the bound
-the series engine certifies from the summands' own ratio (see
-``qcore.sum_geometric_decay``).  psi_q's head takes one expm1 per term;
-psi_q^(m)'s head and both tails take each power of q from the one
-before, with a fixed number of exp and expm1 calls per call.  ln Gamma_q
-takes one log for the k = 0 recurrence term and one for the product of
-the others, at most nine; the Eulerian polynomials A_0..A_16 of
-psi_q^(m)'s head are one table built at import, and the gamma vectors of
-the corrections' A_2..A_14 are peeled from it in integers (every A_m is
-gamma-positive, A_m(u) = sum_k g_k u^k (1+u)^(m-1-2k) with g_k >= 0:
+psi_q and every psi_q^(m) are one routine, _psi_series, and psi_q is
+split at the same s.  Below it, psi_q takes the derivative of ln Gamma_q's
+q-Stirling form: N = max(0, ceil(10 - x)) recurrence steps, then
+ln [T]_q + h'(T)/2 and at most seven corrections at T = x + N, at most 17
+terms at every q, bounded by the first omitted correction.  From it up in
+s, and for every psi_q^(m) at every q: K = max(0, ceil(sqrt(L/s) - x))
+recurrence steps (s = -ln q, L = -ln REL_TOL; DLMF 5.5.2 with q) and the
+rest as the geometric n-series at x + K, at most about 2 sqrt(30/(1-q))
+terms, with the bound the series engine certifies from the summands' own
+ratio (see ``qcore.sum_geometric_decay``).  psi_q's head takes one expm1
+per term, and its q-Stirling tail one exp, one expm1 and one log;
+psi_q^(m)'s head and the n-series tails take each power of q from the
+one before, with a fixed number of exp and expm1 calls per call.  ln
+Gamma_q takes one log for the k = 0 recurrence term and one for the
+product of the others, at most nine; the Eulerian polynomials A_0..A_16
+of psi_q^(m)'s head are one table built at import, and the gamma vectors
+of the corrections' A_1..A_15 are peeled from it in integers (every A_m
+is gamma-positive, A_m(u) = sum_k g_k u^k (1+u)^(m-1-2k) with g_k >= 0:
 Foata & Schutzenberger 1970).  From these, all the generated code is
 compiled at import in one exec: the corrections of ln Gamma_q as one
 unrolled function, each A_2j taken as (1+u)^(2j-1) times a polynomial of
 j coefficients in t = u/(1+u)^2, the (1+u) powers folded into the power
-of r the corrections carry, and psi_q^(m)'s head term u A_m(u) r^(m+1)
-for each m <= 16 in its Eulerian form (its u changes every term, so no
-power can be folded).  Every polynomial is straight-line Horner code with
+of r the corrections carry, those of psi_q as another from the same
+generator, each A_(2j+1) as (1+u)^(2j) times a polynomial of j + 1
+coefficients, and psi_q^(m)'s head term u A_m(u) r^(m+1) for each
+m <= 16 in its Eulerian form (its u changes every term, so no power can
+be folded).  Every polynomial is straight-line Horner code with
 the multiplies and adds of a loop over its coefficients in the same
 order, so the values are those of the loop, bit for bit.
 psi_q_root certifies psi_q's zero by the residual at a centre and a
-lower bound on psi_q': one psi_q call at a
-fitted guess for q in [0.05, 1 - 1e-5], and Newton steps from the guess
-where that call declines.  Results are Evaluation and PsiRoot
-records, immutable NamedTuples that unpack, index and compare equal to
-plain tuples (see ``qcore``).
+lower bound on psi_q': one psi_q call at a fitted guess for q from 0.05
+up, and Newton steps from the guess where that call declines.  Results
+are Evaluation and PsiRoot records, immutable NamedTuples that unpack,
+index and compare equal to plain tuples (see ``qcore``).
 """
 
 from __future__ import annotations
@@ -117,64 +123,72 @@ def _horner(coeffs: tuple, u: str) -> str:
     return expr
 
 
-# q-Stirling corrections B_2j/(2j)! s^(2j-1) Li_{2-2j}(u), j = 1..8, with
-# Li_{2-2j}(u) = u A_{2j-2}(u) / (1-u)^(2j-1).  At most _EM_TERMS = 7 are
-# added, and the eighth bounds the remainder: it is at most 4.56e-17 at
+# q-Stirling corrections, j = 1..8: B_2j/(2j)! s^(2j-1) Li_{2-2j}(u) for
+# ln Gamma_q and B_2j/(2j)! s^(2j) Li_{1-2j}(u) for psi_q, with
+# Li_{1-k}(u) = u A_(k-1)(u) / (1-u)^k.  At most _EM_TERMS = 7 are added,
+# and the eighth bounds the remainder: ln Gamma_q's is at most 4.56e-17 at
 # every q and T >= 10 (largest at s = 1.49, T = 10; it falls as T rises),
-# below the least stop REL_TOL / 1024, so no call reaches a ninth.
+# and psi_q's at most 4.44e-17 below s = _QSERIES_S (largest at T = 10,
+# where it stays within 1e-6 of B_16 / (16 T^16), its limit as s -> 0),
+# each below the least stop REL_TOL / 1024, so no call reaches a ninth.
 _EM_TERMS = 7
 
-# G_0 = 1 (A_0 = 1), then the gamma vectors of A_2, A_4, ..., A_14, one
-# per correction, as floats (exact: every entry is below 2^53).
-_EM_GAMMA = ((1.0,),) + tuple(tuple(float(g) for g in _gamma_vector(2 * j)) for j in range(1, _EM_TERMS + 1))
+# The gamma vectors of A_0 .. A_15, by order: G_0 = 1 (A_0 = 1), then
+# _gamma_vector(m), as floats (exact: every entry is below 2^53).  ln
+# Gamma_q's corrections read the even orders and psi_q's the odd ones.
+_EM_GAMMA = ((1.0,),) + tuple(tuple(float(g) for g in _gamma_vector(m)) for m in range(1, 2 * _EM_TERMS + 2))
 
 
-def _ladder_source() -> str:
-    """Source of em_ladder(value, tol, ux, uy, px, py, rx, ry), which
-    returns (value, bound, j): ln_gamma_q's corrections unrolled, step j
-    taking c ux r^(2j+1) A_2j(ux) and the same at uy, c = B_(2j+2) /
-    (2j+2)! and r = s / (1 - ux), from px = ux r and rx = r^2 (and py, ry
-    at uy).  The larger of the two in size is the bound; the step returns
-    it before adding their difference to value when it is at most tol, and
+def _ladder_source(name: str, sides: str, order: int) -> str:
+    """Source of a q-Stirling correction ladder, unrolled:
+    name(value, tol, u.., p.., r..) -> (value, bound, j), with one u, p and
+    r for each side in ``sides``, step j taking c p A_(2j+order)(u) at each
+    side, c = B_(2j+2) / (2j+2)!, and returning the larger of them in size
+    as the bound, before it adds them to value, when that is at most tol;
     step _EM_TERMS always returns.
 
-    Step 0 takes A_0 = 1.  The later steps take A_2j in its gamma form
-    (see _gamma_vector), A_2j(u) = (1+u)^(2j-1) G_2j(t), t = u / (1+u)^2 in
-    [0, 1/4] and G_2j(t) = sum_k g_k t^k, j positive coefficients where
-    A_2j has 2j: after step 0 the ladder forms a = 1 + ux and t = ux / a^2
-    once, multiplies px by rx a and rx by a^2, and after each later step px
-    by rx, so that step j holds px = ux r^(2j+1) a^(2j-1) and takes
-    c px G_2j(tx), G_2j in straight-line Horner code (see _horner) from its
-    top coefficient.  Likewise at uy."""
-    lines = ["def em_ladder(value, tol, ux, uy, px, py, rx, ry):"]
+      * ln Gamma_q: em_ladder, sides "xy" and order 0.  Step j takes
+        c u r^(2j+1) A_2j(u), r = s / (1-u), from p = u r and r^2, and adds
+        cx - cy to value.
+      * psi_q: em_psi_ladder, side "x" and order 1.  Step j takes
+        c u r^(2j+2) A_(2j+1)(u) from p = u r^2 and r^2, the derivative of
+        the step above, and subtracts it from value.
+
+    Step 0 takes A_order = 1.  The later steps take A_m in its gamma form
+    (see _gamma_vector), A_m(u) = (1+u)^(m-1) G_m(t), t = u / (1+u)^2 in
+    [0, 1/4] and G_m(t) = sum_k g_k t^k, j positive coefficients (j + 1 at
+    odd m) where A_m has m: after step 0 the ladder forms a = 1 + u and
+    t = u / a^2 once, multiplies p by r a^(1+order) and r by a^2, and after
+    each later step p by r, so that step j holds p = u r^(2j+1+order)
+    a^(2j-1+order) and takes c p G_m(t), G_m in straight-line Horner code
+    (see _horner) from its top coefficient."""
+    us, ps, rs = ([f"{v}{side}" for side in sides] for v in "upr")
+    lines = [f"def {name}(value, tol, {', '.join(us + ps + rs)}):"]
     for j, b in enumerate(BERNOULLI[:_EM_TERMS + 1]):
         coef = b / math.factorial(2 * j + 2)
-        poly = _EM_GAMMA[j][::-1]
-        lines += [f"    cx = ({coef!r}) * px * ({_horner(poly, 'tx')})",
-                  f"    cy = ({coef!r}) * py * ({_horner(poly, 'ty')})"]
-        # max(|cx|, |cy|): cx and cy have the sign of coef (or are zero).
-        bound = "cx if cx > cy else cy" if coef > 0.0 else "-cx if cx < cy else -cy"
+        poly = _EM_GAMMA[2 * j + order][::-1]
+        lines += [f"    c{v} = ({coef!r}) * p{v} * ({_horner(poly, 't' + v)})" for v in sides]
+        # The largest |c|: each c has the sign of coef (or is zero).
+        if len(sides) == 1:
+            bound = "cx" if coef > 0.0 else "-cx"
+        else:
+            bound = "cx if cx > cy else cy" if coef > 0.0 else "-cx if cx < cy else -cy"
         if j == _EM_TERMS:
             lines.append(f"    return value, {bound}, {j}")
             break
         lines += [f"    bound = {bound}",
                   "    if bound <= tol:",
                   f"        return value, bound, {j}",
-                  "    value += cx - cy"]
+                  "    value += cx - cy" if len(sides) == 2 else "    value -= cx"]
         if j == 0:
-            lines += ["    ax = 1.0 + ux",
-                      "    ay = 1.0 + uy",
-                      "    aax = ax * ax",
-                      "    aay = ay * ay",
-                      "    tx = ux / aax",
-                      "    ty = uy / aay",
-                      "    px *= rx * ax",
-                      "    py *= ry * ay",
-                      "    rx *= aax",
-                      "    ry *= aay"]
+            a_power = "a" if order == 0 else "aa"
+            lines += [f"    a{v} = 1.0 + u{v}" for v in sides]
+            lines += [f"    aa{v} = a{v} * a{v}" for v in sides]
+            lines += [f"    t{v} = u{v} / aa{v}" for v in sides]
+            lines += [f"    p{v} *= r{v} * {a_power}{v}" for v in sides]
+            lines += [f"    r{v} *= aa{v}" for v in sides]
         else:
-            lines += ["    px *= rx",
-                      "    py *= ry"]
+            lines += [f"    p{v} *= r{v}" for v in sides]
     return "\n".join(lines) + "\n"
 
 
@@ -201,22 +215,23 @@ def _loop_head(m: int) -> Callable[[float, float], float]:
     return head
 
 
-# The generated code, compiled in one exec at import: em_ladder, and for
-# each m = 1..16 the kernel (u, r) -> u A_m(u) r^(m+1) of psi_q_m's head
-# terms, with the operations of a loop over A_m's coefficients in the same
-# order.  A head term has x + k < sqrt(L/s) < 5.5e6 (q < 1 - 1e-12) and
+# The generated code, compiled in one exec at import: em_ladder and
+# em_psi_ladder, and for each m = 1..16 the kernel (u, r) -> u A_m(u)
+# r^(m+1) of psi_q_m's head terms, with the operations of a loop over A_m's
+# coefficients in the same order.  A head term has x + k < sqrt(L/s) < 5.5e6 (q < 1 - 1e-12) and
 # |r| >= 1 / (x + k), so up to m = 16 r^(m+1) stays above 2.8e-115 and is
 # taken on its own.  _LI_HEADS[m] is that kernel; an integer-valued float
 # m finds its entry too.
 _HEAD_ORDERS = len(_EULERIAN) - 1
 _GENERATED: dict = {}
 exec(
-    _ladder_source() + "".join(
+    _ladder_source("em_ladder", "xy", 0) + _ladder_source("em_psi_ladder", "x", 1) + "".join(
         f"def li_head_{m}(u, r):\n    return u * ({_horner(_EULERIAN[m], 'u')}) * r ** {m + 1}\n" for m in range(1, _HEAD_ORDERS + 1)
     ),
     _GENERATED,
 )
 _em_ladder = _GENERATED["em_ladder"]
+_em_psi_ladder = _GENERATED["em_psi_ladder"]
 _LI_HEADS = {m: _GENERATED[f"li_head_{m}"] for m in range(1, _HEAD_ORDERS + 1)}
 
 # Li_2(e^-w) - zeta(2) = w ln w - w - w^2/4 + sum_j B_2j w^(2j+1) / (2j (2j+1)!)
@@ -538,31 +553,56 @@ _E = math.e
 
 def _psi_series(m: int, x: float, q: QParam) -> Evaluation:
     """psi_q (m = 0) and its m-th derivative (m >= 1, checked by psi_q_m),
-        [m = 0] (-ln(1-q)) + (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n).
+        [m = 0] (-ln(1-q)) + (ln q)^(m+1) sum_{n>=1} n^m q^(nx) / (1-q^n),
+    the k-form (ln q) sum_{k>=0} q^(x+k) / (1-q^(x+k)) (plus -ln(1-q) at
+    m = 0) differentiated m times: a head of recurrence steps along k and
+    one of two tails, split for psi_q at s = -ln q = _QSERIES_S, as
+    ln_gamma_q is.
 
-    Expanding 1/(1-q^n) = sum_{k>=0} q^(nk) makes the sum the double series
-    sum_{n>=1, k>=0} n^m q^(n(x+k)).  Its first K terms along k, the
-    recurrence step taken K times, are summed directly and the rest along
-    n at y = x + K:
+    n-series (psi_q from s >= _QSERIES_S, q <= 0.6126, and psi_q^(m) at
+    every q).  Expanding 1/(1-q^n) = sum_{k>=0} q^(nk) makes the sum the
+    double series sum_{n>=1, k>=0} n^m q^(n(x+k)).  Its first K terms along
+    k, the recurrence step taken K times, are summed directly and the rest
+    along n at y = x + K:
         (ln q)^(m+1) [sum_{k<K} Li_{-m}(u_k) + sum_{n>=1} n^m q^(ny) / (1-q^n)],
     u_k = q^(x+k), Li_{-m}(u) = u A_m(u) / (1-u)^(m+1) and A_m the Eulerian
     polynomial (A_0 = 1).  K = max(0, ceil(sqrt(L/s) - x)), s = -ln q and
     L = -ln REL_TOL, so that the head and the tail each take at most about
     sqrt(L/s) terms, about 2 sqrt(30/(1-q)) in all as q -> 1.
 
+    q-Stirling (psi_q below s = _QSERIES_S, q > 0.6126).  The derivative of
+    ln_gamma_q's form: with h(t) = -ln(1-q^t), N = max(0, ceil(10 - x)),
+    taken as 10 - floor(x) below 10 (see ln_gamma_q), and T = x + N >= 10,
+        psi_q(x) = sum_{k<N} h'(x+k) + ln [T]_q + h'(T)/2
+                   - sum_j B_2j/(2j)! s^(2j) Li_{1-2j}(q^T),
+    h'(t) = -s / expm1(s t) and Li_{1-2j}(u) = u A_(2j-1)(u) / (1-u)^(2j):
+    Euler-Maclaurin for sum_{k>=0} h'(T+k), whose integral, ln(1-q^T),
+    joins -ln(1-q) as ln [T]_q = ln((1-q^T) / (1-q)), one log of a ratio.
+    -h' is completely monotone, so the remainder after any number of
+    corrections has the sign of the first omitted one and is bounded by it
+    (DLMF 2.10(i)).  Corrections are added until that bound is at most
+    REL_TOL * max(1, |value|) / 1024, the stop of ln_gamma_q's, and at most
+    seven of them: the eighth is below that stop at every q of this side
+    (see _EM_TERMS).  They run as one function generated at import,
+    em_psi_ladder (see _ladder_source), each A_(2j-1) in its gamma form.
+    ``error_estimate`` is that bound (it leaves out rounding, as the
+    n-series side does), and ``terms_used`` is N plus the corrections
+    added, at most 17 at every q.
+
     Each head term keeps (ln q)^(m+1) inside, so that a value near the pole
     at 0 stays in range as long as the result does.  At m = 0 it is
-    ln q / expm1(s (x+k)), one expm1 per term.  At m >= 1 it is the
-    kernel _LI_HEADS[m](u_k, ln q / (1-u_k)), or _loop_head's above
-    m = 16: u_0 = exp(x ln q) and 1 - u_0 = -expm1(x ln q) keep the digits
-    of x near 0, and from there u_(k+1) = u_k q and 1 - u_(k+1) =
-    (1 - u_k) + u_k (1 - q), a sum of positive terms, with q and 1 - q
-    taken once, so a head makes 4 exp and expm1 calls in all.
+    ln q / expm1(s (x+k)), one expm1 per term, the same loop on both sides.
+    At m >= 1 it is the kernel _LI_HEADS[m](u_k, ln q / (1-u_k)), or
+    _loop_head's above m = 16: u_0 = exp(x ln q) and 1 - u_0 =
+    -expm1(x ln q) keep the digits of x near 0, and from there u_(k+1) =
+    u_k q and 1 - u_(k+1) = (1 - u_k) + u_k (1 - q), a sum of positive
+    terms, with q and 1 - q taken once, so a head makes 4 exp and expm1
+    calls in all.
 
-    The tail is sum_geometric_decay at y, which carries 1 - q^n as a sum
-    of positive terms and certifies its own bound (see there); at m >= 1
-    it takes s^(m+1) into each summand through scale = s^((m+1)/m), so
-    that no factor leaves the range before the summand does.  The value
+    The n-series tail is sum_geometric_decay at y, which carries 1 - q^n as
+    a sum of positive terms and certifies its own bound (see there); at
+    m >= 1 it takes s^(m+1) into each summand through scale = s^((m+1)/m),
+    so that no factor leaves the range before the summand does.  The value
     is offset + (head + factor tail), with (offset, factor) = (-ln(1-q),
     ln q) and the tail's bound times s at m = 0, and (0, (-1)^(m+1), the
     sign of (ln q)^(m+1)) and the tail's bound as it is at m >= 1.  The
@@ -576,35 +616,43 @@ def _psi_series(m: int, x: float, q: QParam) -> Evaluation:
     (s x))), near its largest; when e x >= m (at m = 0 always) its log is
     at most ln s <= ln 745 at every n, far inside the range, and the check
     is skipped.  A value, head term, summand or sum beyond the double range
-    raises Overflow naming psi_q(x, q) or psi_q_m(m, x, q); so does a head
-    whose u A_m(u) leaves the doubles, from m = 171 at u near 1, and at
-    every u from m = 172, where A_m's coefficients do.
+    raises Overflow naming psi_q(x, q) or psi_q_m(m, x, q), and so does an
+    s x that underflows to 0 in psi_q's first head term (x = 5e-324); so
+    does a head whose u A_m(u) leaves the doubles, from m = 171 at u near
+    1, and at every u from m = 172, where A_m's coefficients do.
 
-    The head terms count against the term cap MAX_TERMS, read from this
-    module at each call, and sum_geometric_decay takes what they leave of
-    it, MAX_TERMS - K, as a plain count.  The cap binds only near q = 1:
-    at x = 1.5, psi_q stops in the head at q = 1 - 1e-11 and in the tail
-    at 1 - 5e-11.  A cap in the head raises NonConvergence with the head's
+    On the n-series side the head terms count against the term cap
+    MAX_TERMS, read from this module at each call, and sum_geometric_decay
+    takes what they leave of it, MAX_TERMS - K, as a plain count.  The cap
+    binds only near q = 1, which only psi_q^(m) reaches: at x = 1.5,
+    psi_q_m(1, ...) stops in the head at q = 1 - 1e-11 and in the tail at
+    1 - 5e-11.  A cap in the head raises NonConvergence with the head's
     partial value (plus the offset) and the bound |next head term| / (1-q)
     on the rest of the k-form, which falls by q per term; a cap in the
     tail, with the partial value of the whole and the tail's bound, scaled
-    as above.
-    ``terms_used`` is K plus the tail terms.
+    as above.  ``terms_used`` is K plus the tail terms.  The q-Stirling
+    side never reads MAX_TERMS.
     """
     require_positive(x)
     ln_q = q.ln_q
     s = -ln_q
-    max_terms = MAX_TERMS
-    # K, and the min and max, written out as comparisons: the calls cost
-    # more than this hot path's arithmetic.
-    k_end = math.ceil(math.sqrt(_TAIL_LOG / s) - x)
-    if k_end < 0:
-        k_end = 0
+    stirling = not m and s < _QSERIES_S
+    if stirling:
+        # N = ceil(10 - x), as 10 - floor(x) below 10 (see ln_gamma_q), and
+        # no cap: the head and the corrections take at most 17 terms.
+        k_end = 10 - math.floor(x) if x < 10.0 else 0
+        max_terms = math.inf
+    else:
+        max_terms = MAX_TERMS
+        # K, and the min and max, written out as comparisons: the calls cost
+        # more than this hot path's arithmetic.
+        k_end = math.ceil(math.sqrt(_TAIL_LOG / s) - x)
+        if k_end < 0:
+            k_end = 0
     limit = max_terms if max_terms < k_end else k_end
     # Each head term is added one step late, so that a cap in the head
     # leaves the first term it cut in ``term``.
     head_steps = limit + 1 if limit == max_terms else limit
-    y_ln_q = (x + k_end) * ln_q
 
     value = term = 0.0
     try:
@@ -636,8 +684,8 @@ def _psi_series(m: int, x: float, q: QParam) -> Evaluation:
                 one_minus_u += u * gap
                 u *= base
         else:
-            offset, factor, bound_scale = -math.log1p(-q.q), ln_q, s
-            scale = 1.0
+            if not stirling:
+                offset, factor, bound_scale, scale = -math.log1p(-q.q), ln_q, s, 1.0
             expm1 = math.expm1
             for k in range(head_steps):
                 value += term
@@ -645,8 +693,21 @@ def _psi_series(m: int, x: float, q: QParam) -> Evaluation:
         if limit < max_terms:
             value += term
             if math.isfinite(value):
-                tail = sum_geometric_decay(y_ln_q, ln_q, max_terms - limit, m, scale)
-                value = offset + (value + factor * tail.value)
+                if stirling:
+                    # The tail at T = x + N: ln [T]_q + h'(T)/2, h'(T) = -s u / (1-u)
+                    # with u = q^T, and the corrections, with r = s / (1-u).
+                    st = s * (x + k_end)
+                    u = math.exp(-st)
+                    one_minus_u = -expm1(-st)
+                    r = s / one_minus_u
+                    value += math.log(one_minus_u / (1.0 - q.q)) - 0.5 * u * r
+                    # max(1, |value|) by comparisons, 1 for a NaN value as max takes it.
+                    tol = _EM_TOL * (value if value > 1.0 else -value if value < -1.0 else 1.0)
+                    r *= r
+                    value, bound, j = _em_psi_ladder(value, tol, u, u * r, r)
+                else:
+                    tail = sum_geometric_decay((x + k_end) * ln_q, ln_q, max_terms - limit, m, scale)
+                    value = offset + (value + factor * tail.value)
     except NonConvergence as exc:
         partial = offset + (value + factor * exc.partial_value)
         raise cap_error(max_terms, partial, bound_scale * exc.error_estimate, max_terms) from None
@@ -657,17 +718,24 @@ def _psi_series(m: int, x: float, q: QParam) -> Evaluation:
         raise Overflow(f"{name} exceeds the double range")
     if limit == max_terms:
         raise cap_error(max_terms, offset + value, abs(term) / (1.0 - q.q), limit)
+    if stirling:
+        return new_record(Evaluation, (value, bound, k_end + j))
     return new_record(Evaluation, (value, bound_scale * tail.error_estimate, limit + tail.terms_used))
 
 
 def psi_q(x: float, q: QParam) -> Evaluation:
     """psi_q(x) = -ln(1-q) + (ln q) sum_{n>=1} q^(nx) / (1-q^n), as
-    _psi_series at m = 0, with K + 3 exp and expm1 calls and one log1p.
-    ``error_estimate`` is s = -ln q times the tail's certified bound and
-    ``terms_used`` K plus the tail terms.  Raises DomainError unless x is
-    finite and positive, NonConvergence (with the partial value and its
-    bound) past the term cap MAX_TERMS, and Overflow for a value beyond
-    the doubles.
+    _psi_series at m = 0.  Below s = -ln q = _QSERIES_S (q > 0.6126), the
+    q-Stirling form: N <= 10 recurrence terms and at most seven
+    corrections, with N + 2 exp and expm1 calls and one log, at most 17
+    terms at every q; ``error_estimate`` is the first omitted correction.
+    From it on, the n-series: K head terms and the tail, with K + 3 exp and
+    expm1 calls and one log1p; ``error_estimate`` is s times the tail's
+    certified bound.  ``terms_used`` is the head terms plus the corrections
+    or the tail terms.  Raises DomainError unless x is finite and positive,
+    and Overflow for a value beyond the doubles.  No call reaches the term
+    cap MAX_TERMS: the n-series side takes at most 16 terms (K <= 8), and
+    the q-Stirling side does not read it.
     """
     return _psi_series(0, x, q)
 
@@ -705,55 +773,53 @@ class PsiRoot(NamedTuple):
 
 _ROOT_RESIDUAL_TOL = 1e-10
 # The most centres a solve evaluates: twice the most any solve took, 4 over
-# 5,000 q log-uniform in [least normal, 0.05], and 2 over 1 - q in
-# [1e-10, 1e-5].
+# 5,000 q log-uniform in [least normal, 0.05]; from 0.05 up a solve takes 1.
 _ROOT_CENTRES = 8
 
 # The root guess g(q) = sum_k c_k T_k(t), a Chebyshev series of degree 22
 # in t = 2 s / s_max - 1, s = -ln q and s_max = -ln 0.05, so q in
 # [0.05, 1) maps to t in (-1, 1].  Its coefficients, highest degree first as
-# Clenshaw's recurrence takes them, minimise the largest error against the
-# zeros of psi_q, each bisected to adjacent doubles, at 400 Chebyshev-Gauss
-# nodes in s over [0, s_max] and 300 q with 1 - q log-spaced over
-# [1e-5, 0.05] (Lawson's iteratively reweighted least squares).  That error
-# is 1.3e-13 there and at most 1.3e-13 over 9,400 other q in
-# [0.05, 1 - 1e-5], 7,200 of them log-uniform in 1 - q.  Toward q = 1 the
-# computed zero drifts off the series that fits it elsewhere, by about
-# 2e-13 at 1 - q = 1e-5 (psi_q's error_estimate is 4e-13 there); the
-# log-spaced points hold the fit to that drift, and the fit stops at 1e-5.
-# When psi_q changes, refit with scripts/fit_root_guess.py, which prints
-# this tuple and the worst ratio of |psi_q| at the bracket's midpoint to
-# the reach that certifies it (see psi_q_root), which must stay below 1.
+# Clenshaw's recurrence takes them, fit the zeros of psi_q, each bisected to
+# adjacent doubles, at 400 Chebyshev-Gauss nodes in s over [0, s_max] and
+# 300 q with 1 - q log-spaced over [1e-5, 0.05], with the least largest
+# error among the iterates of Lawson's iteratively reweighted least squares
+# (here its first, plain least squares).  That error is 1.0e-14 there and
+# at most 1.1e-14 over 9,400 other q in [0.05, 1 - 1e-5], 7,200 of them
+# log-uniform in 1 - q, and at every 1 - q tried from 1e-5 down to 1.1e-12
+# (psi_q's q-Stirling zero is a smooth function of s up to q = 1).  When
+# psi_q changes, refit with scripts/fit_root_guess.py, which prints this
+# tuple and the worst ratio of |psi_q| at the bracket's midpoint to the
+# reach that certifies it (see psi_q_root), which must stay below 1.
 _ROOT_GUESS_CHEB = (
-    -1.1758451445086397e-13,
-    3.899059276898797e-14,
-    1.704243492549411e-14,
-    -2.8142890686954926e-13,
-    -4.583512452664969e-14,
-    1.9278823781041667e-12,
-    2.709932614879798e-13,
-    -1.4219094191333043e-11,
-    -6.85542171274863e-12,
-    1.1521023368565413e-10,
-    1.4894116498331073e-10,
-    -9.774443259962468e-10,
-    -2.9147557434781824e-09,
-    7.0566056078972355e-09,
-    5.697262911252759e-08,
-    3.215904095821041e-08,
-    -1.2172575595047428e-06,
-    -5.627512643998248e-06,
-    3.5879312401448785e-05,
-    0.00038967590039087983,
-    -0.002169671085000568,
-    -0.04120842846567202,
-    1.4229427580610812,
+    -5.547397401640717e-15,
+    4.322784232013114e-14,
+    1.948825214270745e-14,
+    -2.851979464717488e-13,
+    -4.0476055896663435e-14,
+    1.924215214786496e-12,
+    2.769485158598489e-13,
+    -1.4224501878288357e-11,
+    -6.8484222722666145e-12,
+    1.1520448363959695e-10,
+    1.4894930217087412e-10,
+    -9.774515010195853e-10,
+    -2.9147459298530468e-09,
+    7.0565964745131404e-09,
+    5.697264023840629e-08,
+    3.2159030951039355e-08,
+    -1.217257546891454e-06,
+    -5.627512656443416e-06,
+    3.587931241699271e-05,
+    0.00038967590037444094,
+    -0.0021696710849810033,
+    -0.04120842846568974,
+    1.4229427580610932,
 )
 # Clenshaw's recurrence runs over every coefficient but c_0, which it adds last.
 _ROOT_GUESS_CLENSHAW, _ROOT_GUESS_C0 = _ROOT_GUESS_CHEB[:-1], _ROOT_GUESS_CHEB[-1]
 _ROOT_GUESS_S_MAX = -math.log(0.05)  # the fitted range's top
-# Half-width of the bracket around each centre: 2.3 times the guess's
-# largest error, so that |psi_q| at the midpoint stays within 0.655 of the
+# Half-width of the bracket around each centre: about 30 times the guess's
+# largest error, so that |psi_q| at the midpoint stays within 0.045 of the
 # half-width times a lower bound on psi_q' there, the reach that certifies
 # the bracket, and small enough that every bracket is below 1e-12 wide.
 _ROOT_GUESS_HALF_WIDTH = 3e-13
@@ -803,8 +869,8 @@ def psi_q_root(q: QParam) -> PsiRoot:
     across the bracket [lo, hi] = c -+ 3e-13 around a centre c.
 
     The first centre is the guess (see _root_guess): for q >= 0.05 a fitted
-    series within 1.3e-13 of psi_q's zero for q in [0.05, 1 - 1e-5], and
-    below that range x_s = 1 + ln(s)/s.  At each centre one psi_q call
+    series within 1.1e-14 of psi_q's zero at every q tried from 0.05 to
+    1 - 1.1e-12, and below that range x_s = 1 + ln(s)/s.  At each centre one psi_q call
     gives the residual at the bracket's midpoint m, which certifies the
     bracket by the mean value theorem.  psi_q'' = (ln q)^3 sum_n n^2
     q^(nx) / (1-q^n) < 0, so psi_q' is positive and decreasing, and on
@@ -815,9 +881,9 @@ def psi_q_root(q: QParam) -> PsiRoot:
     its rounding; below 0.05 they fall toward it, and L is taken 2^-48 of
     itself low.  The computed psi_q(m) is taken as exact; its
     error_estimate is left out of the comparison.  A certified bracket must
-    also have |psi_q(m)| <= 1e-10.  |psi_q(m)| is at most 0.655 of the reach
-    at every q tried in [0.05, 1 - 1e-5], so there the solve is that one
-    call, and builds nothing but the PsiRoot it returns.
+    also have |psi_q(m)| <= 1e-10.  |psi_q(m)| is at most 0.045 of the
+    reach at every q tried in [0.05, 1 - 1.1e-12], so there the solve is
+    that one call, and builds nothing but the PsiRoot it returns.
 
     A centre that is not certified moves by one Newton step from m, with
     psi_q'(m) from psi_q_m; the step needs no certificate, so a psi_q_m
@@ -825,11 +891,9 @@ def psi_q_root(q: QParam) -> PsiRoot:
     refine x_s, which is 1.3e-2 off the zero at q = 0.049 and within 3e-13
     of it below q = 1e-12: over 5,000 q log-uniform in [least normal, 0.05],
     4,851 solves take 1 psi_q call and none more than 4 psi_q and 3 psi_q_m
-    calls.  Near q = 1, where psi_q's computed zero drifts off the fit, one
-    step follows it: 1 - q in [1e-10, 1e-5] takes at most 2 psi_q calls and
-    1 psi_q_m call; for 1 - q below about 9.9e-11 psi_q itself needs more
-    terms than MAX_TERMS, and raises NonConvergence.  The guess is
-    positive at every q; a solve raises BracketFailure when a Newton step
+    calls.  Near q = 1 psi_q takes its q-Stirling form, at most 17 terms, so
+    no solve raises NonConvergence from psi_q, up to the largest q QParam
+    takes.  The guess is positive at every q; a solve raises BracketFailure when a Newton step
     leaves (0, inf), or when none of _ROOT_CENTRES centres is certified,
     naming the last centre and its residual, with no step after it.
 

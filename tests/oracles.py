@@ -105,6 +105,33 @@ def mp_psi_q_m(m, x, q, terms=3000):
     return mp.log(q) ** (m + 1) * _mp_polygamma_sum(m, x, q, terms)
 
 
+def mp_psi_q_abel_plana(x, q, dps=20):
+    """psi_q(x) by the Abel-Plana formula, for every q < 1, near q = 1 too,
+    where the n-form needs about 70 / (s x) terms, s = -ln q.
+
+    psi_q(x) = -ln(1-q) - sum_{k>=0} f(k), f(z) = s / (e^(s(x+z)) - 1),
+    analytic for Re z > -x, and sum_{k>=0} f(k) = int_0^inf f + f(0)/2 +
+    i int_0^inf (f(it) - f(-it)) / (e^(2 pi t) - 1) dt (Abel-Plana), with
+    int_0^inf f = -ln(1-q^x) and f(-it) = conj f(it), so that
+        psi_q(x) = ln((1-q^x)/(1-q)) - f(0)/2
+                   - 2 int_0^inf s a sin(st) / (|a e^(ist) - 1|^2 (e^(2 pi t) - 1)) dt,
+    a = q^(-x), |a e^(ist) - 1|^2 = (a-1)^2 + 4a sin^2(st/2).  As q -> 1
+    this tends to Binet's formula for the digamma.  The integral is mpmath's
+    quadrature at ``dps`` digits, near 1e-20 of the value at the default.
+    """
+    with mp.workdps(dps):
+        x = mpf(x)
+        q = mpf(q)
+        s = -mp.log(q)
+        am1 = mp.expm1(s * x)
+        a = am1 + 1
+
+        def weight(t):
+            return s * a * mp.sin(s * t) / ((am1 * am1 + 4 * a * mp.sin(s * t / 2) ** 2) * mp.expm1(2 * mp.pi * t))
+
+        return mp.log(mp.expm1(-s * x) / mp.expm1(-s)) - s / (2 * am1) - 2 * mp.quad(weight, [0, 1, mp.inf])
+
+
 def mp_q_bracket(x, q):
     return (1 - mpf(q) ** mpf(x)) / (1 - mpf(q))
 

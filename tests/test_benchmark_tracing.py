@@ -5,7 +5,8 @@ operation reached through a reference captured at import time would drop out
 of the traced benchmark without any error.  These run tiny traced passes and
 require spans for each ``*_bounds`` operation, for the ``psi_q`` calls
 inside a root solve, for the one ``ln_gamma_q`` call of a ratio, and for the
-series terms of ``psi_q`` below x = 1.
+series terms of ``psi_q`` below x = 1, or their absence where ``psi_q`` takes
+its q-Stirling form.
 """
 
 import math
@@ -87,16 +88,34 @@ def test_convexity_takes_two_ln_gamma_q_spans_per_pair(monkeypatch):
 
 
 def test_tracer_counts_series_terms_below_one(monkeypatch):
-    summary = _traced_summary(monkeypatch, lambda: qspecial.psi_q(0.05, QParam(0.9)))
+    # q = 0.5 is on psi_q's n-series side (s = -ln q >= _QSERIES_S).
+    q = QParam(0.5)
+    assert -q.ln_q >= qspecial._QSERIES_S
+    summary = _traced_summary(monkeypatch, lambda: qspecial.psi_q(0.05, q))
     from tracing import layer_values
 
     values = layer_values(summary)
     assert values["qcore.sum_geometric_decay.calls"] == values["qspecial.psi_q.calls"] == 1
     assert values["qcore.sum_geometric_decay.terms"] > 0
     # psi_q sums its K head terms itself and its tail through the engine;
-    # K = max(0, ceil(sqrt(-ln REL_TOL / -ln q) - x)), 17 here.
-    k_end = max(0, math.ceil(math.sqrt(-math.log(REL_TOL) / -math.log(0.9)) - 0.05))
-    assert values["qspecial.psi_q.terms"] - values["qcore.sum_geometric_decay.terms"] == k_end == 17
+    # K = max(0, ceil(sqrt(-ln REL_TOL / -ln q) - x)), 7 here.
+    k_end = max(0, math.ceil(math.sqrt(-math.log(REL_TOL) / -math.log(0.5)) - 0.05))
+    assert values["qspecial.psi_q.terms"] - values["qcore.sum_geometric_decay.terms"] == k_end == 7
+
+
+def test_q_stirling_psi_q_takes_no_engine_span(monkeypatch):
+    # At q = 0.9 psi_q takes its q-Stirling form: N = 10 head terms at
+    # x = 0.05 and its corrections, with no call to the series engine.
+    q = QParam(0.9)
+    assert -q.ln_q < qspecial._QSERIES_S
+    summary = _traced_summary(monkeypatch, lambda: qspecial.psi_q(0.05, q))
+    from tracing import layer_values
+
+    values = layer_values(summary)
+    assert "qcore.sum_geometric_decay" not in summary["spans"]
+    assert values["qcore.sum_geometric_decay.calls"] == 0
+    assert values["qspecial.psi_q.calls"] == 1
+    assert 10 < values["qspecial.psi_q.terms"] <= 17
 
 
 def test_psi_q_m_sums_its_tail_through_the_engine(monkeypatch):

@@ -409,19 +409,21 @@ class TestRootCacheAndDomains:
         assert cached_psi_root(q) == cached_psi_root(QParam(0.35))
 
     def test_root_cache_honours_the_term_cap(self, monkeypatch):
-        # The q = 0.9 solve needs 32-term psi_q calls: under a 20-term cap it
-        # raises, and the cache, keyed by q alone, stores nothing for it.
+        # The q = 0.5 solve needs a 12-term psi_q call (q = 0.5 is on
+        # psi_q's n-series side, which reads the cap): under an 8-term cap
+        # it raises, and the cache, keyed by q alone, stores nothing for it.
         # Once the cap is back the same q solves and is stored.
+        assert -QParam(0.5).ln_q >= qspecial._QSERIES_S
         monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
-        monkeypatch.setattr(qspecial, "MAX_TERMS", 20)
+        monkeypatch.setattr(qspecial, "MAX_TERMS", 8)
         with pytest.raises(NonConvergence):
-            thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9))
+            thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.5))
         assert bounds._ROOT_CACHE == {}
         monkeypatch.undo()
         monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
-        root = cached_psi_root(QParam(0.9))
-        assert bounds._ROOT_CACHE == {0.9: root}
-        assert passes(*thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.9))[:2])
+        root = cached_psi_root(QParam(0.5))
+        assert bounds._ROOT_CACHE == {0.5: root}
+        assert passes(*thm_alpha_bounds(27.0, 26.0, 3.0, QParam(0.5))[:2])
 
     def test_default_domains_cover_all_ids(self):
         for ineq in INEQUALITY_IDS:

@@ -46,6 +46,18 @@ def parse_plain(stdout):
     return out
 
 
+def _sample_q_on_the_n_series_side(monkeypatch, ineq, **ranges):
+    """Draw the q of ``ineq``'s default domain from (0.5, 0.6), the top of
+    psi_q's n-series side (s = -ln q >= _QSERIES_S), where it takes the most
+    terms, and any other range given from ``ranges``: that side reads the
+    term cap these tests lower, and above q = 0.6126 psi_q takes its
+    q-Stirling form, which does not."""
+    assert -QParam(0.6).ln_q >= qspecial._QSERIES_S
+    row = INEQUALITIES[ineq]
+    domain = row.domain._replace(q_range=(0.5, 0.6), **ranges)
+    monkeypatch.setitem(INEQUALITIES, ineq, row._replace(domain=domain))
+
+
 class TestEval:
     def test_gamma_q_integer_point(self):
         res = run_cli("eval", "--fn", "gamma_q", "--x", "3", "--q", "0.5")
@@ -183,8 +195,9 @@ class TestEval:
         assert float(plain["value"]) == blob["value"]
 
     def test_max_terms_env_changes_nothing(self):
-        # QGAMMA_MAX_TERMS used to set the cap, which is fixed now.
-        argv = ("eval", "--fn", "psi_q", "--x", "0.5", "--q", "0.9", "--format", "json")
+        # QGAMMA_MAX_TERMS used to set the cap, which is fixed now; q = 0.5
+        # is on psi_q's n-series side, which reads the cap.
+        argv = ("eval", "--fn", "psi_q", "--x", "0.5", "--q", "0.5", "--format", "json")
         res = run_cli(*argv, env_extra={"QGAMMA_MAX_TERMS": "5"})
         assert res.returncode == 0
         assert res.stdout == run_cli(*argv).stdout
@@ -203,9 +216,16 @@ class TestEval:
             assert captured.out == "" and "unrecognized arguments: --max-terms 5" in captured.err, argv
 
     def test_fixed_cap_exits_3(self, capsys):
-        # Near q = 1 psi_q needs more than the fixed cap of 10^6 terms.
-        assert main(["eval", "--fn", "psi_q", "--x", "1.5", "--q", "0.99999999999"]) == 3
+        # Near q = 1 psi_q' needs more than the fixed cap of 10^6 terms.
+        assert main(["eval", "--fn", "psi_q_m", "--m", "1", "--x", "1.5", "--q", "0.99999999999"]) == 3
         assert capsys.readouterr().err.startswith("error: no convergence within 1000000 terms")
+
+    @pytest.mark.parametrize("qv", ["0.99999999999", "0.3"])
+    def test_psi_q_exits_0_on_either_side_of_its_split(self, qv, capsys):
+        # psi_q takes its q-Stirling form near q = 1 (at most 17 terms, where
+        # its n-series once passed the cap) and its n-series at q = 0.3.
+        assert main(["eval", "--fn", "psi_q", "--x", "1.5", "--q", qv]) == 0
+        assert 0 < int(parse_plain(capsys.readouterr().out)["terms_used"]) <= 17
 
     def test_gamma_just_below_the_double_range_is_finite(self, capsys):
         # ln Gamma(171.6243) = 709.78232 lies below ln of the largest double,
@@ -453,6 +473,7 @@ class TestVerify:
     def test_pervasive_evaluation_errors_exit_3(self, monkeypatch, capsys):
         # Under a 3-term cap most points error, more of them than the
         # report's failure list holds: over half a report's points.
+        _sample_q_on_the_n_series_side(monkeypatch, "thm_mvt")
         monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
         assert main(["verify", "--ineq", "thm_mvt", "--samples", "1000", "--seed", "1"]) == 3
         fields = parse_plain(capsys.readouterr().out.split("\nfailure: ")[0])
@@ -465,6 +486,7 @@ class TestVerify:
         from qgamma.propcheck import ALL_CHECK_IDS
 
         monkeypatch.setattr(bounds, "_ROOT_CACHE", {})
+        _sample_q_on_the_n_series_side(monkeypatch, "thm_alpha")
         monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
         argv = ["verify", "--ineq", "all", "--samples", "20", "--seed", "1", "--format", "json"]
         assert main(argv) == 3
@@ -497,7 +519,10 @@ class TestVerify:
 
     def test_json_without_evaluated_points_is_valid_json(self, monkeypatch, capsys):
         # No point evaluates under a 3-term cap, so neither worst margin
-        # exists: JSON null, never the non-JSON token Infinity.
+        # exists: JSON null, never the non-JSON token Infinity.  At q in
+        # (0.5, 0.6) and x, y <= 4 every psi_q call needs a head of
+        # K = ceil(sqrt(-ln REL_TOL / -ln q) - x) >= 3 terms, which the cap cuts.
+        _sample_q_on_the_n_series_side(monkeypatch, "thm_main", x_range=(1.0, 4.0), y_range=(1.0, 4.0))
         monkeypatch.setattr(qspecial, "MAX_TERMS", 3)
         assert main(["verify", "--ineq", "thm_main", "--samples", "3", "--seed", "1", "--format", "json"]) == 3
 

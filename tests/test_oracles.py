@@ -2,7 +2,7 @@
 
 from mpmath import mp, mpf
 
-from oracles import mp_ln_gamma_q, mp_psi_q, mp_q_factorial
+from oracles import mp_ln_gamma_q, mp_psi_q, mp_psi_q_abel_plana, mp_q_factorial
 
 
 def test_psi_q_oracle_converges_on_its_own():
@@ -10,6 +10,20 @@ def test_psi_q_oracle_converges_on_its_own():
     x, q = mpf("0.05"), mpf("0.95")
     reference = -mp.log(1 - q) + mp.log(q) * mp.fsum(q ** (n * x) / (1 - q**n) for n in range(1, 60001))
     assert abs(mp_psi_q("0.05", "0.95", terms=1) - reference) <= mpf("1e-30") * abs(reference)
+
+
+def test_abel_plana_oracle_is_the_n_form():
+    # Two independent routes to psi_q, where the n-form is cheap: near the
+    # pole, at the n-series/q-Stirling split of the library, and far out.
+    for x, q in (("0.05", "0.9"), ("1.5", "0.5"), ("0.3", "0.95"), ("10", "0.6126"), ("30", "0.99")):
+        reference = mp_psi_q(x, q, terms=1)
+        assert abs(mp_psi_q_abel_plana(x, q, dps=30) - reference) <= mpf("1e-27") * max(1, abs(reference)), (x, q)
+
+
+def test_abel_plana_oracle_tends_to_the_digamma():
+    # Binet's formula at q = 1: within about (1-q) of the digamma.
+    for x in ("0.05", "1", "7.5"):
+        assert abs(mp_psi_q_abel_plana(x, 1 - mpf("1e-15")) - mp.digamma(mpf(x))) <= mpf("1e-13"), x
 
 
 def test_ln_gamma_q_oracle_converges_on_its_own():

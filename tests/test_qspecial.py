@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 import rounding
-from oracles import mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_m, mp_psi_q_root, mp_q_factorial
+from oracles import (mp_ln_gamma_q, mp_ln_gamma_q_shift, mp_psi_q, mp_psi_q_abel_plana, mp_psi_q_m, mp_psi_q_root,
+                     mp_q_factorial)
 
 import qgamma.qspecial as qspecial
 from qgamma.classical import ln_gamma_classical, psi_classical
@@ -429,6 +430,159 @@ class TestPsiQ:
         with pytest.raises(DomainError):
             psi_q(0.0, QParam(0.5))
 
+    def test_n_series_side_within_16_terms(self):
+        # From s = -ln q >= _QSERIES_S on, K <= ceil(sqrt(-ln REL_TOL / 0.49))
+        # = 8 head terms and a tail at ratio q^(x+K) <= 0.0197 or less: at
+        # most 16 terms, far from the cap, up to the split's own q.
+        q_split, _ = _split_q_pair()
+        for qv in (*np.geomspace(1e-300, 0.6, 40), q_split):
+            q = QParam(float(qv))
+            assert -q.ln_q >= qspecial._QSERIES_S
+            for x in np.geomspace(1e-300, 100.0, 120):
+                assert 0 < psi_q(float(x), q).terms_used <= 16, (x, qv)
+
+
+def _psi_agrees(ev, ref, qv):
+    """|value - oracle| within the bound and 1e-14 of max(1, |psi_q|,
+    |ln(1-q)|): the n-series side adds -ln(1-q) to a sum that cancels most
+    of it, so its rounding is of that size (the q-Stirling side takes
+    ln [T]_q as one log of a ratio)."""
+    return abs(ev.value - ref) <= ev.error_estimate + 1e-14 * max(1.0, abs(ref), abs(math.log1p(-qv)))
+
+
+class TestPsiQStirling:
+    """psi_q below s = -ln q = _QSERIES_S (q > 0.6126): N = max(0,
+    ceil(10 - x)) recurrence terms, ln [T]_q + h'(T)/2 at T = x + N and at
+    most seven corrections, against the Abel-Plana oracle, which holds up
+    to q = 1 where the n-form needs millions of terms."""
+
+    @staticmethod
+    def _points(seed: int, count: int) -> list:
+        # x log-uniform over [0.05, 30] and 1 - q over [1e-5, 0.387], the
+        # whole q-Stirling side above 1 - 1e-5.
+        rng = np.random.default_rng(seed)
+        return [
+            (float(math.exp(rng.uniform(math.log(0.05), math.log(30.0)))),
+             1.0 - float(math.exp(rng.uniform(math.log(1e-5), math.log(0.387)))))
+            for _ in range(count)
+        ]
+
+    def test_matches_the_oracle_within_17_terms(self):
+        points = self._points(41, 300)
+        # Each side of x = 10, where N falls from 1 to 0.
+        points += [(x, qv) for _, qv in points[:10] for x in (math.nextafter(10.0, 0.0), 10.0)]
+        misses = []
+        for x, qv in points:
+            q = QParam(qv)
+            assert -q.ln_q < qspecial._QSERIES_S, qv
+            ev = psi_q(x, q)
+            ref = float(mp_psi_q_abel_plana(x, qv))
+            if not (_psi_agrees(ev, ref, qv) and 0 < ev.terms_used <= 17):
+                misses.append((x, qv, ev, ref))
+        assert misses == []
+
+    def test_terms_and_head(self, monkeypatch):
+        # N = ceil(10 - x) exactly (10 - x rounds to 9 at x = 1 - 2^-53,
+        # which would leave T below 10), so that the ladder runs at
+        # u = q^T with T = x + N >= 10, and terms_used is N plus the
+        # corrections it added, at most seven.
+        ladder, seen = qspecial._em_psi_ladder, []
+
+        def recording_ladder(value, tol, u, p, r):
+            out = ladder(value, tol, u, p, r)
+            seen.append((u, out[2]))
+            return out
+
+        monkeypatch.setattr(qspecial, "_em_psi_ladder", recording_ladder)
+        for qv in (0.62, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-11):
+            q = QParam(qv)
+            for x in (1e-300, 0.05, math.nextafter(1.0, 0.0), 1.0, 2.5, 9.5, math.nextafter(10.0, 0.0), 10.0,
+                      30.0, 1e4, 1e300):
+                n = max(0, math.ceil(10 - Fraction(x)))
+                seen.clear()
+                ev = psi_q(x, q)
+                ((u, j),) = seen
+                assert x + n >= 10.0 and u == math.exp(-(-q.ln_q * (x + n))), (x, qv)
+                assert ev.terms_used == n + j and 0 <= j <= qspecial._EM_TERMS, (x, qv, ev)
+
+    def test_eighth_correction_below_the_least_stop(self):
+        # The eighth correction B_16/16! s^16 Li_{-15}(u), u = e^(-sT), as
+        # psi_q forms it (u (s / (1-u))^16 A_15(u)), over 20,000 s from
+        # 1e-12 to _QSERIES_S, at T = 10, where it is largest: it stays
+        # below the least stop REL_TOL / 1024, so psi_q never adds it.
+        s = np.geomspace(1e-12, qspecial._QSERIES_S, 20_000)
+        u = np.exp(-10.0 * s)
+        a15 = np.zeros_like(u)
+        for c in _eulerian_explicit(15):
+            a15 = a15 * u + c
+        eighth = abs(BERNOULLI[7] / math.factorial(16)) * u * (s / -np.expm1(-10.0 * s)) ** 16 * a15
+        worst = float(eighth.max())
+        assert worst < REL_TOL * qspecial._EM_STOP
+        # B_16 / (16 T^16), its limit as s -> 0, to 1e-6.
+        assert worst == pytest.approx(abs(BERNOULLI[7]) / 16e16, rel=1e-6)
+
+    def test_both_paths_agree_at_the_split(self, monkeypatch):
+        # q_at takes the n-series and q_below, the next double up, the
+        # q-Stirling form; at each, either path (forced by moving the split)
+        # agrees with the n-form oracle and with the other.
+        q_at, q_below = _split_q_pair()
+        xs = [x for x, _ in self._points(42, 24)]
+        for qv, path in ((q_at, "series"), (q_below, "stirling")):
+            q = QParam(qv)
+            default = [psi_q(x, q) for x in xs]
+            monkeypatch.setattr(qspecial, "_QSERIES_S", 0.0)
+            series = [psi_q(x, q) for x in xs]
+            monkeypatch.setattr(qspecial, "_QSERIES_S", math.inf)
+            stirling = [psi_q(x, q) for x in xs]
+            monkeypatch.undo()
+            assert default == (series if path == "series" else stirling), qv
+            assert max(ev.terms_used for ev in stirling) <= 17
+            for x, a, b in zip(xs, series, stirling):
+                ref = float(mp_psi_q(x, qv, terms=1))
+                assert _psi_agrees(a, ref, qv) and _psi_agrees(b, ref, qv), (x, qv, a, b, ref)
+                assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate + 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("one_minus_q", [1e-8, 1e-11])
+    def test_recurrence_near_one(self, one_minus_q):
+        # psi_q(x+1) - psi_q(x) = s q^x / (1-q^x) = s / expm1(s x), with x
+        # on a grid of 2^-10 so that x + 1 is exact.  Each value is at
+        # most 10 head terms -s / expm1(s(x+k)), of size at most 1/(x+k),
+        # ln [T]_q, at most ln T + 1 here, h'(T)/2, at most 1/(2T), and
+        # corrections far below those: S(x) bounds the sum of their sizes.
+        # Each part is within 6 roundings u of its value (x + k and s t,
+        # expm1 or exp, s = -ln q itself, and a division or log), and each
+        # of the at most 13 additions adds at most u S(x): 24 u S(x) bounds
+        # a value's rounding, and 3 u the step's, besides the two bounds.
+        u = 2.0**-53
+
+        def size(x):
+            n = 10 - math.floor(x) if x < 10.0 else 0
+            return sum(1.0 / (x + k) for k in range(n)) + math.log(x + n) + 1.0 + 0.5 / (x + n)
+
+        q = QParam(1.0 - one_minus_q)
+        s = -q.ln_q
+        rng = np.random.default_rng(43)
+        for x in np.exp(rng.uniform(math.log(0.05), math.log(30.0), size=200)):
+            x = round(float(x) * 1024.0) / 1024.0
+            low, high = psi_q(x, q), psi_q(x + 1.0, q)
+            step = s / math.expm1(s * x)
+            bound = low.error_estimate + high.error_estimate + 24.0 * u * (size(x) + size(x + 1.0)) + 3.0 * u * step
+            assert abs((high.value - low.value) - step) <= bound, (x, one_minus_q, high.value - low.value, step)
+
+    @pytest.mark.parametrize("qv", [0.62, 0.9, 1.0 - 1e-11])
+    def test_reads_no_term_cap_and_overflows_at_the_pole(self, monkeypatch, qv):
+        # With MAX_TERMS gone from qspecial, a read of it raises NameError:
+        # the q-Stirling side makes none, the n-series side does.  s x
+        # underflows to 0 at x = 5e-324, where the first head term's expm1
+        # is 0: Overflow, as on the n-series side.
+        q = QParam(qv)
+        monkeypatch.delattr(qspecial, "MAX_TERMS")
+        assert psi_q(2.5, q).terms_used <= 17
+        with pytest.raises(Overflow, match=rf"^psi_q\(5e-324, {qv!r}\) exceeds the double range$"):
+            psi_q(5e-324, q)
+        with pytest.raises(NameError):
+            psi_q(2.5, QParam(0.5))
+
 
 class TestPsiQM:
     def test_sign_pattern(self):
@@ -566,10 +720,13 @@ class TestPsiQM:
         assert abs(ev.value - oracle) <= ev.error_estimate + 1e-12 * abs(oracle)
 
     def test_cap_errors_share_one_message(self, monkeypatch):
-        q = QParam(0.9)
+        # psi_q at q = 0.5, on its n-series side, where K = 5 here and the
+        # call takes 11 terms; psi_q_m at q = 0.9, where K = 15 and it takes 34.
+        q, q_psi = QParam(0.9), QParam(0.5)
+        assert -q_psi.ln_q >= qspecial._QSERIES_S
         calls = (
-            (lambda: psi_q(2.5, q), 3),  # in the head
-            (lambda: psi_q(2.5, q), 20),  # in the tail
+            (lambda: psi_q(2.5, q_psi), 3),  # in the head
+            (lambda: psi_q(2.5, q_psi), 8),  # in the tail
             (lambda: psi_q_m(2, 2.5, q), 3),
             (lambda: psi_q_m(2, 2.5, q), 20),
         )
@@ -663,6 +820,8 @@ class TestTailEngineReference:
     bound holds: the tail left, in 40 digits, is at most it."""
 
     ONE_MINUS_Q = np.geomspace(1e-6, 0.999, 9)
+    # psi_q sums its tail through the engine on its n-series side alone.
+    N_SERIES_Q = (1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     X = np.geomspace(0.01, 1000.0, 9)
     ORDERS = (1, 2, 3, 7, 30)
     # Large orders: summands rising from below the double range, summands
@@ -673,11 +832,12 @@ class TestTailEngineReference:
     def test_psi_q_and_psi_q_m_match_the_closures(self, monkeypatch, max_terms):
         _cap(monkeypatch, max_terms)
         calls = []
-        for om in self.ONE_MINUS_Q:
-            q = QParam(1.0 - float(om))
+        for om, qv in zip(self.ONE_MINUS_Q, self.N_SERIES_Q):
+            q, q_psi = QParam(1.0 - float(om)), QParam(qv)
+            assert -q_psi.ln_q >= qspecial._QSERIES_S
             for x in self.X:
                 x = float(x)
-                calls.append(lambda x=x, q=q: psi_q(x, q))
+                calls.append(lambda x=x, q=q_psi: psi_q(x, q))
                 calls += [lambda m=m, x=x, q=q: psi_q_m(m, x, q) for m in self.ORDERS]
         calls += [lambda m=m, x=x, q=QParam(qv): psi_q_m(m, x, q) for m, x, qv in self.EDGES]
         assert len(calls) == 81 * (1 + len(self.ORDERS)) + len(self.EDGES)
@@ -793,6 +953,12 @@ def _gamma_explicit(m: int) -> tuple:
 _LOOP_EM_COEF = tuple(
     (b / math.factorial(2 * j), tuple(map(float, _gamma_explicit(2 * j - 2))) if j > 1 else (1.0,))
     for j, b in enumerate(BERNOULLI, 1)
+)
+
+# psi_q's: B_2j/(2j)! and the gamma vector of A_(2j-1), j = 1..8.
+_LOOP_PSI_EM_COEF = tuple(
+    (b / math.factorial(2 * j), tuple(map(float, _gamma_explicit(2 * j - 1))))
+    for j, b in enumerate(BERNOULLI[:qspecial._EM_TERMS + 1], 1)
 )
 
 
@@ -942,6 +1108,32 @@ def _loop_ladder(value, tol, ux, uy, px, py, rx, ry, coefs=_LOOP_EM_COEF[:qspeci
     return value, bound, j
 
 
+def _loop_psi_ladder(value, tol, ux, px, rx):
+    """psi_q's correction loop in gamma form, the reference for the
+    unrolled em_psi_ladder: step j subtracts c ux r^(2j+2) A_(2j+1)(ux),
+    A_(2j+1)(u) = (1+u)^(2j) G(t), t = u/(1+u)^2, each G by a loop over its
+    coefficients from the top, from px = ux r^2 and rx = r^2, the (1+u)^2
+    powers carried in px and rx from the first step on."""
+    tx = 0.0
+    for j, (coef, gamma) in enumerate(_LOOP_PSI_EM_COEF):
+        gx = 0.0
+        for c in reversed(gamma):
+            gx = gx * tx + c
+        cx = coef * px * gx
+        bound = cx if coef > 0.0 else -cx
+        if bound <= tol or j == len(_LOOP_PSI_EM_COEF) - 1:
+            break
+        value -= cx
+        if j == 0:
+            ax = 1.0 + ux
+            tx = ux / (ax * ax)
+            px *= rx * (ax * ax)
+            rx *= ax * ax
+        else:
+            px *= rx
+    return value, bound, j
+
+
 def _eulerian_loop_ladder(value, tol, ux, uy, px, py, rx, ry):
     """The correction loop with each A_2j by a loop over its Eulerian
     coefficients, as ln_gamma_q took it before the gamma form, and the size
@@ -974,8 +1166,9 @@ def _loop_kernel(m, u):
 
 
 def _reference_psi_q(x, q):
-    """psi_q with K from _head_length, kept verbatim as the reference for
-    the lines written out in its place, under the same cap."""
+    """psi_q on its n-series side (s = -ln q >= _QSERIES_S) with K from
+    _head_length, kept verbatim as the reference for the lines written out
+    in its place, under the same cap."""
     require_positive(x)
     expm1 = math.expm1
     ln_q = q.ln_q
@@ -1033,7 +1226,10 @@ class TestStraightLineReference:
         assert qspecial._EULERIAN == tuple(_eulerian_explicit(m) for m in range(17))
 
     def test_gamma_table_is_the_closed_form(self):
-        assert qspecial._EM_GAMMA == tuple(gamma for _, gamma in _LOOP_EM_COEF[:qspecial._EM_TERMS + 1])
+        # By order: ln Gamma_q's corrections read the even ones, psi_q's the odd.
+        assert len(qspecial._EM_GAMMA) == 2 * qspecial._EM_TERMS + 2
+        assert qspecial._EM_GAMMA[::2] == tuple(gamma for _, gamma in _LOOP_EM_COEF[:qspecial._EM_TERMS + 1])
+        assert qspecial._EM_GAMMA[1::2] == tuple(gamma for _, gamma in _LOOP_PSI_EM_COEF)
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_gamma_vector_expands_to_the_eulerian_polynomial(self, m):
@@ -1062,6 +1258,20 @@ class TestStraightLineReference:
                         mismatches.append(args)
         assert mismatches == []
         assert qspecial._em_ladder(1.0, -1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)[2] == qspecial._EM_TERMS == 7
+
+    def test_psi_ladder_matches_the_loop(self):
+        # psi_q's ladder, from the same generator: every step runs at tol = -1.
+        rng = np.random.default_rng(40)
+        mismatches = []
+        for ux in self.U:
+            for _ in range(10):
+                for tol in (-1.0, 0.0, 1e-17, 1e-14, 1e-6):
+                    value, px, rx = (float(v) for v in np.exp(rng.uniform(-30.0, 5.0, 3)))
+                    args = (value, tol, ux, px, rx)
+                    if qspecial._em_psi_ladder(*args) != _loop_psi_ladder(*args):
+                        mismatches.append(args)
+        assert mismatches == []
+        assert qspecial._em_psi_ladder(1.0, -1.0, 0.5, 1.0, 1.0)[2] == qspecial._EM_TERMS == 7
 
     def test_ladder_matches_the_eulerian_form(self):
         # The gamma form rounds differently.  With u in [0, 1] every factor
@@ -1135,11 +1345,14 @@ class TestStraightLineReference:
 
     @pytest.mark.parametrize("max_terms", [None, *CAPS])
     def test_psi_q_matches_the_calls(self, monkeypatch, max_terms):
+        # On psi_q's n-series side: the grid's last q (1 - q = 0.999) and
+        # the four after it; q^(x+K) is below the double range at the last two.
         _cap(monkeypatch, max_terms)
         mismatches = []
-        # q^(x+K) below the double range at the last two q.
-        for qv in (*(1.0 - self.ONE_MINUS_Q), 1e-20, 1e-200):
-            q = QParam(float(qv))
+        n_series_q = [q for q in map(QParam, (*(1.0 - self.ONE_MINUS_Q), 0.6, 0.3, 1e-20, 1e-200))
+                      if -q.ln_q >= qspecial._QSERIES_S]
+        assert len(n_series_q) == 5
+        for q in n_series_q:
             for x in (*self.X, *self.Y[:3], 700.0):
                 got, ref = _outcome(lambda: psi_q(x, q)), _outcome(lambda: _reference_psi_q(x, q))
                 if got != ref:
@@ -1346,7 +1559,7 @@ class TestShiftedTail:
         monkeypatch.setattr(qspecial, "sum_geometric_decay", recording_tail)
         cap = _cap(monkeypatch, max_terms)
         reached = 0
-        for qv in (1e-12, 0.05, 0.5, 0.9, 0.999):
+        for qv in (1e-12, 0.05, 0.3, 0.5, 0.6, 0.9, 0.999):
             q = QParam(qv)
             edge = math.sqrt(-math.log(REL_TOL) / -q.ln_q)
             xs = (0.01, 0.3 * edge, math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf), 3.0 * edge + 0.5)
@@ -1358,7 +1571,9 @@ class TestShiftedTail:
                         psi_q(x, q) if m == 0 else psi_q_m(m, x, q)
                     except NonConvergence:
                         pass
-                    expected = [(x + k_end) * q.ln_q] if k_end < cap else []
+                    # psi_q's q-Stirling side (s < _QSERIES_S) takes no tail.
+                    n_series = m > 0 or -q.ln_q >= qspecial._QSERIES_S
+                    expected = [(x + k_end) * q.ln_q] if k_end < cap and n_series else []
                     assert seen == expected, (x, qv, m, seen, expected)
                     reached += len(seen)
         assert reached > {None: 110, 1: 45, 7: 50, 60: 75}[max_terms], reached
@@ -1376,14 +1591,17 @@ class TestShiftedTail:
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_max_terms_raises_with_bounded_partial_value(self, monkeypatch, m):
-        q = QParam(0.9)
+        # psi_q at q = 0.5, on its n-series side, psi_q_m at q = 0.9.
+        q = QParam(0.5 if m == 0 else 0.9)
+        k_end = _head_length(2.5, q)
 
         def evaluate():
             return psi_q(2.5, q) if m == 0 else psi_q_m(m, 2.5, q)
 
         full = evaluate()
-        # Cut inside the head, where it ends (K = 15 here) and in the tail.
-        for max_terms in (3, 15, full.terms_used - 1):
+        # Cut inside the head, where it ends (K = 5 and 15 here) and in the tail.
+        assert k_end == (5 if m == 0 else 15)
+        for max_terms in (3, k_end, full.terms_used - 1):
             _cap(monkeypatch, max_terms)
             with pytest.raises(NonConvergence) as info:
                 evaluate()
@@ -1434,14 +1652,16 @@ BELOW_ONE_X = (0.05, 0.2, 0.7, math.nextafter(1.0, 0.0))
 
 
 class _CountingMath:
-    """The math module, counting each call of exp and expm1."""
+    """The math module, counting each call of the functions in ``names``
+    (exp and expm1 by default)."""
 
-    def __init__(self):
+    def __init__(self, names=("exp", "expm1")):
+        self.names = names
         self.calls = 0
 
     def __getattr__(self, name):
         attr = getattr(math, name)
-        if name not in ("exp", "expm1"):
+        if name not in self.names:
             return attr
 
         def counted(*args):
@@ -1452,10 +1672,13 @@ class _CountingMath:
 
 
 class TestLibmCallsPerCall:
-    """The tails of psi_q and psi_q_m and psi_q_m's head take each power
-    of q from the one before, so their exp and expm1 calls do not grow with
-    the terms they sum: the same at 2 terms (x = 30, q = 0.5) as at more
-    than 40 (x = 0.05, q = 0.95)."""
+    """The n-series tails of psi_q and psi_q_m and psi_q_m's head take each
+    power of q from the one before, so their exp and expm1 calls do not
+    grow with the terms they sum: the same at 2 terms (x = 30, q = 0.5) as
+    at more than 5 (psi_q at x = 0.05, q = 0.6, the top of its n-series
+    side) or 40 (psi_q_m at x = 0.05, q = 0.95).  psi_q's q-Stirling side
+    takes one expm1 per head term, and one exp, one expm1 and one log for
+    its tail and corrections, however many it adds."""
 
     def test_exp_and_expm1_calls_do_not_grow_with_terms(self, monkeypatch):
         import qgamma.qcore as qcore
@@ -1473,15 +1696,15 @@ class TestLibmCallsPerCall:
 
         monkeypatch.setattr(qspecial, "sum_geometric_decay", counted_tail)
         found = []
-        for x, qv in ((0.05, 0.95), (30.0, 0.5)):
-            q = QParam(qv)
+        for x, q_psi, q in ((0.05, QParam(0.6), QParam(0.95)), (30.0, QParam(0.5), QParam(0.5))):
+            assert -q_psi.ln_q >= qspecial._QSERIES_S
             tail_calls.clear()
-            psi_q(x, q)
+            psi_q(x, q_psi)
             counting.calls = 0
             ev = psi_q_m(2, x, q)
             found.append((*tail_calls[0], counting.calls, ev.terms_used, _head_length(x, q)))
         (many_tail, many_tail_terms, many, many_terms, head), (few_tail, few_tail_terms, few, few_terms, no_head) = found
-        assert many_tail_terms > 20 and many_terms > 40 and head > 20
+        assert many_tail_terms > 5 and many_terms > 40 and head > 20
         assert few_tail_terms == few_terms == 2 and no_head == 0
         # psi_q's tail: q^y, q and 1 - q.
         assert many_tail == few_tail == 3
@@ -1491,14 +1714,33 @@ class TestLibmCallsPerCall:
         assert few == 3 + 1 + 1
         assert many == 3 + 2 + 1 + 4
 
+    def test_q_stirling_psi_q_calls(self, monkeypatch):
+        # N = 10 head terms at x = 0.05 and none at x = 30, at q = 0.9 and
+        # near q = 1, with up to seven corrections each: N + 2 exp and expm1
+        # calls, one log and no log1p.
+        calls = {}
+        for names in (("exp", "expm1"), ("log",), ("log1p",)):
+            counting = _CountingMath(names)
+            monkeypatch.setattr(qspecial, "math", counting)
+            for x, n in ((0.05, 10), (30.0, 0)):
+                for qv in (0.9, 1.0 - 1e-9):
+                    counting.calls = 0
+                    ev = psi_q(x, QParam(qv))
+                    calls[names, x, qv] = (counting.calls, ev.terms_used - n)
+        for (names, x, qv), (count, corrections) in calls.items():
+            n = 10 if x < 10.0 else 0
+            assert count == {"exp": n + 2, "log": 1, "log1p": 0}[names[0]], (names, x, qv, count)
+            assert 0 < corrections <= qspecial._EM_TERMS, (x, qv, corrections)
+
 
 class TestFixedCap:
-    """The term cap is the fixed MAX_TERMS = 10^6, reached with no patch
-    near q = 1: at x = 1.5 the head alone is K = 1,732,051 terms at
-    1 - q = 1e-11, and at 1 - q = 5e-11 the head of K = 774,596 leaves the
-    tail too few terms.  Each call takes about 0.2 s."""
+    """The term cap is the fixed MAX_TERMS = 10^6, reached by psi_q_m with
+    no patch near q = 1: at x = 1.5 the head alone is K = 1,732,051 terms
+    at 1 - q = 1e-11, and at 1 - q = 5e-11 the head of K = 774,596 leaves
+    the tail too few terms.  Each call takes about 0.2 s.  psi_q takes its
+    q-Stirling form there, which does not read the cap."""
 
-    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("one_minus_q, in_head", [(1e-11, True), (5e-11, False)])
     def test_real_cap_stops_in_the_head_or_the_tail(self, monkeypatch, m, one_minus_q, in_head):
         tails = []
@@ -1515,10 +1757,11 @@ class TestFixedCap:
         assert MAX_TERMS == qspecial.MAX_TERMS == 10**6
         assert (_head_length(1.5, q) >= MAX_TERMS) is in_head
         with pytest.raises(NonConvergence, match=r"^no convergence within 1000000 terms \(estimate ") as info:
-            psi_q(1.5, q) if m == 0 else psi_q_m(m, 1.5, q)
+            psi_q_m(m, 1.5, q)
         assert info.value.terms_used == MAX_TERMS
         assert math.isfinite(info.value.partial_value) and info.value.error_estimate > 0.0
         assert tails == ([] if in_head else [MAX_TERMS - _head_length(1.5, q)])
+        assert psi_q(1.5, q).terms_used <= 17
 
 
 class TestBelowOne:
@@ -1838,30 +2081,22 @@ class TestPsiQRoot:
         assert moved(res.bracket_low) < 0.0 < moved(res.bracket_high)
         assert res.bracket_high - res.bracket_low <= 1e-12
 
-    def test_declined_guess_near_one_solves_from_its_bracket(self, monkeypatch):
-        # Near q = 1 the computed zero drifts off the fit and the one-call
-        # reach test declines some guesses, though |psi_q| at the midpoint
-        # is far below 1e-10.  One Newton step then moves the centre onto
-        # the computed zero: at most 2 psi_q calls and 1 psi_q_m call per
-        # solve, as over 300 q with 1 - q log-uniform in [1e-8, 1e-6] and
-        # 100 in [1e-10, 1e-8].  Over each scan below, 1 - q log-uniform,
-        # the mean psi_q count is 1.292 and 1.9, held to 1.35 and 1.95, and
-        # every bracket past one call is checked outside the solver.
+    def test_solves_near_one_take_one_call(self, monkeypatch):
+        # psi_q's q-Stirling zero is a smooth function of s up to q = 1, and
+        # the guess stays within 1.1e-14 of it beyond its fitted range: each
+        # solve for 1 - q log-uniform in [1.1e-12, 1e-5], down to the largest
+        # q QParam takes, is one psi_q call and no psi_q_m call (once up to 2
+        # psi_q and 1 psi_q_m, and NonConvergence below 1 - q = 9.9e-11),
+        # and certifies a bracket checked outside the solver.
         calls, slopes = _count_root_calls(monkeypatch)
         rng = np.random.default_rng(2301)
-        for (lo, hi), n, mean_bound in (((1e-6, 3e-6), 500, 1.35), ((1e-7, 1e-6), 100, 1.95)):
-            counts = []
-            for om in np.exp(rng.uniform(math.log(lo), math.log(hi), size=n)):
-                q = QParam(1.0 - float(om))
-                calls.clear()
-                slopes.clear()
-                res = qspecial.psi_q_root(q)
-                counts.append(len(calls))
-                assert len(set(calls)) == len(calls) <= 2, (q.q, calls)
-                assert slopes == calls[:-1], (q.q, calls, slopes)
-                if counts[-1] > 1:
-                    _assert_root_invariants(q, res)
-            assert sum(counts) / n <= mean_bound, (lo, hi, sum(counts) / n)
+        for om in np.exp(rng.uniform(math.log(1.1e-12), math.log(1e-5), size=300)):
+            q = QParam(1.0 - float(om))
+            calls.clear()
+            slopes.clear()
+            res = qspecial.psi_q_root(q)
+            assert len(calls) == 1 and slopes == [], (q.q, calls, slopes)
+            _assert_root_invariants(q, res)
 
     def test_bumped_values_still_lead_to_the_true_zero(self, monkeypatch):
         # psi_q moved at the three points near the guess only, so that they
@@ -1988,6 +2223,24 @@ class TestPsiQRoot:
         guess = qspecial._root_guess(q)
         assert abs(script.bisected_zero(q) - guess) <= 0.5 * qspecial._ROOT_GUESS_HALF_WIDTH
         assert script.residual_over_reach(guess, q) < 1.0
+
+    def test_fit_keeps_its_best_iterate(self):
+        # Lawson's reweighting multiplies each weight by its point's error,
+        # so points a step fits to the last bit drop out of the next: the
+        # script returns its best iterate, at most plain least squares'
+        # error, and stops once every weight is 0 (a cubic, fitted exactly).
+        path = Path(__file__).resolve().parent.parent / "scripts" / "fit_root_guess.py"
+        spec = importlib.util.spec_from_file_location("fit_root_guess", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        t = np.linspace(-1.0, 1.0, 60)
+        basis = np.polynomial.chebyshev.chebvander(t, 3)
+        for zeros in (np.exp(t), 1.0 + t * (0.5 - 0.25 * t * t)):
+            plain = np.linalg.lstsq(basis, zeros, rcond=None)[0]
+            coef, largest = script.lawson_fit(basis, zeros)
+            assert np.all(np.isfinite(coef))
+            assert largest == np.abs(basis @ coef - zeros).max() <= np.abs(basis @ plain - zeros).max()
+        assert largest <= 1e-15
 
     def test_sign_change_around_root(self):
         for qv in (0.2, 0.6, 0.9):
